@@ -20,7 +20,7 @@ class DomainViolation(LqSpecError):
 
 
 class NoConvergence(LqSpecError):
-    """Power iteration failed to converge within the iteration budget."""
+    """An iterative solve ran out of budget or its result failed its certificate."""
 
 
 class DegenerateClass(LqSpecError):

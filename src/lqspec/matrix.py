@@ -226,7 +226,6 @@ class AtomFamily:
         log_amp = q * math.log(w.c) - alpha * log_rho0
         lw_const = abs(math.log(w.c)) + abs(log_hi) + 1.0
         ll_const = abs(log_rho0) + abs(log_r)
-
         s = sq = sa = 0.0
         k_next = self.k_start
         batch = 64
@@ -426,6 +425,70 @@ def matrix_at(
             except DomainViolation as exc:
                 raise DomainViolation(f"row {spec.labels[i]}, col {spec.labels[j]}: {exc}") from exc
     return out
+
+
+@dataclass(frozen=True)
+class CompiledBlock:
+    """A principal block of a spec, compiled for repeated evaluation.
+
+    Finite families are expanded into flat atom arrays (flat cell index,
+    ln w, ln L), so their share of the block at (q, alpha) is one ``exp``
+    and one ``bincount`` per output.  Each distinct infinite family is
+    summed once per call and added to every cell that holds it.
+    """
+
+    size: int
+    cells: np.ndarray
+    log_w: np.ndarray
+    log_len: np.ndarray
+    series: tuple[tuple[AtomFamily, tuple[int, ...]], ...]
+
+    def domain_sup(self, q: float) -> float | None:
+        sups = [s for fam, _ in self.series if (s := fam.domain_sup(q)) is not None]
+        return min(sups) if sups else None
+
+    def evaluate(self, q: float, alpha: float, rel_tol: float = DEFAULT_REL_TOL):
+        """The block M and its partials dM/dq, dM/dalpha at (q, alpha)."""
+        n2 = self.size * self.size
+        with np.errstate(over="ignore", under="ignore"):
+            terms = np.exp(q * self.log_w - alpha * self.log_len)
+        m = np.bincount(self.cells, terms, n2)
+        mq = np.bincount(self.cells, terms * self.log_w, n2)
+        ma = np.bincount(self.cells, -terms * self.log_len, n2)
+        for fam, cells in self.series:
+            s, sq, sa = fam.evaluate(q, alpha, rel_tol, grads=True)
+            for c in cells:
+                m[c] += s
+                mq[c] += sq
+                ma[c] += sa
+        shape = (self.size, self.size)
+        return m.reshape(shape), mq.reshape(shape), ma.reshape(shape)
+
+
+def compile_block(spec: MeasureMatrixSpec, members) -> CompiledBlock:
+    """Compile the principal block of ``spec`` on the rows ``members``."""
+    members = list(members)
+    cells, log_w, log_len = [], [], []
+    series: dict[AtomFamily, list[int]] = {}
+    for a, i in enumerate(members):
+        for b, j in enumerate(members):
+            cell = a * len(members) + b
+            for fam in spec.entries[i][j].families:
+                if fam.infinite:
+                    series.setdefault(fam, []).append(cell)
+                    continue
+                ks = np.arange(fam.k_start, fam.k_end + 1, dtype=float)
+                log_r = math.log(fam.step_ratio)
+                cells.extend([cell] * len(ks))
+                log_w.extend(fam.weight.log_values(ks))
+                log_len.extend(math.log(fam.base_ratio) + ks * log_r)
+    return CompiledBlock(
+        size=len(members),
+        cells=np.array(cells, dtype=np.intp),
+        log_w=np.array(log_w, dtype=float),
+        log_len=np.array(log_len, dtype=float),
+        series=tuple((fam, tuple(c)) for fam, c in series.items()),
+    )
 
 
 # ---------------------------------------------------------------------------

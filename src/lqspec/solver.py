@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import InvalidGrid
 from .matrix import DEFAULT_REL_TOL, MeasureMatrixSpec
-from .spectral import ClassificationResult, classify
+from .spectral import ClassificationResult, CompiledClasses, classify, compile_classes
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,7 @@ def tau(
     bracket_hints: dict | None = None,
     with_lattice: bool = True,
     rel_tol: float = DEFAULT_REL_TOL,
+    compiled: CompiledClasses | None = None,
 ) -> tuple[float, ClassificationResult]:
     """Overall exponent at q: the minimum class root, with classification."""
     if q < 0:
@@ -50,6 +51,7 @@ def tau(
         bracket_hints=bracket_hints,
         with_lattice=with_lattice,
         rel_tol=rel_tol,
+        compiled=compiled,
     )
     return result.tau, result
 
@@ -61,7 +63,12 @@ def tau_curve(
     steps: int,
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> SpectrumCurve:
-    """tau on an even q-grid, warm-starting each solve from the last roots."""
+    """tau on an even q-grid, warm-starting each solve from the last roots.
+
+    The spec is compiled once per curve.  Each previous root carries its
+    slope d alpha_c / dq, so the next solve starts at the linear prediction
+    alpha_c(q) + h * slope and typically needs a few Newton steps.
+    """
     if steps < 2:
         raise InvalidGrid(f"steps must be >= 2, got {steps}")
     if not (0.0 <= q_min < q_max):
@@ -70,9 +77,15 @@ def tau_curve(
     alphas = []
     tables = []
     hints: dict | None = None
+    compiled = compile_classes(spec)
     for q in qs:
         _, result = tau(
-            spec, float(q), bracket_hints=hints, with_lattice=False, rel_tol=rel_tol
+            spec,
+            float(q),
+            bracket_hints=hints,
+            with_lattice=False,
+            rel_tol=rel_tol,
+            compiled=compiled,
         )
         alphas.append(result.tau)
         tables.append(dict(result.roots))

@@ -6,6 +6,16 @@ alpha_c solving "spectral radius of the class block = 1", the derived
 classification (overall exponent, classes attaining it, renewal heights and
 asymptotic regime tags), and lattice/non-lattice detection of the cycle
 length spectrum.
+
+Class roots use no eigenvalue iteration.  For a nonnegative block M, one
+Gaussian elimination of the Z-matrix I - M with diagonal pivots decides the
+sign of rho(M) - 1 (M-matrix criterion): a nonpositive pivot before the last
+proves rho > 1, and otherwise the last pivot 1 - g has the sign of 1 - rho,
+where g is the first-return mass of the last index.  The same elimination
+gives positive vectors r and l with dg = l^T dM r, which drive safeguarded
+Newton steps in alpha and the slope d alpha_c / dq used to predict the next
+root along a curve.  At the root r is the right Perron vector, and the
+Collatz-Wielandt bounds min/max (M r)_i / r_i certify |rho - 1| <= 1e-11.
 """
 
 from __future__ import annotations
@@ -17,12 +27,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._roots import expand_bracket, illinois
 from .errors import DegenerateClass, NoConvergence
-from .matrix import DEFAULT_REL_TOL, MeasureMatrixSpec, entry_value
+from .matrix import DEFAULT_REL_TOL, CompiledBlock, MeasureMatrixSpec, compile_block
+from .matrix import entry_value  # noqa: F401  (public name; bench/tracing.py wraps it here)
 
 _RADIUS_TOL = 1e-13
 _MAX_POWER_ITER = 1_000_000
+_MAX_EVALS = 200
+_G_TOL = 1e-12  # a root is returned only where |g - 1| is this small
+_CERT_TOL = 1e-11  # Collatz-Wielandt bounds at a returned root lie within this of 1
 
 
 # ---------------------------------------------------------------------------
@@ -195,26 +208,117 @@ def communication_classes(spec: MeasureMatrixSpec) -> ClassDecomposition:
 # Per-class roots
 # ---------------------------------------------------------------------------
 
-def _block_radius(spec, members, q, alpha, rel_tol):
-    m = len(members)
-    block = np.zeros((m, m))
-    for a, i in enumerate(members):
-        for b, j in enumerate(members):
-            entry = spec.entries[i][j]
-            if not entry.is_zero:
-                block[a, b] = entry_value(entry, q, alpha, rel_tol)
-    return spectral_radius(block)
+@dataclass(frozen=True)
+class Elimination:
+    """One elimination of I - M for a nonnegative n x n matrix M.
+
+    Pivots are taken on the diagonal only, largest remaining one first, so
+    every diagonal entry of a Schur complement is the ratio of two nested
+    principal minors of I - M.  One that is not positive before the last
+    step means some proper principal submatrix has Perron root >= 1; then
+    ``g`` is infinite, ``right``/``left`` are None, and rho(M) > 1 when M
+    is irreducible.  Otherwise, with the last index ``t`` and M split as
+    M = [[B, b], [c^T, m_tt]], rho(B) < 1 and ``g = m_tt + c^T (I-B)^{-1} b``,
+    the mass of first returns to ``t``, is a sum of nonnegative terms; the
+    last pivot ``s = 1 - g`` has the sign of 1 - rho(M).  The vectors ``right = [(I-B)^{-1} b; 1]`` and
+    ``left = [(I-B)^{-T} c; 1]`` (in M's own index order) give
+    ``dg = left^T dM right`` and, at g = 1, are the right and left Perron
+    vectors.  Leaving the smallest pivot to the last keeps rho(B) away
+    from 1 where M is nearly reducible, so g - 1 stays comparable to
+    rho(M) - 1.
+    """
+
+    g: float
+    right: np.ndarray | None = None
+    left: np.ndarray | None = None
+
+    @property
+    def sign(self) -> int:
+        """Sign of rho(M) - 1."""
+        return (self.g > 1.0) - (self.g < 1.0)
+
+
+def eliminate(mat: np.ndarray) -> Elimination:
+    """Decide the sign of rho(M) - 1 from one elimination of I - M."""
+    n = len(mat)
+    a = (np.eye(n) - mat).tolist()  # plain lists beat numpy at these sizes
+    perm = list(range(n))
+    for k in range(n - 1):
+        # Each remaining diagonal entry is the last pivot of a proper
+        # principal submatrix, so one that is not positive decides.
+        p = k
+        for i in range(k, n):
+            if not a[i][i] > 0.0:  # also catches NaN
+                return Elimination(math.inf)
+            if a[i][i] > a[p][p]:
+                p = i
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            for row in a:
+                row[k], row[p] = row[p], row[k]
+            perm[k], perm[p] = perm[p], perm[k]
+        rk = a[k]
+        piv = rk[k]
+        for i in range(k + 1, n):
+            ri = a[i]
+            lik = ri[k] = ri[k] / piv
+            if lik:
+                for j in range(k + 1, n):
+                    ri[j] -= lik * rk[j]
+    # The last column above the diagonal now holds -L^{-1} b and the last
+    # row -c^T U^{-1}; both substitutions only add nonnegative terms.
+    m = n - 1
+    x = [-a[i][m] for i in range(m)]
+    y = [-v for v in a[m][:m]]
+    for k in range(m - 1, -1, -1):
+        row = a[k]
+        acc = x[k]
+        for j in range(k + 1, m):
+            acc -= row[j] * x[j]
+        x[k] = acc / row[k]
+        acc = y[k]
+        for i in range(k + 1, m):
+            acc -= a[i][k] * y[i]
+        y[k] = acc
+    t = perm[m]
+    row_t = mat[t]
+    g = float(row_t[t]) + sum(float(row_t[perm[i]]) * x[i] for i in range(m))
+    if not g < math.inf:
+        return Elimination(math.inf)
+    right = np.ones(n)
+    left = np.ones(n)
+    right[perm[:m]] = x
+    left[perm[:m]] = y
+    return Elimination(g, right, left)
+
+
+class ClassRoot(float):
+    """A class root alpha_c with its certificate.
+
+    ``rho_lo``/``rho_hi`` are the Collatz-Wielandt bounds min/max of
+    (M r)_i / r_i at the root for the positive vector r of the final
+    elimination; ``slope`` is d alpha_c / dq there, ``q`` the point solved
+    and ``evals`` the number of block evaluations spent.  Passed back as a
+    bracket hint, a root starts the next solve at its linear prediction.
+    """
+
+    q: float
+    slope: float
+    rho_lo: float
+    rho_hi: float
+    evals: int
+
+    def __new__(cls, alpha, q, slope, rho_lo, rho_hi, evals):
+        self = super().__new__(cls, alpha)
+        self.q, self.slope, self.rho_lo, self.rho_hi, self.evals = q, slope, rho_lo, rho_hi, evals
+        return self
+
+    def __reduce__(self):
+        return ClassRoot, (float(self), self.q, self.slope, self.rho_lo, self.rho_hi, self.evals)
 
 
 def block_domain_sup(spec: MeasureMatrixSpec, members, q: float) -> float | None:
-    sups = []
-    for i in members:
-        for j in members:
-            for fam in spec.entries[i][j].families:
-                sup = fam.domain_sup(q)
-                if sup is not None:
-                    sups.append(sup)
-    return min(sups) if sups else None
+    return compile_block(spec, members).domain_sup(q)
 
 
 def class_root(
@@ -224,49 +328,126 @@ def class_root(
     bracket_hint: float | None = None,
     xtol: float = 1e-12,
     rel_tol: float = DEFAULT_REL_TOL,
-) -> float:
+    block: CompiledBlock | None = None,
+) -> ClassRoot:
     """Unique alpha where the class block's spectral radius equals one.
 
-    Every entry is strictly increasing in alpha, hence so is the radius;
-    the bracket doubles outward from alpha = 0 (or a warm hint) and is
-    clamped inside the open convergence domain, where the radius blows up,
-    so the root always precedes the boundary.
+    Every entry of the block M(alpha) is a sum of exponentials increasing
+    in alpha, so the first-return mass g(alpha) of ``eliminate`` is
+    log-convex and increasing wherever it is finite, and g = 1 exactly at
+    the root.  Each evaluation is one elimination; its vectors give
+    dg/dalpha, and Newton steps run inside a bracket [lo, hi] that every
+    evaluation shrinks.  A step leaving the bracket is replaced by
+    bisection, or by a step doubling outward while one side is still
+    open.  The search starts at the hint (a ``ClassRoot`` hint at its
+    linear prediction to q), else at 0, and stays below the convergence
+    domain of the block's series, where the radius blows up.  The first
+    point whose Newton step is within ``xtol`` and whose g is within 1e-12
+    of one is the root (or, if the bracket closes to adjacent doubles
+    first, the point with g closest to one).  It is returned only if its
+    Collatz-Wielandt bounds are within 1e-11 of one; otherwise, and after
+    ``_MAX_EVALS`` evaluations, ``NoConvergence`` is raised.
     """
     members = list(members)
     if len(members) == 1:
         i = members[0]
         if spec.entries[i][i].is_zero:
             raise DegenerateClass(f"class {{{spec.labels[i]}}} has no cycle")
+    if block is None:
+        block = compile_block(spec, members)
 
-    sup = block_domain_sup(spec, members, q)
+    # While hi is only the edge of the series' convergence domain (where
+    # the radius blows up, but summing gets ever slower), no step goes past
+    # the middle of [lo, hi].
+    sup = block.domain_sup(q)
+    lo, hi = -math.inf, math.inf
+    hi_is_edge = sup is not None
+    if hi_is_edge:
+        hi = sup - 1e-15 * max(1.0, abs(sup))
+    if bracket_hint is None:
+        alpha = 0.0
+    elif isinstance(bracket_hint, ClassRoot):
+        alpha = bracket_hint + (q - bracket_hint.q) * bracket_hint.slope
+    else:
+        alpha = float(bracket_hint)
+    if alpha >= hi:
+        alpha = hi - 0.5
+    step = 0.5
+    best = None  # finite evaluation closest to g = 1
+    for evals in range(1, _MAX_EVALS + 1):
+        m, mq, ma = block.evaluate(q, alpha, rel_tol)
+        el = eliminate(m)
+        g = el.g
+        delta = math.nan
+        if el.right is not None:
+            grad = float(el.left @ ma @ el.right)
+            if grad > 0.0 and g > 0.0:
+                # Newton on ln g, convex in alpha, never leaves the upper
+                # side of the root and is exact for a single exponential,
+                # so it is taken above the root and far below it.  Close
+                # below the root, where a step on ln g lands above the root
+                # and often past the point where g is still finite, Newton
+                # on 1 - 1/g approaches from below.
+                delta = g * ((g - 1.0) if 0.5 <= g < 1.0 else math.log(g)) / grad
+            point = (alpha, q, m, mq, grad, el)
+            if best is None or abs(g - 1.0) < abs(best[-1].g - 1.0):
+                best = point
+            if abs(delta) <= xtol and abs(g - 1.0) <= _G_TOL:
+                return _certified(*point, evals)
+        if g > 1.0:
+            hi, hi_is_edge = alpha, False
+        else:
+            lo = alpha
+        nxt = alpha - delta
+        if lo == -math.inf:
+            if not nxt < hi:
+                nxt = hi - step
+                step *= 2.0
+        elif hi == math.inf:
+            if not nxt > lo:
+                nxt = lo + step
+                step *= 2.0
+        elif not lo < nxt < (0.5 * (lo + hi) if hi_is_edge else hi):
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                # No double lies strictly inside the bracket.
+                return _certified(*best, evals)
+        alpha = nxt
+    raise NoConvergence(
+        f"class root at q={q} not found in {_MAX_EVALS} block evaluations; "
+        f"bracket [{lo!r}, {hi!r}]"
+    )
 
-    def f(alpha: float) -> float:
-        return _block_radius(spec, members, q, alpha, rel_tol) - 1.0
 
-    start = 0.0 if bracket_hint is None else bracket_hint
-    margin = None if sup is None else sup - 1e-15 * max(1.0, abs(sup))
-    lo, hi, flo, fhi = expand_bracket(f, start, margin)
-    root = illinois(f, lo, hi, flo, fhi, xtol=xtol)
-    # Contract: the radius at the root is within 1e-11 of one.
-    if abs(f(root)) > 1e-11:
-        root = illinois(f, *_tight_bracket(f, root, xtol), xtol=xtol * 1e-2)
-    return root
+def _certified(alpha, q, m, mq, grad, el, evals) -> ClassRoot:
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratios = (m @ el.right) / el.right
+    rho_lo, rho_hi = float(np.min(ratios)), float(np.max(ratios))
+    if not (abs(rho_lo - 1.0) <= _CERT_TOL and abs(rho_hi - 1.0) <= _CERT_TOL):
+        raise NoConvergence(
+            f"class root alpha={alpha!r} at q={q}: Collatz-Wielandt bounds "
+            f"[{rho_lo!r}, {rho_hi!r}] not within {_CERT_TOL:g} of 1"
+        )
+    slope = -float(el.left @ mq @ el.right) / grad
+    return ClassRoot(alpha, q, slope, rho_lo, rho_hi, evals)
 
 
-def _tight_bracket(f, root, xtol):
-    step = max(8.0 * xtol, 1e-11)
-    lo, hi = root - step, root + step
-    flo, fhi = f(lo), f(hi)
-    while flo > 0.0:
-        lo -= step
-        step *= 2.0
-        flo = f(lo)
-    step = max(8.0 * xtol, 1e-11)
-    while fhi < 0.0:
-        hi += step
-        step *= 2.0
-        fhi = f(hi)
-    return lo, hi, flo, fhi
+@dataclass(frozen=True)
+class CompiledClasses:
+    """A spec's class decomposition with one compiled block per cyclic class."""
+
+    decomposition: ClassDecomposition
+    blocks: dict  # class index -> CompiledBlock (non-degenerate classes only)
+
+
+def compile_classes(spec: MeasureMatrixSpec) -> CompiledClasses:
+    deco = communication_classes(spec)
+    blocks = {
+        ci: compile_block(spec, members)
+        for ci, members in enumerate(deco.classes)
+        if not deco.degenerate[ci]
+    }
+    return CompiledClasses(deco, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +483,7 @@ class LatticeVerdict:
 @dataclass(frozen=True)
 class ClassificationResult:
     decomposition: ClassDecomposition
-    roots: dict  # class index -> alpha_c (non-degenerate classes only)
+    roots: dict  # class index -> ClassRoot alpha_c (non-degenerate classes only)
     tau: float
     basic_classes: tuple[int, ...]  # class indices tying at tau
     heights: dict  # class index -> height (basic classes)
@@ -322,6 +503,7 @@ def classify(
     bracket_hints: dict | None = None,
     with_lattice: bool = True,
     rel_tol: float = DEFAULT_REL_TOL,
+    compiled: CompiledClasses | None = None,
 ) -> ClassificationResult:
     """Roots, attaining classes, heights, and per-cell regime tags at q.
 
@@ -331,23 +513,25 @@ def classify(
     them through chains avoiding degenerate links, each of which satisfies
     the radius-one condition under its own component exponent.  Cells
     outside the attaining set are tagged by whether an attaining class
-    reaches them in the support digraph.
+    reaches them in the support digraph.  ``compiled`` (from
+    ``compile_classes(spec)``) saves redoing the decomposition and the block
+    compilation when one spec is solved at many q.
     """
-    deco = communication_classes(spec)
+    if compiled is None:
+        compiled = compile_classes(spec)
+    deco = compiled.decomposition
     k = deco.num_classes
     hints = bracket_hints or {}
 
-    roots: dict[int, float] = {}
-    for ci in range(k):
-        if deco.degenerate[ci]:
-            continue
+    roots: dict[int, ClassRoot] = {}
+    for ci, block in compiled.blocks.items():
         roots[ci] = class_root(
-            spec, deco.classes[ci], q, bracket_hint=hints.get(ci), rel_tol=rel_tol
+            spec, deco.classes[ci], q, bracket_hint=hints.get(ci), rel_tol=rel_tol, block=block
         )
     if not roots:
         raise DegenerateClass("no class carries a cycle; no root exists")
 
-    tau = min(roots.values())
+    tau = float(min(roots.values()))
     basic = tuple(sorted(ci for ci, a in roots.items() if abs(a - tau) <= class_tie_tol))
 
     heights = {ci: _height(deco, ci) for ci in basic}
