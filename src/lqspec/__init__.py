@@ -1,6 +1,7 @@
 """L^q-spectra of graph-directed self-similar measures with overlaps.
 
-The core pipeline: build a graph-directed system (``gifs``), encode its
+The built-in families are defined once, in ``families``.  The core
+pipeline: build a graph-directed system (``gifs``), encode its
 renewal structure as an evaluable matrix of measure masses (``matrix``),
 solve the per-class spectral-radius condition and classify the class
 structure (``spectral``), assemble tau(q) curves and Legendre transforms
@@ -9,7 +10,7 @@ structure (``spectral``), assemble tau(q) curves and Legendre transforms
 estimator (``empirical``).
 """
 
-from .closed_forms import ClosedFormFamily, build_closed_form, solve_H, tau_prime_closed
+from .closed_forms import ClosedFormFamily, build_closed_form
 from .empirical import SampleCloud, ScalingFit, estimate_tau, partition_sum, sample
 from .errors import (
     ChainBroken,
@@ -24,19 +25,8 @@ from .errors import (
     NoConvergence,
     SingularHalpha,
 )
-from .gifs import (
-    FAMILY_IDS,
-    Edge,
-    FamilyParams,
-    Gifs,
-    Similitude,
-    build_example,
-    canonical_params,
-    compose_path,
-    default_probs,
-    scc_decompose,
-    validate_gifs,
-)
+from .families import FAMILY_IDS, FamilyParams, canonical_params, default_probs
+from .gifs import Edge, Gifs, Similitude, build_example, compose_path, scc_decompose, validate_gifs
 from .matrix import (
     AtomFamily,
     BinomialSum,
@@ -44,7 +34,6 @@ from .matrix import (
     EntrySpec,
     GeometricPower,
     MeasureMatrixSpec,
-    build_family_matrix,
     build_matrix_spec,
     entry_value,
     in_domain,

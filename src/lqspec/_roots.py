@@ -1,6 +1,6 @@
 """Bracketed root finding for monotone scalar functions.
 
-Small self-contained helper used by the spectral and closed-form solvers.
+Small self-contained helper used by the closed-form solver.
 The Illinois variant of regula falsi keeps the bracket valid at every step
 and converges far faster than plain halving on the smooth, monotone
 functions encountered here, while degrading gracefully to bisection.
@@ -120,17 +120,6 @@ def illinois(
     return 0.5 * (lo + hi)
 
 
-def solve_increasing(
-    f: Callable[[float], float],
-    start: float = 0.0,
-    upper_limit: float | None = None,
-    xtol: float = 1e-12,
-) -> float:
-    """Unique zero of a strictly increasing f, bracketing from ``start``."""
-    lo, hi, flo, fhi = expand_bracket(f, start, upper_limit)
-    return illinois(f, lo, hi, flo, fhi, xtol=xtol)
-
-
 def solve_decreasing(
     f: Callable[[float], float],
     start: float = 0.0,
@@ -138,4 +127,9 @@ def solve_decreasing(
     xtol: float = 1e-12,
 ) -> float:
     """Unique zero of a strictly decreasing f, bracketing from ``start``."""
-    return solve_increasing(lambda x: -f(x), start, upper_limit, xtol=xtol)
+
+    def neg(x):
+        return -f(x)
+
+    lo, hi, flo, fhi = expand_bracket(neg, start, upper_limit)
+    return illinois(neg, lo, hi, flo, fhi, xtol=xtol)

@@ -9,18 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from . import closed_forms, empirical, solver
 from .errors import ConfigError, InvalidGrid, InvalidParams, LqSpecError
-from .gifs import (
-    FAMILY_IDS,
-    FamilyParams,
-    build_example,
-    canonical_params,
-    default_probs,
-    parse_number,
-)
+from .families import FAMILY_IDS, FamilyParams, canonical_params, default_probs
+from .gifs import build_example, parse_number
 from .matrix import build_matrix_spec
 
 
@@ -62,20 +56,17 @@ class RunConfig:
     def family_params(self) -> FamilyParams:
         if self.family not in FAMILY_IDS:
             raise ConfigError(f"unknown family {self.family!r}; choose from {FAMILY_IDS}")
-        base = canonical_params(self.family)
-        if isinstance(self.probs, str):
-            probs = default_probs(self.family, self.probs)
-        else:
-            probs = {k: parse_number(v) for k, v in self.probs.items()}
         try:
-            return FamilyParams(
-                family_id=self.family,
-                rho=parse_number(self.rho) if self.rho is not None else base.rho,
-                r=parse_number(self.r) if self.r is not None else base.r,
-                t=parse_number(self.t) if self.t is not None else base.t,
-                s=parse_number(self.s) if self.s is not None else base.s,
-                probs=probs,
-            )
+            if isinstance(self.probs, str):
+                probs = default_probs(self.family, self.probs)
+            else:
+                probs = {k: parse_number(v) for k, v in self.probs.items()}
+            given = {
+                name: parse_number(v)
+                for name in ("rho", "r", "t", "s")
+                if (v := getattr(self, name)) is not None
+            }
+            return replace(canonical_params(self.family), probs=probs, **given)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad numeric parameter: {exc}") from exc
 
@@ -94,7 +85,10 @@ def _parse_probs_arg(text: str):
 
 def _parse_scales(args) -> list[float]:
     if args.scales:
-        return [parse_number(x) for x in args.scales.split(",")]
+        try:
+            return [parse_number(x) for x in args.scales.split(",")]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"bad --scales entry: {exc}") from exc
     lo, hi = args.scale_octaves
     if lo > hi:
         lo, hi = hi, lo
@@ -109,14 +103,10 @@ def _config_from_args(args) -> RunConfig:
         if not args.family:
             raise ConfigError("--family is required (or use --config)")
         cfg = RunConfig(family=args.family)
-    for name in ("rho", "r", "t", "s"):
-        v = getattr(args, name, None)
-        if v is not None:
-            setattr(cfg, name, v)
     if getattr(args, "probs", None):
         cfg.probs = _parse_probs_arg(args.probs)
-    for name in ("q", "q_min", "q_max", "steps", "samples", "seed", "depth_eps", "step",
-                 "tie_tol", "output"):
+    for name in ("rho", "r", "t", "s", "q", "q_min", "q_max", "steps", "samples", "seed",
+                 "depth_eps", "step", "tie_tol", "output"):
         v = getattr(args, name, None)
         if v is not None:
             setattr(cfg, name, v)
@@ -232,12 +222,16 @@ def cmd_classify(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_estimate(cfg: RunConfig) -> int:
-    q = _require_q(cfg)
-    g = build_example(cfg.family_params())
+def _fit(cfg: RunConfig, params: FamilyParams, q: float):
+    g = build_example(params)
     scales = cfg.scales or [2.0 ** (-k) for k in range(4, 12)]
     n_per_vertex = max(1, cfg.samples // g.num_vertices)
-    fit = empirical.estimate_tau(g, q, scales, n_per_vertex, cfg.seed, depth_eps=cfg.depth_eps)
+    return empirical.estimate_tau(g, q, scales, n_per_vertex, cfg.seed, depth_eps=cfg.depth_eps)
+
+
+def cmd_estimate(cfg: RunConfig) -> int:
+    q = _require_q(cfg)
+    fit = _fit(cfg, cfg.family_params(), q)
     if cfg.output:
         _emit(empirical.fit_to_csv(fit), cfg.output)
     _print_json(
@@ -257,10 +251,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     params = cfg.family_params()
     spec = build_matrix_spec(params)
     alpha, _ = solver.tau(spec, q, with_lattice=False)
-    g = build_example(params)
-    scales = cfg.scales or [2.0 ** (-k) for k in range(4, 12)]
-    n_per_vertex = max(1, cfg.samples // g.num_vertices)
-    fit = empirical.estimate_tau(g, q, scales, n_per_vertex, cfg.seed, depth_eps=cfg.depth_eps)
+    fit = _fit(cfg, params, q)
     _print_json(
         {
             "q": q,
@@ -291,25 +282,19 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--family", choices=FAMILY_IDS)
         sp.add_argument("--config", help="JSON config file with the same fields as the flags")
-        sp.add_argument("--rho")
-        sp.add_argument("--r")
-        sp.add_argument("--t")
-        sp.add_argument("--s")
+        for flag in ("--rho", "--r", "--t", "--s"):
+            sp.add_argument(flag)
         sp.add_argument("--probs", help="'uniform', 'symmetric', or e1=1/3,e2=1/3,...")
-        sp.add_argument("--q", type=float)
-        sp.add_argument("--q-min", dest="q_min", type=float)
-        sp.add_argument("--q-max", dest="q_max", type=float)
-        sp.add_argument("--steps", type=int)
+        for flag in ("--q", "--q-min", "--q-max", "--depth-eps", "--tie-tol"):
+            sp.add_argument(flag, type=float)
+        for flag in ("--steps", "--samples", "--seed"):
+            sp.add_argument(flag, type=int)
         sp.add_argument("--scales", help="comma-separated box sides")
         sp.add_argument(
-            "--scale-octaves", dest="scale_octaves", nargs=2, type=int, metavar=("LO", "HI"),
+            "--scale-octaves", nargs=2, type=int, metavar=("LO", "HI"),
             help="use sides 2^-LO .. 2^-HI",
         )
-        sp.add_argument("--samples", type=int)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--depth-eps", dest="depth_eps", type=float)
         sp.add_argument("--step", type=float, help="finite-difference step")
-        sp.add_argument("--tie-tol", dest="tie_tol", type=float)
         sp.add_argument("--output", "-o")
     return ap
 

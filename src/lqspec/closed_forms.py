@@ -2,32 +2,25 @@
 
 Each family's spectral condition factors into functions H(q, alpha) whose
 unique roots in alpha are the per-class exponents; the overall exponent is
-their minimum.  Partials in q and alpha are assembled term by term: every
-atom term m^q L^(-alpha) differentiates to m^q L^(-alpha) ln m in q and
--m^q L^(-alpha) ln L in alpha, and infinite sums reuse the same truncation
-engine (and tolerance) as the matrix entries.
-
-Long-form expanded derivative formulas are retained as secondary
-cross-check evaluators behind ``tau_prime_longform``; where they disagree
-with the term-wise derivative beyond 1e-8 the term-wise value is
-authoritative and the discrepancy is logged, never silently patched.
+their minimum.  The factors themselves are written in ``families``; this
+module holds the machinery they share.  Partials in q and alpha are
+assembled term by term: every atom term m^q L^(-alpha) differentiates to
+m^q L^(-alpha) ln m in q and -m^q L^(-alpha) ln L in alpha, and infinite
+sums reuse the same truncation engine (and tolerance) as the matrix
+entries.  tau'(q) = -f_q / f_alpha at the root of the attaining factor f is
+the only derivative formula; the paper's long-form expansions of it are
+checked in the tests, not here.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 from ._roots import solve_decreasing
-from .errors import InvalidParams, SingularHalpha
-from .gifs import FAMILY_IDS, FamilyParams, GOLDEN_RATIO_INV, _resolve_probs
-from .matrix import DEFAULT_REL_TOL, AtomFamily, binomial_family
-
-log = logging.getLogger(__name__)
-
-_LONGFORM_TOL = 1e-8
+from .errors import SingularHalpha
+from .matrix import DEFAULT_REL_TOL, AtomFamily
 
 
 # ---------------------------------------------------------------------------
@@ -63,9 +56,6 @@ class Val:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return Val(-self.v, -self.dq, -self.da)
-
 
 def _as_val(x) -> Val:
     return x if isinstance(x, Val) else Val(float(x))
@@ -94,22 +84,16 @@ class Factor:
     name: str
     class_labels: tuple[int, ...]  # cell labels of the matching class
     fn: Callable[[float, float, float], Val]  # (q, alpha, rel_tol) -> Val
-    domain_sup_fn: Callable[[float], float | None]
-    # Upper clamp for the root search.  The factor is positive below its
-    # root and provably negative at this boundary (a barred term vanishes
-    # or a series blows up there), so bracketing inside it cannot land on a
-    # spurious sign change beyond the spectral root.
-    solve_sup_fn: Callable[[float], float | None] | None = None
+    domain_sup: Callable[[float], float | None]  # q -> open bound on alpha, or None
+    # Upper clamp for the root search, if tighter than the domain.  The
+    # factor is positive below its root and provably negative at this
+    # boundary (a barred term vanishes or a series blows up there), so
+    # bracketing inside it cannot land on a spurious sign change beyond the
+    # spectral root.
+    solve_sup: Callable[[float], float | None] | None = None
 
     def value(self, q: float, alpha: float, rel_tol: float = DEFAULT_REL_TOL) -> Val:
         return self.fn(q, alpha, rel_tol)
-
-    def domain_sup(self, q: float) -> float | None:
-        return self.domain_sup_fn(q)
-
-    def solve_sup(self, q: float) -> float | None:
-        fn = self.solve_sup_fn or self.domain_sup_fn
-        return fn(q)
 
 
 @dataclass(frozen=True)
@@ -123,13 +107,9 @@ class FactorRoots:
 @dataclass(frozen=True)
 class ClosedFormFamily:
     family_id: str
-    params: FamilyParams
+    params: object  # families.FamilyParams
     factors: tuple[Factor, ...]
-    longform: Callable[[float, float, float], float] | None
     rel_tol: float = DEFAULT_REL_TOL
-    # Alternative writing of the same factor (block-diagonal layout);
-    # compared in tests, never used for solving.
-    alt_factors: tuple[tuple[int, Callable], ...] = ()
 
     def H_val(self, q: float, alpha: float) -> Val:
         out = Val(1.0)
@@ -142,7 +122,7 @@ class ClosedFormFamily:
 
     def solve_factor(self, i: int, q: float, start: float = 0.0, xtol: float = 1e-12) -> float:
         f = self.factors[i]
-        sup = f.solve_sup(q)
+        sup = (f.solve_sup or f.domain_sup)(q)
         margin = None if sup is None else sup - 1e-15 * max(1.0, abs(sup))
         return solve_decreasing(
             lambda a: f.value(q, a, self.rel_tol).v, start=start, upper_limit=margin, xtol=xtol
@@ -158,7 +138,7 @@ class ClosedFormFamily:
             argmin=arg,
         )
 
-    def tau_prime(self, q: float, check_longform: bool = True) -> float:
+    def tau_prime(self, q: float) -> float:
         """d tau / dq at q via the implicit function theorem.
 
         Uses the factor attaining the minimum: at a simple root of factor f,
@@ -170,58 +150,19 @@ class ClosedFormFamily:
             raise SingularHalpha(
                 f"alpha-partial {fval.da:.3g} too small at q={q}, alpha={sol.tau}"
             )
-        tp = -fval.dq / fval.da
-        if check_longform and self.longform is not None:
-            try:
-                lf = self.longform(q, sol.tau, self.rel_tol)
-            except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                log.warning("%s: long-form derivative failed at q=%s: %s", self.family_id, q, exc)
-            else:
-                if abs(lf - tp) > _LONGFORM_TOL * max(1.0, abs(tp)):
-                    log.warning(
-                        "%s: long-form derivative %.12g differs from term-wise %.12g at q=%s",
-                        self.family_id,
-                        lf,
-                        tp,
-                        q,
-                    )
-        return tp
-
-    def tau_prime_longform(self, q: float, alpha: float | None = None) -> float:
-        if self.longform is None:
-            raise InvalidParams(f"{self.family_id} has no long-form derivative")
-        if alpha is None:
-            alpha = self.solve(q).tau
-        return self.longform(q, alpha, self.rel_tol)
-
-
-def H_eval(fam: ClosedFormFamily, q: float, alpha: float) -> float:
-    return fam.H_eval(q, alpha)
-
-
-def solve_H(fam: ClosedFormFamily, q: float) -> FactorRoots:
-    return fam.solve(q)
-
-
-def tau_prime_closed(fam: ClosedFormFamily, q: float) -> float:
-    return fam.tau_prime(q)
+        return -fval.dq / fval.da
 
 
 # ---------------------------------------------------------------------------
 # Family builders
 # ---------------------------------------------------------------------------
 
-def build_closed_form(p: FamilyParams) -> ClosedFormFamily:
-    if p.family_id not in FAMILY_IDS:
-        raise InvalidParams(f"unknown family id {p.family_id!r}")
-    builder = {
-        "strong-r": _build_strong_r,
-        "strong-r2": _build_strong_r2,
-        "nonstrong-r-basic": _build_nonstrong_r_basic,
-        "nonstrong-r-heights": _build_nonstrong_r_heights,
-        "nonstrong-r2": _build_nonstrong_r2,
-    }[p.family_id]
-    return builder(p)
+def build_closed_form(p) -> ClosedFormFamily:
+    """Factored characteristic function of a built-in family (``families.FamilyParams``)."""
+    from .families import resolve  # the family table is built on this module
+
+    fam, w = resolve(p)
+    return ClosedFormFamily(fam.id, p, fam.factors(p, w))
 
 
 def _geom_sup(base: float, step: float):
@@ -236,291 +177,3 @@ def _geom_sup(base: float, step: float):
 
 def _no_sup(q: float) -> None:
     return None
-
-
-def _build_strong_r(p: FamilyParams) -> ClosedFormFamily:
-    pr = _resolve_probs(p)
-    rho, r = p.rho, p.r
-    p1, p2, p3, p4, p5 = (pr[f"e{i}"] for i in range(1, 6))
-    mix = p1 * p3 + p2 * p5
-
-    def fn(q, alpha, rel_tol):
-        q1 = _qpow(p1, rho, q, alpha)
-        q2 = _qpow(p2, r, q, alpha)
-        q3 = _qpow(p3, r, q, alpha)
-        q4 = _qpow(p4, r, q, alpha)
-        q5 = _qpow(p5, rho, q, alpha)
-        q1325 = _qpow(mix, rho * r, q, alpha)
-        return (1.0 - q4) * ((1.0 - q1) * (1.0 - q3) - q1325) - q2 * q4 * q5
-
-    def longform(q, alpha, rel_tol):
-        q1 = _qpow(p1, rho, q, alpha).v
-        q2 = _qpow(p2, r, q, alpha).v
-        q3 = _qpow(p3, r, q, alpha).v
-        q4 = _qpow(p4, r, q, alpha).v
-        q5 = _qpow(p5, rho, q, alpha).v
-        q1325 = _qpow(mix, rho * r, q, alpha).v
-        core = (1.0 - q1) * (1.0 - q3) - q1325
-        num = (
-            q4 * math.log(p4) * core
-            + q2 * q4 * q5 * math.log(p2 * p4 * p5)
-            + (1.0 - q4)
-            * (
-                q1 * (1.0 - q3) * math.log(p1)
-                + q3 * (1.0 - q1) * math.log(p3)
-                + q1325 * math.log(mix)
-            )
-        )
-        den = (
-            q4 * math.log(r) * core
-            + q2 * q4 * q5 * math.log(rho * r * r)
-            + (1.0 - q4)
-            * (
-                q1 * (1.0 - q3) * math.log(rho)
-                + q3 * (1.0 - q1) * math.log(r)
-                + q1325 * math.log(rho * r)
-            )
-        )
-        return num / den
-
-    def solve_sup(q: float) -> float:
-        # First unit boundary among the barred terms and the series domain;
-        # whichever binds, the factor is strictly negative there.
-        return min(
-            q * math.log(p3) / math.log(r),
-            q * math.log(p4) / math.log(r),
-            q * math.log(p1) / math.log(rho),
-        )
-
-    factor = Factor("strong-r", (1, 3, 4), fn, _geom_sup(p3, r), solve_sup_fn=solve_sup)
-    return ClosedFormFamily(p.family_id, p, (factor,), longform)
-
-
-def _build_strong_r2(p: FamilyParams) -> ClosedFormFamily:
-    pr = _resolve_probs(p)
-    rr = GOLDEN_RATIO_INV**2
-    ps = {i: pr[f"e{i}"] for i in range(1, 9)}
-    series = binomial_family(ps[4], ps[1], ps[8], rr, rr)
-
-    def fn(q, alpha, rel_tol):
-        qv = {i: _qpow(ps[i], rr, q, alpha) for i in (1, 2, 3, 5, 6, 7, 8)}
-        w = _series_val(series, q, alpha, rel_tol)
-        return (1.0 - (qv[7] + qv[8])) * (1.0 - (qv[1] + qv[2] + qv[3])) - (
-            (1.0 - qv[1]) * (1.0 - qv[8]) * (qv[5] + qv[6]) * w
-        )
-
-    def longform(q, alpha, rel_tol):
-        qv = {i: _qpow(ps[i], rr, q, alpha).v for i in (1, 2, 3, 5, 6, 7, 8)}
-        s, sq, sa = series.evaluate(q, alpha, rel_tol, grads=True)
-        # sum_k k * T_k recovered from the length-weighted sum.
-        sk = (-sa - math.log(rr) * s) / math.log(rr)
-        w, wl, wk2 = s, sq, sk + 2.0 * s
-        a_sum = qv[7] + qv[8]
-        b_sum = qv[1] + qv[2] + qv[3]
-        al = qv[7] * math.log(ps[7]) + qv[8] * math.log(ps[8])
-        bl = sum(qv[i] * math.log(ps[i]) for i in (1, 2, 3))
-        c = (1.0 - qv[1]) * (1.0 - qv[8])
-        d_sum = qv[5] + qv[6]
-        dl = qv[5] * math.log(ps[5]) + qv[6] * math.log(ps[6])
-        cross = qv[1] * (1.0 - qv[8]) * math.log(ps[1]) + qv[8] * (1.0 - qv[1]) * math.log(ps[8])
-        cross0 = qv[1] * (1.0 - qv[8]) + qv[8] * (1.0 - qv[1])
-        num = al * (1.0 - b_sum) + (1.0 - a_sum) * bl - cross * d_sum * w + c * (
-            dl * w + d_sum * wl
-        )
-        den = wk2 * c * d_sum + a_sum * (1.0 - b_sum) + (1.0 - a_sum) * b_sum - (
-            cross0 * d_sum * w
-        )
-        # Trailing scalar of the long form kept as-is for the cross-check.
-        return num / den * 0.5 * math.log(GOLDEN_RATIO_INV)
-
-    factor = Factor("strong-r2", tuple(range(1, 8)), fn, _geom_sup(max(ps[1], ps[8]), rr))
-    return ClosedFormFamily(p.family_id, p, (factor,), longform)
-
-
-def _build_nonstrong_r_basic(p: FamilyParams) -> ClosedFormFamily:
-    pr = _resolve_probs(p)
-    rho, r = p.rho, p.r
-    p1, p2, p3, p4, p5 = (pr[f"e{i}"] for i in range(1, 6))
-    series = binomial_family(p1, p2, p3, rho, r)
-
-    def f_core(q, alpha, rel_tol):
-        q2 = _qpow(p2, r, q, alpha)
-        q3 = _qpow(p3, r, q, alpha)
-        w = _series_val(series, q, alpha, rel_tol)
-        return (1.0 - q2) * (1.0 - q3) * (1.0 - w) - q2 * q3
-
-    def f_core_alt(q, alpha, rel_tol):
-        # Same factor written with the geometric block on the off-diagonal,
-        # matching the matrix layout; used only as a cross-check.
-        q2 = _qpow(p2, r, q, alpha)
-        q3 = _qpow(p3, r, q, alpha)
-        w = _series_val(series, q, alpha, rel_tol)
-        theta = Val(q2.v / (1.0 - q2.v))
-        return (1.0 - w) * (1.0 - q3) - theta * q3
-
-    def f_tail(q, alpha, rel_tol):
-        return 1.0 - _qpow(p4, r, q, alpha)
-
-    def longform(q, alpha, rel_tol):
-        q2 = _qpow(p2, r, q, alpha).v
-        q3 = _qpow(p3, r, q, alpha).v
-        q4 = _qpow(p4, r, q, alpha).v
-        s, sq, sa = series.evaluate(q, alpha, rel_tol, grads=True)
-        w, wl, wll = s, sq, -sa  # wll = sum T_k ln(rho r^k)
-        core = (1.0 - q2) * (1.0 - q3) * (1.0 - w) - q2 * q3
-        num = core * q4 * math.log(p4) + (
-            (q2 * (1.0 - q3) * math.log(p2) + q3 * (1.0 - q2) * math.log(p3)) * (1.0 - w)
-            + (1.0 - q2) * (1.0 - q3) * wl
-            + q2 * q3 * math.log(p2 * p3)
-        ) * (1.0 - q4)
-        den = core * q4 * math.log(r) + (
-            (q2 * (1.0 - q3) + q3 * (1.0 - q2)) * math.log(r) * (1.0 - w)
-            + (1.0 - q2) * (1.0 - q3) * wll
-            + 2.0 * q2 * q3 * math.log(r)
-        ) * (1.0 - q4)
-        return num / den
-
-    sup_core = _geom_sup(max(p2, p3), r)
-    factors = (
-        Factor("core", (1, 2), f_core, sup_core),
-        Factor("tail", (4,), f_tail, _no_sup),
-    )
-    return ClosedFormFamily(p.family_id, p, factors, longform, alt_factors=((0, f_core_alt),))
-
-
-def _build_nonstrong_r_heights(p: FamilyParams) -> ClosedFormFamily:
-    pr = _resolve_probs(p)
-    rho, r = p.rho, p.r
-    ps = {i: pr[f"e{i}"] for i in range(1, 18)}
-    w1 = binomial_family(ps[1], ps[2], ps[3], rho, r)
-    w3 = binomial_family(ps[7], ps[8], ps[9], rho, r)
-
-    def series_factor(series, pa, pb):
-        def fn(q, alpha, rel_tol):
-            qa = _qpow(pa, r, q, alpha)
-            qb = _qpow(pb, r, q, alpha)
-            w = _series_val(series, q, alpha, rel_tol)
-            return 1.0 - (qa + qb) - (1.0 - qa) * (1.0 - qb) * w
-
-        return fn
-
-    def pair_factor(pa, pb):
-        def fn(q, alpha, rel_tol):
-            return 1.0 - (_qpow(pa, r, q, alpha) + _qpow(pb, r, q, alpha))
-
-        return fn
-
-    def single_factor(pa):
-        def fn(q, alpha, rel_tol):
-            return 1.0 - _qpow(pa, r, q, alpha)
-
-        return fn
-
-    factors = (
-        Factor("comp1", (1, 2), series_factor(w1, ps[2], ps[3]), _geom_sup(max(ps[2], ps[3]), r)),
-        Factor("comp2", (3, 4), pair_factor(ps[5], ps[6]), _no_sup),
-        Factor("comp3", (5, 6), series_factor(w3, ps[8], ps[9]), _geom_sup(max(ps[8], ps[9]), r)),
-        Factor("comp4", (7, 8), pair_factor(ps[11], ps[12]), _no_sup),
-        Factor("comp5", (9, 10), pair_factor(ps[14], ps[15]), _no_sup),
-        Factor("comp6", (12,), single_factor(ps[17]), _no_sup),
-    )
-
-    def longform(q, alpha, rel_tol):
-        lnr = math.log(r)
-        qv = {i: _qpow(ps[i], r, q, alpha).v for i in (2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17)}
-        lp = {i: math.log(ps[i]) for i in qv}
-        s1, s1q, s1a = w1.evaluate(q, alpha, rel_tol, grads=True)
-        s3, s3q, s3a = w3.evaluate(q, alpha, rel_tol, grads=True)
-        p23 = (1.0 - qv[2]) * (1.0 - qv[3])
-        p89 = (1.0 - qv[8]) * (1.0 - qv[9])
-        g1 = 1.0 - (qv[2] + qv[3]) - p23 * s1
-        g2 = 1.0 - (qv[5] + qv[6])
-        g3 = 1.0 - (qv[8] + qv[9]) - p89 * s3
-        g4 = 1.0 - (qv[11] + qv[12])
-        g5 = 1.0 - (qv[14] + qv[15])
-        bq17 = 1.0 - qv[17]
-
-        hq = (
-            (
-                p23 * s1q
-                + (qv[2] * (1.0 - qv[3]) * lp[2] + qv[3] * (1.0 - qv[2]) * lp[3]) * s1
-                - (qv[2] * lp[2] + qv[3] * lp[3])
-            )
-            * g2 * g3 * g4 * g5 * bq17
-            - g1 * (qv[5] * lp[5] + qv[6] * lp[6]) * g3 * g4 * g5 * bq17
-            - g1 * g2 * (
-                (qv[8] * lp[8] + qv[9] * lp[9])
-                - p89 * s3q
-                - (qv[8] * (1.0 - qv[9]) * lp[8] + qv[9] * (1.0 - qv[8]) * lp[9]) * s3
-            ) * g4 * g5 * bq17
-            - g1 * g2 * g3 * (
-                (qv[11] * lp[11] + qv[12] * lp[12]) * g5 * bq17
-                + g4 * ((qv[14] * lp[14] + qv[15] * lp[15]) * bq17 + g5 * qv[17])
-            )
-        )
-        ha = (
-            (
-                -p23 * s1a
-                - (qv[2] * lnr * (1.0 - qv[3]) + qv[3] * lnr * (1.0 - qv[2])) * s1
-                + (qv[2] + qv[3]) * lnr
-            )
-            * g2 * g3 * g4 * g5 * bq17
-            + g1 * (qv[5] + qv[6]) * lnr * g3 * g4 * g5 * bq17
-            + g1 * g2 * (
-                (qv[8] + qv[9]) * lnr
-                - lnr * (qv[8] * (1.0 - qv[9]) + qv[9] * (1.0 - qv[8])) * s3
-                + (-p89 * s3a)
-            ) * g4 * g5 * bq17
-            + g1 * g2 * g3 * (
-                (qv[11] + qv[12]) * lnr * g5 * bq17
-                + g4 * ((qv[14] + qv[15]) * lnr * qv[17] + g5 * qv[17] * lnr)
-            )
-        )
-        return -hq / ha
-
-    return ClosedFormFamily(p.family_id, p, factors, longform)
-
-
-def _build_nonstrong_r2(p: FamilyParams) -> ClosedFormFamily:
-    pr = _resolve_probs(p)
-    rho, r, t, s = p.rho, p.r, p.t, p.s
-    ps = {i: pr[f"e{i}"] for i in range(1, 8)}
-    series = binomial_family(ps[4], ps[5], ps[6], rho, r)
-
-    def f_top(q, alpha, rel_tol):
-        return 1.0 - _qpow(ps[2], t, q, alpha) - _qpow(ps[3], 1.0 - t, q, alpha)
-
-    def f_bottom(q, alpha, rel_tol):
-        q5 = _qpow(ps[5], r, q, alpha)
-        q6 = _qpow(ps[6], r, q, alpha)
-        q7 = _qpow(ps[7], r, q, alpha)
-        w = _series_val(series, q, alpha, rel_tol)
-        return 1.0 - (q5 + q6 + q7) - (1.0 - q5) * (1.0 - q6) * w
-
-    def longform(q, alpha, rel_tol):
-        q2 = _qpow(ps[2], t, q, alpha).v
-        q3 = _qpow(ps[3], 1.0 - t, q, alpha).v
-        q5 = _qpow(ps[5], r, q, alpha).v
-        q6 = _qpow(ps[6], r, q, alpha).v
-        q7 = _qpow(ps[7], r, q, alpha).v
-        sv, sq, sa = series.evaluate(q, alpha, rel_tol, grads=True)
-        w, wl, wll = sv, sq, -sa
-        f1 = 1.0 - q2 - q3
-        f2 = 1.0 - (q5 + q6 + q7) - (1.0 - q5) * (1.0 - q6) * w
-        num = (q2 * math.log(ps[2]) + q3 * math.log(ps[3])) * f2 + (
-            (q5 * math.log(ps[5]) + q6 * math.log(ps[6]) + q7 * math.log(ps[7]))
-            - (q5 * math.log(ps[5]) * (1.0 - q6) + q6 * math.log(ps[6]) * (1.0 - q5)) * w
-            + (1.0 - q5) * (1.0 - q6) * wl
-        ) * f1
-        den = (q2 * math.log(t) + q3 * math.log(1.0 - t)) * f2 + (
-            (q5 + q6 + q7) * math.log(r)
-            - (q5 * (1.0 - q6) + q6 * (1.0 - q5)) * math.log(r) * w
-            + (1.0 - q5) * (1.0 - q6) * wll
-        ) * f1
-        return num / den
-
-    factors = (
-        Factor("top", (2, 3), f_top, _no_sup),
-        Factor("bottom", (4, 5, 6), f_bottom, _geom_sup(max(ps[5], ps[6]), r)),
-    )
-    return ClosedFormFamily(p.family_id, p, factors, longform)

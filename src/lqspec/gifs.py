@@ -4,29 +4,19 @@ A GIFS is a directed multigraph whose edges carry contractive similitudes
 and transition probabilities; the probabilities of the edges leaving each
 vertex sum to one, so every vertex supports a self-similar probability
 measure.  This module holds the data model, validation, strongly connected
-component decomposition, path composition, and constructors for the five
-built-in example families.
+component decomposition, path composition, and the constructor that builds
+a built-in family from its edge table in ``families``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ChainBroken, InvalidParams
-
-GOLDEN_RATIO_INV = (math.sqrt(5.0) - 1.0) / 2.0
-
-FAMILY_IDS = (
-    "strong-r",
-    "strong-r2",
-    "nonstrong-r-basic",
-    "nonstrong-r-heights",
-    "nonstrong-r2",
-)
+from .errors import ChainBroken
 
 _ORTHO_TOL = 1e-12
 _PROB_TOL = 1e-12
@@ -69,10 +59,6 @@ class Similitude:
         return bool(np.max(np.abs(gram - np.eye(self.dim))) <= tol)
 
 
-def identity_map(dim: int) -> Similitude:
-    return Similitude(dim=dim, ratio=1.0, orthogonal=np.eye(dim), translation=np.zeros(dim))
-
-
 def similitude_1d(ratio: float, translation: float) -> Similitude:
     return Similitude(dim=1, ratio=ratio, orthogonal=np.eye(1), translation=np.array([translation]))
 
@@ -97,9 +83,9 @@ class Gifs:
     num_vertices: int
     dim: int
     edges: tuple[Edge, ...]
-    # Sampling metadata set by the family constructors: a fixed anchor point
-    # used to seed random walks and a bounding box containing every vertex
-    # attractor (lo, hi per coordinate).
+    # Sampling metadata: a fixed anchor point used to seed random walks
+    # (the centre of the unit box by default) and a bounding box containing
+    # every vertex attractor (lo, hi per coordinate; the unit box by default).
     anchor: tuple[float, ...] = ()
     bbox: tuple[tuple[float, float], ...] = ()
 
@@ -136,18 +122,6 @@ class SccResult:
     @property
     def num_components(self) -> int:
         return len(self.components)
-
-
-@dataclass(frozen=True)
-class FamilyParams:
-    """Parameters selecting and configuring one of the built-in families."""
-
-    family_id: str
-    rho: float | None = None
-    r: float | None = None
-    t: float | None = None
-    s: float | None = None
-    probs: dict[str, float] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +178,7 @@ def scc_decompose(g: Gifs) -> SccResult:
         if 0 <= e.src < n and 0 <= e.dst < n:
             adj[e.src].append(e.dst)
 
-    comp = _tarjan(n, adj)
-
-    groups: dict[int, list[int]] = {}
-    for v, c in enumerate(comp):
-        groups.setdefault(c, []).append(v)
-    ordered = sorted(groups.values(), key=min)
+    ordered = strong_components(n, adj)
     comp_of = [0] * n
     for new, grp in enumerate(ordered):
         for v in grp:
@@ -220,14 +189,18 @@ def scc_decompose(g: Gifs) -> SccResult:
     )
     return SccResult(
         component_of=tuple(comp_of),
-        components=tuple(tuple(sorted(grp)) for grp in ordered),
+        components=tuple(tuple(grp) for grp in ordered),
         condensation=tuple(cond),
         is_strongly_connected=(len(ordered) == 1),
     )
 
 
-def _tarjan(n: int, adj: list[list[int]]) -> list[int]:
-    """Component id per node (ids arbitrary but consistent)."""
+def strong_components(n: int, adj: list[list[int]]) -> list[list[int]]:
+    """Strongly connected components of a digraph on nodes 0..n-1 (Tarjan).
+
+    Each component is an ascending node list; components are ordered by
+    their smallest node.
+    """
     index = [-1] * n
     lowlink = [0] * n
     on_stack = [False] * n
@@ -271,7 +244,10 @@ def _tarjan(n: int, adj: list[list[int]]) -> list[int]:
                     if w == v:
                         break
                 ncomp += 1
-    return comp
+    groups: dict[int, list[int]] = {}
+    for v, c in enumerate(comp):
+        groups.setdefault(c, []).append(v)
+    return sorted(groups.values(), key=min)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +261,7 @@ def compose_path(g: Gifs, word: list[str] | tuple[str, ...]) -> tuple[Similitude
     the composed map is map(e1) o map(e2) o ... o map(ek), defined only when
     dst(e_i) == src(e_{i+1}).
     """
-    composed = identity_map(g.dim)
+    composed = Similitude(g.dim, 1.0, np.eye(g.dim), np.zeros(g.dim))
     prob = 1.0
     prev_dst: int | None = None
     for label in word:
@@ -302,179 +278,16 @@ def compose_path(g: Gifs, word: list[str] | tuple[str, ...]) -> tuple[Similitude
 # Built-in families
 # ---------------------------------------------------------------------------
 
-def _uniform_probs(groups: dict[int, list[str]]) -> dict[str, float]:
-    probs: dict[str, float] = {}
-    for labels in groups.values():
-        p = 1.0 / len(labels)
-        for lab in labels:
-            probs[lab] = p
-    return probs
+def build_example(p) -> Gifs:
+    """The vertices, edges and maps of a built-in family (``families.FamilyParams``)."""
+    from .families import resolve  # the family table is built on this module
 
-
-_FAMILY_EDGE_GROUPS: dict[str, dict[int, list[str]]] = {
-    "strong-r": {0: ["e1", "e2", "e3"], 1: ["e4", "e5"]},
-    "strong-r2": {0: ["e1", "e2", "e3", "e4"], 1: ["e5", "e6", "e7", "e8"]},
-    "nonstrong-r-basic": {0: ["e1", "e2", "e3"], 1: ["e4", "e5"]},
-    "nonstrong-r-heights": {
-        0: ["e1", "e2", "e3"],
-        1: ["e4", "e5", "e6"],
-        2: ["e7", "e8", "e9"],
-        3: ["e10", "e11", "e12"],
-        4: ["e13", "e14", "e15"],
-        5: ["e16", "e17"],
-    },
-    "nonstrong-r2": {0: ["e1", "e2", "e3"], 1: ["e4", "e5", "e6", "e7"]},
-}
-
-
-def default_probs(family_id: str, scheme: str = "uniform") -> dict[str, float]:
-    """Named probability assignments.
-
-    ``uniform`` splits each vertex's mass equally over its out-edges.
-    ``symmetric`` is the same assignment; the name records that it gives
-    structurally identical components identical weights, which is what makes
-    their roots tie in the height demonstrations.
-    """
-    if family_id not in _FAMILY_EDGE_GROUPS:
-        raise InvalidParams(f"unknown family id {family_id!r}")
-    if scheme not in ("uniform", "symmetric"):
-        raise InvalidParams(f"unknown probability scheme {scheme!r}")
-    return _uniform_probs(_FAMILY_EDGE_GROUPS[family_id])
-
-
-def canonical_params(family_id: str) -> FamilyParams:
-    """The repo-wide canonical parameter point for each family."""
-    probs = default_probs(family_id)
-    if family_id == "strong-r2":
-        return FamilyParams(family_id=family_id, rho=GOLDEN_RATIO_INV, probs=probs)
-    if family_id == "nonstrong-r2":
-        return FamilyParams(
-            family_id=family_id, rho=1.0 / 3.0, r=2.0 / 7.0, t=0.5, s=0.25, probs=probs
-        )
-    return FamilyParams(family_id=family_id, rho=1.0 / 3.0, r=2.0 / 7.0, probs=probs)
-
-
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise InvalidParams(msg)
-
-
-def _check_rho_r(rho, r):
-    _require(rho is not None and r is not None, "family requires rho and r")
-    _require(0.0 < rho < 1.0, f"rho={rho} not in (0,1)")
-    _require(0.0 < r < 1.0, f"r={r} not in (0,1)")
-    gap = rho + 2.0 * r - rho * r
-    _require(gap <= 1.0 + 1e-15, f"rho+2r-rho*r={gap:.6g} exceeds 1")
-
-
-def _resolve_probs(p: FamilyParams) -> dict[str, float]:
-    groups = _FAMILY_EDGE_GROUPS[p.family_id]
-    probs = dict(p.probs) if p.probs else default_probs(p.family_id)
-    for v, labels in groups.items():
-        missing = [lab for lab in labels if lab not in probs]
-        _require(not missing, f"missing probabilities for edges {missing}")
-        total = math.fsum(probs[lab] for lab in labels)
-        _require(abs(total - 1.0) <= _PROB_TOL, f"vertex {v + 1} probabilities sum to {total:.5g}")
-        for lab in labels:
-            _require(0.0 < probs[lab] <= 1.0, f"probability for {lab} not in (0,1]")
-    return probs
-
-
-def build_example(p: FamilyParams) -> Gifs:
-    """Construct the vertex/edge structure and maps of a built-in family."""
-    if p.family_id not in FAMILY_IDS:
-        raise InvalidParams(f"unknown family id {p.family_id!r}")
-    probs = _resolve_probs(p)
-
-    if p.family_id == "strong-r":
-        _check_rho_r(p.rho, p.r)
-        rho, r = p.rho, p.r
-        edges = (
-            Edge("e1", 0, 0, similitude_1d(rho, 0.0), probs["e1"]),
-            Edge("e2", 0, 1, similitude_1d(r, rho * (1.0 - r)), probs["e2"]),
-            Edge("e3", 0, 0, similitude_1d(r, 1.0 - r), probs["e3"]),
-            Edge("e4", 1, 1, similitude_1d(r, 1.0 - r), probs["e4"]),
-            Edge("e5", 1, 0, similitude_1d(rho, 0.0), probs["e5"]),
-        )
-        return Gifs(2, 1, edges, anchor=(0.5,), bbox=((0.0, 1.0),))
-
-    if p.family_id == "nonstrong-r-basic":
-        _check_rho_r(p.rho, p.r)
-        rho, r = p.rho, p.r
-        edges = (
-            Edge("e1", 0, 0, similitude_1d(rho, 0.0), probs["e1"]),
-            Edge("e2", 0, 0, similitude_1d(r, rho * (1.0 - r)), probs["e2"]),
-            Edge("e3", 0, 0, similitude_1d(r, 1.0 - r), probs["e3"]),
-            Edge("e4", 1, 1, similitude_1d(r, 1.0 - r), probs["e4"]),
-            Edge("e5", 1, 0, similitude_1d(rho, 0.0), probs["e5"]),
-        )
-        return Gifs(2, 1, edges, anchor=(0.5,), bbox=((0.0, 1.0),))
-
-    if p.family_id == "nonstrong-r-heights":
-        _check_rho_r(p.rho, p.r)
-        rho, r = p.rho, p.r
-        # Six components in a row; per-vertex edge triples mirror vertex 1
-        # (self-loops at rho, r, r) except for the cross edges e4, e10, e13,
-        # e16 which carry copies of an upstream measure, and vertex 6 which
-        # has only two edges.
-        src_dst = {
-            "e1": (0, 0), "e2": (0, 0), "e3": (0, 0),
-            "e4": (1, 0), "e5": (1, 1), "e6": (1, 1),
-            "e7": (2, 2), "e8": (2, 2), "e9": (2, 2),
-            "e10": (3, 2), "e11": (3, 3), "e12": (3, 3),
-            "e13": (4, 2), "e14": (4, 4), "e15": (4, 4),
-            "e16": (5, 0), "e17": (5, 5),
-        }
-        rho_edges = {"e1", "e4", "e7", "e10", "e13", "e16"}
-        mid_edges = {"e2", "e5", "e8", "e11", "e14"}
-        edges = []
-        for lab, (src, dst) in src_dst.items():
-            if lab in rho_edges:
-                m = similitude_1d(rho, 0.0)
-            elif lab in mid_edges:
-                m = similitude_1d(r, rho * (1.0 - r))
-            else:
-                m = similitude_1d(r, 1.0 - r)
-            edges.append(Edge(lab, src, dst, m, probs[lab]))
-        return Gifs(6, 1, tuple(edges), anchor=(0.5,), bbox=((0.0, 1.0),))
-
-    if p.family_id == "strong-r2":
-        rho = GOLDEN_RATIO_INV if p.rho is None else p.rho
-        _require(abs(rho - GOLDEN_RATIO_INV) <= 1e-12, "strong-r2 fixes rho=(sqrt(5)-1)/2")
-        ratio = rho * rho
-        edges = (
-            Edge("e1", 0, 0, similitude_2d(ratio, (rho**3, rho**3)), probs["e1"]),
-            Edge("e2", 0, 0, similitude_2d(ratio, (rho, 0.0)), probs["e2"]),
-            Edge("e3", 0, 0, similitude_2d(ratio, (0.0, rho)), probs["e3"]),
-            Edge("e4", 0, 1, similitude_2d(ratio, (0.0, 0.0)), probs["e4"]),
-            Edge("e5", 1, 0, similitude_2d(ratio, (0.0, 1.0), angle=-math.pi / 2), probs["e5"]),
-            Edge("e6", 1, 0, similitude_2d(ratio, (1.0, 0.0), angle=math.pi / 2), probs["e6"]),
-            Edge("e7", 1, 1, similitude_2d(ratio, (0.0, 0.0)), probs["e7"]),
-            Edge("e8", 1, 1, similitude_2d(ratio, (rho, rho)), probs["e8"]),
-        )
-        return Gifs(2, 2, edges, anchor=(0.5, 0.5), bbox=((0.0, 1.0), (0.0, 1.0)))
-
-    # nonstrong-r2
-    _check_rho_r(p.rho, p.r)
-    _require(p.t is not None and 0.0 < p.t < 1.0, "nonstrong-r2 requires t in (0,1)")
-    tmax = min(p.t, 1.0 - p.t)
-    _require(
-        p.s is not None and 0.0 < p.s < tmax,
-        f"nonstrong-r2 requires s in (0, min(t,1-t)) = (0, {tmax:.6g})",
+    fam, w = resolve(p)
+    edges = tuple(
+        Edge(lab, src, dst, make(p), w[k])
+        for k, (lab, src, dst, make) in enumerate(fam.edges, 1)
     )
-    rho, r, t, s = p.rho, p.r, p.t, p.s
-    edges = (
-        Edge("e1", 0, 1, similitude_2d(s, (-2.0 * s, 0.0)), probs["e1"]),
-        Edge("e2", 0, 0, similitude_2d(t, (1.0 - t, 0.0)), probs["e2"]),
-        Edge("e3", 0, 0, similitude_2d(1.0 - t, (0.0, t)), probs["e3"]),
-        Edge("e4", 1, 1, similitude_2d(rho, (2.0 * (1.0 - rho), 0.0)), probs["e4"]),
-        # Translation chosen so the overlap identity map(e4) o map(e6) ==
-        # map(e5) o map(e4) holds and the image stays inside (2,3)x(0,1).
-        Edge("e5", 1, 1, similitude_2d(r, ((2.0 + rho) * (1.0 - r), 0.0)), probs["e5"]),
-        Edge("e6", 1, 1, similitude_2d(r, (3.0 * (1.0 - r), 0.0)), probs["e6"]),
-        Edge("e7", 1, 1, similitude_2d(r, (2.0 * (1.0 - r), 1.0 - r)), probs["e7"]),
-    )
-    return Gifs(2, 2, edges, anchor=(0.5, 0.5), bbox=((0.0, 3.0), (0.0, 1.0)))
+    return Gifs(fam.num_vertices, fam.dim, edges, bbox=fam.bbox)
 
 
 def parse_number(text: str | float | int) -> float:
@@ -485,10 +298,3 @@ def parse_number(text: str | float | int) -> float:
     if "/" in text:
         return float(Fraction(text))
     return float(text)
-
-
-def params_with_probs(p: FamilyParams, scheme_or_map) -> FamilyParams:
-    """Return params with probabilities resolved from a scheme name or map."""
-    if isinstance(scheme_or_map, str):
-        return replace(p, probs=default_probs(p.family_id, scheme_or_map))
-    return replace(p, probs={k: parse_number(v) for k, v in scheme_or_map.items()})

@@ -15,12 +15,11 @@ that communication-class detection downstream is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DomainViolation, InvalidParams
-from .gifs import FAMILY_IDS, FamilyParams, GOLDEN_RATIO_INV, _resolve_probs
 
 DEFAULT_REL_TOL = 1e-12
 _MAX_TERMS = 1 << 26
@@ -43,13 +42,6 @@ class Constant:
     def growth_base(self) -> float:
         return 1.0
 
-    @property
-    def poly_degree(self) -> int:
-        return 0
-
-    def to_dict(self) -> dict:
-        return {"kind": "constant", "c": self.c}
-
 
 @dataclass(frozen=True)
 class GeometricPower:
@@ -64,13 +56,6 @@ class GeometricPower:
     @property
     def growth_base(self) -> float:
         return self.a
-
-    @property
-    def poly_degree(self) -> int:
-        return 0
-
-    def to_dict(self) -> dict:
-        return {"kind": "geometric", "c": self.c, "a": self.a}
 
 
 @dataclass(frozen=True)
@@ -101,26 +86,21 @@ class BinomialSum:
     def growth_base(self) -> float:
         return max(self.a, self.b)
 
-    @property
-    def poly_degree(self) -> int:
-        return 1
-
-    def to_dict(self) -> dict:
-        return {"kind": "binomial_sum", "c": self.c, "a": self.a, "b": self.b}
-
 
 WeightSequence = Constant | GeometricPower | BinomialSum
+_WEIGHT_KINDS = {"constant": Constant, "geometric": GeometricPower, "binomial_sum": BinomialSum}
+
+
+def weight_to_dict(w: WeightSequence) -> dict:
+    kind = next(k for k, cls in _WEIGHT_KINDS.items() if type(w) is cls)
+    return {"kind": kind, **asdict(w)}
 
 
 def weight_from_dict(d: dict) -> WeightSequence:
-    kind = d["kind"]
-    if kind == "constant":
-        return Constant(d["c"])
-    if kind == "geometric":
-        return GeometricPower(d["c"], d["a"])
-    if kind == "binomial_sum":
-        return BinomialSum(d["c"], d["a"], d["b"])
-    raise InvalidParams(f"unknown weight kind {kind!r}")
+    cls = _WEIGHT_KINDS.get(d["kind"])
+    if cls is None:
+        raise InvalidParams(f"unknown weight kind {d['kind']!r}")
+    return cls(**{k: v for k, v in d.items() if k != "kind"})
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +247,7 @@ class AtomFamily:
 
     def to_dict(self) -> dict:
         return {
-            "weight": self.weight.to_dict(),
+            "weight": weight_to_dict(self.weight),
             "base_ratio": self.base_ratio,
             "step_ratio": self.step_ratio,
             "k_range": [self.k_start, self.k_end],
@@ -339,7 +319,6 @@ class MeasureMatrixSpec:
     dim: int
     labels: tuple[int, ...] = ()
     family_id: str = ""
-    params: FamilyParams | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not self.labels:
@@ -495,130 +474,27 @@ def compile_block(spec: MeasureMatrixSpec, members) -> CompiledBlock:
 # Built-in family matrices
 # ---------------------------------------------------------------------------
 
-def build_family_matrix(p: FamilyParams):
-    """Measure-matrix spec plus the matching closed-form handle."""
-    spec = build_matrix_spec(p)
-    from .closed_forms import build_closed_form
+def build_matrix_spec(p, check_geometry: bool = True) -> MeasureMatrixSpec:
+    """Symbolic matrix for a built-in family (``families.FamilyParams``).
 
-    return spec, build_closed_form(p)
-
-
-def build_matrix_spec(p: FamilyParams, check_geometry: bool = True) -> MeasureMatrixSpec:
-    """Symbolic matrix for a built-in family.
-
-    ``check_geometry=False`` skips the non-overlap constraint on (rho, r);
-    the matrix algebra (and in particular the lattice structure of its
-    log-length spectrum) is well defined for any ratios in (0, 1), which
-    the commensurability analyses exploit.
+    ``check_geometry=False`` skips the family's geometric constraint (the
+    non-overlap condition on (rho, r)); the matrix algebra, and in
+    particular the lattice structure of its log-length spectrum, is well
+    defined for any ratios in (0, 1), which the commensurability analyses
+    exploit.
     """
-    if p.family_id not in FAMILY_IDS:
-        raise InvalidParams(f"unknown family id {p.family_id!r}")
-    if check_geometry:
-        # Reuse the GIFS-level validity checks (raises InvalidParams).
-        from .gifs import build_example
+    from .families import resolve  # the family table is built on this module
 
-        build_example(p)
-    else:
-        for name in ("rho", "r", "t", "s"):
-            v = getattr(p, name)
-            if v is not None and not (0.0 < v < 1.0):
-                raise InvalidParams(f"{name}={v} not in (0,1)")
-    pr = _resolve_probs(p)
-
-    def pack(n, cells, scc_of, dim, labels):
-        grid = [[EntrySpec() for _ in range(n)] for _ in range(n)]
-        for (i, j), fams in cells.items():
-            grid[i][j] = EntrySpec(tuple(fams))
-        return MeasureMatrixSpec(
-            n=n,
-            entries=tuple(tuple(row) for row in grid),
-            scc_of=tuple(scc_of),
-            dim=dim,
-            labels=tuple(labels),
-            family_id=p.family_id,
-            params=p,
-        )
-
-    if p.family_id == "strong-r":
-        rho, r = p.rho, p.r
-        cells = {
-            (0, 0): [atom(pr["e1"], rho)],
-            (0, 1): [atom((pr["e1"] * pr["e3"] + pr["e2"] * pr["e5"]) / pr["e5"], r)],
-            (0, 2): [atom(pr["e2"], r)],
-            (1, 0): [geometric_family(pr["e5"], pr["e3"], rho, r)],
-            (2, 1): [atom(pr["e4"], r)],
-            (2, 2): [atom(pr["e4"], r)],
-        }
-        return pack(3, cells, [0, 0, 0], 1, [1, 3, 4])
-
-    if p.family_id == "strong-r2":
-        rr = GOLDEN_RATIO_INV**2
-        geo = geometric_family(pr["e1"], pr["e1"], rr, rr)
-        series = binomial_family(pr["e4"], pr["e1"], pr["e8"], rr, rr)
-        cells: dict[tuple[int, int], list[AtomFamily]] = {}
-        for j in (1, 2):
-            cells[(0, j)] = [geo]
-        for j in (3, 4, 5):
-            cells[(0, j)] = [series]
-        for i, lab in ((1, "e2"), (2, "e3"), (3, "e5"), (4, "e6")):
-            for j in (0, 1, 2):
-                cells[(i, j)] = [atom(pr[lab], rr)]
-        for i, lab in ((5, "e7"), (6, "e8")):
-            for j in (3, 4, 5, 6):
-                cells[(i, j)] = [atom(pr[lab], rr)]
-        return pack(7, cells, [0] * 7, 2, list(range(1, 8)))
-
-    if p.family_id == "nonstrong-r-basic":
-        rho, r = p.rho, p.r
-        cells = {
-            (0, 0): [binomial_family(pr["e1"], pr["e2"], pr["e3"], rho, r)],
-            (0, 1): [AtomFamily(GeometricPower(pr["e2"], pr["e2"]), r, r, 0, None)],
-            (1, 0): [atom(pr["e3"], r)],
-            (1, 1): [atom(pr["e3"], r)],
-            (2, 0): [atom(pr["e5"], rho)],
-            (2, 1): [atom(pr["e5"], rho)],
-            (3, 2): [atom(pr["e4"], r)],
-            (3, 3): [atom(pr["e4"], r)],
-        }
-        return pack(4, cells, [0, 0, 1, 1], 1, [1, 2, 3, 4])
-
-    if p.family_id == "nonstrong-r-heights":
-        rho, r = p.rho, p.r
-        # Component i in 1..5 has edge triple (e_{3i-2}, e_{3i-1}, e_{3i});
-        # the series weights pair the cross/loop edge with the terminal-loop
-        # edge of the component it copies (e3 for i=1,2; e9 for i=3,4,5).
-        series_b = {1: "e3", 2: "e3", 3: "e9", 4: "e9", 5: "e9"}
-        cells = {}
-        for i in range(1, 6):
-            row = 2 * (i - 1)
-            lead = pr[f"e{3 * i - 2}"]
-            mid = pr[f"e{3 * i - 1}"]
-            loop = pr[f"e{3 * i}"]
-            target = 0 if i in (1, 2) else 4
-            cells[(row, target)] = [binomial_family(lead, mid, pr[series_b[i]], rho, r)]
-            cells[(row, row + 1)] = [AtomFamily(GeometricPower(mid, mid), r, r, 0, None)]
-            cells[(row + 1, row)] = [atom(loop, r)]
-            cells[(row + 1, row + 1)] = [atom(loop, r)]
-        cells[(10, 0)] = [atom(pr["e16"], rho)]
-        cells[(10, 1)] = [atom(pr["e16"], rho)]
-        cells[(11, 10)] = [atom(pr["e17"], r)]
-        cells[(11, 11)] = [atom(pr["e17"], r)]
-        return pack(12, cells, [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5], 1, list(range(1, 13)))
-
-    # nonstrong-r2
-    rho, r, t, s = p.rho, p.r, p.t, p.s
-    series = binomial_family(pr["e4"], pr["e5"], pr["e6"], rho, r)
-    geo = AtomFamily(GeometricPower(pr["e5"], pr["e5"]), r, r, 0, None)
-    cells = {}
-    for j in (3, 4, 5):
-        cells[(0, j)] = [atom(pr["e1"], s)]
-    for j in (0, 1, 2):
-        cells[(1, j)] = [atom(pr["e2"], t)]
-        cells[(2, j)] = [atom(pr["e3"], 1.0 - t)]
-    cells[(3, 3)] = [series]
-    cells[(3, 4)] = [geo]
-    cells[(3, 5)] = [series, geo]
-    for j in (3, 4, 5):
-        cells[(4, j)] = [atom(pr["e6"], r)]
-        cells[(5, j)] = [atom(pr["e7"], r)]
-    return pack(6, cells, [0, 0, 0, 1, 1, 1], 2, list(range(1, 7)))
+    fam, w = resolve(p, geometry=check_geometry)
+    n = len(fam.cell_labels)
+    grid = [[EntrySpec() for _ in range(n)] for _ in range(n)]
+    for (i, j), fams in fam.cells(p, w).items():
+        grid[i][j] = EntrySpec(tuple(fams))
+    return MeasureMatrixSpec(
+        n=n,
+        entries=tuple(tuple(row) for row in grid),
+        scc_of=fam.cell_scc,
+        dim=fam.dim,
+        labels=fam.cell_labels,
+        family_id=fam.id,
+    )

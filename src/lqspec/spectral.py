@@ -28,31 +28,29 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateClass, NoConvergence
+from .gifs import strong_components
 from .matrix import DEFAULT_REL_TOL, CompiledBlock, MeasureMatrixSpec, compile_block
 from .matrix import entry_value  # noqa: F401  (public name; bench/tracing.py wraps it here)
 
-_RADIUS_TOL = 1e-13
-_MAX_POWER_ITER = 1_000_000
 _MAX_EVALS = 200
 _G_TOL = 1e-12  # a root is returned only where |g - 1| is this small
 _CERT_TOL = 1e-11  # Collatz-Wielandt bounds at a returned root lie within this of 1
 
 
 # ---------------------------------------------------------------------------
-# Perron root
+# Perron root (for tests and users; no solve path calls it)
 # ---------------------------------------------------------------------------
 
-def spectral_radius(mat: np.ndarray, tol: float = _RADIUS_TOL) -> float:
+def spectral_radius(mat: np.ndarray) -> float:
     """Largest-modulus eigenvalue of a nonnegative matrix.
 
-    Computed per irreducible diagonal block.  Power iteration runs on
-    (B + I)/2, which maps the Perron root lam to (lam + 1)/2 and kills the
-    periodicity that stalls plain iteration on cyclic blocks.
+    Computed per irreducible diagonal block B by bisection on t, with the
+    sign test of ``eliminate``: ``eliminate(B / t).g < 1`` exactly when
+    rho(B) < t.  The bracket starts at the smallest and largest row sums of
+    B, which bound rho(B), and is halved at its geometric mean until no
+    double lies strictly inside.
     """
     mat = np.asarray(mat, dtype=float)
-    n = mat.shape[0]
-    if n == 0:
-        return 0.0
     best = 0.0
     for block_idx in _support_sccs(mat != 0.0):
         if len(block_idx) == 1:
@@ -60,70 +58,25 @@ def spectral_radius(mat: np.ndarray, tol: float = _RADIUS_TOL) -> float:
             best = max(best, mat[i, i])
             continue
         sub = mat[np.ix_(block_idx, block_idx)]
-        best = max(best, _power_iteration(sub, tol))
+        if not np.all(np.isfinite(sub)):
+            return math.inf
+        sums = sub.sum(axis=1)
+        lo, hi = float(np.min(sums)), float(np.max(sums))
+        mid = math.sqrt(lo) * math.sqrt(hi)
+        while lo < mid < hi:
+            if eliminate(sub / mid).g < 1.0:
+                hi = mid
+            else:
+                lo = mid
+            mid = math.sqrt(lo) * math.sqrt(hi)
+        best = max(best, hi)
     return best
-
-
-def _power_iteration(block: np.ndarray, tol: float) -> float:
-    n = block.shape[0]
-    if not np.all(np.isfinite(block)):
-        return math.inf
-    # Half-shifted iteration matrix; plain Python lists beat numpy by an
-    # order of magnitude at these sizes.
-    half = [[0.5 * block[i, j] + (0.5 if i == j else 0.0) for j in range(n)] for i in range(n)]
-    rng_n = range(n)
-    v = [1.0 / n] * n
-    lam_hist = [0.0, 0.0, 0.0]
-    accel_prev = None
-    for it in range(_MAX_POWER_ITER):
-        w = []
-        for i in rng_n:
-            row = half[i]
-            acc = 0.0
-            for j in rng_n:
-                acc += row[j] * v[j]
-            w.append(acc)
-        num = 0.0
-        den = 0.0
-        nw = 0.0
-        for i in rng_n:
-            num += v[i] * w[i]
-            den += v[i] * v[i]
-            nw += w[i]
-        lam = num / den
-        if nw <= 0.0 or not math.isfinite(nw):
-            return math.inf if not math.isfinite(nw) else 0.0
-        inv = 1.0 / nw
-        v = [wi * inv for wi in w]
-        lam_hist = [lam_hist[1], lam_hist[2], lam]
-        if it >= 2:
-            # Aitken extrapolation of the linearly convergent Rayleigh
-            # sequence; accept once two successive estimates agree.
-            d1 = lam_hist[1] - lam_hist[0]
-            d2 = lam_hist[2] - lam_hist[1]
-            denom = d2 - d1
-            accel = lam if abs(denom) < 1e-300 else lam_hist[0] - d1 * d1 / denom
-            if abs(d2) < tol * max(1.0, abs(lam)):
-                return 2.0 * lam - 1.0
-            if accel_prev is not None and abs(accel - accel_prev) < 0.25 * tol * max(
-                1.0, abs(accel)
-            ):
-                return 2.0 * accel - 1.0
-            accel_prev = accel
-    raise NoConvergence(f"power iteration did not settle in {_MAX_POWER_ITER} iterations")
 
 
 def _support_sccs(support: np.ndarray) -> list[list[int]]:
     """SCCs of a boolean adjacency matrix, ordered by smallest member."""
     n = support.shape[0]
-    adj = [list(np.nonzero(support[i])[0]) for i in range(n)]
-    from .gifs import _tarjan
-
-    comp = _tarjan(n, adj)
-    groups: dict[int, list[int]] = {}
-    for v, c in enumerate(comp):
-        groups.setdefault(c, []).append(v)
-    return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
+    return strong_components(n, [list(np.nonzero(support[i])[0]) for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +115,7 @@ def communication_classes(spec: MeasureMatrixSpec) -> ClassDecomposition:
         for i in members:
             class_of[i] = ci
 
-    degenerate = []
-    for members in classes:
-        if len(members) > 1:
-            degenerate.append(False)
-        else:
-            i = members[0]
-            degenerate.append(not support[i, i])
+    degenerate = [len(m) == 1 and not support[m[0], m[0]] for m in classes]
 
     edges = set()
     for i in range(spec.n):
@@ -176,20 +123,10 @@ def communication_classes(spec: MeasureMatrixSpec) -> ClassDecomposition:
             if support[i, j] and class_of[i] != class_of[j]:
                 edges.add((class_of[i], class_of[j]))
 
-    reach = [[False] * k for _ in range(k)]
     adj = [[] for _ in range(k)]
     for a, b in edges:
         adj[a].append(b)
-    for c in range(k):
-        stack = [c]
-        seen = {c}
-        while stack:
-            x = stack.pop()
-            reach[c][x] = True
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
+    reach = [[d in seen for d in range(k)] for seen in (_reachable(adj, c) for c in range(k))]
 
     final = [not any(reach[c][d] for d in range(k) if d != c) for c in range(k)]
     scc_of_class = [spec.scc_of[members[0]] for members in classes]
@@ -315,10 +252,6 @@ class ClassRoot(float):
 
     def __reduce__(self):
         return ClassRoot, (float(self), self.q, self.slope, self.rho_lo, self.rho_hi, self.evals)
-
-
-def block_domain_sup(spec: MeasureMatrixSpec, members, q: float) -> float | None:
-    return compile_block(spec, members).domain_sup(q)
 
 
 def class_root(
@@ -589,25 +522,23 @@ def _height(deco: ClassDecomposition, target: int) -> int:
     for a, b in deco.class_edges:
         if not deco.degenerate[a] and not deco.degenerate[b]:
             adj[a].append(b)
-    count = 1
-    for src in range(k):
-        if src == target or deco.degenerate[src]:
-            continue
-        stack = [src]
-        seen = {src}
-        found = False
-        while stack and not found:
-            x = stack.pop()
-            for y in adj[x]:
-                if y == target:
-                    found = True
-                    break
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if found:
-            count += 1
-    return count
+    return 1 + sum(
+        target in _reachable(adj, src)
+        for src in range(k)
+        if src != target and not deco.degenerate[src]
+    )
+
+
+def _reachable(adj: list[list[int]], start: int) -> set[int]:
+    """Nodes reachable from ``start`` (itself included)."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
 
 
 # ---------------------------------------------------------------------------

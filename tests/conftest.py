@@ -9,24 +9,13 @@ import numpy as np
 import pytest
 
 import lqspec as lq
-from lqspec.gifs import FamilyParams
-
-_GROUPS = {
-    "strong-r": (["e1", "e2", "e3"], ["e4", "e5"]),
-    "strong-r2": (["e1", "e2", "e3", "e4"], ["e5", "e6", "e7", "e8"]),
-    "nonstrong-r-basic": (["e1", "e2", "e3"], ["e4", "e5"]),
-    "nonstrong-r-heights": tuple(
-        [[f"e{3 * i + 1}", f"e{3 * i + 2}", f"e{3 * i + 3}"] for i in range(5)]
-        + [["e16", "e17"]]
-    ),
-    "nonstrong-r2": (["e1", "e2", "e3"], ["e4", "e5", "e6", "e7"]),
-}
+from lqspec.families import FAMILIES, FamilyParams
 
 
 def random_params(family_id: str, rng: np.random.Generator) -> FamilyParams:
     """A random parameter set satisfying every validity constraint."""
     probs: dict[str, float] = {}
-    for grp in _GROUPS[family_id]:
+    for grp in FAMILIES[family_id].groups:
         w = rng.uniform(0.1, 1.0, len(grp))
         w /= w.sum()
         probs.update(zip(grp, w))
@@ -43,9 +32,8 @@ def random_params(family_id: str, rng: np.random.Generator) -> FamilyParams:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracles (independent of the adaptive truncation engine and of
-# the power iteration: explicit term sums, cumulative-sum weights, numpy
-# eigenvalues, plain bisection)
+# Brute-force oracles (independent of the adaptive truncation engine:
+# explicit term sums, cumulative-sum weights) and root matching
 # ---------------------------------------------------------------------------
 
 _BRUTE_CACHE: dict = {}
@@ -82,40 +70,13 @@ def brute_family_value(fam, q: float, alpha: float, n_terms: int = 10**6) -> flo
         return float(np.sum(np.exp(q * log_w - alpha * log_len)))
 
 
-def brute_matrix(spec, q: float, alpha, n_terms: int = 10**5) -> np.ndarray:
-    out = np.zeros((spec.n, spec.n))
-    row_alpha = spec.row_alpha(alpha)
-    for i in range(spec.n):
-        for j in range(spec.n):
-            for fam in spec.entries[i][j].families:
-                out[i, j] += brute_family_value(fam, q, row_alpha[i], n_terms)
-    return out
-
-
-def brute_class_root(spec, members, q: float) -> float:
-    members = list(members)
-
-    def radius(a: float) -> float:
-        mat = brute_matrix(spec, q, a, 10**5)
-        block = mat[np.ix_(members, members)]
-        if not np.all(np.isfinite(block)):
-            return np.inf
-        return float(max(abs(np.linalg.eigvals(block))))
-
-    hi = 0.0
-    with np.errstate(over="ignore", under="ignore"):
-        while radius(hi) < 1.0:
-            hi += 0.25
-        lo = hi - 0.25
-        while radius(lo) > 1.0:
-            lo -= 0.5
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if radius(mid) < 1.0:
-                lo = mid
-            else:
-                hi = mid
-    return 0.5 * (lo + hi)
+def matched_roots(spec, result, sol) -> list[tuple[float, float]]:
+    """(closed-form root, spectral class root) per factor, matched by class labels."""
+    deco = result.decomposition
+    by_labels = {
+        tuple(spec.labels[i] for i in deco.classes[ci]): root for ci, root in result.roots.items()
+    }
+    return [(root, by_labels[labels]) for root, labels in zip(sol.roots, sol.labels)]
 
 
 @pytest.fixture(scope="session")

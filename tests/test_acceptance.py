@@ -7,7 +7,6 @@ see them).  Failure of any assertion fails the criterion.
 
 from __future__ import annotations
 
-import logging
 import math
 import time
 
@@ -15,8 +14,9 @@ import numpy as np
 import pytest
 
 import lqspec as lq
-from lqspec.gifs import FamilyParams, default_probs
-from conftest import brute_family_value, random_params
+from lqspec.families import FamilyParams, default_probs
+from conftest import brute_family_value, matched_roots, random_params
+from paper_oracle import TYPO_FAMILIES, longform_tau_prime
 
 Q_PROBE = (0.0, 0.5, 1.0, 2.0, 5.0)
 
@@ -52,17 +52,9 @@ def test_criterion_2_closed_form_equivalence(canonical_specs, canonical_closed_f
         fam = canonical_closed_forms[fid]
         for q in Q_PROBE:
             res = lq.classify(spec, q, with_lattice=False)
-            sol = fam.solve(q)
-            deco = res.decomposition
-            matched = 0
-            for fi, labs in enumerate(sol.labels):
-                for ci, members in enumerate(deco.classes):
-                    if tuple(spec.labels[i] for i in members) == labs:
-                        err = abs(sol.roots[fi] - res.roots[ci])
-                        worst = max(worst, err)
-                        assert err <= 1e-9
-                        matched += 1
-            assert matched == len(sol.labels)
+            for want, got in matched_roots(spec, res, fam.solve(q)):
+                worst = max(worst, abs(want - got))
+                assert abs(want - got) <= 1e-9
     _report(
         "criterion 2",
         f"closed-form roots == spectral class roots, max |diff| = {worst:.2e}",
@@ -71,25 +63,32 @@ def test_criterion_2_closed_form_equivalence(canonical_specs, canonical_closed_f
     )
 
 
-def test_criterion_3_derivative_consistency(canonical_specs, canonical_closed_forms, caplog):
+def test_criterion_3_derivative_consistency(canonical_specs, canonical_closed_forms):
     t0 = time.perf_counter()
     worst = 0.0
-    logged = 0
-    with caplog.at_level(logging.WARNING, logger="lqspec.closed_forms"):
-        for fid in lq.FAMILY_IDS:
-            spec = canonical_specs[fid]
-            fam = canonical_closed_forms[fid]
-            for q in (0.5, 1.0, 2.0, 5.0, 8.0):
-                closed = fam.tau_prime(q, check_longform=True)
-                fd = lq.tau_prime_fd(spec, q, step=1e-4)
-                rel = abs(closed - fd) / max(abs(fd), 1e-12)
-                worst = max(worst, rel)
-                assert rel <= 1e-5
-        logged = sum("long-form" in r.message for r in caplog.records)
+    typos = 0
+    for fid in lq.FAMILY_IDS:
+        spec = canonical_specs[fid]
+        fam = canonical_closed_forms[fid]
+        for q in (0.5, 1.0, 2.0, 5.0, 8.0):
+            closed = fam.tau_prime(q)
+            fd = lq.tau_prime_fd(spec, q, step=1e-4)
+            rel = abs(closed - fd) / max(abs(fd), 1e-12)
+            worst = max(worst, rel)
+            assert rel <= 1e-5
+            try:
+                lf = longform_tau_prime(fam.params, q, fam.solve(q).tau)
+            except ZeroDivisionError:  # 0/0 where two components tie at the root
+                lf = math.nan
+            if fid in TYPO_FAMILIES:
+                assert not abs(lf - closed) <= 1e-8 * max(1.0, abs(closed)), (fid, q)
+                typos += 1
+            else:
+                assert lf == pytest.approx(closed, rel=1e-9), (fid, q)
     _report(
         "criterion 3",
-        f"term-wise tau' matches FD, max rel diff = {worst:.2e}; "
-        f"{logged} long-form discrepancies logged (not failed)",
+        f"term-wise tau' matches FD, max rel diff = {worst:.2e}; long forms agree for "
+        f"{len(lq.FAMILY_IDS) - len(TYPO_FAMILIES)} families, {typos} typo discrepancies",
         time.perf_counter() - t0,
         30.0,
     )

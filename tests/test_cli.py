@@ -161,6 +161,31 @@ def test_explicit_prob_map_flag(capsys):
     assert code == 2
     assert "sum to" in err
 
+    # a label that is not an edge of the family is an error, not ignored
+    code, _, err = run(
+        capsys,
+        "solve", "--family", "strong-r",
+        "--probs", "e1=1/3,e2=1/3,e3=1/3,e4=1/2,e5=1/2,e9=1", "--q", "1",
+    )
+    assert code == 2
+    assert err.startswith("error:") and "e9" in err
+
+    # unparsable numbers exit 2 with a message, not a traceback
+    for argv in (
+        ("solve", "--family", "strong-r", "--probs", "e1=abc", "--q", "1"),
+        ("estimate", "--family", "strong-r", "--q", "1", "--scales", "0.1,abc"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and err.startswith("error:") and "abc" in err, argv
+
+
+@pytest.mark.parametrize("family", cli.FAMILY_IDS)
+def test_derivative_writes_nothing_to_stderr(capsys, family):
+    code, _, err = run(capsys, "derivative", "--family", family, "--q", "2")
+    assert code == 0
+    assert err == ""
+
 
 def test_config_unknown_field(tmp_path, capsys):
     path = tmp_path / "bad.json"

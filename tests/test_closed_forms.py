@@ -1,10 +1,9 @@
 """Closed-form characteristic functions: normalization identities, analytic
 partials vs finite differences, root equivalence with the spectral route,
-and the long-form cross-check evaluators."""
+and the paper's long-form formulas from ``paper_oracle``."""
 
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
@@ -12,7 +11,8 @@ import pytest
 
 import lqspec as lq
 from lqspec.closed_forms import Val, _qpow
-from conftest import random_params
+from conftest import matched_roots, random_params
+from paper_oracle import TYPO_FAMILIES, basic_alt_core, longform_tau_prime
 
 
 # -- the forward-mode helper -----------------------------------------------------
@@ -103,14 +103,8 @@ def test_roots_match_spectral_class_roots(canonical_specs, canonical_closed_form
         for q in (0.0, 0.5, 1.0, 2.0, 5.0):
             res = lq.classify(spec, q, with_lattice=False)
             sol = fam.solve(q)
-            deco = res.decomposition
-            matched = 0
-            for fi, labs in enumerate(sol.labels):
-                for ci, members in enumerate(deco.classes):
-                    if tuple(spec.labels[i] for i in members) == labs:
-                        assert sol.roots[fi] == pytest.approx(res.roots[ci], abs=1e-9)
-                        matched += 1
-            assert matched == len(sol.labels)
+            for want, got in matched_roots(spec, res, sol):
+                assert want == pytest.approx(got, abs=1e-9)
             assert sol.tau == pytest.approx(res.tau, abs=1e-9)
 
 
@@ -128,11 +122,12 @@ def test_solve_strong_r2_q0_golden():
 def test_alt_core_evaluator_agrees():
     # The block-diagonal and factored writings of the same condition must
     # produce identical roots.
-    fam = lq.build_closed_form(lq.canonical_params("nonstrong-r-basic"))
-    (idx, alt_fn), = fam.alt_factors
+    params = lq.canonical_params("nonstrong-r-basic")
+    fam = lq.build_closed_form(params)
+    assert fam.factors[0].name == "core"
     for q in (0.0, 0.7, 1.0, 2.5):
-        root = fam.solve_factor(idx, q)
-        assert abs(alt_fn(q, root, fam.rel_tol).v) <= 1e-10
+        root = fam.solve_factor(0, q)
+        assert abs(basic_alt_core(params, q, root)) <= 1e-10
 
 
 # -- tau' ------------------------------------------------------------------------------
@@ -145,7 +140,7 @@ def test_tau_prime_single_atom():
         return 1.0 - _qpow(0.5, 0.5, q, alpha)
 
     fam = ClosedFormFamily(
-        "synthetic", lq.canonical_params("strong-r"), (Factor("only", (1,), fn, _no_sup),), None
+        "synthetic", lq.canonical_params("strong-r"), (Factor("only", (1,), fn, _no_sup),)
     )
     assert fam.tau_prime(2.0) == pytest.approx(1.0, rel=1e-12)
 
@@ -154,31 +149,25 @@ def test_tau_prime_matches_fd_all_families(canonical_closed_forms):
     for fid in lq.FAMILY_IDS:
         fam = canonical_closed_forms[fid]
         for q in (0.5, 2.0, 8.0):
-            tp = fam.tau_prime(q, check_longform=False)
+            tp = fam.tau_prime(q)
             h = 1e-4
             fd = (fam.solve(q + h).tau - fam.solve(q - h).tau) / (2 * h)
             assert tp == pytest.approx(fd, rel=1e-5)
 
 
-def test_longform_agreement_and_logged_disagreement(caplog):
-    # Families whose expanded formulas are internally consistent check out
-    # silently; the two with typographical slips are logged, never raised.
-    quiet = ("strong-r", "nonstrong-r-basic", "nonstrong-r2")
-    noisy = ("strong-r2", "nonstrong-r-heights")
-    for fid in quiet:
-        fam = lq.build_closed_form(lq.canonical_params(fid))
-        with caplog.at_level(logging.WARNING, logger="lqspec.closed_forms"):
-            caplog.clear()
-            tp = fam.tau_prime(2.0, check_longform=True)
-            lf = fam.tau_prime_longform(2.0)
-            assert lf == pytest.approx(tp, rel=1e-9)
-            assert not caplog.records
-    for fid in noisy:
-        fam = lq.build_closed_form(lq.canonical_params(fid))
-        with caplog.at_level(logging.WARNING, logger="lqspec.closed_forms"):
-            caplog.clear()
-            fam.tau_prime(2.0, check_longform=True)
-            assert any("long-form" in r.message for r in caplog.records)
+def test_longform_agreement_and_typo_disagreement():
+    # Three expanded formulas agree with the term-wise tau'; the two with
+    # typographical slips differ from it.  q = 5 because at q <= 2 the
+    # heights formula is 0/0: two of its components tie at the root.
+    for fid in lq.FAMILY_IDS:
+        params = lq.canonical_params(fid)
+        fam = lq.build_closed_form(params)
+        tp = fam.tau_prime(5.0)
+        lf = longform_tau_prime(params, 5.0, fam.solve(5.0).tau)
+        if fid in TYPO_FAMILIES:
+            assert abs(lf - tp) > 1e-8 * max(1.0, abs(tp)), fid
+        else:
+            assert lf == pytest.approx(tp, rel=1e-9), fid
 
 
 def test_singular_alpha_partial_raises():
@@ -189,7 +178,7 @@ def test_singular_alpha_partial_raises():
         return Val(-alpha**3, 0.0, -3.0 * alpha**2)
 
     fam = ClosedFormFamily(
-        "flat", lq.canonical_params("strong-r"), (Factor("flat", (1,), fn, _no_sup),), None
+        "flat", lq.canonical_params("strong-r"), (Factor("flat", (1,), fn, _no_sup),)
     )
     with pytest.raises(lq.SingularHalpha):
         fam.tau_prime(1.0)

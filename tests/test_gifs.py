@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import lqspec as lq
-from lqspec.gifs import FamilyParams, default_probs
+from lqspec.families import FamilyParams, default_probs
 from conftest import random_params
 
 
@@ -98,6 +98,16 @@ def _floyd_warshall_components(n, edges):
     return comp
 
 
+def _assert_same_partition(g):
+    # same partition as the closure's (component ids may differ)
+    expected = _floyd_warshall_components(g.num_vertices, [(e.src, e.dst) for e in g.edges])
+    groups = {}
+    for v in range(g.num_vertices):
+        groups.setdefault(expected[v], set()).add(v)
+    got = lq.scc_decompose(g).components
+    assert {frozenset(c) for c in got} == {frozenset(grp) for grp in groups.values()}
+
+
 def test_scc_matches_reachability_closure_on_random_graphs():
     rng = np.random.default_rng(99)
     ident = lq.Similitude(1, 0.5, np.eye(1), np.zeros(1))
@@ -109,31 +119,12 @@ def test_scc_matches_reachability_closure_on_random_graphs():
             outs = rng.integers(0, n, size=int(rng.integers(1, 4)))
             for k, w in enumerate(outs):
                 edges.append(lq.Edge(f"v{v}k{k}", v, int(w), ident, 1.0 / len(outs)))
-        g = lq.Gifs(n, 1, tuple(edges))
-        res = lq.scc_decompose(g)
-        expected = _floyd_warshall_components(n, [(e.src, e.dst) for e in edges])
-        # same partition (component ids may differ)
-        groups = {}
-        for v in range(n):
-            groups.setdefault(expected[v], set()).add(v)
-        assert {frozenset(c) for c in res.components} == {
-            frozenset(grp) for grp in groups.values()
-        }
+        _assert_same_partition(lq.Gifs(n, 1, tuple(edges)))
 
 
 def test_scc_matches_closure_on_families():
     for fid in lq.FAMILY_IDS:
-        g = lq.build_example(lq.canonical_params(fid))
-        res = lq.scc_decompose(g)
-        expected = _floyd_warshall_components(
-            g.num_vertices, [(e.src, e.dst) for e in g.edges]
-        )
-        groups = {}
-        for v in range(g.num_vertices):
-            groups.setdefault(expected[v], set()).add(v)
-        assert {frozenset(c) for c in res.components} == {
-            frozenset(grp) for grp in groups.values()
-        }
+        _assert_same_partition(lq.build_example(lq.canonical_params(fid)))
 
 
 # -- compose_path ------------------------------------------------------------
@@ -220,7 +211,7 @@ def test_strong_r2_structure():
     # quarter-turn clockwise with translation (0, 1)
     assert np.allclose(e5.map.orthogonal, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-15)
     assert np.allclose(e5.map.translation, [0.0, 1.0])
-    rho = lq.gifs.GOLDEN_RATIO_INV
+    rho = lq.families.GOLDEN_RATIO_INV
     assert e5.map.ratio == pytest.approx(rho * rho)
 
 

@@ -19,6 +19,7 @@ from lqspec.matrix import (
     MeasureMatrixSpec,
     atom,
     binomial_family,
+    compile_block,
     entry_value,
     geometric_family,
 )
@@ -282,7 +283,5 @@ def test_random_family_matrices_in_domain_at_roots():
         _, res = lq.tau(spec, 1.5, with_lattice=False)
         for ci, root in res.roots.items():
             members = res.decomposition.classes[ci]
-            from lqspec.spectral import block_domain_sup
-
-            sup = block_domain_sup(spec, members, 1.5)
+            sup = compile_block(spec, members).domain_sup(1.5)
             assert sup is None or root < sup

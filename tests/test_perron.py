@@ -105,10 +105,9 @@ def test_stiff_q_matches_closed_forms(fid, q, canonical_specs, canonical_closed_
 
 def test_solves_never_use_power_iteration(monkeypatch, canonical_specs):
     def banned(*args, **kwargs):
-        raise AssertionError("solve path called the power iteration")
+        raise AssertionError("solve path called spectral_radius")
 
     monkeypatch.setattr(spectral, "spectral_radius", banned)
-    monkeypatch.setattr(spectral, "_power_iteration", banned)
     for spec in canonical_specs.values():
         lq.tau(spec, 2.0)
         lq.tau_curve(spec, 0.0, 2.0, 5)
@@ -119,7 +118,7 @@ def test_root_slope_is_closed_form_tau_prime(canonical_specs, canonical_closed_f
         for q in (0.5, 2.0, 5.0):
             _, result = lq.tau(spec, q, with_lattice=False)
             attaining = result.roots[result.basic_classes[0]]
-            want = canonical_closed_forms[fid].tau_prime(q, check_longform=False)
+            want = canonical_closed_forms[fid].tau_prime(q)
             assert attaining.slope == pytest.approx(want, abs=1e-8)
 
 

@@ -98,7 +98,7 @@ def test_fd_matches_closed_form_strong_r():
     spec = lq.build_matrix_spec(p)
     fam = lq.build_closed_form(p)
     fd = lq.tau_prime_fd(spec, 2.0)
-    closed = fam.tau_prime(2.0, check_longform=False)
+    closed = fam.tau_prime(2.0)
     assert fd == pytest.approx(closed, rel=1e-5)
 
 
@@ -146,7 +146,7 @@ def test_legendre_concave_and_consistent():
     p = lq.canonical_params("strong-r")
     fam = lq.build_closed_form(p)
     for q in (1.0, 2.0, 4.0):
-        slope = fam.tau_prime(q, check_longform=False)
+        slope = fam.tau_prime(q)
         t_q, _ = lq.tau(spec, q, with_lattice=False)
         want = q * slope - t_q
         got = np.interp(slope, leg.alphas, leg.f_values)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import lqspec as lq
-from lqspec.gifs import FamilyParams, default_probs
-from lqspec.matrix import EntrySpec, MeasureMatrixSpec, atom
+from lqspec.families import FamilyParams, default_probs
+from lqspec.matrix import EntrySpec, MeasureMatrixSpec, atom, compile_block
 from conftest import random_params
 
 
@@ -253,7 +253,7 @@ def test_classify_roots_inside_domain():
             for ci, root in res.roots.items():
                 # evaluating the block at its root must stay in-domain
                 members = res.decomposition.classes[ci]
-                sup = lq.spectral.block_domain_sup(spec, members, q)
+                sup = compile_block(spec, members).domain_sup(q)
                 assert sup is None or root < sup
 
 
@@ -295,7 +295,7 @@ def test_lattice_strong_r2_inherent():
     deco = lq.communication_classes(spec)
     verdict = lq.lattice_check(spec, deco.classes[0])
     assert verdict.lattice
-    rho = lq.gifs.GOLDEN_RATIO_INV
+    rho = lq.families.GOLDEN_RATIO_INV
     assert verdict.span == pytest.approx(-2.0 * math.log(rho), rel=1e-12)
 
 
