@@ -23,6 +23,7 @@ from .errors import (
     LqSpecError,
     NoBracket,
     NoConvergence,
+    SamplerBound,
     SingularHalpha,
 )
 from .families import FAMILY_IDS, FamilyParams, canonical_params, default_probs

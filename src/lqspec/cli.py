@@ -223,6 +223,8 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 
 def _fit(cfg: RunConfig, params: FamilyParams, q: float):
+    if cfg.samples < 1:
+        raise ConfigError(f"samples must be >= 1, got {cfg.samples}")
     g = build_example(params)
     scales = cfg.scales or [2.0 ** (-k) for k in range(4, 12)]
     n_per_vertex = max(1, cfg.samples // g.num_vertices)

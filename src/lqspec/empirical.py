@@ -3,13 +3,28 @@
 Points are drawn from each vertex measure by random edge walks (a chaos
 game on the graph): starting at a vertex, edges are drawn with their
 transition probabilities and the corresponding similitudes composed until
-the accumulated contraction ratio falls below a truncation threshold, at
-which point the composed map is applied to a fixed anchor point.  Each
-emitted point therefore lies within depth_eps of an exact draw.
+the accumulated contraction ratio falls below a truncation threshold
+depth_eps in (0, 1), at which point the composed map is applied to a fixed
+anchor point.  Each emitted point therefore lies within depth_eps of an
+exact draw.
+
+Each sweep moves every active walk with a fixed set of whole-array
+operations.  One inverse-CDF lookup over all walks picks their edges: a
+walk at vertex v with draw u = k / 2^53 has the integer key
+(v << 54) + k, and global per-edge tables map the keys to edges, then
+the edges to ratios, destinations and translations.  A walk's orientation
+is a small integer: its index into the group generated by the edges'
+orthogonal parts, closed once per ``sample`` call with tables for the
+product R_g O_e, the rotated translation R_g t_e and the rotated anchor
+R_g a.  The group may have at most MAX_ORIENTATIONS elements; an
+orthogonal part of infinite order (e.g. a rotation by one radian) raises
+SamplerBound, as does a graph with more than MAX_VERTICES vertices.
 
 Sampling is organized in fixed-size chunks of 65536 walks with one
-deterministic random stream per (seed, vertex, chunk), so results are
-bit-identical no matter how chunks are scheduled across threads.
+deterministic random stream per (seed, vertex, chunk).  Within a chunk the
+active walks stay in ascending order and draw one ``rng.random(n_active)``
+per sweep, so results are bit-identical no matter how chunks are scheduled
+across threads.
 """
 
 from __future__ import annotations
@@ -21,10 +36,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientScales
+from .errors import InsufficientScales, InvalidParams, SamplerBound
 from .gifs import Gifs
 
 CHUNK_SIZE = 65536
+# Fixed table bounds: the orientation group's order and the vertex count
+# (vertex << 54 plus a 53-bit draw must fit an int64 key).
+MAX_ORIENTATIONS = 1024
+MAX_VERTICES = 512
+_VERTEX_SHIFT = 54
+_U_SCALE = 2.0**53  # rng.random() returns k / 2^53 with integer k
+_BUCKET_SHIFT = 45  # 256 lookup buckets per vertex
+# Products of orthogonal parts that agree to this are one orientation; rounding
+# along a closure path stays far below it, and distinct elements of a group of
+# at most MAX_ORIENTATIONS elements differ by far more.
+_ORIENTATION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -64,18 +90,9 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, depth_eps: float = 1e-9) -> Sa
     """Draw n_per_vertex points from each vertex measure."""
     if n_per_vertex < 0:
         raise ValueError("n_per_vertex must be >= 0")
-    anchor = np.asarray(g.anchor, dtype=float)
-    # Per-vertex edge tables.
-    tables = []
-    for v in range(g.num_vertices):
-        out = g.out_edges(v)
-        cum = np.cumsum([e.prob for e in out])
-        cum[-1] = 1.0  # guard against fsum slack
-        ratios = np.array([e.map.ratio for e in out])
-        orths = np.stack([e.map.orthogonal for e in out])
-        trans = np.stack([e.map.translation for e in out])
-        dsts = np.array([e.dst for e in out], dtype=np.int64)
-        tables.append((cum, ratios, orths, trans, dsts))
+    if not 0.0 < depth_eps < 1.0:
+        raise InvalidParams(f"depth_eps must lie in (0, 1), got {depth_eps}")
+    tables = _walk_tables(g)
 
     jobs = []
     for v in range(g.num_vertices):
@@ -87,7 +104,7 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, depth_eps: float = 1e-9) -> Sa
     def run_chunk(job):
         v, c, count = job
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(v, c)))
-        return v, c, _walk_chunk(g.dim, tables, v, count, rng, depth_eps, anchor)
+        return v, c, _walk_chunk(tables, v, count, rng, depth_eps)
 
     threads = _num_threads()
     if threads > 1 and len(jobs) > 1:
@@ -116,39 +133,140 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, depth_eps: float = 1e-9) -> Sa
     )
 
 
-def _walk_chunk(dim, tables, start_vertex, count, rng, depth_eps, anchor):
-    """Vectorized walks: all walks in the chunk advance one edge per sweep."""
-    vert = np.full(count, start_vertex, dtype=np.int64)
+@dataclass(frozen=True)
+class _WalkTables:
+    """Global per-edge tables; edges are grouped by source vertex.
+
+    A walk at vertex v with uniform draw u = k / 2^53 takes the edge at
+    ``searchsorted(cum_key, (v << 54) + k, side="right")``: ``cum_key`` holds
+    ``(v << 54) + ceil(cum * 2^53)`` for each vertex's cumulative edge
+    probabilities, so the search makes exactly the comparisons ``cum <= u``
+    of a per-vertex inverse CDF.  ``bucket_edge`` gives the same answer
+    without the search for keys in a bucket that no ``cum_key`` splits.
+    Orientations are indices g into the group generated by the edges'
+    orthogonal parts; the flat index ``g * E + e`` addresses ``mul`` (the
+    orientation after edge e, times E) and ``step`` (R_g t_e).
+    """
+
+    cum_key: np.ndarray  # (E,) int64, ascending
+    bucket_edge: np.ndarray  # int64 per key >> _BUCKET_SHIFT: its edge, or -1 if split
+    ratio: np.ndarray  # (E,)
+    dst_key: np.ndarray  # (E,) int64: destination vertex << 54
+    mul: np.ndarray  # (G * E,) int64: E * (index of R_g O_e)
+    step: np.ndarray  # (d, G * E): R_g t_e
+    anchor: np.ndarray  # (d, G): R_g anchor
+
+
+def _walk_tables(g: Gifs) -> _WalkTables:
+    if g.num_vertices > MAX_VERTICES:
+        raise SamplerBound(
+            f"{g.num_vertices} vertices exceed the sampler's bound of {MAX_VERTICES}"
+        )
+    edges, cum_key = [], []
+    for v in range(g.num_vertices):
+        out = g.out_edges(v)
+        if not out:
+            raise ValueError(f"vertex {v + 1} has no outgoing edge")
+        cum = np.cumsum([e.prob for e in out])
+        cum[-1] = 1.0  # guard against fsum slack
+        # Clipping at 1 changes no comparison with u < 1 and keeps keys ascending.
+        cum = np.minimum(cum, 1.0)
+        cum_key.append((v << _VERTEX_SHIFT) + np.ceil(cum * _U_SCALE).astype(np.int64))
+        edges.extend(out)
+    rots, mul = _orientation_group([e.map.orthogonal for e in edges])
+    trans = np.stack([e.map.translation for e in edges])
+    cum_key = np.concatenate(cum_key)
+    # Buckets of 2^_BUCKET_SHIFT consecutive keys that no cum_key splits
+    # resolve by one table lookup; only walks in split buckets are searched.
+    lo = np.arange(g.num_vertices << (_VERTEX_SHIFT - _BUCKET_SHIFT), dtype=np.int64)
+    lo <<= _BUCKET_SHIFT
+    first = np.searchsorted(cum_key, lo, side="right")
+    last = np.searchsorted(cum_key, lo + ((1 << _BUCKET_SHIFT) - 1), side="right")
+    n_edges = len(edges)
+    return _WalkTables(
+        cum_key=cum_key,
+        bucket_edge=np.where(first == last, first, -1),
+        ratio=np.array([e.map.ratio for e in edges]),
+        dst_key=np.array([e.dst for e in edges], dtype=np.int64) << _VERTEX_SHIFT,
+        mul=(mul * n_edges).ravel(),
+        step=(rots[:, None] @ trans[None, :, :, None])[..., 0].reshape(-1, g.dim).T.copy(),
+        anchor=(rots @ np.asarray(g.anchor, dtype=float)).T.copy(),
+    )
+
+
+def _orientation_group(orths):
+    """Closure of the orthogonal parts under right multiplication.
+
+    Returns the group elements R (R[0] = I, each found as R_parent @ O_e)
+    and the table mul[g, e] = index of R_g @ O_e.  Raises SamplerBound when
+    the closure exceeds MAX_ORIENTATIONS, e.g. for a rotation by an
+    irrational multiple of pi.
+    """
+    dim = orths[0].shape[0]
+    rots = np.empty((MAX_ORIENTATIONS, dim, dim))
+    rots[0] = np.eye(dim)
+    size = 1
+    mul = []
+    while len(mul) < size:
+        row = []
+        for o in orths:
+            prod = rots[len(mul)] @ o
+            dist = np.max(np.abs(rots[:size] - prod), axis=(1, 2))
+            h = int(np.argmin(dist))
+            if dist[h] > _ORIENTATION_TOL:
+                if size == MAX_ORIENTATIONS:
+                    raise SamplerBound(
+                        "the orthogonal parts generate more than "
+                        f"{MAX_ORIENTATIONS} orientations (the sampler's bound)"
+                    )
+                rots[size] = prod
+                h = size
+                size += 1
+            row.append(h)
+        mul.append(row)
+    return rots[:size], np.array(mul, dtype=np.int64)
+
+
+def _walk_chunk(tables: _WalkTables, start_vertex, count, rng, depth_eps):
+    """Walks advance one edge per sweep; finished walks leave the arrays.
+
+    The active walks stay compacted in ascending order and draw one
+    ``rng.random(n_active)`` per sweep.  Coordinates are rows (d, n), so
+    every gather and compaction acts on contiguous 1-D data.
+    """
+    n_edges = len(tables.ratio)
+    pts = np.empty((tables.step.shape[0], count))
+    pos = np.arange(count)
+    vkey = np.full(count, start_vertex << _VERTEX_SHIFT, dtype=np.int64)
+    orient = np.zeros(count, dtype=np.int64)  # E * orientation index
     scale = np.ones(count)
-    trans = np.zeros((count, dim))
-    orth = np.broadcast_to(np.eye(dim), (count, dim, dim)).copy()
-    active = np.ones(count, dtype=bool)
+    trans = np.zeros_like(pts)
 
-    while np.any(active):
-        idx = np.nonzero(active)[0]
-        u = rng.random(len(idx))
-        # Group by a snapshot of the current vertices so every walk advances
-        # exactly one edge per sweep even when it changes vertex.
-        vsnap = vert[idx]
-        for v in np.unique(vsnap):
-            cum, ratios, orths, transl, dsts = tables[v]
-            mask = vsnap == v
-            sel = idx[mask]
-            choice = np.searchsorted(cum, u[mask], side="right")
-            choice = np.minimum(choice, len(cum) - 1)
-            for e in range(len(cum)):
-                rows = sel[choice == e]
-                if rows.size == 0:
-                    continue
-                step_t = orth[rows] @ transl[e]
-                trans[rows] += scale[rows, None] * step_t
-                orth[rows] = orth[rows] @ orths[e]
-                scale[rows] *= ratios[e]
-                vert[rows] = dsts[e]
-        active &= scale > depth_eps
-
-    pts = trans + scale[:, None] * (orth @ anchor)
-    return pts
+    while len(pos):
+        u = rng.random(len(pos))
+        u *= _U_SCALE
+        key = u.astype(np.int64)
+        key += vkey
+        e = tables.bucket_edge.take(key >> _BUCKET_SHIFT)
+        split = np.flatnonzero(e < 0)
+        if len(split):
+            e[split] = np.searchsorted(tables.cum_key, key.take(split), side="right")
+        ge = orient + e
+        step = tables.step.take(ge, axis=1)
+        step *= scale
+        trans += step
+        orient = tables.mul.take(ge)
+        scale *= tables.ratio.take(e)
+        vkey = tables.dst_key.take(e)
+        keep = scale > depth_eps
+        if not keep.all():
+            done = np.flatnonzero(~keep)
+            anchor = tables.anchor.take(orient.take(done) // n_edges, axis=1)
+            pts[:, pos.take(done)] = trans.take(done, axis=1) + scale.take(done) * anchor
+            live = np.flatnonzero(keep)
+            pos, vkey, orient = pos.take(live), vkey.take(live), orient.take(live)
+            scale, trans = scale.take(live), trans.take(live, axis=1)
+    return pts.T
 
 
 def partition_sum(cloud: SampleCloud, h: float, q: float, total_mass: float | None = None) -> float:
@@ -193,11 +311,14 @@ def estimate_tau(
 ) -> ScalingFit:
     """Log-log regression of partition sums against scale.
 
-    Requires at least three scales spanning at least two octaves, all below
-    the family's coarsest first-level cell so the grid actually resolves
-    structure.
+    Requires at least three positive, finite scales (else InvalidParams)
+    spanning at least two octaves, all below the family's coarsest
+    first-level cell so the grid actually resolves structure.
     """
-    hs = sorted((float(h) for h in h_list), reverse=True)
+    hs = [float(h) for h in h_list]
+    if not all(0.0 < h < math.inf for h in hs):
+        raise InvalidParams(f"scales must be positive and finite, got {hs}")
+    hs.sort(reverse=True)
     if len(hs) < 3:
         raise InsufficientScales(f"need >= 3 scales, got {len(hs)}")
     if hs[0] / hs[-1] < 4.0:

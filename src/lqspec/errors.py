@@ -8,7 +8,7 @@ class LqSpecError(Exception):
 
 
 class InvalidParams(LqSpecError):
-    """Family parameters violate a validity constraint."""
+    """Family or sampling parameters violate a validity constraint."""
 
 
 class ChainBroken(LqSpecError):
@@ -45,3 +45,7 @@ class InvalidGrid(LqSpecError):
 
 class ConfigError(LqSpecError):
     """Command-line or config-file input could not be parsed/validated."""
+
+
+class SamplerBound(LqSpecError):
+    """A GIFS exceeds a fixed table bound of the sampler (orientation group or vertex count)."""

@@ -201,3 +201,40 @@ def test_probs_flag_parsing():
     assert parsed == {"e1": "1/3", "e2": "2/3"}
     with pytest.raises(cli.ConfigError):
         cli._parse_probs_arg("e1:1/3")
+
+
+def _no_walks(*args, **kwargs):
+    raise AssertionError("a walk started")
+
+
+@pytest.mark.parametrize("command", ["estimate", "compare"])
+@pytest.mark.parametrize(
+    "scales", ["--scales=0,0.1,0.01", "--scales=-0.1,0.05,0.01", "--scales=0.1,nan,0.01"]
+)
+def test_nonpositive_or_nan_scales_exit_2(monkeypatch, capsys, command, scales):
+    monkeypatch.setattr(cli.empirical, "_walk_chunk", _no_walks)
+    code, out, err = run(capsys, command, "--family", "strong-r", "--q", "1",
+                         "--samples", "1000", scales)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "scales" in err
+
+
+@pytest.mark.parametrize("depth_eps", ["-1", "0", "nan"])
+def test_bad_depth_eps_exits_2(monkeypatch, capsys, depth_eps):
+    # -1 never stops a walk; validation must come before the first one
+    monkeypatch.setattr(cli.empirical, "_walk_chunk", _no_walks)
+    code, out, err = run(capsys, "estimate", "--family", "strong-r", "--q", "1",
+                         "--samples", "1000", "--scale-octaves", "4", "9",
+                         "--depth-eps", depth_eps)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "depth_eps" in err
+
+
+@pytest.mark.parametrize("command", ["estimate", "compare"])
+@pytest.mark.parametrize("samples", ["-5", "0"])
+def test_nonpositive_samples_exit_2(monkeypatch, capsys, command, samples):
+    monkeypatch.setattr(cli.empirical, "_walk_chunk", _no_walks)
+    code, out, err = run(capsys, command, "--family", "strong-r", "--q", "1",
+                         "--samples", samples, "--scale-octaves", "4", "9")
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "samples" in err

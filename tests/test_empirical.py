@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
-import os
+import math
 
 import numpy as np
 import pytest
 
 import lqspec as lq
-from lqspec.empirical import cloud_to_csv, fit_to_csv
+from lqspec import empirical
+from lqspec.empirical import CHUNK_SIZE, cloud_to_csv, fit_to_csv
+from lqspec.gifs import similitude_2d
+from sampler_oracle import oracle_sample
 
 
 def _strong_r_gifs():
@@ -40,17 +43,109 @@ def test_sampling_deterministic():
     assert not np.array_equal(a.points, c.points)
 
 
-def test_sampling_thread_invariant():
-    g = _strong_r_gifs()
-    # force several chunks so scheduling could matter
-    n = 3 * 65536 + 17
-    serial = lq.sample(g, n, seed=7)
-    os.environ["LQSPEC_THREADS"] = "4"
-    try:
+def test_sampling_thread_invariant(monkeypatch):
+    # strong-r2 carries orientation state (rotations by +-pi/2)
+    for family in ("strong-r", "strong-r2"):
+        g = lq.build_example(lq.canonical_params(family))
+        # force several chunks so scheduling could matter
+        n = 3 * CHUNK_SIZE + 17
+        monkeypatch.setenv("LQSPEC_THREADS", "1")
+        serial = lq.sample(g, n, seed=7)
+        monkeypatch.setenv("LQSPEC_THREADS", "4")
         threaded = lq.sample(g, n, seed=7)
-    finally:
-        del os.environ["LQSPEC_THREADS"]
-    assert np.array_equal(serial.points, threaded.points)
+        assert np.array_equal(serial.points, threaded.points), family
+        assert np.array_equal(serial.source_vertex, threaded.source_vertex), family
+
+
+# -- the walker against the per-vertex, per-edge reference --------------------
+
+def _assert_matches_oracle(g, n, seed):
+    cloud = lq.sample(g, n, seed=seed)
+    points, vertices = oracle_sample(g, n, seed)
+    assert np.array_equal(cloud.source_vertex, vertices)
+    if g.dim == 1:
+        assert np.array_equal(cloud.points, points)
+    else:
+        assert np.max(np.abs(cloud.points - points)) <= 1e-15
+
+
+@pytest.mark.parametrize("seed", [1, 42, 2024])
+@pytest.mark.parametrize("family", lq.FAMILY_IDS)
+def test_sample_matches_oracle(family, seed):
+    # one full chunk and one partial chunk from every vertex
+    g = lq.build_example(lq.canonical_params(family))
+    _assert_matches_oracle(g, CHUNK_SIZE + 1000, seed)
+
+
+def _reflection_gifs():
+    # orthogonal parts -1 on two edges, one of them changing vertex
+    def sim(ratio, orth, t):
+        return lq.Similitude(1, ratio, np.array([[orth]]), np.array([t]))
+
+    edges = (
+        lq.Edge("a", 0, 0, sim(1 / 3, -1.0, 1 / 3), 0.5),
+        lq.Edge("b", 0, 1, sim(0.5, 1.0, 0.5), 0.5),
+        lq.Edge("c", 1, 0, sim(0.4, -1.0, 1.0), 0.3),
+        lq.Edge("d", 1, 1, sim(0.25, 1.0, 0.0), 0.7),
+    )
+    return lq.Gifs(2, 1, edges)
+
+
+def _rotation_gifs(angle):
+    edges = (
+        lq.Edge("a", 0, 0, similitude_2d(0.5, (0.5, 0.1), angle), 0.4),
+        lq.Edge("b", 0, 1, similitude_2d(0.3, (0.0, 0.6)), 0.6),
+        lq.Edge("c", 1, 0, similitude_2d(0.45, (0.2, 0.3), angle), 1.0),
+    )
+    return lq.Gifs(2, 2, edges)
+
+
+@pytest.mark.parametrize("seed", [1, 42, 2024])
+def test_reflection_matches_oracle(seed):
+    g = _reflection_gifs()
+    assert lq.validate_gifs(g).ok
+    _assert_matches_oracle(g, CHUNK_SIZE + 77, seed)
+
+
+@pytest.mark.parametrize("seed", [1, 42, 2024])
+def test_rotation_by_third_turn_matches_oracle(seed):
+    g = _rotation_gifs(2 * math.pi / 3)
+    assert lq.validate_gifs(g).ok
+    # the closure identifies R^3 with I: three orientations, not a growing list
+    assert empirical._walk_tables(g).anchor.shape[1] == 3
+    _assert_matches_oracle(g, CHUNK_SIZE + 77, seed)
+
+
+def test_infinite_orientation_group_raises(monkeypatch):
+    monkeypatch.setattr(empirical, "_walk_chunk", _no_walks)
+    g = _rotation_gifs(1.0)  # a rotation by one radian has infinite order
+    with pytest.raises(lq.SamplerBound, match=str(empirical.MAX_ORIENTATIONS)):
+        lq.sample(g, 10, seed=0)
+
+
+def test_sampler_table_bounds(monkeypatch):
+    monkeypatch.setattr(empirical, "_walk_chunk", _no_walks)
+    loop = lq.Similitude(1, 0.5, np.eye(1), np.zeros(1))
+    n = empirical.MAX_VERTICES + 1
+    g = lq.Gifs(n, 1, tuple(lq.Edge(f"e{v}", v, v, loop, 1.0) for v in range(n)))
+    with pytest.raises(lq.SamplerBound, match=str(empirical.MAX_VERTICES)):
+        lq.sample(g, 10, seed=0)
+    # a vertex without outgoing edges would otherwise borrow another vertex's edges
+    g = lq.Gifs(2, 1, (lq.Edge("a", 0, 1, loop, 1.0),))
+    with pytest.raises(ValueError, match="vertex 2 has no outgoing edge"):
+        lq.sample(g, 10, seed=0)
+
+
+def _no_walks(*args, **kwargs):
+    raise AssertionError("a walk started")
+
+
+@pytest.mark.parametrize("depth_eps", [-1.0, 0.0, math.nan, 1.0, 1.5])
+def test_depth_eps_outside_unit_interval_rejected(monkeypatch, depth_eps):
+    # -1 would never stop; the check must come before any walk starts
+    monkeypatch.setattr(empirical, "_walk_chunk", _no_walks)
+    with pytest.raises(lq.InvalidParams, match="depth_eps"):
+        lq.sample(_strong_r_gifs(), 10, seed=0, depth_eps=depth_eps)
 
 
 def test_points_within_bbox():
@@ -137,6 +232,15 @@ def test_estimate_insufficient_scales():
         lq.estimate_tau(g, 1.0, [0.1, 0.05], 100, seed=0)
     with pytest.raises(lq.InsufficientScales):
         lq.estimate_tau(g, 1.0, [0.1, 0.09, 0.08], 100, seed=0)
+
+
+@pytest.mark.parametrize(
+    "scales", [[0.0, 0.1, 0.01], [-0.1, 0.05, 0.01], [0.1, math.nan, 0.01], [0.1, math.inf, 0.01]]
+)
+def test_estimate_rejects_nonpositive_or_nonfinite_scales(monkeypatch, scales):
+    monkeypatch.setattr(empirical, "_walk_chunk", _no_walks)
+    with pytest.raises(lq.InvalidParams, match="scales"):
+        lq.estimate_tau(_strong_r_gifs(), 1.0, scales, 100, seed=0)
 
 
 def test_estimate_slope_zero_at_q1():
