@@ -1,4 +1,5 @@
-"""Recorded CLI output: ``solve``, ``classify`` and ``curve`` for every family.
+"""Recorded CLI output of ``solve``, ``classify``, ``curve``, ``derivative`` and
+``legendre`` for every family.
 
 Each case's stdout must keep the recorded structure (keys, lengths, types,
 strings, integers, booleans, CSV header) exactly and every float within
@@ -24,6 +25,8 @@ CASES = {
     "solve_q40": "solve --q 40",
     "classify_q1": "classify --q 1",
     "curve_q0-10": "curve --q-min 0 --q-max 10 --steps 11",
+    "derivative_q2": "derivative --q 2",
+    "legendre_q0-10": "legendre --q-min 0 --q-max 10 --steps 11",
 }
 TOL = 1e-12
 
