@@ -14,13 +14,14 @@ from .errors import NoBracket
 
 _MAX_EXPAND = 200
 _MAX_ITER = 400
+_FIRST_STEP = 0.5  # first outward step of a bracket search
+_ROOT_STEP = 1e-12  # a root is returned once its bracket is this narrow
 
 
 def expand_bracket(
     f: Callable[[float], float],
     start: float,
     upper_limit: float | None,
-    initial_step: float = 0.5,
 ) -> tuple[float, float, float, float]:
     """Find lo < hi with f(lo) < 0 < f(hi) for increasing f.
 
@@ -30,14 +31,14 @@ def expand_bracket(
     """
     x0 = start
     if upper_limit is not None and x0 >= upper_limit:
-        x0 = upper_limit - max(initial_step, 1e-6)
+        x0 = upper_limit - _FIRST_STEP
     f0 = f(x0)
     if f0 == 0.0:
         return x0, x0, 0.0, 0.0
 
     if f0 > 0.0:
         # Root is below: walk down.
-        step = initial_step
+        step = _FIRST_STEP
         hi, fhi = x0, f0
         for _ in range(_MAX_EXPAND):
             lo = hi - step
@@ -53,7 +54,7 @@ def expand_bracket(
     # f0 < 0: walk up.
     lo, flo = x0, f0
     if upper_limit is None:
-        step = initial_step
+        step = _FIRST_STEP
         for _ in range(_MAX_EXPAND):
             hi = lo + step
             fhi = f(hi)
@@ -88,14 +89,13 @@ def illinois(
     hi: float,
     flo: float,
     fhi: float,
-    xtol: float = 1e-12,
 ) -> float:
-    """Root of f in [lo, hi] given f(lo) < 0 < f(hi), to absolute xtol."""
+    """Root of f in [lo, hi] given f(lo) < 0 < f(hi), to absolute ``_ROOT_STEP``."""
     if lo == hi:
         return lo
     side = 0
     for _ in range(_MAX_ITER):
-        if hi - lo <= xtol:
+        if hi - lo <= _ROOT_STEP:
             break
         denom = fhi - flo
         if denom == 0.0 or not (denom == denom):  # zero or NaN: bisect
@@ -124,7 +124,6 @@ def solve_decreasing(
     f: Callable[[float], float],
     start: float = 0.0,
     upper_limit: float | None = None,
-    xtol: float = 1e-12,
 ) -> float:
     """Unique zero of a strictly decreasing f, bracketing from ``start``."""
 
@@ -132,4 +131,4 @@ def solve_decreasing(
         return -f(x)
 
     lo, hi, flo, fhi = expand_bracket(neg, start, upper_limit)
-    return illinois(neg, lo, hi, flo, fhi, xtol=xtol)
+    return illinois(neg, lo, hi, flo, fhi)

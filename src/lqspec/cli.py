@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field, replace
 
-from . import closed_forms, empirical, solver
-from .errors import ConfigError, InvalidGrid, InvalidParams, LqSpecError
+from . import closed_forms, empirical, solver, spectral
+from .errors import ConfigError, InsufficientScales, InvalidGrid, InvalidParams, LqSpecError
 from .families import FAMILY_IDS, FamilyParams, canonical_params, default_probs
 from .gifs import build_example, parse_number
 from .matrix import build_matrix_spec
@@ -130,8 +131,8 @@ def _print_json(obj):
 def _require_q(cfg: RunConfig) -> float:
     if cfg.q is None:
         raise ConfigError("this command requires --q")
-    if cfg.q < 0:
-        raise ConfigError("q must be >= 0")
+    if not 0.0 <= cfg.q < math.inf:
+        raise ConfigError(f"q must be >= 0 and finite, got {cfg.q}")
     return cfg.q
 
 
@@ -148,8 +149,8 @@ def _classification_report(spec, result):
         }
         if ci in result.heights:
             entry["height"] = result.heights[ci]
-        if ci in result.lattice:
-            v = result.lattice[ci]
+        if not deco.degenerate[ci]:
+            v = spectral.lattice_check(spec, members)
             entry["lattice"] = {"lattice": v.lattice, "span": v.span, "detail": v.detail}
         classes.append(entry)
     return {
@@ -211,9 +212,7 @@ def cmd_legendre(cfg: RunConfig) -> int:
 
 
 def cmd_classify(cfg: RunConfig) -> int:
-    q = 1.0 if cfg.q is None else cfg.q
-    if q < 0:
-        raise ConfigError("q must be >= 0")
+    q = 1.0 if cfg.q is None else _require_q(cfg)
     spec = build_matrix_spec(cfg.family_params())
     _, result = solver.tau(spec, q, class_tie_tol=cfg.tie_tol)
     report = _classification_report(spec, result)
@@ -252,7 +251,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     q = _require_q(cfg)
     params = cfg.family_params()
     spec = build_matrix_spec(params)
-    alpha, _ = solver.tau(spec, q, with_lattice=False)
+    alpha, _ = solver.tau(spec, q)
     fit = _fit(cfg, params, q)
     _print_json(
         {
@@ -306,7 +305,8 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         return _COMMANDS[args.command](cfg)
-    except (ConfigError, InvalidParams, InvalidGrid, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, InvalidParams, InvalidGrid, InsufficientScales, OSError,
+            json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except LqSpecError as exc:

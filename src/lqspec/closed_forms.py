@@ -6,10 +6,10 @@ their minimum.  The factors themselves are written in ``families``; this
 module holds the machinery they share.  Partials in q and alpha are
 assembled term by term: every atom term m^q L^(-alpha) differentiates to
 m^q L^(-alpha) ln m in q and -m^q L^(-alpha) ln L in alpha, and infinite
-sums reuse the same truncation engine (and tolerance) as the matrix
-entries.  tau'(q) = -f_q / f_alpha at the root of the attaining factor f is
-the only derivative formula; the paper's long-form expansions of it are
-checked in the tests, not here.
+sums reuse the matrix entries' truncation engine, with its fixed relative
+tolerance of 1e-12.  tau'(q) = -f_q / f_alpha at the root of the attaining
+factor f is the only derivative formula; the paper's long-form expansions
+of it are checked in the tests, not here.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable
 
 from ._roots import solve_decreasing
 from .errors import SingularHalpha
-from .matrix import DEFAULT_REL_TOL, AtomFamily
+from .matrix import AtomFamily
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +68,8 @@ def _qpow(mass: float, ratio: float, q: float, alpha: float) -> Val:
     return Val(v, v * lm, -v * lr)
 
 
-def _series_val(fam: AtomFamily, q: float, alpha: float, rel_tol: float) -> Val:
-    s, sq, sa = fam.evaluate(q, alpha, rel_tol, grads=True)
+def _series_val(fam: AtomFamily, q: float, alpha: float) -> Val:
+    s, sq, sa = fam.evaluate(q, alpha, grads=True)
     return Val(s, sq, sa)
 
 
@@ -83,7 +83,7 @@ class Factor:
 
     name: str
     class_labels: tuple[int, ...]  # cell labels of the matching class
-    fn: Callable[[float, float, float], Val]  # (q, alpha, rel_tol) -> Val
+    value: Callable[[float, float], Val]  # (q, alpha) -> factor with its two partials
     domain_sup: Callable[[float], float | None]  # q -> open bound on alpha, or None
     # Upper clamp for the root search, if tighter than the domain.  The
     # factor is positive below its root and provably negative at this
@@ -91,9 +91,6 @@ class Factor:
     # bracketing inside it cannot land on a spurious sign change beyond the
     # spectral root.
     solve_sup: Callable[[float], float | None] | None = None
-
-    def value(self, q: float, alpha: float, rel_tol: float = DEFAULT_REL_TOL) -> Val:
-        return self.fn(q, alpha, rel_tol)
 
 
 @dataclass(frozen=True)
@@ -109,27 +106,21 @@ class ClosedFormFamily:
     family_id: str
     params: object  # families.FamilyParams
     factors: tuple[Factor, ...]
-    rel_tol: float = DEFAULT_REL_TOL
 
     def H_val(self, q: float, alpha: float) -> Val:
         out = Val(1.0)
         for f in self.factors:
-            out = out * f.value(q, alpha, self.rel_tol)
+            out = out * f.value(q, alpha)
         return out
 
-    def H_eval(self, q: float, alpha: float) -> float:
-        return self.H_val(q, alpha).v
-
-    def solve_factor(self, i: int, q: float, start: float = 0.0, xtol: float = 1e-12) -> float:
+    def solve_factor(self, i: int, q: float, start: float = 0.0) -> float:
         f = self.factors[i]
         sup = (f.solve_sup or f.domain_sup)(q)
         margin = None if sup is None else sup - 1e-15 * max(1.0, abs(sup))
-        return solve_decreasing(
-            lambda a: f.value(q, a, self.rel_tol).v, start=start, upper_limit=margin, xtol=xtol
-        )
+        return solve_decreasing(lambda a: f.value(q, a).v, start=start, upper_limit=margin)
 
-    def solve(self, q: float, xtol: float = 1e-12) -> FactorRoots:
-        roots = tuple(self.solve_factor(i, q, xtol=xtol) for i in range(len(self.factors)))
+    def solve(self, q: float) -> FactorRoots:
+        roots = tuple(self.solve_factor(i, q) for i in range(len(self.factors)))
         arg = min(range(len(roots)), key=lambda i: roots[i])
         return FactorRoots(
             roots=roots,
@@ -145,7 +136,7 @@ class ClosedFormFamily:
         tau'(q) = -f_q / f_alpha, which equals -H_q / H_alpha there.
         """
         sol = self.solve(q)
-        fval = self.factors[sol.argmin].value(q, sol.tau, self.rel_tol)
+        fval = self.factors[sol.argmin].value(q, sol.tau)
         if abs(fval.da) <= 1e-12:
             raise SingularHalpha(
                 f"alpha-partial {fval.da:.3g} too small at q={q}, alpha={sol.tau}"

@@ -92,6 +92,8 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, depth_eps: float = 1e-9) -> Sa
         raise ValueError("n_per_vertex must be >= 0")
     if not 0.0 < depth_eps < 1.0:
         raise InvalidParams(f"depth_eps must lie in (0, 1), got {depth_eps}")
+    if seed < 0:
+        raise InvalidParams(f"seed must be >= 0, got {seed}")
     tables = _walk_tables(g)
 
     jobs = []

@@ -8,7 +8,7 @@ class LqSpecError(Exception):
 
 
 class InvalidParams(LqSpecError):
-    """Family or sampling parameters violate a validity constraint."""
+    """Family, sampling or solver parameters violate a validity constraint."""
 
 
 class ChainBroken(LqSpecError):

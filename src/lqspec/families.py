@@ -102,11 +102,11 @@ def _loops(r, *ps, series=None):
     loses (1 - q_1)(1 - q_2) times its sum.
     """
 
-    def fn(q, alpha, rel_tol):
+    def fn(q, alpha):
         qs = [_qpow(p, r, q, alpha) for p in ps]
         out = 1.0 - sum(qs)
         if series is not None:
-            out = out - (1.0 - qs[0]) * (1.0 - qs[1]) * _series_val(series, q, alpha, rel_tol)
+            out = out - (1.0 - qs[0]) * (1.0 - qs[1]) * _series_val(series, q, alpha)
         return out
 
     return fn
@@ -136,7 +136,7 @@ def _strong_r_factors(x, w):
     p1, p2, p3, p4, p5 = (w[k] for k in range(1, 6))
     mix = p1 * p3 + p2 * p5
 
-    def fn(q, alpha, rel_tol):
+    def fn(q, alpha):
         q1 = _qpow(p1, rho, q, alpha)
         q2 = _qpow(p2, r, q, alpha)
         q3 = _qpow(p3, r, q, alpha)
@@ -214,9 +214,9 @@ def _strong_r2_factors(x, w):
     rr = GOLDEN_RATIO_INV**2
     series = binomial_family(w[4], w[1], w[8], rr, rr)
 
-    def fn(q, alpha, rel_tol):
+    def fn(q, alpha):
         qv = {k: _qpow(w[k], rr, q, alpha) for k in (1, 2, 3, 5, 6, 7, 8)}
-        s = _series_val(series, q, alpha, rel_tol)
+        s = _series_val(series, q, alpha)
         return (1.0 - (qv[7] + qv[8])) * (1.0 - (qv[1] + qv[2] + qv[3])) - (
             (1.0 - qv[1]) * (1.0 - qv[8]) * (qv[5] + qv[6]) * s
         )
@@ -269,13 +269,13 @@ def _nonstrong_r_basic_factors(x, w):
     rho, r = x.rho, x.r
     series = binomial_family(w[1], w[2], w[3], rho, r)
 
-    def f_core(q, alpha, rel_tol):
+    def f_core(q, alpha):
         q2 = _qpow(w[2], r, q, alpha)
         q3 = _qpow(w[3], r, q, alpha)
-        s = _series_val(series, q, alpha, rel_tol)
+        s = _series_val(series, q, alpha)
         return (1.0 - q2) * (1.0 - q3) * (1.0 - s) - q2 * q3
 
-    def f_tail(q, alpha, rel_tol):
+    def f_tail(q, alpha):
         return 1.0 - _qpow(w[4], r, q, alpha)
 
     return (
@@ -397,7 +397,7 @@ def _nonstrong_r2_factors(x, w):
     rho, r, t = x.rho, x.r, x.t
     series = binomial_family(w[4], w[5], w[6], rho, r)
 
-    def f_top(q, alpha, rel_tol):
+    def f_top(q, alpha):
         return 1.0 - _qpow(w[2], t, q, alpha) - _qpow(w[3], 1.0 - t, q, alpha)
 
     bottom = _loops(r, w[5], w[6], w[7], series=series)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainViolation, InvalidParams
 
-DEFAULT_REL_TOL = 1e-12
+_SERIES_TOL = 1e-12  # certified relative error of every truncated series sum
 _MAX_TERMS = 1 << 26
 
 
@@ -128,9 +128,7 @@ class AtomFamily:
         # zeta = growth_base^q * r^(-alpha) < 1
         return q * math.log(self.weight.growth_base) / math.log(self.step_ratio)
 
-    def evaluate(
-        self, q: float, alpha: float, rel_tol: float = DEFAULT_REL_TOL, grads: bool = False
-    ):
+    def evaluate(self, q: float, alpha: float, grads: bool = False):
         """Sum of atom values; optionally the ln(w)- and length-weighted sums.
 
         Returns S or (S, Sq, Sa) with
@@ -155,7 +153,7 @@ class AtomFamily:
             return self._sum_terms(ks, q, alpha, log_rho0, log_r, grads)
 
         if isinstance(self.weight, BinomialSum):
-            return self._sum_truncated(q, alpha, log_rho0, log_r, rel_tol, grads)
+            return self._sum_truncated(q, alpha, log_rho0, log_r, grads)
         return self._sum_geometric(q, alpha, log_rho0, log_r, grads)
 
     # -- closed forms -------------------------------------------------------
@@ -195,7 +193,7 @@ class AtomFamily:
         sa = -float(np.sum(terms * log_len))
         return s, sq, sa
 
-    def _sum_truncated(self, q, alpha, log_rho0, log_r, rel_tol, grads):
+    def _sum_truncated(self, q, alpha, log_rho0, log_r, grads):
         w = self.weight
         log_hi = math.log(w.growth_base)
         log_zeta = q * log_hi - alpha * log_r
@@ -226,13 +224,13 @@ class AtomFamily:
             if eta < 1.0 and log_u < 700.0:
                 u = math.exp(log_u)
                 tail_s = u / (1.0 - eta)
-                ok = tail_s <= rel_tol * (abs(s) + 1e-300)
+                ok = tail_s <= _SERIES_TOL * (abs(s) + 1e-300)
                 if ok and grads:
                     u1 = u * (kk + 1.0)
                     tail_g = u1 / (1.0 - eta)
                     ok = (
-                        lw_const * tail_g <= rel_tol * (abs(sq) + abs(s) + 1e-300)
-                        and ll_const * tail_g <= rel_tol * (abs(sa) + abs(s) + 1e-300)
+                        lw_const * tail_g <= _SERIES_TOL * (abs(sq) + abs(s) + 1e-300)
+                        and ll_const * tail_g <= _SERIES_TOL * (abs(sa) + abs(s) + 1e-300)
                     )
                 if ok:
                     break
@@ -279,11 +277,9 @@ class EntrySpec:
         return [f.to_dict() for f in self.families]
 
 
-def entry_value(
-    entry: EntrySpec, q: float, alpha: float, rel_tol: float = DEFAULT_REL_TOL
-) -> float:
+def entry_value(entry: EntrySpec, q: float, alpha: float) -> float:
     """Total mass of an entry at (q, alpha)."""
-    return math.fsum(f.evaluate(q, alpha, rel_tol) for f in entry.families)
+    return math.fsum(f.evaluate(q, alpha) for f in entry.families)
 
 
 def atom(c: float, ratio: float) -> AtomFamily:
@@ -369,11 +365,9 @@ class MeasureMatrixSpec:
         )
 
 
-def row_sum_F(
-    spec: MeasureMatrixSpec, row: int, q: float, alpha: float, rel_tol: float = DEFAULT_REL_TOL
-) -> float:
+def row_sum_F(spec: MeasureMatrixSpec, row: int, q: float, alpha: float) -> float:
     """Total mass of one row; strictly increasing and continuous in alpha."""
-    return math.fsum(entry_value(spec.entries[row][j], q, alpha, rel_tol) for j in range(spec.n))
+    return math.fsum(entry_value(spec.entries[row][j], q, alpha) for j in range(spec.n))
 
 
 def in_domain(spec: MeasureMatrixSpec, q: float, alpha) -> bool:
@@ -388,9 +382,7 @@ def in_domain(spec: MeasureMatrixSpec, q: float, alpha) -> bool:
     return True
 
 
-def matrix_at(
-    spec: MeasureMatrixSpec, q: float, alpha, rel_tol: float = DEFAULT_REL_TOL
-) -> np.ndarray:
+def matrix_at(spec: MeasureMatrixSpec, q: float, alpha) -> np.ndarray:
     """Dense nonnegative matrix of entry values at (q, alpha)."""
     row_alpha = spec.row_alpha(alpha)
     out = np.zeros((spec.n, spec.n))
@@ -400,7 +392,7 @@ def matrix_at(
             if entry.is_zero:
                 continue
             try:
-                out[i, j] = entry_value(entry, q, row_alpha[i], rel_tol)
+                out[i, j] = entry_value(entry, q, row_alpha[i])
             except DomainViolation as exc:
                 raise DomainViolation(f"row {spec.labels[i]}, col {spec.labels[j]}: {exc}") from exc
     return out
@@ -426,7 +418,7 @@ class CompiledBlock:
         sups = [s for fam, _ in self.series if (s := fam.domain_sup(q)) is not None]
         return min(sups) if sups else None
 
-    def evaluate(self, q: float, alpha: float, rel_tol: float = DEFAULT_REL_TOL):
+    def evaluate(self, q: float, alpha: float):
         """The block M and its partials dM/dq, dM/dalpha at (q, alpha)."""
         n2 = self.size * self.size
         with np.errstate(over="ignore", under="ignore"):
@@ -435,7 +427,7 @@ class CompiledBlock:
         mq = np.bincount(self.cells, terms * self.log_w, n2)
         ma = np.bincount(self.cells, -terms * self.log_len, n2)
         for fam, cells in self.series:
-            s, sq, sa = fam.evaluate(q, alpha, rel_tol, grads=True)
+            s, sq, sa = fam.evaluate(q, alpha, grads=True)
             for c in cells:
                 m[c] += s
                 mq[c] += sq

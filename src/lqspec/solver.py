@@ -4,12 +4,13 @@ the Legendre transform of the resulting curve."""
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidGrid
-from .matrix import DEFAULT_REL_TOL, MeasureMatrixSpec
+from .matrix import MeasureMatrixSpec
 from .spectral import ClassificationResult, CompiledClasses, classify, compile_classes
 
 
@@ -37,21 +38,13 @@ def tau(
     q: float,
     class_tie_tol: float = 1e-9,
     bracket_hints: dict | None = None,
-    with_lattice: bool = True,
-    rel_tol: float = DEFAULT_REL_TOL,
     compiled: CompiledClasses | None = None,
 ) -> tuple[float, ClassificationResult]:
     """Overall exponent at q: the minimum class root, with classification."""
-    if q < 0:
-        raise InvalidGrid(f"q must be >= 0, got {q}")
+    if not 0.0 <= q < math.inf:
+        raise InvalidGrid(f"q must be >= 0 and finite, got {q}")
     result = classify(
-        spec,
-        q,
-        class_tie_tol=class_tie_tol,
-        bracket_hints=bracket_hints,
-        with_lattice=with_lattice,
-        rel_tol=rel_tol,
-        compiled=compiled,
+        spec, q, class_tie_tol=class_tie_tol, bracket_hints=bracket_hints, compiled=compiled
     )
     return result.tau, result
 
@@ -61,7 +54,6 @@ def tau_curve(
     q_min: float,
     q_max: float,
     steps: int,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> SpectrumCurve:
     """tau on an even q-grid, warm-starting each solve from the last roots.
 
@@ -71,22 +63,15 @@ def tau_curve(
     """
     if steps < 2:
         raise InvalidGrid(f"steps must be >= 2, got {steps}")
-    if not (0.0 <= q_min < q_max):
-        raise InvalidGrid(f"need 0 <= q_min < q_max, got [{q_min}, {q_max}]")
+    if not 0.0 <= q_min < q_max < math.inf:
+        raise InvalidGrid(f"need 0 <= q_min < q_max < inf, got [{q_min}, {q_max}]")
     qs = np.linspace(q_min, q_max, steps)
     alphas = []
     tables = []
     hints: dict | None = None
     compiled = compile_classes(spec)
     for q in qs:
-        _, result = tau(
-            spec,
-            float(q),
-            bracket_hints=hints,
-            with_lattice=False,
-            rel_tol=rel_tol,
-            compiled=compiled,
-        )
+        _, result = tau(spec, float(q), bracket_hints=hints, compiled=compiled)
         alphas.append(result.tau)
         tables.append(dict(result.roots))
         hints = dict(result.roots)
@@ -94,18 +79,18 @@ def tau_curve(
         qs=tuple(float(q) for q in qs),
         alphas=tuple(alphas),
         roots_table=tuple(tables),
-        metadata={"family": spec.family_id, "rel_tol": rel_tol},
+        metadata={"family": spec.family_id},
     )
 
 
-def tau_prime_fd(
-    spec: MeasureMatrixSpec, q: float, step: float = 1e-4, rel_tol: float = DEFAULT_REL_TOL
-) -> float:
+def tau_prime_fd(spec: MeasureMatrixSpec, q: float, step: float = 1e-4) -> float:
     """Central-difference slope of tau at q."""
+    if not 0.0 < step < math.inf:
+        raise InvalidGrid(f"step must be positive and finite, got {step}")
     if q - step < 0.0:
         raise InvalidGrid(f"q - step = {q - step} below 0; decrease step")
-    hi, _ = tau(spec, q + step, with_lattice=False, rel_tol=rel_tol)
-    lo, _ = tau(spec, q - step, with_lattice=False, rel_tol=rel_tol)
+    hi, _ = tau(spec, q + step)
+    lo, _ = tau(spec, q - step)
     return (hi - lo) / (2.0 * step)
 
 

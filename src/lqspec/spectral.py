@@ -27,14 +27,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateClass, NoConvergence
+from .errors import DegenerateClass, InvalidParams, NoConvergence
 from .gifs import strong_components
-from .matrix import DEFAULT_REL_TOL, CompiledBlock, MeasureMatrixSpec, compile_block
+from .matrix import CompiledBlock, MeasureMatrixSpec, compile_block
 from .matrix import entry_value  # noqa: F401  (public name; bench/tracing.py wraps it here)
 
 _MAX_EVALS = 200
-_G_TOL = 1e-12  # a root is returned only where |g - 1| is this small
+_STEP_TOL = 1e-12  # a root is returned only where its Newton step is this small
+_G_TOL = 1e-12  # and |g - 1| is this small
 _CERT_TOL = 1e-11  # Collatz-Wielandt bounds at a returned root lie within this of 1
+_LATTICE_MAX_DEN = 10**6  # largest denominator of a rational ratio of two generators
+_LATTICE_RESIDUAL = 1e-9  # largest distance of a generator from its lattice point
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +257,8 @@ class ClassRoot(float):
         return ClassRoot, (float(self), self.q, self.slope, self.rho_lo, self.rho_hi, self.evals)
 
 
-def class_root(
-    spec: MeasureMatrixSpec,
-    members,
-    q: float,
-    bracket_hint: float | None = None,
-    xtol: float = 1e-12,
-    rel_tol: float = DEFAULT_REL_TOL,
-    block: CompiledBlock | None = None,
-) -> ClassRoot:
-    """Unique alpha where the class block's spectral radius equals one.
+def class_root(block: CompiledBlock, q: float, bracket_hint: float | None = None) -> ClassRoot:
+    """Unique alpha where the compiled class block's spectral radius equals one.
 
     Every entry of the block M(alpha) is a sum of exponentials increasing
     in alpha, so the first-return mass g(alpha) of ``eliminate`` is
@@ -275,19 +270,14 @@ def class_root(
     open.  The search starts at the hint (a ``ClassRoot`` hint at its
     linear prediction to q), else at 0, and stays below the convergence
     domain of the block's series, where the radius blows up.  The first
-    point whose Newton step is within ``xtol`` and whose g is within 1e-12
+    point whose Newton step is within 1e-12 and whose g is within 1e-12
     of one is the root (or, if the bracket closes to adjacent doubles
     first, the point with g closest to one).  It is returned only if its
     Collatz-Wielandt bounds are within 1e-11 of one; otherwise, and after
     ``_MAX_EVALS`` evaluations, ``NoConvergence`` is raised.
     """
-    members = list(members)
-    if len(members) == 1:
-        i = members[0]
-        if spec.entries[i][i].is_zero:
-            raise DegenerateClass(f"class {{{spec.labels[i]}}} has no cycle")
-    if block is None:
-        block = compile_block(spec, members)
+    if not block.cells.size and not block.series:
+        raise DegenerateClass("the block has no nonzero entry, so its class has no cycle")
 
     # While hi is only the edge of the series' convergence domain (where
     # the radius blows up, but summing gets ever slower), no step goes past
@@ -308,7 +298,7 @@ def class_root(
     step = 0.5
     best = None  # finite evaluation closest to g = 1
     for evals in range(1, _MAX_EVALS + 1):
-        m, mq, ma = block.evaluate(q, alpha, rel_tol)
+        m, mq, ma = block.evaluate(q, alpha)
         el = eliminate(m)
         g = el.g
         delta = math.nan
@@ -325,7 +315,7 @@ def class_root(
             point = (alpha, q, m, mq, grad, el)
             if best is None or abs(g - 1.0) < abs(best[-1].g - 1.0):
                 best = point
-            if abs(delta) <= xtol and abs(g - 1.0) <= _G_TOL:
+            if abs(delta) <= _STEP_TOL and abs(g - 1.0) <= _G_TOL:
                 return _certified(*point, evals)
         if g > 1.0:
             hi, hi_is_edge = alpha, False
@@ -422,7 +412,6 @@ class ClassificationResult:
     heights: dict  # class index -> height (basic classes)
     s_sets: dict  # m -> tuple of labels in S_m
     tags: dict  # label -> Tag
-    lattice: dict  # class index -> LatticeVerdict (classes with a cycle)
     tie_tol: float
 
     def labels_of_class(self, spec: MeasureMatrixSpec, ci: int) -> tuple[int, ...]:
@@ -434,8 +423,6 @@ def classify(
     q: float,
     class_tie_tol: float = 1e-9,
     bracket_hints: dict | None = None,
-    with_lattice: bool = True,
-    rel_tol: float = DEFAULT_REL_TOL,
     compiled: CompiledClasses | None = None,
 ) -> ClassificationResult:
     """Roots, attaining classes, heights, and per-cell regime tags at q.
@@ -448,19 +435,20 @@ def classify(
     outside the attaining set are tagged by whether an attaining class
     reaches them in the support digraph.  ``compiled`` (from
     ``compile_classes(spec)``) saves redoing the decomposition and the block
-    compilation when one spec is solved at many q.
+    compilation when one spec is solved at many q.  The lattice verdict does
+    not depend on q and is not part of the result; see ``lattice_check``.
     """
+    if not 0.0 <= class_tie_tol < math.inf:
+        raise InvalidParams(f"class tie tolerance must be finite and >= 0, got {class_tie_tol}")
     if compiled is None:
         compiled = compile_classes(spec)
     deco = compiled.decomposition
-    k = deco.num_classes
     hints = bracket_hints or {}
 
-    roots: dict[int, ClassRoot] = {}
-    for ci, block in compiled.blocks.items():
-        roots[ci] = class_root(
-            spec, deco.classes[ci], q, bracket_hint=hints.get(ci), rel_tol=rel_tol, block=block
-        )
+    roots = {
+        ci: class_root(block, q, bracket_hint=hints.get(ci))
+        for ci, block in compiled.blocks.items()
+    }
     if not roots:
         raise DegenerateClass("no class carries a cycle; no root exists")
 
@@ -491,12 +479,6 @@ def classify(
         else:
             tags[label] = Tag("fed_by_Sm", max(feeder_heights) - 1)
 
-    lattice: dict[int, LatticeVerdict] = {}
-    if with_lattice:
-        for ci in range(k):
-            if not deco.degenerate[ci]:
-                lattice[ci] = lattice_check(spec, deco.classes[ci])
-
     return ClassificationResult(
         decomposition=deco,
         roots=roots,
@@ -505,7 +487,6 @@ def classify(
         heights=heights,
         s_sets=s_sets,
         tags=tags,
-        lattice=lattice,
         tie_tol=class_tie_tol,
     )
 
@@ -545,12 +526,7 @@ def _reachable(adj: list[list[int]], start: int) -> set[int]:
 # Lattice detection
 # ---------------------------------------------------------------------------
 
-def lattice_check(
-    spec: MeasureMatrixSpec,
-    members,
-    max_denominator: int = 10**6,
-    residual_tol: float = 1e-9,
-) -> LatticeVerdict:
+def lattice_check(spec: MeasureMatrixSpec, members) -> LatticeVerdict:
     """Decide whether the class's log-length spectrum sits on a lattice.
 
     Generators: the summed base log-lengths -ln(rho0) along every simple
@@ -559,7 +535,8 @@ def lattice_check(
     The verdict is Lattice(span) when all generators are integer multiples
     of a common span, located by continued-fraction rational detection; a
     numeric procedure can only certify lattices, so NonLattice means no
-    rational structure within the stated denominator bound and tolerance.
+    rational structure with denominator at most 10^6 and residual at most
+    1e-9.  The verdict does not depend on q.
     """
     members = list(members)
     index = {i: a for a, i in enumerate(members)}
@@ -589,27 +566,27 @@ def lattice_check(
 
     span = generators[0]
     for g in generators[1:]:
-        span = _real_gcd(span, g, max_denominator, residual_tol)
+        span = _real_gcd(span, g)
         if span is None:
             return LatticeVerdict(
                 False,
-                detail=f"no rational ratio within denominator {max_denominator} "
-                f"and residual {residual_tol:g}",
+                detail=f"no rational ratio within denominator {_LATTICE_MAX_DEN} "
+                f"and residual {_LATTICE_RESIDUAL:g}",
             )
     for g in generators:
-        if abs(g - round(g / span) * span) > residual_tol:
+        if abs(g - round(g / span) * span) > _LATTICE_RESIDUAL:
             return LatticeVerdict(False, detail="residual check failed")
     return LatticeVerdict(True, span=span, detail=f"{len(generators)} generators")
 
 
-def _real_gcd(x: float, y: float, max_den: int, tol: float) -> float | None:
+def _real_gcd(x: float, y: float) -> float | None:
     """Largest d with x, y both near-integer multiples of d, or None."""
     if x < y:
         x, y = y, x
-    frac = Fraction(x / y).limit_denominator(max_den)
+    frac = Fraction(x / y).limit_denominator(_LATTICE_MAX_DEN)
     if frac.numerator == 0:
         return None
-    if abs(x / y - float(frac)) > tol:
+    if abs(x / y - float(frac)) > _LATTICE_RESIDUAL:
         return None
     return y / frac.denominator
 

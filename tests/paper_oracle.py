@@ -21,7 +21,7 @@ import math
 from math import log as ln
 
 from lqspec.families import GOLDEN_RATIO_INV, resolve
-from lqspec.matrix import DEFAULT_REL_TOL, binomial_family
+from lqspec.matrix import binomial_family
 
 TYPO_FAMILIES = ("strong-r2", "nonstrong-r-heights")
 
@@ -31,21 +31,21 @@ def _pw(mass: float, ratio: float, q: float, alpha: float) -> float:
     return math.exp(q * ln(mass) - alpha * ln(ratio))
 
 
-def longform_tau_prime(p, q: float, alpha: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def longform_tau_prime(p, q: float, alpha: float) -> float:
     _, w = resolve(p)
-    return _LONGFORMS[p.family_id](p, w, q, alpha, rel_tol)
+    return _LONGFORMS[p.family_id](p, w, q, alpha)
 
 
-def basic_alt_core(p, q: float, alpha: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
+def basic_alt_core(p, q: float, alpha: float) -> float:
     _, w = resolve(p)
     r = p.r
     q2, q3 = _pw(w[2], r, q, alpha), _pw(w[3], r, q, alpha)
-    s = binomial_family(w[1], w[2], w[3], p.rho, r).evaluate(q, alpha, rel_tol)
+    s = binomial_family(w[1], w[2], w[3], p.rho, r).evaluate(q, alpha)
     theta = q2 / (1.0 - q2)
     return (1.0 - s) * (1.0 - q3) - theta * q3
 
 
-def _strong_r(x, w, q, alpha, rel_tol):
+def _strong_r(x, w, q, alpha):
     rho, r = x.rho, x.r
     p1, p2, p3, p4, p5 = (w[k] for k in range(1, 6))
     mix = p1 * p3 + p2 * p5
@@ -62,11 +62,11 @@ def _strong_r(x, w, q, alpha, rel_tol):
     return num / den
 
 
-def _strong_r2(x, w, q, alpha, rel_tol):
+def _strong_r2(x, w, q, alpha):
     rr = GOLDEN_RATIO_INV**2
     qv = {k: _pw(w[k], rr, q, alpha) for k in (1, 2, 3, 5, 6, 7, 8)}
     series = binomial_family(w[4], w[1], w[8], rr, rr)
-    s, sq, sa = series.evaluate(q, alpha, rel_tol, grads=True)
+    s, sq, sa = series.evaluate(q, alpha, grads=True)
     # sum_k k * T_k recovered from the length-weighted sum.
     sk = (-sa - ln(rr) * s) / ln(rr)
     wl, wk2 = sq, sk + 2.0 * s
@@ -85,11 +85,11 @@ def _strong_r2(x, w, q, alpha, rel_tol):
     return num / den * 0.5 * ln(GOLDEN_RATIO_INV)
 
 
-def _nonstrong_r_basic(x, w, q, alpha, rel_tol):
+def _nonstrong_r_basic(x, w, q, alpha):
     rho, r = x.rho, x.r
     q2, q3, q4 = (_pw(w[k], r, q, alpha) for k in (2, 3, 4))
     series = binomial_family(w[1], w[2], w[3], rho, r)
-    s, sl, sa = series.evaluate(q, alpha, rel_tol, grads=True)
+    s, sl, sa = series.evaluate(q, alpha, grads=True)
     sll = -sa  # sum T_k ln(rho r^k)
     core = (1.0 - q2) * (1.0 - q3) * (1.0 - s) - q2 * q3
     num = core * q4 * ln(w[4]) + (
@@ -105,13 +105,13 @@ def _nonstrong_r_basic(x, w, q, alpha, rel_tol):
     return num / den
 
 
-def _nonstrong_r_heights(x, w, q, alpha, rel_tol):
+def _nonstrong_r_heights(x, w, q, alpha):
     rho, r = x.rho, x.r
     lnr = ln(r)
     qv = {k: _pw(w[k], r, q, alpha) for k in (2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17)}
     lp = {k: ln(w[k]) for k in qv}
-    s1, s1q, s1a = binomial_family(w[1], w[2], w[3], rho, r).evaluate(q, alpha, rel_tol, True)
-    s3, s3q, s3a = binomial_family(w[7], w[8], w[9], rho, r).evaluate(q, alpha, rel_tol, True)
+    s1, s1q, s1a = binomial_family(w[1], w[2], w[3], rho, r).evaluate(q, alpha, grads=True)
+    s3, s3q, s3a = binomial_family(w[7], w[8], w[9], rho, r).evaluate(q, alpha, grads=True)
     p23 = (1.0 - qv[2]) * (1.0 - qv[3])
     p89 = (1.0 - qv[8]) * (1.0 - qv[9])
     g1 = 1.0 - (qv[2] + qv[3]) - p23 * s1
@@ -144,13 +144,13 @@ def _nonstrong_r_heights(x, w, q, alpha, rel_tol):
     return -hq / ha
 
 
-def _nonstrong_r2(x, w, q, alpha, rel_tol):
+def _nonstrong_r2(x, w, q, alpha):
     rho, r, t = x.rho, x.r, x.t
     q2 = _pw(w[2], t, q, alpha)
     q3 = _pw(w[3], 1.0 - t, q, alpha)
     q5, q6, q7 = (_pw(w[k], r, q, alpha) for k in (5, 6, 7))
     series = binomial_family(w[4], w[5], w[6], rho, r)
-    s, sl, sa = series.evaluate(q, alpha, rel_tol, grads=True)
+    s, sl, sa = series.evaluate(q, alpha, grads=True)
     sll = -sa
     f1 = 1.0 - q2 - q3
     f2 = 1.0 - (q5 + q6 + q7) - (1.0 - q5) * (1.0 - q6) * s

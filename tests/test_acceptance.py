@@ -33,7 +33,7 @@ def test_criterion_1_tau_at_one_vanishes():
     for fid in lq.FAMILY_IDS:
         for _ in range(100):
             spec = lq.build_matrix_spec(random_params(fid, rng))
-            alpha, _ = lq.tau(spec, 1.0, with_lattice=False)
+            alpha, _ = lq.tau(spec, 1.0)
             worst = max(worst, abs(alpha))
             assert abs(alpha) <= 1e-9
     _report(
@@ -51,7 +51,7 @@ def test_criterion_2_closed_form_equivalence(canonical_specs, canonical_closed_f
         spec = canonical_specs[fid]
         fam = canonical_closed_forms[fid]
         for q in Q_PROBE:
-            res = lq.classify(spec, q, with_lattice=False)
+            res = lq.classify(spec, q)
             for want, got in matched_roots(spec, res, fam.solve(q)):
                 worst = max(worst, abs(want - got))
                 assert abs(want - got) <= 1e-9
@@ -122,7 +122,7 @@ def test_criterion_5_monte_carlo(fid, canonical_specs):
     diffs = {}
     for q in (0.5, 2.0):
         fit = lq.estimate_tau(g, q, scales, n_per_vertex, seed=42, cloud=cloud)
-        alpha, _ = lq.tau(spec, q, with_lattice=False)
+        alpha, _ = lq.tau(spec, q)
         diffs[q] = abs(fit.slope - alpha)
         assert diffs[q] <= 0.1
     _report(
@@ -166,7 +166,7 @@ def test_criterion_6_series_truncation_oracle(canonical_specs):
 def test_criterion_7_height_classification(canonical_specs):
     t0 = time.perf_counter()
     spec = canonical_specs["nonstrong-r-heights"]
-    result = lq.classify(spec, 1.0, with_lattice=False)
+    result = lq.classify(spec, 1.0)
     for lab in (1, 2):
         assert result.tags[lab].kind == "polynomial" and result.tags[lab].order == 1
     for lab in (5, 6):
@@ -198,7 +198,7 @@ def test_criterion_8_lattice_detection():
     )
     spec2 = lq.build_matrix_spec(generic)
     deco2 = lq.communication_classes(spec2)
-    verdict2 = lq.lattice_check(spec2, deco2.classes[0], max_denominator=10**6)
+    verdict2 = lq.lattice_check(spec2, deco2.classes[0])
     assert not verdict2.lattice
     _report(
         "criterion 8",

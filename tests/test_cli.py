@@ -238,3 +238,82 @@ def test_nonpositive_samples_exit_2(monkeypatch, capsys, command, samples):
                          "--samples", samples, "--scale-octaves", "4", "9")
     assert code == 2
     assert out == "" and err.startswith("error:") and "samples" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--q", "nan"),
+        ("solve", "--q", "inf"),
+        ("classify", "--q", "nan"),
+        ("classify", "--q", "inf"),
+        ("curve", "--q-max", "inf", "--steps", "3"),
+        ("solve", "--q", "1", "--tie-tol", "-1"),
+        ("classify", "--q", "1", "--tie-tol", "nan"),
+        ("derivative", "--q", "2", "--step", "0"),
+        ("derivative", "--q", "2", "--step", "nan"),
+    ],
+)
+def test_bad_numeric_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv[:1], "--family", "strong-r", *argv[1:])
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["estimate", "compare"])
+def test_negative_seed_exits_2(monkeypatch, capsys, command):
+    monkeypatch.setattr(cli.empirical, "_walk_chunk", _no_walks)
+    code, out, err = run(capsys, command, "--family", "strong-r", "--q", "1",
+                         "--samples", "1000", "--scale-octaves", "4", "9", "--seed", "-1")
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "seed" in err
+
+
+@pytest.mark.parametrize(
+    "scales",
+    [
+        ("--scales", "0.5,0.1,0.01"),  # coarsest scale above the smallest first-level cell
+        ("--scales", "0.1,0.09,0.08"),  # less than two octaves
+        ("--scale-octaves", "4", "4"),  # a single scale
+    ],
+)
+def test_user_chosen_scales_too_few_or_narrow_exit_2(monkeypatch, capsys, scales):
+    monkeypatch.setattr(cli.empirical, "_walk_chunk", _no_walks)
+    code, out, err = run(capsys, "estimate", "--family", "strong-r", "--q", "1",
+                         "--samples", "1000", *scales)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "scale" in err
+
+
+def _no_lattice(*args, **kwargs):
+    raise AssertionError("a lattice verdict was computed")
+
+
+@pytest.mark.parametrize("family", cli.FAMILY_IDS)
+def test_per_q_commands_compute_no_lattice_verdict(monkeypatch, capsys, family):
+    monkeypatch.setattr(cli.spectral, "lattice_check", _no_lattice)
+    for argv in (
+        ("solve", "--q", "2"),
+        ("curve", "--steps", "3"),
+        ("compare", "--q", "2", "--samples", "20000"),
+    ):
+        code, _, _ = run(capsys, *argv[:1], "--family", family, *argv[1:])
+        assert code == 0, argv
+
+
+def test_classify_computes_one_lattice_verdict_per_cyclic_class(monkeypatch, capsys):
+    calls = []
+    check = cli.spectral.lattice_check
+
+    def counted(spec, members):
+        calls.append(tuple(members))
+        return check(spec, members)
+
+    monkeypatch.setattr(cli.spectral, "lattice_check", counted)
+    code, out, _ = run(capsys, "classify", "--family", "nonstrong-r-heights", "--q", "1")
+    assert code == 0
+    classes = json.loads(out)["classes"]
+    cyclic = [c for c in classes if not c["degenerate"]]
+    assert len(calls) == len(set(calls)) == len(cyclic)
+    assert all("lattice" in c for c in cyclic)
+    assert not any("lattice" in c for c in classes if c["degenerate"])

@@ -41,7 +41,7 @@ def test_qpow_partials():
 def test_H_vanishes_at_q1_alpha0_canonical():
     for fid in lq.FAMILY_IDS:
         fam = lq.build_closed_form(lq.canonical_params(fid))
-        assert abs(fam.H_eval(1.0, 0.0)) <= 1e-14
+        assert abs(fam.H_val(1.0, 0.0).v) <= 1e-14
 
 
 def test_H_vanishes_at_q1_alpha0_random():
@@ -49,13 +49,13 @@ def test_H_vanishes_at_q1_alpha0_random():
     for fid in lq.FAMILY_IDS:
         for _ in range(10):
             fam = lq.build_closed_form(random_params(fid, rng))
-            assert abs(fam.H_eval(1.0, 0.0)) <= 1e-12
+            assert abs(fam.H_val(1.0, 0.0).v) <= 1e-12
 
 
 def test_H_strong_r_at_origin():
     # All unit-mass powers collapse: value is exactly -1 at q=0, alpha=0.
     fam = lq.build_closed_form(lq.canonical_params("strong-r"))
-    assert fam.H_eval(0.0, 0.0) == pytest.approx(-1.0, abs=1e-14)
+    assert fam.H_val(0.0, 0.0).v == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_H_is_product_of_factors():
@@ -69,7 +69,7 @@ def test_H_is_product_of_factors():
             prod = 1.0
             for f in fam.factors:
                 prod *= f.value(q, alpha).v
-            assert fam.H_eval(q, alpha) == pytest.approx(prod, rel=1e-12, abs=1e-300)
+            assert fam.H_val(q, alpha).v == pytest.approx(prod, rel=1e-12, abs=1e-300)
 
 
 # -- partial derivatives -------------------------------------------------------------
@@ -85,8 +85,8 @@ def test_H_partials_match_finite_differences():
             sups = [f.domain_sup(q) for f in fam.factors if f.domain_sup(q) is not None]
             alpha = (min(sups) if sups else 0.5) - rng.uniform(0.3, 2.0)
             val = fam.H_val(q, alpha)
-            fq = (fam.H_eval(q + step, alpha) - fam.H_eval(q - step, alpha)) / (2 * step)
-            fa = (fam.H_eval(q, alpha + step) - fam.H_eval(q, alpha - step)) / (2 * step)
+            fq = (fam.H_val(q + step, alpha).v - fam.H_val(q - step, alpha).v) / (2 * step)
+            fa = (fam.H_val(q, alpha + step).v - fam.H_val(q, alpha - step).v) / (2 * step)
             # relative with a unit floor: the FD truncation error itself
             # dominates once the partial is tiny
             assert abs(val.dq - fq) <= 1e-6 * max(1.0, abs(val.dq))
@@ -101,7 +101,7 @@ def test_roots_match_spectral_class_roots(canonical_specs, canonical_closed_form
         spec = canonical_specs[fid]
         fam = canonical_closed_forms[fid]
         for q in (0.0, 0.5, 1.0, 2.0, 5.0):
-            res = lq.classify(spec, q, with_lattice=False)
+            res = lq.classify(spec, q)
             sol = fam.solve(q)
             for want, got in matched_roots(spec, res, sol):
                 assert want == pytest.approx(got, abs=1e-9)
@@ -136,7 +136,7 @@ def test_tau_prime_single_atom():
     # Synthetic one-term condition: 1 - w^q rho^{-a}; slope ln w / ln rho.
     from lqspec.closed_forms import ClosedFormFamily, Factor, _no_sup
 
-    def fn(q, alpha, rel_tol):
+    def fn(q, alpha):
         return 1.0 - _qpow(0.5, 0.5, q, alpha)
 
     fam = ClosedFormFamily(
@@ -173,7 +173,7 @@ def test_longform_agreement_and_typo_disagreement():
 def test_singular_alpha_partial_raises():
     from lqspec.closed_forms import ClosedFormFamily, Factor, _no_sup
 
-    def fn(q, alpha, rel_tol):
+    def fn(q, alpha):
         # root at alpha=0 with a vanishing alpha-slope
         return Val(-alpha**3, 0.0, -3.0 * alpha**2)
 

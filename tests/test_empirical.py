@@ -148,6 +148,12 @@ def test_depth_eps_outside_unit_interval_rejected(monkeypatch, depth_eps):
         lq.sample(_strong_r_gifs(), 10, seed=0, depth_eps=depth_eps)
 
 
+def test_negative_seed_rejected(monkeypatch):
+    monkeypatch.setattr(empirical, "_walk_chunk", _no_walks)
+    with pytest.raises(lq.InvalidParams, match="seed"):
+        lq.sample(_strong_r_gifs(), 10, seed=-1)
+
+
 def test_points_within_bbox():
     for fid in lq.FAMILY_IDS:
         g = lq.build_example(lq.canonical_params(fid))
@@ -264,7 +270,7 @@ def test_estimate_tracks_solver_smoke():
     g = lq.build_example(p)
     spec = lq.build_matrix_spec(p)
     fit = lq.estimate_tau(g, 2.0, [2.0**-k for k in range(4, 11)], 100_000, seed=42)
-    alpha, _ = lq.tau(spec, 2.0, with_lattice=False)
+    alpha, _ = lq.tau(spec, 2.0)
     assert abs(fit.slope - alpha) <= 0.1
 
 

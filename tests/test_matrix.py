@@ -280,7 +280,7 @@ def test_random_family_matrices_in_domain_at_roots():
     for fid in lq.FAMILY_IDS:
         p = random_params(fid, rng)
         spec = lq.build_matrix_spec(p)
-        _, res = lq.tau(spec, 1.5, with_lattice=False)
+        _, res = lq.tau(spec, 1.5)
         for ci, root in res.roots.items():
             members = res.decomposition.classes[ci]
             sup = compile_block(spec, members).domain_sup(1.5)

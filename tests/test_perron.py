@@ -96,7 +96,7 @@ def test_sign_test_decides_early_on_a_supercritical_principal_block():
 @pytest.mark.parametrize("q", STIFF_QS)
 @pytest.mark.parametrize("fid", lq.FAMILY_IDS)
 def test_stiff_q_matches_closed_forms(fid, q, canonical_specs, canonical_closed_forms):
-    got, result = lq.tau(canonical_specs[fid], q, with_lattice=False)
+    got, result = lq.tau(canonical_specs[fid], q)
     assert got == pytest.approx(canonical_closed_forms[fid].solve(q).tau, abs=1e-9)
     for root in result.roots.values():
         assert root.evals <= MAX_EVALS_PER_ROOT
@@ -116,7 +116,7 @@ def test_solves_never_use_power_iteration(monkeypatch, canonical_specs):
 def test_root_slope_is_closed_form_tau_prime(canonical_specs, canonical_closed_forms):
     for fid, spec in canonical_specs.items():
         for q in (0.5, 2.0, 5.0):
-            _, result = lq.tau(spec, q, with_lattice=False)
+            _, result = lq.tau(spec, q)
             attaining = result.roots[result.basic_classes[0]]
             want = canonical_closed_forms[fid].tau_prime(q)
             assert attaining.slope == pytest.approx(want, abs=1e-8)
@@ -151,7 +151,7 @@ def test_spectral_matches_closed_forms_over_the_domain(fid, seed, q):
     params = random_params(fid, np.random.default_rng(seed))
     spec = lq.build_matrix_spec(params)
     try:
-        got, result = lq.tau(spec, q, with_lattice=False)
+        got, result = lq.tau(spec, q)
     except (lq.NoConvergence, DomainViolation) as exc:
         assert any(isinstance(exc, kind) and text in str(exc) for kind, text in KNOWN_LIMITS)
         event(f"spectral {type(exc).__name__} at a known limit")
@@ -183,5 +183,5 @@ def test_spectral_matches_closed_forms_over_the_domain(fid, seed, q):
     "series' convergence edge; the fix belongs in closed_forms",
 )
 def test_cold_closed_form_strong_r2_small_q(canonical_specs, canonical_closed_forms):
-    got, _ = lq.tau(canonical_specs["strong-r2"], 0.1, with_lattice=False)
+    got, _ = lq.tau(canonical_specs["strong-r2"], 0.1)
     assert canonical_closed_forms["strong-r2"].solve(0.1).tau == pytest.approx(got, abs=1e-9)

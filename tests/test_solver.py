@@ -36,7 +36,7 @@ def test_tau_nonstrong_basic_q1_is_min():
 def test_tau_strong_r_q2_golden():
     # Golden value from the independent truncated-series bisection oracle.
     spec = lq.build_matrix_spec(lq.canonical_params("strong-r"))
-    alpha, _ = lq.tau(spec, 2.0, with_lattice=False)
+    alpha, _ = lq.tau(spec, 2.0)
     assert alpha == pytest.approx(0.675679779315090, abs=1e-9)
 
 
@@ -46,16 +46,24 @@ def test_tau_rejects_negative_q():
         lq.tau(spec, -0.5)
 
 
+@pytest.mark.parametrize("q", [float("nan"), float("inf")])
+def test_tau_rejects_nonfinite_q(q):
+    # before any block evaluation: NaN passes a bare q < 0 check
+    spec = lq.build_matrix_spec(lq.canonical_params("strong-r"))
+    with pytest.raises(lq.InvalidGrid, match="finite"):
+        lq.tau(spec, q)
+
+
 # -- tau_curve --------------------------------------------------------------------
 
 def test_curve_two_points_match_single_calls():
     spec = lq.build_matrix_spec(lq.canonical_params("strong-r"))
     curve = lq.tau_curve(spec, 0.5, 2.0, 2)
-    a1, _ = lq.tau(spec, 0.5, with_lattice=False)
+    a1, _ = lq.tau(spec, 0.5)
     assert curve.alphas[0] == a1  # cold start: bit-identical
     # the second point warm-starts from the first point's roots; an
     # individual call given the same hints reproduces it bit-for-bit
-    a2, _ = lq.tau(spec, 2.0, bracket_hints=curve.roots_table[0], with_lattice=False)
+    a2, _ = lq.tau(spec, 2.0, bracket_hints=curve.roots_table[0])
     assert curve.alphas[1] == a2
 
 
@@ -77,6 +85,9 @@ def test_curve_invalid_grid():
         lq.tau_curve(spec, 0.0, 1.0, 1)
     with pytest.raises(lq.InvalidGrid):
         lq.tau_curve(spec, -1.0, 1.0, 5)
+    for q_min, q_max in ((0.0, float("inf")), (float("nan"), 1.0), (0.0, float("nan"))):
+        with pytest.raises(lq.InvalidGrid):
+            lq.tau_curve(spec, q_min, q_max, 5)
 
 
 # -- tau_prime_fd -------------------------------------------------------------------
@@ -91,6 +102,12 @@ def test_fd_rejects_grid_underflow():
     spec = _one_atom_spec()
     with pytest.raises(lq.InvalidGrid):
         lq.tau_prime_fd(spec, 0.0)
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-4, float("nan"), float("inf")])
+def test_fd_rejects_nonpositive_or_nonfinite_step(step):
+    with pytest.raises(lq.InvalidGrid, match="step"):
+        lq.tau_prime_fd(_one_atom_spec(), 1.0, step=step)
 
 
 def test_fd_matches_closed_form_strong_r():
@@ -147,7 +164,7 @@ def test_legendre_concave_and_consistent():
     fam = lq.build_closed_form(p)
     for q in (1.0, 2.0, 4.0):
         slope = fam.tau_prime(q)
-        t_q, _ = lq.tau(spec, q, with_lattice=False)
+        t_q, _ = lq.tau(spec, q)
         want = q * slope - t_q
         got = np.interp(slope, leg.alphas, leg.f_values)
         assert got == pytest.approx(want, abs=1e-6)

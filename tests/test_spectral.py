@@ -115,7 +115,7 @@ def test_classes_diagonal_spec():
 def test_class_root_strong_r_q1_is_zero():
     spec = _spec_of("strong-r")
     deco = lq.communication_classes(spec)
-    root = lq.class_root(spec, deco.classes[0], 1.0)
+    root = lq.class_root(compile_block(spec, deco.classes[0]), 1.0)
     assert abs(root) <= 1e-10
 
 
@@ -126,7 +126,8 @@ def test_class_root_single_atom_linear():
     spec = MeasureMatrixSpec(n=1, entries=((e,),), scc_of=(0,), dim=1)
     deco = lq.communication_classes(spec)
     for q in (0.5, 1.0, 3.0):
-        assert lq.class_root(spec, deco.classes[0], q) == pytest.approx(q, abs=1e-10)
+        root = lq.class_root(compile_block(spec, deco.classes[0]), q)
+        assert root == pytest.approx(q, abs=1e-10)
 
 
 def test_class_root_degenerate_raises():
@@ -135,7 +136,7 @@ def test_class_root_degenerate_raises():
     spec = MeasureMatrixSpec(n=2, entries=((z, e), (z, z)), scc_of=(0, 0), dim=1)
     deco = lq.communication_classes(spec)
     with pytest.raises(lq.DegenerateClass):
-        lq.class_root(spec, deco.classes[0], 1.0)
+        lq.class_root(compile_block(spec, deco.classes[0]), 1.0)
 
 
 def test_class_root_strong_r_q0_golden():
@@ -143,7 +144,7 @@ def test_class_root_strong_r_q0_golden():
     # (explicit 1e5-term sums + numpy eigenvalues), frozen 2026-08.
     spec = _spec_of("strong-r")
     deco = lq.communication_classes(spec)
-    root = lq.class_root(spec, deco.classes[0], 0.0)
+    root = lq.class_root(compile_block(spec, deco.classes[0]), 0.0)
     assert root == pytest.approx(-0.710395794594108, abs=1e-9)
 
 
@@ -217,10 +218,16 @@ def test_classify_fed_tags():
     assert result2.tags[2].kind == "fed_by_S0"
 
 
+@pytest.mark.parametrize("tie_tol", [-1.0, float("nan"), float("inf")])
+def test_classify_rejects_bad_tie_tolerance(tie_tol):
+    with pytest.raises(lq.InvalidParams, match="tie tolerance"):
+        lq.classify(_spec_of("strong-r"), 1.0, class_tie_tol=tie_tol)
+
+
 def test_classify_permutation_invariant():
     rng = np.random.default_rng(17)
     spec = _spec_of("nonstrong-r-basic")
-    base = lq.classify(spec, 2.0, with_lattice=False)
+    base = lq.classify(spec, 2.0)
     for _ in range(5):
         perm = rng.permutation(spec.n)
         entries = tuple(
@@ -234,7 +241,7 @@ def test_classify_permutation_invariant():
             dim=spec.dim,
             labels=tuple(spec.labels[perm[i]] for i in range(spec.n)),
         )
-        res = lq.classify(permuted, 2.0, with_lattice=False)
+        res = lq.classify(permuted, 2.0)
         assert res.tau == pytest.approx(base.tau, abs=1e-11)
         assert sorted(res.roots.values()) == pytest.approx(
             sorted(base.roots.values()), abs=1e-11
@@ -249,7 +256,7 @@ def test_classify_roots_inside_domain():
     for fid in lq.FAMILY_IDS:
         spec = lq.build_matrix_spec(random_params(fid, rng))
         for q in (0.0, 1.0, 3.0):
-            res = lq.classify(spec, q, with_lattice=False)
+            res = lq.classify(spec, q)
             for ci, root in res.roots.items():
                 # evaluating the block at its root must stay in-domain
                 members = res.decomposition.classes[ci]
