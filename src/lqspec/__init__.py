@@ -1,19 +1,22 @@
 """L^q-spectra of graph-directed self-similar measures with overlaps.
 
-The built-in families are defined once, in ``families``.  The core
-pipeline: build a graph-directed system (``gifs``), encode its
-renewal structure as an evaluable matrix of measure masses (``matrix``),
-solve the per-class spectral-radius condition and classify the class
-structure (``spectral``), assemble tau(q) curves and Legendre transforms
-(``solver``), evaluate the families' closed-form characteristic functions
-(``closed_forms``), and cross-validate with a Monte Carlo box-counting
-estimator (``empirical``).
+The built-in families are defined once, in ``families``, and reach tau(q)
+by three routes:
+
+- spectral: the family's measure matrix (``matrix.build_matrix_spec``) is
+  split into communication classes, each class block is compiled
+  (``matrix.compile_block``), its root solves "spectral radius = 1"
+  (``spectral.class_root``), and ``spectral.classify`` takes the minimum;
+  ``solver`` assembles tau(q) curves and their Legendre transforms;
+- closed forms: the families' characteristic functions
+  (``closed_forms``);
+- Monte Carlo: a chaos game on the family's graph (``gifs.build_example``)
+  feeds a box-counting estimator (``empirical``).
 """
 
 from .closed_forms import ClosedFormFamily, build_closed_form
 from .empirical import SampleCloud, ScalingFit, estimate_tau, partition_sum, sample
 from .errors import (
-    ChainBroken,
     ConfigError,
     DegenerateClass,
     DomainViolation,
@@ -27,7 +30,7 @@ from .errors import (
     SingularHalpha,
 )
 from .families import FAMILY_IDS, FamilyParams, canonical_params, default_probs
-from .gifs import Edge, Gifs, Similitude, build_example, compose_path, scc_decompose, validate_gifs
+from .gifs import Edge, Gifs, Similitude, build_example
 from .matrix import (
     AtomFamily,
     BinomialSum,
@@ -37,9 +40,6 @@ from .matrix import (
     MeasureMatrixSpec,
     build_matrix_spec,
     entry_value,
-    in_domain,
-    matrix_at,
-    row_sum_F,
 )
 from .solver import LegendreCurve, SpectrumCurve, legendre, tau, tau_curve, tau_prime_fd
 from .spectral import (

@@ -10,7 +10,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from . import closed_forms, empirical, solver, spectral
 from .errors import ConfigError, InsufficientScales, InvalidGrid, InvalidParams, LqSpecError
@@ -19,9 +19,29 @@ from .gifs import build_example, parse_number
 from .matrix import build_matrix_spec
 
 
+_FLOAT_FIELDS = ("q", "q_min", "q_max", "depth_eps", "step", "tie_tol")
+_INT_FIELDS = ("steps", "samples", "seed")
+_PARAM_FIELDS = ("rho", "r", "t", "s")
+
+
+def _config_number(name: str, v) -> float:
+    """A config number: a JSON number or a numeric string such as "1/3"."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+        raise ConfigError(f"config field {name!r} must be a number or a numeric string, got {v!r}")
+    try:
+        return parse_number(v)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"config field {name!r}: bad number {v!r}") from exc
+
+
 @dataclass
 class RunConfig:
-    """Raw, unparsed command inputs; kept verbatim for round-tripping."""
+    """Command inputs.
+
+    The family parameters (``rho``, ``r``, ``t``, ``s``) and ``probs`` are
+    kept as given and parsed by ``family_params``; every other number is
+    already a float or an int.
+    """
 
     family: str
     rho: str | float | None = None
@@ -41,18 +61,45 @@ class RunConfig:
     tie_tol: float = 1e-9
     output: str | None = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @staticmethod
-    def from_dict(d: dict) -> "RunConfig":
-        known = {f for f in RunConfig.__dataclass_fields__}
-        unknown = set(d) - known
+    def from_dict(d) -> "RunConfig":
+        """A config from a parsed JSON object.
+
+        Float fields and ``scales`` entries are read with ``parse_number``;
+        a field of the wrong JSON type raises ConfigError.
+        """
+        if not isinstance(d, dict):
+            raise ConfigError(f"a config must be a JSON object, got a JSON {type(d).__name__}")
+        fields = RunConfig.__dataclass_fields__
+        unknown = set(d) - set(fields)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "family" not in d:
             raise ConfigError("config requires a 'family' field")
-        return RunConfig(**d)
+        out = dict(d)
+        for name, v in d.items():
+            if v is None and fields[name].default is None:
+                continue
+            if name in _FLOAT_FIELDS:
+                out[name] = _config_number(name, v)
+            elif name in _INT_FIELDS:
+                if isinstance(v, bool) or not isinstance(v, int):
+                    raise ConfigError(f"config field {name!r} must be an integer, got {v!r}")
+            elif name == "scales":
+                if not isinstance(v, list):
+                    raise ConfigError(f"config field 'scales' must be a list, got {v!r}")
+                out[name] = [_config_number(name, x) for x in v]
+            elif name in _PARAM_FIELDS:
+                _config_number(name, v)
+            elif name == "probs":
+                if isinstance(v, dict):
+                    for lab, p in v.items():
+                        _config_number(f"probs.{lab}", p)
+                elif not isinstance(v, str):
+                    raise ConfigError(f"config field 'probs' must be a string or an object, got {v!r}")
+            elif not isinstance(v, str):  # family, output
+                raise ConfigError(f"config field {name!r} must be a string, got {v!r}")
+        return RunConfig(**out)
 
     def family_params(self) -> FamilyParams:
         if self.family not in FAMILY_IDS:

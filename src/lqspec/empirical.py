@@ -23,16 +23,13 @@ SamplerBound, as does a graph with more than MAX_VERTICES vertices.
 Sampling is organized in fixed-size chunks of 65536 walks with one
 deterministic random stream per (seed, vertex, chunk).  Within a chunk the
 active walks stay in ascending order and draw one ``rng.random(n_active)``
-per sweep, so results are bit-identical no matter how chunks are scheduled
-across threads.
+per sweep, so a seed fixes every point.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,10 +54,7 @@ _ORIENTATION_TOL = 1e-9
 class SampleCloud:
     points: np.ndarray  # (n, d)
     source_vertex: np.ndarray  # (n,) int
-    n_per_vertex: int
-    seed: int
     depth_eps: float
-    bbox: tuple = ()
     grid_anchor: tuple = ()
 
     def __len__(self) -> int:
@@ -73,17 +67,7 @@ class ScalingFit:
     scales: tuple[float, ...]
     sums: tuple[float, ...]
     slope: float
-    intercept: float
     stderr: float
-    metadata: dict = field(default_factory=dict, compare=False)
-
-
-def _num_threads() -> int:
-    raw = os.environ.get("LQSPEC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def sample(g: Gifs, n_per_vertex: int, seed: int, depth_eps: float = 1e-9) -> SampleCloud:
@@ -96,41 +80,17 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, depth_eps: float = 1e-9) -> Sa
         raise InvalidParams(f"seed must be >= 0, got {seed}")
     tables = _walk_tables(g)
 
-    jobs = []
+    chunks = []
+    n_chunks = (n_per_vertex + CHUNK_SIZE - 1) // CHUNK_SIZE
     for v in range(g.num_vertices):
-        n_chunks = (n_per_vertex + CHUNK_SIZE - 1) // CHUNK_SIZE
         for c in range(n_chunks):
             count = min(CHUNK_SIZE, n_per_vertex - c * CHUNK_SIZE)
-            jobs.append((v, c, count))
-
-    def run_chunk(job):
-        v, c, count = job
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(v, c)))
-        return v, c, _walk_chunk(tables, v, count, rng, depth_eps)
-
-    threads = _num_threads()
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_chunk, jobs))
-    else:
-        results = [run_chunk(j) for j in jobs]
-    results.sort(key=lambda r: (r[0], r[1]))
-
-    if results:
-        points = np.concatenate([r[2] for r in results], axis=0)
-        vertices = np.concatenate(
-            [np.full(len(r[2]), r[0], dtype=np.int64) for r in results]
-        )
-    else:
-        points = np.zeros((0, g.dim))
-        vertices = np.zeros(0, dtype=np.int64)
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(v, c)))
+            chunks.append(_walk_chunk(tables, v, count, rng, depth_eps))
     return SampleCloud(
-        points=points,
-        source_vertex=vertices,
-        n_per_vertex=n_per_vertex,
-        seed=seed,
+        points=np.concatenate(chunks) if chunks else np.zeros((0, g.dim)),
+        source_vertex=np.repeat(np.arange(g.num_vertices, dtype=np.int64), n_per_vertex),
         depth_eps=depth_eps,
-        bbox=g.bbox,
         grid_anchor=tuple(lo for lo, _ in g.bbox),
     )
 
@@ -271,7 +231,7 @@ def _walk_chunk(tables: _WalkTables, start_vertex, count, rng, depth_eps):
     return pts.T
 
 
-def partition_sum(cloud: SampleCloud, h: float, q: float, total_mass: float | None = None) -> float:
+def partition_sum(cloud: SampleCloud, h: float, q: float, total_mass: float) -> float:
     """Sum of q-th powers of empirical box masses on a grid of side h.
 
     Boxes are anchored at the family bounding-box corner (no random
@@ -282,8 +242,6 @@ def partition_sum(cloud: SampleCloud, h: float, q: float, total_mass: float | No
     n = len(cloud)
     if n == 0:
         return 0.0
-    if total_mass is None:
-        total_mass = float(len(np.unique(cloud.source_vertex)))
     anchor = np.asarray(cloud.grid_anchor, dtype=float)
     keys = np.floor((cloud.points - anchor) / h).astype(np.int64)
     if keys.shape[1] == 1:
@@ -350,24 +308,13 @@ def estimate_tau(
         scales=tuple(hs),
         sums=tuple(sums),
         slope=float(slope),
-        intercept=float(intercept),
         stderr=stderr,
-        metadata={"n_per_vertex": n_per_vertex, "seed": seed, "depth_eps": depth_eps},
     )
 
 
 # ---------------------------------------------------------------------------
 # Exports
 # ---------------------------------------------------------------------------
-
-def cloud_to_csv(cloud: SampleCloud) -> str:
-    dim = cloud.points.shape[1] if len(cloud) else len(cloud.grid_anchor)
-    header = ",".join(["x", "y", "z"][:dim] + ["vertex"])
-    lines = [header]
-    for row, v in zip(cloud.points, cloud.source_vertex):
-        lines.append(",".join(format(c, ".17g") for c in row) + f",{int(v)}")
-    return "\n".join(lines) + "\n"
-
 
 def fit_to_csv(fit: ScalingFit) -> str:
     lines = ["h,S_q"]

@@ -11,10 +11,6 @@ class InvalidParams(LqSpecError):
     """Family, sampling or solver parameters violate a validity constraint."""
 
 
-class ChainBroken(LqSpecError):
-    """Consecutive edges of a path do not chain head-to-tail."""
-
-
 class DomainViolation(LqSpecError):
     """A series evaluation was requested outside its convergence domain."""
 

@@ -21,10 +21,11 @@ from typing import Callable
 
 from .closed_forms import Factor, _geom_sup, _no_sup, _qpow, _series_val
 from .errors import InvalidParams
-from .gifs import _PROB_TOL, Similitude, similitude_1d, similitude_2d
+from .gifs import Similitude, similitude_1d, similitude_2d
 from .matrix import AtomFamily, atom, binomial_family, geometric_family
 
 GOLDEN_RATIO_INV = (math.sqrt(5.0) - 1.0) / 2.0
+_PROB_TOL = 1e-12  # largest |sum - 1| of one vertex's edge probabilities
 
 
 @dataclass(frozen=True)

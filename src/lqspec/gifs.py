@@ -3,9 +3,11 @@
 A GIFS is a directed multigraph whose edges carry contractive similitudes
 and transition probabilities; the probabilities of the edges leaving each
 vertex sum to one, so every vertex supports a self-similar probability
-measure.  This module holds the data model, validation, strongly connected
-component decomposition, path composition, and the constructor that builds
-a built-in family from its edge table in ``families``.
+measure.  This module holds the data model, the constructor that builds a
+built-in family from its edge table in ``families`` (which validates the
+parameters), the strongly connected components of a digraph (the
+communication classes of a matrix support), and the parser of exact
+rational inputs.
 """
 
 from __future__ import annotations
@@ -15,11 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-
-from .errors import ChainBroken
-
-_ORTHO_TOL = 1e-12
-_PROB_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -38,25 +35,6 @@ class Similitude:
         object.__setattr__(
             self, "translation", np.asarray(self.translation, dtype=float).reshape(self.dim)
         )
-
-    def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.ratio * (self.orthogonal @ x) + self.translation
-
-    def compose(self, other: "Similitude") -> "Similitude":
-        """self after other: (self o other)(x) = self(other(x))."""
-        if self.dim != other.dim:
-            raise ChainBroken("dimension mismatch in composition")
-        return Similitude(
-            dim=self.dim,
-            ratio=self.ratio * other.ratio,
-            orthogonal=self.orthogonal @ other.orthogonal,
-            translation=self.ratio * (self.orthogonal @ other.translation) + self.translation,
-        )
-
-    def is_orthogonal(self, tol: float = _ORTHO_TOL) -> bool:
-        gram = self.orthogonal.T @ self.orthogonal
-        return bool(np.max(np.abs(gram - np.eye(self.dim))) <= tol)
 
 
 def similitude_1d(ratio: float, translation: float) -> Similitude:
@@ -96,103 +74,8 @@ class Gifs:
         if not self.bbox:
             object.__setattr__(self, "bbox", tuple([(0.0, 1.0)] * self.dim))
 
-    def edge_by_id(self, edge_id: str) -> Edge:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise KeyError(edge_id)
-
     def out_edges(self, vertex: int) -> list[Edge]:
         return [e for e in self.edges if e.src == vertex]
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class SccResult:
-    component_of: tuple[int, ...]  # vertex -> component index (0-based)
-    components: tuple[tuple[int, ...], ...]  # component -> sorted vertices
-    condensation: tuple[tuple[int, int], ...]  # edges between components
-    is_strongly_connected: bool
-
-    @property
-    def num_components(self) -> int:
-        return len(self.components)
-
-
-# ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-def validate_gifs(g: Gifs) -> ValidationReport:
-    """Check every structural invariant; never raises.
-
-    Reported violations carry the vertex/edge location so a config author
-    can find the offending entry.
-    """
-    violations: list[str] = []
-
-    for e in g.edges:
-        if not (0 <= e.src < g.num_vertices):
-            violations.append(f"edge {e.id}: source vertex {e.src} out of range")
-        if not (0 <= e.dst < g.num_vertices):
-            violations.append(f"edge {e.id}: target vertex {e.dst} out of range")
-        if not (0.0 < e.map.ratio < 1.0):
-            violations.append(f"edge {e.id}: contraction ratio not in (0,1)")
-        if not (0.0 < e.prob <= 1.0):
-            violations.append(f"edge {e.id}: probability {e.prob} not in (0,1]")
-        if e.map.dim != g.dim:
-            violations.append(f"edge {e.id}: map dimension {e.map.dim} != {g.dim}")
-        if not e.map.is_orthogonal():
-            violations.append(f"edge {e.id}: linear part is not orthogonal")
-
-    for v in range(g.num_vertices):
-        out = g.out_edges(v)
-        if not out:
-            violations.append(f"vertex {v + 1} has no outgoing edge")
-            continue
-        total = math.fsum(e.prob for e in out)
-        if abs(total - 1.0) > _PROB_TOL:
-            violations.append(f"vertex {v + 1} probabilities sum to {total:.5g}")
-
-    return ValidationReport(ok=not violations, violations=tuple(violations))
-
-
-# ---------------------------------------------------------------------------
-# Strongly connected components (Tarjan, iterative)
-# ---------------------------------------------------------------------------
-
-def scc_decompose(g: Gifs) -> SccResult:
-    """Maximal strongly connected components and their acyclic condensation.
-
-    Components are numbered by their smallest vertex so the labelling is
-    stable regardless of traversal order.
-    """
-    n = g.num_vertices
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for e in g.edges:
-        if 0 <= e.src < n and 0 <= e.dst < n:
-            adj[e.src].append(e.dst)
-
-    ordered = strong_components(n, adj)
-    comp_of = [0] * n
-    for new, grp in enumerate(ordered):
-        for v in grp:
-            comp_of[v] = new
-
-    cond = sorted(
-        {(comp_of[e.src], comp_of[e.dst]) for e in g.edges if comp_of[e.src] != comp_of[e.dst]}
-    )
-    return SccResult(
-        component_of=tuple(comp_of),
-        components=tuple(tuple(grp) for grp in ordered),
-        condensation=tuple(cond),
-        is_strongly_connected=(len(ordered) == 1),
-    )
 
 
 def strong_components(n: int, adj: list[list[int]]) -> list[list[int]]:
@@ -248,30 +131,6 @@ def strong_components(n: int, adj: list[list[int]]) -> list[list[int]]:
     for v, c in enumerate(comp):
         groups.setdefault(c, []).append(v)
     return sorted(groups.values(), key=min)
-
-
-# ---------------------------------------------------------------------------
-# Path composition
-# ---------------------------------------------------------------------------
-
-def compose_path(g: Gifs, word: list[str] | tuple[str, ...]) -> tuple[Similitude, float]:
-    """Compose the edge maps along a path word; also return its probability.
-
-    The word lists edge ids in application order from the outside in:
-    the composed map is map(e1) o map(e2) o ... o map(ek), defined only when
-    dst(e_i) == src(e_{i+1}).
-    """
-    composed = Similitude(g.dim, 1.0, np.eye(g.dim), np.zeros(g.dim))
-    prob = 1.0
-    prev_dst: int | None = None
-    for label in word:
-        e = g.edge_by_id(label)
-        if prev_dst is not None and e.src != prev_dst:
-            raise ChainBroken(f"edge {label} starts at {e.src}, expected {prev_dst}")
-        composed = composed.compose(e.map)
-        prob *= e.prob
-        prev_dst = e.dst
-    return composed, prob
 
 
 # ---------------------------------------------------------------------------

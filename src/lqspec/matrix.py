@@ -8,6 +8,12 @@ sequences with a binomial-sum structure are summed by adaptive truncation
 with an analytic tail majorant, so every reported value carries a certified
 relative error.
 
+A ``MeasureMatrixSpec`` holds the entries of a built-in family
+(``build_matrix_spec``).  The solve path evaluates it only through
+``compile_block``: a principal block whose ``evaluate`` returns the block
+and its partials in q and alpha at one point.  ``entry_value`` sums one
+entry on its own.
+
 Structural zeros are represented as empty entries (never tiny floats) so
 that communication-class detection downstream is exact.
 """
@@ -15,11 +21,11 @@ that communication-class detection downstream is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainViolation, InvalidParams
+from .errors import DomainViolation
 
 _SERIES_TOL = 1e-12  # certified relative error of every truncated series sum
 _MAX_TERMS = 1 << 26
@@ -88,19 +94,6 @@ class BinomialSum:
 
 
 WeightSequence = Constant | GeometricPower | BinomialSum
-_WEIGHT_KINDS = {"constant": Constant, "geometric": GeometricPower, "binomial_sum": BinomialSum}
-
-
-def weight_to_dict(w: WeightSequence) -> dict:
-    kind = next(k for k, cls in _WEIGHT_KINDS.items() if type(w) is cls)
-    return {"kind": kind, **asdict(w)}
-
-
-def weight_from_dict(d: dict) -> WeightSequence:
-    cls = _WEIGHT_KINDS.get(d["kind"])
-    if cls is None:
-        raise InvalidParams(f"unknown weight kind {d['kind']!r}")
-    return cls(**{k: v for k, v in d.items() if k != "kind"})
 
 
 # ---------------------------------------------------------------------------
@@ -243,25 +236,6 @@ class AtomFamily:
             return s, sq, sa
         return s
 
-    def to_dict(self) -> dict:
-        return {
-            "weight": weight_to_dict(self.weight),
-            "base_ratio": self.base_ratio,
-            "step_ratio": self.step_ratio,
-            "k_range": [self.k_start, self.k_end],
-        }
-
-
-def family_from_dict(d: dict) -> AtomFamily:
-    k0, k1 = d["k_range"]
-    return AtomFamily(
-        weight=weight_from_dict(d["weight"]),
-        base_ratio=d["base_ratio"],
-        step_ratio=d["step_ratio"],
-        k_start=k0,
-        k_end=k1,
-    )
-
 
 @dataclass(frozen=True)
 class EntrySpec:
@@ -272,9 +246,6 @@ class EntrySpec:
     @property
     def is_zero(self) -> bool:
         return not self.families
-
-    def to_dict(self) -> list:
-        return [f.to_dict() for f in self.families]
 
 
 def entry_value(entry: EntrySpec, q: float, alpha: float) -> float:
@@ -314,88 +285,16 @@ class MeasureMatrixSpec:
     scc_of: tuple[int, ...]
     dim: int
     labels: tuple[int, ...] = ()
-    family_id: str = ""
 
     def __post_init__(self):
         if not self.labels:
             object.__setattr__(self, "labels", tuple(range(1, self.n + 1)))
-
-    @property
-    def num_scc(self) -> int:
-        return max(self.scc_of) + 1
 
     def support(self) -> np.ndarray:
         """Boolean support pattern (exact: empty entries are zeros)."""
         return np.array(
             [[not self.entries[i][j].is_zero for j in range(self.n)] for i in range(self.n)]
         )
-
-    def row_alpha(self, alpha) -> list[float]:
-        """Expand a scalar or per-component alpha into one value per row."""
-        if np.ndim(alpha) == 0:
-            return [float(alpha)] * self.n
-        alpha = list(np.asarray(alpha, dtype=float))
-        if len(alpha) != self.num_scc:
-            raise ValueError(f"expected {self.num_scc} alpha values, got {len(alpha)}")
-        return [alpha[self.scc_of[i]] for i in range(self.n)]
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "dim": self.dim,
-            "family_id": self.family_id,
-            "labels": list(self.labels),
-            "scc_of": list(self.scc_of),
-            "entries": [[self.entries[i][j].to_dict() for j in range(self.n)] for i in range(self.n)],
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "MeasureMatrixSpec":
-        entries = tuple(
-            tuple(EntrySpec(tuple(family_from_dict(f) for f in cell)) for cell in row)
-            for row in d["entries"]
-        )
-        return MeasureMatrixSpec(
-            n=d["n"],
-            entries=entries,
-            scc_of=tuple(d["scc_of"]),
-            dim=d["dim"],
-            labels=tuple(d.get("labels", ())),
-            family_id=d.get("family_id", ""),
-        )
-
-
-def row_sum_F(spec: MeasureMatrixSpec, row: int, q: float, alpha: float) -> float:
-    """Total mass of one row; strictly increasing and continuous in alpha."""
-    return math.fsum(entry_value(spec.entries[row][j], q, alpha) for j in range(spec.n))
-
-
-def in_domain(spec: MeasureMatrixSpec, q: float, alpha) -> bool:
-    """True iff every infinite family converges at its row's alpha."""
-    row_alpha = spec.row_alpha(alpha)
-    for i in range(spec.n):
-        for j in range(spec.n):
-            for fam in spec.entries[i][j].families:
-                sup = fam.domain_sup(q)
-                if sup is not None and row_alpha[i] >= sup:
-                    return False
-    return True
-
-
-def matrix_at(spec: MeasureMatrixSpec, q: float, alpha) -> np.ndarray:
-    """Dense nonnegative matrix of entry values at (q, alpha)."""
-    row_alpha = spec.row_alpha(alpha)
-    out = np.zeros((spec.n, spec.n))
-    for i in range(spec.n):
-        for j in range(spec.n):
-            entry = spec.entries[i][j]
-            if entry.is_zero:
-                continue
-            try:
-                out[i, j] = entry_value(entry, q, row_alpha[i])
-            except DomainViolation as exc:
-                raise DomainViolation(f"row {spec.labels[i]}, col {spec.labels[j]}: {exc}") from exc
-    return out
 
 
 @dataclass(frozen=True)
@@ -488,5 +387,4 @@ def build_matrix_spec(p, check_geometry: bool = True) -> MeasureMatrixSpec:
         scc_of=fam.cell_scc,
         dim=fam.dim,
         labels=fam.cell_labels,
-        family_id=fam.id,
     )

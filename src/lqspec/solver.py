@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ class SpectrumCurve:
     qs: tuple[float, ...]
     alphas: tuple[float, ...]
     roots_table: tuple[dict, ...]  # per grid point: class index -> root
-    metadata: dict = field(default_factory=dict, compare=False)
 
     def __len__(self) -> int:
         return len(self.qs)
@@ -79,7 +78,6 @@ def tau_curve(
         qs=tuple(float(q) for q in qs),
         alphas=tuple(alphas),
         roots_table=tuple(tables),
-        metadata={"family": spec.family_id},
     )
 
 
@@ -94,11 +92,12 @@ def tau_prime_fd(spec: MeasureMatrixSpec, q: float, step: float = 1e-4) -> float
     return (hi - lo) / (2.0 * step)
 
 
-def legendre(curve: SpectrumCurve, num_alpha: int | None = None) -> LegendreCurve:
+def legendre(curve: SpectrumCurve) -> LegendreCurve:
     """Concave conjugate f(a) = inf_q (q a - tau(q)) over the curve's grid.
 
     The covered slope range is [min, max] of the curve's finite-difference
-    slopes; a single-point curve carries no slope information and is flagged
+    slopes, sampled at max(2 * len(curve) - 1, 3) evenly spaced slopes; a
+    single-point curve carries no slope information and is flagged
     degenerate.
     """
     qs = np.asarray(curve.qs)
@@ -111,13 +110,11 @@ def legendre(curve: SpectrumCurve, num_alpha: int | None = None) -> LegendreCurv
         )
     slopes = np.diff(ts) / np.diff(qs)
     a_lo, a_hi = float(np.min(slopes)), float(np.max(slopes))
-    if num_alpha is None:
-        num_alpha = max(2 * len(qs) - 1, 3)
     if a_hi - a_lo < 1e-15:
         alphas = np.array([a_lo])
         degenerate = True
     else:
-        alphas = np.linspace(a_lo, a_hi, num_alpha)
+        alphas = np.linspace(a_lo, a_hi, max(2 * len(qs) - 1, 3))
         degenerate = len(qs) < 3
     f_vals = []
     q_conj = []

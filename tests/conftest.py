@@ -1,5 +1,6 @@
-"""Shared fixtures: random valid parameters and independent brute-force
-oracles used to cross-check the adaptive evaluation paths."""
+"""Shared fixtures: random valid parameters, independent brute-force
+oracles used to cross-check the adaptive evaluation paths, and test-only
+graph and matrix helpers."""
 
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ import pytest
 
 import lqspec as lq
 from lqspec.families import FAMILIES, FamilyParams
+from lqspec.gifs import strong_components
+from lqspec.matrix import entry_value
 
 
 def random_params(family_id: str, rng: np.random.Generator) -> FamilyParams:
@@ -68,6 +71,59 @@ def brute_family_value(fam, q: float, alpha: float, n_terms: int = 10**6) -> flo
     log_len = math.log(fam.base_ratio) + ks * math.log(fam.step_ratio)
     with np.errstate(under="ignore"):
         return float(np.sum(np.exp(q * log_w - alpha * log_len)))
+
+
+# ---------------------------------------------------------------------------
+# Test-only helpers: a dense matrix built entry by entry, path composition
+# and graph components
+# ---------------------------------------------------------------------------
+
+def dense_matrix(spec, q: float, alpha: float) -> np.ndarray:
+    """The spec's matrix at (q, alpha), built entry by entry with ``entry_value``."""
+    return np.array(
+        [[entry_value(spec.entries[i][j], q, alpha) for j in range(spec.n)] for i in range(spec.n)]
+    )
+
+
+def compose_word(g, word) -> tuple[lq.Similitude, float]:
+    """map(e1) o map(e2) o ... o map(ek) for a path word of edge ids, and its probability.
+
+    Raises ValueError unless each edge starts where the previous one ends.
+    """
+    edges = {e.id: e for e in g.edges}
+    ratio, orth, trans, prob = 1.0, np.eye(g.dim), np.zeros(g.dim), 1.0
+    prev_dst = None
+    for label in word:
+        e = edges[label]
+        if prev_dst is not None and e.src != prev_dst:
+            raise ValueError(f"edge {label} starts at {e.src}, expected {prev_dst}")
+        trans = trans + ratio * (orth @ e.map.translation)
+        orth = orth @ e.map.orthogonal
+        ratio *= e.map.ratio
+        prob *= e.prob
+        prev_dst = e.dst
+    return lq.Similitude(g.dim, ratio, orth, trans), prob
+
+
+def assert_valid_gifs(g):
+    """Every edge joins two vertices, contracts, has an orthogonal linear part
+    and a probability in (0, 1]; each vertex's out-edge probabilities sum to one."""
+    for e in g.edges:
+        assert 0 <= e.src < g.num_vertices and 0 <= e.dst < g.num_vertices, e.id
+        assert e.map.dim == g.dim and 0.0 < e.map.ratio < 1.0, e.id
+        assert 0.0 < e.prob <= 1.0, e.id
+        gram = e.map.orthogonal.T @ e.map.orthogonal
+        assert np.max(np.abs(gram - np.eye(g.dim))) <= 1e-12, e.id
+    for v in range(g.num_vertices):
+        out = g.out_edges(v)
+        assert out, f"vertex {v + 1} has no outgoing edge"
+        assert abs(math.fsum(e.prob for e in out) - 1.0) <= 1e-12, v
+
+
+def vertex_components(g) -> list[list[int]]:
+    """Strongly connected components of a GIFS's graph, by smallest vertex."""
+    adj = [[e.dst for e in g.out_edges(v)] for v in range(g.num_vertices)]
+    return strong_components(g.num_vertices, adj)
 
 
 def matched_roots(spec, result, sol) -> list[tuple[float, float]]:

@@ -135,11 +135,10 @@ def test_config_file_and_roundtrip(tmp_path, capsys):
     assert code == 0
     assert abs(json.loads(out)["tau"]) <= 1e-9
 
-    # raw fields survive a parse/serialize cycle unchanged
+    # raw fields survive parsing unchanged
     rc = RunConfig.from_dict(cfg)
-    packed = rc.to_dict()
     for key, val in cfg.items():
-        assert packed[key] == val
+        assert getattr(rc, key) == val
     rc.family_params()  # parses cleanly
 
 
@@ -193,6 +192,37 @@ def test_config_unknown_field(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "--config", str(path), "--q", "1")
     assert code == 2
     assert "unknown config fields" in err
+
+
+_SCALES = ["1/16", "1/32", "1/64", "1/128", "1/256"]
+
+
+@pytest.mark.parametrize(
+    "command, cfg, same_as",
+    [
+        # numbers given as strings are read like the flags
+        ("solve", {"family": "strong-r", "q": "2"}, ("--q", "2")),
+        ("estimate", {"family": "strong-r", "q": 1, "samples": 20000, "seed": 3,
+                      "scales": _SCALES},
+         ("--q", "1", "--samples", "20000", "--seed", "3", "--scales", ",".join(_SCALES))),
+        # anything else exits 2
+        ("curve", {"family": "strong-r", "steps": "5"}, "'steps' must be an integer"),
+        ("curve", {"family": "strong-r", "steps": 5.0}, "'steps' must be an integer"),
+        ("solve", {"family": "strong-r", "q": 1, "tie_tol": "x"}, "'tie_tol': bad number"),
+        ("solve", [1, 2], "must be a JSON object"),
+    ],
+    ids=["q-string", "rational-scales", "steps-string", "steps-float", "tie-tol-text", "list"],
+)
+def test_config_value_types(tmp_path, capsys, command, cfg, same_as):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, command, "--config", str(path))
+    if isinstance(same_as, str):
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and same_as in err
+    else:
+        assert (code, err) == (0, "")
+        assert out == run(capsys, command, "--family", "strong-r", *same_as)[1]
 
 
 def test_probs_flag_parsing():

@@ -1,5 +1,6 @@
-"""Graph model: validation, component decomposition, path composition, and
-the built-in family constructors."""
+"""Graph model: the built-in family constructors and the invariants of
+their systems, strongly connected components, and path composition (through
+the test-only ``compose_word``)."""
 
 from __future__ import annotations
 
@@ -8,72 +9,56 @@ import pytest
 
 import lqspec as lq
 from lqspec.families import FamilyParams, default_probs
-from conftest import random_params
+from conftest import assert_valid_gifs, compose_word, random_params, vertex_components
 
 
 def _strong_r_p0():
     return lq.canonical_params("strong-r")
 
 
-# -- validate_gifs -----------------------------------------------------------
+# -- invariants of the built systems --------------------------------------------
 
 def test_validate_canonical_ok():
-    g = lq.build_example(_strong_r_p0())
-    report = lq.validate_gifs(g)
-    assert report.ok
-    assert report.violations == ()
+    assert_valid_gifs(lq.build_example(_strong_r_p0()))
 
 
 def test_validate_reports_bad_probability_sum():
     probs = default_probs("strong-r")
     probs["e3"] = 0.4
-    g = lq.build_example(_strong_r_p0())
-    edges = tuple(
-        e if e.id != "e3" else lq.Edge(e.id, e.src, e.dst, e.map, 0.4) for e in g.edges
-    )
-    bad = lq.Gifs(g.num_vertices, g.dim, edges)
-    report = lq.validate_gifs(bad)
-    assert not report.ok
-    assert any("vertex 1" in v and "1.0667" in v for v in report.violations)
+    with pytest.raises(lq.InvalidParams, match="vertex 1 probabilities sum to 1.0667"):
+        lq.build_example(FamilyParams("strong-r", rho=1 / 3, r=2 / 7, probs=probs))
 
 
 def test_validate_reports_bad_ratio():
-    g = lq.build_example(_strong_r_p0())
-    bad_map = lq.Similitude(1, 1.0, np.eye(1), np.zeros(1))
-    edges = tuple(
-        e if e.id != "e1" else lq.Edge(e.id, e.src, e.dst, bad_map, e.prob) for e in g.edges
-    )
-    report = lq.validate_gifs(lq.Gifs(g.num_vertices, g.dim, edges))
-    assert any("contraction ratio not in (0,1)" in v for v in report.violations)
+    # rho is the contraction ratio of e1; a ratio of 1 does not contract
+    assert lq.build_example(_strong_r_p0()).edges[0].map.ratio == pytest.approx(1 / 3)
+    with pytest.raises(lq.InvalidParams, match=r"rho=1.0 not in \(0,1\)"):
+        lq.build_example(FamilyParams("strong-r", rho=1.0, r=2 / 7))
 
 
 def test_validate_random_valid_params():
     rng = np.random.default_rng(2024)
     for fid in lq.FAMILY_IDS:
         for _ in range(20):
-            g = lq.build_example(random_params(fid, rng))
-            assert lq.validate_gifs(g).ok
+            assert_valid_gifs(lq.build_example(random_params(fid, rng)))
 
 
-# -- scc_decompose -----------------------------------------------------------
+# -- strongly connected components ---------------------------------------------
 
 def test_scc_strong_r_single_component():
-    res = lq.scc_decompose(lq.build_example(_strong_r_p0()))
-    assert res.num_components == 1
-    assert res.is_strongly_connected
+    assert len(vertex_components(lq.build_example(_strong_r_p0()))) == 1
 
 
 def test_scc_nonstrong_basic_two_components():
-    res = lq.scc_decompose(lq.build_example(lq.canonical_params("nonstrong-r-basic")))
-    assert res.num_components == 2
-    assert res.component_of == (0, 1)
-    assert res.condensation == ((1, 0),)  # the cross edge e5 links them
+    g = lq.build_example(lq.canonical_params("nonstrong-r-basic"))
+    assert vertex_components(g) == [[0], [1]]
+    # one component per vertex, so the condensation is the set of cross edges
+    assert {(e.src, e.dst) for e in g.edges if e.src != e.dst} == {(1, 0)}  # e5
 
 
 def test_scc_heights_six_components():
-    res = lq.scc_decompose(lq.build_example(lq.canonical_params("nonstrong-r-heights")))
-    assert res.num_components == 6
-    assert not res.is_strongly_connected
+    g = lq.build_example(lq.canonical_params("nonstrong-r-heights"))
+    assert len(vertex_components(g)) == 6
 
 
 def _floyd_warshall_components(n, edges):
@@ -104,7 +89,7 @@ def _assert_same_partition(g):
     groups = {}
     for v in range(g.num_vertices):
         groups.setdefault(expected[v], set()).add(v)
-    got = lq.scc_decompose(g).components
+    got = vertex_components(g)
     assert {frozenset(c) for c in got} == {frozenset(grp) for grp in groups.values()}
 
 
@@ -127,19 +112,20 @@ def test_scc_matches_closure_on_families():
         _assert_same_partition(lq.build_example(lq.canonical_params(fid)))
 
 
-# -- compose_path ------------------------------------------------------------
+# -- path composition ----------------------------------------------------------
 
 def test_compose_empty_word_is_identity():
     g = lq.build_example(_strong_r_p0())
-    m, prob = lq.compose_path(g, [])
+    m, prob = compose_word(g, [])
     assert m.ratio == 1.0
     assert prob == 1.0
-    assert np.allclose(m(np.array([0.37])), [0.37])
+    assert np.array_equal(m.orthogonal, np.eye(1))
+    assert np.array_equal(m.translation, [0.0])
 
 
 def test_compose_ratio_is_product():
     g = lq.build_example(_strong_r_p0())
-    m, prob = lq.compose_path(g, ["e1", "e3"])
+    m, prob = compose_word(g, ["e1", "e3"])
     assert m.ratio == pytest.approx((1.0 / 3.0) * (2.0 / 7.0), rel=1e-15)
     assert prob == pytest.approx((1.0 / 3.0) ** 2, rel=1e-15)
 
@@ -157,21 +143,21 @@ def test_compose_ratio_product_random():
             word.append(e.id)
             expected *= e.map.ratio
             v = e.dst
-        m, _ = lq.compose_path(g, word)
+        m, _ = compose_word(g, word)
         assert m.ratio == pytest.approx(expected, rel=1e-14)
 
 
 def test_compose_chain_broken():
     g = lq.build_example(_strong_r_p0())
     # e2 ends at vertex 1, e1 starts at vertex 0
-    with pytest.raises(lq.ChainBroken):
-        lq.compose_path(g, ["e2", "e1"])
+    with pytest.raises(ValueError, match="starts at 0, expected 1"):
+        compose_word(g, ["e2", "e1"])
 
 
 def test_overlap_identity_strong_r2():
     g = lq.build_example(lq.canonical_params("strong-r2"))
-    a, _ = lq.compose_path(g, ["e1", "e4"])
-    b, _ = lq.compose_path(g, ["e4", "e8"])
+    a, _ = compose_word(g, ["e1", "e4"])
+    b, _ = compose_word(g, ["e4", "e8"])
     assert np.max(np.abs(a.translation - b.translation)) <= 1e-12
     assert np.max(np.abs(a.orthogonal - b.orthogonal)) <= 1e-12
     assert abs(a.ratio - b.ratio) <= 1e-12
@@ -179,16 +165,16 @@ def test_overlap_identity_strong_r2():
 
 def test_overlap_identity_nonstrong_basic():
     g = lq.build_example(lq.canonical_params("nonstrong-r-basic"))
-    a, _ = lq.compose_path(g, ["e1", "e3"])
-    b, _ = lq.compose_path(g, ["e2", "e1"])
+    a, _ = compose_word(g, ["e1", "e3"])
+    b, _ = compose_word(g, ["e2", "e1"])
     assert abs(a.translation[0] - b.translation[0]) <= 1e-12
     assert abs(a.ratio - b.ratio) <= 1e-12
 
 
 def test_overlap_identity_nonstrong_r2():
     g = lq.build_example(lq.canonical_params("nonstrong-r2"))
-    a, _ = lq.compose_path(g, ["e4", "e6"])
-    b, _ = lq.compose_path(g, ["e5", "e4"])
+    a, _ = compose_word(g, ["e4", "e6"])
+    b, _ = compose_word(g, ["e5", "e4"])
     assert np.max(np.abs(a.translation - b.translation)) <= 1e-12
     assert abs(a.ratio - b.ratio) <= 1e-12
 
@@ -199,7 +185,7 @@ def test_strong_r_structure():
     g = lq.build_example(_strong_r_p0())
     assert g.num_vertices == 2
     assert len(g.edges) == 5
-    e2 = g.edge_by_id("e2")
+    e2 = {e.id: e for e in g.edges}["e2"]
     assert e2.map.ratio == pytest.approx(2.0 / 7.0)
     assert e2.map.translation[0] == pytest.approx((1.0 / 3.0) * (5.0 / 7.0))
 
@@ -207,7 +193,7 @@ def test_strong_r_structure():
 def test_strong_r2_structure():
     g = lq.build_example(lq.canonical_params("strong-r2"))
     assert len(g.edges) == 8
-    e5 = g.edge_by_id("e5")
+    e5 = {e.id: e for e in g.edges}["e5"]
     # quarter-turn clockwise with translation (0, 1)
     assert np.allclose(e5.map.orthogonal, [[0.0, 1.0], [-1.0, 0.0]], atol=1e-15)
     assert np.allclose(e5.map.translation, [0.0, 1.0])

@@ -1,9 +1,8 @@
 """Matrix specs: entry evaluation with certified truncation, domains,
-dense evaluation, built-in family matrices, and serialization."""
+compiled block evaluation, and built-in family matrices."""
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -23,7 +22,12 @@ from lqspec.matrix import (
     entry_value,
     geometric_family,
 )
-from conftest import brute_family_value, random_params
+from conftest import brute_family_value, dense_matrix, random_params, vertex_components
+
+
+def _full(spec, q, alpha):
+    """The whole matrix at (q, alpha), evaluated on the solve path."""
+    return compile_block(spec, range(spec.n)).evaluate(q, alpha)[0]
 
 
 # -- entry values -------------------------------------------------------------
@@ -106,12 +110,12 @@ def test_entry_monotone_alpha_nonincreasing_q():
 def test_row_sum_strong_r_p0():
     spec = lq.build_matrix_spec(lq.canonical_params("strong-r"))
     # row for cell 1: p1 + (p1 p3 + p2 p5)/p5 + p2 = 1/3 + 5/9 + 1/3
-    assert lq.row_sum_F(spec, 0, 1.0, 0.0) == pytest.approx(11.0 / 9.0, rel=1e-14)
+    assert _full(spec, 1.0, 0.0)[0].sum() == pytest.approx(11.0 / 9.0, rel=1e-14)
 
 
 def test_row_sum_vanishes_far_left():
     spec = lq.build_matrix_spec(lq.canonical_params("strong-r"))
-    assert lq.row_sum_F(spec, 0, 0.0, -60.0) < 1e-20
+    assert _full(spec, 0.0, -60.0)[0].sum() < 1e-20
 
 
 def test_zero_row_sums_to_zero():
@@ -122,26 +126,29 @@ def test_zero_row_sums_to_zero():
         scc_of=(0, 0),
         dim=1,
     )
-    assert lq.row_sum_F(spec, 1, 1.0, 0.0) == 0.0
+    assert _full(spec, 1.0, 0.0)[1].sum() == 0.0
 
 
 def test_in_domain_strong_r():
     spec = lq.build_matrix_spec(lq.canonical_params("strong-r"))
-    assert lq.in_domain(spec, 1.0, 0.0)  # family ratio p3 r^0 = 1/3 < 1
-    assert not lq.in_domain(spec, 1.0, 2.0)  # (1/3)(7/2)^2 > 1
+    sup = compile_block(spec, range(spec.n)).domain_sup(1.0)
+    assert 0.0 < sup  # family ratio p3 r^0 = 1/3 < 1
+    assert sup < 2.0  # (1/3)(7/2)^2 > 1
 
 
 def test_in_domain_all_atoms_unconstrained():
     e = EntrySpec((atom(0.5, 0.5),))
     spec = MeasureMatrixSpec(n=1, entries=((e,),), scc_of=(0,), dim=1)
-    assert lq.in_domain(spec, 1.0, 500.0)
+    block = compile_block(spec, [0])
+    assert block.domain_sup(1.0) is None
+    assert np.isfinite(block.evaluate(1.0, 500.0)[0]).all()
 
 
-# -- matrix_at ----------------------------------------------------------------
+# -- the whole matrix on the solve path -----------------------------------------
 
 def test_matrix_at_strong_r_p0():
     spec = lq.build_matrix_spec(lq.canonical_params("strong-r"))
-    mat = lq.matrix_at(spec, 1.0, 0.0)
+    mat = _full(spec, 1.0, 0.0)
     expected = np.array(
         [
             [1.0 / 3.0, 5.0 / 9.0, 1.0 / 3.0],
@@ -154,7 +161,7 @@ def test_matrix_at_strong_r_p0():
 
 def test_matrix_at_nonstrong_basic_pattern():
     spec = lq.build_matrix_spec(lq.canonical_params("nonstrong-r-basic"))
-    mat = lq.matrix_at(spec, 1.0, [0.0, 0.0])
+    mat = _full(spec, 1.0, 0.0)
     support = mat != 0.0
     expected = np.array(
         [
@@ -173,13 +180,7 @@ def test_matrix_at_nonstrong_basic_pattern():
 def test_matrix_at_zero_spec():
     e = EntrySpec()
     spec = MeasureMatrixSpec(n=2, entries=((e, e), (e, e)), scc_of=(0, 0), dim=1)
-    assert np.all(lq.matrix_at(spec, 1.0, 0.0) == 0.0)
-
-
-def test_matrix_at_annotates_domain_violation():
-    spec = lq.build_matrix_spec(lq.canonical_params("strong-r"))
-    with pytest.raises(lq.DomainViolation, match="row 3"):
-        lq.matrix_at(spec, 1.0, 2.0)
+    assert np.all(_full(spec, 1.0, 0.0) == 0.0)
 
 
 # -- built-in matrices ---------------------------------------------------------
@@ -212,9 +213,9 @@ def test_nonstrong_r2_tail_entries():
 def test_matrices_finite_at_q1_alpha0():
     for fid in lq.FAMILY_IDS:
         spec = lq.build_matrix_spec(lq.canonical_params(fid))
-        alphas = [0.0] * spec.num_scc
-        assert lq.in_domain(spec, 1.0, alphas)
-        assert np.all(np.isfinite(lq.matrix_at(spec, 1.0, alphas)))
+        sup = compile_block(spec, range(spec.n)).domain_sup(1.0)
+        assert sup is None or sup > 0.0
+        assert np.all(np.isfinite(_full(spec, 1.0, 0.0)))
 
 
 def test_truncation_matches_brute_force_all_families():
@@ -242,37 +243,7 @@ def test_support_irreducibility_iff_strongly_connected():
         g = lq.build_example(lq.canonical_params(fid))
         spec = lq.build_matrix_spec(lq.canonical_params(fid))
         deco = lq.communication_classes(spec)
-        assert deco.is_irreducible() == lq.scc_decompose(g).is_strongly_connected
-
-
-# -- serialization --------------------------------------------------------------
-
-def test_spec_roundtrip_through_json():
-    for fid in lq.FAMILY_IDS:
-        spec = lq.build_matrix_spec(lq.canonical_params(fid))
-        blob = json.dumps(spec.to_dict())
-        back = MeasureMatrixSpec.from_dict(json.loads(blob))
-        assert back.n == spec.n
-        assert back.scc_of == spec.scc_of
-        assert back.labels == spec.labels
-        q, alpha = 1.3, [-0.2] * spec.num_scc
-        assert np.allclose(
-            lq.matrix_at(back, q, alpha), lq.matrix_at(spec, q, alpha), rtol=1e-14
-        )
-
-
-def test_strong_r_serialized_schema():
-    spec = lq.build_matrix_spec(lq.canonical_params("strong-r"))
-    d = spec.to_dict()
-    assert d["labels"] == [1, 3, 4]
-    assert d["scc_of"] == [0, 0, 0]
-    series = d["entries"][1][0][0]
-    assert series["weight"]["kind"] == "geometric"
-    assert series["weight"]["c"] == pytest.approx(0.5)
-    assert series["weight"]["a"] == pytest.approx(1.0 / 3.0)
-    assert series["base_ratio"] == pytest.approx(1.0 / 3.0)
-    assert series["step_ratio"] == pytest.approx(2.0 / 7.0)
-    assert series["k_range"] == [0, None]
+        assert deco.is_irreducible() == (len(vertex_components(g)) == 1)
 
 
 def test_random_family_matrices_in_domain_at_roots():
@@ -285,3 +256,29 @@ def test_random_family_matrices_in_domain_at_roots():
             members = res.decomposition.classes[ci]
             sup = compile_block(spec, members).domain_sup(1.5)
             assert sup is None or root < sup
+
+
+@pytest.mark.parametrize("fid", lq.FAMILY_IDS)
+def test_compiled_block_matches_dense_matrix_and_its_differences(fid):
+    # the solve path's block evaluation against the entry-by-entry matrix:
+    # M to 1e-13, and dM/dq, dM/dalpha against central differences of it.
+    # A cell holding an infinite series agrees only to twice the certified
+    # series tolerance (1e-12): the block sums each series with its partials, whose
+    # tail bounds can call for more terms than the value alone.
+    rng = np.random.default_rng(1312)
+    h = 1e-5
+    for _ in range(10):
+        spec = lq.build_matrix_spec(random_params(fid, rng))
+        block = compile_block(spec, range(spec.n))
+        q = rng.uniform(h, 4.0)
+        sup = block.domain_sup(q)
+        alpha = (0.0 if sup is None else sup) - rng.uniform(0.2, 2.5)
+        m, mq, ma = block.evaluate(q, alpha)
+        dense = dense_matrix(spec, q, alpha)
+        series = np.array([[any(f.infinite for f in e.families) for e in row] for row in spec.entries])
+        np.testing.assert_allclose(m[~series], dense[~series], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(m[series], dense[series], rtol=2e-12, atol=0.0)
+        fd_q = (dense_matrix(spec, q + h, alpha) - dense_matrix(spec, q - h, alpha)) / (2 * h)
+        fd_a = (dense_matrix(spec, q, alpha + h) - dense_matrix(spec, q, alpha - h)) / (2 * h)
+        np.testing.assert_allclose(mq, fd_q, rtol=1e-7, atol=1e-9 * np.abs(mq).max())
+        np.testing.assert_allclose(ma, fd_a, rtol=1e-7, atol=1e-9 * np.abs(ma).max())
