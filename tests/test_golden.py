@@ -1,5 +1,5 @@
-"""Recorded CLI output of ``solve``, ``classify``, ``curve``, ``derivative`` and
-``legendre`` for every family.
+"""Recorded CLI output of ``solve``, ``classify``, ``curve``, ``derivative``,
+``legendre``, ``estimate`` and ``compare`` for every family.
 
 Each case's stdout must keep the recorded structure (keys, lengths, types,
 strings, integers, booleans, CSV header) exactly and every float within
@@ -27,6 +27,8 @@ CASES = {
     "curve_q0-10": "curve --q-min 0 --q-max 10 --steps 11",
     "derivative_q2": "derivative --q 2",
     "legendre_q0-10": "legendre --q-min 0 --q-max 10 --steps 11",
+    "estimate_q2_n20000": "estimate --q 2 --samples 20000 --seed 1",
+    "compare_q2_n20000": "compare --q 2 --samples 20000 --seed 1",
 }
 TOL = 1e-12
 
