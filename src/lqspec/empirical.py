@@ -231,33 +231,76 @@ def _walk_chunk(tables: _WalkTables, start_vertex, count, rng, depth_eps):
     return pts.T
 
 
-def partition_sum(cloud: SampleCloud, h: float, q: float, total_mass: float) -> float:
-    """Sum of q-th powers of empirical box masses on a grid of side h.
+def partition_sum(cloud: SampleCloud, scales, q: float, total_mass: float) -> list[float]:
+    """Sums of q-th powers of empirical box masses, one per grid side in scales.
 
     Boxes are anchored at the family bounding-box corner (no random
     offsets); the empirical mass of a box is total_mass * count / N.
     """
-    if h <= 0.0:
+    hs = [float(h) for h in scales]
+    if not all(h > 0.0 for h in hs):
         raise ValueError("h must be positive")
     n = len(cloud)
     if n == 0:
-        return 0.0
-    anchor = np.asarray(cloud.grid_anchor, dtype=float)
-    keys = np.floor((cloud.points - anchor) / h).astype(np.int64)
-    if keys.shape[1] == 1:
-        flat = keys[:, 0]
-    else:
-        # Collapse the integer coordinates into one key; offsets keep them
-        # nonnegative so the packing is collision-free.
-        mins = keys.min(axis=0)
-        shifted = keys - mins
-        flat = shifted[:, 0]
-        for d in range(1, shifted.shape[1]):
-            flat = flat * (int(shifted[:, d].max()) + 1) + shifted[:, d]
-    _, counts = np.unique(flat, return_counts=True)
+        return [0.0] * len(hs)
     # total_mass^q * sum (c/n)^q, arranged so q=1 returns total_mass exactly
     # (integer counts sum to n without rounding).
-    return float(total_mass**q * np.sum(counts.astype(float) ** q) / float(n) ** q)
+    return [
+        float(total_mass**q * np.sum(counts.astype(float) ** q) / float(n) ** q)
+        for counts in _box_counts(cloud.points, cloud.grid_anchor, hs)
+    ]
+
+
+def _box_counts(points, anchor, hs):
+    """Occupied-box counts at each side in hs, in the order of hs.
+
+    The sides are visited finest first.  A side that is h_prev * 2^j
+    exactly for the side h_prev visited before it takes its boxes from
+    that level's distinct keys shifted right by j: dividing by a power of
+    two is exact and floor(y / 2^j) = floor(y) >> j, so every box gets the
+    count that binning the points would give.  Any other side bins the
+    points.  Each array lists its boxes in lexicographic key order.
+    """
+    anchor = np.asarray(anchor, dtype=float)
+    out = [None] * len(hs)
+    prev = keys = counts = None
+    for i in sorted(range(len(hs)), key=hs.__getitem__):
+        h = hs[i]
+        j = _octaves(prev, h)
+        if j is None:
+            keys, counts = _distinct(np.floor((points - anchor) / h).astype(np.int64))
+        elif j:
+            keys, counts = _distinct(keys >> j, counts)
+        out[i] = counts
+        prev = h
+    return out
+
+
+def _octaves(fine, h):
+    """The j with h == fine * 2^j exactly (0 <= j < 63), else None."""
+    if fine is not None:
+        j = math.frexp(h / fine)[1] - 1
+        if j < 63 and math.ldexp(fine, j) == h:
+            return j
+    return None
+
+
+def _distinct(keys, weights=None):
+    """Distinct rows of the (m, d) integer keys in lexicographic order, with
+    the summed weights of each (a count of rows when weights is None)."""
+    lo = keys.min(axis=0)
+    shifted = keys - lo
+    dims = tuple(shifted.max(axis=0) + 1)
+    flat = np.ravel_multi_index(tuple(shifted.T), dims)
+    if weights is None:
+        flat, counts = np.unique(flat, return_counts=True)
+    else:
+        order = np.argsort(flat, kind="stable")
+        flat = flat[order]
+        starts = np.flatnonzero(np.diff(flat, prepend=-1))
+        counts = np.add.reduceat(weights[order], starts)
+        flat = flat[starts]
+    return np.stack(np.unravel_index(flat, dims), axis=1) + lo, counts
 
 
 def estimate_tau(
@@ -291,7 +334,7 @@ def estimate_tau(
     if cloud is None:
         cloud = sample(g, n_per_vertex, seed, depth_eps=depth_eps)
     total_mass = float(g.num_vertices)
-    sums = [partition_sum(cloud, h, q, total_mass=total_mass) for h in hs]
+    sums = partition_sum(cloud, hs, q, total_mass=total_mass)
     if any(s <= 0.0 for s in sums):
         raise InsufficientScales("empty partition sum; increase samples")
 

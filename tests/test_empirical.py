@@ -12,6 +12,7 @@ from lqspec import empirical
 from lqspec.empirical import CHUNK_SIZE, fit_to_csv
 from lqspec.gifs import similitude_2d
 from conftest import assert_valid_gifs
+from partition_oracle import oracle_box_counts, oracle_partition_sum
 from sampler_oracle import oracle_sample
 
 
@@ -183,13 +184,12 @@ def test_source_vertices_balanced():
 
 def test_partition_q1_mass_exact():
     cloud = lq.sample(_strong_r_gifs(), 5000, seed=3)
-    for h in (0.25, 0.03, 0.004):
-        assert lq.partition_sum(cloud, h, 1.0, total_mass=2.0) == 2.0
+    assert lq.partition_sum(cloud, [0.25, 0.03, 0.004], 1.0, total_mass=2.0) == [2.0] * 3
 
 
 def test_partition_q0_counts_boxes():
     cloud = lq.sample(_strong_r_gifs(), 5000, seed=3)
-    s0 = lq.partition_sum(cloud, 0.125, 0.0, total_mass=2.0)
+    (s0,) = lq.partition_sum(cloud, [0.125], 0.0, total_mass=2.0)
     assert s0 == int(s0)
     assert 1 <= s0 <= 16
 
@@ -202,16 +202,58 @@ def test_partition_single_box():
         depth_eps=1e-9,
         grid_anchor=(0.0,),
     )
-    assert lq.partition_sum(cloud, 1.0, 2.0, total_mass=2.0) == pytest.approx(4.0)
+    assert lq.partition_sum(cloud, [1.0], 2.0, total_mass=2.0) == [pytest.approx(4.0)]
 
 
 def test_partition_normalized_nonincreasing_in_q():
     cloud = lq.sample(_strong_r_gifs(), 20000, seed=9)
-    for h in (0.06, 0.01):
-        vals = [
-            lq.partition_sum(cloud, h, q, total_mass=1.0) for q in (0.0, 0.5, 1.0, 2.0, 4.0)
-        ]
+    by_q = [lq.partition_sum(cloud, [0.06, 0.01], q, total_mass=1.0) for q in (0.0, 0.5, 1.0, 2.0, 4.0)]
+    for vals in zip(*by_q):
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+_DYADIC = [2.0**-k for k in range(4, 12)]
+_SCALE_LISTS = {
+    "dyadic": _DYADIC,
+    "dyadic-shuffled": [_DYADIC[i] for i in (3, 7, 0, 5, 1, 6, 2, 4)],
+    "non-dyadic": [0.1, 0.07, 0.03, 0.013],
+    # 0.05 -> 0.1 and 0.0125 -> 0.025 -> 0.05 are exact doublings, 0.0625 / 0.05
+    # is not, and 0.03125 appears twice
+    "mixed": [0.0625, 0.05, 0.03125, 0.0125, 0.1, 0.025, 0.0078125, 0.03125, 0.004],
+}
+
+
+def _cloud_below_anchor(dim):
+    # points a hair below the anchor have key -1 at every scale, so their
+    # box stays apart from box 0 only if the coarser keys are floored
+    rng = np.random.default_rng(5)
+    pts = np.concatenate([rng.uniform(0.0, 0.3, (200, dim)), np.full((7, dim), -1e-12)])
+    pts[:3, 0] = -1e-12
+    return lq.SampleCloud(
+        points=pts, source_vertex=np.zeros(len(pts), dtype=int), depth_eps=1e-9,
+        grid_anchor=(0.0,) * dim,
+    )
+
+
+@pytest.fixture(scope="module")
+def clouds():
+    return {
+        "1d": lq.sample(_strong_r_gifs(), 5000, seed=3),
+        "2d": lq.sample(lq.build_example(lq.canonical_params("strong-r2")), 3000, seed=3),
+        "1d-below-anchor": _cloud_below_anchor(1),
+        "2d-below-anchor": _cloud_below_anchor(2),
+    }
+
+
+@pytest.mark.parametrize("scales", _SCALE_LISTS)
+@pytest.mark.parametrize("cloud_id", ["1d", "2d", "1d-below-anchor", "2d-below-anchor"])
+def test_partition_sum_matches_oracle(clouds, cloud_id, scales):
+    cloud, hs = clouds[cloud_id], _SCALE_LISTS[scales]
+    for got, h in zip(empirical._box_counts(cloud.points, cloud.grid_anchor, hs), hs):
+        assert np.array_equal(got, oracle_box_counts(cloud, h))
+    for q in (0.0, 0.5, 1.0, 2.0, 3.7):
+        want = [oracle_partition_sum(cloud, h, q, total_mass=3.0) for h in hs]
+        assert lq.partition_sum(cloud, hs, q, total_mass=3.0) == want
 
 
 # -- estimator -----------------------------------------------------------------
