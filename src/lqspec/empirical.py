@@ -52,8 +52,7 @@ _ORIENTATION_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SampleCloud:
-    points: np.ndarray  # (n, d)
-    source_vertex: np.ndarray  # (n,) int
+    points: np.ndarray  # (n, d), vertex-major: n_per_vertex points from each vertex
     depth_eps: float
     grid_anchor: tuple = ()
 
@@ -89,7 +88,6 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, depth_eps: float = 1e-9) -> Sa
             chunks.append(_walk_chunk(tables, v, count, rng, depth_eps))
     return SampleCloud(
         points=np.concatenate(chunks) if chunks else np.zeros((0, g.dim)),
-        source_vertex=np.repeat(np.arange(g.num_vertices, dtype=np.int64), n_per_vertex),
         depth_eps=depth_eps,
         grid_anchor=tuple(lo for lo, _ in g.bbox),
     )

@@ -17,7 +17,7 @@ from lqspec.empirical import CHUNK_SIZE
 
 
 def oracle_sample(g, n_per_vertex: int, seed: int, depth_eps: float = 1e-9):
-    """(points, source_vertex) drawn chunk by chunk, vertex-major."""
+    """(points, vertex of each point) drawn chunk by chunk, vertex-major."""
     anchor = np.asarray(g.anchor, dtype=float)
     tables = []
     for v in range(g.num_vertices):

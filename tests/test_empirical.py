@@ -40,7 +40,6 @@ def test_sampling_deterministic():
     a = lq.sample(g, 10_000, seed=42)
     b = lq.sample(g, 10_000, seed=42)
     assert np.array_equal(a.points, b.points)
-    assert np.array_equal(a.source_vertex, b.source_vertex)
     c = lq.sample(g, 10_000, seed=43)
     assert not np.array_equal(a.points, c.points)
 
@@ -50,7 +49,8 @@ def test_sampling_deterministic():
 def _assert_matches_oracle(g, n, seed):
     cloud = lq.sample(g, n, seed=seed)
     points, vertices = oracle_sample(g, n, seed)
-    assert np.array_equal(cloud.source_vertex, vertices)
+    # both are vertex-major, n points per vertex
+    assert np.array_equal(vertices, np.repeat(np.arange(g.num_vertices), n))
     if g.dim == 1:
         assert np.array_equal(cloud.points, points)
     else:
@@ -169,15 +169,18 @@ def test_sample_means_match_fixed_point():
         exact = np.linalg.solve(np.eye(n) - A, b)
         cloud = lq.sample(g, 200_000, seed=11)
         for v in range(g.num_vertices):
-            got = cloud.points[cloud.source_vertex == v].mean(axis=0)
+            got = cloud.points[v * 200_000 : (v + 1) * 200_000].mean(axis=0)
             assert np.max(np.abs(got - exact[d * v : d * v + d])) < 5e-3
 
 
 def test_source_vertices_balanced():
     g = _strong_r_gifs()
     cloud = lq.sample(g, 500, seed=1)
-    counts = np.bincount(cloud.source_vertex, minlength=2)
-    assert tuple(counts) == (500, 500)
+    points, vertices = oracle_sample(g, 500, seed=1)
+    # vertex v's 500 points are the slice points[500 v : 500 (v + 1)]
+    assert len(cloud) == 1000
+    for v in range(2):
+        assert np.array_equal(cloud.points[500 * v : 500 * (v + 1)], points[vertices == v])
 
 
 # -- partition sums ----------------------------------------------------------
@@ -198,7 +201,6 @@ def test_partition_single_box():
     pts = np.full((50, 1), 0.3)
     cloud = lq.SampleCloud(
         points=pts,
-        source_vertex=np.zeros(50, dtype=int),
         depth_eps=1e-9,
         grid_anchor=(0.0,),
     )
@@ -229,10 +231,7 @@ def _cloud_below_anchor(dim):
     rng = np.random.default_rng(5)
     pts = np.concatenate([rng.uniform(0.0, 0.3, (200, dim)), np.full((7, dim), -1e-12)])
     pts[:3, 0] = -1e-12
-    return lq.SampleCloud(
-        points=pts, source_vertex=np.zeros(len(pts), dtype=int), depth_eps=1e-9,
-        grid_anchor=(0.0,) * dim,
-    )
+    return lq.SampleCloud(points=pts, depth_eps=1e-9, grid_anchor=(0.0,) * dim)
 
 
 @pytest.fixture(scope="module")
