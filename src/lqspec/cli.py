@@ -288,7 +288,7 @@ def cmd_estimate(cfg: RunConfig) -> int:
             "tau_emp": fit.slope,
             "stderr": fit.stderr,
             "scales": list(fit.scales),
-            "sums": list(fit.sums),
+            "log_sums": list(fit.log_sums),
         }
     )
     return 0

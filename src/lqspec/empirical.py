@@ -64,7 +64,7 @@ class SampleCloud:
 class ScalingFit:
     q: float
     scales: tuple[float, ...]
-    sums: tuple[float, ...]
+    log_sums: tuple[float, ...]  # log S_q(h) at each scale
     slope: float
     stderr: float
 
@@ -230,23 +230,37 @@ def _walk_chunk(tables: _WalkTables, start_vertex, count, rng, depth_eps):
 
 
 def partition_sum(cloud: SampleCloud, scales, q: float, total_mass: float) -> list[float]:
-    """Sums of q-th powers of empirical box masses, one per grid side in scales.
+    """log S_q(h) for each grid side h in scales, where S_q(h) is the sum of
+    q-th powers of the empirical box masses.
 
     Boxes are anchored at the family bounding-box corner (no random
-    offsets); the empirical mass of a box is total_mass * count / N.
+    offsets); the empirical mass of a box is total_mass * count / N.  An
+    empty cloud gives -inf at every scale.
     """
     hs = [float(h) for h in scales]
     if not all(h > 0.0 for h in hs):
         raise ValueError("h must be positive")
     n = len(cloud)
     if n == 0:
-        return [0.0] * len(hs)
-    # total_mass^q * sum (c/n)^q, arranged so q=1 returns total_mass exactly
-    # (integer counts sum to n without rounding).
+        return [-math.inf] * len(hs)
     return [
-        float(total_mass**q * np.sum(counts.astype(float) ** q) / float(n) ** q)
+        _log_sum_of_powers(counts, n, q, total_mass)
         for counts in _box_counts(cloud.points, cloud.grid_anchor, hs)
     ]
+
+
+def _log_sum_of_powers(counts, n, q, total_mass):
+    """log of total_mass^q * sum (c/n)^q, finite for every q.
+
+    The counts are scaled by the one (largest for q >= 0, smallest below)
+    that keeps every (c/ref)^q in (0, 1], so the sum lies in [1, #boxes].
+    """
+    if q == 1.0:
+        # the masses sum to total_mass exactly: the counts sum to n
+        return math.log(total_mass)
+    c = counts.astype(float)
+    ref = c.max() if q >= 0.0 else c.min()
+    return q * math.log(total_mass * ref / n) + math.log(np.sum((c / ref) ** q))
 
 
 def _box_counts(points, anchor, hs):
@@ -331,13 +345,12 @@ def estimate_tau(
         )
     if cloud is None:
         cloud = sample(g, n_per_vertex, seed, depth_eps=depth_eps)
-    total_mass = float(g.num_vertices)
-    sums = partition_sum(cloud, hs, q, total_mass=total_mass)
-    if any(s <= 0.0 for s in sums):
+    if len(cloud) == 0:
         raise InsufficientScales("empty partition sum; increase samples")
+    log_sums = partition_sum(cloud, hs, q, total_mass=float(g.num_vertices))
 
     x = np.log(hs)
-    y = np.log(sums)
+    y = np.array(log_sums)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     dof = len(hs) - 2
@@ -347,7 +360,7 @@ def estimate_tau(
     return ScalingFit(
         q=q,
         scales=tuple(hs),
-        sums=tuple(sums),
+        log_sums=tuple(log_sums),
         slope=float(slope),
         stderr=stderr,
     )
@@ -358,7 +371,7 @@ def estimate_tau(
 # ---------------------------------------------------------------------------
 
 def fit_to_csv(fit: ScalingFit) -> str:
-    lines = ["h,S_q"]
-    for h, s in zip(fit.scales, fit.sums):
+    lines = ["h,log_S_q"]
+    for h, s in zip(fit.scales, fit.log_sums):
         lines.append(f"{format(h, '.17g')},{format(s, '.17g')}")
     return "\n".join(lines) + "\n"

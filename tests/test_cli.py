@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -109,7 +110,7 @@ def test_estimate_and_compare(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert abs(payload["tau_emp"]) <= 0.02
-    assert out_path.read_text().startswith("h,S_q\n")
+    assert out_path.read_text().startswith("h,log_S_q\n")
 
     code, out, _ = run(
         capsys,
@@ -119,6 +120,23 @@ def test_estimate_and_compare(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["abs_difference"] <= 0.05
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("estimate", "--family", "strong-r", "--q", "200", "--samples", "20000"),
+        ("compare", "--family", "strong-r", "--q", "120", "--samples", "20000"),
+    ],
+)
+def test_large_q_estimate_is_finite(capsys, argv):
+    # S_q leaves the double range long before q = 200; its log does not
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert math.isfinite(payload["tau_emp"])
+    for log_s in payload.get("log_sums", []):
+        assert math.isfinite(log_s)
 
 
 def test_config_file_and_roundtrip(tmp_path, capsys):

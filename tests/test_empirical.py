@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -187,14 +188,16 @@ def test_source_vertices_balanced():
 
 def test_partition_q1_mass_exact():
     cloud = lq.sample(_strong_r_gifs(), 5000, seed=3)
-    assert lq.partition_sum(cloud, [0.25, 0.03, 0.004], 1.0, total_mass=2.0) == [2.0] * 3
+    got = lq.partition_sum(cloud, [0.25, 0.03, 0.004], 1.0, total_mass=2.0)
+    assert got == [math.log(2.0)] * 3
 
 
 def test_partition_q0_counts_boxes():
     cloud = lq.sample(_strong_r_gifs(), 5000, seed=3)
-    (s0,) = lq.partition_sum(cloud, [0.125], 0.0, total_mass=2.0)
-    assert s0 == int(s0)
-    assert 1 <= s0 <= 16
+    (log_s0,) = lq.partition_sum(cloud, [0.125], 0.0, total_mass=2.0)
+    boxes = round(math.exp(log_s0))
+    assert log_s0 == math.log(boxes)
+    assert 1 <= boxes <= 16
 
 
 def test_partition_single_box():
@@ -204,7 +207,7 @@ def test_partition_single_box():
         depth_eps=1e-9,
         grid_anchor=(0.0,),
     )
-    assert lq.partition_sum(cloud, [1.0], 2.0, total_mass=2.0) == [pytest.approx(4.0)]
+    assert lq.partition_sum(cloud, [1.0], 2.0, total_mass=2.0) == [pytest.approx(math.log(4.0))]
 
 
 def test_partition_normalized_nonincreasing_in_q():
@@ -250,9 +253,27 @@ def test_partition_sum_matches_oracle(clouds, cloud_id, scales):
     cloud, hs = clouds[cloud_id], _SCALE_LISTS[scales]
     for got, h in zip(empirical._box_counts(cloud.points, cloud.grid_anchor, hs), hs):
         assert np.array_equal(got, oracle_box_counts(cloud, h))
-    for q in (0.0, 0.5, 1.0, 2.0, 3.7):
-        want = [oracle_partition_sum(cloud, h, q, total_mass=3.0) for h in hs]
-        assert lq.partition_sum(cloud, hs, q, total_mass=3.0) == want
+    for q in (0.0, 0.5, 1.0, 2.0, 3.7, -1.5):
+        got = lq.partition_sum(cloud, hs, q, total_mass=3.0)
+        want = [math.log(oracle_partition_sum(cloud, h, q, total_mass=3.0)) for h in hs]
+        # the log is summed in another arrangement: a few ulps of its size
+        assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("q", [2.0, 60.0, 200.0, 1000.0, -60.0, -200.0])
+def test_partition_sum_large_q_matches_exact_rational_sums(q):
+    # S_q = M^q sum c^q / n^q with sum c^q an exact rational: no overflow,
+    # no rounding before the final logs
+    cloud = lq.sample(_strong_r_gifs(), 20_000, seed=1)
+    hs = [2.0**-k for k in range(4, 12)]
+    got = lq.partition_sum(cloud, hs, q, total_mass=2.0)
+    assert all(math.isfinite(s) for s in got)
+    for log_s, h in zip(got, hs):
+        counts = oracle_box_counts(cloud, h)
+        exact = sum(Fraction(int(c)) ** int(q) for c in counts)
+        log_exact = math.log(exact.numerator) - math.log(exact.denominator)
+        want = q * math.log(2.0) + log_exact - q * math.log(len(cloud))
+        assert abs(log_s - want) <= 1e-14 * (1.0 + abs(want))
 
 
 # -- estimator -----------------------------------------------------------------
@@ -305,8 +326,8 @@ def test_fit_csv_roundtrip():
     g = _strong_r_gifs()
     fit = lq.estimate_tau(g, 0.5, [2.0**-k for k in range(4, 9)], 5000, seed=4)
     lines = fit_to_csv(fit).strip().split("\n")
-    assert lines[0] == "h,S_q"
-    for line, h, s in zip(lines[1:], fit.scales, fit.sums):
+    assert lines[0] == "h,log_S_q"
+    for line, h, s in zip(lines[1:], fit.scales, fit.log_sums):
         sh, ss = line.split(",")
         assert float(sh) == h
         assert float(ss) == s
