@@ -271,7 +271,9 @@ def _box_counts(points, anchor, hs):
     that level's distinct keys shifted right by j: dividing by a power of
     two is exact and floor(y / 2^j) = floor(y) >> j, so every box gets the
     count that binning the points would give.  Any other side bins the
-    points.  Each array lists its boxes in lexicographic key order.
+    points.  Each array lists its boxes in lexicographic key order.  A side
+    so fine that the keys or the grid around the points would need more
+    than 62 bits raises InvalidParams.
     """
     anchor = np.asarray(anchor, dtype=float)
     out = [None] * len(hs)
@@ -280,12 +282,21 @@ def _box_counts(points, anchor, hs):
         h = hs[i]
         j = _octaves(prev, h)
         if j is None:
-            keys, counts = _distinct(np.floor((points - anchor) / h).astype(np.int64))
+            keys, counts = _distinct(_box_keys(points, anchor, h))
         elif j:
             keys, counts = _distinct(keys >> j, counts)
         out[i] = counts
         prev = h
     return out
+
+
+def _box_keys(points, anchor, h):
+    """The integer keys floor((p - anchor) / h) of the points' boxes."""
+    y = np.floor((points - anchor) / h)
+    lo, hi = y.min(axis=0), y.max(axis=0)
+    if max(-lo.min(), hi.max()) >= 2.0**62 or np.prod(hi - lo + 1.0) >= 2.0**62:
+        raise InvalidParams(f"box side {h} is too fine to index the boxes in 62 bits")
+    return y.astype(np.int64)
 
 
 def _octaves(fine, h):

@@ -267,6 +267,20 @@ def test_nonpositive_or_nan_scales_exit_2(monkeypatch, capsys, command, scales):
     assert out == "" and err.startswith("error:") and "scales" in err
 
 
+@pytest.mark.parametrize(
+    "family, scales",
+    [("strong-r2", "--scales=1e-10,1e-11,1e-12"), ("strong-r", "--scales=1e-300,1e-301,1e-302")],
+)
+def test_box_side_too_fine_for_integer_keys_exits_2(capsys, family, scales):
+    # the packed keys of the first would overflow int64; the second's keys
+    # (about 1e299) would not fit one, and a cast would put every point in
+    # one box
+    code, out, err = run(capsys, "estimate", "--family", family, "--q", "2",
+                         "--samples", "2000", scales)
+    assert code == 2
+    assert out == "" and err.startswith("error: box side") and "too fine" in err
+
+
 @pytest.mark.parametrize("depth_eps", ["-1", "0", "nan"])
 def test_bad_depth_eps_exits_2(monkeypatch, capsys, depth_eps):
     # -1 never stops a walk; validation must come before the first one

@@ -222,9 +222,10 @@ _SCALE_LISTS = {
     "dyadic": _DYADIC,
     "dyadic-shuffled": [_DYADIC[i] for i in (3, 7, 0, 5, 1, 6, 2, 4)],
     "non-dyadic": [0.1, 0.07, 0.03, 0.013],
-    # 0.05 -> 0.1 and 0.0125 -> 0.025 -> 0.05 are exact doublings, 0.0625 / 0.05
-    # is not, and 0.03125 appears twice
-    "mixed": [0.0625, 0.05, 0.03125, 0.0125, 0.1, 0.025, 0.0078125, 0.03125, 0.004],
+    # finest first: 2^-10, 0.004 and 0.0125 (listed twice) bin the points;
+    # 0.025 and 0.1 come from the boxes before them (x2, x4); 0.125 bins the
+    # points again and 0.5 is x4 of it
+    "mixed": [0.1, 0.0125, 0.025, 2.0**-10, 0.004, 0.125, 0.0125, 0.5],
 }
 
 
