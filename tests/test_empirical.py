@@ -212,7 +212,9 @@ def test_partition_single_box():
 
 def test_partition_normalized_nonincreasing_in_q():
     cloud = lq.sample(_strong_r_gifs(), 20000, seed=9)
-    by_q = [lq.partition_sum(cloud, [0.06, 0.01], q, total_mass=1.0) for q in (0.0, 0.5, 1.0, 2.0, 4.0)]
+    by_q = [
+        lq.partition_sum(cloud, [0.06, 0.01], q, total_mass=1.0) for q in (0.0, 0.5, 1.0, 2.0, 4.0)
+    ]
     for vals in zip(*by_q):
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
