@@ -151,14 +151,14 @@ def _config_from_args(args) -> RunConfig:
         if not args.family:
             raise ConfigError("--family is required (or use --config)")
         cfg = RunConfig(family=args.family)
-    if getattr(args, "probs", None):
+    if args.probs:
         cfg.probs = _parse_probs_arg(args.probs)
     for name in ("rho", "r", "t", "s", "q", "q_min", "q_max", "steps", "samples", "seed",
                  "depth_eps", "step", "tie_tol", "output"):
-        v = getattr(args, name, None)
+        v = getattr(args, name)
         if v is not None:
             setattr(cfg, name, v)
-    if getattr(args, "scales", None) or getattr(args, "scale_octaves", None):
+    if args.scales or args.scale_octaves:
         cfg.scales = _parse_scales(args)
     return cfg
 
@@ -325,25 +325,23 @@ _COMMANDS = {
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="lqspec", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--family", choices=FAMILY_IDS)
-        sp.add_argument("--config", help="JSON config file with the same fields as the flags")
-        for flag in ("--rho", "--r", "--t", "--s"):
-            sp.add_argument(flag)
-        sp.add_argument("--probs", help="'uniform', 'symmetric', or e1=1/3,e2=1/3,...")
-        for flag in ("--q", "--q-min", "--q-max", "--depth-eps", "--tie-tol"):
-            sp.add_argument(flag, type=float)
-        for flag in ("--steps", "--samples", "--seed"):
-            sp.add_argument(flag, type=int)
-        sp.add_argument("--scales", help="comma-separated box sides")
-        sp.add_argument(
-            "--scale-octaves", nargs=2, type=int, metavar=("LO", "HI"),
-            help="use sides 2^-LO .. 2^-HI",
-        )
-        sp.add_argument("--step", type=float, help="finite-difference step")
-        sp.add_argument("--output", "-o")
+    ap.add_argument("command", choices=list(_COMMANDS))
+    ap.add_argument("--family", choices=FAMILY_IDS)
+    ap.add_argument("--config", help="JSON config file with the same fields as the flags")
+    for flag in ("--rho", "--r", "--t", "--s"):
+        ap.add_argument(flag)
+    ap.add_argument("--probs", help="'uniform', 'symmetric', or e1=1/3,e2=1/3,...")
+    for flag in ("--q", "--q-min", "--q-max", "--depth-eps", "--tie-tol"):
+        ap.add_argument(flag, type=float)
+    for flag in ("--steps", "--samples", "--seed"):
+        ap.add_argument(flag, type=int)
+    ap.add_argument("--scales", help="comma-separated box sides")
+    ap.add_argument(
+        "--scale-octaves", nargs=2, type=int, metavar=("LO", "HI"),
+        help="use sides 2^-LO .. 2^-HI",
+    )
+    ap.add_argument("--step", type=float, help="finite-difference step")
+    ap.add_argument("--output", "-o")
     return ap
 
 

@@ -379,3 +379,89 @@ def test_classify_computes_one_lattice_verdict_per_cyclic_class(monkeypatch, cap
     assert len(calls) == len(set(calls)) == len(cyclic)
     assert all("lattice" in c for c in cyclic)
     assert not any("lattice" in c for c in classes if c["degenerate"])
+
+
+# -- the flat parser -------------------------------------------------------------
+
+def _subcommand_parser():
+    """The former parser, one subparser per command with the same flags: the
+    oracle for the flat parser's Namespace."""
+    import argparse
+
+    ap = argparse.ArgumentParser(prog="lqspec")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name in cli._COMMANDS:
+        sp = sub.add_parser(name)
+        sp.add_argument("--family", choices=cli.FAMILY_IDS)
+        sp.add_argument("--config")
+        for flag in ("--rho", "--r", "--t", "--s", "--probs"):
+            sp.add_argument(flag)
+        for flag in ("--q", "--q-min", "--q-max", "--depth-eps", "--tie-tol"):
+            sp.add_argument(flag, type=float)
+        for flag in ("--steps", "--samples", "--seed"):
+            sp.add_argument(flag, type=int)
+        sp.add_argument("--scales")
+        sp.add_argument("--scale-octaves", nargs=2, type=int)
+        sp.add_argument("--step", type=float)
+        sp.add_argument("--output", "-o")
+    return ap
+
+
+def _golden_argvs():
+    from test_golden import CASES
+
+    for family in cli.FAMILY_IDS:
+        for flags in CASES.values():
+            command, *rest = flags.split()
+            yield [command, "--family", family, *rest]
+
+
+_MORE_ARGVS = [
+    ["solve", "--family", "strong-r", "--rho", "1/3", "--r", "2/7", "--probs", "uniform",
+     "--q", "1"],
+    ["solve", "--family", "nonstrong-r2", "--t", "0.5", "--s", "1/4", "--q", "-1"],
+    ["curve", "--family", "strong-r", "--q-min", "0.0", "--q-max", "10.0", "--steps", "101",
+     "-o", "curve.csv"],
+    ["estimate", "--config", "cfg.json", "--scale-octaves", "4", "11", "--depth-eps", "1e-6"],
+    ["compare", "--family", "strong-r", "--scales", "1/16,1/32,1/64", "--seed", "3"],
+    ["classify", "--family", "nonstrong-r-heights", "--probs", "e1=0.2,e2=0.3,e3=0.5",
+     "--tie-tol", "1e-8"],
+    ["derivative", "--family", "strong-r", "--q", "2", "--step", "1e-3", "--output", "d.json"],
+]
+
+
+@pytest.mark.parametrize("argv", [*_golden_argvs(), *_MORE_ARGVS], ids=" ".join)
+def test_flat_parser_matches_subcommand_parser(argv):
+    assert cli._build_parser().parse_args(argv) == _subcommand_parser().parse_args(argv)
+
+
+def test_flags_may_come_before_the_command(capsys):
+    code, after, _ = run(capsys, "solve", "--family", "strong-r", "--q", "2")
+    assert code == 0
+    code, before, _ = run(capsys, "--family", "strong-r", "--q", "2", "solve")
+    assert code == 0
+    assert before == after
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"], ["-h"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: lqspec" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["--family", "strong-r", "--q", "2"], "the following arguments are required: command"),
+        (["frobnicate", "--family", "strong-r"], "invalid choice: 'frobnicate'"),
+        (["solve", "curve", "--family", "strong-r"], "unrecognized arguments: curve"),
+    ],
+)
+def test_missing_or_unknown_command_exits_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
