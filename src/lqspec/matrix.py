@@ -313,6 +313,16 @@ class CompiledBlock:
     log_len: np.ndarray
     series: tuple[tuple[AtomFamily, tuple[int, ...]], ...]
 
+    def __eq__(self, other):
+        """Same size, atoms and series: the same M(alpha) at every q."""
+        return (
+            isinstance(other, CompiledBlock)
+            and self.size == other.size
+            and self.series == other.series
+            and all(np.array_equal(getattr(self, f), getattr(other, f))
+                    for f in ("cells", "log_w", "log_len"))
+        )
+
     def domain_sup(self, q: float) -> float | None:
         sups = [s for fam, _ in self.series if (s := fam.domain_sup(q)) is not None]
         return min(sups) if sups else None

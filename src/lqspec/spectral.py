@@ -357,7 +357,7 @@ def _certified(alpha, q, m, mq, grad, el, evals) -> ClassRoot:
 
 @dataclass(frozen=True)
 class CompiledClasses:
-    """A spec's class decomposition with one compiled block per cyclic class."""
+    """A spec's class decomposition; classes with equal blocks share one block."""
 
     decomposition: ClassDecomposition
     blocks: dict  # class index -> CompiledBlock (non-degenerate classes only)
@@ -365,11 +365,11 @@ class CompiledClasses:
 
 def compile_classes(spec: MeasureMatrixSpec) -> CompiledClasses:
     deco = communication_classes(spec)
-    blocks = {
-        ci: compile_block(spec, members)
-        for ci, members in enumerate(deco.classes)
-        if not deco.degenerate[ci]
-    }
+    blocks: dict[int, CompiledBlock] = {}
+    for ci, members in enumerate(deco.classes):
+        if not deco.degenerate[ci]:
+            block = compile_block(spec, members)
+            blocks[ci] = next((b for b in blocks.values() if b == block), block)
     return CompiledClasses(deco, blocks)
 
 
@@ -433,7 +433,9 @@ def classify(
     them through chains avoiding degenerate links, each of which satisfies
     the radius-one condition under its own component exponent.  Cells
     outside the attaining set are tagged by whether an attaining class
-    reaches them in the support digraph.  ``compiled`` (from
+    reaches them in the support digraph.  Classes with equal blocks are
+    solved once, from the first such class's hint, and share one
+    ``ClassRoot``.  ``compiled`` (from
     ``compile_classes(spec)``) saves redoing the decomposition and the block
     compilation when one spec is solved at many q.  The lattice verdict does
     not depend on q and is not part of the result; see ``lattice_check``.
@@ -445,10 +447,12 @@ def classify(
     deco = compiled.decomposition
     hints = bracket_hints or {}
 
-    roots = {
-        ci: class_root(block, q, bracket_hint=hints.get(ci))
-        for ci, block in compiled.blocks.items()
-    }
+    roots: dict[int, ClassRoot] = {}
+    solved: dict[int, ClassRoot] = {}  # id of a (possibly shared) block -> its root
+    for ci, block in compiled.blocks.items():
+        if id(block) not in solved:
+            solved[id(block)] = class_root(block, q, bracket_hint=hints.get(ci))
+        roots[ci] = solved[id(block)]
     if not roots:
         raise DegenerateClass("no class carries a cycle; no root exists")
 

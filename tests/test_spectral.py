@@ -279,6 +279,116 @@ def test_component_slots_consistent_across_families():
         assert rooted == set(range(max(spec.scc_of) + 1))
 
 
+# -- one root per distinct class block -------------------------------------------
+
+def _count_class_roots(monkeypatch) -> list:
+    """Record the block of every ``spectral.class_root`` call."""
+    calls = []
+    inner = lq.spectral.class_root
+
+    def counted(block, q, bracket_hint=None):
+        calls.append(block)
+        return inner(block, q, bracket_hint=bracket_hint)
+
+    monkeypatch.setattr(lq.spectral, "class_root", counted)
+    return calls
+
+
+_DISTINCT_BLOCKS = {
+    "strong-r": 1,
+    "strong-r2": 1,
+    "nonstrong-r-basic": 2,
+    "nonstrong-r-heights": 3,
+    "nonstrong-r2": 2,
+}
+
+
+@pytest.mark.parametrize("q", [2.0, 40.0])
+@pytest.mark.parametrize("fid", lq.FAMILY_IDS)
+def test_tau_solves_each_distinct_block_once(monkeypatch, fid, q):
+    spec = _spec_of(fid)
+    calls = _count_class_roots(monkeypatch)
+    lq.tau(spec, q)
+    assert len(calls) == _DISTINCT_BLOCKS[fid]
+    assert all(a is not b for i, a in enumerate(calls) for b in calls[:i])
+
+
+@pytest.mark.parametrize("q", [1.0, 16.0, 100.0])
+def test_heights_twin_classes_share_block_and_root(q):
+    spec = _spec_of("nonstrong-r-heights")
+    compiled = lq.spectral.compile_classes(spec)
+    assert sorted(compiled.blocks) == [0, 1, 2, 3, 4, 6]  # class 5 has no cycle
+    assert compiled.blocks[0] is compiled.blocks[2]
+    assert compiled.blocks[1] is compiled.blocks[3] is compiled.blocks[4]
+    assert compiled.blocks[0] != compiled.blocks[1] != compiled.blocks[6] != compiled.blocks[0]
+    roots = lq.classify(spec, q, compiled=compiled).roots
+    assert roots[0] == roots[2]
+    assert roots[1] == roots[3] == roots[4]
+    # a block compiled on its own solves to the same root, bit for bit
+    for ci in (2, 3, 4):
+        alone = lq.class_root(compile_block(spec, compiled.decomposition.classes[ci]), q)
+        assert float(alone) == float(roots[ci])
+
+
+@pytest.mark.parametrize("q", [2.0, 40.0])
+def test_heights_distinct_components_each_get_a_root(monkeypatch, q):
+    # each vertex splits its mass differently, so no two class blocks agree
+    probs = {}
+    for v, grp in enumerate(lq.families.family("nonstrong-r-heights").groups):
+        w = np.array([1.0 + 0.15 * v + 0.1 * k for k in range(len(grp))])
+        probs.update(zip(grp, w / w.sum()))
+    p = FamilyParams("nonstrong-r-heights", rho=1 / 3, r=2 / 7, probs=probs)
+    spec = lq.build_matrix_spec(p)
+    calls = _count_class_roots(monkeypatch)
+    alpha, result = lq.tau(spec, q)
+    deco = result.decomposition
+    cyclic = [ci for ci in range(deco.num_classes) if not deco.degenerate[ci]]
+    assert len(calls) == len(cyclic) == 6
+    closed = lq.build_closed_form(p).solve(q)
+    assert alpha == pytest.approx(closed.tau, abs=1e-9)
+    for labels, root in zip(closed.labels, closed.roots):
+        ci = next(c for c in cyclic if result.labels_of_class(spec, c) == labels)
+        assert result.roots[ci] == pytest.approx(root, abs=1e-9)
+
+
+def _diagonal_blocks_spec(blocks) -> MeasureMatrixSpec:
+    """A spec whose classes are the given square entry blocks, unlinked."""
+    n = sum(len(b) for b in blocks)
+    grid = [[EntrySpec() for _ in range(n)] for _ in range(n)]
+    start = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            for j, e in enumerate(row):
+                grid[start + i][start + j] = e
+        start += len(b)
+    return MeasureMatrixSpec(n=n, entries=tuple(map(tuple, grid)), scc_of=(0,) * n, dim=1)
+
+
+_A = EntrySpec((atom(0.25, 0.5),))
+_Z = EntrySpec()
+
+
+@pytest.mark.parametrize(
+    "blocks, distinct",
+    [
+        # the same atoms, with series that differ only in their mass
+        ([[[EntrySpec((atom(0.25, 0.5), lq.matrix.geometric_family(c, 0.5, 0.5, 0.5)))]]
+          for c in (0.2, 0.3, 0.2)], 2),
+        # the same atoms in different cells
+        ([[[_A, _A], [_A, _Z]], [[_Z, _A], [_A, _A]], [[_A, _A], [_A, _Z]]], 2),
+    ],
+    ids=["series", "cells"],
+)
+def test_blocks_share_a_root_only_when_equal(monkeypatch, blocks, distinct):
+    spec = _diagonal_blocks_spec(blocks)
+    compiled = lq.spectral.compile_classes(spec)
+    b = compiled.blocks
+    assert b[0] is b[2] and b[0] != b[1]
+    calls = _count_class_roots(monkeypatch)
+    lq.classify(spec, 1.0, compiled=compiled)
+    assert len(calls) == distinct
+
+
 # -- lattice ---------------------------------------------------------------------
 
 def test_lattice_commensurable_strong_r():
