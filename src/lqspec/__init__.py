@@ -7,7 +7,7 @@ by three routes:
   split into communication classes, each class block is compiled
   (``matrix.compile_block``), its root solves "spectral radius = 1"
   (``spectral.class_root``), and ``spectral.classify`` takes the minimum;
-  ``solver`` assembles tau(q) curves and their Legendre transforms;
+  ``solver`` assembles tau(q) curves, their slopes and Legendre transforms;
 - closed forms: the families' characteristic functions
   (``closed_forms``);
 - Monte Carlo: a chaos game on the family's graph (``gifs.build_example``)
@@ -26,6 +26,7 @@ from .errors import (
     LqSpecError,
     NoBracket,
     NoConvergence,
+    NotDifferentiable,
     SamplerBound,
     SingularHalpha,
 )
@@ -41,7 +42,7 @@ from .matrix import (
     build_matrix_spec,
     entry_value,
 )
-from .solver import LegendreCurve, SpectrumCurve, legendre, tau, tau_curve, tau_prime_fd
+from .solver import LegendreCurve, SpectrumCurve, legendre, tau, tau_curve, tau_slopes
 from .spectral import (
     ClassDecomposition,
     ClassificationResult,

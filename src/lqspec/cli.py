@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes form a stable scripting contract: 0 on success, 2 on usage or
-configuration errors, 3 on numeric failures.
+configuration errors (a flag the command does not read is one; an unread
+config-file field is not, so one config can serve several commands), 3 on
+numeric failures.
 """
 
 from __future__ import annotations
@@ -13,15 +15,18 @@ import sys
 from dataclasses import dataclass, field, replace
 
 from . import closed_forms, empirical, solver, spectral
-from .errors import ConfigError, InsufficientScales, InvalidGrid, InvalidParams, LqSpecError
+from .errors import (
+    ConfigError, InsufficientScales, InvalidGrid, InvalidParams, LqSpecError, NotDifferentiable,
+)
 from .families import FAMILY_IDS, FamilyParams, canonical_params, default_probs
 from .gifs import build_example, parse_number
 from .matrix import build_matrix_spec
 
 
-_FLOAT_FIELDS = ("q", "q_min", "q_max", "depth_eps", "step", "tie_tol")
+_FLOAT_FIELDS = ("q", "q_min", "q_max", "depth_eps", "tie_tol")
 _INT_FIELDS = ("steps", "samples", "seed")
 _PARAM_FIELDS = ("rho", "r", "t", "s")
+_KINK_TOL = 1e-9  # one-sided slopes of tau further apart than this mean tau' does not exist
 
 
 def _config_number(name: str, v) -> float:
@@ -57,7 +62,6 @@ class RunConfig:
     samples: int = 1_000_000
     seed: int = 42
     depth_eps: float = 1e-9
-    step: float = 1e-4
     tie_tol: float = 1e-9
     output: str | None = None
 
@@ -154,7 +158,7 @@ def _config_from_args(args) -> RunConfig:
     if args.probs:
         cfg.probs = _parse_probs_arg(args.probs)
     for name in ("rho", "r", "t", "s", "q", "q_min", "q_max", "steps", "samples", "seed",
-                 "depth_eps", "step", "tie_tol", "output"):
+                 "depth_eps", "tie_tol", "output"):
         v = getattr(args, name)
         if v is not None:
             setattr(cfg, name, v)
@@ -239,22 +243,21 @@ def cmd_curve(cfg: RunConfig) -> int:
 def cmd_derivative(cfg: RunConfig) -> int:
     q = _require_q(cfg)
     params = cfg.family_params()
-    spec = build_matrix_spec(params)
-    fam = closed_forms.build_closed_form(params)
-    closed = fam.tau_prime(q)
-    fd = solver.tau_prime_fd(spec, q, step=cfg.step)
-    _print_json({"q": q, "closed_form": closed, "finite_difference": fd,
-                 "difference": closed - fd})
+    _, result = solver.tau(build_matrix_spec(params), q, class_tie_tol=cfg.tie_tol)
+    right, left = solver.tau_slopes(result)
+    if left - right > _KINK_TOL:
+        raise NotDifferentiable(
+            f"tau'({q}) does not exist: right slope {right!r}, left slope {left!r}"
+        )
+    closed = closed_forms.build_closed_form(params).tau_prime(q)
+    _print_json({"q": q, "closed_form": closed, "spectral": right, "difference": closed - right})
     return 0
 
 
 def cmd_legendre(cfg: RunConfig) -> int:
     spec = build_matrix_spec(cfg.family_params())
     curve = solver.tau_curve(spec, cfg.q_min, cfg.q_max, cfg.steps)
-    leg = solver.legendre(curve)
-    if leg.degenerate:
-        sys.stderr.write("warning: degenerate curve; Legendre data covers a single slope\n")
-    _emit(solver.legendre_to_csv(leg), cfg.output)
+    _emit(solver.legendre_to_csv(solver.legendre(curve)), cfg.output)
     return 0
 
 
@@ -312,19 +315,22 @@ def cmd_compare(cfg: RunConfig) -> int:
     return 0
 
 
+# Each command and the flags it reads besides _FAMILY_FLAGS; main rejects others.
+_FAMILY_FLAGS = {"family", "config", "rho", "r", "t", "s", "probs"}
+_SAMPLING_FLAGS = {"q", "samples", "seed", "scales", "scale_octaves", "depth_eps"}
 _COMMANDS = {
-    "solve": cmd_solve,
-    "curve": cmd_curve,
-    "derivative": cmd_derivative,
-    "legendre": cmd_legendre,
-    "classify": cmd_classify,
-    "estimate": cmd_estimate,
-    "compare": cmd_compare,
+    "solve": (cmd_solve, {"q", "tie_tol"}),
+    "curve": (cmd_curve, {"q_min", "q_max", "steps", "output"}),
+    "derivative": (cmd_derivative, {"q", "tie_tol"}),
+    "legendre": (cmd_legendre, {"q_min", "q_max", "steps", "output"}),
+    "classify": (cmd_classify, {"q", "tie_tol"}),
+    "estimate": (cmd_estimate, _SAMPLING_FLAGS | {"output"}),
+    "compare": (cmd_compare, _SAMPLING_FLAGS),
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="lqspec", description=__doc__)
+    ap = argparse.ArgumentParser(prog="lqspec", description=__doc__, allow_abbrev=False)
     ap.add_argument("command", choices=list(_COMMANDS))
     ap.add_argument("--family", choices=FAMILY_IDS)
     ap.add_argument("--config", help="JSON config file with the same fields as the flags")
@@ -340,16 +346,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "--scale-octaves", nargs=2, type=int, metavar=("LO", "HI"),
         help="use sides 2^-LO .. 2^-HI",
     )
-    ap.add_argument("--step", type=float, help="finite-difference step")
     ap.add_argument("--output", "-o")
     return ap
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    command, reads = _COMMANDS[args.command]
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[args.command](cfg)
+        unread = [f"--{name.replace('_', '-')}" for name, v in vars(args).items()
+                  if v is not None and name not in reads | _FAMILY_FLAGS | {"command"}]
+        if unread:
+            raise ConfigError(f"{args.command} does not read {', '.join(unread)}")
+        return command(_config_from_args(args))
     except (ConfigError, InvalidParams, InvalidGrid, InsufficientScales, OSError,
             json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")

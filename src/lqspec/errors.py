@@ -31,6 +31,10 @@ class SingularHalpha(LqSpecError):
     """The alpha-partial of the characteristic function vanishes at the root."""
 
 
+class NotDifferentiable(LqSpecError):
+    """tau has a kink at the requested q: its one-sided slopes differ."""
+
+
 class InsufficientScales(LqSpecError):
     """Too few or too narrow box-counting scales for a regression."""
 

@@ -1,5 +1,5 @@
-"""Top-level spectrum computation: tau(q) values, curves, derivatives, and
-the Legendre transform of the resulting curve."""
+"""Top-level spectrum computation: tau(q) values, curves, one-sided slopes,
+and the Legendre transform of the resulting curve."""
 
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ class SpectrumCurve:
     qs: tuple[float, ...]
     alphas: tuple[float, ...]
     roots_table: tuple[dict, ...]  # per grid point: class index -> root
+    slopes: tuple[tuple[float, float], ...]  # per grid point: tau_slopes
 
     def __len__(self) -> int:
         return len(self.qs)
@@ -29,7 +30,6 @@ class LegendreCurve:
     alphas: tuple[float, ...]
     f_values: tuple[float, ...]
     q_conjugate: tuple[float, ...]
-    degenerate: bool = False
 
 
 def tau(
@@ -48,13 +48,25 @@ def tau(
     return result.tau, result
 
 
+def tau_slopes(result: ClassificationResult) -> tuple[float, float]:
+    """(right, left) derivatives of tau at the solved q.
+
+    tau is the minimum of the class roots, so its one-sided slopes are the
+    least and greatest d alpha_c / dq over the attaining classes; they are
+    equal unless tau has a kink there.
+    """
+    slopes = [result.roots[ci].slope for ci in result.basic_classes]
+    return min(slopes), max(slopes)
+
+
 def tau_curve(
     spec: MeasureMatrixSpec,
     q_min: float,
     q_max: float,
     steps: int,
 ) -> SpectrumCurve:
-    """tau on an even q-grid, warm-starting each solve from the last roots.
+    """tau and its one-sided slopes on an even q-grid, warm-starting each
+    solve from the last roots.
 
     The spec is compiled once per curve.  Each previous root carries its
     slope d alpha_c / dq, so the next solve starts at the linear prediction
@@ -67,68 +79,38 @@ def tau_curve(
     qs = np.linspace(q_min, q_max, steps)
     alphas = []
     tables = []
+    slopes = []
     hints: dict | None = None
     compiled = compile_classes(spec)
     for q in qs:
         _, result = tau(spec, float(q), bracket_hints=hints, compiled=compiled)
         alphas.append(result.tau)
         tables.append(dict(result.roots))
+        slopes.append(tau_slopes(result))
         hints = dict(result.roots)
     return SpectrumCurve(
         qs=tuple(float(q) for q in qs),
         alphas=tuple(alphas),
         roots_table=tuple(tables),
+        slopes=tuple(slopes),
     )
-
-
-def tau_prime_fd(spec: MeasureMatrixSpec, q: float, step: float = 1e-4) -> float:
-    """Central-difference slope of tau at q."""
-    if not 0.0 < step < math.inf:
-        raise InvalidGrid(f"step must be positive and finite, got {step}")
-    if q - step < 0.0:
-        raise InvalidGrid(f"q - step = {q - step} below 0; decrease step")
-    hi, _ = tau(spec, q + step)
-    lo, _ = tau(spec, q - step)
-    return (hi - lo) / (2.0 * step)
 
 
 def legendre(curve: SpectrumCurve) -> LegendreCurve:
-    """Concave conjugate f(a) = inf_q (q a - tau(q)) over the curve's grid.
-
-    The covered slope range is [min, max] of the curve's finite-difference
-    slopes, sampled at max(2 * len(curve) - 1, 3) evenly spaced slopes; a
-    single-point curve carries no slope information and is flagged
-    degenerate.
+    """f(a) = inf_q (q a - tau(q)) = q a - tau(q) at each slope a = tau'(q)
+    of the (concave) curve: one row per distinct one-sided slope, two at a
+    kink.  Rows run from the largest q down, which is ascending a; ordering
+    by q keeps rounding noise in equal slopes from reordering them.
     """
-    qs = np.asarray(curve.qs)
-    ts = np.asarray(curve.alphas)
-    if len(qs) == 0:
+    if not curve.qs:
         raise InvalidGrid("empty curve")
-    if len(qs) == 1:
-        return LegendreCurve(
-            alphas=(float(ts[0]),), f_values=(0.0,), q_conjugate=(float(qs[0]),), degenerate=True
-        )
-    slopes = np.diff(ts) / np.diff(qs)
-    a_lo, a_hi = float(np.min(slopes)), float(np.max(slopes))
-    if a_hi - a_lo < 1e-15:
-        alphas = np.array([a_lo])
-        degenerate = True
-    else:
-        alphas = np.linspace(a_lo, a_hi, max(2 * len(qs) - 1, 3))
-        degenerate = len(qs) < 3
-    f_vals = []
-    q_conj = []
-    for a in alphas:
-        vals = qs * a - ts
-        j = int(np.argmin(vals))
-        f_vals.append(float(vals[j]))
-        q_conj.append(float(qs[j]))
-    return LegendreCurve(
-        alphas=tuple(float(a) for a in alphas),
-        f_values=tuple(f_vals),
-        q_conjugate=tuple(q_conj),
-        degenerate=degenerate,
-    )
+    rows = [
+        (a, q * a - t, q)
+        for q, t, pair in reversed(list(zip(curve.qs, curve.alphas, curve.slopes)))
+        for a in sorted(set(pair))
+    ]
+    alphas, f_values, q_conj = zip(*rows)
+    return LegendreCurve(alphas=alphas, f_values=f_values, q_conjugate=q_conj)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Shared fixtures: random valid parameters, independent brute-force
-oracles used to cross-check the adaptive evaluation paths, and test-only
-graph and matrix helpers."""
+oracles used to cross-check the adaptive evaluation paths (explicit series
+sums, a central-difference tau', a warm-started closed-form curve), and
+test-only graph and matrix helpers."""
 
 from __future__ import annotations
 
@@ -71,6 +72,34 @@ def brute_family_value(fam, q: float, alpha: float, n_terms: int = 10**6) -> flo
     log_len = math.log(fam.base_ratio) + ks * math.log(fam.step_ratio)
     with np.errstate(under="ignore"):
         return float(np.sum(np.exp(q * log_w - alpha * log_len)))
+
+
+def tau_prime_fd(spec, q: float, step: float = 1e-4) -> float:
+    """Central-difference slope of tau at q, from two cold solves."""
+    if not 0.0 < step < math.inf:
+        raise lq.InvalidGrid(f"step must be positive and finite, got {step}")
+    if q - step < 0.0:
+        raise lq.InvalidGrid(f"q - step = {q - step} below 0; decrease step")
+    hi, _ = lq.tau(spec, q + step)
+    lo, _ = lq.tau(spec, q - step)
+    return (hi - lo) / (2.0 * step)
+
+
+def closed_form_curve(fam, qs) -> list[tuple[float, float]]:
+    """(tau, tau') at each q from the closed forms.
+
+    Each factor root is warm-started from its root at the previous q: a
+    cold ``solve`` raises DomainViolation for strong-r2 at q = 0.1 and 0.2.
+    tau' is -f_q / f_alpha at the root of the attaining factor f.
+    """
+    roots = [0.0] * len(fam.factors)
+    out = []
+    for q in qs:
+        roots = [fam.solve_factor(i, q, start=r) for i, r in enumerate(roots)]
+        i = min(range(len(roots)), key=roots.__getitem__)
+        v = fam.factors[i].value(q, roots[i])
+        out.append((roots[i], -v.dq / v.da))
+    return out
 
 
 # ---------------------------------------------------------------------------

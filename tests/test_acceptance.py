@@ -15,7 +15,9 @@ import pytest
 
 import lqspec as lq
 from lqspec.families import FamilyParams, default_probs
-from conftest import brute_family_value, matched_roots, random_params, vertex_components
+from conftest import (
+    brute_family_value, matched_roots, random_params, tau_prime_fd, vertex_components,
+)
 from paper_oracle import TYPO_FAMILIES, longform_tau_prime
 
 Q_PROBE = (0.0, 0.5, 1.0, 2.0, 5.0)
@@ -72,7 +74,7 @@ def test_criterion_3_derivative_consistency(canonical_specs, canonical_closed_fo
         fam = canonical_closed_forms[fid]
         for q in (0.5, 1.0, 2.0, 5.0, 8.0):
             closed = fam.tau_prime(q)
-            fd = lq.tau_prime_fd(spec, q, step=1e-4)
+            fd = tau_prime_fd(spec, q, step=1e-4)
             rel = abs(closed - fd) / max(abs(fd), 1e-12)
             worst = max(worst, rel)
             assert rel <= 1e-5

@@ -69,17 +69,33 @@ def test_derivative_reports_both(capsys):
     code, out, _ = run(capsys, "derivative", "--family", "nonstrong-r-basic", "--q", "2")
     assert code == 0
     payload = json.loads(out)
-    assert abs(payload["difference"]) <= 1e-5 * max(1.0, abs(payload["closed_form"]))
+    assert list(payload) == ["q", "closed_form", "spectral", "difference"]
+    assert payload["difference"] == payload["closed_form"] - payload["spectral"]
+    assert abs(payload["difference"]) <= 1e-9
 
 
-def test_legendre_degenerate_warns_exit_zero(capsys):
+def test_derivative_at_a_kink_exits_3_naming_both_slopes(capsys):
+    # tie tolerance 1 makes both classes attain tau, so tau' has two sides:
+    # the least and the greatest class-root slope
+    spec = cli.build_matrix_spec(cli.canonical_params("nonstrong-r-basic"))
+    _, result = cli.solver.tau(spec, 2.0, class_tie_tol=1.0)
+    right, left = sorted(result.roots[ci].slope for ci in result.basic_classes)
+    assert left - right > 0.1
+    code, out, err = run(capsys, "derivative", "--family", "nonstrong-r-basic", "--q", "2",
+                         "--tie-tol", "1")
+    assert (code, out) == (3, "")
+    assert err.startswith("numeric failure:") and repr(right) in err and repr(left) in err
+
+
+def test_legendre_short_curve_one_row_per_point(capsys):
     code, out, err = run(
         capsys,
         "legendre", "--family", "strong-r", "--q-min", "1", "--q-max", "1.01", "--steps", "2",
     )
-    assert code == 0
-    assert "degenerate" in err
-    assert out.startswith("alpha,f,q_conj")
+    assert (code, err) == (0, "")
+    header, *rows = out.splitlines()
+    assert header == "alpha,f,q_conj"
+    assert [float(row.split(",")[2]) for row in rows] == [1.01, 1.0]
 
 
 def test_classify_symmetric_heights(capsys):
@@ -312,8 +328,8 @@ def test_nonpositive_samples_exit_2(monkeypatch, capsys, command, samples):
         ("curve", "--q-max", "inf", "--steps", "3"),
         ("solve", "--q", "1", "--tie-tol", "-1"),
         ("classify", "--q", "1", "--tie-tol", "nan"),
-        ("derivative", "--q", "2", "--step", "0"),
-        ("derivative", "--q", "2", "--step", "nan"),
+        ("derivative", "--q", "nan"),
+        ("derivative", "--q", "2", "--tie-tol", "inf"),
     ],
 )
 def test_bad_numeric_input_exits_2(capsys, argv):
@@ -402,7 +418,6 @@ def _subcommand_parser():
             sp.add_argument(flag, type=int)
         sp.add_argument("--scales")
         sp.add_argument("--scale-octaves", nargs=2, type=int)
-        sp.add_argument("--step", type=float)
         sp.add_argument("--output", "-o")
     return ap
 
@@ -426,7 +441,7 @@ _MORE_ARGVS = [
     ["compare", "--family", "strong-r", "--scales", "1/16,1/32,1/64", "--seed", "3"],
     ["classify", "--family", "nonstrong-r-heights", "--probs", "e1=0.2,e2=0.3,e3=0.5",
      "--tie-tol", "1e-8"],
-    ["derivative", "--family", "strong-r", "--q", "2", "--step", "1e-3", "--output", "d.json"],
+    ["derivative", "--family", "strong-r", "--q", "2", "--output", "d.json"],
 ]
 
 
@@ -465,3 +480,67 @@ def test_missing_or_unknown_command_exits_2(capsys, argv, message):
         main(argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+# -- flags a command does not read -------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv, unread",
+    [
+        (["solve", "--q", "2", "-o", "{tmp}/x.json"], "--output"),
+        (["curve", "--q", "5", "--samples", "7", "--steps", "3"], "--q, --samples"),
+        (["compare", "--q", "2", "--samples", "1000", "--tie-tol", "1e-6"], "--tie-tol"),
+        (["classify", "--scale-octaves", "4", "9"], "--scale-octaves"),
+        (["legendre", "--seed", "1"], "--seed"),
+        (["derivative", "--q", "2", "--q-max", "3"], "--q-max"),
+    ],
+)
+def test_flag_the_command_does_not_read_exits_2(monkeypatch, tmp_path, capsys, argv, unread):
+    monkeypatch.setattr(cli, "_config_from_args", _no_walks)  # rejected before any work
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, out, err = run(capsys, argv[0], "--family", "strong-r", *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: {argv[0]} does not read {unread}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_config_fields_a_command_does_not_read_are_allowed(tmp_path, capsys):
+    # one config file serves several commands
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"family": "strong-r", "q": 2, "samples": 20000, "seed": 1,
+                                "steps": 3, "output": str(tmp_path / "curve.csv")}))
+    for command in ("solve", "curve"):
+        code, _, err = run(capsys, command, "--config", str(path))
+        assert (code, err) == (0, ""), command
+    assert (tmp_path / "curve.csv").read_text().startswith("q,alpha\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [["curve", "--sam", "7"], ["derivative", "--q", "2", "--step", "0"]]
+)
+def test_flag_abbreviations_are_not_accepted(capsys, argv):
+    # with --step gone, an old --step would otherwise parse as --steps
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--family", "strong-r", *argv[1:]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_each_command_reads_exactly_its_flags(monkeypatch, capsys, command):
+    # the RunConfig fields a command reads are the fields of its flags
+    read = set()
+
+    class Recording(RunConfig):
+        def __getattribute__(self, name):
+            if name in RunConfig.__dataclass_fields__:
+                read.add(name)
+            return super().__getattribute__(name)
+
+    cfg = Recording(family="strong-r", q=2.0, steps=3, samples=20000, seed=1)
+    monkeypatch.setattr(cli, "_config_from_args", lambda args: cfg)
+    code, _, err = run(capsys, command, "--family", "strong-r")
+    assert (code, err) == (0, "")
+    flags = cli._COMMANDS[command][1] | cli._FAMILY_FLAGS
+    fields = {"scales" if f == "scale_octaves" else f for f in flags} - {"config"}
+    assert read == fields

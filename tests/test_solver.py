@@ -1,5 +1,6 @@
-"""Solver layer: tau, curves, finite-difference slopes, Legendre transform,
-and CSV serialization."""
+"""Solver layer: tau, curves, one-sided slopes checked against the closed
+forms and a finite-difference oracle, Legendre transform, and CSV
+serialization."""
 
 from __future__ import annotations
 
@@ -9,11 +10,25 @@ import pytest
 import lqspec as lq
 from lqspec.matrix import EntrySpec, MeasureMatrixSpec, atom
 from lqspec.solver import SpectrumCurve, curve_to_csv, legendre_to_csv
+from conftest import closed_form_curve, tau_prime_fd
 
 
 def _one_atom_spec(w=0.5, rho=0.5):
     e = EntrySpec((atom(w, rho),))
     return MeasureMatrixSpec(n=1, entries=((e,),), scc_of=(0,), dim=1)
+
+
+def _curve(qs, tau, slope, kinks=()):
+    """A hand-built curve of tau with derivative ``slope``; at the grid
+    indices in ``kinks`` the right slope is lowered by 0.1."""
+    return SpectrumCurve(
+        qs=tuple(qs),
+        alphas=tuple(tau(q) for q in qs),
+        roots_table=({},) * len(qs),
+        slopes=tuple(
+            (slope(q) - 0.1 * (i in kinks), slope(q)) for i, q in enumerate(qs)
+        ),
+    )
 
 
 # -- tau -------------------------------------------------------------------------
@@ -90,75 +105,104 @@ def test_curve_invalid_grid():
             lq.tau_curve(spec, q_min, q_max, 5)
 
 
-# -- tau_prime_fd -------------------------------------------------------------------
+# -- slopes: the certified root slopes against two oracles ------------------------
 
 def test_fd_linear_one_atom():
     # root alpha(q) = q ln w / ln rho; with w = rho the slope is exactly 1
     spec = _one_atom_spec(0.5, 0.5)
-    assert lq.tau_prime_fd(spec, 1.0) == pytest.approx(1.0, abs=1e-9)
+    assert tau_prime_fd(spec, 1.0) == pytest.approx(1.0, abs=1e-9)
+    _, result = lq.tau(spec, 1.0)
+    assert lq.tau_slopes(result) == pytest.approx((1.0, 1.0), abs=1e-12)
 
 
 def test_fd_rejects_grid_underflow():
     spec = _one_atom_spec()
     with pytest.raises(lq.InvalidGrid):
-        lq.tau_prime_fd(spec, 0.0)
+        tau_prime_fd(spec, 0.0)
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-4, float("nan"), float("inf")])
 def test_fd_rejects_nonpositive_or_nonfinite_step(step):
     with pytest.raises(lq.InvalidGrid, match="step"):
-        lq.tau_prime_fd(_one_atom_spec(), 1.0, step=step)
+        tau_prime_fd(_one_atom_spec(), 1.0, step=step)
 
 
 def test_fd_matches_closed_form_strong_r():
     p = lq.canonical_params("strong-r")
     spec = lq.build_matrix_spec(p)
     fam = lq.build_closed_form(p)
-    fd = lq.tau_prime_fd(spec, 2.0)
+    fd = tau_prime_fd(spec, 2.0)
     closed = fam.tau_prime(2.0)
     assert fd == pytest.approx(closed, rel=1e-5)
+    _, result = lq.tau(spec, 2.0)
+    right, left = lq.tau_slopes(result)
+    assert right == left == pytest.approx(closed, abs=1e-9)
+
+
+@pytest.mark.parametrize("q_max, steps", [(10.0, 101), (200.0, 41)])
+@pytest.mark.parametrize("family", lq.FAMILY_IDS)
+def test_slopes_and_legendre_match_closed_form(family, q_max, steps):
+    # two routes: the certified class-root slopes against -f_q / f_alpha of
+    # the attaining closed-form factor
+    p = lq.canonical_params(family)
+    curve = lq.tau_curve(lq.build_matrix_spec(p), 0.0, q_max, steps)
+    want = closed_form_curve(lq.build_closed_form(p), curve.qs)
+    leg = lq.legendre(curve)
+    assert leg.q_conjugate == curve.qs[::-1]  # no kink at a grid point
+    for q, (right, left), a, f, (t_cf, tp_cf) in zip(
+        curve.qs, curve.slopes, leg.alphas[::-1], leg.f_values[::-1], want
+    ):
+        assert right == pytest.approx(tp_cf, abs=1e-9), q
+        assert left == pytest.approx(tp_cf, abs=1e-9), q
+        assert a == pytest.approx(tp_cf, abs=1e-9), q
+        assert f == pytest.approx(q * tp_cf - t_cf, abs=1e-9), q
 
 
 # -- legendre -----------------------------------------------------------------------
 
 def test_legendre_linear_curve():
-    qs = tuple(np.linspace(0.0, 10.0, 51))
-    curve = SpectrumCurve(qs=qs, alphas=tuple(q - 1.0 for q in qs), roots_table=({},) * 51)
-    leg = lq.legendre(curve)
+    qs = np.linspace(0.0, 10.0, 51)
+    leg = lq.legendre(_curve(qs, lambda q: q - 1.0, lambda q: 1.0))
     # slope constant at 1: transform concentrates at alpha = 1, f(1) = 1
-    assert len(leg.alphas) == 1
-    assert leg.alphas[0] == pytest.approx(1.0, abs=1e-12)
-    assert leg.f_values[0] == pytest.approx(1.0, abs=1e-12)
+    assert len(leg.alphas) == 51
+    assert leg.alphas == pytest.approx([1.0] * 51, abs=1e-12)
+    assert leg.f_values == pytest.approx([1.0] * 51, abs=1e-12)
 
 
 def test_legendre_concave_quadratic_conjugate():
     # tau(q) = 2q - q^2/10 on [0,10] has conjugate f(a) = -2.5 (2-a)^2 on
     # the covered slope range [0, 2]
     qs = np.linspace(0.0, 10.0, 2001)
-    curve = SpectrumCurve(
-        qs=tuple(qs),
-        alphas=tuple(2.0 * q - q * q / 10.0 for q in qs),
-        roots_table=({},) * len(qs),
-    )
-    leg = lq.legendre(curve)
+    leg = lq.legendre(_curve(qs, lambda q: 2.0 * q - q * q / 10.0, lambda q: 2.0 - q / 5.0))
+    assert leg.alphas[0] == 0.0 and leg.alphas[-1] == 2.0
+    assert np.all(np.diff(leg.alphas) > 0.0)
     for a, f in zip(leg.alphas, leg.f_values):
-        if 0.2 <= a <= 1.8:  # interior of the slope range
-            assert f == pytest.approx(-2.5 * (2.0 - a) ** 2, abs=1e-3)
+        assert f == pytest.approx(-2.5 * (2.0 - a) ** 2, abs=1e-12)
+
+
+def test_legendre_kink_gives_two_rows():
+    # tau = 2q - q^2/10 with its right slope lowered at grid index 2 (q = 2)
+    qs = np.linspace(0.0, 4.0, 5)
+    leg = lq.legendre(_curve(qs, lambda q: 2.0 * q - q * q / 10.0, lambda q: 2.0 - q / 5.0,
+                             kinks=(2,)))
+    assert leg.q_conjugate == (4.0, 3.0, 2.0, 2.0, 1.0, 0.0)
+    assert leg.alphas[2:4] == pytest.approx((1.5, 1.6), abs=1e-15)
+    assert leg.f_values[2:4] == pytest.approx((2 * 1.5 - 3.6, 2 * 1.6 - 3.6), abs=1e-15)
+    assert np.all(np.diff(leg.alphas) > 0.0)
 
 
 def test_legendre_single_point_degenerate():
-    curve = SpectrumCurve(qs=(1.0,), alphas=(0.0,), roots_table=({},))
-    leg = lq.legendre(curve)
-    assert leg.degenerate
-    assert len(leg.alphas) == 1
+    leg = lq.legendre(_curve([1.0], lambda q: 0.0, lambda q: 0.5))
+    assert (leg.alphas, leg.f_values, leg.q_conjugate) == ((0.5,), (0.5,), (1.0,))
 
 
 def test_legendre_concave_and_consistent():
     spec = lq.build_matrix_spec(lq.canonical_params("strong-r"))
     curve = lq.tau_curve(spec, 0.0, 10.0, 101)
     leg = lq.legendre(curve)
-    f = np.array(leg.f_values)
-    assert np.all(np.diff(f, 2) <= 1e-9)
+    # f' = q falls as alpha rises: f is concave
+    assert np.all(np.diff(leg.alphas) > 0.0)
+    assert np.all(np.diff(leg.q_conjugate) < 0.0)
     # f(tau'(q)) = q tau'(q) - tau(q) at interior grid points
     p = lq.canonical_params("strong-r")
     fam = lq.build_closed_form(p)
@@ -167,7 +211,18 @@ def test_legendre_concave_and_consistent():
         t_q, _ = lq.tau(spec, q)
         want = q * slope - t_q
         got = np.interp(slope, leg.alphas, leg.f_values)
-        assert got == pytest.approx(want, abs=1e-6)
+        assert got == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("family", lq.FAMILY_IDS)
+def test_legendre_rows_satisfy_the_legendre_inequality(family):
+    # f(a) = inf_q (q a - tau(q)) bounds each row by every grid point's line
+    spec = lq.build_matrix_spec(lq.canonical_params(family))
+    curve = lq.tau_curve(spec, 0.0, 10.0, 101)
+    leg = lq.legendre(curve)
+    qs, ts = np.array(curve.qs), np.array(curve.alphas)
+    for a, f in zip(leg.alphas, leg.f_values):
+        assert f <= np.min(qs * a - ts) + 1e-12, a
 
 
 # -- CSV ------------------------------------------------------------------------------
@@ -186,8 +241,9 @@ def test_curve_csv_roundtrip():
 
 
 def test_legendre_csv_header():
-    curve = SpectrumCurve(qs=(0.0, 1.0, 2.0), alphas=(-1.0, 0.0, 0.5), roots_table=({},) * 3)
+    curve = _curve([0.0, 1.0, 2.0], lambda q: q - 1.0, lambda q: 1.0, kinks=(1,))
     text = legendre_to_csv(lq.legendre(curve))
+    assert len(text.strip().split("\n")) == 5
     assert text.startswith("alpha,f,q_conj\n")
     for line in text.strip().split("\n")[1:]:
         assert len(line.split(",")) == 3
