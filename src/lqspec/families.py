@@ -51,7 +51,6 @@ class Family:
     canonical: dict[str, float]
     geometry: Callable[[FamilyParams], None]  # raises InvalidParams
     cell_labels: tuple[int, ...]  # 1-based report label per matrix row
-    cell_scc: tuple[int, ...]  # graph component per matrix row
     cells: Callable[[FamilyParams, dict[int, float]], dict[tuple[int, int], list[AtomFamily]]]
     factors: Callable[[FamilyParams, dict[int, float]], tuple[Factor, ...]]
     bbox: tuple[tuple[float, float], ...] = ()  # sampling box; unit box if empty
@@ -169,7 +168,6 @@ STRONG_R = Family(
     canonical=_RHO_R,
     geometry=_no_overlap,
     cell_labels=(1, 3, 4),
-    cell_scc=(0, 0, 0),
     cells=_strong_r_cells,
     factors=_strong_r_factors,
 )
@@ -242,7 +240,6 @@ STRONG_R2 = Family(
     canonical={"rho": GOLDEN_RATIO_INV},
     geometry=_golden_rho,
     cell_labels=tuple(range(1, 8)),
-    cell_scc=(0,) * 7,
     cells=_strong_r2_cells,
     factors=_strong_r2_factors,
 )
@@ -296,7 +293,6 @@ NONSTRONG_R_BASIC = Family(
     canonical=_RHO_R,
     geometry=_no_overlap,
     cell_labels=(1, 2, 3, 4),
-    cell_scc=(0, 0, 1, 1),
     cells=_nonstrong_r_basic_cells,
     factors=_nonstrong_r_basic_factors,
 )
@@ -359,7 +355,6 @@ NONSTRONG_R_HEIGHTS = Family(
     canonical=_RHO_R,
     geometry=_no_overlap,
     cell_labels=tuple(range(1, 13)),
-    cell_scc=(0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5),
     cells=_heights_cells,
     factors=_heights_factors,
 )
@@ -426,7 +421,6 @@ NONSTRONG_R2 = Family(
     canonical={**_RHO_R, "t": 0.5, "s": 0.25},
     geometry=_nonstrong_r2_geometry,
     cell_labels=tuple(range(1, 7)),
-    cell_scc=(0, 0, 0, 1, 1, 1),
     cells=_nonstrong_r2_cells,
     factors=_nonstrong_r2_factors,
     bbox=((0.0, 3.0), (0.0, 1.0)),

@@ -5,9 +5,7 @@ and transition probabilities; the probabilities of the edges leaving each
 vertex sum to one, so every vertex supports a self-similar probability
 measure.  This module holds the data model, the constructor that builds a
 built-in family from its edge table in ``families`` (which validates the
-parameters), the strongly connected components of a digraph (the
-communication classes of a matrix support), and the parser of exact
-rational inputs.
+parameters), and the parser of exact rational inputs.
 """
 
 from __future__ import annotations
@@ -76,61 +74,6 @@ class Gifs:
 
     def out_edges(self, vertex: int) -> list[Edge]:
         return [e for e in self.edges if e.src == vertex]
-
-
-def strong_components(n: int, adj: list[list[int]]) -> list[list[int]]:
-    """Strongly connected components of a digraph on nodes 0..n-1 (Tarjan).
-
-    Each component is an ascending node list; components are ordered by
-    their smallest node.
-    """
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    comp = [-1] * n
-    stack: list[int] = []
-    counter = 0
-    ncomp = 0
-
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for i in range(pi, len(adj[v])):
-                w = adj[v][i]
-                if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-    groups: dict[int, list[int]] = {}
-    for v, c in enumerate(comp):
-        groups.setdefault(c, []).append(v)
-    return sorted(groups.values(), key=min)
 
 
 # ---------------------------------------------------------------------------

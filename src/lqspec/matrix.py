@@ -274,16 +274,10 @@ def binomial_family(c: float, a: float, b: float, rho0: float, r: float) -> Atom
 
 @dataclass(frozen=True)
 class MeasureMatrixSpec:
-    """n x n matrix of entries, one alpha slot per graph component.
-
-    ``scc_of[i]`` names the graph component whose alpha parameterizes row i;
-    ``labels[i]`` is the 1-based cell index used in reports.
-    """
+    """n x n matrix of entries; ``labels[i]`` is row i's 1-based cell index in reports."""
 
     n: int
     entries: tuple[tuple[EntrySpec, ...], ...]
-    scc_of: tuple[int, ...]
-    dim: int
     labels: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -394,7 +388,5 @@ def build_matrix_spec(p, check_geometry: bool = True) -> MeasureMatrixSpec:
     return MeasureMatrixSpec(
         n=n,
         entries=tuple(tuple(row) for row in grid),
-        scc_of=fam.cell_scc,
-        dim=fam.dim,
         labels=fam.cell_labels,
     )

@@ -7,6 +7,11 @@ classification (overall exponent, classes attaining it, renewal heights and
 asymptotic regime tags), and lattice/non-lattice detection of the cycle
 length spectrum.
 
+The classes, which classes each class reaches, the final classes and the
+renewal heights all come from one relation, reachability in the support
+digraph, computed as reflexive-transitive closures (``_closure``); none of
+them depends on q.
+
 Class roots use no eigenvalue iteration.  For a nonnegative block M, one
 Gaussian elimination of the Z-matrix I - M with diagonal pivots decides the
 sign of rho(M) - 1 (M-matrix criterion): a nonpositive pivot before the last
@@ -28,7 +33,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateClass, InvalidParams, NoConvergence
-from .gifs import strong_components
 from .matrix import CompiledBlock, MeasureMatrixSpec, compile_block
 from .matrix import entry_value  # noqa: F401  (public name; bench/tracing.py wraps it here)
 
@@ -77,9 +81,32 @@ def spectral_radius(mat: np.ndarray) -> float:
 
 
 def _support_sccs(support: np.ndarray) -> list[list[int]]:
-    """SCCs of a boolean adjacency matrix, ordered by smallest member."""
-    n = support.shape[0]
-    return strong_components(n, [list(np.nonzero(support[i])[0]) for i in range(n)])
+    """Classes of mutual reachability of a boolean adjacency matrix.
+
+    Members ascend within a class; classes are ordered by smallest member.
+    """
+    reach = _closure([sum(1 << j for j, x in enumerate(row) if x) for row in support.tolist()])
+    classes, seen = [], set()
+    for i, row in enumerate(reach):
+        if i not in seen:
+            members = [j for j in range(len(reach)) if row >> j & 1 and reach[j] >> i & 1]
+            seen.update(members)
+            classes.append(members)
+    return classes
+
+
+def _closure(adj: list[int]) -> list[int]:
+    """Reflexive-transitive closure (Warshall) of an adjacency held as row bitmasks.
+
+    Bit j of ``adj[i]`` is the edge i -> j; bit j of the result's row i says
+    that j is reachable from i, i itself included.
+    """
+    reach = [row | 1 << i for i, row in enumerate(adj)]
+    for k, via in enumerate(reach):
+        for i, row in enumerate(reach):
+            if row >> k & 1:
+                reach[i] = row | via
+    return reach
 
 
 # ---------------------------------------------------------------------------
@@ -88,27 +115,33 @@ def _support_sccs(support: np.ndarray) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class ClassDecomposition:
+    """Communication classes of a support pattern and their reachability.
+
+    Everything here comes from reachability closures of the support digraph
+    and does not depend on (q, alpha).  ``heights[c]`` counts the cyclic
+    classes, c included, that reach c through cyclic classes only; it is 0
+    for a degenerate class.
+    """
+
     classes: tuple[tuple[int, ...], ...]  # row indices per class
     class_of: tuple[int, ...]  # row -> class index
     degenerate: tuple[bool, ...]  # class has no internal cycle
-    class_edges: tuple[tuple[int, int], ...]  # direct edges between classes
     accessibility: tuple[tuple[bool, ...], ...]  # transitive closure incl. self
     final_flags: tuple[bool, ...]  # no access to any other class
-    scc_of_class: tuple[int, ...]  # graph component per class
+    heights: tuple[int, ...]  # renewal height per class
 
     @property
     def num_classes(self) -> int:
         return len(self.classes)
 
-    def is_irreducible(self) -> bool:
-        return self.num_classes == 1 and not self.degenerate[0]
-
 
 def communication_classes(spec: MeasureMatrixSpec) -> ClassDecomposition:
     """Partition indices by mutual accessibility in the support pattern.
 
-    The partition depends only on which entries are structurally nonzero,
-    never on (q, alpha).
+    One closure of the support digraph gives the classes; one closure of
+    the class digraph gives accessibility and the final classes, and one of
+    the class digraph restricted to cyclic classes gives the heights.  None
+    depends on (q, alpha), only on which entries are structurally nonzero.
     """
     support = spec.support()
     classes = _support_sccs(support)
@@ -117,30 +150,22 @@ def communication_classes(spec: MeasureMatrixSpec) -> ClassDecomposition:
     for ci, members in enumerate(classes):
         for i in members:
             class_of[i] = ci
-
     degenerate = [len(m) == 1 and not support[m[0], m[0]] for m in classes]
 
-    edges = set()
-    for i in range(spec.n):
-        for j in range(spec.n):
-            if support[i, j] and class_of[i] != class_of[j]:
-                edges.add((class_of[i], class_of[j]))
-
-    adj = [[] for _ in range(k)]
-    for a, b in edges:
-        adj[a].append(b)
-    reach = [[d in seen for d in range(k)] for seen in (_reachable(adj, c) for c in range(k))]
-
-    final = [not any(reach[c][d] for d in range(k) if d != c) for c in range(k)]
-    scc_of_class = [spec.scc_of[members[0]] for members in classes]
+    adj = [0] * k
+    for i, j in np.argwhere(support).tolist():
+        adj[class_of[i]] |= 1 << class_of[j]
+    reach = _closure(adj)
+    cyclic = sum(1 << c for c in range(k) if not degenerate[c])
+    reach_cyclic = _closure([row & cyclic for row in adj])
+    from_cyclic = [row for c, row in enumerate(reach_cyclic) if cyclic >> c & 1]
     return ClassDecomposition(
         classes=tuple(tuple(m) for m in classes),
         class_of=tuple(class_of),
         degenerate=tuple(degenerate),
-        class_edges=tuple(sorted(edges)),
-        accessibility=tuple(tuple(row) for row in reach),
-        final_flags=tuple(final),
-        scc_of_class=tuple(scc_of_class),
+        accessibility=tuple(tuple(bool(row >> d & 1) for d in range(k)) for row in reach),
+        final_flags=tuple(row == 1 << c for c, row in enumerate(reach)),
+        heights=tuple(sum(row >> c & 1 for row in from_cyclic) for c in range(k)),
     )
 
 
@@ -412,7 +437,6 @@ class ClassificationResult:
     heights: dict  # class index -> height (basic classes)
     s_sets: dict  # m -> tuple of labels in S_m
     tags: dict  # label -> Tag
-    tie_tol: float
 
     def labels_of_class(self, spec: MeasureMatrixSpec, ci: int) -> tuple[int, ...]:
         return tuple(spec.labels[i] for i in self.decomposition.classes[ci])
@@ -429,13 +453,11 @@ def classify(
 
     The overall exponent is the minimum of the class roots.  Classes whose
     root ties with the minimum (within class_tie_tol) attain the spectral
-    condition; their height counts the non-degenerate classes that reach
-    them through chains avoiding degenerate links, each of which satisfies
-    the radius-one condition under its own component exponent.  Cells
-    outside the attaining set are tagged by whether an attaining class
-    reaches them in the support digraph.  Classes with equal blocks are
-    solved once, from the first such class's hint, and share one
-    ``ClassRoot``.  ``compiled`` (from
+    condition.  Only the roots depend on q: each attaining class's height,
+    and the accessibility that tags every other cell by whether an
+    attaining class reaches it, are read from the decomposition.  Classes
+    with equal blocks are solved once, from the first such class's hint,
+    and share one ``ClassRoot``.  ``compiled`` (from
     ``compile_classes(spec)``) saves redoing the decomposition and the block
     compilation when one spec is solved at many q.  The lattice verdict does
     not depend on q and is not part of the result; see ``lattice_check``.
@@ -459,7 +481,7 @@ def classify(
     tau = float(min(roots.values()))
     basic = tuple(sorted(ci for ci, a in roots.items() if abs(a - tau) <= class_tie_tol))
 
-    heights = {ci: _height(deco, ci) for ci in basic}
+    heights = {ci: deco.heights[ci] for ci in basic}
     s_sets: dict[int, tuple[int, ...]] = {}
     for ci in basic:
         m = heights[ci] - 1
@@ -491,39 +513,7 @@ def classify(
         heights=heights,
         s_sets=s_sets,
         tags=tags,
-        tie_tol=class_tie_tol,
     )
-
-
-def _height(deco: ClassDecomposition, target: int) -> int:
-    """Count non-degenerate classes chaining into ``target``.
-
-    Reachability is taken in the class digraph restricted to non-degenerate
-    nodes: a chain that can only pass through a cycle-free class is broken,
-    since that link contributes no renewal accumulation.
-    """
-    k = deco.num_classes
-    adj = [[] for _ in range(k)]
-    for a, b in deco.class_edges:
-        if not deco.degenerate[a] and not deco.degenerate[b]:
-            adj[a].append(b)
-    return 1 + sum(
-        target in _reachable(adj, src)
-        for src in range(k)
-        if src != target and not deco.degenerate[src]
-    )
-
-
-def _reachable(adj: list[list[int]], start: int) -> set[int]:
-    """Nodes reachable from ``start`` (itself included)."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for y in adj[stack.pop()]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -543,16 +533,10 @@ def lattice_check(spec: MeasureMatrixSpec, members) -> LatticeVerdict:
     1e-9.  The verdict does not depend on q.
     """
     members = list(members)
-    index = {i: a for a, i in enumerate(members)}
-    m = len(members)
-    adj = [[] for _ in range(m)]
-    for i in members:
-        for j in members:
-            if not spec.entries[i][j].is_zero:
-                adj[index[i]].append(index[j])
+    adj = [np.flatnonzero(row).tolist() for row in spec.support()[np.ix_(members, members)]]
 
     generators: list[float] = []
-    for cycle in _simple_cycles(m, adj):
+    for cycle in _simple_cycles(len(members), adj):
         edge_fams = []
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             entry = spec.entries[members[a]][members[b]]

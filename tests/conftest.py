@@ -12,7 +12,6 @@ import pytest
 
 import lqspec as lq
 from lqspec.families import FAMILIES, FamilyParams
-from lqspec.gifs import strong_components
 from lqspec.matrix import entry_value
 
 
@@ -104,7 +103,8 @@ def closed_form_curve(fam, qs) -> list[tuple[float, float]]:
 
 # ---------------------------------------------------------------------------
 # Test-only helpers: a dense matrix built entry by entry, path composition
-# and graph components
+# and graph components (Tarjan, independent of the closures that
+# ``spectral.communication_classes`` uses)
 # ---------------------------------------------------------------------------
 
 def dense_matrix(spec, q: float, alpha: float) -> np.ndarray:
@@ -147,6 +147,61 @@ def assert_valid_gifs(g):
         out = g.out_edges(v)
         assert out, f"vertex {v + 1} has no outgoing edge"
         assert abs(math.fsum(e.prob for e in out) - 1.0) <= 1e-12, v
+
+
+def strong_components(n: int, adj: list[list[int]]) -> list[list[int]]:
+    """Strongly connected components of a digraph on nodes 0..n-1 (Tarjan).
+
+    Each component is an ascending node list; components are ordered by
+    their smallest node.
+    """
+    index = [-1] * n
+    lowlink = [0] * n
+    on_stack = [False] * n
+    comp = [-1] * n
+    stack: list[int] = []
+    counter = 0
+    ncomp = 0
+
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = lowlink[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            for i in range(pi, len(adj[v])):
+                w = adj[v][i]
+                if index[w] == -1:
+                    work[-1] = (v, i + 1)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    lowlink[v] = min(lowlink[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[v])
+            if lowlink[v] == index[v]:
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp[w] = ncomp
+                    if w == v:
+                        break
+                ncomp += 1
+    groups: dict[int, list[int]] = {}
+    for v, c in enumerate(comp):
+        groups.setdefault(c, []).append(v)
+    return sorted(groups.values(), key=min)
 
 
 def vertex_components(g) -> list[list[int]]:

@@ -215,7 +215,8 @@ def test_criterion_9_irreducibility_iff_strong_connectedness(canonical_specs):
     for fid in lq.FAMILY_IDS:
         g = lq.build_example(lq.canonical_params(fid))
         deco = lq.communication_classes(canonical_specs[fid])
-        assert deco.is_irreducible() == (len(vertex_components(g)) == 1)
+        irreducible = deco.num_classes == 1 and not deco.degenerate[0]
+        assert irreducible == (len(vertex_components(g)) == 1)
     _report(
         "criterion 9",
         "support irreducible exactly for the strongly connected families",

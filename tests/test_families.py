@@ -44,4 +44,3 @@ def test_edge_groups_follow_the_table():
         assert labels == [f"e{k}" for k in range(1, len(labels) + 1)]
         assert [lab for grp in fam.groups for lab in grp] == labels
         assert set(lq.default_probs(fid)) == set(labels)
-        assert len(fam.cell_labels) == len(fam.cell_scc)

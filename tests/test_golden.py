@@ -4,7 +4,8 @@
 Each case's stdout must keep the recorded structure (keys, lengths, types,
 strings, integers, booleans, CSV header) exactly and every float within
 1e-12 absolute.  After an intended output change, regenerate the files with
-``PYTHONPATH=src python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py``; it rewrites only the files
+that are missing or whose fresh output no longer matches them.
 """
 
 from __future__ import annotations
@@ -76,4 +77,10 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for family in FAMILY_IDS:
         for case in CASES:
-            (GOLDEN / f"{family}.{case}.out").write_text(_stdout(family, case))
+            path = GOLDEN / f"{family}.{case}.out"
+            fresh = _stdout(family, case)
+            try:
+                _assert_close(_parse(fresh), _parse(path.read_text()))
+            except (FileNotFoundError, ValueError, AssertionError):
+                path.write_text(fresh)
+                print(f"rewrote {path.name}")

@@ -123,8 +123,6 @@ def test_zero_row_sums_to_zero():
     spec = MeasureMatrixSpec(
         n=2,
         entries=((EntrySpec((atom(0.5, 0.5),)), e), (e, e)),
-        scc_of=(0, 0),
-        dim=1,
     )
     assert _full(spec, 1.0, 0.0)[1].sum() == 0.0
 
@@ -138,7 +136,7 @@ def test_in_domain_strong_r():
 
 def test_in_domain_all_atoms_unconstrained():
     e = EntrySpec((atom(0.5, 0.5),))
-    spec = MeasureMatrixSpec(n=1, entries=((e,),), scc_of=(0,), dim=1)
+    spec = MeasureMatrixSpec(n=1, entries=((e,),))
     block = compile_block(spec, [0])
     assert block.domain_sup(1.0) is None
     assert np.isfinite(block.evaluate(1.0, 500.0)[0]).all()
@@ -179,7 +177,7 @@ def test_matrix_at_nonstrong_basic_pattern():
 
 def test_matrix_at_zero_spec():
     e = EntrySpec()
-    spec = MeasureMatrixSpec(n=2, entries=((e, e), (e, e)), scc_of=(0, 0), dim=1)
+    spec = MeasureMatrixSpec(n=2, entries=((e, e), (e, e)))
     assert np.all(_full(spec, 1.0, 0.0) == 0.0)
 
 
@@ -243,7 +241,8 @@ def test_support_irreducibility_iff_strongly_connected():
         g = lq.build_example(lq.canonical_params(fid))
         spec = lq.build_matrix_spec(lq.canonical_params(fid))
         deco = lq.communication_classes(spec)
-        assert deco.is_irreducible() == (len(vertex_components(g)) == 1)
+        irreducible = deco.num_classes == 1 and not deco.degenerate[0]
+        assert irreducible == (len(vertex_components(g)) == 1)
 
 
 def test_random_family_matrices_in_domain_at_roots():

@@ -15,7 +15,7 @@ from conftest import closed_form_curve, tau_prime_fd
 
 def _one_atom_spec(w=0.5, rho=0.5):
     e = EntrySpec((atom(w, rho),))
-    return MeasureMatrixSpec(n=1, entries=((e,),), scc_of=(0,), dim=1)
+    return MeasureMatrixSpec(n=1, entries=((e,),))
 
 
 def _curve(qs, tau, slope, kinks=()):

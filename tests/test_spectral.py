@@ -4,14 +4,17 @@ classification, and lattice detection."""
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lqspec as lq
 from lqspec.families import FamilyParams, default_probs
 from lqspec.matrix import EntrySpec, MeasureMatrixSpec, atom, compile_block
-from conftest import dense_matrix, random_params
+from conftest import dense_matrix, random_params, strong_components
 
 
 def _spec_of(fid, **kw):
@@ -79,7 +82,7 @@ def test_classes_strong_r_single():
     deco = lq.communication_classes(_spec_of("strong-r"))
     assert deco.num_classes == 1
     assert deco.classes[0] == (0, 1, 2)
-    assert deco.is_irreducible()
+    assert not deco.degenerate[0]
 
 
 def test_classes_nonstrong_basic():
@@ -103,12 +106,64 @@ def test_classes_diagonal_spec():
     spec = MeasureMatrixSpec(
         n=3,
         entries=((e, z, z), (z, e, z), (z, z, e)),
-        scc_of=(0, 0, 0),
-        dim=1,
     )
     deco = lq.communication_classes(spec)
     assert deco.num_classes == 3
     assert all(not d for d in deco.degenerate)
+
+
+@st.composite
+def support_patterns(draw):
+    """Sparse random support patterns with self-loops, some rows emptied and
+    some rows cut off from every edge (isolated and cycle-free)."""
+    n = draw(st.integers(1, 10))
+    node = st.integers(0, n - 1)
+    sup = np.zeros((n, n), dtype=bool)
+    for i, j in draw(st.sets(st.tuples(node, node), max_size=3 * n)):
+        sup[i, j] = True
+    sup[list(draw(st.sets(node, max_size=n // 2))), :] = False
+    isolated = list(draw(st.sets(node, max_size=n // 2)))
+    sup[isolated, :] = False
+    sup[:, isolated] = False
+    return sup
+
+
+def _bfs(sup, start, allowed) -> set[int]:
+    """Rows reached from ``start`` (itself included) through rows in ``allowed``."""
+    seen, queue = {start}, deque([start])
+    while queue:
+        for j in np.flatnonzero(sup[queue.popleft()]).tolist():
+            if j in allowed and j not in seen:
+                seen.add(j)
+                queue.append(j)
+    return seen
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(support_patterns())
+def test_class_structure_matches_independent_oracles(sup):
+    n = len(sup)
+    e, z = EntrySpec((atom(0.5, 0.5),)), EntrySpec()
+    spec = MeasureMatrixSpec(n=n, entries=tuple(tuple(e if x else z for x in row) for row in sup))
+    deco = lq.communication_classes(spec)
+
+    comps = strong_components(n, [np.flatnonzero(row).tolist() for row in sup])
+    assert deco.classes == tuple(map(tuple, comps))
+    k = len(comps)
+    cyclic = [len(m) > 1 or bool(sup[m[0], m[0]]) for m in comps]
+    assert deco.degenerate == tuple(not c for c in cyclic)
+
+    reached = [_bfs(sup, m[0], set(range(n))) for m in comps]
+    assert deco.accessibility == tuple(
+        tuple(comps[d][0] in reached[c] for d in range(k)) for c in range(k)
+    )
+    assert deco.final_flags == tuple(reached[c] <= set(comps[c]) for c in range(k))
+
+    cyclic_rows = {i for c, m in enumerate(comps) if cyclic[c] for i in m}
+    via_cyclic = [_bfs(sup, m[0], cyclic_rows) if cyclic[c] else set() for c, m in enumerate(comps)]
+    assert deco.heights == tuple(
+        sum(m[0] in seen for seen in via_cyclic) if cyclic[c] else 0 for c, m in enumerate(comps)
+    )
 
 
 # -- class roots -----------------------------------------------------------------
@@ -124,7 +179,7 @@ def test_class_root_single_atom_linear():
     # single atom mass 1/2, length 1/2: root solves (1/2)^q (1/2)^{-a} = 1,
     # i.e. a = q
     e = EntrySpec((atom(0.5, 0.5),))
-    spec = MeasureMatrixSpec(n=1, entries=((e,),), scc_of=(0,), dim=1)
+    spec = MeasureMatrixSpec(n=1, entries=((e,),))
     deco = lq.communication_classes(spec)
     for q in (0.5, 1.0, 3.0):
         root = lq.class_root(compile_block(spec, deco.classes[0]), q)
@@ -134,7 +189,7 @@ def test_class_root_single_atom_linear():
 def test_class_root_degenerate_raises():
     z = EntrySpec()
     e = EntrySpec((atom(0.5, 0.5),))
-    spec = MeasureMatrixSpec(n=2, entries=((z, e), (z, z)), scc_of=(0, 0), dim=1)
+    spec = MeasureMatrixSpec(n=2, entries=((z, e), (z, z)))
     deco = lq.communication_classes(spec)
     with pytest.raises(lq.DegenerateClass):
         lq.class_root(compile_block(spec, deco.classes[0]), 1.0)
@@ -180,7 +235,7 @@ def test_classify_chain_heights():
     # heights 1 (upstream) and 2 (final)
     e = EntrySpec((atom(0.5, 0.5),))
     z = EntrySpec()
-    spec = MeasureMatrixSpec(n=2, entries=((e, z), (e, e)), scc_of=(0, 0), dim=1)
+    spec = MeasureMatrixSpec(n=2, entries=((e, z), (e, e)))
     result = lq.classify(spec, 1.0)
     assert len(result.basic_classes) == 2
     assert sorted(result.heights.values()) == [1, 2]
@@ -199,8 +254,6 @@ def test_classify_fed_tags():
     spec = MeasureMatrixSpec(
         n=3,
         entries=((a, a, z), (z, a, a), (z, z, c)),
-        scc_of=(0, 0, 0),
-        dim=1,
     )
     result = lq.classify(spec, 1.0)
     assert len(result.basic_classes) == 2
@@ -212,8 +265,6 @@ def test_classify_fed_tags():
     spec2 = MeasureMatrixSpec(
         n=2,
         entries=((a, a), (z, c)),
-        scc_of=(0, 0),
-        dim=1,
     )
     result2 = lq.classify(spec2, 1.0)
     assert result2.tags[2].kind == "fed_by_S0"
@@ -238,8 +289,6 @@ def test_classify_permutation_invariant():
         permuted = MeasureMatrixSpec(
             n=spec.n,
             entries=entries,
-            scc_of=tuple(spec.scc_of[perm[i]] for i in range(spec.n)),
-            dim=spec.dim,
             labels=tuple(spec.labels[perm[i]] for i in range(spec.n)),
         )
         res = lq.classify(permuted, 2.0)
@@ -263,20 +312,6 @@ def test_classify_roots_inside_domain():
                 members = res.decomposition.classes[ci]
                 sup = compile_block(spec, members).domain_sup(q)
                 assert sup is None or root < sup
-
-
-def test_component_slots_consistent_across_families():
-    for fid in lq.FAMILY_IDS:
-        spec = _spec_of(fid)
-        deco = lq.communication_classes(spec)
-        # the component exponent slot is constant on every class
-        for members in deco.classes:
-            assert len({spec.scc_of[i] for i in members}) == 1
-        # every component hosts at least one class with a cycle, so every
-        # exponent slot carries a root
-        rooted = {deco.scc_of_class[ci] for ci in range(deco.num_classes)
-                  if not deco.degenerate[ci]}
-        assert rooted == set(range(max(spec.scc_of) + 1))
 
 
 # -- one root per distinct class block -------------------------------------------
@@ -361,7 +396,7 @@ def _diagonal_blocks_spec(blocks) -> MeasureMatrixSpec:
             for j, e in enumerate(row):
                 grid[start + i][start + j] = e
         start += len(b)
-    return MeasureMatrixSpec(n=n, entries=tuple(map(tuple, grid)), scc_of=(0,) * n, dim=1)
+    return MeasureMatrixSpec(n=n, entries=tuple(map(tuple, grid)))
 
 
 _A = EntrySpec((atom(0.25, 0.5),))
@@ -420,7 +455,7 @@ def test_lattice_strong_r2_inherent():
 
 def test_lattice_single_self_loop():
     e = EntrySpec((atom(0.5, 0.4),))
-    spec = MeasureMatrixSpec(n=1, entries=((e,),), scc_of=(0,), dim=1)
+    spec = MeasureMatrixSpec(n=1, entries=((e,),))
     deco = lq.communication_classes(spec)
     verdict = lq.lattice_check(spec, deco.classes[0])
     assert verdict.lattice
