@@ -90,17 +90,19 @@ class RunConfig:
                 if isinstance(v, bool) or not isinstance(v, int):
                     raise ConfigError(f"config field {name!r} must be an integer, got {v!r}")
             elif name == "scales":
-                if not isinstance(v, list):
-                    raise ConfigError(f"config field 'scales' must be a list, got {v!r}")
+                if not isinstance(v, list) or not v:
+                    raise ConfigError(f"config field 'scales' must be a nonempty list, got {v!r}")
                 out[name] = [_config_number(name, x) for x in v]
             elif name in _PARAM_FIELDS:
                 _config_number(name, v)
             elif name == "probs":
-                if isinstance(v, dict):
+                if isinstance(v, dict) and v:
                     for lab, p in v.items():
                         _config_number(f"probs.{lab}", p)
                 elif not isinstance(v, str):
-                    raise ConfigError(f"config field 'probs' must be a string or an object, got {v!r}")
+                    raise ConfigError(
+                        f"config field 'probs' must be a string or a nonempty object, got {v!r}"
+                    )
             elif not isinstance(v, str):  # family, output
                 raise ConfigError(f"config field {name!r} must be a string, got {v!r}")
         return RunConfig(**out)
@@ -136,7 +138,7 @@ def _parse_probs_arg(text: str):
 
 
 def _parse_scales(args) -> list[float]:
-    if args.scales:
+    if args.scales is not None:
         try:
             return [parse_number(x) for x in args.scales.split(",")]
         except (ValueError, ZeroDivisionError) as exc:
@@ -148,21 +150,21 @@ def _parse_scales(args) -> list[float]:
 
 
 def _config_from_args(args) -> RunConfig:
-    if args.config:
+    if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = RunConfig.from_dict(json.load(fh))
     else:
         if not args.family:
             raise ConfigError("--family is required (or use --config)")
         cfg = RunConfig(family=args.family)
-    if args.probs:
+    if args.probs is not None:
         cfg.probs = _parse_probs_arg(args.probs)
     for name in ("rho", "r", "t", "s", "q", "q_min", "q_max", "steps", "samples", "seed",
                  "depth_eps", "tie_tol", "output"):
         v = getattr(args, name)
         if v is not None:
             setattr(cfg, name, v)
-    if args.scales or args.scale_octaves:
+    if args.scales is not None or args.scale_octaves is not None:
         cfg.scales = _parse_scales(args)
     return cfg
 

@@ -271,6 +271,30 @@ def _no_walks(*args, **kwargs):
     raise AssertionError("a walk started")
 
 
+@pytest.mark.parametrize(
+    "command, flags, cfg, message",
+    [
+        ("solve", ("--probs", ""), None, "--probs"),
+        ("estimate", ("--scales", ""), None, "--scales"),
+        ("solve", (), {"probs": {}}, "'probs' must be a string or a nonempty object"),
+        ("estimate", (), {"scales": []}, "'scales' must be a nonempty list"),
+    ],
+    ids=["probs-flag", "scales-flag", "probs-config", "scales-config"],
+)
+def test_empty_values_exit_2(monkeypatch, tmp_path, capsys, command, flags, cfg, message):
+    # an empty map or list is an error, not a request for the defaults
+    monkeypatch.setattr(cli.empirical, "_walk_chunk", _no_walks)
+    if cfg is None:
+        argv = ("--family", "strong-r", "--q", "2", *flags)
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"family": "strong-r", "q": 2, **cfg}))
+        argv = ("--config", str(path))
+    code, out, err = run(capsys, command, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and message in err
+
+
 @pytest.mark.parametrize("command", ["estimate", "compare"])
 @pytest.mark.parametrize(
     "scales", ["--scales=0,0.1,0.01", "--scales=-0.1,0.05,0.01", "--scales=0.1,nan,0.01"]
