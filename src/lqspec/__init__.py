@@ -35,8 +35,6 @@ from .gifs import Edge, Gifs, Similitude, build_example
 from .matrix import (
     AtomFamily,
     BinomialSum,
-    Constant,
-    EntrySpec,
     GeometricPower,
     MeasureMatrixSpec,
     build_matrix_spec,

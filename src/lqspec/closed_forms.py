@@ -107,12 +107,6 @@ class ClosedFormFamily:
     params: object  # families.FamilyParams
     factors: tuple[Factor, ...]
 
-    def H_val(self, q: float, alpha: float) -> Val:
-        out = Val(1.0)
-        for f in self.factors:
-            out = out * f.value(q, alpha)
-        return out
-
     def solve_factor(self, i: int, q: float, start: float = 0.0) -> float:
         f = self.factors[i]
         sup = (f.solve_sup or f.domain_sup)(q)

@@ -10,7 +10,9 @@ checks a parameter set against its record once for every route, so
 
 Cell and factor builders receive the parameters ``x`` and the edge
 probabilities ``w``, where ``w[k]`` belongs to the k-th edge of the table
-(the edge labelled ``ek``).
+(the edge labelled ``ek``).  A cell builder returns the nonzero entries
+of the measure matrix, {(i, j): [terms]}, where a term is an atom
+``(mass, ratio)`` or a series (``matrix.AtomFamily``).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Callable
 from .closed_forms import Factor, _geom_sup, _no_sup, _qpow, _series_val
 from .errors import InvalidParams
 from .gifs import Similitude, similitude_1d, similitude_2d
-from .matrix import AtomFamily, atom, binomial_family, geometric_family
+from .matrix import binomial_family, geometric_family
 
 GOLDEN_RATIO_INV = (math.sqrt(5.0) - 1.0) / 2.0
 _PROB_TOL = 1e-12  # largest |sum - 1| of one vertex's edge probabilities
@@ -51,7 +53,7 @@ class Family:
     canonical: dict[str, float]
     geometry: Callable[[FamilyParams], None]  # raises InvalidParams
     cell_labels: tuple[int, ...]  # 1-based report label per matrix row
-    cells: Callable[[FamilyParams, dict[int, float]], dict[tuple[int, int], list[AtomFamily]]]
+    cells: Callable[[FamilyParams, dict[int, float]], dict[tuple[int, int], list]]
     factors: Callable[[FamilyParams, dict[int, float]], tuple[Factor, ...]]
     bbox: tuple[tuple[float, float], ...] = ()  # sampling box; unit box if empty
 
@@ -122,12 +124,12 @@ _RHO_R = {"rho": 1.0 / 3.0, "r": 2.0 / 7.0}
 def _strong_r_cells(x, w):
     rho, r = x.rho, x.r
     return {
-        (0, 0): [atom(w[1], rho)],
-        (0, 1): [atom((w[1] * w[3] + w[2] * w[5]) / w[5], r)],
-        (0, 2): [atom(w[2], r)],
+        (0, 0): [(w[1], rho)],
+        (0, 1): [((w[1] * w[3] + w[2] * w[5]) / w[5], r)],
+        (0, 2): [(w[2], r)],
         (1, 0): [geometric_family(w[5], w[3], rho, r)],
-        (2, 1): [atom(w[4], r)],
-        (2, 2): [atom(w[4], r)],
+        (2, 1): [(w[4], r)],
+        (2, 2): [(w[4], r)],
     }
 
 
@@ -202,10 +204,10 @@ def _strong_r2_cells(x, w):
         cells[(0, j)] = [series]
     for i, k in ((1, 2), (2, 3), (3, 5), (4, 6)):
         for j in (0, 1, 2):
-            cells[(i, j)] = [atom(w[k], rr)]
+            cells[(i, j)] = [(w[k], rr)]
     for i, k in ((5, 7), (6, 8)):
         for j in (3, 4, 5, 6):
-            cells[(i, j)] = [atom(w[k], rr)]
+            cells[(i, j)] = [(w[k], rr)]
     return cells
 
 
@@ -254,12 +256,12 @@ def _nonstrong_r_basic_cells(x, w):
     return {
         (0, 0): [binomial_family(w[1], w[2], w[3], rho, r)],
         (0, 1): [geometric_family(w[2], w[2], r, r)],
-        (1, 0): [atom(w[3], r)],
-        (1, 1): [atom(w[3], r)],
-        (2, 0): [atom(w[5], rho)],
-        (2, 1): [atom(w[5], rho)],
-        (3, 2): [atom(w[4], r)],
-        (3, 3): [atom(w[4], r)],
+        (1, 0): [(w[3], r)],
+        (1, 1): [(w[3], r)],
+        (2, 0): [(w[5], rho)],
+        (2, 1): [(w[5], rho)],
+        (3, 2): [(w[4], r)],
+        (3, 3): [(w[4], r)],
     }
 
 
@@ -314,12 +316,12 @@ def _heights_cells(x, w):
         target, copied = (0, w[3]) if i in (1, 2) else (4, w[9])
         cells[(row, target)] = [binomial_family(lead, mid, copied, rho, r)]
         cells[(row, row + 1)] = [geometric_family(mid, mid, r, r)]
-        cells[(row + 1, row)] = [atom(loop, r)]
-        cells[(row + 1, row + 1)] = [atom(loop, r)]
-    cells[(10, 0)] = [atom(w[16], rho)]
-    cells[(10, 1)] = [atom(w[16], rho)]
-    cells[(11, 10)] = [atom(w[17], r)]
-    cells[(11, 11)] = [atom(w[17], r)]
+        cells[(row + 1, row)] = [(loop, r)]
+        cells[(row + 1, row + 1)] = [(loop, r)]
+    cells[(10, 0)] = [(w[16], rho)]
+    cells[(10, 1)] = [(w[16], rho)]
+    cells[(11, 10)] = [(w[17], r)]
+    cells[(11, 11)] = [(w[17], r)]
     return cells
 
 
@@ -376,16 +378,16 @@ def _nonstrong_r2_cells(x, w):
     geo = geometric_family(w[5], w[5], r, r)
     cells = {}
     for j in (3, 4, 5):
-        cells[(0, j)] = [atom(w[1], s)]
+        cells[(0, j)] = [(w[1], s)]
     for j in (0, 1, 2):
-        cells[(1, j)] = [atom(w[2], t)]
-        cells[(2, j)] = [atom(w[3], 1.0 - t)]
+        cells[(1, j)] = [(w[2], t)]
+        cells[(2, j)] = [(w[3], 1.0 - t)]
     cells[(3, 3)] = [series]
     cells[(3, 4)] = [geo]
     cells[(3, 5)] = [series, geo]
     for j in (3, 4, 5):
-        cells[(4, j)] = [atom(w[6], r)]
-        cells[(5, j)] = [atom(w[7], r)]
+        cells[(4, j)] = [(w[6], r)]
+        cells[(5, j)] = [(w[7], r)]
     return cells
 
 
@@ -460,22 +462,20 @@ def canonical_params(family_id: str) -> FamilyParams:
     return FamilyParams(family_id, **family(family_id).canonical, probs=default_probs(family_id))
 
 
-def resolve(p: FamilyParams, geometry: bool = True) -> tuple[Family, dict[int, float]]:
+def resolve(p: FamilyParams) -> tuple[Family, dict[int, float]]:
     """The record of ``p``'s family and its edge probabilities by edge number.
 
     Raises ``InvalidParams`` unless the family is known, each of its
-    parameters lies in (0, 1), its geometric constraint holds (skipped with
-    ``geometry=False``), and the probabilities, uniform when none are given,
-    name only the family's edges, lie in (0, 1] and sum to one at each
-    vertex.
+    parameters lies in (0, 1), its geometric constraint holds, and the
+    probabilities, uniform when none are given, name only the family's
+    edges, lie in (0, 1] and sum to one at each vertex.
     """
     fam = family(p.family_id)
     for name in fam.params:
         v = getattr(p, name)
         _require(v is not None, f"{fam.id} requires {name}")
         _require(0.0 < v < 1.0, f"{name}={v} not in (0,1)")
-    if geometry:
-        fam.geometry(p)
+    fam.geometry(p)
     probs = dict(p.probs) if p.probs else default_probs(fam.id)
     unknown = sorted(set(probs) - {lab for lab, *_ in fam.edges})
     _require(not unknown, f"{fam.id} has no edges {unknown}")

@@ -1,21 +1,23 @@
 """Evaluable symbolic matrices of measure masses.
 
-Each matrix entry is a (possibly empty) list of atom families.  The k-th
-atom of a family sits at log-length -ln(rho0 * r^k) and carries mass w_k,
-so its (q, alpha)-value is w_k^q * (rho0 * r^k)^(-alpha).  Finite families
-and pure geometric weight sequences are summed in closed form; weight
-sequences with a binomial-sum structure are summed by adaptive truncation
-with an analytic tail majorant, so every reported value carries a certified
-relative error.
+A matrix entry is a tuple of terms, each of one of two kinds:
 
-A ``MeasureMatrixSpec`` holds the entries of a built-in family
-(``build_matrix_spec``).  The solve path evaluates it only through
-``compile_block``: a principal block whose ``evaluate`` returns the block
-and its partials in q and alpha at one point.  ``entry_value`` sums one
-entry on its own.
+- an atom ``(mass, ratio)``, whose (q, alpha)-value is
+  mass^q * ratio^(-alpha);
+- a series, an ``AtomFamily``: its k-th atom, k >= 0, sits at
+  log-length -ln(rho0 * r^k) and carries mass w_k.  Geometric weight
+  sequences are summed in closed form; binomial-sum sequences by adaptive
+  truncation with an analytic tail majorant, so every reported value
+  carries a certified relative error.
 
-Structural zeros are represented as empty entries (never tiny floats) so
-that communication-class detection downstream is exact.
+A ``MeasureMatrixSpec`` holds a matrix sparsely, as the map
+{(i, j): terms} that a built-in family's table builds
+(``build_matrix_spec``).  A missing key is a structural zero (never a tiny
+float), so the support, held as one bitmask per row, is exact and so is
+the communication-class detection downstream.  The solve path evaluates a
+spec only through ``compile_block``: a principal block whose ``evaluate``
+returns the block and its partials in q and alpha at one point.
+``entry_value`` sums one entry on its own.
 """
 
 from __future__ import annotations
@@ -36,28 +38,11 @@ _MAX_TERMS = 1 << 26
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Constant:
-    """w_k = c."""
-
-    c: float
-
-    def log_values(self, ks: np.ndarray) -> np.ndarray:
-        return np.full(ks.shape, math.log(self.c))
-
-    @property
-    def growth_base(self) -> float:
-        return 1.0
-
-
-@dataclass(frozen=True)
 class GeometricPower:
     """w_k = c * a^k."""
 
     c: float
     a: float
-
-    def log_values(self, ks: np.ndarray) -> np.ndarray:
-        return math.log(self.c) + ks * math.log(self.a)
 
     @property
     def growth_base(self) -> float:
@@ -93,31 +78,20 @@ class BinomialSum:
         return max(self.a, self.b)
 
 
-WeightSequence = Constant | GeometricPower | BinomialSum
-
-
 # ---------------------------------------------------------------------------
-# Atom families and entries
+# Series and entries
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class AtomFamily:
-    """Atoms at log-lengths -ln(rho0 * r^k), k = k_start..k_end, mass w_k."""
+    """A series: atoms at log-lengths -ln(rho0 * r^k), k >= 0, with mass w_k."""
 
-    weight: WeightSequence
+    weight: GeometricPower | BinomialSum
     base_ratio: float
-    step_ratio: float = 1.0
-    k_start: int = 0
-    k_end: int | None = 0  # None means infinite
+    step_ratio: float
 
-    @property
-    def infinite(self) -> bool:
-        return self.k_end is None
-
-    def domain_sup(self, q: float) -> float | None:
-        """Open upper bound on alpha for convergence; None if unconstrained."""
-        if not self.infinite:
-            return None
+    def domain_sup(self, q: float) -> float:
+        """Open upper bound on alpha for convergence."""
         # zeta = growth_base^q * r^(-alpha) < 1
         return q * math.log(self.weight.growth_base) / math.log(self.step_ratio)
 
@@ -131,29 +105,14 @@ class AtomFamily:
         where L_k = rho0 * r^k.
         """
         log_rho0 = math.log(self.base_ratio)
-        log_r = math.log(self.step_ratio) if self.step_ratio != 1.0 else 0.0
-
-        if not self.infinite:
-            if self.k_end == self.k_start and isinstance(self.weight, Constant):
-                # Single atom: scalar fast path.
-                log_w = math.log(self.weight.c)
-                log_len = log_rho0 + self.k_start * log_r
-                s = math.exp(q * log_w - alpha * log_len)
-                if not grads:
-                    return s
-                return s, s * log_w, -s * log_len
-            ks = np.arange(self.k_start, self.k_end + 1, dtype=float)
-            return self._sum_terms(ks, q, alpha, log_rho0, log_r, grads)
-
+        log_r = math.log(self.step_ratio)
         if isinstance(self.weight, BinomialSum):
             return self._sum_truncated(q, alpha, log_rho0, log_r, grads)
         return self._sum_geometric(q, alpha, log_rho0, log_r, grads)
 
-    # -- closed forms -------------------------------------------------------
-
     def _sum_geometric(self, q, alpha, log_rho0, log_r, grads):
         w = self.weight
-        log_a = math.log(w.growth_base) if w.growth_base != 1.0 else 0.0
+        log_a = math.log(w.a)
         log_zeta = q * log_a - alpha * log_r
         if log_zeta >= 0.0:
             raise DomainViolation(
@@ -161,29 +120,13 @@ class AtomFamily:
             )
         zeta = math.exp(log_zeta)
         amp = math.exp(q * math.log(w.c) - alpha * log_rho0)
-        k0 = self.k_start
-        zk0 = math.exp(k0 * log_zeta)
-        s = amp * zk0 / (1.0 - zeta)
+        s = amp / (1.0 - zeta)
         if not grads:
             return s
-        # sum_{k>=k0} k zeta^k = zeta^k0 (k0 (1-zeta) + zeta) / (1-zeta)^2
-        sk = amp * zk0 * (k0 * (1.0 - zeta) + zeta) / (1.0 - zeta) ** 2
+        # sum_{k>=0} k zeta^k = zeta / (1-zeta)^2
+        sk = amp * zeta / (1.0 - zeta) ** 2
         sq = math.log(w.c) * s + log_a * sk
         sa = -log_rho0 * s - log_r * sk
-        return s, sq, sa
-
-    # -- vectorized partial sums --------------------------------------------
-
-    def _sum_terms(self, ks, q, alpha, log_rho0, log_r, grads):
-        log_w = self.weight.log_values(ks)
-        log_len = log_rho0 + ks * log_r
-        with np.errstate(under="ignore"):
-            terms = np.exp(q * log_w - alpha * log_len)
-        s = float(np.sum(terms))
-        if not grads:
-            return s
-        sq = float(np.sum(terms * log_w))
-        sa = -float(np.sum(terms * log_len))
         return s, sq, sa
 
     def _sum_truncated(self, q, alpha, log_rho0, log_r, grads):
@@ -198,14 +141,17 @@ class AtomFamily:
         lw_const = abs(math.log(w.c)) + abs(log_hi) + 1.0
         ll_const = abs(log_rho0) + abs(log_r)
         s = sq = sa = 0.0
-        k_next = self.k_start
+        k_next = 0
         batch = 64
         while True:
             ks = np.arange(k_next, k_next + batch, dtype=float)
-            part = self._sum_terms(ks, q, alpha, log_rho0, log_r, True)
-            s += part[0]
-            sq += part[1]
-            sa += part[2]
+            log_w = w.log_values(ks)
+            log_len = log_rho0 + ks * log_r
+            with np.errstate(under="ignore"):
+                terms = np.exp(q * log_w - alpha * log_len)
+            s += float(np.sum(terms))
+            sq += float(np.sum(terms * log_w))
+            sa -= float(np.sum(terms * log_len))
             k_next += batch
             batch = min(2 * batch, 1 << 20)
 
@@ -227,7 +173,7 @@ class AtomFamily:
                     )
                 if ok:
                     break
-            if k_next - self.k_start > _MAX_TERMS:
+            if k_next > _MAX_TERMS:
                 raise DomainViolation(
                     f"series at q={q}, alpha={alpha} converges too slowly "
                     f"(ratio {math.exp(log_zeta):.12g})"
@@ -237,35 +183,23 @@ class AtomFamily:
         return s
 
 
-@dataclass(frozen=True)
-class EntrySpec:
-    """One matrix entry: a list of atom families; empty = structural zero."""
-
-    families: tuple[AtomFamily, ...] = ()
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.families
-
-
-def entry_value(entry: EntrySpec, q: float, alpha: float) -> float:
-    """Total mass of an entry at (q, alpha)."""
-    return math.fsum(f.evaluate(q, alpha) for f in entry.families)
-
-
-def atom(c: float, ratio: float) -> AtomFamily:
-    """A single atom of mass c at log-length -ln(ratio)."""
-    return AtomFamily(weight=Constant(c), base_ratio=ratio, step_ratio=1.0, k_start=0, k_end=0)
+def entry_value(terms, q: float, alpha: float) -> float:
+    """Total mass at (q, alpha) of one entry, a tuple of atoms and series."""
+    return math.fsum(
+        t.evaluate(q, alpha) if isinstance(t, AtomFamily)
+        else math.exp(q * math.log(t[0]) - alpha * math.log(t[1]))
+        for t in terms
+    )
 
 
 def geometric_family(c: float, a: float, rho0: float, r: float) -> AtomFamily:
     """Masses c*a^k at log-lengths -ln(rho0*r^k), k >= 0."""
-    return AtomFamily(weight=GeometricPower(c, a), base_ratio=rho0, step_ratio=r, k_start=0, k_end=None)
+    return AtomFamily(GeometricPower(c, a), rho0, r)
 
 
 def binomial_family(c: float, a: float, b: float, rho0: float, r: float) -> AtomFamily:
     """Masses c*sum a^j b^(k-j) at log-lengths -ln(rho0*r^k), k >= 0."""
-    return AtomFamily(weight=BinomialSum(c, a, b), base_ratio=rho0, step_ratio=r, k_start=0, k_end=None)
+    return AtomFamily(BinomialSum(c, a, b), rho0, r)
 
 
 # ---------------------------------------------------------------------------
@@ -274,31 +208,37 @@ def binomial_family(c: float, a: float, b: float, rho0: float, r: float) -> Atom
 
 @dataclass(frozen=True)
 class MeasureMatrixSpec:
-    """n x n matrix of entries; ``labels[i]`` is row i's 1-based cell index in reports."""
+    """An n x n matrix held sparsely.
+
+    ``cells[(i, j)]`` is the nonempty tuple of terms of entry (i, j); a
+    missing key is a structural zero.  ``labels[i]`` is row i's 1-based
+    cell index in reports.
+    """
 
     n: int
-    entries: tuple[tuple[EntrySpec, ...], ...]
+    cells: dict[tuple[int, int], tuple]
     labels: tuple[int, ...] = ()
 
     def __post_init__(self):
         if not self.labels:
             object.__setattr__(self, "labels", tuple(range(1, self.n + 1)))
 
-    def support(self) -> np.ndarray:
-        """Boolean support pattern (exact: empty entries are zeros)."""
-        return np.array(
-            [[not self.entries[i][j].is_zero for j in range(self.n)] for i in range(self.n)]
-        )
+    def support(self) -> list[int]:
+        """The support as row bitmasks: bit j of row i is set when (i, j) is a key."""
+        rows = [0] * self.n
+        for i, j in self.cells:
+            rows[i] |= 1 << j
+        return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompiledBlock:
     """A principal block of a spec, compiled for repeated evaluation.
 
-    Finite families are expanded into flat atom arrays (flat cell index,
-    ln w, ln L), so their share of the block at (q, alpha) is one ``exp``
-    and one ``bincount`` per output.  Each distinct infinite family is
-    summed once per call and added to every cell that holds it.
+    Atoms are held as flat arrays (flat cell index, ln w, ln L), so their
+    share of the block at (q, alpha) is one ``exp`` and one ``bincount``
+    per output.  Each distinct series is summed once per call and added to
+    every cell that holds it.
     """
 
     size: int
@@ -307,28 +247,19 @@ class CompiledBlock:
     log_len: np.ndarray
     series: tuple[tuple[AtomFamily, tuple[int, ...]], ...]
 
-    def __eq__(self, other):
-        """Same size, atoms and series: the same M(alpha) at every q."""
-        return (
-            isinstance(other, CompiledBlock)
-            and self.size == other.size
-            and self.series == other.series
-            and all(np.array_equal(getattr(self, f), getattr(other, f))
-                    for f in ("cells", "log_w", "log_len"))
-        )
-
     def domain_sup(self, q: float) -> float | None:
-        sups = [s for fam, _ in self.series if (s := fam.domain_sup(q)) is not None]
-        return min(sups) if sups else None
+        return min((fam.domain_sup(q) for fam, _ in self.series), default=None)
 
     def evaluate(self, q: float, alpha: float):
         """The block M and its partials dM/dq, dM/dalpha at (q, alpha)."""
         n2 = self.size * self.size
         with np.errstate(over="ignore", under="ignore"):
             terms = np.exp(q * self.log_w - alpha * self.log_len)
-        m = np.bincount(self.cells, terms, n2)
-        mq = np.bincount(self.cells, terms * self.log_w, n2)
-        ma = np.bincount(self.cells, -terms * self.log_len, n2)
+        # With no atoms, bincount returns integer zeros that would truncate
+        # the series sums added below.
+        m = np.bincount(self.cells, terms, n2).astype(float, copy=False)
+        mq = np.bincount(self.cells, terms * self.log_w, n2).astype(float, copy=False)
+        ma = np.bincount(self.cells, -terms * self.log_len, n2).astype(float, copy=False)
         for fam, cells in self.series:
             s, sq, sa = fam.evaluate(q, alpha, grads=True)
             for c in cells:
@@ -339,29 +270,35 @@ class CompiledBlock:
         return m.reshape(shape), mq.reshape(shape), ma.reshape(shape)
 
 
-def compile_block(spec: MeasureMatrixSpec, members) -> CompiledBlock:
-    """Compile the principal block of ``spec`` on the rows ``members``."""
+def block_terms(spec: MeasureMatrixSpec, members) -> tuple:
+    """The terms of the principal block of ``spec`` on the rows ``members``.
+
+    Returns (size, atoms, series): the atoms as (flat cell, mass, ratio) and
+    each distinct series with its flat cells, both in row-major cell order.
+    Blocks with equal terms are the same M(alpha) at every q.
+    """
     members = list(members)
-    cells, log_w, log_len = [], [], []
-    series: dict[AtomFamily, list[int]] = {}
+    size = len(members)
+    atoms, series = [], {}
     for a, i in enumerate(members):
         for b, j in enumerate(members):
-            cell = a * len(members) + b
-            for fam in spec.entries[i][j].families:
-                if fam.infinite:
-                    series.setdefault(fam, []).append(cell)
-                    continue
-                ks = np.arange(fam.k_start, fam.k_end + 1, dtype=float)
-                log_r = math.log(fam.step_ratio)
-                cells.extend([cell] * len(ks))
-                log_w.extend(fam.weight.log_values(ks))
-                log_len.extend(math.log(fam.base_ratio) + ks * log_r)
+            for term in spec.cells.get((i, j), ()):
+                if isinstance(term, AtomFamily):
+                    series.setdefault(term, []).append(a * size + b)
+                else:
+                    atoms.append((a * size + b, *term))
+    return size, tuple(atoms), tuple((fam, tuple(c)) for fam, c in series.items())
+
+
+def compile_block(spec: MeasureMatrixSpec, members) -> CompiledBlock:
+    """Compile the principal block of ``spec`` on the rows ``members``."""
+    size, atoms, series = block_terms(spec, members)
     return CompiledBlock(
-        size=len(members),
-        cells=np.array(cells, dtype=np.intp),
-        log_w=np.array(log_w, dtype=float),
-        log_len=np.array(log_len, dtype=float),
-        series=tuple((fam, tuple(c)) for fam, c in series.items()),
+        size=size,
+        cells=np.array([c for c, _, _ in atoms], dtype=np.intp),
+        log_w=np.array([math.log(m) for _, m, _ in atoms], dtype=float),
+        log_len=np.array([math.log(r) for _, _, r in atoms], dtype=float),
+        series=series,
     )
 
 
@@ -369,24 +306,13 @@ def compile_block(spec: MeasureMatrixSpec, members) -> CompiledBlock:
 # Built-in family matrices
 # ---------------------------------------------------------------------------
 
-def build_matrix_spec(p, check_geometry: bool = True) -> MeasureMatrixSpec:
-    """Symbolic matrix for a built-in family (``families.FamilyParams``).
-
-    ``check_geometry=False`` skips the family's geometric constraint (the
-    non-overlap condition on (rho, r)); the matrix algebra, and in
-    particular the lattice structure of its log-length spectrum, is well
-    defined for any ratios in (0, 1), which the commensurability analyses
-    exploit.
-    """
+def build_matrix_spec(p) -> MeasureMatrixSpec:
+    """Symbolic matrix for a built-in family (``families.FamilyParams``)."""
     from .families import resolve  # the family table is built on this module
 
-    fam, w = resolve(p, geometry=check_geometry)
-    n = len(fam.cell_labels)
-    grid = [[EntrySpec() for _ in range(n)] for _ in range(n)]
-    for (i, j), fams in fam.cells(p, w).items():
-        grid[i][j] = EntrySpec(tuple(fams))
+    fam, w = resolve(p)
     return MeasureMatrixSpec(
-        n=n,
-        entries=tuple(tuple(row) for row in grid),
+        n=len(fam.cell_labels),
+        cells={ij: tuple(terms) for ij, terms in fam.cells(p, w).items()},
         labels=fam.cell_labels,
     )

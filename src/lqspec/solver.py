@@ -21,9 +21,6 @@ class SpectrumCurve:
     roots_table: tuple[dict, ...]  # per grid point: class index -> root
     slopes: tuple[tuple[float, float], ...]  # per grid point: tau_slopes
 
-    def __len__(self) -> int:
-        return len(self.qs)
-
 
 @dataclass(frozen=True)
 class LegendreCurve:

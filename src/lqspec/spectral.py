@@ -10,7 +10,9 @@ length spectrum.
 The classes, which classes each class reaches, the final classes and the
 renewal heights all come from one relation, reachability in the support
 digraph, computed as reflexive-transitive closures (``_closure``); none of
-them depends on q.
+them depends on q.  The support is read from the spec's sparse map of
+entries (each a tuple of atoms and series; a missing key is a zero) as one
+bitmask per row, so this part uses plain integers and no arrays.
 
 Class roots use no eigenvalue iteration.  For a nonnegative block M, one
 Gaussian elimination of the Z-matrix I - M with diagonal pivots decides the
@@ -33,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateClass, InvalidParams, NoConvergence
-from .matrix import CompiledBlock, MeasureMatrixSpec, compile_block
+from .matrix import AtomFamily, CompiledBlock, MeasureMatrixSpec, block_terms, compile_block
 from .matrix import entry_value  # noqa: F401  (public name; bench/tracing.py wraps it here)
 
 _MAX_EVALS = 200
@@ -58,8 +60,9 @@ def spectral_radius(mat: np.ndarray) -> float:
     double lies strictly inside.
     """
     mat = np.asarray(mat, dtype=float)
+    rows = [sum(1 << j for j, x in enumerate(row) if x) for row in (mat != 0.0).tolist()]
     best = 0.0
-    for block_idx in _support_sccs(mat != 0.0):
+    for block_idx in _support_sccs(rows):
         if len(block_idx) == 1:
             i = block_idx[0]
             best = max(best, mat[i, i])
@@ -80,12 +83,12 @@ def spectral_radius(mat: np.ndarray) -> float:
     return best
 
 
-def _support_sccs(support: np.ndarray) -> list[list[int]]:
-    """Classes of mutual reachability of a boolean adjacency matrix.
+def _support_sccs(rows: list[int]) -> list[list[int]]:
+    """Classes of mutual reachability of an adjacency held as row bitmasks.
 
     Members ascend within a class; classes are ordered by smallest member.
     """
-    reach = _closure([sum(1 << j for j, x in enumerate(row) if x) for row in support.tolist()])
+    reach = _closure(rows)
     classes, seen = [], set()
     for i, row in enumerate(reach):
         if i not in seen:
@@ -143,18 +146,20 @@ def communication_classes(spec: MeasureMatrixSpec) -> ClassDecomposition:
     the class digraph restricted to cyclic classes gives the heights.  None
     depends on (q, alpha), only on which entries are structurally nonzero.
     """
-    support = spec.support()
-    classes = _support_sccs(support)
+    rows = spec.support()
+    classes = _support_sccs(rows)
     k = len(classes)
     class_of = [0] * spec.n
     for ci, members in enumerate(classes):
         for i in members:
             class_of[i] = ci
-    degenerate = [len(m) == 1 and not support[m[0], m[0]] for m in classes]
+    degenerate = [len(m) == 1 and not rows[m[0]] >> m[0] & 1 for m in classes]
 
     adj = [0] * k
-    for i, j in np.argwhere(support).tolist():
-        adj[class_of[i]] |= 1 << class_of[j]
+    for i, row in enumerate(rows):
+        for j in range(spec.n):
+            if row >> j & 1:
+                adj[class_of[i]] |= 1 << class_of[j]
     reach = _closure(adj)
     cyclic = sum(1 << c for c in range(k) if not degenerate[c])
     reach_cyclic = _closure([row & cyclic for row in adj])
@@ -196,11 +201,6 @@ class Elimination:
     g: float
     right: np.ndarray | None = None
     left: np.ndarray | None = None
-
-    @property
-    def sign(self) -> int:
-        """Sign of rho(M) - 1."""
-        return (self.g > 1.0) - (self.g < 1.0)
 
 
 def eliminate(mat: np.ndarray) -> Elimination:
@@ -382,7 +382,7 @@ def _certified(alpha, q, m, mq, grad, el, evals) -> ClassRoot:
 
 @dataclass(frozen=True)
 class CompiledClasses:
-    """A spec's class decomposition; classes with equal blocks share one block."""
+    """A spec's class decomposition; classes with equal block terms share one block."""
 
     decomposition: ClassDecomposition
     blocks: dict  # class index -> CompiledBlock (non-degenerate classes only)
@@ -391,10 +391,13 @@ class CompiledClasses:
 def compile_classes(spec: MeasureMatrixSpec) -> CompiledClasses:
     deco = communication_classes(spec)
     blocks: dict[int, CompiledBlock] = {}
+    shared: dict[tuple, CompiledBlock] = {}  # block terms -> their compiled block
     for ci, members in enumerate(deco.classes):
         if not deco.degenerate[ci]:
-            block = compile_block(spec, members)
-            blocks[ci] = next((b for b in blocks.values() if b == block), block)
+            terms = block_terms(spec, members)
+            if terms not in shared:
+                shared[terms] = compile_block(spec, members)
+            blocks[ci] = shared[terms]
     return CompiledClasses(deco, blocks)
 
 
@@ -524,8 +527,9 @@ def lattice_check(spec: MeasureMatrixSpec, members) -> LatticeVerdict:
     """Decide whether the class's log-length spectrum sits on a lattice.
 
     Generators: the summed base log-lengths -ln(rho0) along every simple
-    cycle of the class (one choice per atom family on each edge), plus the
-    step log-length -ln(r) of every multi-atom family on a cycle edge.
+    cycle of the class (one choice of atom or series on each edge; a
+    series' base is its first atom), plus the step log-length -ln(r) of
+    every series in the class block, all in row-major order.
     The verdict is Lattice(span) when all generators are integer multiples
     of a common span, located by continued-fraction rational detection; a
     numeric procedure can only certify lattices, so NonLattice means no
@@ -533,21 +537,21 @@ def lattice_check(spec: MeasureMatrixSpec, members) -> LatticeVerdict:
     1e-9.  The verdict does not depend on q.
     """
     members = list(members)
-    adj = [np.flatnonzero(row).tolist() for row in spec.support()[np.ix_(members, members)]]
+    rows = spec.support()
+    adj = [[b for b, j in enumerate(members) if rows[i] >> j & 1] for i in members]
 
     generators: list[float] = []
     for cycle in _simple_cycles(len(members), adj):
-        edge_fams = []
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            entry = spec.entries[members[a]][members[b]]
-            edge_fams.append(entry.families)
-        for choice in itertools.product(*edge_fams):
-            generators.append(sum(-math.log(f.base_ratio) for f in choice))
+        edge_terms = [
+            spec.cells[members[a], members[b]] for a, b in zip(cycle, cycle[1:] + cycle[:1])
+        ]
+        for choice in itertools.product(*edge_terms):
+            generators.append(sum(-math.log(_base_ratio(t)) for t in choice))
     for i in members:
         for j in members:
-            for fam in spec.entries[i][j].families:
-                if fam.k_end is None or fam.k_end > fam.k_start:
-                    generators.append(-math.log(fam.step_ratio))
+            for t in spec.cells.get((i, j), ()):
+                if isinstance(t, AtomFamily):
+                    generators.append(-math.log(t.step_ratio))
 
     if not generators:
         return LatticeVerdict(False, detail="no cycle generators")
@@ -565,6 +569,11 @@ def lattice_check(spec: MeasureMatrixSpec, members) -> LatticeVerdict:
         if abs(g - round(g / span) * span) > _LATTICE_RESIDUAL:
             return LatticeVerdict(False, detail="residual check failed")
     return LatticeVerdict(True, span=span, detail=f"{len(generators)} generators")
+
+
+def _base_ratio(term) -> float:
+    """The length ratio of an atom, or of a series' first atom."""
+    return term.base_ratio if isinstance(term, AtomFamily) else term[1]
 
 
 def _real_gcd(x: float, y: float) -> float | None:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import lqspec as lq
+from lqspec.closed_forms import Val
 from lqspec.families import FAMILIES, FamilyParams
 from lqspec.matrix import entry_value
 
@@ -42,32 +43,27 @@ def random_params(family_id: str, rng: np.random.Generator) -> FamilyParams:
 _BRUTE_CACHE: dict = {}
 
 
-def _brute_log_weights(fam, k_end: int) -> np.ndarray:
+def _brute_log_weights(w, n_terms: int) -> np.ndarray:
     """Explicit log-weights, cumulative-sum route for binomial weights."""
-    w = fam.weight
-    key = (w, fam.k_start, k_end)
+    key = (w, n_terms)
     cached = _BRUTE_CACHE.get(key)
     if cached is not None:
         return cached
-    ks = np.arange(fam.k_start, k_end + 1, dtype=float)
-    if isinstance(w, lq.Constant):
-        log_w = np.full(ks.shape, math.log(w.c))
-    elif isinstance(w, lq.GeometricPower):
+    ks = np.arange(n_terms, dtype=float)
+    if isinstance(w, lq.GeometricPower):
         log_w = math.log(w.c) + ks * math.log(w.a)
     else:
         hi, lo = max(w.a, w.b), min(w.a, w.b)
-        kk = np.arange(0, k_end + 1, dtype=float)
-        sgeo = np.cumsum((lo / hi) ** kk)
-        log_w = (math.log(w.c) + kk * math.log(hi) + np.log(sgeo))[fam.k_start :]
+        sgeo = np.cumsum((lo / hi) ** ks)
+        log_w = math.log(w.c) + ks * math.log(hi) + np.log(sgeo)
     _BRUTE_CACHE[key] = log_w
     return log_w
 
 
 def brute_family_value(fam, q: float, alpha: float, n_terms: int = 10**6) -> float:
-    k0 = fam.k_start
-    k_end = fam.k_end if fam.k_end is not None else k0 + n_terms - 1
-    ks = np.arange(k0, k_end + 1, dtype=float)
-    log_w = _brute_log_weights(fam, k_end)
+    """The first ``n_terms`` atoms of a series, summed explicitly."""
+    ks = np.arange(n_terms, dtype=float)
+    log_w = _brute_log_weights(fam.weight, n_terms)
     log_len = math.log(fam.base_ratio) + ks * math.log(fam.step_ratio)
     with np.errstate(under="ignore"):
         return float(np.sum(np.exp(q * log_w - alpha * log_len)))
@@ -82,6 +78,15 @@ def tau_prime_fd(spec, q: float, step: float = 1e-4) -> float:
     hi, _ = lq.tau(spec, q + step)
     lo, _ = lq.tau(spec, q - step)
     return (hi - lo) / (2.0 * step)
+
+
+def H_val(fam, q: float, alpha: float) -> Val:
+    """The characteristic function of a ``ClosedFormFamily``: the product of
+    its factors, with its two partials."""
+    out = Val(1.0)
+    for f in fam.factors:
+        out = out * f.value(q, alpha)
+    return out
 
 
 def closed_form_curve(fam, qs) -> list[tuple[float, float]]:
@@ -110,8 +115,16 @@ def closed_form_curve(fam, qs) -> list[tuple[float, float]]:
 def dense_matrix(spec, q: float, alpha: float) -> np.ndarray:
     """The spec's matrix at (q, alpha), built entry by entry with ``entry_value``."""
     return np.array(
-        [[entry_value(spec.entries[i][j], q, alpha) for j in range(spec.n)] for i in range(spec.n)]
+        [[entry_value(spec.cells.get((i, j), ()), q, alpha) for j in range(spec.n)]
+         for i in range(spec.n)]
     )
+
+
+def row_major_series(spec) -> list:
+    """The distinct series of a spec, in the row-major order of their first cells."""
+    return list(dict.fromkeys(
+        t for ij in sorted(spec.cells) for t in spec.cells[ij] if isinstance(t, lq.AtomFamily)
+    ))
 
 
 def compose_word(g, word) -> tuple[lq.Similitude, float]:

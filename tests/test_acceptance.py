@@ -16,7 +16,8 @@ import pytest
 import lqspec as lq
 from lqspec.families import FamilyParams, default_probs
 from conftest import (
-    brute_family_value, matched_roots, random_params, tau_prime_fd, vertex_components,
+    brute_family_value, matched_roots, random_params, row_major_series, tau_prime_fd,
+    vertex_components,
 )
 from paper_oracle import TYPO_FAMILIES, longform_tau_prime
 
@@ -142,21 +143,15 @@ def test_criterion_6_series_truncation_oracle(canonical_specs):
     worst = 0.0
     for fid in lq.FAMILY_IDS:
         spec = canonical_specs[fid]
-        seen = set()
-        for i in range(spec.n):
-            for j in range(spec.n):
-                for fam in spec.entries[i][j].families:
-                    if fam.k_end is not None or fam in seen:
-                        continue
-                    seen.add(fam)
-                    for _ in range(20):
-                        q = rng.uniform(0.0, 4.0)
-                        alpha = fam.domain_sup(q) - rng.uniform(0.15, 2.5)
-                        got = fam.evaluate(q, alpha)
-                        brute = brute_family_value(fam, q, alpha, n_terms=10**6)
-                        rel = abs(got - brute) / brute
-                        worst = max(worst, rel)
-                        assert rel <= 1e-9
+        for fam in row_major_series(spec):
+            for _ in range(20):
+                q = rng.uniform(0.0, 4.0)
+                alpha = fam.domain_sup(q) - rng.uniform(0.15, 2.5)
+                got = fam.evaluate(q, alpha)
+                brute = brute_family_value(fam, q, alpha, n_terms=10**6)
+                rel = abs(got - brute) / brute
+                worst = max(worst, rel)
+                assert rel <= 1e-9
     _report(
         "criterion 6",
         f"truncated series match 1e6-term sums, max rel diff = {worst:.2e}",
@@ -188,8 +183,8 @@ def test_criterion_7_height_classification(canonical_specs):
 
 def test_criterion_8_lattice_detection():
     t0 = time.perf_counter()
-    commensurable = FamilyParams("strong-r", rho=0.25, r=0.5, probs=default_probs("strong-r"))
-    spec = lq.build_matrix_spec(commensurable, check_geometry=False)
+    commensurable = FamilyParams("strong-r", rho=0.125, r=0.25, probs=default_probs("strong-r"))
+    spec = lq.build_matrix_spec(commensurable)
     deco = lq.communication_classes(spec)
     verdict = lq.lattice_check(spec, deco.classes[0])
     assert verdict.lattice
@@ -204,7 +199,7 @@ def test_criterion_8_lattice_detection():
     assert not verdict2.lattice
     _report(
         "criterion 8",
-        f"(1/4,1/2) -> lattice span {verdict.span:.6f}; (1/3,2/7) -> non-lattice",
+        f"(1/8,1/4) -> lattice span {verdict.span:.6f}; (1/3,2/7) -> non-lattice",
         time.perf_counter() - t0,
         1.0,
     )

@@ -12,11 +12,8 @@ import lqspec as lq
 from lqspec.matrix import (
     AtomFamily,
     BinomialSum,
-    Constant,
-    EntrySpec,
     GeometricPower,
     MeasureMatrixSpec,
-    atom,
     binomial_family,
     compile_block,
     entry_value,
@@ -33,15 +30,13 @@ def _full(spec, q, alpha):
 # -- entry values -------------------------------------------------------------
 
 def test_single_atom_value():
-    e = EntrySpec((atom(1.0 / 3.0, 1.0 / 3.0),))
-    assert entry_value(e, 1.0, 0.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert entry_value(((1.0 / 3.0, 1.0 / 3.0),), 1.0, 0.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
 
 
 def test_geometric_closed_form():
-    # sum_{k>=1} (1/2)^{k+1-1}... masses (1/2)*(1/2)^k at unit lengths
-    fam = AtomFamily(GeometricPower(0.5, 0.5), 0.5, 0.5, k_start=1, k_end=None)
-    # q=1, alpha=0: sum_{k>=1} 0.5 * 0.5^k = 0.5
-    assert fam.evaluate(1.0, 0.0) == pytest.approx(0.5, rel=1e-14)
+    fam = AtomFamily(GeometricPower(0.5, 0.5), 0.5, 0.5)
+    # q=1, alpha=0: sum_{k>=0} 0.5 * 0.5^k = 1
+    assert fam.evaluate(1.0, 0.0) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_binomial_matches_brute_force():
@@ -87,16 +82,13 @@ def test_entry_monotone_alpha_nonincreasing_q():
         rho0 = rng.uniform(0.1, 0.9)
         r = rng.uniform(0.1, 0.9)
         kind = rng.integers(0, 3)
-        if kind == 0:
-            fam = AtomFamily(Constant(c), rho0, 1.0, 0, 0)
-        elif kind == 1:
-            fam = AtomFamily(GeometricPower(c, a), rho0, r, 0, None)
-        else:
-            fam = AtomFamily(BinomialSum(c, a, b), rho0, r, 0, None)
-        e = EntrySpec((fam,))
         q = rng.uniform(0.0, 4.0)
-        sup = fam.domain_sup(q)
-        hi = 0.0 if sup is None else sup
+        if kind == 0:
+            e, hi = ((c, rho0),), 0.0
+        else:
+            weight = GeometricPower(c, a) if kind == 1 else BinomialSum(c, a, b)
+            e = (AtomFamily(weight, rho0, r),)
+            hi = e[0].domain_sup(q)
         a1 = hi - rng.uniform(0.3, 2.0)
         a2 = a1 - rng.uniform(0.1, 1.0)
         assert entry_value(e, q, a1) > entry_value(e, q, a2)  # increasing in alpha
@@ -119,11 +111,7 @@ def test_row_sum_vanishes_far_left():
 
 
 def test_zero_row_sums_to_zero():
-    e = EntrySpec()
-    spec = MeasureMatrixSpec(
-        n=2,
-        entries=((EntrySpec((atom(0.5, 0.5),)), e), (e, e)),
-    )
+    spec = MeasureMatrixSpec(n=2, cells={(0, 0): ((0.5, 0.5),)})
     assert _full(spec, 1.0, 0.0)[1].sum() == 0.0
 
 
@@ -135,8 +123,7 @@ def test_in_domain_strong_r():
 
 
 def test_in_domain_all_atoms_unconstrained():
-    e = EntrySpec((atom(0.5, 0.5),))
-    spec = MeasureMatrixSpec(n=1, entries=((e,),))
+    spec = MeasureMatrixSpec(n=1, cells={(0, 0): ((0.5, 0.5),)})
     block = compile_block(spec, [0])
     assert block.domain_sup(1.0) is None
     assert np.isfinite(block.evaluate(1.0, 500.0)[0]).all()
@@ -176,8 +163,7 @@ def test_matrix_at_nonstrong_basic_pattern():
 
 
 def test_matrix_at_zero_spec():
-    e = EntrySpec()
-    spec = MeasureMatrixSpec(n=2, entries=((e, e), (e, e)))
+    spec = MeasureMatrixSpec(n=2, cells={})
     assert np.all(_full(spec, 1.0, 0.0) == 0.0)
 
 
@@ -186,25 +172,25 @@ def test_matrix_at_zero_spec():
 def test_strong_r_series_entry_closed_form():
     spec = lq.build_matrix_spec(lq.canonical_params("strong-r"))
     # geometric family value p5/(1 - p3) at q=1, alpha=0
-    val = entry_value(spec.entries[1][0], 1.0, 0.0)
+    val = entry_value(spec.cells[1, 0], 1.0, 0.0)
     assert val == pytest.approx((1.0 / 2.0) / (1.0 - 1.0 / 3.0), rel=1e-14)
 
 
 def test_strong_r2_geometric_entry():
     spec = lq.build_matrix_spec(lq.canonical_params("strong-r2"))
     # zeta-style entry p1/(1-p1) at q=1, alpha=0
-    val = entry_value(spec.entries[0][1], 1.0, 0.0)
+    val = entry_value(spec.cells[0, 1], 1.0, 0.0)
     assert val == pytest.approx(0.25 / 0.75, rel=1e-14)
 
 
 def test_nonstrong_r2_tail_entries():
     spec = lq.build_matrix_spec(lq.canonical_params("nonstrong-r2"))
     # geometric loop entry p5/(1-p5) at q=1, alpha=0
-    val = entry_value(spec.entries[3][4], 1.0, 0.0)
+    val = entry_value(spec.cells[3, 4], 1.0, 0.0)
     assert val == pytest.approx(0.25 / 0.75, rel=1e-14)
     # combined entry = series + geometric
-    both = entry_value(spec.entries[3][5], 1.0, 0.0)
-    series = entry_value(spec.entries[3][3], 1.0, 0.0)
+    both = entry_value(spec.cells[3, 5], 1.0, 0.0)
+    series = entry_value(spec.cells[3, 3], 1.0, 0.0)
     assert both == pytest.approx(series + val, rel=1e-13)
 
 
@@ -220,14 +206,8 @@ def test_truncation_matches_brute_force_all_families():
     rng = np.random.default_rng(321)
     for fid in lq.FAMILY_IDS:
         spec = lq.build_matrix_spec(lq.canonical_params(fid))
-        fams = {
-            (i, j, k): fam
-            for i in range(spec.n)
-            for j in range(spec.n)
-            for k, fam in enumerate(spec.entries[i][j].families)
-            if fam.k_end is None
-        }
-        for fam in fams.values():
+        cells = sorted(spec.cells)  # every cell holding a series, row-major
+        for fam in (t for ij in cells for t in spec.cells[ij] if isinstance(t, AtomFamily)):
             for _ in range(5):
                 q = rng.uniform(0.0, 4.0)
                 alpha = fam.domain_sup(q) - rng.uniform(0.2, 2.5)
@@ -274,7 +254,8 @@ def test_compiled_block_matches_dense_matrix_and_its_differences(fid):
         alpha = (0.0 if sup is None else sup) - rng.uniform(0.2, 2.5)
         m, mq, ma = block.evaluate(q, alpha)
         dense = dense_matrix(spec, q, alpha)
-        series = np.array([[any(f.infinite for f in e.families) for e in row] for row in spec.entries])
+        series = np.array([[any(isinstance(t, AtomFamily) for t in spec.cells.get((i, j), ()))
+                            for j in range(spec.n)] for i in range(spec.n)])
         np.testing.assert_allclose(m[~series], dense[~series], rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(m[series], dense[series], rtol=2e-12, atol=0.0)
         fd_q = (dense_matrix(spec, q + h, alpha) - dense_matrix(spec, q - h, alpha)) / (2 * h)

@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 import lqspec as lq
-from lqspec.matrix import EntrySpec, MeasureMatrixSpec, atom
+from lqspec.matrix import MeasureMatrixSpec
 from lqspec.solver import SpectrumCurve, curve_to_csv, legendre_to_csv
 from conftest import closed_form_curve, tau_prime_fd
 
 
 def _one_atom_spec(w=0.5, rho=0.5):
-    e = EntrySpec((atom(w, rho),))
-    return MeasureMatrixSpec(n=1, entries=((e,),))
+    return MeasureMatrixSpec(n=1, cells={(0, 0): ((w, rho),)})
 
 
 def _curve(qs, tau, slope, kinks=()):

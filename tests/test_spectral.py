@@ -8,18 +8,19 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import lqspec as lq
 from lqspec.families import FamilyParams, default_probs
-from lqspec.matrix import EntrySpec, MeasureMatrixSpec, atom, compile_block
-from conftest import dense_matrix, random_params, strong_components
+from lqspec.matrix import AtomFamily, MeasureMatrixSpec, compile_block
+from conftest import dense_matrix, random_params, row_major_series, strong_components
+
+_ATOM = ((0.5, 0.5),)  # an entry holding one atom of mass 1/2 at length 1/2
 
 
-def _spec_of(fid, **kw):
-    p = lq.canonical_params(fid)
-    return lq.build_matrix_spec(p, **kw)
+def _spec_of(fid):
+    return lq.build_matrix_spec(lq.canonical_params(fid))
 
 
 # -- spectral_radius -----------------------------------------------------------
@@ -64,13 +65,7 @@ def test_radius_increasing_in_alpha():
     for fid in lq.FAMILY_IDS:
         spec = _spec_of(fid)
         for q in (0.0, 1.0, 2.0):
-            sups = [
-                f.domain_sup(q)
-                for i in range(spec.n)
-                for j in range(spec.n)
-                for f in spec.entries[i][j].families
-            ]
-            hi = min([s for s in sups if s is not None], default=0.5)
+            hi = min((f.domain_sup(q) for f in row_major_series(spec)), default=0.5)
             alphas = np.linspace(hi - 2.5, hi - 0.05, 50)
             radii = [lq.spectral_radius(dense_matrix(spec, q, a)) for a in alphas]
             assert all(b > a for a, b in zip(radii, radii[1:]))
@@ -101,12 +96,7 @@ def test_classes_nonstrong_basic():
 
 
 def test_classes_diagonal_spec():
-    e = EntrySpec((atom(0.5, 0.5),))
-    z = EntrySpec()
-    spec = MeasureMatrixSpec(
-        n=3,
-        entries=((e, z, z), (z, e, z), (z, z, e)),
-    )
+    spec = MeasureMatrixSpec(n=3, cells={(i, i): _ATOM for i in range(3)})
     deco = lq.communication_classes(spec)
     assert deco.num_classes == 3
     assert all(not d for d in deco.degenerate)
@@ -143,8 +133,7 @@ def _bfs(sup, start, allowed) -> set[int]:
 @given(support_patterns())
 def test_class_structure_matches_independent_oracles(sup):
     n = len(sup)
-    e, z = EntrySpec((atom(0.5, 0.5),)), EntrySpec()
-    spec = MeasureMatrixSpec(n=n, entries=tuple(tuple(e if x else z for x in row) for row in sup))
+    spec = MeasureMatrixSpec(n=n, cells={(i, j): _ATOM for i, j in np.argwhere(sup).tolist()})
     deco = lq.communication_classes(spec)
 
     comps = strong_components(n, [np.flatnonzero(row).tolist() for row in sup])
@@ -178,8 +167,7 @@ def test_class_root_strong_r_q1_is_zero():
 def test_class_root_single_atom_linear():
     # single atom mass 1/2, length 1/2: root solves (1/2)^q (1/2)^{-a} = 1,
     # i.e. a = q
-    e = EntrySpec((atom(0.5, 0.5),))
-    spec = MeasureMatrixSpec(n=1, entries=((e,),))
+    spec = MeasureMatrixSpec(n=1, cells={(0, 0): _ATOM})
     deco = lq.communication_classes(spec)
     for q in (0.5, 1.0, 3.0):
         root = lq.class_root(compile_block(spec, deco.classes[0]), q)
@@ -187,9 +175,7 @@ def test_class_root_single_atom_linear():
 
 
 def test_class_root_degenerate_raises():
-    z = EntrySpec()
-    e = EntrySpec((atom(0.5, 0.5),))
-    spec = MeasureMatrixSpec(n=2, entries=((z, e), (z, z)))
+    spec = MeasureMatrixSpec(n=2, cells={(0, 1): _ATOM})
     deco = lq.communication_classes(spec)
     with pytest.raises(lq.DegenerateClass):
         lq.class_root(compile_block(spec, deco.classes[0]), 1.0)
@@ -233,9 +219,7 @@ def test_classify_heights_family_symmetric():
 def test_classify_chain_heights():
     # one attaining final class fed by one attaining upstream class:
     # heights 1 (upstream) and 2 (final)
-    e = EntrySpec((atom(0.5, 0.5),))
-    z = EntrySpec()
-    spec = MeasureMatrixSpec(n=2, entries=((e, z), (e, e)))
+    spec = MeasureMatrixSpec(n=2, cells={(0, 0): _ATOM, (1, 0): _ATOM, (1, 1): _ATOM})
     result = lq.classify(spec, 1.0)
     assert len(result.basic_classes) == 2
     assert sorted(result.heights.values()) == [1, 2]
@@ -248,12 +232,9 @@ def test_classify_chain_heights():
 def test_classify_fed_tags():
     # chain A -> B -> C with A, B tying at the minimum and C strictly above:
     # B has height 2, and C is reached from the attaining set, led by S_1
-    a = EntrySpec((atom(0.5, 0.5),))
-    c = EntrySpec((atom(0.4, 0.5),))
-    z = EntrySpec()
+    a, c = _ATOM, ((0.4, 0.5),)
     spec = MeasureMatrixSpec(
-        n=3,
-        entries=((a, a, z), (z, a, a), (z, z, c)),
+        n=3, cells={(0, 0): a, (0, 1): a, (1, 1): a, (1, 2): a, (2, 2): c}
     )
     result = lq.classify(spec, 1.0)
     assert len(result.basic_classes) == 2
@@ -262,10 +243,7 @@ def test_classify_fed_tags():
     assert result.tags[3] == lq.spectral.Tag("fed_by_Sm", 1)
 
     # drop the middle link: C is then fed by a height-1 class only
-    spec2 = MeasureMatrixSpec(
-        n=2,
-        entries=((a, a), (z, c)),
-    )
+    spec2 = MeasureMatrixSpec(n=2, cells={(0, 0): a, (0, 1): a, (1, 1): c})
     result2 = lq.classify(spec2, 1.0)
     assert result2.tags[2].kind == "fed_by_S0"
 
@@ -281,14 +259,11 @@ def test_classify_permutation_invariant():
     spec = _spec_of("nonstrong-r-basic")
     base = lq.classify(spec, 2.0)
     for _ in range(5):
-        perm = rng.permutation(spec.n)
-        entries = tuple(
-            tuple(spec.entries[perm[i]][perm[j]] for j in range(spec.n))
-            for i in range(spec.n)
-        )
+        perm = rng.permutation(spec.n).tolist()
+        new_row = {old: new for new, old in enumerate(perm)}
         permuted = MeasureMatrixSpec(
             n=spec.n,
-            entries=entries,
+            cells={(new_row[i], new_row[j]): t for (i, j), t in spec.cells.items()},
             labels=tuple(spec.labels[perm[i]] for i in range(spec.n)),
         )
         res = lq.classify(permuted, 2.0)
@@ -386,37 +361,36 @@ def test_heights_distinct_components_each_get_a_root(monkeypatch, q):
         assert result.roots[ci] == pytest.approx(root, abs=1e-9)
 
 
-def _diagonal_blocks_spec(blocks) -> MeasureMatrixSpec:
-    """A spec whose classes are the given square entry blocks, unlinked."""
-    n = sum(len(b) for b in blocks)
-    grid = [[EntrySpec() for _ in range(n)] for _ in range(n)]
-    start = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            for j, e in enumerate(row):
-                grid[start + i][start + j] = e
-        start += len(b)
-    return MeasureMatrixSpec(n=n, entries=tuple(map(tuple, grid)))
+def _diagonal_blocks_spec(blocks, size) -> MeasureMatrixSpec:
+    """A spec whose classes are the given blocks of ``size`` rows, unlinked;
+    each block maps local cells to terms."""
+    cells = {
+        (k * size + i, k * size + j): terms
+        for k, block in enumerate(blocks)
+        for (i, j), terms in block.items()
+    }
+    return MeasureMatrixSpec(n=size * len(blocks), cells=cells)
 
 
-_A = EntrySpec((atom(0.25, 0.5),))
-_Z = EntrySpec()
+_A = ((0.25, 0.5),)
 
 
 @pytest.mark.parametrize(
-    "blocks",
+    "blocks, size",
     [
         # the same atoms, with series that differ only in their mass
-        [[[EntrySpec((atom(0.25, 0.5), lq.matrix.geometric_family(c, 0.5, 0.5, 0.5)))]]
-         for c in (0.2, 0.3, 0.2)],
+        ([{(0, 0): ((0.25, 0.5), lq.matrix.geometric_family(c, 0.5, 0.5, 0.5))}
+          for c in (0.2, 0.3, 0.2)], 1),
         # the same atoms in different cells
-        [[[_A, _A], [_A, _Z]], [[_Z, _A], [_A, _A]], [[_A, _A], [_A, _Z]]],
+        ([{(0, 0): _A, (0, 1): _A, (1, 0): _A},
+          {(0, 1): _A, (1, 0): _A, (1, 1): _A},
+          {(0, 0): _A, (0, 1): _A, (1, 0): _A}], 2),
     ],
     ids=["series", "cells"],
 )
-def test_blocks_share_a_root_only_when_equal(monkeypatch, blocks):
+def test_blocks_share_a_root_only_when_equal(monkeypatch, blocks, size):
     # blocks 0 and 2 are equal, block 1 differs from them in one part
-    spec = _diagonal_blocks_spec(blocks)
+    spec = _diagonal_blocks_spec(blocks, size)
     compiled = lq.spectral.compile_classes(spec)
     b = compiled.blocks
     assert b[0] is b[2] and b[0] != b[1]
@@ -425,11 +399,92 @@ def test_blocks_share_a_root_only_when_equal(monkeypatch, blocks):
     assert len(calls) == 2
 
 
+_MASS = st.floats(0.05, 0.95)
+_RATIO = st.floats(0.1, 0.9)
+_SERIES = st.builds(lq.matrix.geometric_family, _MASS, _MASS, _RATIO, _RATIO) | st.builds(
+    lq.matrix.binomial_family, _MASS, _MASS, _MASS, _RATIO, _RATIO
+)
+
+
+@st.composite
+def sparse_specs(draw):
+    """Hand-built sparse specs of 1 to 8 rows.
+
+    Copies of one template block sit on the diagonal; each copy is the
+    template itself, the template with the terms of every cell reversed,
+    or a block of its own.  Links run from earlier copies to later ones
+    only, and some rows are emptied.  A cell holds one to three terms,
+    atoms or series from a small pool, so one series object sits in
+    several cells.
+    """
+    pool = draw(st.lists(_SERIES, min_size=1, max_size=3))
+    terms = st.lists(st.tuples(_MASS, _RATIO) | st.sampled_from(pool), min_size=1, max_size=3)
+    size = draw(st.integers(1, 3))
+    local = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+    blocks = st.dictionaries(local, terms.map(tuple), max_size=size * size)
+    template = draw(blocks)
+    cells = {}
+    copies = draw(st.integers(1, 8 // size))
+    for k in range(copies):
+        kind = draw(st.sampled_from(["template", "reversed", "own"]))
+        block = draw(blocks) if kind == "own" else template
+        for (i, j), t in block.items():
+            cells[k * size + i, k * size + j] = t[::-1] if kind == "reversed" else t
+    n = size * copies
+    node = st.integers(0, n - 1)
+    for (i, j), t in draw(st.dictionaries(st.tuples(node, node), terms.map(tuple), max_size=n)).items():
+        if i // size < j // size:
+            cells[i, j] = t
+    emptied = draw(st.sets(node, max_size=n // 2))
+    return MeasureMatrixSpec(n=n, cells={ij: t for ij, t in cells.items() if ij[0] not in emptied})
+
+
+def _same_arrays(a, b) -> bool:
+    """Equal size, series and compiled arrays: the same M(alpha) at every q."""
+    return (
+        a.size == b.size
+        and a.series == b.series
+        and all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("cells", "log_w", "log_len"))
+    )
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(sparse_specs(), st.floats(0.0, 3.0), st.floats(0.2, 2.0))
+def test_hand_built_sparse_specs(spec, q, gap):
+    n = spec.n
+    rows = spec.support()
+    assert {(i, j) for i in range(n) for j in range(n) if rows[i] >> j & 1} == set(spec.cells)
+
+    # the compiled blocks against the entry-by-entry matrix; a cell holding a
+    # series agrees to twice the certified series tolerance (see test_matrix)
+    alpha = min((f.domain_sup(q) for f in row_major_series(spec)), default=0.0) - gap
+    dense = dense_matrix(spec, q, alpha)
+    has_series = np.array([[any(isinstance(t, AtomFamily) for t in spec.cells.get((i, j), ()))
+                            for j in range(n)] for i in range(n)])
+    deco = lq.communication_classes(spec)
+    for members in (range(n), *deco.classes):
+        idx = np.ix_(members, members)
+        m = compile_block(spec, members).evaluate(q, alpha)[0]
+        series = has_series[idx]
+        np.testing.assert_allclose(m[~series], dense[idx][~series], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(m[series], dense[idx][series], rtol=2e-12, atol=0.0)
+
+    # two classes share a block exactly when their compiled arrays are equal
+    blocks = lq.spectral.compile_classes(spec).blocks
+    alone = {ci: compile_block(spec, deco.classes[ci]) for ci in blocks}
+    for ci, block in blocks.items():
+        assert _same_arrays(block, alone[ci])
+        for cj in blocks:
+            assert (block is blocks[cj]) == _same_arrays(alone[ci], alone[cj])
+            if ci < cj and block is blocks[cj]:
+                event("two classes share a block")
+
+
 # -- lattice ---------------------------------------------------------------------
 
 def test_lattice_commensurable_strong_r():
-    p = FamilyParams("strong-r", rho=0.25, r=0.5, probs=default_probs("strong-r"))
-    spec = lq.build_matrix_spec(p, check_geometry=False)
+    p = FamilyParams("strong-r", rho=0.125, r=0.25, probs=default_probs("strong-r"))
+    spec = lq.build_matrix_spec(p)
     deco = lq.communication_classes(spec)
     verdict = lq.lattice_check(spec, deco.classes[0])
     assert verdict.lattice
@@ -454,8 +509,7 @@ def test_lattice_strong_r2_inherent():
 
 
 def test_lattice_single_self_loop():
-    e = EntrySpec((atom(0.5, 0.4),))
-    spec = MeasureMatrixSpec(n=1, entries=((e,),))
+    spec = MeasureMatrixSpec(n=1, cells={(0, 0): ((0.5, 0.4),)})
     deco = lq.communication_classes(spec)
     verdict = lq.lattice_check(spec, deco.classes[0])
     assert verdict.lattice
