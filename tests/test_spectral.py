@@ -8,7 +8,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lqspec as lq
@@ -476,8 +476,6 @@ def test_hand_built_sparse_specs(spec, q, gap):
         assert _same_arrays(block, alone[ci])
         for cj in blocks:
             assert (block is blocks[cj]) == _same_arrays(alone[ci], alone[cj])
-            if ci < cj and block is blocks[cj]:
-                event("two classes share a block")
 
 
 # -- lattice ---------------------------------------------------------------------
