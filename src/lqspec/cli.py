@@ -132,8 +132,20 @@ def _parse_probs_arg(text: str):
     for part in text.split(","):
         if "=" not in part:
             raise ConfigError(f"bad --probs entry {part!r}; expected label=value")
-        k, v = part.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, v = (s.strip() for s in part.split("=", 1))
+        if k in out:
+            raise ConfigError(f"--probs repeats the label {k!r}")
+        out[k] = v
+    return out
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object read from a config file; a repeated key raises ConfigError."""
+    out = {}
+    for k, v in pairs:
+        if k in out:
+            raise ConfigError(f"config repeats the key {k!r}")
+        out[k] = v
     return out
 
 
@@ -152,7 +164,7 @@ def _parse_scales(args) -> list[float]:
 def _config_from_args(args) -> RunConfig:
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = RunConfig.from_dict(json.load(fh))
+            cfg = RunConfig.from_dict(json.load(fh, object_pairs_hook=_unique_keys))
     else:
         if not args.family:
             raise ConfigError("--family is required (or use --config)")

@@ -337,16 +337,16 @@ def estimate_tau(
 ) -> ScalingFit:
     """Log-log regression of partition sums against scale.
 
-    Requires at least three positive, finite scales (else InvalidParams)
-    spanning at least two octaves, all below the family's coarsest
-    first-level cell so the grid actually resolves structure.
+    Requires at least three distinct scales, all positive and finite (else
+    InvalidParams), spanning at least two octaves, all below the family's
+    coarsest first-level cell so the grid actually resolves structure.
     """
     hs = [float(h) for h in h_list]
     if not all(0.0 < h < math.inf for h in hs):
         raise InvalidParams(f"scales must be positive and finite, got {hs}")
-    hs.sort(reverse=True)
+    hs = sorted(set(hs), reverse=True)  # a side given twice is one scale
     if len(hs) < 3:
-        raise InsufficientScales(f"need >= 3 scales, got {len(hs)}")
+        raise InsufficientScales(f"need >= 3 distinct scales, got {len(hs)}")
     if hs[0] / hs[-1] < 4.0:
         raise InsufficientScales("scales must span at least two octaves")
     min_cell = min(e.map.ratio for e in g.edges)

@@ -15,9 +15,10 @@ A ``MeasureMatrixSpec`` holds a matrix sparsely, as the map
 (``build_matrix_spec``).  A missing key is a structural zero (never a tiny
 float), so the support, held as one bitmask per row, is exact and so is
 the communication-class detection downstream.  The solve path evaluates a
-spec only through ``compile_block``: a principal block whose ``evaluate``
-returns the block and its partials in q and alpha at one point.
-``entry_value`` sums one entry on its own.
+spec only through ``compile_block``: a principal block, held as plain
+floats, whose ``evaluate`` returns the block and its partials in q and
+alpha at one point as lists of rows.  ``entry_value`` sums one entry on its
+own.
 """
 
 from __future__ import annotations
@@ -231,52 +232,47 @@ class MeasureMatrixSpec:
         return rows
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CompiledBlock:
     """A principal block of a spec, compiled for repeated evaluation.
 
-    Atoms are held as flat arrays (flat cell index, ln w, ln L), so their
-    share of the block at (q, alpha) is one ``exp`` and one ``bincount``
-    per output.  Each distinct series is summed once per call and added to
-    every cell that holds it.
+    ``atoms`` holds one (flat cell, ln w, ln L) triple per atom and
+    ``series`` each distinct series with its flat cells, both in row-major
+    cell order.  Blocks that compare equal are the same M(alpha) at every q.
+    Each series is summed once per call and added to every cell that holds
+    it.
     """
 
     size: int
-    cells: np.ndarray
-    log_w: np.ndarray
-    log_len: np.ndarray
+    atoms: tuple[tuple[int, float, float], ...]
     series: tuple[tuple[AtomFamily, tuple[int, ...]], ...]
 
     def domain_sup(self, q: float) -> float | None:
         return min((fam.domain_sup(q) for fam, _ in self.series), default=None)
 
     def evaluate(self, q: float, alpha: float):
-        """The block M and its partials dM/dq, dM/dalpha at (q, alpha)."""
-        n2 = self.size * self.size
-        with np.errstate(over="ignore", under="ignore"):
-            terms = np.exp(q * self.log_w - alpha * self.log_len)
-        # With no atoms, bincount returns integer zeros that would truncate
-        # the series sums added below.
-        m = np.bincount(self.cells, terms, n2).astype(float, copy=False)
-        mq = np.bincount(self.cells, terms * self.log_w, n2).astype(float, copy=False)
-        ma = np.bincount(self.cells, -terms * self.log_len, n2).astype(float, copy=False)
+        """The block M and its partials dM/dq, dM/dalpha at (q, alpha), as lists of rows."""
+        n = self.size
+        m, mq, ma = [0.0] * (n * n), [0.0] * (n * n), [0.0] * (n * n)
+        for c, log_w, log_len in self.atoms:
+            try:
+                t = math.exp(q * log_w - alpha * log_len)
+            except OverflowError:
+                t = math.inf
+            m[c] += t
+            mq[c] += t * log_w
+            ma[c] -= t * log_len
         for fam, cells in self.series:
             s, sq, sa = fam.evaluate(q, alpha, grads=True)
             for c in cells:
                 m[c] += s
                 mq[c] += sq
                 ma[c] += sa
-        shape = (self.size, self.size)
-        return m.reshape(shape), mq.reshape(shape), ma.reshape(shape)
+        return tuple([flat[k:k + n] for k in range(0, n * n, n)] for flat in (m, mq, ma))
 
 
-def block_terms(spec: MeasureMatrixSpec, members) -> tuple:
-    """The terms of the principal block of ``spec`` on the rows ``members``.
-
-    Returns (size, atoms, series): the atoms as (flat cell, mass, ratio) and
-    each distinct series with its flat cells, both in row-major cell order.
-    Blocks with equal terms are the same M(alpha) at every q.
-    """
+def compile_block(spec: MeasureMatrixSpec, members) -> CompiledBlock:
+    """Compile the principal block of ``spec`` on the rows ``members``."""
     members = list(members)
     size = len(members)
     atoms, series = [], {}
@@ -286,20 +282,8 @@ def block_terms(spec: MeasureMatrixSpec, members) -> tuple:
                 if isinstance(term, AtomFamily):
                     series.setdefault(term, []).append(a * size + b)
                 else:
-                    atoms.append((a * size + b, *term))
-    return size, tuple(atoms), tuple((fam, tuple(c)) for fam, c in series.items())
-
-
-def compile_block(spec: MeasureMatrixSpec, members) -> CompiledBlock:
-    """Compile the principal block of ``spec`` on the rows ``members``."""
-    size, atoms, series = block_terms(spec, members)
-    return CompiledBlock(
-        size=size,
-        cells=np.array([c for c, _, _ in atoms], dtype=np.intp),
-        log_w=np.array([math.log(m) for _, m, _ in atoms], dtype=float),
-        log_len=np.array([math.log(r) for _, _, r in atoms], dtype=float),
-        series=series,
-    )
+                    atoms.append((a * size + b, math.log(term[0]), math.log(term[1])))
+    return CompiledBlock(size, tuple(atoms), tuple((fam, tuple(c)) for fam, c in series.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,6 @@ import io
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidGrid
 from .matrix import MeasureMatrixSpec
 from .spectral import ClassificationResult, CompiledClasses, classify, compile_classes
@@ -73,20 +71,21 @@ def tau_curve(
         raise InvalidGrid(f"steps must be >= 2, got {steps}")
     if not 0.0 <= q_min < q_max < math.inf:
         raise InvalidGrid(f"need 0 <= q_min < q_max < inf, got [{q_min}, {q_max}]")
-    qs = np.linspace(q_min, q_max, steps)
+    step = (q_max - q_min) / (steps - 1)
+    qs = [q_min + i * step for i in range(steps - 1)] + [float(q_max)]  # as np.linspace
     alphas = []
     tables = []
     slopes = []
     hints: dict | None = None
     compiled = compile_classes(spec)
     for q in qs:
-        _, result = tau(spec, float(q), bracket_hints=hints, compiled=compiled)
+        _, result = tau(spec, q, bracket_hints=hints, compiled=compiled)
         alphas.append(result.tau)
         tables.append(dict(result.roots))
         slopes.append(tau_slopes(result))
         hints = dict(result.roots)
     return SpectrumCurve(
-        qs=tuple(float(q) for q in qs),
+        qs=tuple(qs),
         alphas=tuple(alphas),
         roots_table=tuple(tables),
         slopes=tuple(slopes),

@@ -12,17 +12,19 @@ renewal heights all come from one relation, reachability in the support
 digraph, computed as reflexive-transitive closures (``_closure``); none of
 them depends on q.  The support is read from the spec's sparse map of
 entries (each a tuple of atoms and series; a missing key is a zero) as one
-bitmask per row, so this part uses plain integers and no arrays.
+bitmask per row, so this part uses plain integers.
 
-Class roots use no eigenvalue iteration.  For a nonnegative block M, one
-Gaussian elimination of the Z-matrix I - M with diagonal pivots decides the
-sign of rho(M) - 1 (M-matrix criterion): a nonpositive pivot before the last
-proves rho > 1, and otherwise the last pivot 1 - g has the sign of 1 - rho,
-where g is the first-return mass of the last index.  The same elimination
-gives positive vectors r and l with dg = l^T dM r, which drive safeguarded
-Newton steps in alpha and the slope d alpha_c / dq used to predict the next
-root along a curve.  At the root r is the right Perron vector, and the
-Collatz-Wielandt bounds min/max (M r)_i / r_i certify |rho - 1| <= 1e-11.
+Class roots use no eigenvalue iteration and no arrays: a class block is a
+few rows of plain floats, and every step below is a plain sum over them.
+For a nonnegative block M, one Gaussian elimination of the Z-matrix I - M
+with diagonal pivots decides the sign of rho(M) - 1 (M-matrix criterion): a
+nonpositive pivot before the last proves rho > 1, and otherwise the last
+pivot 1 - g has the sign of 1 - rho, where g is the first-return mass of
+the last index.  The same elimination gives positive vectors r and l with
+dg = l^T dM r, which drive safeguarded Newton steps in alpha and the slope
+d alpha_c / dq used to predict the next root along a curve.  At the root r
+is the right Perron vector, and the Collatz-Wielandt bounds
+min/max (M r)_i / r_i certify |rho - 1| <= 1e-11.
 """
 
 from __future__ import annotations
@@ -32,10 +34,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DegenerateClass, InvalidParams, NoConvergence
-from .matrix import AtomFamily, CompiledBlock, MeasureMatrixSpec, block_terms, compile_block
+from .matrix import AtomFamily, CompiledBlock, MeasureMatrixSpec, compile_block
 from .matrix import entry_value  # noqa: F401  (public name; bench/tracing.py wraps it here)
 
 _MAX_EVALS = 200
@@ -50,8 +50,8 @@ _LATTICE_RESIDUAL = 1e-9  # largest distance of a generator from its lattice poi
 # Perron root (for tests and users; no solve path calls it)
 # ---------------------------------------------------------------------------
 
-def spectral_radius(mat: np.ndarray) -> float:
-    """Largest-modulus eigenvalue of a nonnegative matrix.
+def spectral_radius(mat) -> float:
+    """Largest-modulus eigenvalue of a nonnegative matrix, given as rows.
 
     Computed per irreducible diagonal block B by bisection on t, with the
     sign test of ``eliminate``: ``eliminate(B / t).g < 1`` exactly when
@@ -59,22 +59,22 @@ def spectral_radius(mat: np.ndarray) -> float:
     B, which bound rho(B), and is halved at its geometric mean until no
     double lies strictly inside.
     """
-    mat = np.asarray(mat, dtype=float)
-    rows = [sum(1 << j for j, x in enumerate(row) if x) for row in (mat != 0.0).tolist()]
+    mat = [[float(x) for x in row] for row in mat]
+    rows = [sum(1 << j for j, x in enumerate(row) if x) for row in mat]
     best = 0.0
     for block_idx in _support_sccs(rows):
         if len(block_idx) == 1:
             i = block_idx[0]
-            best = max(best, mat[i, i])
+            best = max(best, mat[i][i])
             continue
-        sub = mat[np.ix_(block_idx, block_idx)]
-        if not np.all(np.isfinite(sub)):
+        sub = [[mat[i][j] for j in block_idx] for i in block_idx]
+        if not all(math.isfinite(x) for row in sub for x in row):
             return math.inf
-        sums = sub.sum(axis=1)
-        lo, hi = float(np.min(sums)), float(np.max(sums))
+        sums = [sum(row) for row in sub]
+        lo, hi = min(sums), max(sums)
         mid = math.sqrt(lo) * math.sqrt(hi)
         while lo < mid < hi:
-            if eliminate(sub / mid).g < 1.0:
+            if eliminate([[x / mid for x in row] for row in sub]).g < 1.0:
                 hi = mid
             else:
                 lo = mid
@@ -199,14 +199,14 @@ class Elimination:
     """
 
     g: float
-    right: np.ndarray | None = None
-    left: np.ndarray | None = None
+    right: list[float] | None = None
+    left: list[float] | None = None
 
 
-def eliminate(mat: np.ndarray) -> Elimination:
-    """Decide the sign of rho(M) - 1 from one elimination of I - M."""
+def eliminate(mat: list[list[float]]) -> Elimination:
+    """Decide the sign of rho(M) - 1 from one elimination of I - M, M given as rows."""
     n = len(mat)
-    a = (np.eye(n) - mat).tolist()  # plain lists beat numpy at these sizes
+    a = [[float(i == j) - v for j, v in enumerate(row)] for i, row in enumerate(mat)]
     perm = list(range(n))
     for k in range(n - 1):
         # Each remaining diagonal entry is the last pivot of a proper
@@ -247,14 +247,18 @@ def eliminate(mat: np.ndarray) -> Elimination:
         y[k] = acc
     t = perm[m]
     row_t = mat[t]
-    g = float(row_t[t]) + sum(float(row_t[perm[i]]) * x[i] for i in range(m))
+    g = row_t[t] + sum(row_t[perm[i]] * x[i] for i in range(m))
     if not g < math.inf:
         return Elimination(math.inf)
-    right = np.ones(n)
-    left = np.ones(n)
-    right[perm[:m]] = x
-    left[perm[:m]] = y
+    right, left = [1.0] * n, [1.0] * n
+    for p, xp, yp in zip(perm, x, y):
+        right[p], left[p] = xp, yp
     return Elimination(g, right, left)
+
+
+def _bilinear(left: list[float], mat: list[list[float]], right: list[float]) -> float:
+    """left^T M right."""
+    return sum(u * sum(x * v for x, v in zip(row, right)) for u, row in zip(left, mat))
 
 
 class ClassRoot(float):
@@ -301,7 +305,7 @@ def class_root(block: CompiledBlock, q: float, bracket_hint: float | None = None
     Collatz-Wielandt bounds are within 1e-11 of one; otherwise, and after
     ``_MAX_EVALS`` evaluations, ``NoConvergence`` is raised.
     """
-    if not block.cells.size and not block.series:
+    if not block.atoms and not block.series:
         raise DegenerateClass("the block has no nonzero entry, so its class has no cycle")
 
     # While hi is only the edge of the series' convergence domain (where
@@ -328,7 +332,7 @@ def class_root(block: CompiledBlock, q: float, bracket_hint: float | None = None
         g = el.g
         delta = math.nan
         if el.right is not None:
-            grad = float(el.left @ ma @ el.right)
+            grad = _bilinear(el.left, ma, el.right)
             if grad > 0.0 and g > 0.0:
                 # Newton on ln g, convex in alpha, never leaves the upper
                 # side of the root and is exact for a single exponential,
@@ -368,21 +372,22 @@ def class_root(block: CompiledBlock, q: float, bracket_hint: float | None = None
 
 
 def _certified(alpha, q, m, mq, grad, el, evals) -> ClassRoot:
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratios = (m @ el.right) / el.right
-    rho_lo, rho_hi = float(np.min(ratios)), float(np.max(ratios))
-    if not (abs(rho_lo - 1.0) <= _CERT_TOL and abs(rho_hi - 1.0) <= _CERT_TOL):
+    # A ratio is NaN where r_i is not positive (underflow), and fails the bounds.
+    ratios = [sum(x * v for x, v in zip(row, el.right)) / r if r > 0.0 else math.nan
+              for row, r in zip(m, el.right)]
+    rho_lo, rho_hi = min(ratios), max(ratios)
+    if not all(abs(x - 1.0) <= _CERT_TOL for x in ratios):
         raise NoConvergence(
             f"class root alpha={alpha!r} at q={q}: Collatz-Wielandt bounds "
             f"[{rho_lo!r}, {rho_hi!r}] not within {_CERT_TOL:g} of 1"
         )
-    slope = -float(el.left @ mq @ el.right) / grad
+    slope = -_bilinear(el.left, mq, el.right) / grad
     return ClassRoot(alpha, q, slope, rho_lo, rho_hi, evals)
 
 
 @dataclass(frozen=True)
 class CompiledClasses:
-    """A spec's class decomposition; classes with equal block terms share one block."""
+    """A spec's class decomposition; classes with equal compiled blocks share one block."""
 
     decomposition: ClassDecomposition
     blocks: dict  # class index -> CompiledBlock (non-degenerate classes only)
@@ -391,13 +396,11 @@ class CompiledClasses:
 def compile_classes(spec: MeasureMatrixSpec) -> CompiledClasses:
     deco = communication_classes(spec)
     blocks: dict[int, CompiledBlock] = {}
-    shared: dict[tuple, CompiledBlock] = {}  # block terms -> their compiled block
+    shared: dict[CompiledBlock, CompiledBlock] = {}  # the first block of each value
     for ci, members in enumerate(deco.classes):
         if not deco.degenerate[ci]:
-            terms = block_terms(spec, members)
-            if terms not in shared:
-                shared[terms] = compile_block(spec, members)
-            blocks[ci] = shared[terms]
+            block = compile_block(spec, members)
+            blocks[ci] = shared.setdefault(block, block)
     return CompiledClasses(deco, blocks)
 
 

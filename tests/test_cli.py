@@ -267,6 +267,29 @@ def test_probs_flag_parsing():
         cli._parse_probs_arg("e1:1/3")
 
 
+@pytest.mark.parametrize(
+    "flags, cfg, message",
+    [
+        (("--probs", "e1=0.9,e1=0.2,e2=0.5,e3=0.3,e4=0.5,e5=0.5"), None, "repeats the label 'e1'"),
+        ((), '{"family": "strong-r", "q": 1, "q": 2}', "repeats the key 'q'"),
+        ((), '{"family": "strong-r", "q": 2, "probs": {"e1": "1/3", "e1": "1/2"}}',
+         "repeats the key 'e1'"),
+    ],
+    ids=["probs-flag", "config-field", "config-probs-map"],
+)
+def test_repeated_keys_exit_2(tmp_path, capsys, flags, cfg, message):
+    # the last value must not silently replace an earlier one
+    if cfg is None:
+        argv = ("--family", "strong-r", "--q", "2", *flags)
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(cfg)
+        argv = ("--config", str(path))
+    code, out, err = run(capsys, "solve", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and message in err
+
+
 def _no_walks(*args, **kwargs):
     raise AssertionError("a walk started")
 
@@ -377,6 +400,7 @@ def test_negative_seed_exits_2(monkeypatch, capsys, command):
         ("--scales", "0.5,0.1,0.01"),  # coarsest scale above the smallest first-level cell
         ("--scales", "0.1,0.09,0.08"),  # less than two octaves
         ("--scale-octaves", "4", "4"),  # a single scale
+        ("--scales", "0.0625,0.0625,0.015625"),  # two distinct sides
     ],
 )
 def test_user_chosen_scales_too_few_or_narrow_exit_2(monkeypatch, capsys, scales):

@@ -287,6 +287,8 @@ def test_estimate_insufficient_scales():
         lq.estimate_tau(g, 1.0, [0.1, 0.05], 100, seed=0)
     with pytest.raises(lq.InsufficientScales):
         lq.estimate_tau(g, 1.0, [0.1, 0.09, 0.08], 100, seed=0)
+    with pytest.raises(lq.InsufficientScales, match="distinct"):
+        lq.estimate_tau(g, 1.0, [0.0625, 0.0625, 0.015625], 100, seed=0)
 
 
 @pytest.mark.parametrize(

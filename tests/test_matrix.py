@@ -24,7 +24,7 @@ from conftest import brute_family_value, dense_matrix, random_params, vertex_com
 
 def _full(spec, q, alpha):
     """The whole matrix at (q, alpha), evaluated on the solve path."""
-    return compile_block(spec, range(spec.n)).evaluate(q, alpha)[0]
+    return np.asarray(compile_block(spec, range(spec.n)).evaluate(q, alpha)[0])
 
 
 # -- entry values -------------------------------------------------------------
@@ -126,7 +126,7 @@ def test_in_domain_all_atoms_unconstrained():
     spec = MeasureMatrixSpec(n=1, cells={(0, 0): ((0.5, 0.5),)})
     block = compile_block(spec, [0])
     assert block.domain_sup(1.0) is None
-    assert np.isfinite(block.evaluate(1.0, 500.0)[0]).all()
+    assert np.isfinite(np.asarray(block.evaluate(1.0, 500.0)[0])).all()
 
 
 # -- the whole matrix on the solve path -----------------------------------------
@@ -252,7 +252,7 @@ def test_compiled_block_matches_dense_matrix_and_its_differences(fid):
         q = rng.uniform(h, 4.0)
         sup = block.domain_sup(q)
         alpha = (0.0 if sup is None else sup) - rng.uniform(0.2, 2.5)
-        m, mq, ma = block.evaluate(q, alpha)
+        m, mq, ma = map(np.asarray, block.evaluate(q, alpha))
         dense = dense_matrix(spec, q, alpha)
         series = np.array([[any(isinstance(t, AtomFamily) for t in spec.cells.get((i, j), ()))
                             for j in range(spec.n)] for i in range(spec.n)])

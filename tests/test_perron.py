@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import lqspec as lq
 from lqspec import spectral
 from lqspec.errors import DomainViolation
+from lqspec.matrix import compile_block
 from conftest import random_params
 
 STIFF_QS = (16.0, 40.0, 60.0, 100.0, 200.0)
@@ -74,7 +75,7 @@ def test_sign_test_matches_eigvals(case):
     kind, mat, rho = case
     assume(abs(rho - 1.0) >= 1e-8)
     event(kind)
-    assert _sign(spectral.eliminate(mat)) == (1 if rho > 1.0 else -1)
+    assert _sign(spectral.eliminate(mat.tolist())) == (1 if rho > 1.0 else -1)
 
 
 def test_sign_test_vectors_at_the_perron_root():
@@ -82,17 +83,18 @@ def test_sign_test_vectors_at_the_perron_root():
     for n in range(1, 9):
         mat = _irreducible(rng, n, 1)
         mat /= max(abs(np.linalg.eigvals(mat)))
-        el = spectral.eliminate(mat)
+        el = spectral.eliminate(mat.tolist())
         assert el.g == pytest.approx(1.0, abs=1e-12)
         # right and left Perron vectors, both positive
-        assert np.all(el.right > 0.0) and np.all(el.left > 0.0)
-        assert mat @ el.right == pytest.approx(el.right, rel=1e-10)
-        assert el.left @ mat == pytest.approx(el.left, rel=1e-10)
+        right, left = np.asarray(el.right), np.asarray(el.left)
+        assert np.all(right > 0.0) and np.all(left > 0.0)
+        assert mat @ right == pytest.approx(right, rel=1e-10)
+        assert left @ mat == pytest.approx(left, rel=1e-10)
 
 
 def test_sign_test_decides_early_on_a_supercritical_principal_block():
     # The diagonal entry 2 alone has Perron root > 1.
-    el = spectral.eliminate(np.array([[2.0, 1.0, 0.0], [0.0, 0.1, 1.0], [1.0, 0.0, 0.1]]))
+    el = spectral.eliminate([[2.0, 1.0, 0.0], [0.0, 0.1, 1.0], [1.0, 0.0, 0.1]])
     assert math.isinf(el.g) and el.right is None and _sign(el) == 1
 
 
@@ -116,6 +118,23 @@ def test_solves_never_use_power_iteration(monkeypatch, canonical_specs):
     for spec in canonical_specs.values():
         lq.tau(spec, 2.0)
         lq.tau_curve(spec, 0.0, 2.0, 5)
+
+
+def test_overflowing_block_and_far_hints(canonical_specs):
+    # The one-atom class (11,) of nonstrong-r-heights: m = w^q L^(-alpha).
+    # Far above the root the atom overflows to inf, which says rho > 1
+    # rather than raising; far below it underflows to 0.
+    spec = canonical_specs["nonstrong-r-heights"]
+    block = compile_block(spec, (11,))
+    m, mq, ma = (np.asarray(x).tolist() for x in block.evaluate(2.0, 1e4))
+    assert m == [[math.inf]] and mq == [[-math.inf]] and ma == [[math.inf]]
+    (mass, ratio), = spec.cells[11, 11]
+    want = 2.0 * math.log(mass) / math.log(ratio)  # 1.10658951133...
+    assert spectral.class_root(block, 2.0) == pytest.approx(want, abs=1e-12)
+    for hint in (1e4, -1e4):
+        root = spectral.class_root(block, 2.0, bracket_hint=hint)
+        assert root == pytest.approx(want, abs=1e-12)
+        assert abs(root.rho_lo - 1.0) <= 1e-11 and abs(root.rho_hi - 1.0) <= 1e-11
 
 
 def test_root_slope_is_closed_form_tau_prime(canonical_specs, canonical_closed_forms):
