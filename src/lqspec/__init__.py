@@ -12,10 +12,12 @@ by three routes:
   (``closed_forms``);
 - Monte Carlo: a chaos game on the family's graph (``gifs.build_example``)
   feeds a box-counting estimator (``empirical``).
+
+Only ``empirical`` needs numpy; its names here are loaded on first use, so
+importing the package, or solving, does not import numpy.
 """
 
 from .closed_forms import ClosedFormFamily, build_closed_form
-from .empirical import SampleCloud, ScalingFit, estimate_tau, partition_sum, sample
 from .errors import (
     ConfigError,
     DegenerateClass,
@@ -52,3 +54,13 @@ from .spectral import (
 )
 
 __version__ = "0.1.0"
+
+_EMPIRICAL = ("SampleCloud", "ScalingFit", "estimate_tau", "partition_sum", "sample")
+
+
+def __getattr__(name):
+    if name in _EMPIRICAL:
+        from . import empirical
+
+        return getattr(empirical, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -3,7 +3,8 @@
 Exit codes form a stable scripting contract: 0 on success, 2 on usage or
 configuration errors (a flag the command does not read is one; an unread
 config-file field is not, so one config can serve several commands), 3 on
-numeric failures.
+numeric failures.  Only ``estimate`` and ``compare`` import numpy (through
+``empirical``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 
-from . import closed_forms, empirical, solver, spectral
+from . import closed_forms, solver, spectral
 from .errors import (
     ConfigError, InsufficientScales, InvalidGrid, InvalidParams, LqSpecError, NotDifferentiable,
 )
@@ -286,6 +287,8 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 
 def _fit(cfg: RunConfig, params: FamilyParams, q: float):
+    from . import empirical  # numpy is imported only for sampling
+
     if cfg.samples < 1:
         raise ConfigError(f"samples must be >= 1, got {cfg.samples}")
     g = build_example(params)
@@ -298,7 +301,9 @@ def cmd_estimate(cfg: RunConfig) -> int:
     q = _require_q(cfg)
     fit = _fit(cfg, cfg.family_params(), q)
     if cfg.output:
-        _emit(empirical.fit_to_csv(fit), cfg.output)
+        from .empirical import fit_to_csv
+
+        _emit(fit_to_csv(fit), cfg.output)
     _print_json(
         {
             "q": q,

@@ -22,8 +22,13 @@ SamplerBound, as does a graph with more than MAX_VERTICES vertices.
 
 Sampling is organized in fixed-size chunks of 65536 walks with one
 deterministic random stream per (seed, vertex, chunk).  Within a chunk the
-active walks stay in ascending order and draw one ``rng.random(n_active)``
-per sweep, so a seed fixes every point.
+active walks stay in ascending order and draw one
+``rng.bit_generator.random_raw(n_active)`` per sweep; the top 53 bits of
+each raw word are the k of the k / 2^53 that ``rng.random()`` would return
+from the same stream, so a seed fixes every point.
+
+This is the only module that needs numpy; it converts the maps' plain
+tuples (``gifs.Similitude``) into its arrays.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ MAX_ORIENTATIONS = 1024
 MAX_VERTICES = 512
 _VERTEX_SHIFT = 54
 _U_SCALE = 2.0**53  # rng.random() returns k / 2^53 with integer k
+_RAW_SHIFT = np.uint64(11)  # k is a raw 64-bit word shifted right by 11
 _BUCKET_SHIFT = 45  # 256 lookup buckets per vertex
 # Products of orthogonal parts that agree to this are one orientation; rounding
 # along a closure path stays far below it, and distinct elements of a group of
@@ -133,8 +139,8 @@ def _walk_tables(g: Gifs) -> _WalkTables:
         cum = np.minimum(cum, 1.0)
         cum_key.append((v << _VERTEX_SHIFT) + np.ceil(cum * _U_SCALE).astype(np.int64))
         edges.extend(out)
-    rots, mul = _orientation_group([e.map.orthogonal for e in edges])
-    trans = np.stack([e.map.translation for e in edges])
+    rots, mul = _orientation_group([np.array(e.map.orthogonal) for e in edges])
+    trans = np.array([e.map.translation for e in edges])
     cum_key = np.concatenate(cum_key)
     # Buckets of 2^_BUCKET_SHIFT consecutive keys that no cum_key splits
     # resolve by one table lookup; only walks in split buckets are searched.
@@ -190,9 +196,9 @@ def _orientation_group(orths):
 def _walk_chunk(tables: _WalkTables, start_vertex, count, rng, depth_eps):
     """Walks advance one edge per sweep; finished walks leave the arrays.
 
-    The active walks stay compacted in ascending order and draw one
-    ``rng.random(n_active)`` per sweep.  Coordinates are rows (d, n), so
-    every gather and compaction acts on contiguous 1-D data.
+    The active walks stay compacted in ascending order and draw one raw
+    word each per sweep.  Coordinates are rows (d, n), so every gather and
+    compaction acts on contiguous 1-D data.
     """
     n_edges = len(tables.ratio)
     pts = np.empty((tables.step.shape[0], count))
@@ -203,9 +209,10 @@ def _walk_chunk(tables: _WalkTables, start_vertex, count, rng, depth_eps):
     trans = np.zeros_like(pts)
 
     while len(pos):
-        u = rng.random(len(pos))
-        u *= _U_SCALE
-        key = u.astype(np.int64)
+        # Shift while unsigned: k < 2^53, so the int64 view is k itself.
+        key = rng.bit_generator.random_raw(len(pos))
+        key >>= _RAW_SHIFT
+        key = key.view(np.int64)
         key += vkey
         e = tables.bucket_edge.take(key >> _BUCKET_SHIFT)
         split = np.flatnonzero(e < 0)

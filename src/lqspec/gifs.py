@@ -5,7 +5,9 @@ and transition probabilities; the probabilities of the edges leaving each
 vertex sum to one, so every vertex supports a self-similar probability
 measure.  This module holds the data model, the constructor that builds a
 built-in family from its edge table in ``families`` (which validates the
-parameters), and the parser of exact rational inputs.
+parameters), and the parser of exact rational inputs.  Maps hold plain
+tuples of floats, so building a family imports no numpy; ``empirical``,
+which samples the measures, turns them into arrays.
 """
 
 from __future__ import annotations
@@ -14,35 +16,39 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class Similitude:
-    """Map x -> ratio * orthogonal @ x + translation on R^dim."""
+    """Map x -> ratio * orthogonal @ x + translation on R^dim.
+
+    ``orthogonal`` is held as dim rows of dim floats and ``translation`` as
+    dim floats; any nested sequences of numbers are accepted.
+    """
 
     dim: int
     ratio: float
-    orthogonal: np.ndarray
-    translation: np.ndarray
+    orthogonal: tuple[tuple[float, ...], ...]
+    translation: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "orthogonal", np.asarray(self.orthogonal, dtype=float).reshape(self.dim, self.dim)
-        )
-        object.__setattr__(
-            self, "translation", np.asarray(self.translation, dtype=float).reshape(self.dim)
-        )
+        orth = tuple(tuple(float(v) for v in row) for row in self.orthogonal)
+        trans = tuple(float(v) for v in self.translation)
+        d = self.dim
+        if len(orth) != d or any(len(row) != d for row in orth) or len(trans) != d:
+            raise ValueError(
+                f"a similitude on R^{d} needs a {d} x {d} orthogonal part and {d} translation entries"
+            )
+        object.__setattr__(self, "orthogonal", orth)
+        object.__setattr__(self, "translation", trans)
 
 
 def similitude_1d(ratio: float, translation: float) -> Similitude:
-    return Similitude(dim=1, ratio=ratio, orthogonal=np.eye(1), translation=np.array([translation]))
+    return Similitude(dim=1, ratio=ratio, orthogonal=((1.0,),), translation=(translation,))
 
 
 def similitude_2d(ratio: float, translation, angle: float = 0.0) -> Similitude:
     c, s = math.cos(angle), math.sin(angle)
-    orth = np.array([[c, -s], [s, c]])
-    return Similitude(dim=2, ratio=ratio, orthogonal=orth, translation=np.asarray(translation, float))
+    return Similitude(dim=2, ratio=ratio, orthogonal=((c, -s), (s, c)), translation=translation)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ A matrix entry is a tuple of terms, each of one of two kinds:
   mass^q * ratio^(-alpha);
 - a series, an ``AtomFamily``: its k-th atom, k >= 0, sits at
   log-length -ln(rho0 * r^k) and carries mass w_k.  Geometric weight
-  sequences are summed in closed form; binomial-sum sequences by adaptive
-  truncation with an analytic tail majorant, so every reported value
-  carries a certified relative error.
+  sequences are summed in closed form; binomial-sum sequences by
+  ``_series.binomial_sums``, in plain floats, with a truncation error of
+  at most 1e-12 relative and a number of terms that does not grow near the
+  convergence edge.
 
 A ``MeasureMatrixSpec`` holds a matrix sparsely, as the map
 {(i, j): terms} that a built-in family's table builds
@@ -18,7 +19,7 @@ the communication-class detection downstream.  The solve path evaluates a
 spec only through ``compile_block``: a principal block, held as plain
 floats, whose ``evaluate`` returns the block and its partials in q and
 alpha at one point as lists of rows.  ``entry_value`` sums one entry on its
-own.
+own.  Nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -26,12 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._series import binomial_sums
 from .errors import DomainViolation
 
-_SERIES_TOL = 1e-12  # certified relative error of every truncated series sum
-_MAX_TERMS = 1 << 26
+# Truncation bound of each binomial-series sum, relative: well below the
+# 1e-12 that the goldens check, so the sums are exact to a few roundings.
+_SERIES_TOL = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -54,25 +55,13 @@ class GeometricPower:
 class BinomialSum:
     """w_k = c * sum_{j=0..k} a^j b^{k-j}.
 
-    With a == b this degenerates to c * (k+1) * a^k.  Values are computed in
-    log space through the factorization sum = hi^k * (1 - (lo/hi)^{k+1}) /
-    (1 - lo/hi), which never overflows.
+    With hi = max(a, b) and x = min(a, b) / hi this is
+    c * hi^k * (1 - x^(k+1)) / (1 - x), and c * (k+1) * a^k when a == b.
     """
 
     c: float
     a: float
     b: float
-
-    def log_values(self, ks: np.ndarray) -> np.ndarray:
-        hi = max(self.a, self.b)
-        lo = min(self.a, self.b)
-        ratio = lo / hi
-        if ratio >= 1.0 - 1e-14:
-            log_sgeo = np.log(ks + 1.0)
-        else:
-            with np.errstate(under="ignore"):
-                log_sgeo = np.log1p(-np.power(ratio, ks + 1.0)) - math.log1p(-ratio)
-        return math.log(self.c) + ks * math.log(hi) + log_sgeo
 
     @property
     def growth_base(self) -> float:
@@ -108,7 +97,7 @@ class AtomFamily:
         log_rho0 = math.log(self.base_ratio)
         log_r = math.log(self.step_ratio)
         if isinstance(self.weight, BinomialSum):
-            return self._sum_truncated(q, alpha, log_rho0, log_r, grads)
+            return self._sum_binomial(q, alpha, log_rho0, log_r, grads)
         return self._sum_geometric(q, alpha, log_rho0, log_r, grads)
 
     def _sum_geometric(self, q, alpha, log_rho0, log_r, grads):
@@ -130,58 +119,29 @@ class AtomFamily:
         sa = -log_rho0 * s - log_r * sk
         return s, sq, sa
 
-    def _sum_truncated(self, q, alpha, log_rho0, log_r, grads):
+    def _sum_binomial(self, q, alpha, log_rho0, log_r, grads):
         w = self.weight
+        log_c = math.log(w.c)
         log_hi = math.log(w.growth_base)
         log_zeta = q * log_hi - alpha * log_r
-        if log_zeta >= 0.0:
+        if not log_zeta < 0.0:
             raise DomainViolation(
                 f"series ratio exp({log_zeta:.3g}) >= 1 at q={q}, alpha={alpha}"
             )
-        log_amp = q * math.log(w.c) - alpha * log_rho0
-        lw_const = abs(math.log(w.c)) + abs(log_hi) + 1.0
-        ll_const = abs(log_rho0) + abs(log_r)
-        s = sq = sa = 0.0
-        k_next = 0
-        batch = 64
-        while True:
-            ks = np.arange(k_next, k_next + batch, dtype=float)
-            log_w = w.log_values(ks)
-            log_len = log_rho0 + ks * log_r
-            with np.errstate(under="ignore"):
-                terms = np.exp(q * log_w - alpha * log_len)
-            s += float(np.sum(terms))
-            sq += float(np.sum(terms * log_w))
-            sa -= float(np.sum(terms * log_len))
-            k_next += batch
-            batch = min(2 * batch, 1 << 20)
-
-            # Tail majorant: terms beyond K obey T_k <= amp (k+1)^q zeta^k,
-            # and the ln-weighted variants gain one polynomial degree.
-            kk = float(k_next)  # next index to be summed
-            log_u = log_amp + q * math.log(kk + 1.0) + kk * log_zeta
-            eta = math.exp(log_zeta) * ((kk + 2.0) / (kk + 1.0)) ** (q + 1.0)
-            if eta < 1.0 and log_u < 700.0:
-                u = math.exp(log_u)
-                tail_s = u / (1.0 - eta)
-                ok = tail_s <= _SERIES_TOL * (abs(s) + 1e-300)
-                if ok and grads:
-                    u1 = u * (kk + 1.0)
-                    tail_g = u1 / (1.0 - eta)
-                    ok = (
-                        lw_const * tail_g <= _SERIES_TOL * (abs(sq) + abs(s) + 1e-300)
-                        and ll_const * tail_g <= _SERIES_TOL * (abs(sa) + abs(s) + 1e-300)
-                    )
-                if ok:
-                    break
-            if k_next > _MAX_TERMS:
-                raise DomainViolation(
-                    f"series at q={q}, alpha={alpha} converges too slowly "
-                    f"(ratio {math.exp(log_zeta):.12g})"
-                )
-        if grads:
-            return s, sq, sa
-        return s
+        # ln w_k = ln c + k ln hi + ln h_k, with h_k = sum_{j<=k} x^j and
+        # x = e^-delta; lo - hi is exact when 2 lo >= hi, so delta keeps its
+        # relative precision as x -> 1.
+        hi, lo = w.growth_base, min(w.a, w.b)
+        delta = -math.log1p((lo - hi) / hi) if 2.0 * lo >= hi else -math.log(lo / hi)
+        try:
+            s, s1, sh, _ = binomial_sums(
+                q, log_zeta, delta, q * log_c - alpha * log_rho0, _SERIES_TOL
+            )
+        except OverflowError:  # as an atom does: masses <= 1 make ln w_k <= 0
+            return (math.inf, -math.inf, math.inf) if grads else math.inf
+        if not grads:
+            return s
+        return s, log_c * s + log_hi * s1 + sh, -log_rho0 * s - log_r * s1
 
 
 def entry_value(terms, q: float, alpha: float) -> float:

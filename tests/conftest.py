@@ -154,7 +154,8 @@ def assert_valid_gifs(g):
         assert 0 <= e.src < g.num_vertices and 0 <= e.dst < g.num_vertices, e.id
         assert e.map.dim == g.dim and 0.0 < e.map.ratio < 1.0, e.id
         assert 0.0 < e.prob <= 1.0, e.id
-        gram = e.map.orthogonal.T @ e.map.orthogonal
+        orth = np.array(e.map.orthogonal)
+        gram = orth.T @ orth
         assert np.max(np.abs(gram - np.eye(g.dim))) <= 1e-12, e.id
     for v in range(g.num_vertices):
         out = g.out_edges(v)

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
 import lqspec.cli as cli
+from lqspec import empirical
 from lqspec.cli import RunConfig, main
 
 
@@ -306,7 +310,7 @@ def _no_walks(*args, **kwargs):
 )
 def test_empty_values_exit_2(monkeypatch, tmp_path, capsys, command, flags, cfg, message):
     # an empty map or list is an error, not a request for the defaults
-    monkeypatch.setattr(cli.empirical, "_walk_chunk", _no_walks)
+    monkeypatch.setattr(empirical, "_walk_chunk", _no_walks)
     if cfg is None:
         argv = ("--family", "strong-r", "--q", "2", *flags)
     else:
@@ -323,7 +327,7 @@ def test_empty_values_exit_2(monkeypatch, tmp_path, capsys, command, flags, cfg,
     "scales", ["--scales=0,0.1,0.01", "--scales=-0.1,0.05,0.01", "--scales=0.1,nan,0.01"]
 )
 def test_nonpositive_or_nan_scales_exit_2(monkeypatch, capsys, command, scales):
-    monkeypatch.setattr(cli.empirical, "_walk_chunk", _no_walks)
+    monkeypatch.setattr(empirical, "_walk_chunk", _no_walks)
     code, out, err = run(capsys, command, "--family", "strong-r", "--q", "1",
                          "--samples", "1000", scales)
     assert code == 2
@@ -347,7 +351,7 @@ def test_box_side_too_fine_for_integer_keys_exits_2(capsys, family, scales):
 @pytest.mark.parametrize("depth_eps", ["-1", "0", "nan"])
 def test_bad_depth_eps_exits_2(monkeypatch, capsys, depth_eps):
     # -1 never stops a walk; validation must come before the first one
-    monkeypatch.setattr(cli.empirical, "_walk_chunk", _no_walks)
+    monkeypatch.setattr(empirical, "_walk_chunk", _no_walks)
     code, out, err = run(capsys, "estimate", "--family", "strong-r", "--q", "1",
                          "--samples", "1000", "--scale-octaves", "4", "9",
                          "--depth-eps", depth_eps)
@@ -358,7 +362,7 @@ def test_bad_depth_eps_exits_2(monkeypatch, capsys, depth_eps):
 @pytest.mark.parametrize("command", ["estimate", "compare"])
 @pytest.mark.parametrize("samples", ["-5", "0"])
 def test_nonpositive_samples_exit_2(monkeypatch, capsys, command, samples):
-    monkeypatch.setattr(cli.empirical, "_walk_chunk", _no_walks)
+    monkeypatch.setattr(empirical, "_walk_chunk", _no_walks)
     code, out, err = run(capsys, command, "--family", "strong-r", "--q", "1",
                          "--samples", samples, "--scale-octaves", "4", "9")
     assert code == 2
@@ -387,7 +391,7 @@ def test_bad_numeric_input_exits_2(capsys, argv):
 
 @pytest.mark.parametrize("command", ["estimate", "compare"])
 def test_negative_seed_exits_2(monkeypatch, capsys, command):
-    monkeypatch.setattr(cli.empirical, "_walk_chunk", _no_walks)
+    monkeypatch.setattr(empirical, "_walk_chunk", _no_walks)
     code, out, err = run(capsys, command, "--family", "strong-r", "--q", "1",
                          "--samples", "1000", "--scale-octaves", "4", "9", "--seed", "-1")
     assert code == 2
@@ -404,7 +408,7 @@ def test_negative_seed_exits_2(monkeypatch, capsys, command):
     ],
 )
 def test_user_chosen_scales_too_few_or_narrow_exit_2(monkeypatch, capsys, scales):
-    monkeypatch.setattr(cli.empirical, "_walk_chunk", _no_walks)
+    monkeypatch.setattr(empirical, "_walk_chunk", _no_walks)
     code, out, err = run(capsys, "estimate", "--family", "strong-r", "--q", "1",
                          "--samples", "1000", *scales)
     assert code == 2
@@ -592,3 +596,27 @@ def test_each_command_reads_exactly_its_flags(monkeypatch, capsys, command):
     flags = cli._COMMANDS[command][1] | cli._FAMILY_FLAGS
     fields = {"scales" if f == "scale_octaves" else f for f in flags} - {"config"}
     assert read == fields
+
+
+def test_only_sampling_commands_import_numpy():
+    # solve, curve, classify, derivative and legendre run on plain floats;
+    # estimate and compare load numpy with the sampler.
+    code = """
+import sys
+from lqspec import cli
+for argv in (
+    ["solve", "--family", "strong-r", "--q", "2"],
+    ["curve", "--family", "strong-r2", "--steps", "5"],
+    ["classify", "--family", "nonstrong-r-heights"],
+    ["derivative", "--family", "nonstrong-r-basic", "--q", "2"],
+    ["legendre", "--family", "nonstrong-r2", "--steps", "5"],
+):
+    assert cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+assert cli.main(["estimate", "--family", "strong-r", "--q", "2", "--samples", "2000"]) == 0
+assert "numpy" in sys.modules
+"""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

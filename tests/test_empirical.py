@@ -45,6 +45,21 @@ def test_sampling_deterministic():
     assert not np.array_equal(a.points, c.points)
 
 
+def test_raw_draws_give_the_uniform_draws_integers():
+    # The walker keys its edge lookup on raw words shifted right by 11 while
+    # still unsigned; rng.random() returns exactly that integer over 2^53,
+    # word for word, on the sampler's per-(seed, vertex, chunk) streams.
+    for seed, v, c in ((42, 0, 0), (1, 3, 7), (2024, 1, 2)):
+        uniform = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(v, c)))
+        raw = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(v, c)))
+        for n in (1000, 517, 1, 4096):  # shrinking sweeps, as walks finish
+            k = raw.bit_generator.random_raw(n)
+            k >>= empirical._RAW_SHIFT
+            k = k.view(np.int64)
+            assert k.min() >= 0 and k.max() < 2**53
+            assert np.array_equal(k, (uniform.random(n) * 2.0**53).astype(np.int64))
+
+
 # -- the walker against the per-vertex, per-edge reference --------------------
 
 def _assert_matches_oracle(g, n, seed):
@@ -165,8 +180,10 @@ def test_sample_means_match_fixed_point():
         b = np.zeros(n)
         for e in g.edges:
             i, j = e.src, e.dst
-            A[d * i : d * i + d, d * j : d * j + d] += e.prob * e.map.ratio * e.map.orthogonal
-            b[d * i : d * i + d] += e.prob * e.map.translation
+            A[d * i : d * i + d, d * j : d * j + d] += (
+                e.prob * e.map.ratio * np.array(e.map.orthogonal)
+            )
+            b[d * i : d * i + d] += e.prob * np.array(e.map.translation)
         exact = np.linalg.solve(np.eye(n) - A, b)
         cloud = lq.sample(g, 200_000, seed=11)
         for v in range(g.num_vertices):

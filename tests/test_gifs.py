@@ -158,8 +158,8 @@ def test_overlap_identity_strong_r2():
     g = lq.build_example(lq.canonical_params("strong-r2"))
     a, _ = compose_word(g, ["e1", "e4"])
     b, _ = compose_word(g, ["e4", "e8"])
-    assert np.max(np.abs(a.translation - b.translation)) <= 1e-12
-    assert np.max(np.abs(a.orthogonal - b.orthogonal)) <= 1e-12
+    assert np.max(np.abs(np.subtract(a.translation, b.translation))) <= 1e-12
+    assert np.max(np.abs(np.subtract(a.orthogonal, b.orthogonal))) <= 1e-12
     assert abs(a.ratio - b.ratio) <= 1e-12
 
 
@@ -175,7 +175,7 @@ def test_overlap_identity_nonstrong_r2():
     g = lq.build_example(lq.canonical_params("nonstrong-r2"))
     a, _ = compose_word(g, ["e4", "e6"])
     b, _ = compose_word(g, ["e5", "e4"])
-    assert np.max(np.abs(a.translation - b.translation)) <= 1e-12
+    assert np.max(np.abs(np.subtract(a.translation, b.translation))) <= 1e-12
     assert abs(a.ratio - b.ratio) <= 1e-12
 
 

@@ -46,24 +46,29 @@ def test_binomial_matches_brute_force():
 
 
 def test_binomial_equal_bases_degenerate_form():
-    # a == b must evaluate as c*(k+1)*a^k
-    w = BinomialSum(0.7, 0.4, 0.4)
-    ks = np.arange(0, 20, dtype=float)
-    got = np.exp(w.log_values(ks))
-    expected = 0.7 * (ks + 1.0) * 0.4**ks
-    assert np.allclose(got, expected, rtol=1e-12)
+    # a == b must evaluate as masses c*(k+1)*a^k
+    fam = binomial_family(0.7, 0.4, 0.4, 0.5, 0.5)
+    for q, alpha in ((1.0, 0.0), (2.5, 0.3), (0.0, -1.0)):
+        brute = math.fsum(
+            (0.7 * (k + 1) * 0.4**k) ** q * (0.5 * 0.5**k) ** -alpha for k in range(400)
+        )
+        assert fam.evaluate(q, alpha) == pytest.approx(brute, rel=1e-13)
 
 
-def test_binomial_log_values_stable_for_skewed_bases():
-    w = BinomialSum(0.9, 0.9, 0.001)
-    ks = np.array([0.0, 1.0, 2.0, 500.0, 2000.0])
-    vals = w.log_values(ks)
-    assert np.all(np.isfinite(vals))
-    # exact small-k values; large k grows like the dominant base
-    for k in (0, 1, 2):
-        direct = 0.9 * sum(0.9**j * 0.001 ** (k - j) for j in range(k + 1))
-        assert vals[k] == pytest.approx(math.log(direct), rel=1e-12)
-    assert vals[4] - vals[3] == pytest.approx(1500.0 * math.log(0.9), rel=1e-9)
+def test_binomial_series_stable_for_skewed_bases():
+    # bases 0.9 and 0.001: masses 0.9 * sum_j 0.9^j 0.001^(k-j), summed
+    # explicitly over the first 4000 atoms (the rest is below 1e-16 of the sum)
+    fam = binomial_family(0.9, 0.9, 0.001, 0.5, 0.5)
+    for q, alpha in ((1.0, 0.0), (3.0, 0.2), (0.5, -2.0)):
+        brute = math.fsum(
+            math.exp(q * math.log(0.9 * math.fsum(0.9**j * 0.001 ** (k - j)
+                                                  for j in range(max(0, k - 8), k + 1)))
+                     - alpha * (k + 1) * math.log(0.5))
+            for k in range(4000)
+        )
+        got = fam.evaluate(q, alpha, grads=True)
+        assert got[0] == pytest.approx(brute, rel=1e-13)
+        assert all(math.isfinite(v) for v in got)
 
 
 def test_domain_violation():
