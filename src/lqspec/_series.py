@@ -34,8 +34,8 @@ as mu approaches 0 (the convergence edge).  There are three paths:
   majorants, is below ``tol``.
 
 The zeta values at negative arguments come from the functional equation and
-Euler-Maclaurin sums of zeta(sigma), sigma > 1 (or sigma in (-1, 0] for the
-first term when q < 1); all in ``math``.
+Euler-Maclaurin sums of zeta(sigma), sigma > 1 (or of zeta(-q) itself for
+the first term when q < 1/2); all in ``math``.
 """
 
 from __future__ import annotations
@@ -52,8 +52,9 @@ _LN_2PI = math.log(2.0 * math.pi)
 
 _EXPANSION_MAX_DELTA = 0.25  # the sinh factor's series has radius 2 pi / delta in t
 _EXPANSION_MAX_TERMS = 150
-# Rough costs, in direct terms, of one call of each path (for choosing among them).
-_EXPANSION_COST_SMALL_Q = 200.0  # zeta(sigma) by Euler-Maclaurin, sigma < 24
+# Rough costs of an expansion, in direct terms, for choosing between them:
+# each zeta(q + 1 + n) below 24 takes several Euler-Maclaurin corrections.
+_EXPANSION_COST_SMALL_Q = 200.0
 _EXPANSION_COST_LARGE_Q = 60.0
 
 
@@ -139,27 +140,29 @@ def _binomial_tail(q, mu, delta, ln_amp, tol):
 def _expansion(q, mu, delta, ln_amp, tol):
     a = q + 1.0
     nu = mu - 0.5 * q * delta
-    # ln(G / M0), with G the integral and M0 = Gamma(q+1) / (2 pi)^(q+1),
-    # and its partials in mu and q.
-    g = a * (_LN_2PI - math.log(-mu))
+    # ln G, with G the integral, and its partials in mu and q; the zeta terms
+    # are in units of M0 = Gamma(q+1) / (2 pi)^(q+1), and the sums in units
+    # of the larger of G and M0.
+    ln_g = math.lgamma(a) - a * math.log(-mu)
     g_mu = a / -mu
     g_q = _digamma(a) - math.log(-mu)
     ln_e = 0.0  # ln((1 - x) / delta)
     lam = ()  # B_2m delta^2m / (2m (2m)!): coefficients of ln(sinh(v)/v), v = delta t/2
     if delta:
         ln_r, r_s, r_a = _log_ratio(-mu / delta, a)
-        g += ln_r
+        ln_g += ln_r
         g_mu -= r_s / delta
         g_q += r_a
         ln_e = math.log(-math.expm1(-delta) / delta)
         lam = tuple(bf * delta ** (2 * m) / (2 * m) for m, bf in enumerate(_B2M_FACT, 1))
-    shift = max(g, 0.0)
-    big = math.exp(g - shift)
-    sc = math.exp(-shift)
+    ln_m0 = math.lgamma(a) - a * _LN_2PI
+    unit = max(ln_g, ln_m0)
+    big = math.exp(ln_g - unit)
+    sc = math.exp(ln_m0 - unit)
 
     c, cmaj = [1.0], [1.0]  # Taylor coefficients of g(t), and of a majorant
     zs = zmu = zq = 0.0
-    inv_m0 = math.exp(a * _LN_2PI - math.lgamma(a))
+    inv_m0 = math.exp(-ln_m0)
     psi = _digamma(a)
     poch = 1.0  # (q+1)_n / (2 pi)^n
     prev_bound = math.inf
@@ -177,7 +180,7 @@ def _expansion(q, mu, delta, ln_amp, tol):
                 break
             cq += lm * c[n - 2 * m]
             cq_maj += abs(lm) * cmaj[n - 2 * m]
-        if n == 0 and q < 1.0:
+        if n == 0 and q < 0.5:
             # sigma near 1: take zeta(-q) from its own Euler-Maclaurin sum
             z0, dz0 = _zeta(-q)
             zn, dzn = z0 * inv_m0, dz0 * inv_m0
@@ -207,7 +210,7 @@ def _expansion(q, mu, delta, ln_amp, tol):
                 break
     else:
         raise NoConvergence(f"series expansion did not settle at q={q}, mu={mu}, delta={delta}")
-    pref = math.exp(ln_amp - mu - q * ln_e + math.lgamma(a) - a * _LN_2PI + shift)
+    pref = math.exp(ln_amp - mu - q * ln_e + unit)
     return pref * tot, pref * tot_mu, pref * tot_q, n + 1
 
 
@@ -222,16 +225,13 @@ def _next_coeff(c, n, nu, q, lam, majorant):
 
 
 def _zeta(s: float):
-    """(zeta(s), zeta'(s)) for s in (-1, 0] or s > 1."""
-    if s > 24.0:
-        z, dz = 1.0, 0.0
-        for k in range(2, 7):  # the rest is below 6^(1-s) / (s-1) < 1e-19
-            lk = math.log(k)
-            t = math.exp(-s * lk)
-            z += t
-            dz -= lk * t
-        return z, dz
-    # Euler-Maclaurin with N = 10 and up to ten corrections.
+    """(zeta(s), zeta'(s)) for s in (-1/2, 0] or s > 1.
+
+    Euler-Maclaurin with N = 10 and up to ten corrections, stopped once
+    one is below 1e-18 of the sum.  The m-th is about
+    (s + 2m)^(2m) / (2 pi N)^(2m) N^(1-s), so ten leave an error below
+    1e-17 for s <= 24, and beyond that the first is already negligible.
+    """
     n = 10
     z, dz = 1.0, 0.0
     for k in range(2, n):

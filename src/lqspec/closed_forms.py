@@ -6,10 +6,10 @@ their minimum.  The factors themselves are written in ``families``; this
 module holds the machinery they share.  Partials in q and alpha are
 assembled term by term: every atom term m^q L^(-alpha) differentiates to
 m^q L^(-alpha) ln m in q and -m^q L^(-alpha) ln L in alpha, and infinite
-sums reuse the matrix entries' truncation engine, with its fixed relative
-tolerance of 1e-12.  tau'(q) = -f_q / f_alpha at the root of the attaining
-factor f is the only derivative formula; the paper's long-form expansions
-of it are checked in the tests, not here.
+sums reuse the matrix entries' series sums, with their fixed relative
+truncation bound of 1e-15.  tau'(q) = -f_q / f_alpha at the root of the
+attaining factor f is the only derivative formula; the paper's long-form
+expansions of it are checked in the tests, not here.
 """
 
 from __future__ import annotations

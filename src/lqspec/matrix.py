@@ -8,8 +8,8 @@ A matrix entry is a tuple of terms, each of one of two kinds:
   log-length -ln(rho0 * r^k) and carries mass w_k.  Geometric weight
   sequences are summed in closed form; binomial-sum sequences by
   ``_series.binomial_sums``, in plain floats, with a truncation error of
-  at most 1e-12 relative and a number of terms that does not grow near the
-  convergence edge.
+  at most ``_SERIES_TOL`` relative and a number of terms that does not grow
+  near the convergence edge.
 
 A ``MeasureMatrixSpec`` holds a matrix sparsely, as the map
 {(i, j): terms} that a built-in family's table builds

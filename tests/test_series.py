@@ -24,6 +24,8 @@ import math
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lqspec import _series
 from lqspec.matrix import _SERIES_TOL, binomial_family
@@ -149,3 +151,20 @@ def test_series_paths_agree_where_they_meet():
                 for got in others:
                     for g, w in zip(got[:3], want):
                         assert g == pytest.approx(w, rel=1e-12), (q, mu, delta)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    q=st.floats(0.0, 60.0),
+    mu=st.floats(-2.0, -0.02),
+    delta=st.one_of(st.just(0.0), st.floats(1e-9, 0.25)),
+)
+def test_expansion_matches_direct_sums(q, mu, delta):
+    # Wherever the expansion may be chosen, it agrees with the direct sum,
+    # whose stopping rule is a proved geometric bound; for delta > 0 this
+    # checks the asymptotic expansion's stopping rule.
+    assume(_series._expansion_converges(q, mu, delta))
+    want = _series._direct(q, mu, delta, 0.0, _SERIES_TOL)[:3]
+    got = _series._expansion(q, mu, delta, 0.0, _SERIES_TOL)[:3]
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-12)
