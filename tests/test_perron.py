@@ -159,8 +159,7 @@ def test_curve_warm_starts_take_few_evaluations(canonical_specs):
 # Limits shared with the closed forms, met by random parameters at large q:
 # a class root within rounding of its series' convergence edge, or one where
 # rho moves by more than 1e-11 per double of alpha.  The spectral route must
-# then raise this typed error, never return a wrong root.  (Series sums no
-# longer have a term budget to run out of.)
+# then raise this typed error, never return a wrong root.
 KNOWN_LIMITS = (
     (lq.NoConvergence, "Collatz-Wielandt bounds"),
 )

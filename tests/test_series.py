@@ -34,7 +34,7 @@ GRID_Q = (0.0, 0.5, 2.0, 30.0, 200.0)
 GRID_GAP = (1e-1, 1e-3, 1e-5, 1e-7, 1e-9)
 HI, RHO0, R = 0.5, 0.5, 0.5
 LO = {"equal": HI, "unequal": HI / 2.0, "nearly-equal": HI * (1.0 - 1e-6)}
-MAX_TERMS = 300  # per evaluation, anywhere on the grid
+MAX_TERMS = 40  # per evaluation, anywhere on the grid (which needs at most 17)
 EPS = 2.0**-52
 
 
