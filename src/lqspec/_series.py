@@ -165,7 +165,7 @@ def _expansion(q, mu, delta, ln_amp, tol):
     inv_m0 = math.exp(-ln_m0)
     psi = _digamma(a)
     poch = 1.0  # (q+1)_n / (2 pi)^n
-    prev_bound = math.inf
+    prev_bound, prev_zeta = math.inf, 1.0
     for n in range(_EXPANSION_MAX_TERMS):
         sigma = a + n
         if n:
@@ -199,12 +199,15 @@ def _expansion(q, mu, delta, ln_amp, tol):
         tot_mu = big * g_mu + sc * zmu - tot
         tot_q = big * g_q + sc * zq - ln_e * tot
         if n:
+            # A majorant of the n-th terms of zs, zmu and zq.  For delta = 0
+            # its ratio to the one before, with zeta's own decrease taken
+            # out, falls with n, so that ratio bounds every later one.
             bound = sc * (cmaj[n] + cmaj[n - 1] + cq_maj) * poch * zeta * (
                 2.0 * (_LN_2PI + psi + abs(dzeta / zeta)) + math.pi + 2.0)
             if bound == 0.0:  # the terms underflow against the integral
                 break
-            ratio = bound / prev_bound
-            prev_bound = bound
+            ratio = bound / prev_bound * (prev_zeta / zeta)
+            prev_bound, prev_zeta = bound, zeta
             if n > 1 and ratio < 1.0 and bound * ratio / (1.0 - ratio) <= tol * min(
                     abs(tot), abs(tot_mu), abs(tot_q)):
                 break

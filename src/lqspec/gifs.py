@@ -36,7 +36,8 @@ class Similitude:
         d = self.dim
         if len(orth) != d or any(len(row) != d for row in orth) or len(trans) != d:
             raise ValueError(
-                f"a similitude on R^{d} needs a {d} x {d} orthogonal part and {d} translation entries"
+                f"a similitude on R^{d} needs a {d} x {d} orthogonal part "
+                f"and {d} translation entries"
             )
         object.__setattr__(self, "orthogonal", orth)
         object.__setattr__(self, "translation", trans)
