@@ -10,8 +10,10 @@ numeric failures.  Only ``estimate`` and ``compare`` import numpy (through
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import shutil
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -349,7 +351,14 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="lqspec", description=__doc__, allow_abbrev=False)
+    # argparse builds a formatter per add_argument call, and each one asks
+    # for the terminal size unless given a width: ask once, with argparse's
+    # own margin of two columns.
+    width = shutil.get_terminal_size().columns - 2
+    ap = argparse.ArgumentParser(
+        prog="lqspec", description=__doc__, allow_abbrev=False,
+        formatter_class=functools.partial(argparse.HelpFormatter, width=width),
+    )
     ap.add_argument("command", choices=list(_COMMANDS))
     ap.add_argument("--family", choices=FAMILY_IDS)
     ap.add_argument("--config", help="JSON config file with the same fields as the flags")

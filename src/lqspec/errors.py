@@ -16,7 +16,14 @@ class DomainViolation(LqSpecError):
 
 
 class NoConvergence(LqSpecError):
-    """An iterative solve ran out of budget or its result failed its certificate."""
+    """An iterative solve ran out of budget or its result failed its certificate.
+
+    ``evals`` is the number of evaluations spent, where the solver counts them.
+    """
+
+    def __init__(self, message: str, evals: int | None = None):
+        super().__init__(message)
+        self.evals = evals
 
 
 class DegenerateClass(LqSpecError):

@@ -39,6 +39,8 @@ from .matrix import AtomFamily, CompiledBlock, MeasureMatrixSpec, compile_block
 from .matrix import entry_value  # noqa: F401  (public name; bench/tracing.py wraps it here)
 
 _MAX_EVALS = 200
+_STEP_BACK = 0.9  # after a point beyond the root, try lo + this * (hi - lo)
+_EDGE_CAP = 0.75  # a step toward the series' edge covers at most this share of [lo, edge]
 _STEP_TOL = 1e-12  # a root is returned only where its Newton step is this small
 _G_TOL = 1e-12  # and |g - 1| is this small
 _CERT_TOL = 1e-11  # Collatz-Wielandt bounds at a returned root lie within this of 1
@@ -294,23 +296,25 @@ def class_root(block: CompiledBlock, q: float, bracket_hint: float | None = None
     log-convex and increasing wherever it is finite, and g = 1 exactly at
     the root.  Each evaluation is one elimination; its vectors give
     dg/dalpha, and Newton steps run inside a bracket [lo, hi] that every
-    evaluation shrinks.  A step leaving the bracket is replaced by
-    bisection, or by a step doubling outward while one side is still
-    open.  The search starts at the hint (a ``ClassRoot`` hint at its
-    linear prediction to q), else at 0, and stays below the convergence
-    domain of the block's series, where the radius blows up.  The first
-    point whose Newton step is within 1e-12 and whose g is within 1e-12
-    of one is the root (or, if the bracket closes to adjacent doubles
-    first, the point with g closest to one).  It is returned only if its
-    Collatz-Wielandt bounds are within 1e-11 of one; otherwise, and after
-    ``_MAX_EVALS`` evaluations, ``NoConvergence`` is raised.
+    evaluation shrinks.  The step is Newton on ln g while g < 1/2 and on
+    1 - 1/g after, which is exact where g has a simple pole.  A point
+    proving rho > 1 only through a nonpositive pivot (g = inf) has no
+    step, and neither has a step leaving the bracket: the next point is
+    lo + 0.9 (hi - lo), and after that bisection until a point falls below
+    the root.  While one side is still open, steps double outward instead.
+    The search starts at the hint (a ``ClassRoot`` hint at its linear
+    prediction to q), else at 0, and no step goes past 3/4 of the way from
+    lo to the convergence edge of the block's series, where the radius
+    blows up.  The first point whose Newton step is within 1e-12 and whose
+    g is within 1e-12 of one is the root (or, if the bracket closes to
+    adjacent doubles first, the point with g closest to one).  It is
+    returned only if its Collatz-Wielandt bounds are within 1e-11 of one;
+    otherwise, and after ``_MAX_EVALS`` evaluations, ``NoConvergence`` is
+    raised with the evaluations spent.
     """
     if not block.atoms and not block.series:
         raise DegenerateClass("the block has no nonzero entry, so its class has no cycle")
 
-    # While hi is only the edge of the series' convergence domain (where
-    # the radius blows up, but summing gets ever slower), no step goes past
-    # the middle of [lo, hi].
     sup = block.domain_sup(q)
     lo, hi = -math.inf, math.inf
     hi_is_edge = sup is not None
@@ -326,6 +330,7 @@ def class_root(block: CompiledBlock, q: float, bracket_hint: float | None = None
         alpha = hi - 0.5
     step = 0.5
     best = None  # finite evaluation closest to g = 1
+    backed = False  # a step back was taken since lo last rose
     for evals in range(1, _MAX_EVALS + 1):
         m, mq, ma = block.evaluate(q, alpha)
         el = eliminate(m)
@@ -334,13 +339,12 @@ def class_root(block: CompiledBlock, q: float, bracket_hint: float | None = None
         if el.right is not None:
             grad = _bilinear(el.left, ma, el.right)
             if grad > 0.0 and g > 0.0:
-                # Newton on ln g, convex in alpha, never leaves the upper
-                # side of the root and is exact for a single exponential,
-                # so it is taken above the root and far below it.  Close
-                # below the root, where a step on ln g lands above the root
-                # and often past the point where g is still finite, Newton
-                # on 1 - 1/g approaches from below.
-                delta = g * ((g - 1.0) if 0.5 <= g < 1.0 else math.log(g)) / grad
+                # A step on ln g is exact where g is one exponential, as far
+                # below the root, and never lands below the root.  One on
+                # 1 - 1/g is exact at a simple pole of g, where a sub-block
+                # nears rho = 1 just above many roots; there steps on ln g
+                # crawl.
+                delta = g * ((g - 1.0) if g >= 0.5 else math.log(g)) / grad
             point = (alpha, q, m, mq, grad, el)
             if best is None or abs(g - 1.0) < abs(best[-1].g - 1.0):
                 best = point
@@ -349,7 +353,7 @@ def class_root(block: CompiledBlock, q: float, bracket_hint: float | None = None
         if g > 1.0:
             hi, hi_is_edge = alpha, False
         else:
-            lo = alpha
+            lo, backed = alpha, False
         nxt = alpha - delta
         if lo == -math.inf:
             if not nxt < hi:
@@ -359,15 +363,25 @@ def class_root(block: CompiledBlock, q: float, bracket_hint: float | None = None
             if not nxt > lo:
                 nxt = lo + step
                 step *= 2.0
-        elif not lo < nxt < (0.5 * (lo + hi) if hi_is_edge else hi):
-            nxt = 0.5 * (lo + hi)
+        elif not lo < nxt < (lo + _EDGE_CAP * (hi - lo) if hi_is_edge else hi):
+            if hi_is_edge:
+                # A step from below overshoots where the series diverge.
+                nxt = lo + _EDGE_CAP * (hi - lo)
+            elif backed:
+                nxt = 0.5 * (lo + hi)
+            else:
+                # A point beyond the root, mostly reached by a step on ln g
+                # from below, came close: step back near it, once per rise
+                # of lo.
+                nxt, backed = lo + _STEP_BACK * (hi - lo), True
             if not lo < nxt < hi:
                 # No double lies strictly inside the bracket.
                 return _certified(*best, evals)
         alpha = nxt
     raise NoConvergence(
         f"class root at q={q} not found in {_MAX_EVALS} block evaluations; "
-        f"bracket [{lo!r}, {hi!r}]"
+        f"bracket [{lo!r}, {hi!r}]",
+        evals=_MAX_EVALS,
     )
 
 
@@ -379,7 +393,8 @@ def _certified(alpha, q, m, mq, grad, el, evals) -> ClassRoot:
     if not all(abs(x - 1.0) <= _CERT_TOL for x in ratios):
         raise NoConvergence(
             f"class root alpha={alpha!r} at q={q}: Collatz-Wielandt bounds "
-            f"[{rho_lo!r}, {rho_hi!r}] not within {_CERT_TOL:g} of 1"
+            f"[{rho_lo!r}, {rho_hi!r}] not within {_CERT_TOL:g} of 1",
+            evals=evals,
         )
     slope = -_bilinear(el.left, mq, el.right) / grad
     return ClassRoot(alpha, q, slope, rho_lo, rho_hi, evals)

@@ -4,6 +4,7 @@ and the paper's long-form formulas from ``paper_oracle``."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -155,19 +156,31 @@ def test_tau_prime_matches_fd_all_families(canonical_closed_forms):
             assert tp == pytest.approx(fd, rel=1e-5)
 
 
+# At the canonical point the heights family's components 1 and 3 have equal
+# factors, so both vanish at the root and every term of its long form is 0/0.
+# Unequal probabilities at vertex 2 untie them (component 3 attains tau for
+# q >= 2, component 1 at q = 0.5).
+UNTIED_HEIGHTS_PROBS = {"e7": 0.4, "e8": 0.3, "e9": 0.3}
+
+
 def test_longform_agreement_and_typo_disagreement():
     # Three expanded formulas agree with the term-wise tau'; the two with
-    # typographical slips differ from it.  q = 5 because at q <= 2 the
-    # heights formula is 0/0: two of its components tie at the root.
+    # typographical slips differ from it.
     for fid in lq.FAMILY_IDS:
         params = lq.canonical_params(fid)
+        if fid == "nonstrong-r-heights":
+            params = dataclasses.replace(params, probs={**params.probs, **UNTIED_HEIGHTS_PROBS})
         fam = lq.build_closed_form(params)
-        tp = fam.tau_prime(5.0)
-        lf = longform_tau_prime(params, 5.0, fam.solve(5.0).tau)
-        if fid in TYPO_FAMILIES:
-            assert abs(lf - tp) > 1e-8 * max(1.0, abs(tp)), fid
-        else:
-            assert lf == pytest.approx(tp, rel=1e-9), fid
+        for q in (0.5, 2.0, 5.0):
+            sol = fam.solve(q)
+            if fid == "nonstrong-r-heights":
+                assert abs(sol.roots[0] - sol.roots[2]) > 1e-3, q
+            tp = fam.tau_prime(q)
+            lf = longform_tau_prime(params, q, sol.tau)
+            if fid in TYPO_FAMILIES:
+                assert abs(lf - tp) > 1e-8 * max(1.0, abs(tp)), (fid, q)
+            else:
+                assert lf == pytest.approx(tp, rel=1e-9), (fid, q)
 
 
 def test_singular_alpha_partial_raises():

@@ -18,7 +18,9 @@ from lqspec.matrix import compile_block
 from conftest import random_params
 
 STIFF_QS = (16.0, 40.0, 60.0, 100.0, 200.0)
-MAX_EVALS_PER_ROOT = 40  # cold solves at STIFF_QS take at most about 21
+MAX_EVALS_PER_ROOT = 16  # cold roots at STIFF_QS take at most 13 block evaluations
+MEAN_EVALS_PER_ROOT = 8.0  # and 7.7 on average over the distinct roots
+MAX_EVALS_OVER_THE_DOMAIN = 55  # 600 random draws: 50 at most, 55 if overshoots are bisected
 PROPERTY = settings(max_examples=150, deadline=None, database=None, derandomize=True)
 
 
@@ -111,6 +113,31 @@ def test_stiff_q_matches_closed_forms(fid, q, canonical_specs, canonical_closed_
         assert abs(root.rho_lo - 1.0) <= 1e-11 and abs(root.rho_hi - 1.0) <= 1e-11
 
 
+def test_stiff_q_cold_roots_take_few_evaluations_on_average(canonical_specs):
+    evals = []
+    for spec in canonical_specs.values():
+        for q in STIFF_QS:
+            _, result = lq.tau(spec, q)
+            distinct = {id(root): root for root in result.roots.values()}  # shared blocks
+            evals += [root.evals for root in distinct.values()]
+    assert sum(evals) / len(evals) <= MEAN_EVALS_PER_ROOT, sum(evals) / len(evals)
+
+
+def test_cold_root_next_to_a_pole_bisects_after_one_step_back():
+    # A random strong-r2 point where g is inf from one double above the
+    # root (g - 1 = -2e-12 there) up past the series edge.  Newton steps
+    # from below keep landing in the inf region, so the bracket closes by
+    # bisection.  Stepping back to lo + 0.9 (hi - lo) after every such point
+    # took 68 evaluations; one step back per rise of lo takes 47.
+    rng = np.random.default_rng([20261018, 91])
+    q = float(rng.uniform(0.0, 200.0))
+    params = random_params("strong-r2", rng)
+    got, result = lq.tau(lq.build_matrix_spec(params), q)
+    assert got == pytest.approx(lq.build_closed_form(params).solve(q).tau, abs=1e-9)
+    (root,) = result.roots.values()
+    assert root.evals <= MAX_EVALS_OVER_THE_DOMAIN
+
+
 def test_solves_never_use_power_iteration(monkeypatch, canonical_specs):
     def banned(*args, **kwargs):
         raise AssertionError("solve path called spectral_radius")
@@ -178,8 +205,10 @@ def test_spectral_matches_closed_forms_over_the_domain(fid, seed, q):
         got, result = lq.tau(spec, q)
     except (lq.NoConvergence, DomainViolation) as exc:
         assert any(isinstance(exc, kind) and text in str(exc) for kind, text in KNOWN_LIMITS)
+        assert exc.evals <= MAX_EVALS_OVER_THE_DOMAIN
         event(f"spectral {type(exc).__name__} at a known limit")
         return
+    assert max(root.evals for root in result.roots.values()) <= MAX_EVALS_OVER_THE_DOMAIN
     fam = lq.build_closed_form(params)
     try:
         want = fam.solve(q).tau
