@@ -25,7 +25,11 @@ deterministic random stream per (seed, vertex, chunk).  Within a chunk the
 active walks stay in ascending order and draw one
 ``rng.bit_generator.random_raw(n_active)`` per sweep; the top 53 bits of
 each raw word are the k of the k / 2^53 that ``rng.random()`` would return
-from the same stream, so a seed fixes every point.
+from the same stream, so a seed fixes every point.  Each chunk writes its
+own columns of one coordinate-major array, so the chunks run on a thread
+pool with one worker per CPU available to the process (numpy releases the
+interpreter lock in the gathers and draws).  There is no setting for the
+worker count, and the points do not depend on it.
 
 This is the only module that needs numpy; it converts the maps' plain
 tuples (``gifs.Similitude``) into its arrays.
@@ -34,6 +38,8 @@ tuples (``gifs.Similitude``) into its arrays.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +82,16 @@ class ScalingFit:
 
 
 def sample(g: Gifs, n_per_vertex: int, seed: int, depth_eps: float = 1e-9) -> SampleCloud:
-    """Draw n_per_vertex points from each vertex measure."""
+    """Draw n_per_vertex points from each vertex measure.
+
+    Chunk c of vertex v walks CHUNK_SIZE points (fewer in the last chunk) on
+    its own (seed, v, c) stream and writes them to its own columns of one
+    (d, N) array; the cloud is that array's transpose.  The chunks run on
+    one thread per CPU available to the process, and the points do not
+    depend on how many run.  On an error in a chunk or an interrupt in the
+    caller, queued chunks are cancelled and the error propagates once no
+    chunk is running.
+    """
     if n_per_vertex < 0:
         raise ValueError("n_per_vertex must be >= 0")
     if not 0.0 < depth_eps < 1.0:
@@ -84,19 +99,45 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, depth_eps: float = 1e-9) -> Sa
     if seed < 0:
         raise InvalidParams(f"seed must be >= 0, got {seed}")
     tables = _walk_tables(g)
+    # Coordinate-major: box counting reads each coordinate as one contiguous row.
+    rows = np.empty((g.dim, g.num_vertices * n_per_vertex))
 
-    chunks = []
+    def walk(v, c):
+        start = v * n_per_vertex + c * CHUNK_SIZE
+        stop = min(start + CHUNK_SIZE, (v + 1) * n_per_vertex)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(v, c)))
+        _walk_chunk(tables, v, rows[:, start:stop], rng, depth_eps)
+
     n_chunks = (n_per_vertex + CHUNK_SIZE - 1) // CHUNK_SIZE
-    for v in range(g.num_vertices):
-        for c in range(n_chunks):
-            count = min(CHUNK_SIZE, n_per_vertex - c * CHUNK_SIZE)
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(v, c)))
-            chunks.append(_walk_chunk(tables, v, count, rng, depth_eps))
+    jobs = [(v, c) for v in range(g.num_vertices) for c in range(n_chunks)]
+    workers = _worker_count(len(jobs))
+    if workers <= 1:
+        for job in jobs:
+            walk(*job)
+    else:
+        pool = ThreadPoolExecutor(workers)
+        try:
+            futures = [pool.submit(walk, *job) for job in jobs]
+            done, _ = wait(futures, return_when=FIRST_EXCEPTION)
+            for future in done:
+                future.result()
+        finally:
+            # A plain `with` would run every queued chunk before re-raising.
+            pool.shutdown(cancel_futures=True)
     return SampleCloud(
-        points=np.concatenate(chunks) if chunks else np.zeros((0, g.dim)),
+        points=rows.T,
         depth_eps=depth_eps,
         grid_anchor=tuple(lo for lo, _ in g.bbox),
     )
+
+
+def _worker_count(n_jobs: int) -> int:
+    """One thread per CPU this process may run on, at most one per job."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_jobs)
 
 
 @dataclass(frozen=True)
@@ -193,20 +234,21 @@ def _orientation_group(orths):
     return rots[:size], np.array(mul, dtype=np.int64)
 
 
-def _walk_chunk(tables: _WalkTables, start_vertex, count, rng, depth_eps):
-    """Walks advance one edge per sweep; finished walks leave the arrays.
+def _walk_chunk(tables: _WalkTables, start_vertex, out, rng, depth_eps):
+    """Walk out.shape[1] points from start_vertex into the (d, count) out.
 
-    The active walks stay compacted in ascending order and draw one raw
-    word each per sweep.  Coordinates are rows (d, n), so every gather and
+    Walks advance one edge per sweep; finished walks leave the arrays.  The
+    active walks stay compacted in ascending order and draw one raw word
+    each per sweep.  Coordinates are rows (d, n), so every gather and
     compaction acts on contiguous 1-D data.
     """
     n_edges = len(tables.ratio)
-    pts = np.empty((tables.step.shape[0], count))
+    count = out.shape[1]
     pos = np.arange(count)
     vkey = np.full(count, start_vertex << _VERTEX_SHIFT, dtype=np.int64)
     orient = np.zeros(count, dtype=np.int64)  # E * orientation index
     scale = np.ones(count)
-    trans = np.zeros_like(pts)
+    trans = np.zeros(out.shape)
 
     while len(pos):
         # Shift while unsigned: k < 2^53, so the int64 view is k itself.
@@ -229,11 +271,10 @@ def _walk_chunk(tables: _WalkTables, start_vertex, count, rng, depth_eps):
         if not keep.all():
             done = np.flatnonzero(~keep)
             anchor = tables.anchor.take(orient.take(done) // n_edges, axis=1)
-            pts[:, pos.take(done)] = trans.take(done, axis=1) + scale.take(done) * anchor
+            out[:, pos.take(done)] = trans.take(done, axis=1) + scale.take(done) * anchor
             live = np.flatnonzero(keep)
             pos, vkey, orient = pos.take(live), vkey.take(live), orient.take(live)
             scale, trans = scale.take(live), trans.take(live, axis=1)
-    return pts.T
 
 
 def partition_sum(cloud: SampleCloud, scales, q: float, total_mass: float) -> list[float]:
@@ -299,7 +340,9 @@ def _box_counts(points, anchor, hs):
 
 def _box_keys(points, anchor, h):
     """The integer keys floor((p - anchor) / h) of the points' boxes."""
-    y = np.floor((points - anchor) / h)
+    y = points - anchor  # one float temporary, kept in the points' layout
+    y /= h
+    np.floor(y, out=y)
     lo, hi = y.min(axis=0), y.max(axis=0)
     if max(-lo.min(), hi.max()) >= 2.0**62 or np.prod(hi - lo + 1.0) >= 2.0**62:
         raise InvalidParams(f"box side {h} is too fine to index the boxes in 62 bits")
@@ -317,11 +360,14 @@ def _octaves(fine, h):
 
 def _distinct(keys, weights=None):
     """Distinct rows of the (m, d) integer keys in lexicographic order, with
-    the summed weights of each (a count of rows when weights is None)."""
+    the summed weights of each (a count of rows when weights is None).
+
+    The keys are shifted in place: callers pass an array they do not reuse.
+    """
     lo = keys.min(axis=0)
-    shifted = keys - lo
-    dims = tuple(shifted.max(axis=0) + 1)
-    flat = np.ravel_multi_index(tuple(shifted.T), dims)
+    keys -= lo
+    dims = tuple(keys.max(axis=0) + 1)
+    flat = np.ravel_multi_index(tuple(keys.T), dims)
     if weights is None:
         flat, counts = np.unique(flat, return_counts=True)
     else:

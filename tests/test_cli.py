@@ -600,7 +600,7 @@ def test_each_command_reads_exactly_its_flags(monkeypatch, capsys, command):
 
 def test_only_sampling_commands_import_numpy():
     # solve, curve, classify, derivative and legendre run on plain floats;
-    # estimate and compare load numpy with the sampler.
+    # estimate and compare load numpy and the thread pool with the sampler.
     code = """
 import sys
 from lqspec import cli
@@ -613,8 +613,10 @@ for argv in (
 ):
     assert cli.main(argv) == 0, argv
     assert "numpy" not in sys.modules, argv
+    assert "concurrent.futures" not in sys.modules, argv
 assert cli.main(["estimate", "--family", "strong-r", "--q", "2", "--samples", "2000"]) == 0
 assert "numpy" in sys.modules
+assert "concurrent.futures" in sys.modules
 """
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

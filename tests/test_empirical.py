@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import signal
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -31,9 +34,15 @@ def test_single_self_loop_one_step():
     assert np.allclose(cloud.points, 0.25)
 
 
-def test_empty_cloud():
-    cloud = lq.sample(_strong_r_gifs(), 0, seed=0)
-    assert len(cloud) == 0
+def test_empty_cloud(monkeypatch):
+    monkeypatch.setattr(empirical, "ThreadPoolExecutor", _no_pool)
+    for g in (_strong_r_gifs(), lq.build_example(lq.canonical_params("strong-r2"))):
+        cloud = lq.sample(g, 0, seed=0)
+        assert cloud.points.shape == (0, g.dim)
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a thread pool started")
 
 
 def test_sampling_deterministic():
@@ -79,6 +88,63 @@ def test_sample_matches_oracle(family, seed):
     # one full chunk and one partial chunk from every vertex
     g = lq.build_example(lq.canonical_params(family))
     _assert_matches_oracle(g, CHUNK_SIZE + 1000, seed)
+
+
+@pytest.mark.parametrize("family", lq.FAMILY_IDS)
+def test_points_do_not_depend_on_the_worker_count(monkeypatch, family):
+    # full chunks and a partial one from every vertex
+    g = lq.build_example(lq.canonical_params(family))
+    clouds = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(empirical, "_worker_count", lambda n_jobs: workers)
+        clouds.append(lq.sample(g, CHUNK_SIZE + 77, seed=5))
+        # coordinate-major: box counting reads each coordinate contiguously
+        assert clouds[-1].points.T.flags.c_contiguous
+    assert all(np.array_equal(clouds[0].points, c.points) for c in clouds[1:])
+
+
+class _Interrupt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failure", ["chunk raises", "caller interrupted"])
+def test_failure_cancels_queued_chunks(monkeypatch, failure):
+    # Chunk 0 raises, or a timer interrupts the caller as a deadline would;
+    # either way the queued chunks must not run, and no worker may outlive
+    # the call.
+    if failure == "caller interrupted" and not hasattr(signal, "setitimer"):
+        pytest.skip("needs signal.setitimer")
+    calls = []
+    lock = threading.Lock()
+
+    def walk(tables, start_vertex, out, rng, depth_eps):
+        if failure == "chunk raises" and rng.bit_generator.seed_seq.spawn_key == (0, 0):
+            raise _Interrupt("chunk 0")
+        with lock:
+            calls.append(start_vertex)
+        time.sleep(0.02)
+
+    def interrupt(signum, frame):
+        raise _Interrupt("timer")
+
+    monkeypatch.setattr(empirical, "_walk_chunk", walk)
+    monkeypatch.setattr(empirical, "_worker_count", lambda n_jobs: 2)
+    g = _strong_r_gifs()
+    n_chunks = 40
+    jobs = g.num_vertices * n_chunks
+    baseline = threading.active_count()
+    if failure == "caller interrupted":
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        signal.setitimer(signal.ITIMER_REAL, 0.05)
+    try:
+        with pytest.raises(_Interrupt, match="chunk 0" if failure == "chunk raises" else "timer"):
+            lq.sample(g, n_chunks * CHUNK_SIZE, seed=0)
+    finally:
+        if failure == "caller interrupted":
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+    assert len(calls) < jobs // 4
+    assert threading.active_count() == baseline
 
 
 def _reflection_gifs():
