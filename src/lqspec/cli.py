@@ -26,7 +26,7 @@ from .gifs import build_example, parse_number
 from .matrix import build_matrix_spec
 
 
-_FLOAT_FIELDS = ("q", "q_min", "q_max", "depth_eps", "tie_tol")
+_FLOAT_FIELDS = ("q", "q_min", "q_max", "tie_tol")
 _INT_FIELDS = ("steps", "samples", "seed")
 _PARAM_FIELDS = ("rho", "r", "t", "s")
 _KINK_TOL = 1e-9  # one-sided slopes of tau further apart than this mean tau' does not exist
@@ -64,7 +64,6 @@ class RunConfig:
     scales: list = field(default_factory=list)
     samples: int = 1_000_000
     seed: int = 42
-    depth_eps: float = 1e-9
     tie_tol: float = 1e-9
     output: str | None = None
 
@@ -175,7 +174,7 @@ def _config_from_args(args) -> RunConfig:
     if args.probs is not None:
         cfg.probs = _parse_probs_arg(args.probs)
     for name in ("rho", "r", "t", "s", "q", "q_min", "q_max", "steps", "samples", "seed",
-                 "depth_eps", "tie_tol", "output"):
+                 "tie_tol", "output"):
         v = getattr(args, name)
         if v is not None:
             setattr(cfg, name, v)
@@ -294,9 +293,9 @@ def _fit(cfg: RunConfig, params: FamilyParams, q: float):
     if cfg.samples < 1:
         raise ConfigError(f"samples must be >= 1, got {cfg.samples}")
     g = build_example(params)
-    scales = cfg.scales or [2.0 ** (-k) for k in range(4, 12)]
+    scales = cfg.scales or empirical.DEFAULT_SCALES
     n_per_vertex = max(1, cfg.samples // g.num_vertices)
-    return empirical.estimate_tau(g, q, scales, n_per_vertex, cfg.seed, depth_eps=cfg.depth_eps)
+    return empirical.estimate_tau(g, q, scales, n_per_vertex, cfg.seed)
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
@@ -338,7 +337,7 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 # Each command and the flags it reads besides _FAMILY_FLAGS; main rejects others.
 _FAMILY_FLAGS = {"family", "config", "rho", "r", "t", "s", "probs"}
-_SAMPLING_FLAGS = {"q", "samples", "seed", "scales", "scale_octaves", "depth_eps"}
+_SAMPLING_FLAGS = {"q", "samples", "seed", "scales", "scale_octaves"}
 _COMMANDS = {
     "solve": (cmd_solve, {"q", "tie_tol"}),
     "curve": (cmd_curve, {"q_min", "q_max", "steps", "output"}),
@@ -365,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for flag in ("--rho", "--r", "--t", "--s"):
         ap.add_argument(flag)
     ap.add_argument("--probs", help="'uniform', 'symmetric', or e1=1/3,e2=1/3,...")
-    for flag in ("--q", "--q-min", "--q-max", "--depth-eps", "--tie-tol"):
+    for flag in ("--q", "--q-min", "--q-max", "--tie-tol"):
         ap.add_argument(flag, type=float)
     for flag in ("--steps", "--samples", "--seed"):
         ap.add_argument(flag, type=int)

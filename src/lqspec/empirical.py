@@ -2,11 +2,17 @@
 
 Points are drawn from each vertex measure by random edge walks (a chaos
 game on the graph): starting at a vertex, edges are drawn with their
-transition probabilities and the corresponding similitudes composed until
-the accumulated contraction ratio falls below a truncation threshold
-depth_eps in (0, 1), at which point the composed map is applied to a fixed
-anchor point.  Each emitted point therefore lies within depth_eps of an
-exact draw.
+transition probabilities and the corresponding similitudes composed.  A
+walk at vertex w with composed map F has drawn a point of the cylinder
+F(K_w), which lies in F(B_w), where B_w is a box around the attractor K_w
+computed once per ``sample`` call.  The walk stops as soon as that box lies
+in one closed box of every grid the box counts bin (the finest side, and
+each side that is not a power-of-two multiple of the side below it), and
+emits the box's centre.  So at every requested side the point's box is the
+box of the exact draw, up to draws on a grid line, which have probability
+zero.  A walk that keeps straddling a line ends once its contraction is at
+most SCALE_FLOOR = 1e-12; its point is then within 1e-12 box widths of an
+exact draw.  The sides fix the depth, so there is no other stopping knob.
 
 Each sweep moves every active walk with a fixed set of whole-array
 operations.  One inverse-CDF lookup over all walks picks their edges: a
@@ -15,10 +21,11 @@ walk at vertex v with draw u = k / 2^53 has the integer key
 the edges to ratios, destinations and translations.  A walk's orientation
 is a small integer: its index into the group generated by the edges'
 orthogonal parts, closed once per ``sample`` call with tables for the
-product R_g O_e, the rotated translation R_g t_e and the rotated anchor
-R_g a.  The group may have at most MAX_ORIENTATIONS elements; an
-orthogonal part of infinite order (e.g. a rotation by one radian) raises
-SamplerBound, as does a graph with more than MAX_VERTICES vertices.
+product R_g O_e, the rotated translation R_g t_e and the rotated box of
+the edge's destination.  The group may have at most MAX_ORIENTATIONS
+elements; an orthogonal part of infinite order (e.g. a rotation by one
+radian) raises SamplerBound, as does a graph with more than MAX_VERTICES
+vertices.
 
 Sampling is organized in fixed-size chunks of 65536 walks with one
 deterministic random stream per (seed, vertex, chunk).  Within a chunk the
@@ -48,6 +55,8 @@ from .errors import InsufficientScales, InvalidParams, SamplerBound
 from .gifs import Gifs
 
 CHUNK_SIZE = 65536
+DEFAULT_SCALES = tuple(2.0**-k for k in range(4, 12))  # box sides 2^-4 ... 2^-11
+SCALE_FLOOR = 1e-12  # a walk ends once its contraction is at most this
 # Fixed table bounds: the orientation group's order and the vertex count
 # (vertex << 54 plus a 53-bit draw must fit an int64 key).
 MAX_ORIENTATIONS = 1024
@@ -60,12 +69,14 @@ _BUCKET_SHIFT = 45  # 256 lookup buckets per vertex
 # along a closure path stays far below it, and distinct elements of a group of
 # at most MAX_ORIENTATIONS elements differ by far more.
 _ORIENTATION_TOL = 1e-9
+# Rounds of the vertex-box iteration; every round's boxes contain the attractors.
+_BOX_ROUNDS = 100
 
 
 @dataclass(frozen=True)
 class SampleCloud:
     points: np.ndarray  # (n, d), vertex-major: n_per_vertex points from each vertex
-    depth_eps: float
+    scales: tuple[float, ...]  # the box sides the walks resolve, coarsest first
     grid_anchor: tuple = ()
 
     def __len__(self) -> int:
@@ -81,8 +92,9 @@ class ScalingFit:
     stderr: float
 
 
-def sample(g: Gifs, n_per_vertex: int, seed: int, depth_eps: float = 1e-9) -> SampleCloud:
-    """Draw n_per_vertex points from each vertex measure.
+def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> SampleCloud:
+    """Draw n_per_vertex points from each vertex measure, exact at the box
+    sides in scales.
 
     Chunk c of vertex v walks CHUNK_SIZE points (fewer in the last chunk) on
     its own (seed, v, c) stream and writes them to its own columns of one
@@ -90,15 +102,18 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, depth_eps: float = 1e-9) -> Sa
     one thread per CPU available to the process, and the points do not
     depend on how many run.  On an error in a chunk or an interrupt in the
     caller, queued chunks are cancelled and the error propagates once no
-    chunk is running.
+    chunk is running.  Bad arguments raise InvalidParams before any walk.
     """
     if n_per_vertex < 0:
-        raise ValueError("n_per_vertex must be >= 0")
-    if not 0.0 < depth_eps < 1.0:
-        raise InvalidParams(f"depth_eps must lie in (0, 1), got {depth_eps}")
+        raise InvalidParams(f"n_per_vertex must be >= 0, got {n_per_vertex}")
     if seed < 0:
         raise InvalidParams(f"seed must be >= 0, got {seed}")
+    hs = _resolvable_sides(g, scales)
     tables = _walk_tables(g)
+    # A box inside one closed box of side h lies inside one of side h * 2^j,
+    # so only the sides that _box_counts bins need a test.
+    fine = hs[::-1]
+    grids = tuple(h for prev, h in zip((None,) + fine, fine) if _octaves(prev, h) is None)
     # Coordinate-major: box counting reads each coordinate as one contiguous row.
     rows = np.empty((g.dim, g.num_vertices * n_per_vertex))
 
@@ -106,7 +121,7 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, depth_eps: float = 1e-9) -> Sa
         start = v * n_per_vertex + c * CHUNK_SIZE
         stop = min(start + CHUNK_SIZE, (v + 1) * n_per_vertex)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(v, c)))
-        _walk_chunk(tables, v, rows[:, start:stop], rng, depth_eps)
+        _walk_chunk(tables, v, rows[:, start:stop], rng, grids)
 
     n_chunks = (n_per_vertex + CHUNK_SIZE - 1) // CHUNK_SIZE
     jobs = [(v, c) for v in range(g.num_vertices) for c in range(n_chunks)]
@@ -124,11 +139,25 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, depth_eps: float = 1e-9) -> Sa
         finally:
             # A plain `with` would run every queued chunk before re-raising.
             pool.shutdown(cancel_futures=True)
-    return SampleCloud(
-        points=rows.T,
-        depth_eps=depth_eps,
-        grid_anchor=tuple(lo for lo, _ in g.bbox),
-    )
+    return SampleCloud(points=rows.T, scales=hs, grid_anchor=tuple(lo for lo, _ in g.bbox))
+
+
+def _resolvable_sides(g: Gifs, scales) -> tuple[float, ...]:
+    """The distinct sides in scales, coarsest first.
+
+    Raises InvalidParams for a side that is not positive and finite, that a
+    walk's box at the scale floor is not narrower than, or whose grid over
+    ``g.bbox`` needs more than 62 bits to index.
+    """
+    hs = sorted({float(h) for h in scales}, reverse=True)
+    if not hs or not all(0.0 < h < math.inf for h in hs):
+        raise InvalidParams(f"scales must be positive and finite, got {list(scales)}")
+    h = hs[-1]
+    width = np.array([hi - lo for lo, hi in g.bbox])
+    if h <= SCALE_FLOOR * width.max():
+        raise InvalidParams(f"box side {h} is too fine for walks that stop at scale {SCALE_FLOOR}")
+    _check_key_range(np.zeros_like(width), np.floor(width / h), h)
+    return tuple(hs)
 
 
 def _worker_count(n_jobs: int) -> int:
@@ -152,7 +181,10 @@ class _WalkTables:
     without the search for keys in a bucket that no ``cum_key`` splits.
     Orientations are indices g into the group generated by the edges'
     orthogonal parts; the flat index ``g * E + e`` addresses ``mul`` (the
-    orientation after edge e, times E) and ``step`` (R_g t_e).
+    orientation after edge e, times E), ``step`` (R_g t_e), and the box of
+    the edge's destination w in the orientation R = R_g O_e after the edge:
+    ``centre`` (R c_w) and ``half`` (|R| h_w, the half-widths of the hull of
+    the rotated box).
     """
 
     cum_key: np.ndarray  # (E,) int64, ascending
@@ -161,7 +193,9 @@ class _WalkTables:
     dst_key: np.ndarray  # (E,) int64: destination vertex << 54
     mul: np.ndarray  # (G * E,) int64: E * (index of R_g O_e)
     step: np.ndarray  # (d, G * E): R_g t_e
-    anchor: np.ndarray  # (d, G): R_g anchor
+    centre: np.ndarray  # (d, G * E): R_g O_e c_dst(e)
+    half: np.ndarray  # (d, G * E): |R_g O_e| h_dst(e)
+    origin: np.ndarray  # (d,): the grids' anchor, the low corner of g.bbox
 
 
 def _walk_tables(g: Gifs) -> _WalkTables:
@@ -173,32 +207,72 @@ def _walk_tables(g: Gifs) -> _WalkTables:
     for v in range(g.num_vertices):
         out = g.out_edges(v)
         if not out:
-            raise ValueError(f"vertex {v + 1} has no outgoing edge")
+            raise InvalidParams(f"vertex {v + 1} has no outgoing edge")
         cum = np.cumsum([e.prob for e in out])
         cum[-1] = 1.0  # guard against fsum slack
         # Clipping at 1 changes no comparison with u < 1 and keeps keys ascending.
         cum = np.minimum(cum, 1.0)
         cum_key.append((v << _VERTEX_SHIFT) + np.ceil(cum * _U_SCALE).astype(np.int64))
         edges.extend(out)
-    rots, mul = _orientation_group([np.array(e.map.orthogonal) for e in edges])
+    orths = np.array([e.map.orthogonal for e in edges])
+    rots, mul = _orientation_group(orths)
     trans = np.array([e.map.translation for e in edges])
+    ratio = np.array([e.map.ratio for e in edges])
+    dst = np.array([e.dst for e in edges])
+    src = np.array([e.src for e in edges])
+    lo, hi = _vertex_boxes(g.bbox, g.num_vertices, src, dst, ratio, orths, trans)
     cum_key = np.concatenate(cum_key)
     # Buckets of 2^_BUCKET_SHIFT consecutive keys that no cum_key splits
     # resolve by one table lookup; only walks in split buckets are searched.
-    lo = np.arange(g.num_vertices << (_VERTEX_SHIFT - _BUCKET_SHIFT), dtype=np.int64)
-    lo <<= _BUCKET_SHIFT
-    first = np.searchsorted(cum_key, lo, side="right")
-    last = np.searchsorted(cum_key, lo + ((1 << _BUCKET_SHIFT) - 1), side="right")
-    n_edges = len(edges)
+    bucket = np.arange(g.num_vertices << (_VERTEX_SHIFT - _BUCKET_SHIFT), dtype=np.int64)
+    bucket <<= _BUCKET_SHIFT
+    first = np.searchsorted(cum_key, bucket, side="right")
+    last = np.searchsorted(cum_key, bucket + ((1 << _BUCKET_SHIFT) - 1), side="right")
+    after = rots[mul]  # (G, E, d, d): R_g O_e
     return _WalkTables(
         cum_key=cum_key,
         bucket_edge=np.where(first == last, first, -1),
-        ratio=np.array([e.map.ratio for e in edges]),
-        dst_key=np.array([e.dst for e in edges], dtype=np.int64) << _VERTEX_SHIFT,
-        mul=(mul * n_edges).ravel(),
-        step=(rots[:, None] @ trans[None, :, :, None])[..., 0].reshape(-1, g.dim).T.copy(),
-        anchor=(rots @ np.asarray(g.anchor, dtype=float)).T.copy(),
+        ratio=ratio,
+        dst_key=dst.astype(np.int64) << _VERTEX_SHIFT,
+        mul=(mul * len(edges)).ravel(),
+        step=_per_ge(rots[:, None], trans),
+        centre=_per_ge(after, (lo[dst] + hi[dst]) / 2.0),
+        half=_per_ge(np.abs(after), (hi[dst] - lo[dst]) / 2.0),
+        origin=np.array([lo for lo, _ in g.bbox]),
     )
+
+
+def _per_ge(mats, vecs):
+    """The (d, G * E) table of mats[g, e] @ vecs[e], column g * E + e."""
+    prod = (mats @ vecs[..., None])[..., 0]
+    return prod.reshape(-1, vecs.shape[1]).T.copy()
+
+
+def _vertex_boxes(bbox, n_vertices, src, dst, ratio, orths, trans):
+    """Boxes (lo, hi), each (V, d), whose box v contains the attractor K_v.
+
+    Iterates B_v <- hull of the union of f_e(B_dst(e)) over the edges e that
+    leave v, from ``bbox`` for every vertex.  Since K_v is the union of the
+    f_e(K_dst(e)), every iterate contains K_v when ``bbox`` contains every
+    attractor.  The hull of f_e(B) is t_e + r_e * (sum over j of the smaller
+    and the larger of O_ij lo_j and O_ij hi_j).  The iteration stops at a
+    fixed point or after _BOX_ROUNDS rounds.
+    """
+    lo = np.array([[a for a, _ in bbox]] * n_vertices)
+    hi = np.array([[b for _, b in bbox]] * n_vertices)
+    for _ in range(_BOX_ROUNDS):
+        at_lo = orths * lo[dst][:, None, :]
+        at_hi = orths * hi[dst][:, None, :]
+        image_lo = trans + ratio[:, None] * np.minimum(at_lo, at_hi).sum(axis=2)
+        image_hi = trans + ratio[:, None] * np.maximum(at_lo, at_hi).sum(axis=2)
+        new_lo = np.full_like(lo, math.inf)
+        new_hi = np.full_like(hi, -math.inf)
+        np.minimum.at(new_lo, src, image_lo)
+        np.maximum.at(new_hi, src, image_hi)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
+    return lo, hi
 
 
 def _orientation_group(orths):
@@ -234,21 +308,31 @@ def _orientation_group(orths):
     return rots[:size], np.array(mul, dtype=np.int64)
 
 
-def _walk_chunk(tables: _WalkTables, start_vertex, out, rng, depth_eps):
+def _walk_chunk(tables: _WalkTables, start_vertex, out, rng, grids):
     """Walk out.shape[1] points from start_vertex into the (d, count) out.
 
-    Walks advance one edge per sweep; finished walks leave the arrays.  The
-    active walks stay compacted in ascending order and draw one raw word
-    each per sweep.  Coordinates are rows (d, n), so every gather and
-    compaction acts on contiguous 1-D data.
+    Walks advance one edge per sweep.  Once a walk's box is no wider than
+    the finest side in grids, it ends when its box lies in one closed box of
+    each grid in grids (sides, finest first, anchored at ``tables.origin``)
+    or its scale is at most SCALE_FLOOR, and its point is the box's centre.
+    Finished walks leave the arrays: the active walks stay compacted in
+    ascending order and draw one raw word each per sweep.  Coordinates are
+    rows (d, n), so every gather and compaction acts on contiguous 1-D data.
     """
-    n_edges = len(tables.ratio)
     count = out.shape[1]
     pos = np.arange(count)
     vkey = np.full(count, start_vertex << _VERTEX_SHIFT, dtype=np.int64)
     orient = np.zeros(count, dtype=np.int64)  # E * orientation index
     scale = np.ones(count)
     trans = np.zeros(out.shape)
+    # At column ge, a walk's box can fit the finest grid only once its scale
+    # is at most near[ge] (always, for a box of zero width), and no walk gets
+    # there before its scale could be least = min_ratio^sweeps.  The margin
+    # keeps rounding from hiding a box exactly one side wide from the test.
+    with np.errstate(divide="ignore"):
+        near = grids[0] / (2.0 * tables.half.max(axis=0)) * (1.0 + 1e-9)
+    near = np.maximum(near, SCALE_FLOOR)
+    least, min_ratio, near_max = 1.0, tables.ratio.min(), near.max()
 
     while len(pos):
         # Shift while unsigned: k < 2^53, so the int64 view is k itself.
@@ -267,14 +351,55 @@ def _walk_chunk(tables: _WalkTables, start_vertex, out, rng, depth_eps):
         orient = tables.mul.take(ge)
         scale *= tables.ratio.take(e)
         vkey = tables.dst_key.take(e)
-        keep = scale > depth_eps
-        if not keep.all():
-            done = np.flatnonzero(~keep)
-            anchor = tables.anchor.take(orient.take(done) // n_edges, axis=1)
-            out[:, pos.take(done)] = trans.take(done, axis=1) + scale.take(done) * anchor
+        least *= min_ratio
+        if least > near_max:
+            continue
+        test = np.flatnonzero(scale <= near.take(ge))
+        if len(test) < len(pos):
+            ge, s, t = ge.take(test), scale.take(test), trans.take(test, axis=1)
+        else:
+            s, t = scale, trans
+        centre = tables.centre.take(ge, axis=1)
+        centre *= s
+        centre += t
+        half = tables.half.take(ge, axis=1)
+        half *= s
+        ends = _fits(centre, half, tables.origin, grids)
+        ends |= s <= SCALE_FLOOR
+        which = np.flatnonzero(ends)
+        if len(which):
+            done = test.take(which)
+            dest = pos.take(done)
+            for row, c in zip(out, centre):
+                row[dest] = c.take(which)
+            keep = np.ones(len(pos), dtype=bool)
+            keep[done] = False
             live = np.flatnonzero(keep)
             pos, vkey, orient = pos.take(live), vkey.take(live), orient.take(live)
             scale, trans = scale.take(live), trans.take(live, axis=1)
+
+
+def _fits(centre, half, origin, grids):
+    """Whether each box centre +- half, (d, n), lies in one closed box of
+    every grid with a side in grids, anchored at origin.
+
+    Along each axis, u = centre - origin is the coordinate that box
+    counting floors; the box fits when (u + half) / h is at most the upper
+    edge floor((u - half) / h) + 1 of the box that holds its lower end.
+    """
+    fits = np.ones(centre.shape[1], dtype=bool)
+    for u, w, a in zip(centre, half, origin):
+        if a:
+            u = u - a
+        for h in grids:
+            edge = u - w
+            edge /= h
+            np.floor(edge, out=edge)
+            edge += 1.0
+            top = u + w
+            top /= h
+            fits &= top <= edge
+    return fits
 
 
 def partition_sum(cloud: SampleCloud, scales, q: float, total_mass: float) -> list[float]:
@@ -282,12 +407,16 @@ def partition_sum(cloud: SampleCloud, scales, q: float, total_mass: float) -> li
     q-th powers of the empirical box masses.
 
     Boxes are anchored at the family bounding-box corner (no random
-    offsets); the empirical mass of a box is total_mass * count / N.  An
-    empty cloud gives -inf at every scale.
+    offsets); the empirical mass of a box is total_mass * count / N.  A side
+    that the cloud was not sampled for raises InvalidParams.  An empty cloud
+    gives -inf at every scale.
     """
     hs = [float(h) for h in scales]
-    if not all(h > 0.0 for h in hs):
-        raise ValueError("h must be positive")
+    unresolved = sorted(set(hs) - set(cloud.scales))
+    if unresolved:
+        raise InvalidParams(
+            f"the cloud resolves the box sides {list(cloud.scales)}, not {unresolved}"
+        )
     n = len(cloud)
     if n == 0:
         return [-math.inf] * len(hs)
@@ -343,10 +472,14 @@ def _box_keys(points, anchor, h):
     y = points - anchor  # one float temporary, kept in the points' layout
     y /= h
     np.floor(y, out=y)
-    lo, hi = y.min(axis=0), y.max(axis=0)
+    _check_key_range(y.min(axis=0), y.max(axis=0), h)
+    return y.astype(np.int64)
+
+
+def _check_key_range(lo, hi, h):
+    """InvalidParams unless the keys lo .. hi (per axis) of side h fit 62 bits."""
     if max(-lo.min(), hi.max()) >= 2.0**62 or np.prod(hi - lo + 1.0) >= 2.0**62:
         raise InvalidParams(f"box side {h} is too fine to index the boxes in 62 bits")
-    return y.astype(np.int64)
 
 
 def _octaves(fine, h):
@@ -385,14 +518,15 @@ def estimate_tau(
     h_list,
     n_per_vertex: int,
     seed: int,
-    depth_eps: float = 1e-9,
     cloud: SampleCloud | None = None,
 ) -> ScalingFit:
     """Log-log regression of partition sums against scale.
 
     Requires at least three distinct scales, all positive and finite (else
     InvalidParams), spanning at least two octaves, all below the family's
-    coarsest first-level cell so the grid actually resolves structure.
+    coarsest first-level cell so the grid actually resolves structure.  A
+    given cloud must have been sampled for every scale; otherwise the scales
+    are sampled here.
     """
     hs = [float(h) for h in h_list]
     if not all(0.0 < h < math.inf for h in hs):
@@ -408,7 +542,7 @@ def estimate_tau(
             f"coarsest scale {hs[0]} exceeds the smallest first-level cell {min_cell}"
         )
     if cloud is None:
-        cloud = sample(g, n_per_vertex, seed, depth_eps=depth_eps)
+        cloud = sample(g, n_per_vertex, seed, scales=hs)
     if len(cloud) == 0:
         raise InsufficientScales("empty partition sum; increase samples")
     log_sums = partition_sum(cloud, hs, q, total_mass=float(g.num_vertices))

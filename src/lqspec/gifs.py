@@ -66,16 +66,12 @@ class Gifs:
     num_vertices: int
     dim: int
     edges: tuple[Edge, ...]
-    # Sampling metadata: a fixed anchor point used to seed random walks
-    # (the centre of the unit box by default) and a bounding box containing
-    # every vertex attractor (lo, hi per coordinate; the unit box by default).
-    anchor: tuple[float, ...] = ()
+    # Sampling metadata: a box containing every vertex attractor (lo, hi per
+    # coordinate; the unit box by default).  Its low corner anchors the grids.
     bbox: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(self.edges))
-        if not self.anchor:
-            object.__setattr__(self, "anchor", tuple([0.5] * self.dim))
         if not self.bbox:
             object.__setattr__(self, "bbox", tuple([(0.0, 1.0)] * self.dim))
 

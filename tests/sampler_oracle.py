@@ -5,20 +5,49 @@ active walks by their current vertex and then by their drawn edge, so every
 step is a batched matrix product.  It draws from the same random streams in
 the same order as ``lqspec.empirical.sample`` (one stream per
 ``(seed, vertex, chunk)``, one ``rng.random`` per sweep over the active
-walks in ascending order), so the two must agree point for point: exactly
-where every orthogonal part is +-1, and to rounding otherwise.
+walks in ascending order) and stops a walk by the same rule, with vertex
+boxes built here with plain loops: once the box of its cylinder lies in one
+closed box of every requested grid, or its scale is at most the floor.  So
+the two must agree point for point: exactly where every orthogonal part is
++-1, and to rounding otherwise.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from lqspec.empirical import CHUNK_SIZE
+from lqspec.empirical import _BOX_ROUNDS, CHUNK_SIZE, DEFAULT_SCALES, SCALE_FLOOR
 
 
-def oracle_sample(g, n_per_vertex: int, seed: int, depth_eps: float = 1e-9):
-    """(points, vertex of each point) drawn chunk by chunk, vertex-major."""
-    anchor = np.asarray(g.anchor, dtype=float)
+def vertex_boxes(g):
+    """(centre, half-width) per vertex, (V, d) each: the boxes of the
+    iteration B_v <- hull of f_e(B_dst(e)) over the edges leaving v, from
+    ``g.bbox``, run to a fixed point or for _BOX_ROUNDS rounds."""
+    n, d = g.num_vertices, g.dim
+    lo = [[a for a, _ in g.bbox] for _ in range(n)]
+    hi = [[b for _, b in g.bbox] for _ in range(n)]
+    for _ in range(_BOX_ROUNDS):
+        new_lo = [[math.inf] * d for _ in range(n)]
+        new_hi = [[-math.inf] * d for _ in range(n)]
+        for e in g.edges:
+            m, w = e.map, e.dst
+            for i in range(d):
+                ends = [(m.orthogonal[i][j] * lo[w][j], m.orthogonal[i][j] * hi[w][j])
+                        for j in range(d)]
+                low = m.translation[i] + m.ratio * sum(min(a, b) for a, b in ends)
+                high = m.translation[i] + m.ratio * sum(max(a, b) for a, b in ends)
+                new_lo[e.src][i] = min(new_lo[e.src][i], low)
+                new_hi[e.src][i] = max(new_hi[e.src][i], high)
+        if new_lo == lo and new_hi == hi:
+            break
+        lo, hi = new_lo, new_hi
+    lo, hi = np.array(lo), np.array(hi)
+    return (lo + hi) / 2.0, (hi - lo) / 2.0
+
+
+def _edge_tables(g):
     tables = []
     for v in range(g.num_vertices):
         out = g.out_edges(v)
@@ -29,48 +58,92 @@ def oracle_sample(g, n_per_vertex: int, seed: int, depth_eps: float = 1e-9):
         trans = np.stack([e.map.translation for e in out])
         dsts = np.array([e.dst for e in out], dtype=np.int64)
         tables.append((cum, ratios, orths, trans, dsts))
+    return tables
 
-    points, vertices = [], []
+
+def _sweep(tables, idx, u, vert, scale, trans, orth):
+    """Advance the walks idx one edge each, with the uniform draws u."""
+    # Group by a snapshot of the current vertices so every walk advances
+    # exactly one edge per sweep even when it changes vertex.
+    vsnap = vert[idx]
+    for v in np.unique(vsnap):
+        cum, ratios, orths, transl, dsts = tables[v]
+        mask = vsnap == v
+        sel = idx[mask]
+        choice = np.searchsorted(cum, u[mask], side="right")
+        choice = np.minimum(choice, len(cum) - 1)
+        for e in range(len(cum)):
+            rows = sel[choice == e]
+            if rows.size == 0:
+                continue
+            step_t = orth[rows] @ transl[e]
+            trans[rows] += scale[rows, None] * step_t
+            orth[rows] = orth[rows] @ orths[e]
+            scale[rows] *= ratios[e]
+            vert[rows] = dsts[e]
+
+
+def _box(boxes, vert, scale, trans, orth):
+    """Centre and half-widths of the hull of each walk's cylinder box."""
+    centre, half = boxes
+    c = trans + scale[:, None] * (orth @ centre[vert][..., None])[..., 0]
+    w = scale[:, None] * (np.abs(orth) @ half[vert][..., None])[..., 0]
+    return c, w
+
+
+def oracle_sample(g, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES):
+    """(points, vertex of each point, final walk states) drawn chunk by
+    chunk, vertex-major.  A state is (vertex, scale, translation,
+    orthogonal part) per walk, as arrays."""
+    tables = _edge_tables(g)
+    boxes = vertex_boxes(g)
+    origin = np.array([lo for lo, _ in g.bbox])
+    points, vertices, states = [], [], []
     n_chunks = (n_per_vertex + CHUNK_SIZE - 1) // CHUNK_SIZE
     for v in range(g.num_vertices):
         for c in range(n_chunks):
             count = min(CHUNK_SIZE, n_per_vertex - c * CHUNK_SIZE)
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(v, c)))
-            points.append(_walk_chunk(g.dim, tables, v, count, rng, depth_eps, anchor))
+            p, state = _walk_chunk(g.dim, tables, boxes, origin, scales, v, count, rng)
+            points.append(p)
+            states.append(state)
             vertices.append(np.full(count, v, dtype=np.int64))
     if not points:
-        return np.zeros((0, g.dim)), np.zeros(0, dtype=np.int64)
-    return np.concatenate(points, axis=0), np.concatenate(vertices)
+        return np.zeros((0, g.dim)), np.zeros(0, dtype=np.int64), None
+    state = tuple(np.concatenate(parts) for parts in zip(*states))
+    return np.concatenate(points, axis=0), np.concatenate(vertices), state
 
 
-def _walk_chunk(dim, tables, start_vertex, count, rng, depth_eps, anchor):
+def _walk_chunk(dim, tables, boxes, origin, scales, start_vertex, count, rng):
     vert = np.full(count, start_vertex, dtype=np.int64)
     scale = np.ones(count)
     trans = np.zeros((count, dim))
     orth = np.broadcast_to(np.eye(dim), (count, dim, dim)).copy()
     active = np.ones(count, dtype=bool)
+    points = np.empty((count, dim))
 
     while np.any(active):
         idx = np.nonzero(active)[0]
-        u = rng.random(len(idx))
-        # Group by a snapshot of the current vertices so every walk advances
-        # exactly one edge per sweep even when it changes vertex.
-        vsnap = vert[idx]
-        for v in np.unique(vsnap):
-            cum, ratios, orths, transl, dsts = tables[v]
-            mask = vsnap == v
-            sel = idx[mask]
-            choice = np.searchsorted(cum, u[mask], side="right")
-            choice = np.minimum(choice, len(cum) - 1)
-            for e in range(len(cum)):
-                rows = sel[choice == e]
-                if rows.size == 0:
-                    continue
-                step_t = orth[rows] @ transl[e]
-                trans[rows] += scale[rows, None] * step_t
-                orth[rows] = orth[rows] @ orths[e]
-                scale[rows] *= ratios[e]
-                vert[rows] = dsts[e]
-        active &= scale > depth_eps
+        _sweep(tables, idx, rng.random(len(idx)), vert, scale, trans, orth)
+        c, w = _box(boxes, vert[idx], scale[idx], trans[idx], orth[idx])
+        y = c - origin
+        stop = scale[idx] <= SCALE_FLOOR
+        stop |= np.all(
+            [np.ceil((y + w) / h) - np.floor((y - w) / h) <= 1.0 for h in scales], axis=(0, 2)
+        )
+        points[idx[stop]] = c[stop]
+        active[idx[stop]] = False
+    return points, (vert, scale, trans, orth)
 
-    return trans + scale[:, None] * (orth @ anchor)
+
+def continue_walks(g, state, rng):
+    """Walk each state on with fresh draws from rng until its scale is at
+    most SCALE_FLOOR; the centre of the final box, per walk."""
+    tables = _edge_tables(g)
+    vert, scale, trans, orth = (a.copy() for a in state)
+    while True:
+        idx = np.nonzero(scale > SCALE_FLOOR)[0]
+        if not len(idx):
+            break
+        _sweep(tables, idx, rng.random(len(idx)), vert, scale, trans, orth)
+    return _box(vertex_boxes(g), vert, scale, trans, orth)[0]

@@ -349,14 +349,21 @@ def test_box_side_too_fine_for_integer_keys_exits_2(capsys, family, scales):
 
 
 @pytest.mark.parametrize("depth_eps", ["-1", "0", "nan"])
-def test_bad_depth_eps_exits_2(monkeypatch, capsys, depth_eps):
-    # -1 never stops a walk; validation must come before the first one
+def test_bad_depth_eps_exits_2(monkeypatch, tmp_path, capsys, depth_eps):
+    # the box sides fix where walks stop: --depth-eps and the config field
+    # depth_eps are gone, and any value exits 2 before a walk starts
     monkeypatch.setattr(empirical, "_walk_chunk", _no_walks)
-    code, out, err = run(capsys, "estimate", "--family", "strong-r", "--q", "1",
-                         "--samples", "1000", "--scale-octaves", "4", "9",
-                         "--depth-eps", depth_eps)
-    assert code == 2
-    assert out == "" and err.startswith("error:") and "depth_eps" in err
+    argv = ["estimate", "--family", "strong-r", "--q", "1", "--samples", "1000",
+            "--scale-octaves", "4", "9"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--depth-eps", depth_eps])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --depth-eps {depth_eps}" in capsys.readouterr().err
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"family": "strong-r", "depth_eps": float(depth_eps)}))
+    code, out, err = run(capsys, "estimate", "--config", str(path), *argv[3:])
+    assert (code, out) == (2, "")
+    assert err == "error: unknown config fields: ['depth_eps']\n"
 
 
 @pytest.mark.parametrize("command", ["estimate", "compare"])
@@ -464,7 +471,7 @@ def _subcommand_parser():
         sp.add_argument("--config")
         for flag in ("--rho", "--r", "--t", "--s", "--probs"):
             sp.add_argument(flag)
-        for flag in ("--q", "--q-min", "--q-max", "--depth-eps", "--tie-tol"):
+        for flag in ("--q", "--q-min", "--q-max", "--tie-tol"):
             sp.add_argument(flag, type=float)
         for flag in ("--steps", "--samples", "--seed"):
             sp.add_argument(flag, type=int)
@@ -489,7 +496,7 @@ _MORE_ARGVS = [
     ["solve", "--family", "nonstrong-r2", "--t", "0.5", "--s", "1/4", "--q", "-1"],
     ["curve", "--family", "strong-r", "--q-min", "0.0", "--q-max", "10.0", "--steps", "101",
      "-o", "curve.csv"],
-    ["estimate", "--config", "cfg.json", "--scale-octaves", "4", "11", "--depth-eps", "1e-6"],
+    ["estimate", "--config", "cfg.json", "--scale-octaves", "4", "11", "--seed", "7"],
     ["compare", "--family", "strong-r", "--scales", "1/16,1/32,1/64", "--seed", "3"],
     ["classify", "--family", "nonstrong-r-heights", "--probs", "e1=0.2,e2=0.3,e3=0.5",
      "--tie-tol", "1e-8"],

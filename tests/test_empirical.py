@@ -13,11 +13,11 @@ import pytest
 
 import lqspec as lq
 from lqspec import empirical
-from lqspec.empirical import CHUNK_SIZE, fit_to_csv
+from lqspec.empirical import CHUNK_SIZE, DEFAULT_SCALES, SCALE_FLOOR, fit_to_csv
 from lqspec.gifs import similitude_2d
 from conftest import assert_valid_gifs
 from partition_oracle import oracle_box_counts, oracle_partition_sum
-from sampler_oracle import oracle_sample
+from sampler_oracle import continue_walks, oracle_sample
 
 
 def _strong_r_gifs():
@@ -26,12 +26,14 @@ def _strong_r_gifs():
 
 # -- sampling ----------------------------------------------------------------
 
-def test_single_self_loop_one_step():
+def test_single_self_loop_one_step(monkeypatch):
     m = lq.Similitude(1, 0.5, np.eye(1), np.zeros(1))
-    g = lq.Gifs(1, 1, (lq.Edge("a", 0, 0, m, 1.0),), anchor=(0.5,), bbox=((0.0, 1.0),))
-    cloud = lq.sample(g, 100, seed=0, depth_eps=0.5)
-    # ratio reaches the threshold after one application: every point is S(0.5)
-    assert np.allclose(cloud.points, 0.25)
+    g = lq.Gifs(1, 1, (lq.Edge("a", 0, 0, m, 1.0),), bbox=((0.0, 1.0),))
+    # the attractor is the fixed point 0: its box is a hair wide, so one
+    # application of the map fits it into one box of every grid
+    cloud, depth = _sample_counting_draws(monkeypatch, g, 100, seed=0)
+    assert depth == 1.0
+    assert np.all(np.abs(cloud.points) <= 1e-25)
 
 
 def test_empty_cloud(monkeypatch):
@@ -43,6 +45,37 @@ def test_empty_cloud(monkeypatch):
 
 def _no_pool(*args, **kwargs):
     raise AssertionError("a thread pool started")
+
+
+class _CountingRng:
+    """Passes random_raw through to rng's bit generator and counts the words."""
+
+    def __init__(self, rng):
+        self._raw = rng.bit_generator.random_raw
+        self.bit_generator = self
+        self.words = 0
+
+    def random_raw(self, n):
+        self.words += n
+        return self._raw(n)
+
+
+def _sample_counting_draws(monkeypatch, g, n_per_vertex, seed, **kwargs):
+    """The cloud and the mean number of raw words its walks drew: one per
+    edge, so the mean walk depth."""
+    walk = empirical._walk_chunk
+    words = []
+
+    def counting(tables, start_vertex, out, rng, *rest):
+        rng = _CountingRng(rng)
+        walk(tables, start_vertex, out, rng, *rest)
+        words.append(rng.words)
+
+    with monkeypatch.context() as m:
+        m.setattr(empirical, "_walk_chunk", counting)
+        m.setattr(empirical, "_worker_count", lambda n_jobs: 1)
+        cloud = lq.sample(g, n_per_vertex, seed, **kwargs)
+    return cloud, sum(words) / len(cloud)
 
 
 def test_sampling_deterministic():
@@ -73,7 +106,7 @@ def test_raw_draws_give_the_uniform_draws_integers():
 
 def _assert_matches_oracle(g, n, seed):
     cloud = lq.sample(g, n, seed=seed)
-    points, vertices = oracle_sample(g, n, seed)
+    points, vertices, _ = oracle_sample(g, n, seed)
     # both are vertex-major, n points per vertex
     assert np.array_equal(vertices, np.repeat(np.arange(g.num_vertices), n))
     if g.dim == 1:
@@ -117,7 +150,7 @@ def test_failure_cancels_queued_chunks(monkeypatch, failure):
     calls = []
     lock = threading.Lock()
 
-    def walk(tables, start_vertex, out, rng, depth_eps):
+    def walk(tables, start_vertex, out, rng, grids):
         if failure == "chunk raises" and rng.bit_generator.seed_seq.spawn_key == (0, 0):
             raise _Interrupt("chunk 0")
         with lock:
@@ -182,8 +215,77 @@ def test_rotation_by_third_turn_matches_oracle(seed):
     g = _rotation_gifs(2 * math.pi / 3)
     assert_valid_gifs(g)
     # the closure identifies R^3 with I: three orientations, not a growing list
-    assert empirical._walk_tables(g).anchor.shape[1] == 3
+    assert len(empirical._walk_tables(g).mul) == 3 * len(g.edges)
     _assert_matches_oracle(g, CHUNK_SIZE + 77, seed)
+
+
+def _two_boxes_gifs():
+    # vertex 0 lives in [0, 1] and vertex 1 in [2, 3]: a point between them,
+    # such as the bounding box's centre 1.5, lies in neither vertex's box
+    def sim(ratio, t):
+        return lq.Similitude(1, ratio, np.eye(1), np.array([t]))
+
+    edges = (
+        lq.Edge("a", 0, 0, sim(1 / 3, 0.0), 0.5),
+        lq.Edge("b", 0, 1, sim(1 / 3, -1 / 3), 0.5),
+        lq.Edge("c", 1, 1, sim(0.5, 1.0), 0.6),
+        lq.Edge("d", 1, 0, sim(0.5, 2.5), 0.4),
+    )
+    return lq.Gifs(2, 1, edges, bbox=((0.0, 3.0),))
+
+
+def _canonical(family):
+    return lambda: lq.build_example(lq.canonical_params(family))
+
+
+_EXACTNESS_CASES = {
+    **{family: (_canonical(family), DEFAULT_SCALES) for family in lq.FAMILY_IDS},
+    # no side is a power-of-two multiple of another: each grid is tested
+    "nonstrong-r2-non-nested": (_canonical("nonstrong-r2"), (0.1, 0.05, 0.03, 0.01)),
+    "two-boxes": (_two_boxes_gifs, DEFAULT_SCALES),
+    "third-turn": (lambda: _rotation_gifs(2 * math.pi / 3), DEFAULT_SCALES),
+}
+
+
+@pytest.mark.parametrize("case", _EXACTNESS_CASES)
+def test_each_point_has_the_boxes_of_its_walk_run_to_the_floor(case):
+    # a walk stops once its cylinder fits one box of every grid, so going on
+    # to a contraction of 1e-12 with fresh draws never leaves those boxes
+    make, scales = _EXACTNESS_CASES[case]
+    g = make()
+    cloud = lq.sample(g, 3000, seed=7, scales=scales)
+    points, _, state = oracle_sample(g, 3000, 7, scales)
+    assert np.max(np.abs(cloud.points - points)) <= 1e-15
+    deeper = continue_walks(g, state, np.random.default_rng(99))
+    assert np.max(np.abs(deeper - cloud.points)) > 0.0
+    origin = np.array(cloud.grid_anchor)
+    for h in scales:
+        keys = np.floor((cloud.points - origin) / h)
+        assert np.array_equal(np.floor((deeper - origin) / h), keys), h
+
+
+def test_walks_that_keep_straddling_a_line_end_at_the_floor():
+    # Lebesgue measure on [0, 1]: the box at depth k is a dyadic interval of
+    # width 2^-k, which straddles a line of the side-1e-11 grid with
+    # probability about 2^-k / 1e-11, about 9% at the floor, k = 40
+    def half(t):
+        return lq.Similitude(1, 0.5, np.eye(1), np.array([t]))
+
+    g = lq.Gifs(1, 1, (lq.Edge("a", 0, 0, half(0.0), 0.5), lq.Edge("b", 0, 0, half(0.5), 0.5)))
+    cloud = lq.sample(g, 2000, seed=0, scales=[1e-11])
+    points, _, (_, scale, _, _) = oracle_sample(g, 2000, 0, [1e-11])
+    assert np.array_equal(cloud.points, points)
+    assert scale.min() == 2.0**-40 and SCALE_FLOOR < 2.0**-39
+    assert 50 <= np.count_nonzero(scale == 2.0**-40) <= 400
+
+
+@pytest.mark.parametrize("family", lq.FAMILY_IDS)
+def test_walks_stop_at_the_depth_the_box_counts_see(monkeypatch, family):
+    # mean depths 7.7 (1-D), 10.0 (strong-r2) and 8.3 (nonstrong-r2); walks
+    # run until their contraction fell below 1e-9 took 17.9 to 22.0 edges
+    g = lq.build_example(lq.canonical_params(family))
+    _, depth = _sample_counting_draws(monkeypatch, g, 20_000, seed=1)
+    assert depth <= (9.0 if g.dim == 1 else 11.0)
 
 
 def test_infinite_orientation_group_raises(monkeypatch):
@@ -202,7 +304,7 @@ def test_sampler_table_bounds(monkeypatch):
         lq.sample(g, 10, seed=0)
     # a vertex without outgoing edges would otherwise borrow another vertex's edges
     g = lq.Gifs(2, 1, (lq.Edge("a", 0, 1, loop, 1.0),))
-    with pytest.raises(ValueError, match="vertex 2 has no outgoing edge"):
+    with pytest.raises(lq.InvalidParams, match="vertex 2 has no outgoing edge"):
         lq.sample(g, 10, seed=0)
 
 
@@ -212,10 +314,34 @@ def _no_walks(*args, **kwargs):
 
 @pytest.mark.parametrize("depth_eps", [-1.0, 0.0, math.nan, 1.0, 1.5])
 def test_depth_eps_outside_unit_interval_rejected(monkeypatch, depth_eps):
-    # -1 would never stop; the check must come before any walk starts
+    # the box sides fix where walks stop, so there is no depth_eps to pass,
+    # inside the unit interval or outside it
     monkeypatch.setattr(empirical, "_walk_chunk", _no_walks)
-    with pytest.raises(lq.InvalidParams, match="depth_eps"):
+    with pytest.raises(TypeError, match="depth_eps"):
         lq.sample(_strong_r_gifs(), 10, seed=0, depth_eps=depth_eps)
+
+
+@pytest.mark.parametrize(
+    "scales, message",
+    [
+        ([0.1, 0.0, 0.01], "scales must be positive and finite"),
+        ([0.1, math.nan], "scales must be positive and finite"),
+        ([], "scales must be positive and finite"),
+        ([0.1, 1e-12], "too fine for walks that stop at scale 1e-12"),
+        ([0.1, 1e-10], "too fine to index the boxes in 62 bits"),  # 1e20 boxes in 2-D
+    ],
+)
+def test_scales_rejected_before_any_walk(monkeypatch, scales, message):
+    monkeypatch.setattr(empirical, "_walk_chunk", _no_walks)
+    g = lq.build_example(lq.canonical_params("strong-r2"))
+    with pytest.raises(lq.InvalidParams, match=message):
+        lq.sample(g, 10, seed=0, scales=scales)
+
+
+def test_negative_sample_count_rejected(monkeypatch):
+    monkeypatch.setattr(empirical, "_walk_chunk", _no_walks)
+    with pytest.raises(lq.InvalidParams, match="n_per_vertex"):
+        lq.sample(_strong_r_gifs(), -1, seed=0)
 
 
 def test_negative_seed_rejected(monkeypatch):
@@ -228,10 +354,9 @@ def test_points_within_bbox():
     for fid in lq.FAMILY_IDS:
         g = lq.build_example(lq.canonical_params(fid))
         cloud = lq.sample(g, 2000, seed=5)
-        eps = cloud.depth_eps
         for d, (lo, hi) in enumerate(g.bbox):
-            assert cloud.points[:, d].min() >= lo - eps
-            assert cloud.points[:, d].max() <= hi + eps
+            assert cloud.points[:, d].min() >= lo
+            assert cloud.points[:, d].max() <= hi
 
 
 def test_sample_means_match_fixed_point():
@@ -260,7 +385,7 @@ def test_sample_means_match_fixed_point():
 def test_source_vertices_balanced():
     g = _strong_r_gifs()
     cloud = lq.sample(g, 500, seed=1)
-    points, vertices = oracle_sample(g, 500, seed=1)
+    points, vertices, _ = oracle_sample(g, 500, seed=1)
     # vertex v's 500 points are the slice points[500 v : 500 (v + 1)]
     assert len(cloud) == 1000
     for v in range(2):
@@ -270,13 +395,13 @@ def test_source_vertices_balanced():
 # -- partition sums ----------------------------------------------------------
 
 def test_partition_q1_mass_exact():
-    cloud = lq.sample(_strong_r_gifs(), 5000, seed=3)
+    cloud = lq.sample(_strong_r_gifs(), 5000, seed=3, scales=[0.25, 0.03, 0.004])
     got = lq.partition_sum(cloud, [0.25, 0.03, 0.004], 1.0, total_mass=2.0)
     assert got == [math.log(2.0)] * 3
 
 
 def test_partition_q0_counts_boxes():
-    cloud = lq.sample(_strong_r_gifs(), 5000, seed=3)
+    cloud = lq.sample(_strong_r_gifs(), 5000, seed=3, scales=[0.125])
     (log_s0,) = lq.partition_sum(cloud, [0.125], 0.0, total_mass=2.0)
     boxes = round(math.exp(log_s0))
     assert log_s0 == math.log(boxes)
@@ -285,16 +410,12 @@ def test_partition_q0_counts_boxes():
 
 def test_partition_single_box():
     pts = np.full((50, 1), 0.3)
-    cloud = lq.SampleCloud(
-        points=pts,
-        depth_eps=1e-9,
-        grid_anchor=(0.0,),
-    )
+    cloud = lq.SampleCloud(points=pts, scales=(1.0,), grid_anchor=(0.0,))
     assert lq.partition_sum(cloud, [1.0], 2.0, total_mass=2.0) == [pytest.approx(math.log(4.0))]
 
 
 def test_partition_normalized_nonincreasing_in_q():
-    cloud = lq.sample(_strong_r_gifs(), 20000, seed=9)
+    cloud = lq.sample(_strong_r_gifs(), 20000, seed=9, scales=[0.06, 0.01])
     by_q = [
         lq.partition_sum(cloud, [0.06, 0.01], q, total_mass=1.0) for q in (0.0, 0.5, 1.0, 2.0, 4.0)
     ]
@@ -312,6 +433,7 @@ _SCALE_LISTS = {
     # points again and 0.5 is x4 of it
     "mixed": [0.1, 0.0125, 0.025, 2.0**-10, 0.004, 0.125, 0.0125, 0.5],
 }
+_ALL_SIDES = sorted({h for hs in _SCALE_LISTS.values() for h in hs}, reverse=True)
 
 
 def _cloud_below_anchor(dim):
@@ -320,14 +442,16 @@ def _cloud_below_anchor(dim):
     rng = np.random.default_rng(5)
     pts = np.concatenate([rng.uniform(0.0, 0.3, (200, dim)), np.full((7, dim), -1e-12)])
     pts[:3, 0] = -1e-12
-    return lq.SampleCloud(points=pts, depth_eps=1e-9, grid_anchor=(0.0,) * dim)
+    return lq.SampleCloud(points=pts, scales=tuple(_ALL_SIDES), grid_anchor=(0.0,) * dim)
 
 
 @pytest.fixture(scope="module")
 def clouds():
     return {
-        "1d": lq.sample(_strong_r_gifs(), 5000, seed=3),
-        "2d": lq.sample(lq.build_example(lq.canonical_params("strong-r2")), 3000, seed=3),
+        "1d": lq.sample(_strong_r_gifs(), 5000, seed=3, scales=_ALL_SIDES),
+        "2d": lq.sample(
+            lq.build_example(lq.canonical_params("strong-r2")), 3000, seed=3, scales=_ALL_SIDES
+        ),
         "1d-below-anchor": _cloud_below_anchor(1),
         "2d-below-anchor": _cloud_below_anchor(2),
     }
@@ -362,6 +486,13 @@ def test_partition_sum_large_q_matches_exact_rational_sums(q):
         assert abs(log_s - want) <= 1e-14 * (1.0 + abs(want))
 
 
+def test_partition_sum_rejects_a_side_the_cloud_does_not_resolve():
+    cloud = lq.sample(_strong_r_gifs(), 1000, seed=3)
+    assert cloud.scales == DEFAULT_SCALES
+    with pytest.raises(lq.InvalidParams, match=r"not \[0\.03\]"):
+        lq.partition_sum(cloud, [2.0**-5, 0.03], 2.0, total_mass=2.0)
+
+
 # -- estimator -----------------------------------------------------------------
 
 def test_estimate_insufficient_scales():
@@ -391,8 +522,8 @@ def test_estimate_slope_zero_at_q1():
 
 def test_estimate_reuses_cloud():
     g = _strong_r_gifs()
-    cloud = lq.sample(g, 50_000, seed=21)
     scales = [2.0**-k for k in range(4, 10)]
+    cloud = lq.sample(g, 50_000, seed=21, scales=scales)  # the cloud estimate_tau draws
     f1 = lq.estimate_tau(g, 2.0, scales, 50_000, seed=21, cloud=cloud)
     f2 = lq.estimate_tau(g, 2.0, scales, 50_000, seed=21)
     assert f1.slope == f2.slope
