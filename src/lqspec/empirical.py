@@ -151,7 +151,7 @@ def _resolvable_sides(g: Gifs, scales) -> tuple[float, ...]:
     """
     hs = sorted({float(h) for h in scales}, reverse=True)
     if not hs or not all(0.0 < h < math.inf for h in hs):
-        raise InvalidParams(f"scales must be positive and finite, got {list(scales)}")
+        raise InvalidParams(f"scales must be positive and finite, got {hs}")
     h = hs[-1]
     width = np.array([hi - lo for lo, hi in g.bbox])
     if h <= SCALE_FLOOR * width.max():
@@ -335,48 +335,64 @@ def _walk_chunk(tables: _WalkTables, start_vertex, out, rng, grids):
     least, min_ratio, near_max = 1.0, tables.ratio.min(), near.max()
 
     while len(pos):
-        # Shift while unsigned: k < 2^53, so the int64 view is k itself.
-        key = rng.bit_generator.random_raw(len(pos))
-        key >>= _RAW_SHIFT
-        key = key.view(np.int64)
-        key += vkey
-        e = tables.bucket_edge.take(key >> _BUCKET_SHIFT)
-        split = np.flatnonzero(e < 0)
-        if len(split):
-            e[split] = np.searchsorted(tables.cum_key, key.take(split), side="right")
-        ge = orient + e
-        step = tables.step.take(ge, axis=1)
-        step *= scale
-        trans += step
-        orient = tables.mul.take(ge)
-        scale *= tables.ratio.take(e)
-        vkey = tables.dst_key.take(e)
+        ge, vkey, orient = _step(tables, rng, vkey, orient, scale, trans)
         least *= min_ratio
         if least > near_max:
             continue
         test = np.flatnonzero(scale <= near.take(ge))
         if len(test) < len(pos):
-            ge, s, t = ge.take(test), scale.take(test), trans.take(test, axis=1)
+            done = test.take(_finish(tables, grids, out, pos.take(test), ge.take(test),
+                                     scale.take(test), trans.take(test, axis=1)))
         else:
-            s, t = scale, trans
-        centre = tables.centre.take(ge, axis=1)
-        centre *= s
-        centre += t
-        half = tables.half.take(ge, axis=1)
-        half *= s
-        ends = _fits(centre, half, tables.origin, grids)
-        ends |= s <= SCALE_FLOOR
-        which = np.flatnonzero(ends)
-        if len(which):
-            done = test.take(which)
-            dest = pos.take(done)
-            for row, c in zip(out, centre):
-                row[dest] = c.take(which)
+            done = _finish(tables, grids, out, pos, ge, scale, trans)
+        if len(done):
             keep = np.ones(len(pos), dtype=bool)
             keep[done] = False
             live = np.flatnonzero(keep)
             pos, vkey, orient = pos.take(live), vkey.take(live), orient.take(live)
             scale, trans = scale.take(live), trans.take(live, axis=1)
+
+
+def _step(tables: _WalkTables, rng, vkey, orient, scale, trans):
+    """Advance every walk one edge: scale and trans in place.
+
+    Returns each walk's column ge = orient + e, its new vertex key and its
+    new orientation.  The draws and gathers are freed on return, before the
+    walks are tested.
+    """
+    # Shift while unsigned: k < 2^53, so the int64 view is k itself.
+    key = rng.bit_generator.random_raw(len(vkey))
+    key >>= _RAW_SHIFT
+    key = key.view(np.int64)
+    key += vkey
+    e = tables.bucket_edge.take(key >> _BUCKET_SHIFT)
+    split = np.flatnonzero(e < 0)
+    if len(split):
+        e[split] = np.searchsorted(tables.cum_key, key.take(split), side="right")
+    ge = orient + e
+    step = tables.step.take(ge, axis=1)
+    step *= scale
+    trans += step
+    scale *= tables.ratio.take(e)
+    return ge, tables.dst_key.take(e), tables.mul.take(ge)
+
+
+def _finish(tables: _WalkTables, grids, out, pos, ge, scale, trans):
+    """End the given walks whose boxes fit every grid or whose scale is at
+    most SCALE_FLOOR: write their box centres to their columns pos of out
+    and return their indices in the arguments."""
+    centre = tables.centre.take(ge, axis=1)
+    centre *= scale
+    centre += trans
+    half = tables.half.take(ge, axis=1)
+    half *= scale
+    ends = _fits(centre, half, tables.origin, grids)
+    ends |= scale <= SCALE_FLOOR
+    which = np.flatnonzero(ends)
+    dest = pos.take(which)
+    for row, c in zip(out, centre):
+        row[dest] = c.take(which)
+    return which
 
 
 def _fits(centre, half, origin, grids):
