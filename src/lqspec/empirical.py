@@ -238,7 +238,7 @@ def _walk_tables(g: Gifs) -> _WalkTables:
         step=_per_ge(rots[:, None], trans),
         centre=_per_ge(after, (lo[dst] + hi[dst]) / 2.0),
         half=_per_ge(np.abs(after), (hi[dst] - lo[dst]) / 2.0),
-        origin=np.array([lo for lo, _ in g.bbox]),
+        origin=np.array([a for a, _ in g.bbox]),
     )
 
 
