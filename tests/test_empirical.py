@@ -240,10 +240,10 @@ def _canonical(family):
 
 _EXACTNESS_CASES = {
     **{family: (_canonical(family), DEFAULT_SCALES) for family in lq.FAMILY_IDS},
-    # no side is a power-of-two multiple of the one below it: each grid is
-    # tested, here grids whose lines all lie on the finest grid's lines
+    # no side is a power-of-two multiple of the one below it, so each grid is
+    # tested: here sides that are integer multiples of the finest side
     "nonstrong-r2-non-nested": (_canonical("nonstrong-r2"), (0.1, 0.05, 0.03, 0.01)),
-    # and here grids whose lines do not
+    # and here sides that are not
     "strong-r2-incommensurable": (_canonical("strong-r2"), (0.1, 0.07, 0.03, 0.013)),
     "two-boxes": (_two_boxes_gifs, DEFAULT_SCALES),
     "third-turn": (lambda: _rotation_gifs(2 * math.pi / 3), DEFAULT_SCALES),
