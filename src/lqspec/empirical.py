@@ -404,9 +404,8 @@ def _fits(centre, half, origin, grids):
     edge floor((u - half) / h) + 1 of the box that holds its lower end.
     """
     fits = np.ones(centre.shape[1], dtype=bool)
-    for u, w, a in zip(centre, half, origin):
-        if a:
-            u = u - a
+    for c, w, a in zip(centre, half, origin):
+        u = c - a
         for h in grids:
             edge = u - w
             edge /= h
