@@ -14,11 +14,19 @@ zero.  A walk that keeps straddling a line ends once its contraction is at
 most SCALE_FLOOR = 1e-12; its point is then within 1e-12 box widths of an
 exact draw.  The sides fix the depth, so there is no other stopping knob.
 
-Each sweep moves every active walk with a fixed set of whole-array
-operations.  One inverse-CDF lookup over all walks picks their edges: a
-walk at vertex v with draw u = k / 2^53 has the integer key
-(v << 54) + k, and global per-edge tables map the keys to edges, then
-the edges to ratios, destinations and translations.  A walk's orientation
+No walk can end before its contraction could reach the finest side, so
+the first k edges of every walk, the most that no stop test can see (at
+most MAX_PREFIX_PATHS paths from any vertex), are drawn as one path.  Each
+``sample`` call tabulates the k-edge paths from each start vertex with the
+state that k single-edge sweeps would reach, and each walk draws its path
+by one inverse-CDF lookup on the paths' cumulative probabilities.  This
+gives the walks the law of k single-edge draws, and the depth is the same.
+
+After the prefix, each sweep moves every active walk one edge with a fixed
+set of whole-array operations.  One inverse-CDF lookup over all walks
+picks their edges: a walk at vertex v with draw u = m / 2^53 has the
+integer key (v << 54) + m, and global per-edge tables map the keys to
+edges, then the edges to ratios, destinations and translations.  A walk's orientation
 is a small integer: its index into the group generated by the edges'
 orthogonal parts, closed once per ``sample`` call with tables for the
 product R_g O_e, the rotated translation R_g t_e and the rotated box of
@@ -28,11 +36,13 @@ radian) raises SamplerBound, as does a graph with more than MAX_VERTICES
 vertices.
 
 Sampling is organized in fixed-size chunks of 65536 walks with one
-deterministic random stream per (seed, vertex, chunk).  Within a chunk the
+deterministic random stream per (seed, vertex, chunk).  A chunk first
+draws one ``rng.bit_generator.random_raw(count)`` for its walks' prefixes
+(none when k = 0) and sorts it, so the walks come grouped by path; then the
 active walks stay in ascending order and draw one
-``rng.bit_generator.random_raw(n_active)`` per sweep; the top 53 bits of
-each raw word are the k of the k / 2^53 that ``rng.random()`` would return
-from the same stream, so a seed fixes every point.  Each chunk writes its
+``random_raw(n_active)`` per sweep.  The top 53 bits of each raw word are
+the m of the m / 2^53 that ``rng.random()`` would return from the same
+stream, so a seed fixes every point.  Each chunk writes its
 own columns of one coordinate-major array, so the chunks run on a thread
 pool with one worker per CPU available to the process (numpy releases the
 interpreter lock in the gathers and draws).  There is no setting for the
@@ -45,6 +55,7 @@ tuples (``gifs.Similitude``) into its arrays.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -61,9 +72,11 @@ SCALE_FLOOR = 1e-12  # a walk ends once its contraction is at most this
 # (vertex << 54 plus a 53-bit draw must fit an int64 key).
 MAX_ORIENTATIONS = 1024
 MAX_VERTICES = 512
+# The prefix depth is lowered until no start vertex has more k-edge paths.
+MAX_PREFIX_PATHS = CHUNK_SIZE // 16
 _VERTEX_SHIFT = 54
-_U_SCALE = 2.0**53  # rng.random() returns k / 2^53 with integer k
-_RAW_SHIFT = np.uint64(11)  # k is a raw 64-bit word shifted right by 11
+_U_SCALE = 2.0**53  # rng.random() returns m / 2^53 with integer m
+_RAW_SHIFT = np.uint64(11)  # m is a raw 64-bit word shifted right by 11
 _BUCKET_SHIFT = 45  # 256 lookup buckets per vertex
 # Products of orthogonal parts that agree to this are one orientation; rounding
 # along a closure path stays far below it, and distinct elements of a group of
@@ -96,6 +109,9 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
     """Draw n_per_vertex points from each vertex measure, exact at the box
     sides in scales.
 
+    The k-edge paths from each vertex, for the largest k in which no walk
+    can end (bounded by MAX_PREFIX_PATHS), are tabulated once; every walk
+    draws its first k edges as one of them and then goes on edge by edge.
     Chunk c of vertex v walks CHUNK_SIZE points (fewer in the last chunk) on
     its own (seed, v, c) stream and writes them to its own columns of one
     (d, N) array; the cloud is that array's transpose.  The chunks run on
@@ -104,16 +120,11 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
     caller, queued chunks are cancelled and the error propagates once no
     chunk is running.  Bad arguments raise InvalidParams before any walk.
     """
-    if n_per_vertex < 0:
-        raise InvalidParams(f"n_per_vertex must be >= 0, got {n_per_vertex}")
-    if seed < 0:
-        raise InvalidParams(f"seed must be >= 0, got {seed}")
+    n_per_vertex = _nonnegative_int("n_per_vertex", n_per_vertex)
+    seed = _nonnegative_int("seed", seed)
     hs = _resolvable_sides(g, scales)
     tables = _walk_tables(g)
-    # A box inside one closed box of side h lies inside one of side h * 2^j,
-    # so only the sides that _box_counts bins need a test.
-    fine = hs[::-1]
-    grids = tuple(h for prev, h in zip((None,) + fine, fine) if _octaves(prev, h) is None)
+    grids = _tested_grids(hs)
     # Coordinate-major: box counting reads each coordinate as one contiguous row.
     rows = np.empty((g.dim, g.num_vertices * n_per_vertex))
 
@@ -121,17 +132,21 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
         start = v * n_per_vertex + c * CHUNK_SIZE
         stop = min(start + CHUNK_SIZE, (v + 1) * n_per_vertex)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(v, c)))
-        _walk_chunk(tables, v, rows[:, start:stop], rng, grids)
+        _walk_chunk(tables, starts[v], rows[:, start:stop], rng, grids)
 
     n_chunks = (n_per_vertex + CHUNK_SIZE - 1) // CHUNK_SIZE
     jobs = [(v, c) for v in range(g.num_vertices) for c in range(n_chunks)]
     workers = _worker_count(len(jobs))
     if workers <= 1:
+        starts = _starts(tables, grids)
         for job in jobs:
             walk(*job)
     else:
         pool = ThreadPoolExecutor(workers)
         try:
+            # Built on the caller's thread, the tables and their temporaries
+            # split the heap space that the box counts reuse afterwards.
+            starts = pool.submit(_starts, tables, grids).result()
             futures = [pool.submit(walk, *job) for job in jobs]
             done, _ = wait(futures, return_when=FIRST_EXCEPTION)
             for future in done:
@@ -140,6 +155,25 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
             # A plain `with` would run every queued chunk before re-raising.
             pool.shutdown(cancel_futures=True)
     return SampleCloud(points=rows.T, scales=hs, grid_anchor=tuple(lo for lo, _ in g.bbox))
+
+
+def _nonnegative_int(name, value) -> int:
+    """value as an int; InvalidParams unless it is an integer >= 0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParams(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise InvalidParams(f"{name} must be >= 0, got {value}")
+    return int(value)
+
+
+def _tested_grids(hs):
+    """The sides, finest first, that a walk's box is tested against.
+
+    A box inside one closed box of side h lies inside one of side h * 2^j,
+    so only the sides that _box_counts bins need a test.
+    """
+    fine = hs[::-1]
+    return tuple(h for prev, h in zip((None,) + fine, fine) if _octaves(prev, h) is None)
 
 
 def _resolvable_sides(g: Gifs, scales) -> tuple[float, ...]:
@@ -173,14 +207,15 @@ def _worker_count(n_jobs: int) -> int:
 class _WalkTables:
     """Global per-edge tables; edges are grouped by source vertex.
 
-    A walk at vertex v with uniform draw u = k / 2^53 takes the edge at
-    ``searchsorted(cum_key, (v << 54) + k, side="right")``: ``cum_key`` holds
+    A walk at vertex v with uniform draw u = m / 2^53 takes the edge at
+    ``searchsorted(cum_key, (v << 54) + m, side="right")``: ``cum_key`` holds
     ``(v << 54) + ceil(cum * 2^53)`` for each vertex's cumulative edge
     probabilities, so the search makes exactly the comparisons ``cum <= u``
     of a per-vertex inverse CDF.  ``bucket_edge`` gives the same answer
-    without the search for keys in a bucket that no ``cum_key`` splits.
-    Orientations are indices g into the group generated by the edges'
-    orthogonal parts; the flat index ``g * E + e`` addresses ``mul`` (the
+    without the search for keys in a bucket that no ``cum_key`` splits, and
+    ``prob`` is the probability of that choice, the width of the edge's keys
+    over 2^53.  Orientations are indices g into the group generated by the
+    edges' orthogonal parts; the flat index ``g * E + e`` addresses ``mul`` (the
     orientation after edge e, times E), ``step`` (R_g t_e), and the box of
     the edge's destination w in the orientation R = R_g O_e after the edge:
     ``centre`` (R c_w) and ``half`` (|R| h_w, the half-widths of the hull of
@@ -188,6 +223,8 @@ class _WalkTables:
     """
 
     cum_key: np.ndarray  # (E,) int64, ascending
+    first_edge: np.ndarray  # (V + 1,) int64: v's edges run from first_edge[v] to first_edge[v + 1]
+    prob: np.ndarray  # (E,): the edge's drawn probability
     bucket_edge: np.ndarray  # int64 per key >> _BUCKET_SHIFT: its edge, or -1 if split
     ratio: np.ndarray  # (E,)
     dst_key: np.ndarray  # (E,) int64: destination vertex << 54
@@ -203,7 +240,7 @@ def _walk_tables(g: Gifs) -> _WalkTables:
         raise SamplerBound(
             f"{g.num_vertices} vertices exceed the sampler's bound of {MAX_VERTICES}"
         )
-    edges, cum_key = [], []
+    edges, cum_key, prob, first_edge = [], [], [], [0]
     for v in range(g.num_vertices):
         out = g.out_edges(v)
         if not out:
@@ -212,8 +249,11 @@ def _walk_tables(g: Gifs) -> _WalkTables:
         cum[-1] = 1.0  # guard against fsum slack
         # Clipping at 1 changes no comparison with u < 1 and keeps keys ascending.
         cum = np.minimum(cum, 1.0)
-        cum_key.append((v << _VERTEX_SHIFT) + np.ceil(cum * _U_SCALE).astype(np.int64))
+        key = np.ceil(cum * _U_SCALE).astype(np.int64)
+        cum_key.append((v << _VERTEX_SHIFT) + key)
+        prob.append(np.diff(key, prepend=0) / _U_SCALE)
         edges.extend(out)
+        first_edge.append(len(edges))
     orths = np.array([e.map.orthogonal for e in edges])
     rots, mul = _orientation_group(orths)
     trans = np.array([e.map.translation for e in edges])
@@ -231,6 +271,8 @@ def _walk_tables(g: Gifs) -> _WalkTables:
     after = rots[mul]  # (G, E, d, d): R_g O_e
     return _WalkTables(
         cum_key=cum_key,
+        first_edge=np.array(first_edge),
+        prob=np.concatenate(prob),
         bucket_edge=np.where(first == last, first, -1),
         ratio=ratio,
         dst_key=dst.astype(np.int64) << _VERTEX_SHIFT,
@@ -308,10 +350,84 @@ def _orientation_group(orths):
     return rots[:size], np.array(mul, dtype=np.int64)
 
 
-def _walk_chunk(tables: _WalkTables, start_vertex, out, rng, grids):
-    """Walk out.shape[1] points from start_vertex into the (d, count) out.
+@dataclass(frozen=True)
+class _Start:
+    """The k-edge paths from one start vertex, in lexicographic edge order.
 
-    Walks advance one edge per sweep.  Once a walk's box is no wider than
+    Path p takes the draws m (of m / 2^53) with key[p - 1] <= m < key[p],
+    key[-1] = 2^53: ``key`` is ceil(cum * 2^53) for the running sum of the
+    paths' probabilities, each the product of its edges' ``prob``.  Column p
+    of ``vkey``, ``orient``, ``scale`` and ``trans`` is the walk state after
+    the path, computed by the same float operations as k sweeps of _step.
+    ``least`` is min_ratio^k, and ``near`` holds the sweep's test
+    thresholds per column g * E + e (see _walk_chunk), shared by every start.
+    """
+
+    depth: int
+    key: np.ndarray  # (P,) int64, nondecreasing
+    vkey: np.ndarray  # (P,) int64
+    orient: np.ndarray  # (P,) int64
+    scale: np.ndarray  # (P,)
+    trans: np.ndarray  # (d, P)
+    least: float
+    near: np.ndarray  # (G * E,)
+
+
+def _starts(tables: _WalkTables, grids) -> list[_Start]:
+    """One _Start per vertex, for the largest prefix depth k in which no walk
+    can end, lowered until no vertex has more than MAX_PREFIX_PATHS paths.
+
+    At column ge, a walk's box can fit the finest grid only once its scale
+    is at most near[ge] (always, for a box of zero width), and no walk gets
+    there before its scale could be min_ratio^k.  The margin keeps rounding
+    from hiding a box exactly one side wide from the test.
+    """
+    with np.errstate(divide="ignore"):
+        near = grids[0] / (2.0 * tables.half.max(axis=0)) * (1.0 + 1e-9)
+    near = np.maximum(near, SCALE_FLOOR)
+    near_max, min_ratio = near.max(), tables.ratio.min()
+    dst = tables.dst_key >> _VERTEX_SHIFT
+    n_paths = np.ones(len(tables.first_edge) - 1, dtype=np.int64)
+    depth, least = 0, 1.0
+    while least * min_ratio > near_max:
+        n_paths = np.add.reduceat(n_paths.take(dst), tables.first_edge[:-1])
+        if n_paths.max() > MAX_PREFIX_PATHS:
+            break
+        depth += 1
+        least *= min_ratio
+    return [
+        _Start(depth, *_paths(tables, v, depth), least=least, near=near)
+        for v in range(len(n_paths))
+    ]
+
+
+def _paths(tables: _WalkTables, v, depth):
+    """(key, vkey, orient, scale, trans) of the depth-edge paths from v."""
+    vkey = np.array([v << _VERTEX_SHIFT])
+    orient = np.zeros(1, dtype=np.int64)
+    scale = np.ones(1)
+    trans = np.zeros((len(tables.origin), 1))
+    prob = np.ones(1)
+    for _ in range(depth):
+        at = vkey >> _VERTEX_SHIFT
+        first = tables.first_edge.take(at)
+        deg = tables.first_edge.take(at + 1) - first
+        parent = np.repeat(np.arange(len(deg)), deg)
+        # each parent's edges in order: the child at offset i of its run takes first + i
+        e = np.arange(len(parent)) + np.repeat(first - np.cumsum(deg) + deg, deg)
+        scale, trans, prob = scale.take(parent), trans.take(parent, axis=1), prob.take(parent)
+        _, vkey, orient = _advance(tables, e, orient.take(parent), scale, trans)
+        prob *= tables.prob.take(e)
+    key = np.minimum(np.ceil(np.cumsum(prob) * _U_SCALE), _U_SCALE).astype(np.int64)
+    key[-1] = 1 << 53
+    return key, vkey, orient, scale, trans
+
+
+def _walk_chunk(tables: _WalkTables, start: _Start, out, rng, grids):
+    """Walk out.shape[1] points from start's vertex into the (d, count) out.
+
+    Each walk first draws its k-edge path from start (no draw when k = 0),
+    and then advances one edge per sweep.  Once a walk's box is no wider than
     the finest side in grids, it ends when its box lies in one closed box of
     each grid in grids (sides, finest first, anchored at ``tables.origin``)
     or its scale is at most SCALE_FLOOR, and its point is the box's centre.
@@ -321,18 +437,12 @@ def _walk_chunk(tables: _WalkTables, start_vertex, out, rng, grids):
     """
     count = out.shape[1]
     pos = np.arange(count)
-    vkey = np.full(count, start_vertex << _VERTEX_SHIFT, dtype=np.int64)
-    orient = np.zeros(count, dtype=np.int64)  # E * orientation index
-    scale = np.ones(count)
-    trans = np.zeros(out.shape)
-    # At column ge, a walk's box can fit the finest grid only once its scale
-    # is at most near[ge] (always, for a box of zero width), and no walk gets
-    # there before its scale could be least = min_ratio^sweeps.  The margin
-    # keeps rounding from hiding a box exactly one side wide from the test.
-    with np.errstate(divide="ignore"):
-        near = grids[0] / (2.0 * tables.half.max(axis=0)) * (1.0 + 1e-9)
-    near = np.maximum(near, SCALE_FLOOR)
-    least, min_ratio, near_max = 1.0, tables.ratio.min(), near.max()
+    path = _draw_paths(start, count, rng)
+    vkey, orient = start.vkey.take(path), start.orient.take(path)  # orient: E * index
+    scale, trans = start.scale.take(path), start.trans.take(path, axis=1)
+    del path
+    near, least, min_ratio = start.near, start.least, tables.ratio.min()
+    near_max = near.max()
 
     while len(pos):
         ge, vkey, orient = _step(tables, rng, vkey, orient, scale, trans)
@@ -353,6 +463,22 @@ def _walk_chunk(tables: _WalkTables, start_vertex, out, rng, grids):
             scale, trans = scale.take(live), trans.take(live, axis=1)
 
 
+def _draw_paths(start: _Start, count, rng):
+    """The path index of each of count walks, ascending.
+
+    One raw word per walk, sorted, is counted into each path's range of
+    keys: the counts of count independent inverse-CDF draws.
+    """
+    if not start.depth:
+        return np.zeros(count, dtype=np.int64)
+    key = rng.bit_generator.random_raw(count)
+    key >>= _RAW_SHIFT
+    key = key.view(np.int64)
+    key.sort()
+    ends = np.searchsorted(key, start.key)
+    return np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+
+
 def _step(tables: _WalkTables, rng, vkey, orient, scale, trans):
     """Advance every walk one edge: scale and trans in place.
 
@@ -369,6 +495,12 @@ def _step(tables: _WalkTables, rng, vkey, orient, scale, trans):
     split = np.flatnonzero(e < 0)
     if len(split):
         e[split] = np.searchsorted(tables.cum_key, key.take(split), side="right")
+    return _advance(tables, e, orient, scale, trans)
+
+
+def _advance(tables: _WalkTables, e, orient, scale, trans):
+    """Move each walk along its edge e: scale and trans in place; returns
+    (ge, new vertex key, new orientation) as _step does."""
     ge = orient + e
     step = tables.step.take(ge, axis=1)
     step *= scale
@@ -537,12 +669,14 @@ def estimate_tau(
 ) -> ScalingFit:
     """Log-log regression of partition sums against scale.
 
-    Requires at least three distinct scales, all positive and finite (else
-    InvalidParams), spanning at least two octaves, all below the family's
-    coarsest first-level cell so the grid actually resolves structure.  A
-    given cloud must have been sampled for every scale; otherwise the scales
-    are sampled here.
+    Requires a finite q and at least three distinct scales, all positive and
+    finite (else InvalidParams), spanning at least two octaves, all below
+    the family's coarsest first-level cell so the grid actually resolves
+    structure.  A given cloud must have been sampled for every scale;
+    otherwise the scales are sampled here.
     """
+    if not isinstance(q, numbers.Real) or not math.isfinite(q):
+        raise InvalidParams(f"q must be finite, got {q!r}")
     hs = [float(h) for h in h_list]
     if not all(0.0 < h < math.inf for h in hs):
         raise InvalidParams(f"scales must be positive and finite, got {hs}")

@@ -1,15 +1,21 @@
 """Test-only reference sampler: the per-vertex, per-edge chaos game.
 
 Each walk carries its full orthogonal matrix, and each sweep groups the
-active walks by their current vertex and then by their drawn edge, so every
-step is a batched matrix product.  It draws from the same random streams in
-the same order as ``lqspec.empirical.sample`` (one stream per
-``(seed, vertex, chunk)``, one ``rng.random`` per sweep over the active
-walks in ascending order) and stops a walk by the same rule, with vertex
-boxes built here with plain loops: once the box of its cylinder lies in one
-closed box of every requested grid, or its scale is at most the floor.  So
-the two must agree point for point: exactly where every orthogonal part is
-+-1, and to rounding otherwise.
+active walks by their current vertex and then by their edge, so every step
+is a batched matrix product.  It draws from the same random streams in the
+same order as ``lqspec.empirical.sample``: one stream per
+``(seed, vertex, chunk)``; one ``rng.random(count)``, sorted, that picks
+each walk's first k edges as one path of its own enumeration of the k-edge
+paths (plain loops, plain-float products and a running sum for the keys);
+then one ``rng.random`` per sweep over the active walks in ascending order.
+Its k comes from its own vertex boxes and orientations and the sampler's
+path bound.  It stops a walk by the same rule, with vertex boxes built here
+with plain loops: once the box of its cylinder lies in one closed box of
+every requested grid, or its scale is at most the floor.  It tests the
+walks after their prefix too, where the sampler does not, so a prefix too
+deep to be unseen by every test shows as a mismatch.  So the two must agree
+point for point: exactly where every orthogonal part is +-1, and to
+rounding otherwise.
 """
 
 from __future__ import annotations
@@ -18,7 +24,13 @@ import math
 
 import numpy as np
 
-from lqspec.empirical import _BOX_ROUNDS, CHUNK_SIZE, DEFAULT_SCALES, SCALE_FLOOR
+from lqspec.empirical import (
+    _BOX_ROUNDS,
+    CHUNK_SIZE,
+    DEFAULT_SCALES,
+    MAX_PREFIX_PATHS,
+    SCALE_FLOOR,
+)
 
 
 def vertex_boxes(g):
@@ -47,6 +59,73 @@ def vertex_boxes(g):
     return (lo + hi) / 2.0, (hi - lo) / 2.0
 
 
+def _orientations(g):
+    """The products of the edges' orthogonal parts, closed with plain loops
+    and found equal at 1e-9."""
+    found = [np.eye(g.dim)]
+    for r in found:  # grows while it is walked
+        for e in g.edges:
+            prod = r @ np.array(e.map.orthogonal)
+            if all(np.max(np.abs(prod - s)) > 1e-9 for s in found):
+                found.append(prod)
+    return found
+
+
+def prefix_depth(g, scales):
+    """The number k of first edges drawn as one path: the largest k at which
+    min_ratio^k still exceeds every scale at which a box of some vertex, in
+    some orientation, could fit the finest grid, lowered until no vertex has
+    more than MAX_PREFIX_PATHS paths of k edges."""
+    _, half = vertex_boxes(g)
+    narrowest = min(
+        max(sum(abs(r[i][j]) * half[w][j] for j in range(g.dim)) for i in range(g.dim))
+        for r in _orientations(g)
+        for w in {e.dst for e in g.edges}
+    )
+    near = math.inf  # a box of zero width fits at any scale
+    if narrowest > 0.0:
+        near = max(min(scales) / (2.0 * narrowest) * (1.0 + 1e-9), SCALE_FLOOR)
+    min_ratio = min(e.map.ratio for e in g.edges)
+    n_paths = [1] * g.num_vertices
+    depth, least = 0, 1.0
+    while least * min_ratio > near:
+        n_paths = [sum(n_paths[e.dst] for e in g.out_edges(v)) for v in range(g.num_vertices)]
+        if max(n_paths) > MAX_PREFIX_PATHS:
+            break
+        depth += 1
+        least *= min_ratio
+    return depth
+
+
+def prefix_paths(g, v, depth):
+    """The depth-edge paths from v in lexicographic order, as a (P, depth)
+    array of out-edge indices, and their keys: ceil(cum * 2^53) of the
+    running sum of the paths' probabilities, each the product of its edges'
+    drawn probabilities (their widths of ceil(cum * 2^53)); the last is 2^53."""
+    widths = []
+    for w in range(g.num_vertices):
+        total, keys = 0.0, [0]
+        for e in g.out_edges(w):
+            total += e.prob
+            keys.append(min(math.ceil(total * 2.0**53), 2**53))
+        keys[-1] = 2**53
+        widths.append([(b - a) / 2.0**53 for a, b in zip(keys, keys[1:])])
+    paths = [((), v, 1.0)]
+    for _ in range(depth):
+        paths = [
+            (choices + (i,), e.dst, prob * widths[w][i])
+            for choices, w, prob in paths
+            for i, e in enumerate(g.out_edges(w))
+        ]
+    total, keys = 0.0, []
+    for _, _, prob in paths:
+        total += prob
+        keys.append(min(math.ceil(total * 2.0**53), 2**53))
+    keys[-1] = 2**53
+    choices = np.array([c for c, _, _ in paths], dtype=np.int64).reshape(len(paths), depth)
+    return choices, np.array(keys, dtype=np.int64)
+
+
 def _edge_tables(g):
     tables = []
     for v in range(g.num_vertices):
@@ -63,6 +142,17 @@ def _edge_tables(g):
 
 def _sweep(tables, idx, u, vert, scale, trans, orth):
     """Advance the walks idx one edge each, with the uniform draws u."""
+    vsnap = vert[idx]
+    choice = np.empty(len(idx), dtype=np.int64)
+    for v in np.unique(vsnap):
+        mask = vsnap == v
+        choice[mask] = np.searchsorted(tables[v][0], u[mask], side="right")
+    _move(tables, idx, choice, vert, scale, trans, orth)
+
+
+def _move(tables, idx, choice, vert, scale, trans, orth):
+    """Advance the walks idx one edge each: walk idx[i] along the out-edge
+    choice[i] of its vertex."""
     # Group by a snapshot of the current vertices so every walk advances
     # exactly one edge per sweep even when it changes vertex.
     vsnap = vert[idx]
@@ -70,10 +160,9 @@ def _sweep(tables, idx, u, vert, scale, trans, orth):
         cum, ratios, orths, transl, dsts = tables[v]
         mask = vsnap == v
         sel = idx[mask]
-        choice = np.searchsorted(cum, u[mask], side="right")
-        choice = np.minimum(choice, len(cum) - 1)
+        choice_v = np.minimum(choice[mask], len(cum) - 1)
         for e in range(len(cum)):
-            rows = sel[choice == e]
+            rows = sel[choice_v == e]
             if rows.size == 0:
                 continue
             step_t = orth[rows] @ transl[e]
@@ -98,13 +187,15 @@ def oracle_sample(g, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES):
     tables = _edge_tables(g)
     boxes = vertex_boxes(g)
     origin = np.array([lo for lo, _ in g.bbox])
+    depth = prefix_depth(g, scales)
     points, vertices, states = [], [], []
     n_chunks = (n_per_vertex + CHUNK_SIZE - 1) // CHUNK_SIZE
     for v in range(g.num_vertices):
+        paths = prefix_paths(g, v, depth)
         for c in range(n_chunks):
             count = min(CHUNK_SIZE, n_per_vertex - c * CHUNK_SIZE)
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(v, c)))
-            p, state = _walk_chunk(g.dim, tables, boxes, origin, scales, v, count, rng)
+            p, state = _walk_chunk(g.dim, tables, boxes, origin, scales, v, paths, count, rng)
             points.append(p)
             states.append(state)
             vertices.append(np.full(count, v, dtype=np.int64))
@@ -114,7 +205,7 @@ def oracle_sample(g, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES):
     return np.concatenate(points, axis=0), np.concatenate(vertices), state
 
 
-def _walk_chunk(dim, tables, boxes, origin, scales, start_vertex, count, rng):
+def _walk_chunk(dim, tables, boxes, origin, scales, start_vertex, paths, count, rng):
     vert = np.full(count, start_vertex, dtype=np.int64)
     scale = np.ones(count)
     trans = np.zeros((count, dim))
@@ -122,9 +213,7 @@ def _walk_chunk(dim, tables, boxes, origin, scales, start_vertex, count, rng):
     active = np.ones(count, dtype=bool)
     points = np.empty((count, dim))
 
-    while np.any(active):
-        idx = np.nonzero(active)[0]
-        _sweep(tables, idx, rng.random(len(idx)), vert, scale, trans, orth)
+    def end(idx):
         c, w = _box(boxes, vert[idx], scale[idx], trans[idx], orth[idx])
         y = c - origin
         stop = scale[idx] <= SCALE_FLOOR
@@ -133,6 +222,19 @@ def _walk_chunk(dim, tables, boxes, origin, scales, start_vertex, count, rng):
         )
         points[idx[stop]] = c[stop]
         active[idx[stop]] = False
+
+    choices, keys = paths
+    if choices.shape[1]:
+        # walk i takes the path of the i-th smallest draw
+        path = np.searchsorted(keys / 2.0**53, np.sort(rng.random(count)), side="right")
+        idx = np.arange(count)
+        for step in choices[path].T:
+            _move(tables, idx, step, vert, scale, trans, orth)
+        end(idx)
+    while np.any(active):
+        idx = np.nonzero(active)[0]
+        _sweep(tables, idx, rng.random(len(idx)), vert, scale, trans, orth)
+        end(idx)
     return points, (vert, scale, trans, orth)
 
 

@@ -17,7 +17,7 @@ from lqspec.empirical import CHUNK_SIZE, DEFAULT_SCALES, SCALE_FLOOR, fit_to_csv
 from lqspec.gifs import similitude_2d
 from conftest import assert_valid_gifs
 from partition_oracle import oracle_box_counts, oracle_partition_sum
-from sampler_oracle import continue_walks, oracle_sample
+from sampler_oracle import continue_walks, oracle_sample, prefix_depth, prefix_paths
 
 
 def _strong_r_gifs():
@@ -31,8 +31,8 @@ def test_single_self_loop_one_step(monkeypatch):
     g = lq.Gifs(1, 1, (lq.Edge("a", 0, 0, m, 1.0),), bbox=((0.0, 1.0),))
     # the attractor is the fixed point 0: its box is a hair wide, so one
     # application of the map fits it into one box of every grid
-    cloud, depth = _sample_counting_draws(monkeypatch, g, 100, seed=0)
-    assert depth == 1.0
+    cloud, words, depth = _sample_counting_draws(monkeypatch, g, 100, seed=0)
+    assert words == depth == 1.0
     assert np.all(np.abs(cloud.points) <= 1e-25)
 
 
@@ -61,21 +61,24 @@ class _CountingRng:
 
 
 def _sample_counting_draws(monkeypatch, g, n_per_vertex, seed, **kwargs):
-    """The cloud and the mean number of raw words its walks drew: one per
-    edge, so the mean walk depth."""
+    """The cloud, the mean number of raw words its walks drew, and their mean
+    depth: k edges for the one word of the k-edge prefix (when k > 0), and
+    one edge for each word after it."""
     walk = empirical._walk_chunk
-    words = []
+    words, edges = [], []
 
-    def counting(tables, start_vertex, out, rng, *rest):
+    def counting(tables, start, out, rng, *rest):
         rng = _CountingRng(rng)
-        walk(tables, start_vertex, out, rng, *rest)
+        walk(tables, start, out, rng, *rest)
+        count = out.shape[1]
         words.append(rng.words)
+        edges.append(rng.words + (start.depth - 1) * count if start.depth else rng.words)
 
     with monkeypatch.context() as m:
         m.setattr(empirical, "_walk_chunk", counting)
         m.setattr(empirical, "_worker_count", lambda n_jobs: 1)
         cloud = lq.sample(g, n_per_vertex, seed, **kwargs)
-    return cloud, sum(words) / len(cloud)
+    return cloud, sum(words) / len(cloud), sum(edges) / len(cloud)
 
 
 def test_sampling_deterministic():
@@ -287,8 +290,77 @@ def test_walks_stop_at_the_depth_the_box_counts_see(monkeypatch, family):
     # mean depths 7.7 (1-D), 10.0 (strong-r2) and 8.3 (nonstrong-r2); walks
     # run until their contraction fell below 1e-9 took 17.9 to 22.0 edges
     g = lq.build_example(lq.canonical_params(family))
-    _, depth = _sample_counting_draws(monkeypatch, g, 20_000, seed=1)
+    _, _, depth = _sample_counting_draws(monkeypatch, g, 20_000, seed=1)
     assert depth <= (9.0 if g.dim == 1 else 11.0)
+
+
+@pytest.mark.parametrize("family", lq.FAMILY_IDS)
+def test_first_edges_drawn_as_one_path(monkeypatch, family):
+    # one raw word per point for the k-edge prefix, then one per edge: 2.71
+    # to 2.73 words per point (1-D), 5.02 (strong-r2, k = 6) and 4.26
+    # (nonstrong-r2, k = 5), where drawing every edge took 7.7 to 10.0
+    g = lq.build_example(lq.canonical_params(family))
+    _, words, _ = _sample_counting_draws(monkeypatch, g, 20_000, seed=1)
+    assert words <= (3.0 if g.dim == 1 else 5.5)
+
+
+def _starts(g, scales):
+    grids = empirical._tested_grids(empirical._resolvable_sides(g, scales))
+    return empirical._starts(empirical._walk_tables(g), grids)
+
+
+_PREFIX_CASES = {
+    **{
+        name: _EXACTNESS_CASES[name]
+        for name in (*lq.FAMILY_IDS, "nonstrong-r2-non-nested", "strong-r2-incommensurable")
+    },
+    # 4^14 paths from each vertex would stay unseen by every test; the path
+    # bound cuts the prefix to 4^6
+    "strong-r2-to-2^-20": (_canonical("strong-r2"), tuple(2.0**-k for k in range(4, 21))),
+}
+
+
+@pytest.mark.parametrize("case", _PREFIX_CASES)
+def test_no_walk_can_end_inside_its_prefix(case):
+    make, scales = _PREFIX_CASES[case]
+    g = make()
+    starts = _starts(g, scales)
+    depth = starts[0].depth
+    assert depth == prefix_depth(g, scales) > 0
+    for start in starts:
+        assert start.depth == depth and len(start.key) <= empirical.MAX_PREFIX_PATHS
+        # above every column's threshold, so no path skips a stop test
+        assert start.scale.min() > start.near.max()
+    if case == "strong-r2-to-2^-20":
+        # cut by the bound: one more edge would still be unseen
+        min_ratio = min(e.map.ratio for e in g.edges)
+        assert depth == 6 and starts[0].least * min_ratio > starts[0].near.max()
+
+
+@pytest.mark.parametrize("family", lq.FAMILY_IDS)
+def test_path_keys_match_the_oracle(family):
+    g = lq.build_example(lq.canonical_params(family))
+    for v, start in enumerate(_starts(g, DEFAULT_SCALES)):
+        _, keys = prefix_paths(g, v, start.depth)
+        assert np.all(np.diff(start.key) >= 0) and start.key[-1] == 2**53
+        assert np.array_equal(start.key, keys)
+
+
+@pytest.mark.parametrize("family", ["strong-r", "nonstrong-r2"])
+def test_drawn_paths_follow_the_path_probabilities(family):
+    # chi-square over the paths, at a fixed seed: with 377 and 528 paths the
+    # statistic lies within 5 standard deviations (sqrt(2 dof)) of its dof
+    g = lq.build_example(lq.canonical_params(family))
+    start = _starts(g, DEFAULT_SCALES)[0]
+    n = 400_000
+    path = empirical._draw_paths(start, n, np.random.default_rng(3))
+    assert np.all(np.diff(path) >= 0)
+    got = np.bincount(path, minlength=len(start.key))
+    want = np.diff(start.key, prepend=0) / 2.0**53 * n
+    assert np.all(want > 0.0) and np.min(want) >= 5.0
+    chi2 = float(np.sum((got - want) ** 2 / want))
+    dof = len(want) - 1
+    assert abs(chi2 - dof) <= 5.0 * math.sqrt(2.0 * dof), (chi2, dof)
 
 
 def test_infinite_orientation_group_raises(monkeypatch):
@@ -351,6 +423,34 @@ def test_negative_seed_rejected(monkeypatch):
     monkeypatch.setattr(empirical, "_walk_chunk", _no_walks)
     with pytest.raises(lq.InvalidParams, match="seed"):
         lq.sample(_strong_r_gifs(), 10, seed=-1)
+
+
+@pytest.mark.parametrize(
+    "n_per_vertex, seed, message",
+    [
+        (10, 1.5, "seed must be an integer"),
+        (10.0, 1, "n_per_vertex must be an integer"),
+        (10, "1", "seed must be an integer"),
+        (True, 1, "n_per_vertex must be an integer"),
+    ],
+)
+def test_non_integer_count_or_seed_rejected(monkeypatch, n_per_vertex, seed, message):
+    monkeypatch.setattr(empirical, "_walk_chunk", _no_walks)
+    with pytest.raises(lq.InvalidParams, match=message):
+        lq.sample(_strong_r_gifs(), n_per_vertex, seed)
+
+
+def test_numpy_integer_count_and_seed_accepted():
+    g = _strong_r_gifs()
+    got = lq.sample(g, np.int64(500), np.uint32(4))
+    assert np.array_equal(got.points, lq.sample(g, 500, 4).points)
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+def test_estimate_rejects_a_nonfinite_q_before_sampling(monkeypatch, q):
+    monkeypatch.setattr(empirical, "_walk_chunk", _no_walks)
+    with pytest.raises(lq.InvalidParams, match="q must be finite"):
+        lq.estimate_tau(_strong_r_gifs(), q, [2.0**-k for k in range(4, 9)], 100, seed=0)
 
 
 def test_points_within_bbox():
