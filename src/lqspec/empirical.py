@@ -14,16 +14,18 @@ zero.  A walk that keeps straddling a line ends once its contraction is at
 most SCALE_FLOOR = 1e-12; its point is then within 1e-12 box widths of an
 exact draw.  The sides fix the depth, so there is no other stopping knob.
 
-No walk can end before its contraction could reach the finest side, so
-the first k edges of every walk, the most that no stop test can see (at
-most MAX_PREFIX_PATHS paths from any vertex), are drawn as one path.  Each
-``sample`` call tabulates the k-edge paths from each start vertex with the
-state that k single-edge sweeps would reach, and each walk draws its path
-by one inverse-CDF lookup on the paths' cumulative probabilities.  This
-gives the walks the law of k single-edge draws, and the depth is the same.
+Each ``sample`` call tabulates, for each start vertex, the cylinders at
+which walks stop: a tree of edge paths grown one level at a time, in which
+a node where the walk's stop test ends it becomes a terminal leaf holding
+its box centre, while the other (open) leaves hold the walk state.  The
+tree grows while a level adds at most MAX_LEVEL_NODES leaves and the table
+keeps at most MAX_TABLE_NODES.  Each walk draws its leaf by one inverse-CDF
+lookup on the leaves' cumulative probabilities, which gives it the law of
+edge-by-edge draws up to that leaf, and the depth is the same.  A walk that
+draws a terminal leaf is done; at the default sides every 1-D walk is.
 
-After the prefix, each sweep moves every active walk one edge with a fixed
-set of whole-array operations.  One inverse-CDF lookup over all walks
+After an open leaf, each sweep moves every active walk one edge with a
+fixed set of whole-array operations.  One inverse-CDF lookup over all walks
 picks their edges: a walk at vertex v with draw u = m / 2^53 has the
 integer key (v << 54) + m, and global per-edge tables map the keys to
 edges, then the edges to ratios, destinations and translations.  A walk's orientation
@@ -37,10 +39,10 @@ vertices.
 
 Sampling is organized in fixed-size chunks of 65536 walks with one
 deterministic random stream per (seed, vertex, chunk).  A chunk first
-draws one ``rng.bit_generator.random_raw(count)`` for its walks' prefixes
-(none when k = 0) and sorts it, so the walks come grouped by path; then the
-active walks stay in ascending order and draw one
-``random_raw(n_active)`` per sweep.  The top 53 bits of each raw word are
+draws one ``rng.bit_generator.random_raw(count)`` for its walks' leaves
+(none when the table grew no level) and sorts it, so the walks come grouped
+by leaf; then the walks from open leaves stay in ascending order and draw
+one ``random_raw(n_active)`` per sweep.  The top 53 bits of each raw word are
 the m of the m / 2^53 that ``rng.random()`` would return from the same
 stream, so a seed fixes every point.  Each chunk writes its
 own columns of one coordinate-major array, so the chunks run on a thread
@@ -72,8 +74,11 @@ SCALE_FLOOR = 1e-12  # a walk ends once its contraction is at most this
 # (vertex << 54 plus a 53-bit draw must fit an int64 key).
 MAX_ORIENTATIONS = 1024
 MAX_VERTICES = 512
-# The prefix depth is lowered until no start vertex has more k-edge paths.
-MAX_PREFIX_PATHS = CHUNK_SIZE // 16
+# A start vertex's table of stopped cylinders grows one edge level at a time
+# while the level adds at most MAX_LEVEL_NODES leaves and the table keeps at
+# most MAX_TABLE_NODES.
+MAX_LEVEL_NODES = CHUNK_SIZE // 16
+MAX_TABLE_NODES = CHUNK_SIZE // 4
 _VERTEX_SHIFT = 54
 _U_SCALE = 2.0**53  # rng.random() returns m / 2^53 with integer m
 _RAW_SHIFT = np.uint64(11)  # m is a raw 64-bit word shifted right by 11
@@ -109,10 +114,9 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
     """Draw n_per_vertex points from each vertex measure, exact at the box
     sides in scales.
 
-    The k-edge paths from each vertex, for the largest k in which no walk
-    can end (bounded by MAX_PREFIX_PATHS), are tabulated once, on a worker
-    thread; every walk draws its first k edges as one of them and then goes
-    on edge by edge.
+    The cylinders at which walks stop are tabulated once per start vertex,
+    on a worker thread; every walk draws its leaf of its vertex's table and,
+    from an open leaf, goes on edge by edge.
     Chunk c of vertex v walks CHUNK_SIZE points (fewer in the last chunk) on
     its own (seed, v, c) stream and writes them to its own columns of one
     (d, N) array; the cloud is that array's transpose.  The chunks run on
@@ -148,6 +152,8 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
             # On a worker, the tables and their temporaries stay out of the
             # caller's heap, whose free space box counting reuses; built
             # here, they raised the peak RSS of repeated 2-D calls by 7 MB.
+            # One job per vertex was no faster: the builds hold the
+            # interpreter lock for most of their time.
             starts = pool.submit(_starts, tables, grids).result()
             futures = [pool.submit(walk, *job) for job in jobs]
             done, _ = wait(futures, return_when=FIRST_EXCEPTION)
@@ -354,95 +360,169 @@ def _orientation_group(orths):
 
 @dataclass(frozen=True)
 class _Start:
-    """The k-edge paths from one start vertex, in lexicographic edge order.
+    """The table of stopped cylinders from one start vertex: its leaves, in
+    lexicographic edge order.
 
-    Path p takes the draws m (of m / 2^53) with key[p - 1] <= m < key[p],
+    Leaf i takes the draws m (of m / 2^53) with key[i - 1] <= m < key[i],
     key[-1] = 2^53: ``key`` is ceil(cum * 2^53) for the running sum of the
-    paths' probabilities, each the product of its edges' ``prob``.  Column p
-    of ``vkey``, ``orient``, ``scale`` and ``trans`` is the walk state after
-    the path, computed by the same float operations as k sweeps of _step.
-    ``least`` is min_ratio^k, and ``near`` holds the sweep's test
-    thresholds per column g * E + e (see _walk_chunk), shared by every start.
+    leaves' probabilities, each the product of its edges' ``prob``.  Every
+    walk that draws a terminal leaf ends there: ``slot[i]`` is then -1 - t,
+    and column t of ``point`` is the leaf's box centre, computed by the same
+    float operations as _finish.  The walks that draw an open leaf go on
+    edge by edge: ``slot[i]`` is then its column of ``vkey``, ``orient``,
+    ``scale`` and ``trans``, the walk state after ``levels`` edges, computed
+    by the same float operations as that many sweeps of _step.  ``least`` is
+    min_ratio^levels, and ``near`` holds the sweep's test thresholds per
+    column g * E + e (see _near), shared by every start.
     """
 
-    depth: int
-    key: np.ndarray  # (P,) int64, nondecreasing
-    vkey: np.ndarray  # (P,) int64
-    orient: np.ndarray  # (P,) int64
-    scale: np.ndarray  # (P,)
-    trans: np.ndarray  # (d, P)
+    levels: int  # edge levels grown; with none, a walk draws no leaf
+    key: np.ndarray  # (L,) int64, nondecreasing
+    depth: np.ndarray  # (L,) int64: the leaf's number of edges
+    slot: np.ndarray  # (L,) int64
+    point: np.ndarray  # (d, T): the terminal leaves' points
+    vkey: np.ndarray  # (O,) int64: the open leaves' state
+    orient: np.ndarray  # (O,) int64
+    scale: np.ndarray  # (O,)
+    trans: np.ndarray  # (d, O)
     least: float
     near: np.ndarray  # (G * E,)
 
 
-def _starts(tables: _WalkTables, grids) -> list[_Start]:
-    """One _Start per vertex, for the largest prefix depth k in which no walk
-    can end, lowered until no vertex has more than MAX_PREFIX_PATHS paths.
-
-    At column ge, a walk's box can fit the finest grid only once its scale
-    is at most near[ge] (always, for a box of zero width), and no walk gets
-    there before its scale could be min_ratio^k.  The margin keeps rounding
-    from hiding a box exactly one side wide from the test.
-    """
+def _near(tables: _WalkTables, grids):
+    """The sweep's test thresholds per column ge: a walk's box can fit the
+    finest grid only once its scale is at most near[ge] (always, for a box
+    of zero width).  The margin keeps rounding from hiding a box exactly one
+    side wide from the test."""
     with np.errstate(divide="ignore"):
         near = grids[0] / (2.0 * tables.half.max(axis=0)) * (1.0 + 1e-9)
-    near = np.maximum(near, SCALE_FLOOR)
-    near_max, min_ratio = near.max(), tables.ratio.min()
-    dst = tables.dst_key >> _VERTEX_SHIFT
-    n_paths = np.ones(len(tables.first_edge) - 1, dtype=np.int64)
-    depth, least = 0, 1.0
-    while least * min_ratio > near_max:
-        n_paths = np.add.reduceat(n_paths.take(dst), tables.first_edge[:-1])
-        if n_paths.max() > MAX_PREFIX_PATHS:
-            break
-        depth += 1
-        least *= min_ratio
-    return [
-        _Start(depth, *_paths(tables, v, depth), least=least, near=near)
-        for v in range(len(n_paths))
-    ]
+    return np.maximum(near, SCALE_FLOOR)
 
 
-def _paths(tables: _WalkTables, v, depth):
-    """(key, vkey, orient, scale, trans) of the depth-edge paths from v."""
+def _starts(tables: _WalkTables, grids) -> list[_Start]:
+    """One table of stopped cylinders per start vertex."""
+    near = _near(tables, grids)
+    return [_start(tables, v, near, grids) for v in range(len(tables.first_edge) - 1)]
+
+
+def _start(tables: _WalkTables, v, near, grids) -> _Start:
+    """The table of stopped cylinders from v, grown one edge level at a time.
+
+    Each level replaces every open leaf by its children, one per out-edge,
+    and tests each child by the walk's own stop rule (the ``near`` prefilter,
+    then _stops): a child at which a walk would end becomes terminal.
+    Growth ends when no leaf is open, or before a level that would add more
+    than MAX_LEVEL_NODES leaves or bring the table above MAX_TABLE_NODES.
+    """
     vkey = np.array([v << _VERTEX_SHIFT])
     orient = np.zeros(1, dtype=np.int64)
     scale = np.ones(1)
     trans = np.zeros((len(tables.origin), 1))
-    prob = np.ones(1)
-    for _ in range(depth):
+    # per level, the root's first: each node's stop flag and probability,
+    # and the out-degrees of the level above's open nodes, its parents
+    grown = [(np.zeros(1, dtype=bool), np.ones(1), None)]
+    points = [np.empty((len(tables.origin), 0))]  # the terminal nodes', level by level
+    n_ended, least = 0, 1.0
+    while len(vkey):
         at = vkey >> _VERTEX_SHIFT
         first = tables.first_edge.take(at)
         deg = tables.first_edge.take(at + 1) - first
+        n_new = int(deg.sum())
+        if n_new > MAX_LEVEL_NODES or n_ended + n_new > MAX_TABLE_NODES:
+            break
         parent = np.repeat(np.arange(len(deg)), deg)
         # each parent's edges in order: the child at offset i of its run takes first + i
-        e = np.arange(len(parent)) + np.repeat(first - np.cumsum(deg) + deg, deg)
-        scale, trans, prob = scale.take(parent), trans.take(parent, axis=1), prob.take(parent)
-        _, vkey, orient = _advance(tables, e, orient.take(parent), scale, trans)
+        e = np.arange(n_new) + np.repeat(first - np.cumsum(deg) + deg, deg)
+        stop, prob, _ = grown[-1]
+        prob = prob[~stop].take(parent)
         prob *= tables.prob.take(e)
+        scale, trans = scale.take(parent), trans.take(parent, axis=1)
+        ge, vkey, orient = _advance(tables, e, orient.take(parent), scale, trans)
+        least *= tables.ratio.min()
+        test = np.flatnonzero(scale <= near.take(ge))
+        ends, centre = _stops(tables, grids, ge.take(test), scale.take(test),
+                              trans.take(test, axis=1))
+        points.append(centre[:, ends])
+        stop = np.zeros(n_new, dtype=bool)
+        stop[test[ends]] = True
+        grown.append((stop, prob, deg))
+        n_ended += points[-1].shape[1]
+        live = np.flatnonzero(~stop)
+        vkey, orient, scale = vkey.take(live), orient.take(live), scale.take(live)
+        trans = trans.take(live, axis=1)
+    slot, prob, depth = _leaf_order(grown)
     key = np.minimum(np.ceil(np.cumsum(prob) * _U_SCALE), _U_SCALE).astype(np.int64)
     key[-1] = 1 << 53
-    return key, vkey, orient, scale, trans
+    return _Start(len(grown) - 1, key, depth, slot, np.concatenate(points, axis=1),
+                  vkey, orient, scale, trans, least, near)
+
+
+def _leaf_order(grown):
+    """(slot, prob, depth) of the leaves of the tree that _start grew, in
+    lexicographic edge order: its terminal nodes, the t-th of them (level by
+    level) with slot -1 - t, and the open nodes of its last level, the i-th
+    with slot i.
+
+    A node's leaves are itself when it is a leaf, else its children's
+    leaves; a leaf's place is the number of leaves in the subtrees of the
+    nodes before it at its level and at each level above.
+    """
+    # leaves per node, bottom up
+    size = [np.ones(len(grown[-1][0]), dtype=np.int64)]
+    for level in range(len(grown) - 2, -1, -1):
+        stop, deg = grown[level][0], grown[level + 1][2]
+        above = np.ones(len(stop), dtype=np.int64)
+        above[~stop] = np.add.reduceat(size[-1], np.cumsum(deg) - deg)
+        size.append(above)
+    size.reverse()
+    n_leaves = int(size[0][0])
+    slot = np.empty(n_leaves, dtype=np.int64)
+    prob = np.empty(n_leaves)
+    depth = np.empty(n_leaves, dtype=np.int64)
+    place = np.zeros(1, dtype=np.int64)
+    n_ended = 0
+    for level, ((stop, p, deg), n) in enumerate(zip(grown, size)):
+        if level:
+            # a parent's place, plus the leaves of the siblings before the node
+            before = np.cumsum(n) - n
+            place = np.repeat(place[~grown[level - 1][0]] - before[np.cumsum(deg) - deg], deg)
+            place += before
+        leaf = np.flatnonzero(stop)
+        slot[place[leaf]] = -1 - np.arange(n_ended, n_ended + len(leaf))
+        n_ended += len(leaf)
+        if level == len(grown) - 1:
+            open_ = np.flatnonzero(~stop)
+            slot[place[open_]] = np.arange(len(open_))
+            leaf = np.arange(len(stop))
+        prob[place[leaf]] = p[leaf]
+        depth[place[leaf]] = level
+    return slot, prob, depth
 
 
 def _walk_chunk(tables: _WalkTables, start: _Start, out, rng, grids):
     """Walk out.shape[1] points from start's vertex into the (d, count) out.
 
-    Each walk first draws its k-edge path from start (no draw when k = 0),
-    and then advances one edge per sweep.  Once a walk's box is no wider than
-    the finest side in grids, it ends when its box lies in one closed box of
-    each grid in grids (sides, finest first, anchored at ``tables.origin``)
-    or its scale is at most SCALE_FLOOR, and its point is the box's centre.
-    Finished walks leave the arrays: the active walks stay compacted in
-    ascending order and draw one raw word each per sweep.  Coordinates are
-    rows (d, n), so every gather and compaction acts on contiguous 1-D data.
+    Each walk first draws its leaf of start's table (no draw when the table
+    grew no level).  A terminal leaf gives the walk's point; from an open
+    leaf the walk advances one edge per sweep.  Once a walk's box is no
+    wider than the finest side in grids, it ends when its box lies in one
+    closed box of each grid in grids (sides, finest first, anchored at
+    ``tables.origin``) or its scale is at most SCALE_FLOOR, and its point is
+    the box's centre.  Finished walks leave the arrays: the active walks stay
+    compacted in ascending order and draw one raw word each per sweep.
+    Coordinates are rows (d, n), so every gather and compaction acts on
+    contiguous 1-D data.
     """
-    count = out.shape[1]
-    pos = np.arange(count)
-    path = _draw_paths(start, count, rng)
-    vkey, orient = start.vkey.take(path), start.orient.take(path)  # orient: E * index
-    scale, trans = start.scale.take(path), start.trans.take(path, axis=1)
-    del path
+    slot = start.slot.take(_draw_leaves(start, out.shape[1], rng))
+    done = np.flatnonzero(slot < 0)
+    ended = ~slot.take(done)
+    for row, c in zip(out, start.point):
+        row[done] = c.take(ended)
+    pos = np.flatnonzero(slot >= 0)
+    slot = slot.take(pos)
+    vkey, orient = start.vkey.take(slot), start.orient.take(slot)  # orient: E * index
+    scale, trans = start.scale.take(slot), start.trans.take(slot, axis=1)
+    del slot, done, ended
     near, least, min_ratio = start.near, start.least, tables.ratio.min()
     near_max = near.max()
 
@@ -465,13 +545,13 @@ def _walk_chunk(tables: _WalkTables, start: _Start, out, rng, grids):
             scale, trans = scale.take(live), trans.take(live, axis=1)
 
 
-def _draw_paths(start: _Start, count, rng):
-    """The path index of each of count walks, ascending.
+def _draw_leaves(start: _Start, count, rng):
+    """The leaf index of each of count walks, ascending.
 
-    One raw word per walk, sorted, is counted into each path's range of
+    One raw word per walk, sorted, is counted into each leaf's range of
     keys: the counts of count independent inverse-CDF draws.
     """
-    if not start.depth:
+    if not start.levels:
         return np.zeros(count, dtype=np.int64)
     key = rng.bit_generator.random_raw(count)
     key >>= _RAW_SHIFT
@@ -512,9 +592,20 @@ def _advance(tables: _WalkTables, e, orient, scale, trans):
 
 
 def _finish(tables: _WalkTables, grids, out, pos, ge, scale, trans):
-    """End the given walks whose boxes fit every grid or whose scale is at
-    most SCALE_FLOOR: write their box centres to their columns pos of out
-    and return their indices in the arguments."""
+    """End the given walks at which _stops stops them: write their box
+    centres to their columns pos of out and return their indices in the
+    arguments."""
+    ends, centre = _stops(tables, grids, ge, scale, trans)
+    which = np.flatnonzero(ends)
+    dest = pos.take(which)
+    for row, c in zip(out, centre):
+        row[dest] = c.take(which)
+    return which
+
+
+def _stops(tables: _WalkTables, grids, ge, scale, trans):
+    """(ends, centre): whether each walk's box fits every grid or its scale
+    is at most SCALE_FLOOR, and the box centres, (d, n)."""
     centre = tables.centre.take(ge, axis=1)
     centre *= scale
     centre += trans
@@ -522,11 +613,7 @@ def _finish(tables: _WalkTables, grids, out, pos, ge, scale, trans):
     half *= scale
     ends = _fits(centre, half, tables.origin, grids)
     ends |= scale <= SCALE_FLOOR
-    which = np.flatnonzero(ends)
-    dest = pos.take(which)
-    for row, c in zip(out, centre):
-        row[dest] = c.take(which)
-    return which
+    return ends, centre
 
 
 def _fits(centre, half, origin, grids):
@@ -601,14 +688,13 @@ def _box_counts(points, anchor, hs):
     so fine that the keys or the grid around the points would need more
     than 62 bits raises InvalidParams.
     """
-    anchor = np.asarray(anchor, dtype=float)
     out = [None] * len(hs)
     prev = keys = counts = None
     for i in sorted(range(len(hs)), key=hs.__getitem__):
         h = hs[i]
         j = _octaves(prev, h)
         if j is None:
-            keys, counts = _distinct(_box_keys(points, anchor, h))
+            keys, counts = _box_keys(points, anchor, h)
         elif j:
             keys, counts = _distinct(keys >> j, counts)
         out[i] = counts
@@ -617,12 +703,32 @@ def _box_counts(points, anchor, hs):
 
 
 def _box_keys(points, anchor, h):
-    """The integer keys floor((p - anchor) / h) of the points' boxes."""
-    y = points - anchor  # one float temporary, kept in the points' layout
-    y /= h
-    np.floor(y, out=y)
-    _check_key_range(y.min(axis=0), y.max(axis=0), h)
-    return y.astype(np.int64)
+    """The distinct keys floor((p - anchor) / h) of the points' boxes, (m, d)
+    in lexicographic order, and the number of points in each.
+
+    Each coordinate row is binned in turn into one flat row-major key, so
+    besides that key only one row's float and integer keys are held.
+    """
+    flat, lo, hi = None, [], []
+    for row, a in zip(points.T, anchor):
+        y = row - a
+        y /= h
+        np.floor(y, out=y)
+        lo.append(y.min())
+        hi.append(y.max())
+        _check_key_range(np.array(lo), np.array(hi), h)  # before the flat key can overflow
+        k = y.astype(np.int64)
+        del y
+        k -= int(lo[-1])
+        if flat is None:
+            flat = k
+        else:
+            flat *= int(hi[-1] - lo[-1]) + 1
+            flat += k
+        del k
+    flat, counts = np.unique(flat, return_counts=True)
+    dims = tuple(int(b - a) + 1 for a, b in zip(lo, hi))
+    return np.stack(np.unravel_index(flat, dims), axis=1) + np.array(lo, dtype=np.int64), counts
 
 
 def _check_key_range(lo, hi, h):
@@ -640,9 +746,9 @@ def _octaves(fine, h):
     return None
 
 
-def _distinct(keys, weights=None):
+def _distinct(keys, weights):
     """Distinct rows of the (m, d) integer keys in lexicographic order, with
-    the summed weights of each (a count of rows when weights is None).
+    the summed weights of each.
 
     The keys are shifted in place: callers pass an array they do not reuse.
     """
@@ -650,15 +756,11 @@ def _distinct(keys, weights=None):
     keys -= lo
     dims = tuple(keys.max(axis=0) + 1)
     flat = np.ravel_multi_index(tuple(keys.T), dims)
-    if weights is None:
-        flat, counts = np.unique(flat, return_counts=True)
-    else:
-        order = np.argsort(flat, kind="stable")
-        flat = flat[order]
-        starts = np.flatnonzero(np.diff(flat, prepend=-1))
-        counts = np.add.reduceat(weights[order], starts)
-        flat = flat[starts]
-    return np.stack(np.unravel_index(flat, dims), axis=1) + lo, counts
+    order = np.argsort(flat, kind="stable")
+    flat = flat[order]
+    starts = np.flatnonzero(np.diff(flat, prepend=-1))
+    counts = np.add.reduceat(weights[order], starts)
+    return np.stack(np.unravel_index(flat[starts], dims), axis=1) + lo, counts
 
 
 def estimate_tau(

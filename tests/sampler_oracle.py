@@ -5,17 +5,16 @@ active walks by their current vertex and then by their edge, so every step
 is a batched matrix product.  It draws from the same random streams in the
 same order as ``lqspec.empirical.sample``: one stream per
 ``(seed, vertex, chunk)``; one ``rng.random(count)``, sorted, that picks
-each walk's first k edges as one path of its own enumeration of the k-edge
-paths (plain loops, plain-float products and a running sum for the keys);
-then one ``rng.random`` per sweep over the active walks in ascending order.
-Its k comes from its own vertex boxes and orientations and the sampler's
-path bound.  It stops a walk by the same rule, with vertex boxes built here
-with plain loops: once the box of its cylinder lies in one closed box of
-every requested grid, or its scale is at most the floor.  It tests the
-walks after their prefix too, where the sampler does not, so a prefix too
-deep to be unseen by every test shows as a mismatch.  So the two must agree
-point for point: exactly where every orthogonal part is +-1, and to
-rounding otherwise.
+each walk's leaf of its own table of stopped cylinders (plain loops for the
+leaves' order, their plain-float probabilities and a running sum for their
+keys); then one ``rng.random`` per sweep over the active walks in ascending
+order.  The table tests every node by the oracle's own stop rule, with
+vertex boxes built here with plain loops: a walk ends once the box of its
+cylinder lies in one closed box of every requested grid, or its scale is at
+most the floor.  A walk that draws a terminal leaf takes the leaf's box
+centre; one that draws an open leaf moves along the leaf's edges and then
+sweeps.  So the two must agree point for point: exactly where every
+orthogonal part is +-1, and to rounding otherwise.
 """
 
 from __future__ import annotations
@@ -28,7 +27,8 @@ from lqspec.empirical import (
     _BOX_ROUNDS,
     CHUNK_SIZE,
     DEFAULT_SCALES,
-    MAX_PREFIX_PATHS,
+    MAX_LEVEL_NODES,
+    MAX_TABLE_NODES,
     SCALE_FLOOR,
 )
 
@@ -59,49 +59,22 @@ def vertex_boxes(g):
     return (lo + hi) / 2.0, (hi - lo) / 2.0
 
 
-def _orientations(g):
-    """The products of the edges' orthogonal parts, closed with plain loops
-    and found equal at 1e-9."""
-    found = [np.eye(g.dim)]
-    for r in found:  # grows while it is walked
-        for e in g.edges:
-            prod = r @ np.array(e.map.orthogonal)
-            if all(np.max(np.abs(prod - s)) > 1e-9 for s in found):
-                found.append(prod)
-    return found
+def cylinder_table(g, v, scales):
+    """The table of stopped cylinders from v, grown one edge level at a time.
 
-
-def prefix_depth(g, scales):
-    """The number k of first edges drawn as one path: the largest k at which
-    min_ratio^k still exceeds every scale at which a box of some vertex, in
-    some orientation, could fit the finest grid, lowered until no vertex has
-    more than MAX_PREFIX_PATHS paths of k edges."""
-    _, half = vertex_boxes(g)
-    narrowest = min(
-        max(sum(abs(r[i][j]) * half[w][j] for j in range(g.dim)) for i in range(g.dim))
-        for r in _orientations(g)
-        for w in {e.dst for e in g.edges}
-    )
-    near = math.inf  # a box of zero width fits at any scale
-    if narrowest > 0.0:
-        near = max(min(scales) / (2.0 * narrowest) * (1.0 + 1e-9), SCALE_FLOOR)
-    min_ratio = min(e.map.ratio for e in g.edges)
-    n_paths = [1] * g.num_vertices
-    depth, least = 0, 1.0
-    while least * min_ratio > near:
-        n_paths = [sum(n_paths[e.dst] for e in g.out_edges(v)) for v in range(g.num_vertices)]
-        if max(n_paths) > MAX_PREFIX_PATHS:
-            break
-        depth += 1
-        least *= min_ratio
-    return depth
-
-
-def prefix_paths(g, v, depth):
-    """The depth-edge paths from v in lexicographic order, as a (P, depth)
-    array of out-edge indices, and their keys: ceil(cum * 2^53) of the
-    running sum of the paths' probabilities, each the product of its edges'
-    drawn probabilities (their widths of ceil(cum * 2^53)); the last is 2^53."""
+    Each level replaces every open leaf by its children, one per out-edge of
+    its vertex in order, and stops each child by the oracle's own rule (see
+    stops).  Growth ends when no leaf is open, or before a level that would
+    add more than MAX_LEVEL_NODES leaves or bring the table above
+    MAX_TABLE_NODES.  Returns the leaves in lexicographic edge order, each
+    (out-edge indices, terminal), their keys ceil(cum * 2^53) of the running
+    sum of their probabilities (each the product of its edges' drawn
+    probabilities, the widths of ceil(cum * 2^53)), the last one 2^53, and
+    their walk states (vertex, scale, translation, orthogonal part) as
+    arrays.
+    """
+    tables, boxes = _edge_tables(g), vertex_boxes(g)
+    origin = np.array([lo for lo, _ in g.bbox])
     widths = []
     for w in range(g.num_vertices):
         total, keys = 0.0, [0]
@@ -110,20 +83,36 @@ def prefix_paths(g, v, depth):
             keys.append(min(math.ceil(total * 2.0**53), 2**53))
         keys[-1] = 2**53
         widths.append([(b - a) / 2.0**53 for a, b in zip(keys, keys[1:])])
-    paths = [((), v, 1.0)]
-    for _ in range(depth):
-        paths = [
-            (choices + (i,), e.dst, prob * widths[w][i])
-            for choices, w, prob in paths
-            for i, e in enumerate(g.out_edges(w))
-        ]
+    leaves = [((), 1.0, False)]  # (edges, probability, terminal)
+    state = (np.array([v]), np.ones(1), np.zeros((1, g.dim)), np.eye(g.dim)[None])
+    while True:
+        vert = state[0]
+        n_open = sum(1 for _, _, terminal in leaves if not terminal)
+        n_new = sum(len(widths[w]) for (_, _, terminal), w in zip(leaves, vert) if not terminal)
+        if not n_open or n_new > MAX_LEVEL_NODES or len(leaves) - n_open + n_new > MAX_TABLE_NODES:
+            break
+        grown, parent, choice = [], [], []
+        for i, ((edges, prob, terminal), w) in enumerate(zip(leaves, vert)):
+            children = [(edges, prob, True)] if terminal else [
+                (edges + (j,), prob * width, False) for j, width in enumerate(widths[w])
+            ]
+            grown += children
+            parent += [i] * len(children)
+            choice += [-1] if terminal else list(range(len(children)))
+        state = tuple(a[parent] for a in state)
+        choice = np.array(choice)
+        moved = np.flatnonzero(choice >= 0)
+        _move(tables, moved, choice[moved], *state)
+        stopped = np.zeros(len(grown), dtype=bool)
+        stopped[moved] = stops(boxes, origin, scales, *(a[moved] for a in state))[0]
+        leaves = [(edges, prob, terminal or bool(stop))
+                  for (edges, prob, terminal), stop in zip(grown, stopped)]
     total, keys = 0.0, []
-    for _, _, prob in paths:
+    for _, prob, _ in leaves:
         total += prob
         keys.append(min(math.ceil(total * 2.0**53), 2**53))
     keys[-1] = 2**53
-    choices = np.array([c for c, _, _ in paths], dtype=np.int64).reshape(len(paths), depth)
-    return choices, np.array(keys, dtype=np.int64)
+    return [(edges, terminal) for edges, _, terminal in leaves], np.array(keys), state
 
 
 def _edge_tables(g):
@@ -180,6 +169,19 @@ def _box(boxes, vert, scale, trans, orth):
     return c, w
 
 
+def stops(boxes, origin, scales, vert, scale, trans, orth):
+    """(stop, centre): whether each walk's box lies in one closed box of
+    every requested grid, or its scale is at most the floor, and the centre
+    of its box."""
+    c, w = _box(boxes, vert, scale, trans, orth)
+    y = c - origin
+    stop = scale <= SCALE_FLOOR
+    stop |= np.all(
+        [np.ceil((y + w) / h) - np.floor((y - w) / h) <= 1.0 for h in scales], axis=(0, 2)
+    )
+    return stop, c
+
+
 def oracle_sample(g, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES):
     """(points, vertex of each point, final walk states) drawn chunk by
     chunk, vertex-major.  A state is (vertex, scale, translation,
@@ -187,15 +189,14 @@ def oracle_sample(g, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES):
     tables = _edge_tables(g)
     boxes = vertex_boxes(g)
     origin = np.array([lo for lo, _ in g.bbox])
-    depth = prefix_depth(g, scales)
     points, vertices, states = [], [], []
     n_chunks = (n_per_vertex + CHUNK_SIZE - 1) // CHUNK_SIZE
     for v in range(g.num_vertices):
-        paths = prefix_paths(g, v, depth)
+        table = cylinder_table(g, v, scales) if n_chunks else None
         for c in range(n_chunks):
             count = min(CHUNK_SIZE, n_per_vertex - c * CHUNK_SIZE)
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(v, c)))
-            p, state = _walk_chunk(g.dim, tables, boxes, origin, scales, v, paths, count, rng)
+            p, state = _walk_chunk(g.dim, tables, boxes, origin, scales, v, table, count, rng)
             points.append(p)
             states.append(state)
             vertices.append(np.full(count, v, dtype=np.int64))
@@ -205,7 +206,7 @@ def oracle_sample(g, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES):
     return np.concatenate(points, axis=0), np.concatenate(vertices), state
 
 
-def _walk_chunk(dim, tables, boxes, origin, scales, start_vertex, paths, count, rng):
+def _walk_chunk(dim, tables, boxes, origin, scales, start_vertex, table, count, rng):
     vert = np.full(count, start_vertex, dtype=np.int64)
     scale = np.ones(count)
     trans = np.zeros((count, dim))
@@ -214,23 +215,25 @@ def _walk_chunk(dim, tables, boxes, origin, scales, start_vertex, paths, count, 
     points = np.empty((count, dim))
 
     def end(idx):
-        c, w = _box(boxes, vert[idx], scale[idx], trans[idx], orth[idx])
-        y = c - origin
-        stop = scale[idx] <= SCALE_FLOOR
-        stop |= np.all(
-            [np.ceil((y + w) / h) - np.floor((y - w) / h) <= 1.0 for h in scales], axis=(0, 2)
-        )
+        stop, c = stops(boxes, origin, scales, vert[idx], scale[idx], trans[idx], orth[idx])
         points[idx[stop]] = c[stop]
         active[idx[stop]] = False
 
-    choices, keys = paths
-    if choices.shape[1]:
-        # walk i takes the path of the i-th smallest draw
-        path = np.searchsorted(keys / 2.0**53, np.sort(rng.random(count)), side="right")
-        idx = np.arange(count)
-        for step in choices[path].T:
-            _move(tables, idx, step, vert, scale, trans, orth)
-        end(idx)
+    leaves, keys, leaf_state = table
+    if leaves[0][0]:  # the table grew: walk i takes the leaf of the i-th smallest draw
+        leaf = np.searchsorted(keys / 2.0**53, np.sort(rng.random(count)), side="right")
+        terminal = np.array([leaves[i][1] for i in leaf], dtype=bool)
+        # a terminal leaf's walks end at its cylinder, with the state the table holds
+        idx = np.flatnonzero(terminal)
+        for a, b in zip((vert, scale, trans, orth), leaf_state):
+            a[idx] = b[leaf[idx]]
+        points[idx] = _box(boxes, vert[idx], scale[idx], trans[idx], orth[idx])[0]
+        active[idx] = False
+        # an open leaf's walks move along its edges
+        idx = np.flatnonzero(~terminal)
+        if len(idx):
+            for step in np.array([leaves[i][0] for i in leaf[idx]]).T:
+                _move(tables, idx, step, vert, scale, trans, orth)
     while np.any(active):
         idx = np.nonzero(active)[0]
         _sweep(tables, idx, rng.random(len(idx)), vert, scale, trans, orth)

@@ -17,7 +17,7 @@ from lqspec.empirical import CHUNK_SIZE, DEFAULT_SCALES, SCALE_FLOOR, fit_to_csv
 from lqspec.gifs import similitude_2d
 from conftest import assert_valid_gifs
 from partition_oracle import oracle_box_counts, oracle_partition_sum
-from sampler_oracle import continue_walks, oracle_sample, prefix_depth, prefix_paths
+from sampler_oracle import continue_walks, cylinder_table, oracle_sample, stops, vertex_boxes
 
 
 def _strong_r_gifs():
@@ -62,20 +62,25 @@ class _CountingRng:
 
 def _sample_counting_draws(monkeypatch, g, n_per_vertex, seed, **kwargs):
     """The cloud, the mean number of raw words its walks drew, and their mean
-    depth: k edges for the one word of the k-edge prefix (when k > 0), and
-    one edge for each word after it."""
-    walk = empirical._walk_chunk
+    depth: the depth that the table gives the leaf each walk drew, plus one
+    edge for each word after the leaf draw."""
+    walk, draw = empirical._walk_chunk, empirical._draw_leaves
     words, edges = [], []
 
     def counting(tables, start, out, rng, *rest):
         rng = _CountingRng(rng)
         walk(tables, start, out, rng, *rest)
-        count = out.shape[1]
         words.append(rng.words)
-        edges.append(rng.words + (start.depth - 1) * count if start.depth else rng.words)
+        edges.append(rng.words - out.shape[1] if start.levels else rng.words)
+
+    def drawing(start, count, rng):
+        leaf = draw(start, count, rng)
+        edges.append(int(start.depth.take(leaf).sum()))
+        return leaf
 
     with monkeypatch.context() as m:
         m.setattr(empirical, "_walk_chunk", counting)
+        m.setattr(empirical, "_draw_leaves", drawing)
         m.setattr(empirical, "_worker_count", lambda n_jobs: 1)
         cloud = lq.sample(g, n_per_vertex, seed, **kwargs)
     return cloud, sum(words) / len(cloud), sum(edges) / len(cloud)
@@ -291,17 +296,21 @@ def test_walks_stop_at_the_depth_the_box_counts_see(monkeypatch, family):
     # run until their contraction fell below 1e-9 took 17.9 to 22.0 edges
     g = lq.build_example(lq.canonical_params(family))
     _, _, depth = _sample_counting_draws(monkeypatch, g, 20_000, seed=1)
-    assert depth <= (9.0 if g.dim == 1 else 11.0)
+    assert depth <= (8.0 if g.dim == 1 else 10.5)
+
+
+# raw words per point: one for the leaf of the table of stopped cylinders,
+# then one per edge after an open leaf.  Measured at seed 1: 1.0 (1-D; 1.0001
+# on nonstrong-r-heights), 5.02 (strong-r2) and 3.27 (nonstrong-r2); drawing
+# every edge took 7.7 to 10.0, and a k-edge prefix alone 2.71 to 5.02
+_MAX_WORDS = {"strong-r2": 5.1, "nonstrong-r2": 3.4}
 
 
 @pytest.mark.parametrize("family", lq.FAMILY_IDS)
 def test_first_edges_drawn_as_one_path(monkeypatch, family):
-    # one raw word per point for the k-edge prefix, then one per edge: 2.71
-    # to 2.73 words per point (1-D), 5.02 (strong-r2, k = 6) and 4.26
-    # (nonstrong-r2, k = 5), where drawing every edge took 7.7 to 10.0
     g = lq.build_example(lq.canonical_params(family))
     _, words, _ = _sample_counting_draws(monkeypatch, g, 20_000, seed=1)
-    assert words <= (3.0 if g.dim == 1 else 5.5)
+    assert words <= _MAX_WORDS.get(family, 1.01)
 
 
 def _starts(g, scales):
@@ -309,55 +318,105 @@ def _starts(g, scales):
     return empirical._starts(empirical._walk_tables(g), grids)
 
 
-_PREFIX_CASES = {
-    **{
-        name: _EXACTNESS_CASES[name]
-        for name in (*lq.FAMILY_IDS, "nonstrong-r2-non-nested", "strong-r2-incommensurable")
-    },
-    # 4^14 paths from each vertex would stay unseen by every test; the path
-    # bound cuts the prefix to 4^6
+_TABLE_CASES = {
+    **_EXACTNESS_CASES,
+    # 4^14 paths from each vertex would stay unseen by every test; the level
+    # bound stops the table at the 4^6 paths of six edges
     "strong-r2-to-2^-20": (_canonical("strong-r2"), tuple(2.0**-k for k in range(4, 21))),
+    # the level bound stops the table before any leaf ends: 3^7 open leaves
+    # on vertices 1-5
+    "nonstrong-r-heights-to-2^-16": (
+        _canonical("nonstrong-r-heights"), tuple(2.0**-k for k in range(4, 17))
+    ),
 }
 
 
-@pytest.mark.parametrize("case", _PREFIX_CASES)
-def test_no_walk_can_end_inside_its_prefix(case):
-    make, scales = _PREFIX_CASES[case]
+def _tables_and_oracle(case):
+    """g and, per start vertex, the sampler's table, the oracle's table and
+    whether the oracle's stop rule ends a walk at each of its leaves, with
+    each leaf's box centre."""
+    make, scales = _TABLE_CASES[case]
     g = make()
-    starts = _starts(g, scales)
-    depth = starts[0].depth
-    assert depth == prefix_depth(g, scales) > 0
-    for start in starts:
-        assert start.depth == depth and len(start.key) <= empirical.MAX_PREFIX_PATHS
-        # above every column's threshold, so no path skips a stop test
-        assert start.scale.min() > start.near.max()
-    if case == "strong-r2-to-2^-20":
-        # cut by the bound: one more edge would still be unseen
-        min_ratio = min(e.map.ratio for e in g.edges)
-        assert depth == 6 and starts[0].least * min_ratio > starts[0].near.max()
+    boxes, origin = vertex_boxes(g), np.array([lo for lo, _ in g.bbox])
+    out = []
+    for v, start in enumerate(_starts(g, scales)):
+        table = cylinder_table(g, v, scales)
+        out.append((start, table, *stops(boxes, origin, scales, *table[2])))
+    return g, out
 
 
-@pytest.mark.parametrize("family", lq.FAMILY_IDS)
-def test_path_keys_match_the_oracle(family):
-    g = lq.build_example(lq.canonical_params(family))
-    for v, start in enumerate(_starts(g, DEFAULT_SCALES)):
-        _, keys = prefix_paths(g, v, start.depth)
+@pytest.mark.parametrize("case", _TABLE_CASES)
+def test_path_keys_match_the_oracle(case):
+    _, starts = _tables_and_oracle(case)
+    for start, (leaves, keys, _), _, _ in starts:
         assert np.all(np.diff(start.key) >= 0) and start.key[-1] == 2**53
         assert np.array_equal(start.key, keys)
+        assert np.array_equal(start.depth, [len(edges) for edges, _ in leaves])
+        assert np.array_equal(start.slot < 0, [terminal for _, terminal in leaves])
+
+
+@pytest.mark.parametrize("case", _TABLE_CASES)
+def test_terminal_leaves_fit_every_grid(case):
+    # a terminal leaf's box fits every tested grid, or its scale is at most
+    # the floor; its point is the box centre
+    _, starts = _tables_and_oracle(case)
+    for start, _, fits, centre in starts:
+        terminal = start.slot < 0
+        assert np.all(fits[terminal])
+        ended = ~start.slot[terminal]
+        assert np.array_equal(np.sort(ended), np.arange(start.point.shape[1]))
+        assert np.max(np.abs(start.point[:, ended] - centre[terminal].T), initial=0.0) <= 1e-15
+
+
+@pytest.mark.parametrize("case", _TABLE_CASES)
+def test_no_walk_can_end_inside_its_prefix(case):
+    # a walk that draws an open leaf goes on from it: the leaf's box fits
+    # not every grid and its scale is above the floor, and the table grew
+    # until no leaf was open or one more level would break a node bound
+    g, starts = _tables_and_oracle(case)
+    for v, (start, (_, _, state), fits, _) in enumerate(starts):
+        terminal = start.slot < 0
+        assert not np.any(fits[~terminal])
+        assert np.array_equal(start.slot[~terminal], np.arange(len(start.vkey)))
+        assert np.array_equal(start.scale, state[1][~terminal])
+        assert len(start.vkey) <= empirical.MAX_LEVEL_NODES
+        assert len(start.key) <= empirical.MAX_TABLE_NODES
+        n_next = sum(len(g.out_edges(w)) for w in state[0][~terminal])
+        assert n_next == 0 or (
+            n_next > empirical.MAX_LEVEL_NODES
+            or np.count_nonzero(terminal) + n_next > empirical.MAX_TABLE_NODES
+        )
+        if case in ("strong-r2", "strong-r2-to-2^-20"):
+            # the 4096 paths of six edges, all open, as a prefix drawn as one path
+            assert start.levels == 6 and len(start.key) == 4096 and not np.any(terminal)
+        if case == "nonstrong-r-heights-to-2^-16":
+            # vertices 1-5 of the paper have 3 out-edges each, vertex 6 has 2
+            assert len(start.key) == (3**7 if v < 5 else 3281) and not np.any(terminal)
 
 
 @pytest.mark.parametrize("family", ["strong-r", "nonstrong-r2"])
 def test_drawn_paths_follow_the_path_probabilities(family):
-    # chi-square over the paths, at a fixed seed: with 377 and 528 paths the
-    # statistic lies within 5 standard deviations (sqrt(2 dof)) of its dof
+    # chi-square over the table's leaves, at a fixed seed, with consecutive
+    # leaves pooled until each pool expects at least 20 draws: the statistic
+    # lies within 5 standard deviations (sqrt(2 dof)) of its dof
     g = lq.build_example(lq.canonical_params(family))
     start = _starts(g, DEFAULT_SCALES)[0]
     n = 400_000
-    path = empirical._draw_paths(start, n, np.random.default_rng(3))
-    assert np.all(np.diff(path) >= 0)
-    got = np.bincount(path, minlength=len(start.key))
+    leaf = empirical._draw_leaves(start, n, np.random.default_rng(3))
+    assert np.all(np.diff(leaf) >= 0)
+    got = np.bincount(leaf, minlength=len(start.key))
     want = np.diff(start.key, prepend=0) / 2.0**53 * n
-    assert np.all(want > 0.0) and np.min(want) >= 5.0
+    assert np.all(want > 0.0)
+    pool = np.empty(len(want), dtype=np.int64)
+    k, total = 0, 0.0
+    for i, w in enumerate(want):
+        pool[i] = k
+        total += w
+        if total >= 20.0:
+            k, total = k + 1, 0.0
+    pool = np.minimum(pool, k - 1)  # a short last pool joins the one before it
+    got, want = np.bincount(pool, got), np.bincount(pool, want)
+    assert np.min(want) >= 20.0
     chi2 = float(np.sum((got - want) ** 2 / want))
     dof = len(want) - 1
     assert abs(chi2 - dof) <= 5.0 * math.sqrt(2.0 * dof), (chi2, dof)
