@@ -373,7 +373,7 @@ class _Start:
     ``scale`` and ``trans``, the walk state after ``levels`` edges, computed
     by the same float operations as that many sweeps of _step.  ``least`` is
     min_ratio^levels, and ``near`` holds the sweep's test thresholds per
-    column g * E + e (see _near), shared by every start.
+    column g * E + e (see _starts), shared by every start.
     """
 
     levels: int  # edge levels grown; with none, a walk draws no leaf
@@ -389,19 +389,17 @@ class _Start:
     near: np.ndarray  # (G * E,)
 
 
-def _near(tables: _WalkTables, grids):
-    """The sweep's test thresholds per column ge: a walk's box can fit the
-    finest grid only once its scale is at most near[ge] (always, for a box
-    of zero width).  The margin keeps rounding from hiding a box exactly one
-    side wide from the test."""
+def _starts(tables: _WalkTables, grids) -> list[_Start]:
+    """One table of stopped cylinders per start vertex.
+
+    At column ge, a walk's box can fit the finest grid only once its scale
+    is at most near[ge] (always, for a box of zero width), so every stop
+    test first checks that.  The margin keeps rounding from hiding a box
+    exactly one side wide from the test.
+    """
     with np.errstate(divide="ignore"):
         near = grids[0] / (2.0 * tables.half.max(axis=0)) * (1.0 + 1e-9)
-    return np.maximum(near, SCALE_FLOOR)
-
-
-def _starts(tables: _WalkTables, grids) -> list[_Start]:
-    """One table of stopped cylinders per start vertex."""
-    near = _near(tables, grids)
+    near = np.maximum(near, SCALE_FLOOR)
     return [_start(tables, v, near, grids) for v in range(len(tables.first_edge) - 1)]
 
 
