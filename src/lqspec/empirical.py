@@ -17,12 +17,15 @@ exact draw.  The sides fix the depth, so there is no other stopping knob.
 Each ``sample`` call tabulates, for each start vertex, the cylinders at
 which walks stop: a tree of edge paths grown one level at a time, in which
 a node where the walk's stop test ends it becomes a terminal leaf holding
-its box centre, while the other (open) leaves hold the walk state.  The
-tree grows while a level adds at most MAX_LEVEL_NODES leaves and the table
-keeps at most MAX_TABLE_NODES.  Each walk draws its leaf by one inverse-CDF
-lookup on the leaves' cumulative probabilities, which gives it the law of
-edge-by-edge draws up to that leaf, and the depth is the same.  A walk that
-draws a terminal leaf is done; at the default sides every 1-D walk is.
+its box centre, while the other (open) leaves hold the walk state.  A tree
+grows while a level adds at most MAX_LEVEL_NODES of its leaves and it keeps
+at most MAX_TABLE_NODES; all start vertices' trees grow in one level loop.
+Each walk draws its leaf by one inverse-CDF lookup on the leaves'
+cumulative probabilities, which gives it the law of edge-by-edge draws up
+to that leaf, and the depth is the same.  A walk that draws a terminal leaf
+is done, and only the number of walks at each leaf is kept; at the default
+sides every 1-D walk is done there.  So a cloud holds counted leaves, and
+box counting bins each terminal leaf's centre once, weighted by its count.
 
 After an open leaf, each sweep moves every active walk one edge with a
 fixed set of whole-array operations.  One inverse-CDF lookup over all walks
@@ -41,14 +44,16 @@ Sampling is organized in fixed-size chunks of 65536 walks with one
 deterministic random stream per (seed, vertex, chunk).  A chunk first
 draws one ``rng.bit_generator.random_raw(count)`` for its walks' leaves
 (none when the table grew no level) and sorts it, so the walks come grouped
-by leaf; then the walks from open leaves stay in ascending order and draw
-one ``random_raw(n_active)`` per sweep.  The top 53 bits of each raw word are
+by leaf and each leaf's count is one ``searchsorted`` away; then the walks
+from open leaves stay in ascending order and draw one
+``random_raw(n_active)`` per sweep.  The top 53 bits of each raw word are
 the m of the m / 2^53 that ``rng.random()`` would return from the same
-stream, so a seed fixes every point.  Each chunk writes its
-own columns of one coordinate-major array, so the chunks run on a thread
-pool with one worker per CPU available to the process (numpy releases the
-interpreter lock in the gathers and draws).  There is no setting for the
-worker count, and the points do not depend on it.
+stream, so a seed fixes every point.  Every chunk counts its leaves before
+any walk goes on, and each chunk writes its swept walks' points to its own
+columns of one coordinate-major array sized to them, so the chunks run on
+a thread pool with one worker per CPU available to the process (numpy
+releases the interpreter lock in the gathers and draws).  There is no
+setting for the worker count, and the points do not depend on it.
 
 This is the only module that needs numpy; it converts the maps' plain
 tuples (``gifs.Similitude``) into its arrays.
@@ -56,6 +61,7 @@ tuples (``gifs.Similitude``) into its arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import os
@@ -91,14 +97,74 @@ _ORIENTATION_TOL = 1e-9
 _BOX_ROUNDS = 100
 
 
-@dataclass(frozen=True)
 class SampleCloud:
-    points: np.ndarray  # (n, d), vertex-major: n_per_vertex points from each vertex
-    scales: tuple[float, ...]  # the box sides the walks resolve, coarsest first
-    grid_anchor: tuple = ()
+    """n points, (n, d) and vertex-major (n_per_vertex from each vertex in
+    turn), exact at the box sides in ``scales`` (coarsest first); box
+    counting anchors its grids at ``grid_anchor``.
+
+    A cloud is built from an (n, d) array of points, or by ``sample`` from
+    counted leaves: per chunk, how many of its walks drew each leaf of the
+    start vertex's table, and the points of the walks that went on from
+    open leaves.  Such a cloud expands to one row per walk only when
+    ``points`` is first read, and box counting never reads it.
+    """
+
+    def __init__(self, points, scales, grid_anchor=()):
+        points = np.asarray(points)
+        self.scales = scales  # the box sides the walks resolve, coarsest first
+        self.grid_anchor = grid_anchor
+        self.__dict__["points"] = points  # the value that ``points`` caches
+        self._n = len(points)
+        self._swept = points.T  # (d, m): the points binned one by one
+        self._ended = None  # ((d, t) centres, (t,) walk counts), binned once each
+
+    @classmethod
+    def _counted(cls, swept, scales, grid_anchor, starts, chunks):
+        """The cloud of ``sample``'s chunks, each (v, leaf counts): its walks
+        drew leaves of starts[v].  The (d, m) swept holds the points of the
+        walks that went on from open leaves, chunk after chunk, each chunk's
+        in the order of their leaves."""
+        cloud = cls.__new__(cls)
+        cloud.scales, cloud.grid_anchor = scales, grid_anchor
+        cloud._swept, cloud._starts, cloud._chunks = swept, starts, chunks
+        cloud._n = sum(int(counts.sum()) for _, counts in chunks)
+        weights = [np.zeros(start.point.shape[1], dtype=np.int64) for start in starts]
+        for v, counts in chunks:
+            slot = starts[v].slot
+            ended = slot < 0
+            weights[v][~slot[ended]] += counts[ended]
+        drawn = [w > 0 for w in weights]
+        cloud._ended = None
+        if any(d.any() for d in drawn):
+            cloud._ended = (
+                np.concatenate([s.point[:, d] for s, d in zip(starts, drawn)], axis=1),
+                np.concatenate([w[d] for w, d in zip(weights, drawn)]),
+            )
+        return cloud
+
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        """The (n, d) points, the transpose of one (d, n) array."""
+        if self._ended is None:  # every walk went on from an open leaf
+            return self._swept.T
+        rows = np.empty((len(self._swept), len(self)))
+        col = at = 0
+        for v, counts in self._chunks:
+            start = self._starts[v]
+            slot = np.repeat(start.slot, counts)
+            out = rows[:, col : col + len(slot)]
+            done = np.flatnonzero(slot < 0)
+            ended = ~slot.take(done)
+            for row, c in zip(out, start.point):
+                row[done] = c.take(ended)
+            pos = np.flatnonzero(slot >= 0)
+            out[:, pos] = self._swept[:, at : at + len(pos)]
+            col += len(slot)
+            at += len(pos)
+        return rows.T
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self._n
 
 
 @dataclass(frozen=True)
@@ -115,54 +181,83 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
     sides in scales.
 
     The cylinders at which walks stop are tabulated once per start vertex,
-    on a worker thread; every walk draws its leaf of its vertex's table and,
-    from an open leaf, goes on edge by edge.
-    Chunk c of vertex v walks CHUNK_SIZE points (fewer in the last chunk) on
-    its own (seed, v, c) stream and writes them to its own columns of one
-    (d, N) array; the cloud is that array's transpose.  The chunks run on
-    one thread per CPU available to the process, and the points do not
-    depend on how many run.  On an error in a chunk or an interrupt in the
-    caller, queued chunks are cancelled and the error propagates once no
-    chunk is running.  Bad arguments raise InvalidParams before any walk.
+    on a worker thread.  Chunk c of vertex v walks CHUNK_SIZE points (fewer
+    in the last chunk) on its own (seed, v, c) stream: first every chunk
+    draws its walks' leaves, while the tables are built, and counts how
+    many draw each leaf of v's table; then the walks that drew open leaves
+    go on edge by edge, each chunk writing their points to its own columns
+    of one (d, m) array sized to them.  The cloud keeps the counts and that
+    array.  The chunks run on one thread
+    per CPU available to the process, and the points do not depend on how
+    many run.  On an error in a chunk or an interrupt in the caller, queued
+    chunks are cancelled and the error propagates once no chunk is running.
+    Bad arguments raise InvalidParams before any walk.
     """
     n_per_vertex = _nonnegative_int("n_per_vertex", n_per_vertex)
     seed = _nonnegative_int("seed", seed)
     hs = _resolvable_sides(g, scales)
     tables = _walk_tables(g)
     grids = _tested_grids(hs)
-    # Coordinate-major: box counting reads each coordinate as one contiguous row.
-    rows = np.empty((g.dim, g.num_vertices * n_per_vertex))
 
-    def walk(v, c):
-        start = v * n_per_vertex + c * CHUNK_SIZE
-        stop = min(start + CHUNK_SIZE, (v + 1) * n_per_vertex)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(v, c)))
-        _walk_chunk(tables, starts[v], rows[:, start:stop], rng, grids)
+    def stream(v, c):
+        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(v, c)))
+
+    def size(c):
+        return min(CHUNK_SIZE, n_per_vertex - c * CHUNK_SIZE)
+
+    def draw(v, c):
+        rng = stream(v, c)
+        return rng, _draw_leaves(size(c), rng)
+
+    def count(v, c, rng, draws):
+        if not starts[v].levels:  # no leaf to draw: the walks take the whole stream
+            return stream(v, c), np.array([size(c)])
+        return rng, _count_leaves(starts[v], draws)
+
+    def walk(v, rng, counts, a, b):
+        _walk_chunk(tables, starts[v], counts, swept[:, a:b], rng, grids)
 
     n_chunks = (n_per_vertex + CHUNK_SIZE - 1) // CHUNK_SIZE
     jobs = [(v, c) for v in range(g.num_vertices) for c in range(n_chunks)]
     workers = _worker_count(len(jobs))
-    if workers <= 1:
-        starts = _starts(tables, grids)
-        for job in jobs:
-            walk(*job)
-    else:
-        pool = ThreadPoolExecutor(workers)
-        try:
-            # On a worker, the tables and their temporaries stay out of the
-            # caller's heap, whose free space box counting reuses; built
-            # here, they raised the peak RSS of repeated 2-D calls by 7 MB.
-            # One job per vertex was no faster: the builds hold the
-            # interpreter lock for most of their time.
-            starts = pool.submit(_starts, tables, grids).result()
-            futures = [pool.submit(walk, *job) for job in jobs]
-            done, _ = wait(futures, return_when=FIRST_EXCEPTION)
-            for future in done:
-                future.result()
-        finally:
+    pool = ThreadPoolExecutor(workers) if workers > 1 else None
+    try:
+        # On a worker, the tables and their temporaries stay out of the
+        # caller's heap, whose free space box counting reuses; built here,
+        # they raised the peak RSS of repeated 2-D calls by 7 MB.  The
+        # build holds the interpreter lock for most of its time, and the
+        # leaf draws, which release it, run beside it.
+        build = pool.submit(_starts, tables, grids) if pool else None
+        drawn = _run(pool, draw, jobs)
+        starts = build.result() if pool else _starts(tables, grids)
+        drawn = _run(pool, count, [(*job, *rng_draws) for job, rng_draws in zip(jobs, drawn)])
+        chunks = [(v, counts) for (v, _), (_, counts) in zip(jobs, drawn)]
+        at = np.cumsum([0] + [int(k[starts[v].slot >= 0].sum()) for v, k in chunks])
+        # Coordinate-major: box counting reads each coordinate as one contiguous row.
+        swept = np.empty((g.dim, at[-1]))
+        _run(pool, walk, [(v, rng, counts, a, b)
+                          for (v, _), (rng, counts), a, b in zip(jobs, drawn, at, at[1:]) if b > a])
+    finally:
+        if pool:
             # A plain `with` would run every queued chunk before re-raising.
             pool.shutdown(cancel_futures=True)
-    return SampleCloud(points=rows.T, scales=hs, grid_anchor=tuple(lo for lo, _ in g.bbox))
+    return SampleCloud._counted(swept, hs, tuple(lo for lo, _ in g.bbox), starts, chunks)
+
+
+def _run(pool, fn, jobs):
+    """fn(*job) for each job, on the pool's threads if there is a pool.
+
+    Returns the results in job order once every job is done; raises the
+    first error as soon as a job fails, leaving the queued jobs for the
+    caller to cancel.
+    """
+    if pool is None:
+        return [fn(*job) for job in jobs]
+    futures = [pool.submit(fn, *job) for job in jobs]
+    done, _ = wait(futures, return_when=FIRST_EXCEPTION)
+    for future in done:
+        future.result()
+    return [future.result() for future in futures]
 
 
 def _nonnegative_int(name, value) -> int:
@@ -389,8 +484,19 @@ class _Start:
     near: np.ndarray  # (G * E,)
 
 
-def _starts(tables: _WalkTables, grids) -> list[_Start]:
-    """One table of stopped cylinders per start vertex.
+def _starts(tables: _WalkTables, grids, roots=None) -> list[_Start]:
+    """The table of stopped cylinders from each root (every vertex by
+    default), all grown in one loop, one edge level at a time.
+
+    Each level replaces every open leaf of a growing root by its children,
+    one per out-edge, and tests each child by the walk's own stop rule (the
+    ``near`` prefilter, then _stops): a child at which a walk would end
+    becomes terminal.  A root stops growing when it has no open leaf, or
+    before a level that would add more than MAX_LEVEL_NODES of its leaves
+    or bring its table above MAX_TABLE_NODES; the other roots go on.  Each
+    level lists its nodes root by root, each root's in the order that its
+    own build would give them, so every table is the one its root grows
+    alone.
 
     At column ge, a walk's box can fit the finest grid only once its scale
     is at most near[ge] (always, for a box of zero width), so every stop
@@ -400,127 +506,171 @@ def _starts(tables: _WalkTables, grids) -> list[_Start]:
     with np.errstate(divide="ignore"):
         near = grids[0] / (2.0 * tables.half.max(axis=0)) * (1.0 + 1e-9)
     near = np.maximum(near, SCALE_FLOOR)
-    return [_start(tables, v, near, grids) for v in range(len(tables.first_edge) - 1)]
-
-
-def _start(tables: _WalkTables, v, near, grids) -> _Start:
-    """The table of stopped cylinders from v, grown one edge level at a time.
-
-    Each level replaces every open leaf by its children, one per out-edge,
-    and tests each child by the walk's own stop rule (the ``near`` prefilter,
-    then _stops): a child at which a walk would end becomes terminal.
-    Growth ends when no leaf is open, or before a level that would add more
-    than MAX_LEVEL_NODES leaves or bring the table above MAX_TABLE_NODES.
-    """
-    vkey = np.array([v << _VERTEX_SHIFT])
-    orient = np.zeros(1, dtype=np.int64)
-    scale = np.ones(1)
-    trans = np.zeros((len(tables.origin), 1))
-    # per level, the root's first: each node's stop flag and probability,
-    # and the out-degrees of the level above's open nodes, its parents
-    grown = [(np.zeros(1, dtype=bool), np.ones(1), None)]
-    points = [np.empty((len(tables.origin), 0))]  # the terminal nodes', level by level
-    n_ended, least = 0, 1.0
+    if roots is None:
+        roots = range(len(tables.first_edge) - 1)
+    vkey = np.array(roots, dtype=np.int64) << _VERTEX_SHIFT
+    n_roots = len(vkey)
+    root = np.arange(n_roots)  # each open node's root, an index into roots
+    orient = np.zeros(n_roots, dtype=np.int64)
+    scale = np.ones(n_roots)
+    trans = np.zeros((len(tables.origin), n_roots))
+    # per level: each node's stop flag and probability, the number of nodes
+    # of each root, whether each node grew children, and the out-degrees of
+    # the level above's grown nodes
+    grown = [[np.zeros(n_roots, dtype=bool), np.ones(n_roots), np.ones(n_roots, dtype=np.int64),
+              np.zeros(n_roots, dtype=bool), None]]
+    none = np.zeros(0, dtype=np.int64)
+    # per level, the terminal nodes' box centres and roots
+    ended = [(trans[:, :0], none)]
+    # the open leaves' (root, vkey, orient, scale, trans), per level at
+    # which roots stopped growing with open leaves
+    held = [(none, none, none, scale[:0], trans[:, :0])]
+    n_ended = np.zeros(n_roots, dtype=np.int64)
+    levels = np.zeros(n_roots, dtype=np.int64)
+    least = [1.0]
     while len(vkey):
         at = vkey >> _VERTEX_SHIFT
         first = tables.first_edge.take(at)
         deg = tables.first_edge.take(at + 1) - first
+        n_new = np.bincount(root, weights=deg, minlength=n_roots)
+        go = ((n_new <= MAX_LEVEL_NODES) & (n_ended + n_new <= MAX_TABLE_NODES)).take(root)
+        stop, prob, _, grew, _ = grown[-1]
+        grew[np.flatnonzero(~stop)[go]] = True
+        if not go.all():
+            stay, keep = np.flatnonzero(~go), np.flatnonzero(go)
+            held.append((root.take(stay), vkey.take(stay), orient.take(stay),
+                         scale.take(stay), trans.take(stay, axis=1)))
+            if not len(keep):
+                break
+            root, orient, scale, first, deg = (a.take(keep) for a in (root, orient, scale, first, deg))
+            trans = trans.take(keep, axis=1)
         n_new = int(deg.sum())
-        if n_new > MAX_LEVEL_NODES or n_ended + n_new > MAX_TABLE_NODES:
-            break
         parent = np.repeat(np.arange(len(deg)), deg)
         # each parent's edges in order: the child at offset i of its run takes first + i
         e = np.arange(n_new) + np.repeat(first - np.cumsum(deg) + deg, deg)
-        stop, prob, _ = grown[-1]
-        prob = prob[~stop].take(parent)
+        prob = prob[grew].take(parent)
         prob *= tables.prob.take(e)
+        root = root.take(parent)
+        levels[root] = len(grown)
+        least.append(least[-1] * tables.ratio.min())
         scale, trans = scale.take(parent), trans.take(parent, axis=1)
         ge, vkey, orient = _advance(tables, e, orient.take(parent), scale, trans)
-        least *= tables.ratio.min()
         test = np.flatnonzero(scale <= near.take(ge))
         ends, centre = _stops(tables, grids, ge.take(test), scale.take(test),
                               trans.take(test, axis=1))
-        points.append(centre[:, ends])
+        test = test[ends]
+        ended.append((centre[:, ends], root.take(test)))
+        n_ended += np.bincount(ended[-1][1], minlength=n_roots)
         stop = np.zeros(n_new, dtype=bool)
-        stop[test[ends]] = True
-        grown.append((stop, prob, deg))
-        n_ended += points[-1].shape[1]
+        stop[test] = True
+        grown.append([stop, prob, np.bincount(root, minlength=n_roots),
+                      np.zeros(n_new, dtype=bool), deg])
         live = np.flatnonzero(~stop)
-        vkey, orient, scale = vkey.take(live), orient.take(live), scale.take(live)
+        root, vkey, orient, scale = root.take(live), vkey.take(live), orient.take(live), scale.take(live)
         trans = trans.take(live, axis=1)
-    slot, prob, depth = _leaf_order(grown)
-    key = np.minimum(np.ceil(np.cumsum(prob) * _U_SCALE), _U_SCALE).astype(np.int64)
-    key[-1] = 1 << 53
-    return _Start(len(grown) - 1, key, depth, slot, np.concatenate(points, axis=1),
-                  vkey, orient, scale, trans, least, near)
+    slot, prob, depth, n_leaves = _leaf_order(grown, n_roots)
+    # root by root, level by level: the terminal nodes' centres and the open leaves' state
+    order, t_at = _root_order([r for _, r in ended], n_roots)
+    point = np.concatenate([c for c, _ in ended], axis=1).take(order, axis=1)
+    order, o_at = _root_order([h[0] for h in held], n_roots)
+    vkey, orient, scale = (np.concatenate([h[i] for h in held]).take(order) for i in (1, 2, 3))
+    trans = np.concatenate([h[4] for h in held], axis=1).take(order, axis=1)
+    l_at = np.concatenate(([0], np.cumsum(n_leaves)))
+    starts = []
+    for r in range(n_roots):
+        leaves, terminal, open_ = (slice(at[r], at[r + 1]) for at in (l_at, t_at, o_at))
+        key = np.minimum(np.ceil(np.cumsum(prob[leaves]) * _U_SCALE), _U_SCALE).astype(np.int64)
+        key[-1] = 1 << 53
+        starts.append(_Start(int(levels[r]), key, depth[leaves], slot[leaves], point[:, terminal],
+                             vkey[open_], orient[open_], scale[open_], trans[:, open_],
+                             least[levels[r]], near))
+    return starts
 
 
-def _leaf_order(grown):
-    """(slot, prob, depth) of the leaves of the tree that _start grew, in
-    lexicographic edge order: its terminal nodes, the t-th of them (level by
-    level) with slot -1 - t, and the open nodes of its last level, the i-th
-    with slot i.
+def _root_order(roots, n_roots):
+    """The stable order that groups the joined roots root by root, and where
+    each root's run starts (n_roots + 1 offsets)."""
+    root = np.concatenate(roots)
+    n = np.bincount(root, minlength=n_roots)
+    return np.argsort(root, kind="stable"), np.concatenate(([0], np.cumsum(n)))
 
-    A node's leaves are itself when it is a leaf, else its children's
-    leaves; a leaf's place is the number of leaves in the subtrees of the
-    nodes before it at its level and at each level above.
+
+def _leaf_order(grown, n_roots):
+    """(slot, prob, depth, n_leaves) of the leaves of the trees that _starts
+    grew: each root's leaves in lexicographic edge order, root after root,
+    n_leaves[r] of them for root r.  Among a root's leaves, the t-th of its
+    terminal nodes (level by level) has slot -1 - t, and the i-th of its
+    open leaves slot i.  The levels of grown are dropped as they are read.
+
+    A node's leaves are itself when it grew no children, else its
+    children's leaves; a leaf's place is the number of leaves in the
+    subtrees of the nodes before it at its level and at each level above.
     """
     # leaves per node, bottom up
     size = [np.ones(len(grown[-1][0]), dtype=np.int64)]
     for level in range(len(grown) - 2, -1, -1):
-        stop, deg = grown[level][0], grown[level + 1][2]
-        above = np.ones(len(stop), dtype=np.int64)
-        above[~stop] = np.add.reduceat(size[-1], np.cumsum(deg) - deg)
+        grew, deg = grown[level][3], grown[level + 1][4]
+        above = np.ones(len(grew), dtype=np.int64)
+        above[grew] = np.add.reduceat(size[-1], np.cumsum(deg) - deg)
         size.append(above)
     size.reverse()
-    n_leaves = int(size[0][0])
-    slot = np.empty(n_leaves, dtype=np.int64)
-    prob = np.empty(n_leaves)
-    depth = np.empty(n_leaves, dtype=np.int64)
-    place = np.zeros(1, dtype=np.int64)
-    n_ended = 0
-    for level, ((stop, p, deg), n) in enumerate(zip(grown, size)):
+    n_leaves = size[0]
+    slot = np.empty(n_leaves.sum(), dtype=np.int64)
+    prob = np.empty(len(slot))
+    depth = np.empty(len(slot), dtype=np.int64)
+    place = np.cumsum(n_leaves) - n_leaves
+    n_ended = np.zeros(n_roots, dtype=np.int64)
+    n_open = np.zeros(n_roots, dtype=np.int64)
+    above = None
+    for level in range(len(grown)):
+        # each level is dropped once placed
+        (stop, p, n_at, grew, deg), n = grown[level], size[level]
+        grown[level] = size[level] = None
         if level:
             # a parent's place, plus the leaves of the siblings before the node
             before = np.cumsum(n) - n
-            place = np.repeat(place[~grown[level - 1][0]] - before[np.cumsum(deg) - deg], deg)
+            place = np.repeat(place[above] - before[np.cumsum(deg) - deg], deg)
             place += before
+        root = np.repeat(np.arange(n_roots), n_at)
         leaf = np.flatnonzero(stop)
-        slot[place[leaf]] = -1 - np.arange(n_ended, n_ended + len(leaf))
-        n_ended += len(leaf)
-        if level == len(grown) - 1:
-            open_ = np.flatnonzero(~stop)
-            slot[place[open_]] = np.arange(len(open_))
-            leaf = np.arange(len(stop))
+        slot[place[leaf]] = -1 - _rank(root.take(leaf), n_ended)
+        leaf = np.flatnonzero(~(stop | grew))
+        slot[place[leaf]] = _rank(root.take(leaf), n_open)
+        leaf = np.flatnonzero(~grew)
         prob[place[leaf]] = p[leaf]
         depth[place[leaf]] = level
-    return slot, prob, depth
+        above = grew
+    return slot, prob, depth, n_leaves
 
 
-def _walk_chunk(tables: _WalkTables, start: _Start, out, rng, grids):
-    """Walk out.shape[1] points from start's vertex into the (d, count) out.
+def _rank(root, seen):
+    """Each node's index among the nodes of its root, counted on from
+    seen[root], for nodes grouped by root; adds their numbers to seen."""
+    n = np.bincount(root, minlength=len(seen))
+    rank = np.arange(len(root)) - (np.cumsum(n) - n).take(root) + seen.take(root)
+    seen += n
+    return rank
 
-    Each walk first draws its leaf of start's table (no draw when the table
-    grew no level).  A terminal leaf gives the walk's point; from an open
-    leaf the walk advances one edge per sweep.  Once a walk's box is no
-    wider than the finest side in grids, it ends when its box lies in one
-    closed box of each grid in grids (sides, finest first, anchored at
+
+def _walk_chunk(tables: _WalkTables, start: _Start, counts, out, rng, grids):
+    """Walk on from start's open leaves, counts[i] walks from leaf i, into
+    the (d, n) out, one column per walk in the order of their leaves.
+
+    Each walk advances one edge per sweep.  Once its box is no wider than
+    the finest side in grids, it ends when its box lies in one closed box
+    of each grid in grids (sides, finest first, anchored at
     ``tables.origin``) or its scale is at most SCALE_FLOOR, and its point is
     the box's centre.  Finished walks leave the arrays: the active walks stay
     compacted in ascending order and draw one raw word each per sweep.
     Coordinates are rows (d, n), so every gather and compaction acts on
     contiguous 1-D data.
     """
-    slot = start.slot.take(_draw_leaves(start, out.shape[1], rng))
-    done = np.flatnonzero(slot < 0)
-    ended = ~slot.take(done)
-    for row, c in zip(out, start.point):
-        row[done] = c.take(ended)
-    pos = np.flatnonzero(slot >= 0)
-    slot = slot.take(pos)
+    going = start.slot >= 0
+    slot = np.repeat(start.slot[going], counts[going])
+    pos = np.arange(len(slot))
     vkey, orient = start.vkey.take(slot), start.orient.take(slot)  # orient: E * index
     scale, trans = start.scale.take(slot), start.trans.take(slot, axis=1)
-    del slot, done, ended
+    del slot
     near, least, min_ratio = start.near, start.least, tables.ratio.min()
     near_max = near.max()
 
@@ -543,20 +693,21 @@ def _walk_chunk(tables: _WalkTables, start: _Start, out, rng, grids):
             scale, trans = scale.take(live), trans.take(live, axis=1)
 
 
-def _draw_leaves(start: _Start, count, rng):
-    """The leaf index of each of count walks, ascending.
-
-    One raw word per walk, sorted, is counted into each leaf's range of
-    keys: the counts of count independent inverse-CDF draws.
-    """
-    if not start.levels:
-        return np.zeros(count, dtype=np.int64)
+def _draw_leaves(count, rng):
+    """One draw m (of m / 2^53) per walk for its leaf, count of them,
+    sorted: the top 53 bits of one raw word each."""
     key = rng.bit_generator.random_raw(count)
     key >>= _RAW_SHIFT
     key = key.view(np.int64)
     key.sort()
-    ends = np.searchsorted(key, start.key)
-    return np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+    return key
+
+
+def _count_leaves(start: _Start, draws):
+    """How many of the sorted draws fall in each leaf's range of keys in
+    start's table: the counts of that many independent inverse-CDF
+    draws."""
+    return np.diff(np.searchsorted(draws, start.key), prepend=0)
 
 
 def _step(tables: _WalkTables, rng, vkey, orient, scale, trans):
@@ -640,10 +791,14 @@ def partition_sum(cloud: SampleCloud, scales, q: float, total_mass: float) -> li
     """log S_q(h) for each grid side h in scales, where S_q(h) is the sum of
     q-th powers of the empirical box masses.
 
-    Boxes are anchored at the family bounding-box corner (no random
-    offsets); the empirical mass of a box is total_mass * count / N.  A side
-    that the cloud was not sampled for raises InvalidParams.  An empty cloud
-    gives -inf at every scale.
+    Boxes are anchored at ``cloud.grid_anchor``, for a sampled cloud the
+    family bounding-box corner (no random offsets); the empirical mass of a
+    box is total_mass * count / N.  A counted cloud's terminal-leaf centres
+    are binned once each, weighted by how many walks drew them, and only
+    the walks that went on from open leaves are binned one by one.  A side
+    that the cloud was not sampled for, or an anchor with another number of
+    coordinates than the points, raises InvalidParams.  An empty cloud gives
+    -inf at every scale.
     """
     hs = [float(h) for h in scales]
     unresolved = sorted(set(hs) - set(cloud.scales))
@@ -651,13 +806,16 @@ def partition_sum(cloud: SampleCloud, scales, q: float, total_mass: float) -> li
         raise InvalidParams(
             f"the cloud resolves the box sides {list(cloud.scales)}, not {unresolved}"
         )
+    dim = len(cloud._swept)
+    if len(cloud.grid_anchor) != dim:
+        raise InvalidParams(
+            f"the grid anchor {tuple(cloud.grid_anchor)} has {len(cloud.grid_anchor)} "
+            f"coordinates, but the points have dimension {dim}"
+        )
     n = len(cloud)
     if n == 0:
         return [-math.inf] * len(hs)
-    return [
-        _log_sum_of_powers(counts, n, q, total_mass)
-        for counts in _box_counts(cloud.points, cloud.grid_anchor, hs)
-    ]
+    return [_log_sum_of_powers(counts, n, q, total_mass) for counts in _box_counts(cloud, hs)]
 
 
 def _log_sum_of_powers(counts, n, q, total_mass):
@@ -674,8 +832,9 @@ def _log_sum_of_powers(counts, n, q, total_mass):
     return q * math.log(total_mass * ref / n) + math.log(np.sum((c / ref) ** q))
 
 
-def _box_counts(points, anchor, hs):
-    """Occupied-box counts at each side in hs, in the order of hs.
+def _box_counts(cloud: SampleCloud, hs):
+    """Occupied-box counts of the cloud at each side in hs, in the order of
+    hs.
 
     The sides are visited finest first.  A side that is h_prev * 2^j
     exactly for the side h_prev visited before it takes its boxes from
@@ -692,7 +851,7 @@ def _box_counts(points, anchor, hs):
         h = hs[i]
         j = _octaves(prev, h)
         if j is None:
-            keys, counts = _box_keys(points, anchor, h)
+            keys, counts = _box_keys(cloud._swept, cloud._ended, cloud.grid_anchor, h)
         elif j:
             keys, counts = _distinct(keys >> j, counts)
         out[i] = counts
@@ -700,22 +859,32 @@ def _box_counts(points, anchor, hs):
     return out
 
 
-def _box_keys(points, anchor, h):
+def _box_keys(swept, ended, anchor, h):
     """The distinct keys floor((p - anchor) / h) of the points' boxes, (m, d)
     in lexicographic order, and the number of points in each.
 
-    Each coordinate row is binned in turn into one flat row-major key, so
-    besides that key only one row's float and integer keys are held.
+    The points are the columns of the (d, m) swept, each counted once, and
+    the ended centres, (d, t), each counted with its weight: ended is
+    (centres, weights), or None.  Each coordinate row is binned in turn
+    into one flat row-major key, so besides that key only one row's keys
+    are held, float and then integer in the same memory.
     """
+    n_swept = swept.shape[1]
     flat, lo, hi = None, [], []
-    for row, a in zip(points.T, anchor):
-        y = row - a
+    for axis, a in enumerate(anchor):
+        if ended is None:
+            y = swept[axis] - a
+        else:
+            y = np.concatenate([swept[axis], ended[0][axis]])
+            y -= a
         y /= h
         np.floor(y, out=y)
         lo.append(y.min())
         hi.append(y.max())
         _check_key_range(np.array(lo), np.array(hi), h)  # before the flat key can overflow
-        k = y.astype(np.int64)
+        # cast in y's own memory, so one row's keys are held, not two
+        k = y.view(np.int64)
+        np.copyto(k, y, casting="unsafe")
         del y
         k -= int(lo[-1])
         if flat is None:
@@ -724,9 +893,28 @@ def _box_keys(points, anchor, h):
             flat *= int(hi[-1] - lo[-1]) + 1
             flat += k
         del k
-    flat, counts = np.unique(flat, return_counts=True)
-    dims = tuple(int(b - a) + 1 for a, b in zip(lo, hi))
-    return np.stack(np.unravel_index(flat, dims), axis=1) + np.array(lo, dtype=np.int64), counts
+    ends = flat[n_swept:].copy()  # the centres' keys, before flat is sorted in place
+    flat, counts = _sorted_counts(flat)
+    if ended is not None:
+        # each centre was counted once; it stands for weight walks
+        np.add.at(counts, np.searchsorted(flat, ends), ended[1] - 1)
+    keys = np.stack(np.unravel_index(flat, tuple(int(b - a) + 1 for a, b in zip(lo, hi))), axis=1)
+    keys += np.array(lo, dtype=np.int64)
+    return keys, counts
+
+
+def _sorted_counts(flat):
+    """The distinct values of flat, ascending, and the number of each.
+
+    This is np.unique(flat, return_counts=True) without its copy of flat:
+    flat is sorted in place.
+    """
+    flat.sort()
+    new = np.empty(len(flat), dtype=bool)
+    new[:1] = True
+    np.not_equal(flat[1:], flat[:-1], out=new[1:])
+    first = np.flatnonzero(new)
+    return flat[first], np.diff(first, append=len(flat))
 
 
 def _check_key_range(lo, hi, h):
@@ -758,7 +946,9 @@ def _distinct(keys, weights):
     flat = flat[order]
     starts = np.flatnonzero(np.diff(flat, prepend=-1))
     counts = np.add.reduceat(weights[order], starts)
-    return np.stack(np.unravel_index(flat[starts], dims), axis=1) + lo, counts
+    keys = np.stack(np.unravel_index(flat[starts], dims), axis=1)
+    keys += lo
+    return keys, counts
 
 
 def estimate_tau(

@@ -63,24 +63,25 @@ class _CountingRng:
 def _sample_counting_draws(monkeypatch, g, n_per_vertex, seed, **kwargs):
     """The cloud, the mean number of raw words its walks drew, and their mean
     depth: the depth that the table gives the leaf each walk drew, plus one
-    edge for each word after the leaf draw."""
-    walk, draw = empirical._walk_chunk, empirical._draw_leaves
+    edge for each word drawn after the leaf draws."""
+    walk, count = empirical._walk_chunk, empirical._count_leaves
     words, edges = [], []
 
-    def counting(tables, start, out, rng, *rest):
+    def counting(tables, start, counts, out, rng, *rest):
         rng = _CountingRng(rng)
-        walk(tables, start, out, rng, *rest)
+        walk(tables, start, counts, out, rng, *rest)
         words.append(rng.words)
-        edges.append(rng.words - out.shape[1] if start.levels else rng.words)
+        edges.append(rng.words)
 
-    def drawing(start, count, rng):
-        leaf = draw(start, count, rng)
-        edges.append(int(start.depth.take(leaf).sum()))
-        return leaf
+    def leaves(start, draws):
+        counts = count(start, draws)
+        words.append(len(draws))  # one word per walk for its leaf
+        edges.append(int(start.depth @ counts))
+        return counts
 
     with monkeypatch.context() as m:
         m.setattr(empirical, "_walk_chunk", counting)
-        m.setattr(empirical, "_draw_leaves", drawing)
+        m.setattr(empirical, "_count_leaves", leaves)
         m.setattr(empirical, "_worker_count", lambda n_jobs: 1)
         cloud = lq.sample(g, n_per_vertex, seed, **kwargs)
     return cloud, sum(words) / len(cloud), sum(edges) / len(cloud)
@@ -158,17 +159,19 @@ def test_failure_cancels_queued_chunks(monkeypatch, failure):
     calls = []
     lock = threading.Lock()
 
-    def walk(tables, start_vertex, out, rng, grids):
+    def draw(count, rng):
+        # every chunk draws its leaves, whether or not its walks go on
         if failure == "chunk raises" and rng.bit_generator.seed_seq.spawn_key == (0, 0):
             raise _Interrupt("chunk 0")
         with lock:
-            calls.append(start_vertex)
+            calls.append(count)
         time.sleep(0.02)
+        return np.zeros(count, dtype=np.int64)
 
     def interrupt(signum, frame):
         raise _Interrupt("timer")
 
-    monkeypatch.setattr(empirical, "_walk_chunk", walk)
+    monkeypatch.setattr(empirical, "_draw_leaves", draw)
     monkeypatch.setattr(empirical, "_worker_count", lambda n_jobs: 2)
     g = _strong_r_gifs()
     n_chunks = 40
@@ -394,6 +397,73 @@ def test_no_walk_can_end_inside_its_prefix(case):
             assert len(start.key) == (3**7 if v < 5 else 3281) and not np.any(terminal)
 
 
+def _fan_and_cantor_gifs():
+    # vertices 0 and 2 draw Cantor sets, whose tables grow until every leaf
+    # ends; vertex 1 has 70 out-edges, so its second level would add 4900
+    # leaves and its table stops at the first, while the others grow on
+    def sim(ratio, t):
+        return lq.Similitude(1, ratio, np.eye(1), np.array([t]))
+
+    edges = (
+        lq.Edge("a", 0, 0, sim(1 / 3, 0.0), 0.5),
+        lq.Edge("b", 0, 0, sim(1 / 3, 2 / 3), 0.5),
+        *(lq.Edge(f"f{i}", 1, 1, sim(1 / 70, i / 70), 1 / 70) for i in range(70)),
+        lq.Edge("c", 2, 2, sim(0.25, 0.0), 0.3),
+        lq.Edge("d", 2, 2, sim(0.25, 0.75), 0.7),
+    )
+    return lq.Gifs(3, 1, edges)
+
+
+_ONE_PASS_CASES = {**_TABLE_CASES, "fan-and-cantor": (_fan_and_cantor_gifs, DEFAULT_SCALES)}
+
+
+@pytest.mark.parametrize("case", _ONE_PASS_CASES)
+def test_one_pass_tables_equal_the_tables_built_per_root(case):
+    # every start vertex's table grows in one level loop with the others';
+    # each must be the table that the same builder grows for that root alone
+    make, scales = _ONE_PASS_CASES[case]
+    g = make()
+    tables = empirical._walk_tables(g)
+    grids = empirical._tested_grids(empirical._resolvable_sides(g, scales))
+    together = empirical._starts(tables, grids)
+    assert len(together) == g.num_vertices
+    for v, start in enumerate(together):
+        (alone,) = empirical._starts(tables, grids, roots=[v])
+        assert start.levels == alone.levels and start.least == alone.least
+        for name in ("key", "depth", "slot", "point", "vkey", "orient", "scale", "trans", "near"):
+            assert np.array_equal(getattr(start, name), getattr(alone, name)), name
+    if case == "fan-and-cantor":
+        # vertex 1 stops at its level bound with 70 open leaves
+        fan = together[1]
+        assert fan.levels == 1 and len(fan.vkey) == 70 and not np.any(fan.slot < 0)
+        for v in (0, 2):
+            assert together[v].levels > 1 and len(together[v].vkey) == 0
+
+
+def _wide_and_cantor_gifs():
+    # vertex 1 has more out-edges than a level may add, so its table grows
+    # no level, while vertex 0's grows beside it until every leaf ends
+    def sim(ratio, t):
+        return lq.Similitude(1, ratio, np.eye(1), np.array([t]))
+
+    n = empirical.MAX_LEVEL_NODES + 4
+    edges = (
+        lq.Edge("a", 0, 0, sim(1 / 3, 0.0), 0.5),
+        lq.Edge("b", 0, 0, sim(1 / 3, 2 / 3), 0.5),
+        *(lq.Edge(f"w{i}", 1, 1, sim(1 / n, i / n), 1 / n) for i in range(n)),
+    )
+    return lq.Gifs(2, 1, edges)
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+def test_walks_from_a_table_that_grew_no_level_draw_no_leaf(seed):
+    # their chunks' streams start with the first edge, as without a table
+    g = _wide_and_cantor_gifs()
+    wide, cantor = _starts(g, DEFAULT_SCALES)[::-1]
+    assert wide.levels == 0 and len(wide.key) == 1 and cantor.levels > 1
+    _assert_matches_oracle(g, CHUNK_SIZE + 77, seed)
+
+
 @pytest.mark.parametrize("family", ["strong-r", "nonstrong-r2"])
 def test_drawn_paths_follow_the_path_probabilities(family):
     # chi-square over the table's leaves, at a fixed seed, with consecutive
@@ -402,9 +472,8 @@ def test_drawn_paths_follow_the_path_probabilities(family):
     g = lq.build_example(lq.canonical_params(family))
     start = _starts(g, DEFAULT_SCALES)[0]
     n = 400_000
-    leaf = empirical._draw_leaves(start, n, np.random.default_rng(3))
-    assert np.all(np.diff(leaf) >= 0)
-    got = np.bincount(leaf, minlength=len(start.key))
+    got = empirical._count_leaves(start, empirical._draw_leaves(n, np.random.default_rng(3)))
+    assert len(got) == len(start.key) and got.sum() == n
     want = np.diff(start.key, prepend=0) / 2.0**53 * n
     assert np.all(want > 0.0)
     pool = np.empty(len(want), dtype=np.int64)
@@ -423,14 +492,14 @@ def test_drawn_paths_follow_the_path_probabilities(family):
 
 
 def test_infinite_orientation_group_raises(monkeypatch):
-    monkeypatch.setattr(empirical, "_walk_chunk", _no_walks)
+    monkeypatch.setattr(empirical, "_draw_leaves", _no_walks)
     g = _rotation_gifs(1.0)  # a rotation by one radian has infinite order
     with pytest.raises(lq.SamplerBound, match=str(empirical.MAX_ORIENTATIONS)):
         lq.sample(g, 10, seed=0)
 
 
 def test_sampler_table_bounds(monkeypatch):
-    monkeypatch.setattr(empirical, "_walk_chunk", _no_walks)
+    monkeypatch.setattr(empirical, "_draw_leaves", _no_walks)
     loop = lq.Similitude(1, 0.5, np.eye(1), np.zeros(1))
     n = empirical.MAX_VERTICES + 1
     g = lq.Gifs(n, 1, tuple(lq.Edge(f"e{v}", v, v, loop, 1.0) for v in range(n)))
@@ -450,7 +519,7 @@ def _no_walks(*args, **kwargs):
 def test_depth_eps_outside_unit_interval_rejected(monkeypatch, depth_eps):
     # the box sides fix where walks stop, so there is no depth_eps to pass,
     # inside the unit interval or outside it
-    monkeypatch.setattr(empirical, "_walk_chunk", _no_walks)
+    monkeypatch.setattr(empirical, "_draw_leaves", _no_walks)
     with pytest.raises(TypeError, match="depth_eps"):
         lq.sample(_strong_r_gifs(), 10, seed=0, depth_eps=depth_eps)
 
@@ -466,20 +535,20 @@ def test_depth_eps_outside_unit_interval_rejected(monkeypatch, depth_eps):
     ],
 )
 def test_scales_rejected_before_any_walk(monkeypatch, scales, message):
-    monkeypatch.setattr(empirical, "_walk_chunk", _no_walks)
+    monkeypatch.setattr(empirical, "_draw_leaves", _no_walks)
     g = lq.build_example(lq.canonical_params("strong-r2"))
     with pytest.raises(lq.InvalidParams, match=message):
         lq.sample(g, 10, seed=0, scales=scales)
 
 
 def test_negative_sample_count_rejected(monkeypatch):
-    monkeypatch.setattr(empirical, "_walk_chunk", _no_walks)
+    monkeypatch.setattr(empirical, "_draw_leaves", _no_walks)
     with pytest.raises(lq.InvalidParams, match="n_per_vertex"):
         lq.sample(_strong_r_gifs(), -1, seed=0)
 
 
 def test_negative_seed_rejected(monkeypatch):
-    monkeypatch.setattr(empirical, "_walk_chunk", _no_walks)
+    monkeypatch.setattr(empirical, "_draw_leaves", _no_walks)
     with pytest.raises(lq.InvalidParams, match="seed"):
         lq.sample(_strong_r_gifs(), 10, seed=-1)
 
@@ -494,7 +563,7 @@ def test_negative_seed_rejected(monkeypatch):
     ],
 )
 def test_non_integer_count_or_seed_rejected(monkeypatch, n_per_vertex, seed, message):
-    monkeypatch.setattr(empirical, "_walk_chunk", _no_walks)
+    monkeypatch.setattr(empirical, "_draw_leaves", _no_walks)
     with pytest.raises(lq.InvalidParams, match=message):
         lq.sample(_strong_r_gifs(), n_per_vertex, seed)
 
@@ -507,7 +576,7 @@ def test_numpy_integer_count_and_seed_accepted():
 
 @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
 def test_estimate_rejects_a_nonfinite_q_before_sampling(monkeypatch, q):
-    monkeypatch.setattr(empirical, "_walk_chunk", _no_walks)
+    monkeypatch.setattr(empirical, "_draw_leaves", _no_walks)
     with pytest.raises(lq.InvalidParams, match="q must be finite"):
         lq.estimate_tau(_strong_r_gifs(), q, [2.0**-k for k in range(4, 9)], 100, seed=0)
 
@@ -623,7 +692,7 @@ def clouds():
 @pytest.mark.parametrize("cloud_id", ["1d", "2d", "1d-below-anchor", "2d-below-anchor"])
 def test_partition_sum_matches_oracle(clouds, cloud_id, scales):
     cloud, hs = clouds[cloud_id], _SCALE_LISTS[scales]
-    for got, h in zip(empirical._box_counts(cloud.points, cloud.grid_anchor, hs), hs):
+    for got, h in zip(empirical._box_counts(cloud, hs), hs):
         assert np.array_equal(got, oracle_box_counts(cloud, h))
     for q in (0.0, 0.5, 1.0, 2.0, 3.7, -1.5):
         got = lq.partition_sum(cloud, hs, q, total_mass=3.0)
@@ -646,6 +715,59 @@ def test_partition_sum_large_q_matches_exact_rational_sums(q):
         log_exact = math.log(exact.numerator) - math.log(exact.denominator)
         want = q * math.log(2.0) + log_exact - q * math.log(len(cloud))
         assert abs(log_s - want) <= 1e-14 * (1.0 + abs(want))
+
+
+def test_partition_sum_rejects_an_anchor_of_another_dimension(monkeypatch):
+    # the default anchor () has no coordinate to bin against: named before
+    # any binning, not a TypeError from inside it
+    monkeypatch.setattr(empirical, "_box_counts", _no_walks)
+    pts = np.full((50, 1), 0.3)
+    cloud = lq.SampleCloud(points=pts, scales=(0.25, 0.125, 0.0625))
+    with pytest.raises(lq.InvalidParams, match=r"grid anchor \(\) has 0 coordinates.*dimension 1"):
+        lq.partition_sum(cloud, [0.25, 0.125, 0.0625], 2.0, total_mass=1.0)
+    cloud = lq.SampleCloud(points=np.zeros((5, 2)), scales=(0.5,), grid_anchor=(0.0,))
+    with pytest.raises(lq.InvalidParams, match=r"grid anchor \(0\.0,\) has 1 coordinates.*dimension 2"):
+        lq.partition_sum(cloud, [0.5], 2.0, total_mass=1.0)
+
+
+_OCTAVES_16 = tuple(2.0**-k for k in range(4, 17))
+_OCTAVES_20 = tuple(2.0**-k for k in range(4, 21))
+_COUNTED_CASES = {
+    **{family: (family, DEFAULT_SCALES) for family in lq.FAMILY_IDS},
+    # each grid is tested separately
+    **{f"{family}-non-nested": (family, (0.1, 0.05, 0.03, 0.01)) for family in lq.FAMILY_IDS},
+    # every walk goes on from an open leaf
+    "nonstrong-r-heights-to-2^-16": ("nonstrong-r-heights", _OCTAVES_16),
+    "strong-r2-to-2^-20": ("strong-r2", _OCTAVES_20),
+}
+
+
+@pytest.mark.parametrize("n_per_vertex", [0, 1, CHUNK_SIZE + 77])
+@pytest.mark.parametrize("case", _COUNTED_CASES)
+def test_counted_cloud_counts_the_boxes_of_its_points(case, n_per_vertex):
+    # a sampled cloud bins each terminal leaf's centre once, weighted by the
+    # walks that drew it; its boxes and counts are those of its points
+    family, scales = _COUNTED_CASES[case]
+    g = lq.build_example(lq.canonical_params(family))
+    cloud = lq.sample(g, n_per_vertex, seed=3, scales=scales)
+    assert len(cloud) == g.num_vertices * n_per_vertex
+    points = cloud.points
+    assert points.shape == (len(cloud), g.dim) and points.T.flags.c_contiguous
+    assert np.array_equal(cloud.points, points)
+    expanded = lq.SampleCloud(points=points.copy(), scales=cloud.scales, grid_anchor=cloud.grid_anchor)
+    hs = list(scales)
+    if n_per_vertex:
+        for got, want, h in zip(empirical._box_counts(cloud, hs), empirical._box_counts(expanded, hs), hs):
+            assert np.array_equal(got, want), h
+            assert np.array_equal(got, oracle_box_counts(expanded, h)), h
+    for q in (0.0, 2.0, -1.5):
+        got = lq.partition_sum(cloud, hs, q, total_mass=float(g.num_vertices))
+        assert got == lq.partition_sum(expanded, hs, q, total_mass=float(g.num_vertices))
+    if n_per_vertex > 1 and case in ("strong-r", "nonstrong-r-basic"):
+        # at the default sides every walk ends at a terminal leaf
+        assert cloud._swept.shape[1] == 0 and cloud._ended[1].sum() == len(cloud)
+    if case.endswith(("2^-16", "2^-20")):
+        assert cloud._ended is None and cloud._swept.shape[1] == len(cloud)
 
 
 def test_partition_sum_rejects_a_side_the_cloud_does_not_resolve():
@@ -671,7 +793,7 @@ def test_estimate_insufficient_scales():
     "scales", [[0.0, 0.1, 0.01], [-0.1, 0.05, 0.01], [0.1, math.nan, 0.01], [0.1, math.inf, 0.01]]
 )
 def test_estimate_rejects_nonpositive_or_nonfinite_scales(monkeypatch, scales):
-    monkeypatch.setattr(empirical, "_walk_chunk", _no_walks)
+    monkeypatch.setattr(empirical, "_draw_leaves", _no_walks)
     with pytest.raises(lq.InvalidParams, match="scales"):
         lq.estimate_tau(_strong_r_gifs(), 1.0, scales, 100, seed=0)
 
