@@ -42,9 +42,10 @@ vertices.
 
 Sampling is organized in fixed-size chunks of 65536 walks with one
 deterministic random stream per (seed, vertex, chunk).  A chunk first
-draws one ``rng.bit_generator.random_raw(count)`` for its walks' leaves
-(none when the table grew no level) and sorts it, so the walks come grouped
-by leaf and each leaf's count is one ``searchsorted`` away; then the walks
+draws one ``rng.bit_generator.random_raw(count)`` for its walks' leaves and
+sorts it, so the walks come grouped by leaf and each leaf's count is one
+``searchsorted`` away (a table that grew no level takes no draw: its walks
+start the stream afresh); then the walks
 from open leaves stay in ascending order and draw one
 ``random_raw(n_active)`` per sweep.  The top 53 bits of each raw word are
 the m of the m / 2^53 that ``rng.random()`` would return from the same
@@ -542,7 +543,8 @@ def _starts(tables: _WalkTables, grids, roots=None) -> list[_Start]:
                          scale.take(stay), trans.take(stay, axis=1)))
             if not len(keep):
                 break
-            root, orient, scale, first, deg = (a.take(keep) for a in (root, orient, scale, first, deg))
+            root, orient, scale = root.take(keep), orient.take(keep), scale.take(keep)
+            first, deg = first.take(keep), deg.take(keep)
             trans = trans.take(keep, axis=1)
         n_new = int(deg.sum())
         parent = np.repeat(np.arange(len(deg)), deg)
@@ -566,8 +568,8 @@ def _starts(tables: _WalkTables, grids, roots=None) -> list[_Start]:
         grown.append([stop, prob, np.bincount(root, minlength=n_roots),
                       np.zeros(n_new, dtype=bool), deg])
         live = np.flatnonzero(~stop)
-        root, vkey, orient, scale = root.take(live), vkey.take(live), orient.take(live), scale.take(live)
-        trans = trans.take(live, axis=1)
+        root, vkey, orient = root.take(live), vkey.take(live), orient.take(live)
+        scale, trans = scale.take(live), trans.take(live, axis=1)
     slot, prob, depth, n_leaves = _leaf_order(grown, n_roots)
     # root by root, level by level: the terminal nodes' centres and the open leaves' state
     order, t_at = _root_order([r for _, r in ended], n_roots)

@@ -420,7 +420,7 @@ _ONE_PASS_CASES = {**_TABLE_CASES, "fan-and-cantor": (_fan_and_cantor_gifs, DEFA
 @pytest.mark.parametrize("case", _ONE_PASS_CASES)
 def test_one_pass_tables_equal_the_tables_built_per_root(case):
     # every start vertex's table grows in one level loop with the others';
-    # each must be the table that the same builder grows for that root alone
+    # each must be the table that _starts grows for that root alone
     make, scales = _ONE_PASS_CASES[case]
     g = make()
     tables = empirical._walk_tables(g)
@@ -726,7 +726,7 @@ def test_partition_sum_rejects_an_anchor_of_another_dimension(monkeypatch):
     with pytest.raises(lq.InvalidParams, match=r"grid anchor \(\) has 0 coordinates.*dimension 1"):
         lq.partition_sum(cloud, [0.25, 0.125, 0.0625], 2.0, total_mass=1.0)
     cloud = lq.SampleCloud(points=np.zeros((5, 2)), scales=(0.5,), grid_anchor=(0.0,))
-    with pytest.raises(lq.InvalidParams, match=r"grid anchor \(0\.0,\) has 1 coordinates.*dimension 2"):
+    with pytest.raises(lq.InvalidParams, match=r"anchor \(0\.0,\) has 1 coordinates.*dimension 2"):
         lq.partition_sum(cloud, [0.5], 2.0, total_mass=1.0)
 
 
@@ -754,10 +754,11 @@ def test_counted_cloud_counts_the_boxes_of_its_points(case, n_per_vertex):
     points = cloud.points
     assert points.shape == (len(cloud), g.dim) and points.T.flags.c_contiguous
     assert np.array_equal(cloud.points, points)
-    expanded = lq.SampleCloud(points=points.copy(), scales=cloud.scales, grid_anchor=cloud.grid_anchor)
+    expanded = lq.SampleCloud(points.copy(), cloud.scales, grid_anchor=cloud.grid_anchor)
     hs = list(scales)
     if n_per_vertex:
-        for got, want, h in zip(empirical._box_counts(cloud, hs), empirical._box_counts(expanded, hs), hs):
+        pairs = zip(empirical._box_counts(cloud, hs), empirical._box_counts(expanded, hs))
+        for (got, want), h in zip(pairs, hs):
             assert np.array_equal(got, want), h
             assert np.array_equal(got, oracle_box_counts(expanded, h)), h
     for q in (0.0, 2.0, -1.5):
