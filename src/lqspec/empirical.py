@@ -45,11 +45,11 @@ deterministic random stream per (seed, vertex, chunk).  A chunk first
 draws one ``rng.bit_generator.random_raw(count)`` for its walks' leaves and
 sorts it, so the walks come grouped by leaf and each leaf's count is one
 ``searchsorted`` away (a table that grew no level takes no draw: its walks
-start the stream afresh); then the walks
-from open leaves stay in ascending order and draw one
-``random_raw(n_active)`` per sweep.  The top 53 bits of each raw word are
-the m of the m / 2^53 that ``rng.random()`` would return from the same
-stream, so a seed fixes every point.  Every chunk counts its leaves before
+start the stream afresh); then the walks from open leaves stay in
+ascending order and draw one ``random_raw(n_active)`` per sweep.  The top
+53 bits of each raw word are the m of the m / 2^53 that ``rng.random()``
+would return from the same stream, so a seed fixes every point.  The leaf
+draws run while the tables are built.  Every chunk counts its leaves before
 any walk goes on, and each chunk writes its swept walks' points to its own
 columns of one coordinate-major array sized to them, so the chunks run on
 a thread pool with one worker per CPU available to the process (numpy
