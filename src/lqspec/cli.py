@@ -152,6 +152,8 @@ def _unique_keys(pairs) -> dict:
 
 
 def _parse_scales(args) -> list[float]:
+    if args.scales is not None and args.scale_octaves is not None:
+        raise ConfigError("give --scales or --scale-octaves, not both")
     if args.scales is not None:
         try:
             return [parse_number(x) for x in args.scales.split(",")]

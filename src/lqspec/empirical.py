@@ -5,7 +5,7 @@ game on the graph): starting at a vertex, edges are drawn with their
 transition probabilities and the corresponding similitudes composed.  A
 walk at vertex w with composed map F has drawn a point of the cylinder
 F(K_w), which lies in F(B_w), where B_w is a box around the attractor K_w
-computed once per ``sample`` call.  The walk stops as soon as that box lies
+computed once per ``sample`` call.  The walk stops once that box lies
 in one closed box of every grid the box counts bin (the finest side, and
 each side that is not a power-of-two multiple of the side below it), and
 emits the box's centre.  So at every requested side the point's box is the
@@ -27,18 +27,20 @@ is done, and only the number of walks at each leaf is kept; at the default
 sides every 1-D walk is done there.  So a cloud holds counted leaves, and
 box counting bins each terminal leaf's centre once, weighted by its count.
 
-After an open leaf, each sweep moves every active walk one edge with a
-fixed set of whole-array operations.  One inverse-CDF lookup over all walks
-picks their edges: a walk at vertex v with draw u = m / 2^53 has the
-integer key (v << 54) + m, and global per-edge tables map the keys to
-edges, then the edges to ratios, destinations and translations.  A walk's orientation
-is a small integer: its index into the group generated by the edges'
-orthogonal parts, closed once per ``sample`` call with tables for the
-product R_g O_e, the rotated translation R_g t_e and the rotated box of
-the edge's destination.  The group may have at most MAX_ORIENTATIONS
-elements; an orthogonal part of infinite order (e.g. a rotation by one
-radian) raises SamplerBound, as does a graph with more than MAX_VERTICES
-vertices.
+After an open leaf, each sweep moves every active walk along a path of k
+edges, the most at which no vertex has more than 256 paths, and then tests
+it: a walk ends at the first depth levels + j k whose box fits, up to
+k - 1 edges deeper than the first fit, where its box counts are the same.
+One inverse-CDF lookup over all walks picks their paths: a walk at vertex
+v with draw u = m / 2^53 has the integer key (v << 54) + m, and global
+per-path tables map the keys to paths, then the paths to composed ratios,
+destinations and translations.  A walk's orientation is a small integer:
+its index into the group generated by the edges' orthogonal parts, closed
+once per ``sample`` call with tables for the product R_g O_p, the rotated
+translation R_g t_p and the rotated box of the path's destination.  The
+group may have at most MAX_ORIENTATIONS elements; an orthogonal part of
+infinite order (e.g. a rotation by one radian) raises SamplerBound, as
+does a graph with more than MAX_VERTICES vertices.
 
 Sampling is organized in fixed-size chunks of 65536 walks with one
 deterministic random stream per (seed, vertex, chunk).  A chunk first
@@ -49,9 +51,9 @@ start the stream afresh); then the walks from open leaves stay in
 ascending order and draw one ``random_raw(n_active)`` per sweep.  The top
 53 bits of each raw word are the m of the m / 2^53 that ``rng.random()``
 would return from the same stream, so a seed fixes every point.  The leaf
-draws run while the tables are built.  Every chunk counts its leaves before
-any walk goes on, and each chunk writes its swept walks' points to its own
-columns of one coordinate-major array sized to them, so the chunks run on
+draws run while the leaf and path tables are built.  Every chunk counts its
+leaves before any walk goes on, and each chunk writes its swept walks'
+points to its own columns of one coordinate-major array, so the chunks run on
 a thread pool with one worker per CPU available to the process (numpy
 releases the interpreter lock in the gathers and draws).  There is no
 setting for the worker count, and the points do not depend on it.
@@ -90,6 +92,11 @@ _VERTEX_SHIFT = 54
 _U_SCALE = 2.0**53  # rng.random() returns m / 2^53 with integer m
 _RAW_SHIFT = np.uint64(11)  # m is a raw 64-bit word shifted right by 11
 _BUCKET_SHIFT = 45  # 256 lookup buckets per vertex
+# A sweep moves a walk along a path of k edges: the longest paths of which no
+# vertex has more than its 256 lookup buckets, and at most _MAX_PATH_EDGES
+# edges, which bounds k on graphs whose paths barely branch.
+_MAX_PATHS = 1 << (53 - _BUCKET_SHIFT)
+_MAX_PATH_EDGES = 8
 # Products of orthogonal parts that agree to this are one orientation; rounding
 # along a closure path stays far below it, and distinct elements of a group of
 # at most MAX_ORIENTATIONS elements differ by far more.
@@ -182,12 +189,13 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
     sides in scales.
 
     The cylinders at which walks stop are tabulated once per start vertex,
-    on a worker thread.  Chunk c of vertex v walks CHUNK_SIZE points (fewer
-    in the last chunk) on its own (seed, v, c) stream: first every chunk
-    draws its walks' leaves, while the tables are built, and counts how
-    many draw each leaf of v's table; then the walks that drew open leaves
-    go on edge by edge, each chunk writing their points to its own columns
-    of one (d, m) array sized to them.  The cloud keeps the counts and that
+    and the k-edge paths that sweeps take once, on a worker thread.  Chunk
+    c of vertex v walks CHUNK_SIZE points (fewer in the last chunk) on its
+    own (seed, v, c) stream: first every chunk draws its walks' leaves,
+    while the tables are built, and counts how many draw each leaf of v's
+    table; then the walks that drew open leaves go on k edges per sweep,
+    each chunk writing their points to its own columns of one (d, m) array
+    sized to them.  The cloud keeps the counts and that
     array.  The chunks run on one thread
     per CPU available to the process, and the points do not depend on how
     many run.  On an error in a chunk or an interrupt in the caller, queued
@@ -216,7 +224,10 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
         return rng, _count_leaves(starts[v], draws)
 
     def walk(v, rng, counts, a, b):
-        _walk_chunk(tables, starts[v], counts, swept[:, a:b], rng, grids)
+        _walk_chunk(paths, starts[v], counts, swept[:, a:b], rng, grids)
+
+    def build():
+        return _starts(tables, grids), _paths(tables)
 
     n_chunks = (n_per_vertex + CHUNK_SIZE - 1) // CHUNK_SIZE
     jobs = [(v, c) for v in range(g.num_vertices) for c in range(n_chunks)]
@@ -228,9 +239,9 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
         # they raised the peak RSS of repeated 2-D calls by 7 MB.  The
         # build holds the interpreter lock for most of its time, and the
         # leaf draws, which release it, run beside it.
-        build = pool.submit(_starts, tables, grids) if pool else None
+        built = pool.submit(build) if pool else None
         drawn = _run(pool, draw, jobs)
-        starts = build.result() if pool else _starts(tables, grids)
+        starts, paths = built.result() if pool else build()
         drawn = _run(pool, count, [(*job, *rng_draws) for job, rng_draws in zip(jobs, drawn)])
         chunks = [(v, counts) for (v, _), (_, counts) in zip(jobs, drawn)]
         at = np.cumsum([0] + [int(k[starts[v].slot >= 0].sum()) for v, k in chunks])
@@ -311,25 +322,27 @@ def _worker_count(n_jobs: int) -> int:
 class _WalkTables:
     """Global per-edge tables; edges are grouped by source vertex.
 
-    A walk at vertex v with uniform draw u = m / 2^53 takes the edge at
-    ``searchsorted(cum_key, (v << 54) + m, side="right")``: ``cum_key`` holds
-    ``(v << 54) + ceil(cum * 2^53)`` for each vertex's cumulative edge
+    ``prob`` is the probability with which a walk draws the edge: the width
+    of its keys ceil(cum * 2^53) over 2^53, for each vertex's cumulative edge
+    probabilities.  Orientations are indices g into the group generated by
+    the edges' orthogonal parts; the flat index ``g * E + e`` addresses
+    ``mul`` (the orientation after edge e, times E), ``step`` (R_g t_e), and
+    the box of the edge's destination w in the orientation R = R_g O_e after
+    the edge: ``centre`` (R c_w) and ``half`` (|R| h_w, the half-widths of
+    the hull of the rotated box).
+
+    The table of the paths that walks sweep along (_paths) has the same
+    layout, each k-edge path in the place of an edge, and also the lookup:
+    a walk at vertex v with uniform draw u = m / 2^53 takes the path at
+    ``searchsorted(cum_key, (v << 54) + m, side="right")``.  ``cum_key``
+    holds ``(v << 54) + ceil(cum * 2^53)`` for each vertex's cumulative path
     probabilities, so the search makes exactly the comparisons ``cum <= u``
     of a per-vertex inverse CDF.  ``bucket_edge`` gives the same answer
-    without the search for keys in a bucket that no ``cum_key`` splits, and
-    ``prob`` is the probability of that choice, the width of the edge's keys
-    over 2^53.  Orientations are indices g into the group generated by the
-    edges' orthogonal parts; the flat index ``g * E + e`` addresses ``mul`` (the
-    orientation after edge e, times E), ``step`` (R_g t_e), and the box of
-    the edge's destination w in the orientation R = R_g O_e after the edge:
-    ``centre`` (R c_w) and ``half`` (|R| h_w, the half-widths of the hull of
-    the rotated box).
+    without the search for keys in a bucket that no ``cum_key`` splits.
     """
 
-    cum_key: np.ndarray  # (E,) int64, ascending
     first_edge: np.ndarray  # (V + 1,) int64: v's edges run from first_edge[v] to first_edge[v + 1]
     prob: np.ndarray  # (E,): the edge's drawn probability
-    bucket_edge: np.ndarray  # int64 per key >> _BUCKET_SHIFT: its edge, or -1 if split
     ratio: np.ndarray  # (E,)
     dst_key: np.ndarray  # (E,) int64: destination vertex << 54
     mul: np.ndarray  # (G * E,) int64: E * (index of R_g O_e)
@@ -337,6 +350,8 @@ class _WalkTables:
     centre: np.ndarray  # (d, G * E): R_g O_e c_dst(e)
     half: np.ndarray  # (d, G * E): |R_g O_e| h_dst(e)
     origin: np.ndarray  # (d,): the grids' anchor, the low corner of g.bbox
+    cum_key: np.ndarray | None = None  # (E,) int64, ascending; paths only
+    bucket_edge: np.ndarray | None = None  # int64 per key >> _BUCKET_SHIFT: its path, or -1 if split
 
 
 def _walk_tables(g: Gifs) -> _WalkTables:
@@ -344,18 +359,12 @@ def _walk_tables(g: Gifs) -> _WalkTables:
         raise SamplerBound(
             f"{g.num_vertices} vertices exceed the sampler's bound of {MAX_VERTICES}"
         )
-    edges, cum_key, prob, first_edge = [], [], [], [0]
+    edges, prob, first_edge = [], [], [0]
     for v in range(g.num_vertices):
         out = g.out_edges(v)
         if not out:
             raise InvalidParams(f"vertex {v + 1} has no outgoing edge")
-        cum = np.cumsum([e.prob for e in out])
-        cum[-1] = 1.0  # guard against fsum slack
-        # Clipping at 1 changes no comparison with u < 1 and keeps keys ascending.
-        cum = np.minimum(cum, 1.0)
-        key = np.ceil(cum * _U_SCALE).astype(np.int64)
-        cum_key.append((v << _VERTEX_SHIFT) + key)
-        prob.append(np.diff(key, prepend=0) / _U_SCALE)
+        prob.append(np.diff(_keys([e.prob for e in out]), prepend=0) / _U_SCALE)
         edges.extend(out)
         first_edge.append(len(edges))
     orths = np.array([e.map.orthogonal for e in edges])
@@ -365,19 +374,10 @@ def _walk_tables(g: Gifs) -> _WalkTables:
     dst = np.array([e.dst for e in edges])
     src = np.array([e.src for e in edges])
     lo, hi = _vertex_boxes(g.bbox, g.num_vertices, src, dst, ratio, orths, trans)
-    cum_key = np.concatenate(cum_key)
-    # Buckets of 2^_BUCKET_SHIFT consecutive keys that no cum_key splits
-    # resolve by one table lookup; only walks in split buckets are searched.
-    bucket = np.arange(g.num_vertices << (_VERTEX_SHIFT - _BUCKET_SHIFT), dtype=np.int64)
-    bucket <<= _BUCKET_SHIFT
-    first = np.searchsorted(cum_key, bucket, side="right")
-    last = np.searchsorted(cum_key, bucket + ((1 << _BUCKET_SHIFT) - 1), side="right")
     after = rots[mul]  # (G, E, d, d): R_g O_e
     return _WalkTables(
-        cum_key=cum_key,
         first_edge=np.array(first_edge),
         prob=np.concatenate(prob),
-        bucket_edge=np.where(first == last, first, -1),
         ratio=ratio,
         dst_key=dst.astype(np.int64) << _VERTEX_SHIFT,
         mul=(mul * len(edges)).ravel(),
@@ -386,6 +386,78 @@ def _walk_tables(g: Gifs) -> _WalkTables:
         half=_per_ge(np.abs(after), (hi[dst] - lo[dst]) / 2.0),
         origin=np.array([a for a, _ in g.bbox]),
     )
+
+
+def _keys(prob):
+    """ceil(cum * 2^53) for the running sum cum of prob, the last one 2^53.
+    Clipping at 2^53 changes no comparison with a draw m < 2^53."""
+    key = np.minimum(np.ceil(np.cumsum(prob) * _U_SCALE), _U_SCALE).astype(np.int64)
+    key[-1] = 1 << 53
+    return key
+
+
+def _paths(tables: _WalkTables) -> _WalkTables:
+    """The table of the k-edge paths that walks sweep along, in the layout
+    of the edge table: path p in the place of an edge, each vertex's paths
+    in lexicographic edge order.  k is the largest k <= _MAX_PATH_EDGES for
+    which no vertex has more than _MAX_PATHS paths of k edges, or 1.
+
+    Each path's probability is the product of its edges' ``prob``, and its
+    key is ceil(cum * 2^53) of their running sum.  Its ratio, destination,
+    orientation, translation and destination box in orientation g are those
+    of a walk at (g, scale 1, translation 0) moved along its edges by
+    _advance, so applying a path moves a walk by its composed map.
+    """
+    n_edges, n_vertices = len(tables.ratio), len(tables.first_edge) - 1
+    n_orient = len(tables.mul) // n_edges
+    # one root per (orientation g, vertex v), at g * V + v
+    root = np.tile(np.arange(n_vertices), n_orient)
+    vkey = root << _VERTEX_SHIFT
+    orient = np.repeat(np.arange(n_orient) * n_edges, n_vertices)
+    prob, scale = np.ones(len(root)), np.ones(len(root))
+    trans = np.zeros((len(tables.origin), len(root)))
+    for k in range(_MAX_PATH_EDGES):
+        at = vkey >> _VERTEX_SHIFT
+        first = tables.first_edge.take(at)
+        deg = tables.first_edge.take(at + 1) - first
+        # each orientation repeats every vertex's paths
+        if k and np.bincount(root, weights=deg).max() > _MAX_PATHS * n_orient:
+            break
+        parent, e = _children(first, deg)
+        root, prob = root.take(parent), prob.take(parent) * tables.prob.take(e)
+        scale, trans = scale.take(parent), trans.take(parent, axis=1)
+        ge, vkey, orient = _advance(tables, e, orient.take(parent), scale, trans)
+    n = len(root) // n_orient  # the paths; orientation g has the columns g * n + p
+    first = np.searchsorted(root[:n], np.arange(n_vertices + 1))
+    cum_key = np.concatenate([(v << _VERTEX_SHIFT) + _keys(prob[a:b])
+                              for v, (a, b) in enumerate(zip(first, first[1:]))])
+    # Buckets of 2^_BUCKET_SHIFT consecutive keys that no cum_key splits
+    # resolve by one table lookup; only walks in split buckets are searched.
+    bucket = np.arange(n_vertices << (_VERTEX_SHIFT - _BUCKET_SHIFT), dtype=np.int64)
+    bucket <<= _BUCKET_SHIFT
+    lo, hi = (np.searchsorted(cum_key, bucket + end, side="right")
+              for end in (0, (1 << _BUCKET_SHIFT) - 1))
+    return _WalkTables(
+        first_edge=first,
+        prob=prob[:n],
+        ratio=scale[:n],
+        dst_key=vkey[:n],
+        mul=orient // n_edges * n,
+        step=trans,
+        centre=tables.centre.take(ge, axis=1),
+        half=tables.half.take(ge, axis=1),
+        origin=tables.origin,
+        cum_key=cum_key,
+        bucket_edge=np.where(lo == hi, lo, -1),
+    )
+
+
+def _children(first, deg):
+    """(parent, e): one child per out-edge of each node, whose vertex's deg
+    out-edges start at edge first, each node's children in edge order."""
+    parent = np.repeat(np.arange(len(deg)), deg)
+    # the child at offset i of its parent's run takes the parent's first edge + i
+    return parent, np.arange(len(parent)) + np.repeat(first - np.cumsum(deg) + deg, deg)
 
 
 def _per_ge(mats, vecs):
@@ -464,12 +536,11 @@ class _Start:
     leaves' probabilities, each the product of its edges' ``prob``.  Every
     walk that draws a terminal leaf ends there: ``slot[i]`` is then -1 - t,
     and column t of ``point`` is the leaf's box centre, computed by the same
-    float operations as _finish.  The walks that draw an open leaf go on
+    float operations as _stops.  The walks that draw an open leaf go on
     edge by edge: ``slot[i]`` is then its column of ``vkey``, ``orient``,
     ``scale`` and ``trans``, the walk state after ``levels`` edges, computed
-    by the same float operations as that many sweeps of _step.  ``least`` is
-    min_ratio^levels, and ``near`` holds the sweep's test thresholds per
-    column g * E + e (see _starts), shared by every start.
+    by the same float operations as that many edge moves of _advance;
+    ``orient`` is an index into the orientation group.
     """
 
     levels: int  # edge levels grown; with none, a walk draws no leaf
@@ -481,8 +552,6 @@ class _Start:
     orient: np.ndarray  # (O,) int64
     scale: np.ndarray  # (O,)
     trans: np.ndarray  # (d, O)
-    least: float
-    near: np.ndarray  # (G * E,)
 
 
 def _starts(tables: _WalkTables, grids, roots=None) -> list[_Start]:
@@ -499,7 +568,7 @@ def _starts(tables: _WalkTables, grids, roots=None) -> list[_Start]:
     own build would give them, so every table is the one its root grows
     alone.
 
-    At column ge, a walk's box can fit the finest grid only once its scale
+    At column ge, a node's box can fit the finest grid only once its scale
     is at most near[ge] (always, for a box of zero width), so every stop
     test first checks that.  The margin keeps rounding from hiding a box
     exactly one side wide from the test.
@@ -528,7 +597,6 @@ def _starts(tables: _WalkTables, grids, roots=None) -> list[_Start]:
     held = [(none, none, none, scale[:0], trans[:, :0])]
     n_ended = np.zeros(n_roots, dtype=np.int64)
     levels = np.zeros(n_roots, dtype=np.int64)
-    least = [1.0]
     while len(vkey):
         at = vkey >> _VERTEX_SHIFT
         first = tables.first_edge.take(at)
@@ -546,15 +614,12 @@ def _starts(tables: _WalkTables, grids, roots=None) -> list[_Start]:
             root, orient, scale = root.take(keep), orient.take(keep), scale.take(keep)
             first, deg = first.take(keep), deg.take(keep)
             trans = trans.take(keep, axis=1)
-        n_new = int(deg.sum())
-        parent = np.repeat(np.arange(len(deg)), deg)
-        # each parent's edges in order: the child at offset i of its run takes first + i
-        e = np.arange(n_new) + np.repeat(first - np.cumsum(deg) + deg, deg)
+        parent, e = _children(first, deg)
+        n_new = len(parent)
         prob = prob[grew].take(parent)
         prob *= tables.prob.take(e)
         root = root.take(parent)
         levels[root] = len(grown)
-        least.append(least[-1] * tables.ratio.min())
         scale, trans = scale.take(parent), trans.take(parent, axis=1)
         ge, vkey, orient = _advance(tables, e, orient.take(parent), scale, trans)
         test = np.flatnonzero(scale <= near.take(ge))
@@ -576,16 +641,15 @@ def _starts(tables: _WalkTables, grids, roots=None) -> list[_Start]:
     point = np.concatenate([c for c, _ in ended], axis=1).take(order, axis=1)
     order, o_at = _root_order([h[0] for h in held], n_roots)
     vkey, orient, scale = (np.concatenate([h[i] for h in held]).take(order) for i in (1, 2, 3))
+    orient //= len(tables.ratio)
     trans = np.concatenate([h[4] for h in held], axis=1).take(order, axis=1)
     l_at = np.concatenate(([0], np.cumsum(n_leaves)))
     starts = []
     for r in range(n_roots):
         leaves, terminal, open_ = (slice(at[r], at[r + 1]) for at in (l_at, t_at, o_at))
-        key = np.minimum(np.ceil(np.cumsum(prob[leaves]) * _U_SCALE), _U_SCALE).astype(np.int64)
-        key[-1] = 1 << 53
-        starts.append(_Start(int(levels[r]), key, depth[leaves], slot[leaves], point[:, terminal],
-                             vkey[open_], orient[open_], scale[open_], trans[:, open_],
-                             least[levels[r]], near))
+        starts.append(_Start(int(levels[r]), _keys(prob[leaves]), depth[leaves], slot[leaves],
+                             point[:, terminal], vkey[open_], orient[open_], scale[open_],
+                             trans[:, open_]))
     return starts
 
 
@@ -654,45 +718,41 @@ def _rank(root, seen):
     return rank
 
 
-def _walk_chunk(tables: _WalkTables, start: _Start, counts, out, rng, grids):
+def _walk_chunk(paths: _WalkTables, start: _Start, counts, out, rng, grids):
     """Walk on from start's open leaves, counts[i] walks from leaf i, into
     the (d, n) out, one column per walk in the order of their leaves.
 
-    Each walk advances one edge per sweep.  Once its box is no wider than
-    the finest side in grids, it ends when its box lies in one closed box
-    of each grid in grids (sides, finest first, anchored at
-    ``tables.origin``) or its scale is at most SCALE_FLOOR, and its point is
-    the box's centre.  Finished walks leave the arrays: the active walks stay
-    compacted in ascending order and draw one raw word each per sweep.
+    Each sweep moves every active walk along one k-edge path of ``paths``
+    (see _paths), drawn with one raw word, and tests it once: it ends when
+    its box lies in one closed box of each grid in grids (sides, finest
+    first, anchored at ``paths.origin``) or its scale is at most
+    SCALE_FLOOR, and its point is the box's centre.  So a walk ends at the
+    first depth ``start.levels`` + j k at which it would, at most k - 1
+    edges deeper than an edge-by-edge walk.  Finished walks leave the
+    arrays: the active walks stay compacted in ascending order.
     Coordinates are rows (d, n), so every gather and compaction acts on
     contiguous 1-D data.
     """
     going = start.slot >= 0
     slot = np.repeat(start.slot[going], counts[going])
     pos = np.arange(len(slot))
-    vkey, orient = start.vkey.take(slot), start.orient.take(slot)  # orient: E * index
+    vkey, orient = start.vkey.take(slot), start.orient.take(slot)
+    orient *= len(paths.ratio)  # the first column of each walk's orientation
     scale, trans = start.scale.take(slot), start.trans.take(slot, axis=1)
     del slot
-    near, least, min_ratio = start.near, start.least, tables.ratio.min()
-    near_max = near.max()
 
     while len(pos):
-        ge, vkey, orient = _step(tables, rng, vkey, orient, scale, trans)
-        least *= min_ratio
-        if least > near_max:
-            continue
-        test = np.flatnonzero(scale <= near.take(ge))
-        if len(test) < len(pos):
-            done = test.take(_finish(tables, grids, out, pos.take(test), ge.take(test),
-                                     scale.take(test), trans.take(test, axis=1)))
-        else:
-            done = _finish(tables, grids, out, pos, ge, scale, trans)
+        ge, vkey, orient = _step(paths, rng, vkey, orient, scale, trans)
+        ends, centre = _stops(paths, grids, ge, scale, trans)
+        done = np.flatnonzero(ends)
         if len(done):
-            keep = np.ones(len(pos), dtype=bool)
-            keep[done] = False
-            live = np.flatnonzero(keep)
+            dest = pos.take(done)
+            for row, c in zip(out, centre):
+                row[dest] = c.take(done)
+            live = np.flatnonzero(~ends)
             pos, vkey, orient = pos.take(live), vkey.take(live), orient.take(live)
             scale, trans = scale.take(live), trans.take(live, axis=1)
+        del centre
 
 
 def _draw_leaves(count, rng):
@@ -712,10 +772,11 @@ def _count_leaves(start: _Start, draws):
     return np.diff(np.searchsorted(draws, start.key), prepend=0)
 
 
-def _step(tables: _WalkTables, rng, vkey, orient, scale, trans):
-    """Advance every walk one edge: scale and trans in place.
+def _step(paths: _WalkTables, rng, vkey, orient, scale, trans):
+    """Move every walk along one path of ``paths``, drawn with one raw word
+    each: scale and trans in place.
 
-    Returns each walk's column ge = orient + e, its new vertex key and its
+    Returns each walk's column ge = orient + p, its new vertex key and its
     new orientation.  The draws and gathers are freed on return, before the
     walks are tested.
     """
@@ -724,11 +785,11 @@ def _step(tables: _WalkTables, rng, vkey, orient, scale, trans):
     key >>= _RAW_SHIFT
     key = key.view(np.int64)
     key += vkey
-    e = tables.bucket_edge.take(key >> _BUCKET_SHIFT)
-    split = np.flatnonzero(e < 0)
+    p = paths.bucket_edge.take(key >> _BUCKET_SHIFT)
+    split = np.flatnonzero(p < 0)
     if len(split):
-        e[split] = np.searchsorted(tables.cum_key, key.take(split), side="right")
-    return _advance(tables, e, orient, scale, trans)
+        p[split] = np.searchsorted(paths.cum_key, key.take(split), side="right")
+    return _advance(paths, p, orient, scale, trans)
 
 
 def _advance(tables: _WalkTables, e, orient, scale, trans):
@@ -740,18 +801,6 @@ def _advance(tables: _WalkTables, e, orient, scale, trans):
     trans += step
     scale *= tables.ratio.take(e)
     return ge, tables.dst_key.take(e), tables.mul.take(ge)
-
-
-def _finish(tables: _WalkTables, grids, out, pos, ge, scale, trans):
-    """End the given walks at which _stops stops them: write their box
-    centres to their columns pos of out and return their indices in the
-    arguments."""
-    ends, centre = _stops(tables, grids, ge, scale, trans)
-    which = np.flatnonzero(ends)
-    dest = pos.take(which)
-    for row, c in zip(out, centre):
-        row[dest] = c.take(which)
-    return which
 
 
 def _stops(tables: _WalkTables, grids, ge, scale, trans):

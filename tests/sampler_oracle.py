@@ -8,13 +8,15 @@ same order as ``lqspec.empirical.sample``: one stream per
 each walk's leaf of its own table of stopped cylinders (plain loops for the
 leaves' order, their plain-float probabilities and a running sum for their
 keys); then one ``rng.random`` per sweep over the active walks in ascending
-order.  The table tests every node by the oracle's own stop rule, with
-vertex boxes built here with plain loops: a walk ends once the box of its
-cylinder lies in one closed box of every requested grid, or its scale is at
-most the floor.  A walk that draws a terminal leaf takes the leaf's box
-centre; one that draws an open leaf moves along the leaf's edges and then
-sweeps.  So the two must agree point for point: exactly where every
-orthogonal part is +-1, and to rounding otherwise.
+order, which picks each walk's path of k edges (plain loops for the paths,
+their keys and their composed maps, each built edge by edge).  The table
+tests every node by the oracle's own stop rule, with vertex boxes built
+here with plain loops: a walk ends once the box of its cylinder lies in one
+closed box of every requested grid, or its scale is at most the floor.  A
+walk that draws a terminal leaf takes the leaf's box centre; one that draws
+an open leaf moves along the leaf's edges and then sweeps, one path per
+sweep, tested after each.  So the two must agree point for point: exactly
+where every orthogonal part is +-1, and to rounding otherwise.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ import numpy as np
 
 from lqspec.empirical import (
     _BOX_ROUNDS,
+    _MAX_PATH_EDGES,
+    _MAX_PATHS,
     CHUNK_SIZE,
     DEFAULT_SCALES,
     MAX_LEVEL_NODES,
@@ -73,16 +77,8 @@ def cylinder_table(g, v, scales):
     their walk states (vertex, scale, translation, orthogonal part) as
     arrays.
     """
-    tables, boxes = _edge_tables(g), vertex_boxes(g)
+    tables, boxes, widths = _edge_tables(g), vertex_boxes(g), _widths(g)
     origin = np.array([lo for lo, _ in g.bbox])
-    widths = []
-    for w in range(g.num_vertices):
-        total, keys = 0.0, [0]
-        for e in g.out_edges(w):
-            total += e.prob
-            keys.append(min(math.ceil(total * 2.0**53), 2**53))
-        keys[-1] = 2**53
-        widths.append([(b - a) / 2.0**53 for a, b in zip(keys, keys[1:])])
     leaves = [((), 1.0, False)]  # (edges, probability, terminal)
     state = (np.array([v]), np.ones(1), np.zeros((1, g.dim)), np.eye(g.dim)[None])
     while True:
@@ -107,12 +103,66 @@ def cylinder_table(g, v, scales):
         stopped[moved] = stops(boxes, origin, scales, *(a[moved] for a in state))[0]
         leaves = [(edges, prob, terminal or bool(stop))
                   for (edges, prob, terminal), stop in zip(grown, stopped)]
+    keys = _keys([prob for _, prob, _ in leaves])
+    return [(edges, terminal) for edges, _, terminal in leaves], np.array(keys), state
+
+
+def _keys(probs):
+    """ceil(cum * 2^53) of the running sum of probs, at most 2^53, the last 2^53."""
     total, keys = 0.0, []
-    for _, prob, _ in leaves:
+    for prob in probs:
         total += prob
         keys.append(min(math.ceil(total * 2.0**53), 2**53))
     keys[-1] = 2**53
-    return [(edges, terminal) for edges, _, terminal in leaves], np.array(keys), state
+    return keys
+
+
+def _widths(g):
+    """Per vertex, the probability with which a walk draws each out-edge:
+    the widths of its keys over 2^53."""
+    out = []
+    for w in range(g.num_vertices):
+        keys = [0] + _keys(e.prob for e in g.out_edges(w))
+        out.append([(b - a) / 2.0**53 for a, b in zip(keys, keys[1:])])
+    return out
+
+
+def path_edges(g):
+    """k: the most edges, up to _MAX_PATH_EDGES, for which no vertex has
+    more than _MAX_PATHS paths of k edges, or 1."""
+    n = [len(g.out_edges(v)) for v in range(g.num_vertices)]
+    k = 1
+    while k < _MAX_PATH_EDGES:
+        n = [sum(n[e.dst] for e in g.out_edges(v)) for v in range(g.num_vertices)]
+        if max(n) > _MAX_PATHS:
+            break
+        k += 1
+    return k
+
+
+def path_tables(g):
+    """Per vertex, its paths of path_edges(g) edges in lexicographic edge
+    order, in the layout of _edge_tables: (cum, ratios, orthogonal parts,
+    translations, destinations).  cum is each path's key over 2^53, for the
+    running sum of the products of its edges' drawn probabilities; the map
+    of each path is composed edge by edge by _move, from scale 1,
+    translation 0 and the identity."""
+    tables, widths, k = _edge_tables(g), _widths(g), path_edges(g)
+    out = []
+    for v in range(g.num_vertices):
+        paths = [((), v, 1.0)]  # (out-edge indices, end vertex, probability)
+        for _ in range(k):
+            paths = [(edges + (j,), e.dst, prob * widths[w][j])
+                     for edges, w, prob in paths for j, e in enumerate(g.out_edges(w))]
+        n = len(paths)
+        state = (np.full(n, v), np.ones(n), np.zeros((n, g.dim)),
+                 np.broadcast_to(np.eye(g.dim), (n, g.dim, g.dim)).copy())
+        for step in np.array([edges for edges, _, _ in paths]).T:
+            _move(tables, np.arange(n), step, *state)
+        vert, ratio, trans, orth = state
+        cum = np.array(_keys([prob for _, _, prob in paths])) / 2.0**53
+        out.append((cum, ratio, orth, trans, vert))
+    return out
 
 
 def _edge_tables(g):
@@ -140,8 +190,8 @@ def _sweep(tables, idx, u, vert, scale, trans, orth):
 
 
 def _move(tables, idx, choice, vert, scale, trans, orth):
-    """Advance the walks idx one edge each: walk idx[i] along the out-edge
-    choice[i] of its vertex."""
+    """Advance the walks idx one edge of tables each: walk idx[i] along the
+    out-edge choice[i] of its vertex (a path, in path_tables)."""
     # Group by a snapshot of the current vertices so every walk advances
     # exactly one edge per sweep even when it changes vertex.
     vsnap = vert[idx]
@@ -150,10 +200,11 @@ def _move(tables, idx, choice, vert, scale, trans, orth):
         mask = vsnap == v
         sel = idx[mask]
         choice_v = np.minimum(choice[mask], len(cum) - 1)
-        for e in range(len(cum)):
-            rows = sel[choice_v == e]
-            if rows.size == 0:
-                continue
+        # one batch per edge taken
+        order = np.argsort(choice_v, kind="stable")
+        sel, choice_v = sel[order], choice_v[order]
+        cuts = np.flatnonzero(np.diff(choice_v)) + 1
+        for rows, e in zip(np.split(sel, cuts), choice_v[np.r_[0, cuts]]):
             step_t = orth[rows] @ transl[e]
             trans[rows] += scale[rows, None] * step_t
             orth[rows] = orth[rows] @ orths[e]
@@ -186,7 +237,7 @@ def oracle_sample(g, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES):
     """(points, vertex of each point, final walk states) drawn chunk by
     chunk, vertex-major.  A state is (vertex, scale, translation,
     orthogonal part) per walk, as arrays."""
-    tables = _edge_tables(g)
+    tables = (_edge_tables(g), path_tables(g))
     boxes = vertex_boxes(g)
     origin = np.array([lo for lo, _ in g.bbox])
     points, vertices, states = [], [], []
@@ -207,6 +258,7 @@ def oracle_sample(g, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES):
 
 
 def _walk_chunk(dim, tables, boxes, origin, scales, start_vertex, table, count, rng):
+    tables, paths = tables
     vert = np.full(count, start_vertex, dtype=np.int64)
     scale = np.ones(count)
     trans = np.zeros((count, dim))
@@ -236,7 +288,7 @@ def _walk_chunk(dim, tables, boxes, origin, scales, start_vertex, table, count, 
                 _move(tables, idx, step, vert, scale, trans, orth)
     while np.any(active):
         idx = np.nonzero(active)[0]
-        _sweep(tables, idx, rng.random(len(idx)), vert, scale, trans, orth)
+        _sweep(paths, idx, rng.random(len(idx)), vert, scale, trans, orth)
         end(idx)
     return points, (vert, scale, trans, orth)
 

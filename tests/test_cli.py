@@ -422,6 +422,16 @@ def test_user_chosen_scales_too_few_or_narrow_exit_2(monkeypatch, capsys, scales
     assert out == "" and err.startswith("error:") and "scale" in err
 
 
+@pytest.mark.parametrize("command", ["estimate", "compare"])
+def test_scales_and_scale_octaves_together_exit_2(monkeypatch, capsys, command):
+    # neither flag may silently win over the other
+    monkeypatch.setattr(empirical, "_draw_leaves", _no_walks)
+    code, out, err = run(capsys, command, "--family", "strong-r", "--q", "2", "--samples", "2000",
+                         "--scales", "0.1,0.05,0.025", "--scale-octaves", "4", "6")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "--scales" in err and "--scale-octaves" in err
+
+
 def _no_lattice(*args, **kwargs):
     raise AssertionError("a lattice verdict was computed")
 

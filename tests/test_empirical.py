@@ -17,7 +17,17 @@ from lqspec.empirical import CHUNK_SIZE, DEFAULT_SCALES, SCALE_FLOOR, fit_to_csv
 from lqspec.gifs import similitude_2d
 from conftest import assert_valid_gifs
 from partition_oracle import oracle_box_counts, oracle_partition_sum
-from sampler_oracle import continue_walks, cylinder_table, oracle_sample, stops, vertex_boxes
+from sampler_oracle import (
+    _box,
+    _move,
+    continue_walks,
+    cylinder_table,
+    oracle_sample,
+    path_edges,
+    path_tables,
+    stops,
+    vertex_boxes,
+)
 
 
 def _strong_r_gifs():
@@ -62,16 +72,17 @@ class _CountingRng:
 
 def _sample_counting_draws(monkeypatch, g, n_per_vertex, seed, **kwargs):
     """The cloud, the mean number of raw words its walks drew, and their mean
-    depth: the depth that the table gives the leaf each walk drew, plus one
-    edge for each word drawn after the leaf draws."""
+    depth: the depth that the table gives the leaf each walk drew, plus the
+    k edges of a path for each word drawn after the leaf draws."""
     walk, count = empirical._walk_chunk, empirical._count_leaves
+    k = path_edges(g)
     words, edges = [], []
 
-    def counting(tables, start, counts, out, rng, *rest):
+    def counting(paths, start, counts, out, rng, *rest):
         rng = _CountingRng(rng)
-        walk(tables, start, counts, out, rng, *rest)
+        walk(paths, start, counts, out, rng, *rest)
         words.append(rng.words)
-        edges.append(rng.words)
+        edges.append(rng.words * k)
 
     def leaves(start, draws):
         counts = count(start, draws)
@@ -281,32 +292,48 @@ def test_each_point_has_the_boxes_of_its_walk_run_to_the_floor(case):
 def test_walks_that_keep_straddling_a_line_end_at_the_floor():
     # Lebesgue measure on [0, 1]: the box at depth k is a dyadic interval of
     # width 2^-k, which straddles a line of the side-1e-11 grid with
-    # probability about 2^-k / 1e-11, about 9% at the floor, k = 40
+    # probability about 2^-k / 1e-11.  The table stops at the 2^12 open
+    # leaves of twelve edges and a sweep takes the 2^8 paths of eight, so
+    # walks are tested at depths 20, 28, 36 and 44.  Up to depth 36 every box
+    # is wider than a side; at 44 the scale is below the floor, so every walk
+    # ends there, and the 2^-44 / 1e-11 = 0.57% (11.4 expected) whose boxes
+    # straddle a line end by the floor alone
     def half(t):
         return lq.Similitude(1, 0.5, np.eye(1), np.array([t]))
 
     g = lq.Gifs(1, 1, (lq.Edge("a", 0, 0, half(0.0), 0.5), lq.Edge("b", 0, 0, half(0.5), 0.5)))
+    (start,) = _starts(g, [1e-11])
+    assert start.levels == 12 and path_edges(g) == 8
     cloud = lq.sample(g, 2000, seed=0, scales=[1e-11])
     points, _, (_, scale, _, _) = oracle_sample(g, 2000, 0, [1e-11])
     assert np.array_equal(cloud.points, points)
-    assert scale.min() == 2.0**-40 and SCALE_FLOOR < 2.0**-39
-    assert 50 <= np.count_nonzero(scale == 2.0**-40) <= 400
+    assert np.all(scale == 2.0**-44) and 2.0**-44 <= SCALE_FLOOR < 2.0**-36
+    u, w = points[:, 0] / 1e-11, 2.0**-45 / 1e-11  # each box is its point +- w, in sides
+    assert 2 <= np.count_nonzero(u + w > np.floor(u - w) + 1.0) <= 30
+
+
+# Mean depths at seeds 1-3: 7.7 (1-D), 11.07-11.09 (strong-r2) and
+# 10.20-10.21 (nonstrong-r2).  A 2-D walk goes on from the six-edge leaves
+# k = 4 edges per sweep, so it stops up to 3 edges deeper than the 10.0 and
+# 8.3 edges at which edge-by-edge sweeps stopped.  Walks run until their
+# contraction fell below 1e-9 took 17.9 to 22.0 edges.
+_MAX_DEPTH = {"strong-r2": 11.2, "nonstrong-r2": 10.4}
 
 
 @pytest.mark.parametrize("family", lq.FAMILY_IDS)
 def test_walks_stop_at_the_depth_the_box_counts_see(monkeypatch, family):
-    # mean depths 7.7 (1-D), 10.0 (strong-r2) and 8.3 (nonstrong-r2); walks
-    # run until their contraction fell below 1e-9 took 17.9 to 22.0 edges
     g = lq.build_example(lq.canonical_params(family))
     _, _, depth = _sample_counting_draws(monkeypatch, g, 20_000, seed=1)
-    assert depth <= (8.0 if g.dim == 1 else 10.5)
+    assert depth <= _MAX_DEPTH.get(family, 8.0)
 
 
 # raw words per point: one for the leaf of the table of stopped cylinders,
-# then one per edge after an open leaf.  Measured at seed 1: 1.0 (1-D; 1.0001
-# on nonstrong-r-heights), 5.02 (strong-r2) and 3.27 (nonstrong-r2); drawing
-# every edge took 7.7 to 10.0, and a k-edge prefix alone 2.71 to 5.02
-_MAX_WORDS = {"strong-r2": 5.1, "nonstrong-r2": 3.4}
+# then one per k-edge path after an open leaf.  Measured at seeds 1-3: 1.0
+# (1-D; 1.0001 on nonstrong-r-heights), 2.268-2.271 (strong-r2) and
+# 2.051-2.052 (nonstrong-r2); the bounds leave 0.03 words above the largest.
+# One word per edge after an open leaf took 5.02 and 3.27, drawing every edge
+# 7.7 to 10.0, and a k-edge prefix alone 2.71 to 5.02.
+_MAX_WORDS = {"strong-r2": 2.30, "nonstrong-r2": 2.08}
 
 
 @pytest.mark.parametrize("family", lq.FAMILY_IDS)
@@ -397,6 +424,50 @@ def test_no_walk_can_end_inside_its_prefix(case):
             assert len(start.key) == (3**7 if v < 5 else 3281) and not np.any(terminal)
 
 
+@pytest.mark.parametrize("case", _TABLE_CASES)
+def test_path_table_matches_edge_by_edge_composition(case):
+    # each k-edge path that a sweep applies has the key, ratio, destination
+    # and orientation of its edges composed one by one, and moves a walk in
+    # every orientation as its composed map does: exactly where every
+    # orthogonal part is +-1, and to rounding otherwise
+    make, scales = _TABLE_CASES[case]
+    g = make()
+    paths = empirical._paths(empirical._walk_tables(g))
+    orths = np.array([e.map.orthogonal for v in range(g.num_vertices) for e in g.out_edges(v)])
+    rots, _ = empirical._orientation_group(orths)
+    # a path composes k maps, each product rounding by up to two ulps of
+    # the entries, all at most 1 here (third-turn: k = 8, at most 9 ulps seen)
+    k = path_edges(g)
+    tol = 0.0 if np.all(np.isin(orths, (-1.0, 0.0, 1.0))) else 2 * k * 2.0**-52
+    grids = empirical._tested_grids(empirical._resolvable_sides(g, scales))
+    boxes = vertex_boxes(g)
+    want = path_tables(g)
+    n = len(paths.ratio)
+    assert len(paths.mul) == len(rots) * n
+    for v, (cum, ratio, _, _, dst) in enumerate(want):
+        first, last = paths.first_edge[v : v + 2]
+        m = last - first
+        assert m == len(cum)
+        assert np.array_equal(paths.cum_key[first:last] - (v << 54), cum * 2.0**53)
+        assert np.array_equal(paths.ratio[first:last], ratio)
+        assert np.array_equal(paths.dst_key[first:last] >> 54, dst)
+        for o, rot in enumerate(rots):
+            # a walk at v in orientation o, at scale 0.37 and translation t,
+            # moved along each path by the sampler and by the oracle
+            t = np.linspace(0.1, -0.2, g.dim)
+            state = (np.full(m, v), np.full(m, 0.37), np.tile(t, (m, 1)), np.tile(rot, (m, 1, 1)))
+            scale, trans = state[1].copy(), state[2].T.copy()
+            ge, vkey, orient = empirical._advance(paths, np.arange(first, last),
+                                                  np.full(m, o * n), scale, trans)
+            _, centre = empirical._stops(paths, grids, ge, scale, trans)
+            half = paths.half.take(ge, axis=1) * scale
+            _move(want, np.arange(m), np.arange(m), *state)
+            assert np.array_equal(vkey >> 54, state[0]) and np.array_equal(scale, state[1])
+            for got, expected in zip((trans.T, rots[orient // n], centre.T, half.T),
+                                     (state[2], state[3], *_box(boxes, *state))):
+                assert np.max(np.abs(got - expected), initial=0.0) <= tol
+
+
 def _fan_and_cantor_gifs():
     # vertices 0 and 2 draw Cantor sets, whose tables grow until every leaf
     # ends; vertex 1 has 70 out-edges, so its second level would add 4900
@@ -429,8 +500,8 @@ def test_one_pass_tables_equal_the_tables_built_per_root(case):
     assert len(together) == g.num_vertices
     for v, start in enumerate(together):
         (alone,) = empirical._starts(tables, grids, roots=[v])
-        assert start.levels == alone.levels and start.least == alone.least
-        for name in ("key", "depth", "slot", "point", "vkey", "orient", "scale", "trans", "near"):
+        assert start.levels == alone.levels
+        for name in ("key", "depth", "slot", "point", "vkey", "orient", "scale", "trans"):
             assert np.array_equal(getattr(start, name), getattr(alone, name)), name
     if case == "fan-and-cantor":
         # vertex 1 stops at its level bound with 70 open leaves
@@ -464,17 +535,28 @@ def test_walks_from_a_table_that_grew_no_level_draw_no_leaf(seed):
     _assert_matches_oracle(g, CHUNK_SIZE + 77, seed)
 
 
+@pytest.mark.parametrize("draws", ["leaves", "sweep paths"])
 @pytest.mark.parametrize("family", ["strong-r", "nonstrong-r2"])
-def test_drawn_paths_follow_the_path_probabilities(family):
-    # chi-square over the table's leaves, at a fixed seed, with consecutive
-    # leaves pooled until each pool expects at least 20 draws: the statistic
-    # lies within 5 standard deviations (sqrt(2 dof)) of its dof
+def test_drawn_paths_follow_the_path_probabilities(family, draws):
+    # chi-square over vertex 0's table leaves, or over the k-edge paths from
+    # vertex 0 that sweeps draw, at a fixed seed, with consecutive paths
+    # pooled until each pool expects at least 20 draws: the statistic lies
+    # within 5 standard deviations (sqrt(2 dof)) of its dof
     g = lq.build_example(lq.canonical_params(family))
-    start = _starts(g, DEFAULT_SCALES)[0]
-    n = 400_000
-    got = empirical._count_leaves(start, empirical._draw_leaves(n, np.random.default_rng(3)))
-    assert len(got) == len(start.key) and got.sum() == n
-    want = np.diff(start.key, prepend=0) / 2.0**53 * n
+    n, rng = 400_000, np.random.default_rng(3)
+    if draws == "leaves":
+        start = _starts(g, DEFAULT_SCALES)[0]
+        key = start.key
+        got = empirical._count_leaves(start, empirical._draw_leaves(n, rng))
+    else:
+        paths = empirical._paths(empirical._walk_tables(g))
+        key = paths.cum_key[: paths.first_edge[1]]  # vertex 0's, whose keys carry no vertex bits
+        walks = (np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64), np.ones(n),
+                 np.zeros((g.dim, n)))
+        p, _, _ = empirical._step(paths, rng, *walks)  # orientation 0: the column is the path
+        got = np.bincount(p, minlength=len(key))
+    assert len(got) == len(key) and got.sum() == n
+    want = np.diff(key, prepend=0) / 2.0**53 * n
     assert np.all(want > 0.0)
     pool = np.empty(len(want), dtype=np.int64)
     k, total = 0, 0.0
