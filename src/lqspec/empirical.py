@@ -51,7 +51,7 @@ start the stream afresh); then the walks from open leaves stay in
 ascending order and draw one ``random_raw(n_active)`` per sweep.  The top
 53 bits of each raw word are the m of the m / 2^53 that ``rng.random()``
 would return from the same stream, so a seed fixes every point.  The leaf
-draws run while the leaf and path tables are built.  Every chunk counts its
+draws run while the tables of stopped cylinders are built.  Every chunk counts its
 leaves before any walk goes on, and each chunk writes its swept walks'
 points to its own columns of one coordinate-major array, so the chunks run on
 a thread pool with one worker per CPU available to the process (numpy
@@ -188,8 +188,9 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
     """Draw n_per_vertex points from each vertex measure, exact at the box
     sides in scales.
 
-    The cylinders at which walks stop are tabulated once per start vertex,
-    and the k-edge paths that sweeps take once, on a worker thread.  Chunk
+    The k-edge paths that sweeps take are tabulated once, before any worker
+    starts, and the cylinders at which walks stop once per start vertex, on
+    a worker thread.  Chunk
     c of vertex v walks CHUNK_SIZE points (fewer in the last chunk) on its
     own (seed, v, c) stream: first every chunk draws its walks' leaves,
     while the tables are built, and counts how many draw each leaf of v's
@@ -207,6 +208,9 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
     hs = _resolvable_sides(g, scales)
     tables = _walk_tables(g)
     grids = _tested_grids(hs)
+    # Built before any worker starts: on a worker, this build raised the
+    # peak RSS of repeated calls by 7-9 MB in about half of all processes.
+    paths = _paths(tables)
 
     def stream(v, c):
         return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(v, c)))
@@ -226,9 +230,6 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
     def walk(v, rng, counts, a, b):
         _walk_chunk(paths, starts[v], counts, swept[:, a:b], rng, grids)
 
-    def build():
-        return _starts(tables, grids), _paths(tables)
-
     n_chunks = (n_per_vertex + CHUNK_SIZE - 1) // CHUNK_SIZE
     jobs = [(v, c) for v in range(g.num_vertices) for c in range(n_chunks)]
     workers = _worker_count(len(jobs))
@@ -239,9 +240,9 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
         # they raised the peak RSS of repeated 2-D calls by 7 MB.  The
         # build holds the interpreter lock for most of its time, and the
         # leaf draws, which release it, run beside it.
-        built = pool.submit(build) if pool else None
+        build = pool.submit(_starts, tables, grids) if pool else None
         drawn = _run(pool, draw, jobs)
-        starts, paths = built.result() if pool else build()
+        starts = build.result() if pool else _starts(tables, grids)
         drawn = _run(pool, count, [(*job, *rng_draws) for job, rng_draws in zip(jobs, drawn)])
         chunks = [(v, counts) for (v, _), (_, counts) in zip(jobs, drawn)]
         at = np.cumsum([0] + [int(k[starts[v].slot >= 0].sum()) for v, k in chunks])
