@@ -190,16 +190,14 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
 
     The k-edge paths that sweeps take are tabulated once, before any worker
     starts, and the cylinders at which walks stop once per start vertex, on
-    a worker thread.  Chunk
-    c of vertex v walks CHUNK_SIZE points (fewer in the last chunk) on its
-    own (seed, v, c) stream: first every chunk draws its walks' leaves,
-    while the tables are built, and counts how many draw each leaf of v's
-    table; then the walks that drew open leaves go on k edges per sweep,
-    each chunk writing their points to its own columns of one (d, m) array
-    sized to them.  The cloud keeps the counts and that
-    array.  The chunks run on one thread
-    per CPU available to the process, and the points do not depend on how
-    many run.  On an error in a chunk or an interrupt in the caller, queued
+    a worker thread.  Chunk c of vertex v walks CHUNK_SIZE points (fewer in
+    the last chunk) on its own (seed, v, c) stream: first every chunk draws
+    its walks' leaves, while the tables are built, and counts how many draw
+    each leaf of v's table; then the walks that drew open leaves go on k
+    edges per sweep, each chunk writing their points to its own columns of
+    one (d, m) array sized to them.  The cloud keeps the counts and that
+    array.  The chunks run on one thread per CPU available to the process,
+    and the points do not depend on how many run.  On an error in a chunk or an interrupt in the caller, queued
     chunks are cancelled and the error propagates once no chunk is running.
     Bad arguments raise InvalidParams before any walk.
     """

@@ -444,6 +444,7 @@ def test_path_table_matches_edge_by_edge_composition(case):
     want = path_tables(g)
     n = len(paths.ratio)
     assert len(paths.mul) == len(rots) * n
+    t = np.linspace(0.1, -0.2, g.dim)
     for v, (cum, ratio, _, _, dst) in enumerate(want):
         first, last = paths.first_edge[v : v + 2]
         m = last - first
@@ -454,7 +455,6 @@ def test_path_table_matches_edge_by_edge_composition(case):
         for o, rot in enumerate(rots):
             # a walk at v in orientation o, at scale 0.37 and translation t,
             # moved along each path by the sampler and by the oracle
-            t = np.linspace(0.1, -0.2, g.dim)
             state = (np.full(m, v), np.full(m, 0.37), np.tile(t, (m, 1)), np.tile(rot, (m, 1, 1)))
             scale, trans = state[1].copy(), state[2].T.copy()
             ge, vkey, orient = empirical._advance(paths, np.arange(first, last),
@@ -535,8 +535,12 @@ def test_walks_from_a_table_that_grew_no_level_draw_no_leaf(seed):
     _assert_matches_oracle(g, CHUNK_SIZE + 77, seed)
 
 
-@pytest.mark.parametrize("draws", ["leaves", "sweep paths"])
-@pytest.mark.parametrize("family", ["strong-r", "nonstrong-r2"])
+@pytest.mark.parametrize(
+    "family, draws",
+    [("strong-r", "leaves"), ("nonstrong-r2", "leaves"),
+     ("strong-r2", "sweep paths"), ("nonstrong-r2", "sweep paths")],
+    ids=["strong-r", "nonstrong-r2", "strong-r2-sweep-paths", "nonstrong-r2-sweep-paths"],
+)
 def test_drawn_paths_follow_the_path_probabilities(family, draws):
     # chi-square over vertex 0's table leaves, or over the k-edge paths from
     # vertex 0 that sweeps draw, at a fixed seed, with consecutive paths
