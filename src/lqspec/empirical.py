@@ -536,7 +536,7 @@ class _Start:
     walk that draws a terminal leaf ends there: ``slot[i]`` is then -1 - t,
     and column t of ``point`` is the leaf's box centre, computed by the same
     float operations as _stops.  The walks that draw an open leaf go on
-    edge by edge: ``slot[i]`` is then its column of ``vkey``, ``orient``,
+    along k-edge paths: ``slot[i]`` is then its column of ``vkey``, ``orient``,
     ``scale`` and ``trans``, the walk state after ``levels`` edges, computed
     by the same float operations as that many edge moves of _advance;
     ``orient`` is an index into the orientation group.
