@@ -14,18 +14,21 @@ zero.  A walk that keeps straddling a line ends once its contraction is at
 most SCALE_FLOOR = 1e-12; its point is then within 1e-12 box widths of an
 exact draw.  The sides fix the depth, so there is no other stopping knob.
 
-Each ``sample`` call tabulates, for each start vertex, the cylinders at
-which walks stop: a tree of edge paths grown one level at a time, in which
-a node where the walk's stop test ends it becomes a terminal leaf holding
-its box centre, while the other (open) leaves hold the walk state.  A tree
-grows while a level adds at most MAX_LEVEL_NODES of its leaves and it keeps
-at most MAX_TABLE_NODES; all start vertices' trees grow in one level loop.
+Each ``sample`` call tabulates the cylinders at which walks stop, once per
+class of vertices with one walk law (_classes; on ``nonstrong-r-heights``
+the paper's vertices 1-5 share a table): a tree of edge paths grown one
+level at a time from the class's first vertex, in which a node where the
+walk's stop test ends it becomes a terminal leaf holding its box centre,
+while the other (open) leaves hold the walk state.  A tree grows while a
+level adds at most MAX_LEVEL_NODES of its leaves and it keeps at most
+MAX_TABLE_NODES; all classes' trees grow in one level loop.
 Each walk draws its leaf by one inverse-CDF lookup on the leaves'
 cumulative probabilities, which gives it the law of edge-by-edge draws up
 to that leaf, and the depth is the same.  A walk that draws a terminal leaf
 is done, and only the number of walks at each leaf is kept; at the default
 sides every 1-D walk is done there.  So a cloud holds counted leaves, and
-box counting bins each terminal leaf's centre once, weighted by its count.
+box counting bins each terminal leaf's centre once, weighted by the count
+of walks from every vertex that shares its table.
 
 After an open leaf, each sweep moves every active walk along a path of k
 edges, the most at which no vertex has more than 256 paths, and then tests
@@ -112,9 +115,11 @@ class SampleCloud:
 
     A cloud is built from an (n, d) array of points, or by ``sample`` from
     counted leaves: per chunk, how many of its walks drew each leaf of the
-    start vertex's table, and the points of the walks that went on from
-    open leaves.  Such a cloud expands to one row per walk only when
-    ``points`` is first read, and box counting never reads it.
+    table of its start vertex's class, and the points of the walks that
+    went on from open leaves.  Box counting bins each table's terminal
+    centres once, weighted by the walks of all chunks that drew them.  Such
+    a cloud expands to one row per walk only when ``points`` is first read,
+    and box counting never reads it.
     """
 
     def __init__(self, points, scales, grid_anchor=()):
@@ -128,26 +133,26 @@ class SampleCloud:
 
     @classmethod
     def _counted(cls, swept, scales, grid_anchor, starts, chunks):
-        """The cloud of ``sample``'s chunks, each (v, leaf counts): its walks
-        drew leaves of starts[v].  The (d, m) swept holds the points of the
-        walks that went on from open leaves, chunk after chunk, each chunk's
-        in the order of their leaves."""
+        """The cloud of ``sample``'s chunks, each (t, leaf counts): its walks
+        drew leaves of the table starts[t].  The (d, m) swept holds the
+        points of the walks that went on from open leaves, chunk after
+        chunk, each chunk's in the order of their leaves.  The counts are
+        summed per table, so a table's terminal centres are binned once
+        however many vertices share it."""
         cloud = cls.__new__(cls)
         cloud.scales, cloud.grid_anchor = scales, grid_anchor
         cloud._swept, cloud._starts, cloud._chunks = swept, starts, chunks
         cloud._n = sum(int(counts.sum()) for _, counts in chunks)
-        weights = [np.zeros(start.point.shape[1], dtype=np.int64) for start in starts]
-        for v, counts in chunks:
-            slot = starts[v].slot
-            ended = slot < 0
-            weights[v][~slot[ended]] += counts[ended]
-        drawn = [w > 0 for w in weights]
-        cloud._ended = None
-        if any(d.any() for d in drawn):
-            cloud._ended = (
-                np.concatenate([s.point[:, d] for s, d in zip(starts, drawn)], axis=1),
-                np.concatenate([w[d] for w, d in zip(weights, drawn)]),
-            )
+        total = [np.zeros(len(start.slot), dtype=np.int64) for start in starts]
+        for t, counts in chunks:
+            total[t] += counts
+        centres, weights = [], []
+        for start, n in zip(starts, total):
+            leaf = np.flatnonzero((start.slot < 0) & (n > 0))
+            centres.append(start.point.take(~start.slot.take(leaf), axis=1))
+            weights.append(n.take(leaf))
+        weights = np.concatenate(weights)
+        cloud._ended = (np.concatenate(centres, axis=1), weights) if len(weights) else None
         return cloud
 
     @functools.cached_property
@@ -157,8 +162,8 @@ class SampleCloud:
             return self._swept.T
         rows = np.empty((len(self._swept), len(self)))
         col = at = 0
-        for v, counts in self._chunks:
-            start = self._starts[v]
+        for t, counts in self._chunks:
+            start = self._starts[t]
             slot = np.repeat(start.slot, counts)
             out = rows[:, col : col + len(slot)]
             done = np.flatnonzero(slot < 0)
@@ -189,16 +194,19 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
     sides in scales.
 
     The k-edge paths that sweeps take are tabulated once, before any worker
-    starts, and the cylinders at which walks stop once per start vertex, on
-    a worker thread.  Chunk c of vertex v walks CHUNK_SIZE points (fewer in
-    the last chunk) on its own (seed, v, c) stream: first every chunk draws
-    its walks' leaves, while the tables are built, and counts how many draw
-    each leaf of v's table; then the walks that drew open leaves go on k
-    edges per sweep, each chunk writing their points to its own columns of
-    one (d, m) array sized to them.  The cloud keeps the counts and that
-    array.  The chunks run on one thread per CPU available to the process,
-    and the points do not depend on how many run.  On an error in a chunk or an interrupt in the caller, queued
-    chunks are cancelled and the error propagates once no chunk is running.
+    starts, and the cylinders at which walks stop once per class of
+    vertices (_classes), from its first vertex, on a worker thread; every
+    vertex of the class walks from that table, with the same points as from
+    a table of its own.  Chunk c of vertex v walks CHUNK_SIZE points (fewer
+    in the last chunk) on its own (seed, v, c) stream: first every chunk
+    draws its walks' leaves, while the tables are built, and counts how
+    many draw each leaf of v's table; then the walks that drew open leaves
+    go on k edges per sweep, each chunk writing their points to its own
+    columns of one (d, m) array sized to them.  The cloud keeps the counts
+    and that array.  The chunks run on one thread per CPU available to the
+    process, and the points do not depend on how many run.  On an error in
+    a chunk or an interrupt in the caller, queued chunks are cancelled and
+    the error propagates once no chunk is running.
     Bad arguments raise InvalidParams before any walk.
     """
     n_per_vertex = _nonnegative_int("n_per_vertex", n_per_vertex)
@@ -209,6 +217,8 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
     # Built before any worker starts: on a worker, this build raised the
     # peak RSS of repeated calls by 7-9 MB in about half of all processes.
     paths = _paths(tables)
+    cls = _classes(g)
+    roots = [cls.index(c) for c in range(max(cls) + 1)]
 
     def stream(v, c):
         return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(v, c)))
@@ -221,12 +231,13 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
         return rng, _draw_leaves(size(c), rng)
 
     def count(v, c, rng, draws):
-        if not starts[v].levels:  # no leaf to draw: the walks take the whole stream
+        start = starts[cls[v]]
+        if not start.levels:  # no leaf to draw: the walks take the whole stream
             return stream(v, c), np.array([size(c)])
-        return rng, _count_leaves(starts[v], draws)
+        return rng, _count_leaves(start, draws)
 
     def walk(v, rng, counts, a, b):
-        _walk_chunk(paths, starts[v], counts, swept[:, a:b], rng, grids)
+        _walk_chunk(paths, starts[cls[v]], counts, swept[:, a:b], rng, grids)
 
     n_chunks = (n_per_vertex + CHUNK_SIZE - 1) // CHUNK_SIZE
     jobs = [(v, c) for v in range(g.num_vertices) for c in range(n_chunks)]
@@ -238,12 +249,12 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
         # they raised the peak RSS of repeated 2-D calls by 7 MB.  The
         # build holds the interpreter lock for most of its time, and the
         # leaf draws, which release it, run beside it.
-        build = pool.submit(_starts, tables, grids) if pool else None
+        build = pool.submit(_starts, tables, grids, roots) if pool else None
         drawn = _run(pool, draw, jobs)
-        starts = build.result() if pool else _starts(tables, grids)
+        starts = build.result() if pool else _starts(tables, grids, roots)
         drawn = _run(pool, count, [(*job, *rng_draws) for job, rng_draws in zip(jobs, drawn)])
-        chunks = [(v, counts) for (v, _), (_, counts) in zip(jobs, drawn)]
-        at = np.cumsum([0] + [int(k[starts[v].slot >= 0].sum()) for v, k in chunks])
+        chunks = [(cls[v], counts) for (v, _), (_, counts) in zip(jobs, drawn)]
+        at = np.cumsum([0] + [int(k[starts[t].slot >= 0].sum()) for t, k in chunks])
         # Coordinate-major: box counting reads each coordinate as one contiguous row.
         swept = np.empty((g.dim, at[-1]))
         _run(pool, walk, [(v, rng, counts, a, b)
@@ -385,6 +396,35 @@ def _walk_tables(g: Gifs) -> _WalkTables:
         half=_per_ge(np.abs(after), (hi[dst] - lo[dst]) / 2.0),
         origin=np.array([a for a, _ in g.bbox]),
     )
+
+
+def _classes(g: Gifs) -> list[int]:
+    """Each vertex's class, numbered in the order of the classes' first
+    vertices, by Moore's partition refinement: vertices start in one class
+    per row of out-edges, each edge taken in order as its similitude and
+    drawn key width, and a class splits until its vertices' edges, taken in
+    order, lead into equal classes.  Walks from the vertices of a class
+    have one law, and one table of stopped cylinders, bit for bit.
+    """
+    rows, dsts = [], []
+    for v in range(g.num_vertices):
+        out = g.out_edges(v)
+        width = np.diff(_keys([e.prob for e in out]), prepend=0).tolist()
+        # repr, unlike ==, tells -0.0 from 0.0, so a shared table is bit for bit each vertex's own
+        rows.append(tuple(zip(map(repr, (e.map for e in out)), width)))
+        dsts.append([e.dst for e in out])
+    cls, finer = None, _numbered(rows)
+    # a round only splits classes, and first-seen numbers name the unsplit ones alike
+    while finer != cls:
+        cls = finer
+        finer = _numbered([(c, *(cls[w] for w in dst)) for c, dst in zip(cls, dsts)])
+    return cls
+
+
+def _numbered(labels):
+    """Each label's index among the distinct labels, in first-seen order."""
+    index = {}
+    return [index.setdefault(label, len(index)) for label in labels]
 
 
 def _keys(prob):
@@ -847,9 +887,13 @@ def partition_sum(cloud: SampleCloud, scales, q: float, total_mass: float) -> li
     are binned once each, weighted by how many walks drew them, and only
     the walks that went on from open leaves are binned one by one.  A side
     that the cloud was not sampled for, or an anchor with another number of
-    coordinates than the points, raises InvalidParams.  An empty cloud gives
-    -inf at every scale.
+    coordinates than the points, raises InvalidParams, as do a q that is not
+    a finite real and a total_mass that is not finite and positive.  An
+    empty cloud gives -inf at every scale.
     """
+    _check_q(q)
+    if not isinstance(total_mass, numbers.Real) or not 0.0 < total_mass < math.inf:
+        raise InvalidParams(f"total_mass must be finite and positive, got {total_mass!r}")
     hs = [float(h) for h in scales]
     unresolved = sorted(set(hs) - set(cloud.scales))
     if unresolved:
@@ -866,6 +910,12 @@ def partition_sum(cloud: SampleCloud, scales, q: float, total_mass: float) -> li
     if n == 0:
         return [-math.inf] * len(hs)
     return [_log_sum_of_powers(counts, n, q, total_mass) for counts in _box_counts(cloud, hs)]
+
+
+def _check_q(q):
+    """InvalidParams unless q is a finite real."""
+    if not isinstance(q, numbers.Real) or not math.isfinite(q):
+        raise InvalidParams(f"q must be finite, got {q!r}")
 
 
 def _log_sum_of_powers(counts, n, q, total_mass):
@@ -1012,13 +1062,12 @@ def estimate_tau(
     """Log-log regression of partition sums against scale.
 
     Requires a finite q and at least three distinct scales, all positive and
-    finite (else InvalidParams), spanning at least two octaves, all below
-    the family's coarsest first-level cell so the grid actually resolves
-    structure.  A given cloud must have been sampled for every scale;
-    otherwise the scales are sampled here.
+    finite (else InvalidParams), spanning at least two octaves, all at most
+    the family's smallest first-level cell (its smallest edge ratio) so the
+    grid actually resolves structure.  A given cloud must have been sampled
+    for every scale; otherwise the scales are sampled here.
     """
-    if not isinstance(q, numbers.Real) or not math.isfinite(q):
-        raise InvalidParams(f"q must be finite, got {q!r}")
+    _check_q(q)
     hs = [float(h) for h in h_list]
     if not all(0.0 < h < math.inf for h in hs):
         raise InvalidParams(f"scales must be positive and finite, got {hs}")

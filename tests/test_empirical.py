@@ -511,6 +511,66 @@ def test_one_pass_tables_equal_the_tables_built_per_root(case):
             assert together[v].levels > 1 and len(together[v].vkey) == 0
 
 
+def test_heights_vertices_share_two_tables(monkeypatch):
+    # vertices 1-5 of the paper carry the same three maps and probabilities
+    # into vertices of their own class; vertex 6 has two edges
+    g = lq.build_example(lq.canonical_params("nonstrong-r-heights"))
+    assert empirical._classes(g) == [0, 0, 0, 0, 0, 1]
+    seen, starts = [], empirical._starts
+
+    def spy(tables, grids, roots=None):
+        seen.append(list(roots))
+        return starts(tables, grids, roots)
+
+    monkeypatch.setattr(empirical, "_starts", spy)
+    lq.sample(g, 1000, seed=0)
+    assert seen == [[0, 5]]
+
+
+def _loops_gifs(rows):
+    """A 1-D graph with one vertex per row of (ratio, translation, prob, dst)."""
+    return lq.Gifs(len(rows), 1, tuple(
+        lq.Edge(f"e{v}{i}", v, dst, lq.Similitude(1, ratio, np.eye(1), np.array([t])), prob)
+        for v, row in enumerate(rows) for i, (ratio, t, prob, dst) in enumerate(row)
+    ))
+
+
+def test_vertices_that_differ_only_in_edge_probabilities_are_not_merged():
+    def row(p, dst):
+        return ((1 / 3, 0.0, p, dst), (1 / 3, 2 / 3, 1.0 - p, dst))
+
+    assert empirical._classes(_loops_gifs([row(0.5, 0), row(0.5, 1)])) == [0, 0]
+    assert empirical._classes(_loops_gifs([row(0.5, 0), row(0.4, 1)])) == [0, 1]
+
+
+def test_equal_edge_rows_into_different_classes_are_split():
+    # vertices 0-2 have equal edge rows and vertex 3 another: the first
+    # round splits vertex 2, which leads to 3, from 0 and 1, and only the
+    # second splits vertex 1, which leads to 2, from 0
+    def row(dst_a, dst_b):
+        return ((1 / 3, 0.0, 0.5, dst_a), (1 / 3, 2 / 3, 0.5, dst_b))
+
+    g = _loops_gifs([row(0, 0), row(1, 2), row(2, 3), ((0.25, 0.0, 0.5, 3), (0.25, 0.75, 0.5, 3))])
+    assert empirical._classes(g) == [0, 1, 2, 3]
+    _assert_matches_oracle(g, 2000, seed=1)
+
+
+_OCTAVES_16 = tuple(2.0**-k for k in range(4, 17))
+
+
+@pytest.mark.parametrize("scales", [DEFAULT_SCALES, _OCTAVES_16], ids=["default", "to-2^-16"])
+def test_shared_tables_give_the_points_of_one_table_per_vertex(monkeypatch, scales):
+    # at 2^-4 ... 2^-16 every walk goes on from an open leaf of its table
+    g = lq.build_example(lq.canonical_params("nonstrong-r-heights"))
+    shared = lq.sample(g, 20_000, seed=4, scales=scales)
+    monkeypatch.setattr(empirical, "_classes", lambda g: list(range(g.num_vertices)))
+    alone = lq.sample(g, 20_000, seed=4, scales=scales)
+    assert len(shared._starts) == 2 and len(alone._starts) == 6
+    assert np.array_equal(shared.points, alone.points)
+    for q in (0.0, 2.0, -1.5):
+        assert lq.partition_sum(shared, scales, q, 6.0) == lq.partition_sum(alone, scales, q, 6.0)
+
+
 def _wide_and_cantor_gifs():
     # vertex 1 has more out-edges than a level may add, so its table grows
     # no level, while vertex 0's grows beside it until every leaf ends
@@ -816,7 +876,26 @@ def test_partition_sum_rejects_an_anchor_of_another_dimension(monkeypatch):
         lq.partition_sum(cloud, [0.5], 2.0, total_mass=1.0)
 
 
-_OCTAVES_16 = tuple(2.0**-k for k in range(4, 17))
+@pytest.mark.parametrize(
+    "q, total_mass, message",
+    [
+        (math.inf, 2.0, "q must be finite"),
+        (-math.inf, 2.0, "q must be finite"),
+        (math.nan, 2.0, "q must be finite"),
+        ("2", 2.0, "q must be finite"),
+        (2.0, 0.0, "total_mass must be finite and positive"),
+        (2.0, -1.0, "total_mass must be finite and positive"),
+        (2.0, math.inf, "total_mass must be finite and positive"),
+        (2.0, math.nan, "total_mass must be finite and positive"),
+    ],
+)
+def test_partition_sum_rejects_an_unusable_q_or_total_mass(q, total_mass, message):
+    # q = inf gave -inf at every side, and total_mass = 0 a math domain error
+    cloud = lq.SampleCloud(np.full((50, 1), 0.3), scales=(0.5,), grid_anchor=(0.0,))
+    with pytest.raises(lq.InvalidParams, match=message):
+        lq.partition_sum(cloud, [0.5], q, total_mass=total_mass)
+
+
 _OCTAVES_20 = tuple(2.0**-k for k in range(4, 21))
 _COUNTED_CASES = {
     **{family: (family, DEFAULT_SCALES) for family in lq.FAMILY_IDS},
