@@ -113,7 +113,8 @@ class SampleCloud:
     turn), exact at the box sides in ``scales`` (coarsest first); box
     counting anchors its grids at ``grid_anchor``.
 
-    A cloud is built from an (n, d) array of points, or by ``sample`` from
+    A cloud is built from an (n, d) array of finite points (InvalidParams
+    names the first that is not), or by ``sample`` from
     counted leaves: per chunk, how many of its walks drew each leaf of the
     table of its start vertex's class, and the points of the walks that
     went on from open leaves.  Box counting bins each table's terminal
@@ -124,6 +125,10 @@ class SampleCloud:
 
     def __init__(self, points, scales, grid_anchor=()):
         points = np.asarray(points)
+        finite = np.isfinite(points)
+        if not finite.all():
+            i = int(np.argmin(finite.reshape(len(points), -1).all(axis=1)))
+            raise InvalidParams(f"point {i} of the cloud, {points[i].tolist()}, is not finite")
         self.scales = scales  # the box sides the walks resolve, coarsest first
         self.grid_anchor = grid_anchor
         self.__dict__["points"] = points  # the value that ``points`` caches

@@ -54,6 +54,10 @@ def tau_slopes(result: ClassificationResult) -> tuple[float, float]:
     return min(slopes), max(slopes)
 
 
+# Adams-Bashforth weights of orders 1-4, newest slope first
+_AB = ((1.0,), (1.5, -0.5), (23 / 12, -16 / 12, 5 / 12), (55 / 24, -59 / 24, 37 / 24, -9 / 24))
+
+
 def tau_curve(
     spec: MeasureMatrixSpec,
     q_min: float,
@@ -63,9 +67,15 @@ def tau_curve(
     """tau and its one-sided slopes on an even q-grid, warm-starting each
     solve from the last roots.
 
-    The spec is compiled once per curve.  Each previous root carries its
-    slope d alpha_c / dq, so the next solve starts at the linear prediction
-    alpha_c(q) + h * slope and typically needs a few Newton steps.
+    The spec is compiled once per curve.  Each root carries its slope
+    d alpha_c / dq, and the next root of its class starts at the
+    Adams-Bashforth prediction from the last (up to four) slopes: order 1,
+    2, 3, then 4 as they build up.  Only slopes enter the prediction, not
+    the roots before the last, whose rounding it would amplify.  From the
+    fourth grid point on, at h = 0.1, a class root takes two block
+    evaluations, and one if it is linear in q.  The report of ``classify``
+    is built once per set of attaining classes and cached in the compiled
+    classes.
     """
     if steps < 2:
         raise InvalidGrid(f"steps must be >= 2, got {steps}")
@@ -76,14 +86,20 @@ def tau_curve(
     alphas = []
     tables = []
     slopes = []
-    hints: dict | None = None
+    roots: dict = {}  # class index -> its root at the last grid point
+    history: dict[int, list[float]] = {}  # class index -> its last slopes, newest first
+    drift: dict[int, float] = {}  # class index -> predicted mean slope over the next step
     compiled = compile_classes(spec)
     for q in qs:
+        hints = {ci: root + (q - root.q) * drift[ci] for ci, root in roots.items()}
         _, result = tau(spec, q, bracket_hints=hints, compiled=compiled)
         alphas.append(result.tau)
         tables.append(dict(result.roots))
         slopes.append(tau_slopes(result))
-        hints = dict(result.roots)
+        roots = result.roots
+        for ci, root in roots.items():
+            last = history[ci] = [root.slope, *history.get(ci, ())][:4]
+            drift[ci] = sum(w * d for w, d in zip(_AB[len(last) - 1], last))
     return SpectrumCurve(
         qs=tuple(qs),
         alphas=tuple(alphas),

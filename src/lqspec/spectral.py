@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DegenerateClass, InvalidParams, NoConvergence
@@ -302,12 +302,15 @@ def class_root(block: CompiledBlock, q: float, bracket_hint: float | None = None
     step, and neither has a step leaving the bracket: the next point is
     lo + 0.9 (hi - lo), and after that bisection until a point falls below
     the root.  While one side is still open, steps double outward instead.
-    The search starts at the hint (a ``ClassRoot`` hint at its linear
-    prediction to q), else at 0, and no step goes past 3/4 of the way from
-    lo to the convergence edge of the block's series, where the radius
-    blows up.  The first point whose Newton step is within 1e-12 and whose
-    g is within 1e-12 of one is the root (or, if the bracket closes to
-    adjacent doubles first, the point with g closest to one).  It is
+    The search starts at the hint, else at 0: a plain float as given
+    (``tau_curve`` passes its Adams-Bashforth prediction, from which a
+    curved root 0.1 further along q takes two evaluations), a ``ClassRoot``
+    at its linear prediction to q (from which it takes three).  No step
+    goes past 3/4 of the way from lo to the convergence edge of the block's
+    series, where the radius blows up.  The first point whose Newton step
+    is within 1e-12 and whose g is within 1e-12 of one is the root (or, if
+    the bracket closes to adjacent doubles first, the point with g closest
+    to one).  It is
     returned only if its Collatz-Wielandt bounds are within 1e-11 of one;
     otherwise, and after ``_MAX_EVALS`` evaluations, ``NoConvergence`` is
     raised with the evaluations spent.
@@ -402,10 +405,16 @@ def _certified(alpha, q, m, mq, grad, el, evals) -> ClassRoot:
 
 @dataclass(frozen=True)
 class CompiledClasses:
-    """A spec's class decomposition; classes with equal compiled blocks share one block."""
+    """A spec's class decomposition; classes with equal compiled blocks share one block.
+
+    ``reports`` caches ``classify``'s heights, S_m sets and tags, which
+    depend on q only through the attaining classes: one entry per tuple of
+    attaining classes met so far, so a curve builds each once.
+    """
 
     decomposition: ClassDecomposition
     blocks: dict  # class index -> CompiledBlock (non-degenerate classes only)
+    reports: dict = field(default_factory=dict, compare=False)  # attaining classes -> report
 
 
 def compile_classes(spec: MeasureMatrixSpec) -> CompiledClasses:
@@ -476,12 +485,14 @@ def classify(
     root ties with the minimum (within class_tie_tol) attain the spectral
     condition.  Only the roots depend on q: each attaining class's height,
     and the accessibility that tags every other cell by whether an
-    attaining class reaches it, are read from the decomposition.  Classes
-    with equal blocks are solved once, from the first such class's hint,
-    and share one ``ClassRoot``.  ``compiled`` (from
-    ``compile_classes(spec)``) saves redoing the decomposition and the block
-    compilation when one spec is solved at many q.  The lattice verdict does
-    not depend on q and is not part of the result; see ``lattice_check``.
+    attaining class reaches it, are read from the decomposition, once per
+    set of attaining classes (cached in ``compiled``; each result holds
+    copies).  Classes with equal blocks are solved once, from the first such
+    class's hint, and share one ``ClassRoot``.  ``compiled`` (from
+    ``compile_classes(spec)``) saves redoing the decomposition, the block
+    compilation and the report when one spec is solved at many q.  The
+    lattice verdict does not depend on q and is not part of the result; see
+    ``lattice_check``.
     """
     if not 0.0 <= class_tie_tol < math.inf:
         raise InvalidParams(f"class tie tolerance must be finite and >= 0, got {class_tie_tol}")
@@ -501,7 +512,23 @@ def classify(
 
     tau = float(min(roots.values()))
     basic = tuple(sorted(ci for ci, a in roots.items() if abs(a - tau) <= class_tie_tol))
+    report = compiled.reports.get(basic)
+    if report is None:
+        report = compiled.reports[basic] = _report(spec, deco, basic)
+    heights, s_sets, tags = report
+    return ClassificationResult(
+        decomposition=deco,
+        roots=roots,
+        tau=tau,
+        basic_classes=basic,
+        heights=dict(heights),
+        s_sets=dict(s_sets),
+        tags=dict(tags),
+    )
 
+
+def _report(spec: MeasureMatrixSpec, deco: ClassDecomposition, basic: tuple[int, ...]):
+    """Heights, S_m sets and tags of ``classify`` for the attaining classes ``basic``."""
     heights = {ci: deco.heights[ci] for ci in basic}
     s_sets: dict[int, tuple[int, ...]] = {}
     for ci in basic:
@@ -510,11 +537,10 @@ def classify(
         s_sets[m] = tuple(sorted(s_sets.get(m, ()) + labels))
 
     tags: dict[int, Tag] = {}
-    basic_set = set(basic)
     for i in range(spec.n):
         ci = deco.class_of[i]
         label = spec.labels[i]
-        if ci in basic_set:
+        if ci in heights:
             m = heights[ci] - 1
             tags[label] = Tag("periodic_or_constant") if m == 0 else Tag("polynomial", m)
             continue
@@ -525,16 +551,7 @@ def classify(
             tags[label] = Tag("fed_by_S0")
         else:
             tags[label] = Tag("fed_by_Sm", max(feeder_heights) - 1)
-
-    return ClassificationResult(
-        decomposition=deco,
-        roots=roots,
-        tau=tau,
-        basic_classes=basic,
-        heights=heights,
-        s_sets=s_sets,
-        tags=tags,
-    )
+    return heights, s_sets, tags
 
 
 # ---------------------------------------------------------------------------

@@ -896,6 +896,16 @@ def test_partition_sum_rejects_an_unusable_q_or_total_mass(q, total_mass, messag
         lq.partition_sum(cloud, [0.5], q, total_mass=total_mass)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cloud_rejects_a_point_that_is_not_finite(bad):
+    # NaN gave a bare ValueError from the int cast of its key, and inf an
+    # InvalidParams that named the box side rather than the point
+    pts = np.array([[0.3, 0.1], [0.2, 0.4], [0.5, bad], [bad, 0.5]])
+    message = rf"point 2 of the cloud, \[0\.5, {bad}\], is not finite"
+    with pytest.raises(lq.InvalidParams, match=message):
+        lq.SampleCloud(pts, scales=(0.5,), grid_anchor=(0.0, 0.0))
+
+
 _OCTAVES_20 = tuple(2.0**-k for k in range(4, 21))
 _COUNTED_CASES = {
     **{family: (family, DEFAULT_SCALES) for family in lq.FAMILY_IDS},

@@ -289,6 +289,36 @@ def test_classify_roots_inside_domain():
                 assert sup is None or root < sup
 
 
+# -- the report cached per set of attaining classes --------------------------------
+
+def _fields(res):
+    return res.basic_classes, res.heights, res.s_sets, res.tags
+
+
+def test_classify_report_is_the_same_from_a_warm_cache():
+    # nonstrong-r-basic changes its attaining class at q* ~ 5.4816, so a
+    # cache warmed on both sides holds two reports
+    spec = _spec_of("nonstrong-r-basic")
+    warm = lq.spectral.compile_classes(spec)
+    fresh = {q: lq.classify(spec, q, compiled=lq.spectral.compile_classes(spec))
+             for q in (5.0, 6.0)}
+    assert fresh[5.0].basic_classes != fresh[6.0].basic_classes
+    for q in (5.0, 6.0, 5.0, 6.0):
+        assert _fields(lq.classify(spec, q, compiled=warm)) == _fields(fresh[q])
+    assert len(warm.reports) == 2
+
+
+def test_classify_results_share_no_dict_with_the_cache():
+    spec = _spec_of("nonstrong-r-heights")
+    compiled = lq.spectral.compile_classes(spec)
+    first = lq.classify(spec, 2.0, compiled=compiled)
+    want = _fields(lq.classify(spec, 2.0))
+    first.tags.clear()
+    first.heights.clear()
+    first.s_sets.clear()
+    assert _fields(lq.classify(spec, 2.0, compiled=compiled)) == want
+
+
 # -- one root per distinct class block -------------------------------------------
 
 def _count_class_roots(monkeypatch) -> list:
