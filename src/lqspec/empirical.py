@@ -311,7 +311,7 @@ def _resolvable_sides(g: Gifs, scales) -> tuple[float, ...]:
 
     Raises InvalidParams for a side that is not positive and finite, that a
     walk's box at the scale floor is not narrower than, or whose grid over
-    ``g.bbox`` needs more than 62 bits to index.
+    ``g.bbox`` needs Morton codes of more than 64 bits (_code_layout).
     """
     hs = sorted({float(h) for h in scales}, reverse=True)
     if not hs or not all(0.0 < h < math.inf for h in hs):
@@ -320,7 +320,7 @@ def _resolvable_sides(g: Gifs, scales) -> tuple[float, ...]:
     width = np.array([hi - lo for lo, hi in g.bbox])
     if h <= SCALE_FLOOR * width.max():
         raise InvalidParams(f"box side {h} is too fine for walks that stop at scale {SCALE_FLOOR}")
-    _check_key_range(np.zeros_like(width), np.floor(width / h), h)
+    _code_layout(np.zeros_like(width), np.floor(width / h), 0, h)
     return tuple(hs)
 
 
@@ -890,7 +890,10 @@ def partition_sum(cloud: SampleCloud, scales, q: float, total_mass: float) -> li
     family bounding-box corner (no random offsets); the empirical mass of a
     box is total_mass * count / N.  A counted cloud's terminal-leaf centres
     are binned once each, weighted by how many walks drew them, and only
-    the walks that went on from open leaves are binned one by one.  A side
+    the walks that went on from open leaves are binned one by one.  The
+    boxes are counted by their Morton codes, sorted once per chain of sides
+    that are power-of-two multiples of each other (_box_counts); a cloud
+    whose codes would need more than 64 bits raises InvalidParams.  A side
     that the cloud was not sampled for, or an anchor with another number of
     coordinates than the points, raises InvalidParams, as do a q that is not
     a finite real and a total_mass that is not finite and positive.  An
@@ -914,7 +917,10 @@ def partition_sum(cloud: SampleCloud, scales, q: float, total_mass: float) -> li
     n = len(cloud)
     if n == 0:
         return [-math.inf] * len(hs)
-    return [_log_sum_of_powers(counts, n, q, total_mass) for counts in _box_counts(cloud, hs)]
+    out = [None] * len(hs)
+    for i, _, counts in _box_counts(cloud, hs):
+        out[i] = _log_sum_of_powers(counts, n, q, total_mass)
+    return out
 
 
 def _check_q(q):
@@ -938,94 +944,104 @@ def _log_sum_of_powers(counts, n, q, total_mass):
 
 
 def _box_counts(cloud: SampleCloud, hs):
-    """Occupied-box counts of the cloud at each side in hs, in the order of
-    hs.
+    """Yield (i, codes, counts) for each side hs[i], finest first: the
+    Morton codes of the occupied boxes (_codes), ascending, and the number
+    of points in each.
 
-    The sides are visited finest first.  A side that is h_prev * 2^j
-    exactly for the side h_prev visited before it takes its boxes from
-    that level's distinct keys shifted right by j: dividing by a power of
-    two is exact and floor(y / 2^j) = floor(y) >> j, so every box gets the
-    count that binning the points would give.  Any other side bins the
-    points.  Each array lists its boxes in lexicographic key order.  A side
-    so fine that the keys or the grid around the points would need more
-    than 62 bits raises InvalidParams.
+    The sides fall into chains, each side h_prev * 2^j exactly for the one
+    before it.  A chain's finest side bins the points, with one sort; each
+    further side shifts the codes right by d * j in place (a caller that
+    keeps codes copies them) and adds the counts of equal codes.  Dividing
+    by a power of two is exact and floor(y / 2^j) = floor(y) >> j, so every
+    box gets the count that binning the points would give.
     """
-    out = [None] * len(hs)
-    prev = keys = counts = None
+    chains, prev = [], None
     for i in sorted(range(len(hs)), key=hs.__getitem__):
-        h = hs[i]
-        j = _octaves(prev, h)
+        j = _octaves(prev, hs[i])
         if j is None:
-            keys, counts = _box_keys(cloud._swept, cloud._ended, cloud.grid_anchor, h)
-        elif j:
-            keys, counts = _distinct(keys >> j, counts)
-        out[i] = counts
-        prev = h
-    return out
+            chains.append([])
+        chains[-1].append((i, j or 0))
+        prev = hs[i]
+    dim = len(cloud.grid_anchor)
+    for chain in chains:
+        span = sum(j for _, j in chain)
+        codes, counts = _codes(cloud._swept, cloud._ended, cloud.grid_anchor, hs[chain[0][0]], span)
+        for i, j in chain:
+            if j:
+                codes >>= dim * j
+                first = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+                codes, counts = codes[first], np.add.reduceat(counts, first)
+            yield i, codes, counts
 
 
-def _box_keys(swept, ended, anchor, h):
-    """The distinct keys floor((p - anchor) / h) of the points' boxes, (m, d)
-    in lexicographic order, and the number of points in each.
+def _codes(swept, ended, anchor, h, span):
+    """The Morton codes of the points' boxes floor((p - anchor) / h),
+    distinct and ascending, and the number of points in each.
 
     The points are the columns of the (d, m) swept, each counted once, and
     the ended centres, (d, t), each counted with its weight: ended is
-    (centres, weights), or None.  Each coordinate row is binned in turn
-    into one flat row-major key, so besides that key only one row's keys
-    are held, float and then integer in the same memory.
+    (centres, weights), or None.  Bit b of an axis's key, offset by the
+    least key rounded down to a multiple of 2^span, is bit d * b + axis of
+    the code (uint32 where it fits), so for j <= span the code shifted
+    right by d * j is that of the box of side h * 2^j.  Each coordinate row
+    is binned in turn, in its own float memory, so besides the codes only
+    one row's keys are held.
     """
-    n_swept = swept.shape[1]
-    flat, lo, hi = None, [], []
-    for axis, a in enumerate(anchor):
-        if ended is None:
-            y = swept[axis] - a
-        else:
-            y = np.concatenate([swept[axis], ended[0][axis]])
-            y -= a
-        y /= h
-        np.floor(y, out=y)
-        lo.append(y.min())
-        hi.append(y.max())
-        _check_key_range(np.array(lo), np.array(hi), h)  # before the flat key can overflow
-        # cast in y's own memory, so one row's keys are held, not two
-        k = y.view(np.int64)
-        np.copyto(k, y, casting="unsafe")
-        del y
-        k -= int(lo[-1])
-        if flat is None:
-            flat = k
-        else:
-            flat *= int(hi[-1] - lo[-1]) + 1
-            flat += k
-        del k
-    ends = flat[n_swept:].copy()  # the centres' keys, before flat is sorted in place
-    flat, counts = _sorted_counts(flat)
+    rows = [swept] if ended is None else [swept, ended[0]]
+    full = [r for r in rows if r.size]
+    lo, hi = (
+        np.floor((f([f(r, axis=1) for r in full], axis=0) - anchor) / h) for f in (np.min, np.max)
+    )
+    off, bits = _code_layout(lo, hi, span, h)
+    dim = len(anchor)
+    code = np.zeros(sum(r.shape[1] for r in rows), np.uint32 if dim * bits <= 32 else np.uint64)
+    top = max(bits - 1, 0) // 16 if dim > 1 else 0  # the last 16-bit piece of a key
+    for r, out in zip(rows, np.split(code, [swept.shape[1]])):
+        for axis, x in enumerate(anchor):
+            y = r[axis] - x
+            y /= h
+            np.floor(y, out=y)
+            k = y.view(np.int64)  # cast in y's own memory
+            np.copyto(k, y, casting="unsafe")
+            k -= off[axis]
+            for c in range(top, -1, -1):  # each 16-bit piece spread by one lookup
+                part = k >> 16 * c if c else k
+                if c < top:
+                    part &= 0xFFFF
+                if dim > 1:  # "clip" skips the bounds check that would copy out
+                    _spread_table(dim).take(part, out=part, mode="clip")
+                part <<= dim * 16 * c + axis
+                np.bitwise_or(out, part.view(np.uint64), out=out, casting="unsafe")
+            del y, k, part
+    ends = code[swept.shape[1] :].copy()  # the centres' codes, before code is sorted
+    code.sort()
+    first = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
+    codes, counts = code[first], np.diff(first, append=len(code))
     if ended is not None:
         # each centre was counted once; it stands for weight walks
-        np.add.at(counts, np.searchsorted(flat, ends), ended[1] - 1)
-    keys = np.stack(np.unravel_index(flat, tuple(int(b - a) + 1 for a, b in zip(lo, hi))), axis=1)
-    keys += np.array(lo, dtype=np.int64)
-    return keys, counts
+        np.add.at(counts, np.searchsorted(codes, ends), ended[1] - 1)
+    return codes, counts
 
 
-def _sorted_counts(flat):
-    """The distinct values of flat, ascending, and the number of each.
+def _code_layout(lo, hi, span, h):
+    """The per-axis offsets (each least key in lo rounded down to a multiple
+    of 2^span) and bits per axis of the Morton codes of keys lo .. hi of
+    side h; InvalidParams unless the keys and offsets are within 2^62 of 0
+    and the codes fit 64 bits.  ``_resolvable_sides`` applies it before any
+    walk."""
+    if max(-lo.min(), hi.max()) < 2.0**62:
+        off = [int(a) >> span << span for a in lo]
+        bits = max((int(b) - o).bit_length() for b, o in zip(hi, off))
+        if min(off) > -(2**62) and len(off) * bits <= 64:
+            return off, bits
+    raise InvalidParams(f"box side {h} is too fine to index the boxes in 64-bit Morton codes")
 
-    This is np.unique(flat, return_counts=True) without its copy of flat:
-    flat is sorted in place.
-    """
-    flat.sort()
-    new = np.empty(len(flat), dtype=bool)
-    new[:1] = True
-    np.not_equal(flat[1:], flat[:-1], out=new[1:])
-    first = np.flatnonzero(new)
-    return flat[first], np.diff(first, append=len(flat))
 
-
-def _check_key_range(lo, hi, h):
-    """InvalidParams unless the keys lo .. hi (per axis) of side h fit 62 bits."""
-    if max(-lo.min(), hi.max()) >= 2.0**62 or np.prod(hi - lo + 1.0) >= 2.0**62:
-        raise InvalidParams(f"box side {h} is too fine to index the boxes in 62 bits")
+@functools.cache
+def _spread_table(dim):
+    """Each 16-bit i with its bit b moved to bit dim * b, as int64."""
+    i = np.arange(1 << 16, dtype=np.uint64)
+    return sum((i >> b & 1) << dim * b for b in range(16)).view(np.int64)
 
 
 def _octaves(fine, h):
@@ -1035,25 +1051,6 @@ def _octaves(fine, h):
         if j < 63 and math.ldexp(fine, j) == h:
             return j
     return None
-
-
-def _distinct(keys, weights):
-    """Distinct rows of the (m, d) integer keys in lexicographic order, with
-    the summed weights of each.
-
-    The keys are shifted in place: callers pass an array they do not reuse.
-    """
-    lo = keys.min(axis=0)
-    keys -= lo
-    dims = tuple(keys.max(axis=0) + 1)
-    flat = np.ravel_multi_index(tuple(keys.T), dims)
-    order = np.argsort(flat, kind="stable")
-    flat = flat[order]
-    starts = np.flatnonzero(np.diff(flat, prepend=-1))
-    counts = np.add.reduceat(weights[order], starts)
-    keys = np.stack(np.unravel_index(flat[starts], dims), axis=1)
-    keys += lo
-    return keys, counts
 
 
 def estimate_tau(

@@ -71,7 +71,9 @@ def tau_curve(
     d alpha_c / dq, and the next root of its class starts at the
     Adams-Bashforth prediction from the last (up to four) slopes: order 1,
     2, 3, then 4 as they build up.  Only slopes enter the prediction, not
-    the roots before the last, whose rounding it would amplify.  From the
+    the roots before the last, whose rounding it would amplify.  Where the
+    step times the change over the last five slopes exceeds 1, as on coarse
+    grids, extrapolation lands farther off than the tangent: order 1.  From the
     fourth grid point on, at h = 0.1, a class root takes two block
     evaluations, and one if it is linear in q.  The report of ``classify``
     is built once per set of attaining classes and cached in the compiled
@@ -87,7 +89,7 @@ def tau_curve(
     tables = []
     slopes = []
     roots: dict = {}  # class index -> its root at the last grid point
-    history: dict[int, list[float]] = {}  # class index -> its last slopes, newest first
+    history: dict[int, list[float]] = {}  # class index -> its last 5 slopes, newest first
     drift: dict[int, float] = {}  # class index -> predicted mean slope over the next step
     compiled = compile_classes(spec)
     for q in qs:
@@ -98,8 +100,9 @@ def tau_curve(
         slopes.append(tau_slopes(result))
         roots = result.roots
         for ci, root in roots.items():
-            last = history[ci] = [root.slope, *history.get(ci, ())][:4]
-            drift[ci] = sum(w * d for w, d in zip(_AB[len(last) - 1], last))
+            last = history[ci] = [root.slope, *history.get(ci, ())][:5]
+            order = min(len(last), 4) if step * (max(last) - min(last)) <= 1.0 else 1
+            drift[ci] = sum(w * d for w, d in zip(_AB[order - 1], last))
     return SpectrumCurve(
         qs=tuple(qs),
         alphas=tuple(alphas),

@@ -5,6 +5,13 @@ before it counted all dyadic scales from one box pass.  The boxes are
 anchored at the cloud's grid anchor, their integer keys packed into one
 collision-free integer per box, and ``np.unique`` counts them, so the
 counts come out in lexicographic key order.
+
+``partition_sum`` lists its boxes by Morton code instead, with each axis's
+keys offset per chain of sides.  ``morton_boxes`` decodes such codes one
+bit at a time.  It and ``oracle_boxes`` shift each box by the least
+occupied key per axis and list the boxes in lexicographic order, so the
+two box-to-count maps compare box by box whatever the offset and
+the code order.
 """
 
 from __future__ import annotations
@@ -12,21 +19,51 @@ from __future__ import annotations
 import numpy as np
 
 
-def oracle_box_counts(cloud, h: float) -> np.ndarray:
+def _oracle_keys(cloud, h: float) -> np.ndarray:
     anchor = np.asarray(cloud.grid_anchor, dtype=float)
-    keys = np.floor((cloud.points - anchor) / h).astype(np.int64)
-    if keys.shape[1] == 1:
-        flat = keys[:, 0]
-    else:
-        # Offsets keep the coordinates nonnegative, so the packing is
-        # collision-free.
-        mins = keys.min(axis=0)
-        shifted = keys - mins
-        flat = shifted[:, 0]
-        for d in range(1, shifted.shape[1]):
-            flat = flat * (int(shifted[:, d].max()) + 1) + shifted[:, d]
+    return np.floor((cloud.points - anchor) / h).astype(np.int64)
+
+
+def _packed(keys):
+    """The (n, d) keys less the least key per axis, and one integer per row
+    that orders the rows lexicographically."""
+    # Offsets keep the coordinates nonnegative, so the packing is
+    # collision-free.
+    keys = keys - keys.min(axis=0)
+    flat = keys[:, 0]
+    for d in range(1, keys.shape[1]):
+        flat = flat * (int(keys[:, d].max()) + 1) + keys[:, d]
+    return keys, flat
+
+
+def oracle_box_counts(cloud, h: float) -> np.ndarray:
+    _, flat = _packed(_oracle_keys(cloud, h))
     _, counts = np.unique(flat, return_counts=True)
     return counts
+
+
+def oracle_boxes(cloud, h: float):
+    """The occupied boxes of side h, (m, d) in lexicographic order, each its
+    integer keys less the least occupied key per axis, and the number of
+    points in each."""
+    keys, flat = _packed(_oracle_keys(cloud, h))
+    _, index, counts = np.unique(flat, return_index=True, return_counts=True)
+    return keys[index], counts
+
+
+def morton_boxes(codes, counts, dim: int):
+    """The boxes of the Morton codes in dim axes, where bit dim * b + axis
+    of a code is bit b of that axis's key, as ``oracle_boxes`` gives them:
+    less the least occupied key per axis, in lexicographic order, with
+    their counts."""
+    codes = np.asarray(codes).astype(np.uint64)
+    keys = np.zeros((len(codes), dim), dtype=np.int64)
+    for bit in range(64):
+        axis, b = bit % dim, bit // dim
+        keys[:, axis] |= ((codes >> np.uint64(bit)) & np.uint64(1)).astype(np.int64) << b
+    keys, flat = _packed(keys)
+    order = np.argsort(flat)
+    return keys[order], np.asarray(counts)[order]
 
 
 def oracle_partition_sum(cloud, h: float, q: float, total_mass: float) -> float:

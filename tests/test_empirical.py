@@ -16,7 +16,7 @@ from lqspec import empirical
 from lqspec.empirical import CHUNK_SIZE, DEFAULT_SCALES, SCALE_FLOOR, fit_to_csv
 from lqspec.gifs import similitude_2d
 from conftest import assert_valid_gifs
-from partition_oracle import oracle_box_counts, oracle_partition_sum
+from partition_oracle import morton_boxes, oracle_box_counts, oracle_boxes, oracle_partition_sum
 from sampler_oracle import (
     _box,
     _move,
@@ -677,7 +677,8 @@ def test_depth_eps_outside_unit_interval_rejected(monkeypatch, depth_eps):
         ([0.1, math.nan], "scales must be positive and finite"),
         ([], "scales must be positive and finite"),
         ([0.1, 1e-12], "too fine for walks that stop at scale 1e-12"),
-        ([0.1, 1e-10], "too fine to index the boxes in 62 bits"),  # 1e20 boxes in 2-D
+        # keys of 34 bits per axis need 68-bit codes in 2-D
+        ([0.1, 1e-10], "too fine to index the boxes in 64-bit Morton codes"),
     ],
 )
 def test_scales_rejected_before_any_walk(monkeypatch, scales, message):
@@ -685,6 +686,40 @@ def test_scales_rejected_before_any_walk(monkeypatch, scales, message):
     g = lq.build_example(lq.canonical_params("strong-r2"))
     with pytest.raises(lq.InvalidParams, match=message):
         lq.sample(g, 10, seed=0, scales=scales)
+
+
+def _fits_row_major_keys(bbox, h):
+    # the rule before Morton codes: every key, and the number of boxes of the
+    # grid over the bounding box, below 2^62
+    keys = np.floor(np.array([hi - lo for lo, hi in bbox]) / h)
+    return keys.max() < 2.0**62 and np.prod(keys + 1.0) < 2.0**62
+
+
+@pytest.mark.parametrize("family", lq.FAMILY_IDS)
+def test_sampling_keeps_every_side_that_row_major_keys_fit(family):
+    # a side that one row-major key per box could index over the family's
+    # bounding box also fits 64-bit Morton codes there
+    g = lq.build_example(lq.canonical_params(family))
+    width = max(hi - lo for lo, hi in g.bbox)
+    sides = [m * 2.0**-k for k in range(1, 48) for m in (1.0, 0.75, 0.6)]
+    kept = [h for h in sides if h > SCALE_FLOOR * width and _fits_row_major_keys(g.bbox, h)]
+    assert kept
+    for h in kept:
+        assert empirical._resolvable_sides(g, [h]) == (h,)
+    if family == "nonstrong-r2":
+        # 3 x 1: keys of 32 and 30 bits, 64-bit codes
+        assert 2.0**-30 in kept
+
+
+def test_a_lopsided_cloud_beyond_64_bit_codes_is_refused():
+    # keys of 41 bits along x and 1 along y fit one row-major key of 42
+    # bits, but interleaved they need 82
+    h = 2.0**-20
+    pts = np.array([[0.0, 0.0], [2.0**20, h]])
+    cloud = lq.SampleCloud(pts, scales=(h,), grid_anchor=(0.0, 0.0))
+    assert _fits_row_major_keys(((0.0, 2.0**20), (0.0, h)), h)
+    with pytest.raises(lq.InvalidParams, match="too fine to index the boxes in 64-bit Morton"):
+        lq.partition_sum(cloud, [h], 2.0, total_mass=1.0)
 
 
 def test_negative_sample_count_rejected(monkeypatch):
@@ -822,6 +857,28 @@ def _cloud_below_anchor(dim):
     return lq.SampleCloud(points=pts, scales=tuple(_ALL_SIDES), grid_anchor=(0.0,) * dim)
 
 
+def _cloud_of_64_bit_codes():
+    # x keys of 32 bits at 2^-11: uint64 codes, two table lookups per axis
+    rng = np.random.default_rng(6)
+    pts = np.stack([rng.uniform(0.0, 2.0**21 - 1.0, 300), rng.uniform(0.0, 0.3, 300)], axis=1)
+    pts[:100, 0] = rng.uniform(0.0, 0.3, 100)  # and some boxes that coarser sides merge
+    return lq.SampleCloud(points=pts, scales=tuple(_ALL_SIDES), grid_anchor=(0.0, 0.0))
+
+
+def _cloud_with_far_centres():
+    # counted as sample() counts: swept points with keys of 10 bits at 2^-11,
+    # and weighted centres with keys of 20, five of them in swept points' boxes
+    rng = np.random.default_rng(7)
+    swept = rng.uniform(0.0, 0.3, (2, 200))
+    centres = rng.uniform(0.0, 2.0**9, (2, 20))
+    centres[:, :5] = swept[:, :5]
+    weights = rng.integers(1, 5, 20)
+    pts = np.concatenate([swept.T, np.repeat(centres.T, weights, axis=0)])
+    cloud = lq.SampleCloud(pts, scales=tuple(_ALL_SIDES), grid_anchor=(0.0, 0.0))
+    cloud._swept, cloud._ended = swept, (centres, weights)
+    return cloud
+
+
 @pytest.fixture(scope="module")
 def clouds():
     return {
@@ -831,15 +888,26 @@ def clouds():
         ),
         "1d-below-anchor": _cloud_below_anchor(1),
         "2d-below-anchor": _cloud_below_anchor(2),
+        "2d-64-bit-codes": _cloud_of_64_bit_codes(),
+        "2d-far-centres": _cloud_with_far_centres(),
     }
 
 
 @pytest.mark.parametrize("scales", _SCALE_LISTS)
-@pytest.mark.parametrize("cloud_id", ["1d", "2d", "1d-below-anchor", "2d-below-anchor"])
+@pytest.mark.parametrize(
+    "cloud_id",
+    ["1d", "2d", "1d-below-anchor", "2d-below-anchor", "2d-64-bit-codes", "2d-far-centres"],
+)
 def test_partition_sum_matches_oracle(clouds, cloud_id, scales):
     cloud, hs = clouds[cloud_id], _SCALE_LISTS[scales]
-    for got, h in zip(empirical._box_counts(cloud, hs), hs):
-        assert np.array_equal(got, oracle_box_counts(cloud, h))
+    seen = []
+    for i, codes, counts in empirical._box_counts(cloud, hs):
+        assert np.all(codes[1:] > codes[:-1])  # distinct and ascending
+        got = morton_boxes(codes, counts, len(cloud.grid_anchor))
+        want = oracle_boxes(cloud, hs[i])
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), hs[i]
+        seen.append(i)
+    assert sorted(seen) == list(range(len(hs)))
     for q in (0.0, 0.5, 1.0, 2.0, 3.7, -1.5):
         got = lq.partition_sum(cloud, hs, q, total_mass=3.0)
         want = [math.log(oracle_partition_sum(cloud, h, q, total_mass=3.0)) for h in hs]
@@ -933,9 +1001,11 @@ def test_counted_cloud_counts_the_boxes_of_its_points(case, n_per_vertex):
     hs = list(scales)
     if n_per_vertex:
         pairs = zip(empirical._box_counts(cloud, hs), empirical._box_counts(expanded, hs))
-        for (got, want), h in zip(pairs, hs):
-            assert np.array_equal(got, want), h
-            assert np.array_equal(got, oracle_box_counts(expanded, h)), h
+        for (i, codes, got), (_, want_codes, want) in pairs:
+            assert np.array_equal(codes, want_codes) and np.array_equal(got, want), hs[i]
+            boxes, counts = morton_boxes(codes, got, g.dim)
+            want_boxes, want_counts = oracle_boxes(expanded, hs[i])
+            assert np.array_equal(boxes, want_boxes) and np.array_equal(counts, want_counts), hs[i]
     for q in (0.0, 2.0, -1.5):
         got = lq.partition_sum(cloud, hs, q, total_mass=float(g.num_vertices))
         assert got == lq.partition_sum(expanded, hs, q, total_mass=float(g.num_vertices))

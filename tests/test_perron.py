@@ -178,6 +178,7 @@ def test_curve_warm_starts_take_few_evaluations(canonical_specs):
     # Adams-Bashforth starts reach order 4 at grid index 3; from there on a
     # root linear in q (constant slope) is hit at once, and any other takes
     # one evaluation beside the one that confirms it.
+    total = 0
     for fid, spec in canonical_specs.items():
         curve = lq.tau_curve(spec, 0.0, 10.0, 101)
         for ci in curve.roots_table[0]:
@@ -186,18 +187,41 @@ def test_curve_warm_starts_take_few_evaluations(canonical_specs):
             linear = max(slopes) - min(slopes) <= 1e-12 * max(1.0, abs(slopes[0]))
             evals = [root.evals for root in roots[3:]]
             assert max(evals) <= (1 if linear else 2), (fid, ci, evals)
+        total += _block_evaluations(curve)
+    # the coarse-grid order cap costs the canonical curves nothing
+    assert total <= 1457
+
+
+def _block_evaluations(curve):
+    # classes that share a block share one root object, solved once
+    roots = ({id(root): root for root in table.values()} for table in curve.roots_table)
+    return sum(root.evals for distinct in roots for root in distinct.values())
+
+
+# Block evaluations of the 6-step curves over [0, 200] when every prediction
+# takes the last slope alone (Adams-Bashforth order 1).
+_LAST_SLOPE_EVALS = {
+    "strong-r": 39,
+    "strong-r2": 40,
+    "nonstrong-r-basic": 66,
+    "nonstrong-r-heights": 76,
+    "nonstrong-r2": 72,
+}
 
 
 @pytest.mark.parametrize("steps", (6, 21, 201))
 @pytest.mark.parametrize("fid", lq.FAMILY_IDS)
 def test_coarse_curves_match_closed_forms(fid, steps, canonical_specs, canonical_closed_forms):
     # At h = 40 the prediction can land far from the root; the search must
-    # still get there within the domain-wide bound.
+    # still get there within the domain-wide bound, and a higher-order
+    # extrapolation must not cost more than the last slope alone.
     curve = lq.tau_curve(canonical_specs[fid], 0.0, 200.0, steps)
     want = [t for t, _ in closed_form_curve(canonical_closed_forms[fid], curve.qs)]
     assert list(curve.alphas) == pytest.approx(want, abs=1e-9)
     evals = [root.evals for table in curve.roots_table for root in table.values()]
     assert max(evals) <= MAX_EVALS_OVER_THE_DOMAIN
+    if steps == 6:
+        assert _block_evaluations(curve) <= _LAST_SLOPE_EVALS[fid]
 
 
 # -- spectral route against the closed forms ----------------------------------------------
