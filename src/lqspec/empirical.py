@@ -22,11 +22,11 @@ walk's stop test ends it becomes a terminal leaf holding its box centre,
 while the other (open) leaves hold the walk state.  A tree grows while a
 level adds at most MAX_LEVEL_NODES of its leaves and it keeps at most
 MAX_TABLE_NODES; all classes' trees grow in one level loop.
-Each walk draws its leaf by one inverse-CDF lookup on the leaves'
-cumulative probabilities, which gives it the law of edge-by-edge draws up
-to that leaf, and the depth is the same.  A walk that draws a terminal leaf
-is done, and only the number of walks at each leaf is kept; at the default
-sides every 1-D walk is done there.  So a cloud holds counted leaves, and
+The counts of n inverse-CDF draws on the leaves' keys ceil(cum * 2^53),
+each with the law of edge-by-edge draws to its leaf, are Multinomial(n, key
+widths / 2^53): each vertex draws them with one multinomial.  A walk at a
+terminal leaf is done, and only the count at each leaf is kept (at the
+default sides almost every 1-D walk), so a cloud holds counted leaves, and
 box counting bins each terminal leaf's centre once, weighted by the count
 of walks from every vertex that shares its table.
 
@@ -45,21 +45,21 @@ group may have at most MAX_ORIENTATIONS elements; an orthogonal part of
 infinite order (e.g. a rotation by one radian) raises SamplerBound, as
 does a graph with more than MAX_VERTICES vertices.
 
-Sampling is organized in fixed-size chunks of 65536 walks with one
-deterministic random stream per (seed, vertex, chunk).  A chunk first
-draws one ``rng.bit_generator.random_raw(count)`` for its walks' leaves and
-sorts it, so the walks come grouped by leaf and each leaf's count is one
-``searchsorted`` away (a table that grew no level takes no draw: its walks
-start the stream afresh); then the walks from open leaves stay in
-ascending order and draw one ``random_raw(n_active)`` per sweep.  The top
-53 bits of each raw word are the m of the m / 2^53 that ``rng.random()``
-would return from the same stream, so a seed fixes every point.  The leaf
-draws run while the tables of stopped cylinders are built.  Every chunk counts its
-leaves before any walk goes on, and each chunk writes its swept walks'
-points to its own columns of one coordinate-major array, so the chunks run on
-a thread pool with one worker per CPU available to the process (numpy
-releases the interpreter lock in the gathers and draws).  There is no
-setting for the worker count, and the points do not depend on it.
+Sampling draws from one deterministic random stream per (seed, vertex,
+chunk).  Vertex v draws its leaf counts by ``rng.multinomial`` on stream
+(seed, v, 0); the walks that drew open leaves, in leaf order, then sweep in
+chunks of 65536, chunk c on stream (seed, v, c) and chunk 0 on from where
+the multinomial left it, with one ``rng.bit_generator.random_raw(n_active)``
+per sweep over the chunk's active walks in ascending order.  The top 53
+bits of a raw word are the m of the m / 2^53 that ``rng.random()`` would
+return.  A walk that ends at a terminal leaf draws no raw word.  A seed
+fixes every point for one numpy version: numpy keeps ``random_raw``'s
+stream across versions, but does not promise to keep the multinomial's.
+Each chunk writes its points to its own columns of one coordinate-major
+array, so the draws and the chunks run on a thread pool with one worker per
+CPU available to the process (numpy releases the interpreter lock in the
+multinomial, the gathers and the draws).  There is no setting for the
+worker count, and the points do not depend on it.
 
 This is the only module that needs numpy; it converts the maps' plain
 tuples (``gifs.Similitude``) into its arrays.
@@ -114,17 +114,18 @@ class SampleCloud:
     counting anchors its grids at ``grid_anchor``.
 
     A cloud is built from an (n, d) array of finite points (InvalidParams
-    names the first that is not), or by ``sample`` from
-    counted leaves: per chunk, how many of its walks drew each leaf of the
-    table of its start vertex's class, and the points of the walks that
-    went on from open leaves.  Box counting bins each table's terminal
-    centres once, weighted by the walks of all chunks that drew them.  Such
-    a cloud expands to one row per walk only when ``points`` is first read,
-    and box counting never reads it.
+    names the first that is not), held as float64, or by ``sample`` from
+    counted leaves: per vertex, how many of its walks drew each leaf of the
+    table of its class, and the points of the walks that went on from open
+    leaves.  Box counting bins each table's terminal centres once, weighted
+    by the walks of all vertices that drew them.  Such a cloud expands to
+    one row per walk only when ``points`` is first read, and box counting
+    never reads it.
     """
 
     def __init__(self, points, scales, grid_anchor=()):
-        points = np.asarray(points)
+        # float64: box counting casts each coordinate row to int64 keys in place
+        points = np.asarray(points, dtype=np.float64)
         finite = np.isfinite(points)
         if not finite.all():
             i = int(np.argmin(finite.reshape(len(points), -1).all(axis=1)))
@@ -137,19 +138,20 @@ class SampleCloud:
         self._ended = None  # ((d, t) centres, (t,) walk counts), binned once each
 
     @classmethod
-    def _counted(cls, swept, scales, grid_anchor, starts, chunks):
-        """The cloud of ``sample``'s chunks, each (t, leaf counts): its walks
-        drew leaves of the table starts[t].  The (d, m) swept holds the
-        points of the walks that went on from open leaves, chunk after
-        chunk, each chunk's in the order of their leaves.  The counts are
-        summed per table, so a table's terminal centres are binned once
-        however many vertices share it."""
+    def _counted(cls, swept, scales, grid_anchor, starts, drawn):
+        """The cloud of ``sample``'s walks: drawn holds, per vertex in turn,
+        (t, leaf counts), its walks having drawn leaves of the table
+        starts[t].  The (d, m) swept holds the points of the walks that
+        went on from open leaves, vertex after vertex, each vertex's in the
+        order of their leaves.  The counts are summed per table, so a
+        table's terminal centres are binned once however many vertices
+        share it."""
         cloud = cls.__new__(cls)
         cloud.scales, cloud.grid_anchor = scales, grid_anchor
-        cloud._swept, cloud._starts, cloud._chunks = swept, starts, chunks
-        cloud._n = sum(int(counts.sum()) for _, counts in chunks)
+        cloud._swept, cloud._starts, cloud._drawn = swept, starts, drawn
+        cloud._n = sum(int(counts.sum()) for _, counts in drawn)
         total = [np.zeros(len(start.slot), dtype=np.int64) for start in starts]
-        for t, counts in chunks:
+        for t, counts in drawn:
             total[t] += counts
         centres, weights = [], []
         for start, n in zip(starts, total):
@@ -167,7 +169,7 @@ class SampleCloud:
             return self._swept.T
         rows = np.empty((len(self._swept), len(self)))
         col = at = 0
-        for t, counts in self._chunks:
+        for t, counts in self._drawn:
             start = self._starts[t]
             slot = np.repeat(start.slot, counts)
             out = rows[:, col : col + len(slot)]
@@ -202,16 +204,17 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
     starts, and the cylinders at which walks stop once per class of
     vertices (_classes), from its first vertex, on a worker thread; every
     vertex of the class walks from that table, with the same points as from
-    a table of its own.  Chunk c of vertex v walks CHUNK_SIZE points (fewer
-    in the last chunk) on its own (seed, v, c) stream: first every chunk
-    draws its walks' leaves, while the tables are built, and counts how
-    many draw each leaf of v's table; then the walks that drew open leaves
-    go on k edges per sweep, each chunk writing their points to its own
-    columns of one (d, m) array sized to them.  The cloud keeps the counts
-    and that array.  The chunks run on one thread per CPU available to the
-    process, and the points do not depend on how many run.  On an error in
-    a chunk or an interrupt in the caller, queued chunks are cancelled and
-    the error propagates once no chunk is running.
+    a table of its own.  Then each vertex v, one job each, draws how many
+    of its walks take each leaf of its table (_leaf_counts) on its
+    (seed, v, 0) stream.  The walks that drew open leaves, in leaf order,
+    go on k edges per sweep in chunks of CHUNK_SIZE, chunk c on the
+    (seed, v, c) stream and chunk 0 on from where the multinomial left it,
+    each writing their points to its own columns of one (d, m) array sized
+    to them.  The cloud keeps the counts and that array.  The jobs run on
+    one thread per CPU available to the process, and the points do not
+    depend on how many run.  On an error in a job or an interrupt in the
+    caller, queued jobs are cancelled and the error propagates once no job
+    is running.
     Bad arguments raise InvalidParams before any walk.
     """
     n_per_vertex = _nonnegative_int("n_per_vertex", n_per_vertex)
@@ -228,47 +231,43 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
     def stream(v, c):
         return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(v, c)))
 
-    def size(c):
-        return min(CHUNK_SIZE, n_per_vertex - c * CHUNK_SIZE)
+    def draw(v):
+        rng = stream(v, 0)
+        return rng, _leaf_counts(starts[cls[v]], n_per_vertex, rng)
 
-    def draw(v, c):
-        rng = stream(v, c)
-        return rng, _draw_leaves(size(c), rng)
-
-    def count(v, c, rng, draws):
-        start = starts[cls[v]]
-        if not start.levels:  # no leaf to draw: the walks take the whole stream
-            return stream(v, c), np.array([size(c)])
-        return rng, _count_leaves(start, draws)
-
-    def walk(v, rng, counts, a, b):
-        _walk_chunk(paths, starts[cls[v]], counts, swept[:, a:b], rng, grids)
+    def walk(start, counts, a, b, v, c, rng):
+        rng = stream(v, c) if rng is None else rng
+        _walk_chunk(paths, start, counts, swept[:, a:b], rng, grids)
 
     n_chunks = (n_per_vertex + CHUNK_SIZE - 1) // CHUNK_SIZE
-    jobs = [(v, c) for v in range(g.num_vertices) for c in range(n_chunks)]
-    workers = _worker_count(len(jobs))
+    workers = _worker_count(g.num_vertices * n_chunks)
     pool = ThreadPoolExecutor(workers) if workers > 1 else None
     try:
         # On a worker, the tables and their temporaries stay out of the
         # caller's heap, whose free space box counting reuses; built here,
-        # they raised the peak RSS of repeated 2-D calls by 7 MB.  The
-        # build holds the interpreter lock for most of its time, and the
-        # leaf draws, which release it, run beside it.
-        build = pool.submit(_starts, tables, grids, roots) if pool else None
-        drawn = _run(pool, draw, jobs)
-        starts = build.result() if pool else _starts(tables, grids, roots)
-        drawn = _run(pool, count, [(*job, *rng_draws) for job, rng_draws in zip(jobs, drawn)])
-        chunks = [(cls[v], counts) for (v, _), (_, counts) in zip(jobs, drawn)]
-        at = np.cumsum([0] + [int(k[starts[t].slot >= 0].sum()) for t, k in chunks])
+        # they raised the peak RSS of repeated 2-D calls by 7 MB.
+        starts = pool.submit(_starts, tables, grids, roots).result() if pool else _starts(
+            tables, grids, roots)
+        drawn = _run(pool, draw, [(v,) for v in range(g.num_vertices)])
+        jobs, at = [], 0
+        for v, (rng, counts) in enumerate(drawn):
+            start = starts[cls[v]]
+            going = np.cumsum(counts[start.slot >= 0])  # the open leaves' walks, in leaf order
+            n_going = int(going[-1]) if len(going) else 0
+            for c, a in enumerate(range(0, n_going, CHUNK_SIZE)):
+                b = min(a + CHUNK_SIZE, n_going)
+                chunk = np.diff(np.clip(going, a, b), prepend=a)
+                jobs.append((start, chunk, at + a, at + b, v, c, None if c else rng))
+            at += n_going
         # Coordinate-major: box counting reads each coordinate as one contiguous row.
-        swept = np.empty((g.dim, at[-1]))
-        _run(pool, walk, [(v, rng, counts, a, b)
-                          for (v, _), (rng, counts), a, b in zip(jobs, drawn, at, at[1:]) if b > a])
+        swept = np.empty((g.dim, at))
+        _run(pool, walk, jobs)
     finally:
         if pool:
             # A plain `with` would run every queued chunk before re-raising.
             pool.shutdown(cancel_futures=True)
-    return SampleCloud._counted(swept, hs, tuple(lo for lo, _ in g.bbox), starts, chunks)
+    per_vertex = [(cls[v], counts) for v, (_, counts) in enumerate(drawn)]
+    return SampleCloud._counted(swept, hs, tuple(lo for lo, _ in g.bbox), starts, per_vertex)
 
 
 def _run(pool, fn, jobs):
@@ -763,8 +762,9 @@ def _rank(root, seen):
 
 
 def _walk_chunk(paths: _WalkTables, start: _Start, counts, out, rng, grids):
-    """Walk on from start's open leaves, counts[i] walks from leaf i, into
-    the (d, n) out, one column per walk in the order of their leaves.
+    """Walk on from start's open leaves, counts[i] walks from the i-th of
+    them in leaf order, into the (d, n) out, one column per walk in the
+    order of their leaves.
 
     Each sweep moves every active walk along one k-edge path of ``paths``
     (see _paths), drawn with one raw word, and tests it once: it ends when
@@ -777,8 +777,7 @@ def _walk_chunk(paths: _WalkTables, start: _Start, counts, out, rng, grids):
     Coordinates are rows (d, n), so every gather and compaction acts on
     contiguous 1-D data.
     """
-    going = start.slot >= 0
-    slot = np.repeat(start.slot[going], counts[going])
+    slot = np.repeat(start.slot[start.slot >= 0], counts)
     pos = np.arange(len(slot))
     vkey, orient = start.vkey.take(slot), start.orient.take(slot)
     orient *= len(paths.ratio)  # the first column of each walk's orientation
@@ -799,21 +798,18 @@ def _walk_chunk(paths: _WalkTables, start: _Start, counts, out, rng, grids):
         del centre
 
 
-def _draw_leaves(count, rng):
-    """One draw m (of m / 2^53) per walk for its leaf, count of them,
-    sorted: the top 53 bits of one raw word each."""
-    key = rng.bit_generator.random_raw(count)
-    key >>= _RAW_SHIFT
-    key = key.view(np.int64)
-    key.sort()
-    return key
-
-
-def _count_leaves(start: _Start, draws):
-    """How many of the sorted draws fall in each leaf's range of keys in
-    start's table: the counts of that many independent inverse-CDF
-    draws."""
-    return np.diff(np.searchsorted(draws, start.key), prepend=0)
+def _leaf_counts(start: _Start, n, rng):
+    """How many of n walks draw each leaf of start's table: one multinomial
+    over the leaves of positive key width, each with its width over 2^53,
+    the law of the counts of n inverse-CDF draws.  A table that grew no
+    level takes no draw: its one leaf is the start vertex."""
+    if not start.levels:
+        return np.array([n])
+    width = np.diff(start.key, prepend=0)
+    counts = np.zeros(len(width), dtype=np.int64)
+    drawn = np.flatnonzero(width)
+    counts[drawn] = rng.multinomial(n, width.take(drawn) / _U_SCALE)
+    return counts
 
 
 def _step(paths: _WalkTables, rng, vkey, orient, scale, trans):

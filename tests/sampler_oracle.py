@@ -4,18 +4,21 @@ Each walk carries its full orthogonal matrix, and each sweep groups the
 active walks by their current vertex and then by their edge, so every step
 is a batched matrix product.  It draws from the same random streams in the
 same order as ``lqspec.empirical.sample``: one stream per
-``(seed, vertex, chunk)``; one ``rng.random(count)``, sorted, that picks
-each walk's leaf of its own table of stopped cylinders (plain loops for the
-leaves' order, their plain-float probabilities and a running sum for their
-keys); then one ``rng.random`` per sweep over the active walks in ascending
-order, which picks each walk's path of k edges (plain loops for the paths,
-their keys and their composed maps, each built edge by edge).  The table
-tests every node by the oracle's own stop rule, with vertex boxes built
-here with plain loops: a walk ends once the box of its cylinder lies in one
-closed box of every requested grid, or its scale is at most the floor.  A
-walk that draws a terminal leaf takes the leaf's box centre; one that draws
-an open leaf moves along the leaf's edges and then sweeps, one path per
-sweep, tested after each.  So the two must agree point for point: exactly
+``(seed, vertex, chunk)``; on chunk 0's, one ``rng.multinomial`` that counts
+the walks of the vertex at each leaf of its own table of stopped cylinders
+(plain loops for the leaves' order, their plain-float probabilities and a
+running sum for their keys); then the walks that drew open leaves, in leaf
+order, sweep in chunks of CHUNK_SIZE, chunk 0 on from where the multinomial
+left its stream and chunk c on stream c, with one ``rng.random`` per sweep
+over the chunk's active walks in ascending order, which picks each walk's
+path of k edges (plain loops for the paths, their keys and their composed
+maps, each built edge by edge).  The table tests every node by the
+oracle's own stop rule, with vertex boxes built here with plain loops: a
+walk ends once the box of its cylinder lies in one closed box of every
+requested grid, or its scale is at most the floor.  A walk that draws a
+terminal leaf takes the leaf's box centre; one that draws an open leaf
+moves along the leaf's edges and then sweeps, one path per sweep, tested
+after each.  So the two must agree point for point: exactly
 where every orthogonal part is +-1, and to rounding otherwise.
 """
 
@@ -234,62 +237,74 @@ def stops(boxes, origin, scales, vert, scale, trans, orth):
 
 
 def oracle_sample(g, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES):
-    """(points, vertex of each point, final walk states) drawn chunk by
-    chunk, vertex-major.  A state is (vertex, scale, translation,
-    orthogonal part) per walk, as arrays."""
+    """(points, vertex of each point, final walk states), vertex-major, each
+    vertex's walks in the order of their leaves.  A state is (vertex,
+    scale, translation, orthogonal part) per walk, as arrays."""
     tables = (_edge_tables(g), path_tables(g))
     boxes = vertex_boxes(g)
     origin = np.array([lo for lo, _ in g.bbox])
     points, vertices, states = [], [], []
-    n_chunks = (n_per_vertex + CHUNK_SIZE - 1) // CHUNK_SIZE
-    for v in range(g.num_vertices):
-        table = cylinder_table(g, v, scales) if n_chunks else None
-        for c in range(n_chunks):
-            count = min(CHUNK_SIZE, n_per_vertex - c * CHUNK_SIZE)
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(v, c)))
-            p, state = _walk_chunk(g.dim, tables, boxes, origin, scales, v, table, count, rng)
-            points.append(p)
-            states.append(state)
-            vertices.append(np.full(count, v, dtype=np.int64))
+    for v in range(g.num_vertices if n_per_vertex else 0):
+        table = cylinder_table(g, v, scales)
+        p, state = _walk_vertex(g.dim, tables, boxes, origin, scales, v, table, n_per_vertex, seed)
+        points.append(p)
+        states.append(state)
+        vertices.append(np.full(n_per_vertex, v, dtype=np.int64))
     if not points:
         return np.zeros((0, g.dim)), np.zeros(0, dtype=np.int64), None
     state = tuple(np.concatenate(parts) for parts in zip(*states))
     return np.concatenate(points, axis=0), np.concatenate(vertices), state
 
 
-def _walk_chunk(dim, tables, boxes, origin, scales, start_vertex, table, count, rng):
+def leaf_counts(keys, count, rng):
+    """How many of count walks draw each leaf: one rng.multinomial over the
+    leaves of positive key width, each with its width over 2^53."""
+    widths = [b - a for a, b in zip([0, *keys[:-1]], keys)]
+    drawn = [i for i, w in enumerate(widths) if w > 0]
+    counts = np.zeros(len(keys), dtype=np.int64)
+    counts[drawn] = rng.multinomial(count, [widths[i] / 2.0**53 for i in drawn])
+    return counts
+
+
+def _walk_vertex(dim, tables, boxes, origin, scales, start_vertex, table, count, seed):
     tables, paths = tables
     vert = np.full(count, start_vertex, dtype=np.int64)
     scale = np.ones(count)
     trans = np.zeros((count, dim))
     orth = np.broadcast_to(np.eye(dim), (count, dim, dim)).copy()
-    active = np.ones(count, dtype=bool)
     points = np.empty((count, dim))
 
-    def end(idx):
-        stop, c = stops(boxes, origin, scales, vert[idx], scale[idx], trans[idx], orth[idx])
-        points[idx[stop]] = c[stop]
-        active[idx[stop]] = False
+    def stream(c):
+        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(start_vertex, c)))
 
     leaves, keys, leaf_state = table
-    if leaves[0][0]:  # the table grew: walk i takes the leaf of the i-th smallest draw
-        leaf = np.searchsorted(keys / 2.0**53, np.sort(rng.random(count)), side="right")
+    rng = stream(0)
+    going = np.arange(count)
+    if leaves[0][0]:  # the table grew: the counts, then each walk's leaf in leaf order
+        leaf = np.repeat(np.arange(len(leaves)), leaf_counts([int(k) for k in keys], count, rng))
         terminal = np.array([leaves[i][1] for i in leaf], dtype=bool)
         # a terminal leaf's walks end at its cylinder, with the state the table holds
         idx = np.flatnonzero(terminal)
         for a, b in zip((vert, scale, trans, orth), leaf_state):
             a[idx] = b[leaf[idx]]
         points[idx] = _box(boxes, vert[idx], scale[idx], trans[idx], orth[idx])[0]
-        active[idx] = False
         # an open leaf's walks move along its edges
-        idx = np.flatnonzero(~terminal)
-        if len(idx):
-            for step in np.array([leaves[i][0] for i in leaf[idx]]).T:
-                _move(tables, idx, step, vert, scale, trans, orth)
-    while np.any(active):
-        idx = np.nonzero(active)[0]
-        _sweep(paths, idx, rng.random(len(idx)), vert, scale, trans, orth)
-        end(idx)
+        going = np.flatnonzero(~terminal)
+        if len(going):
+            for step in np.array([leaves[i][0] for i in leaf[going]]).T:
+                _move(tables, going, step, vert, scale, trans, orth)
+    # the walks from open leaves, in leaf order, sweep in chunks: chunk c on stream c
+    for c, at in enumerate(range(0, len(going), CHUNK_SIZE)):
+        chunk = going[at : at + CHUNK_SIZE]
+        active = np.ones(len(chunk), dtype=bool)
+        rng = rng if c == 0 else stream(c)
+        while np.any(active):
+            idx = chunk[active]
+            _sweep(paths, idx, rng.random(len(idx)), vert, scale, trans, orth)
+            state = (a[idx] for a in (vert, scale, trans, orth))
+            stop, centre = stops(boxes, origin, scales, *state)
+            points[idx[stop]] = centre[stop]
+            active[np.flatnonzero(active)[stop]] = False
     return points, (vert, scale, trans, orth)
 
 

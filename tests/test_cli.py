@@ -310,7 +310,7 @@ def _no_walks(*args, **kwargs):
 )
 def test_empty_values_exit_2(monkeypatch, tmp_path, capsys, command, flags, cfg, message):
     # an empty map or list is an error, not a request for the defaults
-    monkeypatch.setattr(empirical, "_draw_leaves", _no_walks)
+    monkeypatch.setattr(empirical, "_leaf_counts", _no_walks)
     if cfg is None:
         argv = ("--family", "strong-r", "--q", "2", *flags)
     else:
@@ -327,7 +327,7 @@ def test_empty_values_exit_2(monkeypatch, tmp_path, capsys, command, flags, cfg,
     "scales", ["--scales=0,0.1,0.01", "--scales=-0.1,0.05,0.01", "--scales=0.1,nan,0.01"]
 )
 def test_nonpositive_or_nan_scales_exit_2(monkeypatch, capsys, command, scales):
-    monkeypatch.setattr(empirical, "_draw_leaves", _no_walks)
+    monkeypatch.setattr(empirical, "_leaf_counts", _no_walks)
     code, out, err = run(capsys, command, "--family", "strong-r", "--q", "1",
                          "--samples", "1000", scales)
     assert code == 2
@@ -352,7 +352,7 @@ def test_box_side_too_fine_for_integer_keys_exits_2(capsys, family, scales):
 def test_bad_depth_eps_exits_2(monkeypatch, tmp_path, capsys, depth_eps):
     # the box sides fix where walks stop: --depth-eps and the config field
     # depth_eps are gone, and any value exits 2 before a walk starts
-    monkeypatch.setattr(empirical, "_draw_leaves", _no_walks)
+    monkeypatch.setattr(empirical, "_leaf_counts", _no_walks)
     argv = ["estimate", "--family", "strong-r", "--q", "1", "--samples", "1000",
             "--scale-octaves", "4", "9"]
     with pytest.raises(SystemExit) as exc:
@@ -369,7 +369,7 @@ def test_bad_depth_eps_exits_2(monkeypatch, tmp_path, capsys, depth_eps):
 @pytest.mark.parametrize("command", ["estimate", "compare"])
 @pytest.mark.parametrize("samples", ["-5", "0"])
 def test_nonpositive_samples_exit_2(monkeypatch, capsys, command, samples):
-    monkeypatch.setattr(empirical, "_draw_leaves", _no_walks)
+    monkeypatch.setattr(empirical, "_leaf_counts", _no_walks)
     code, out, err = run(capsys, command, "--family", "strong-r", "--q", "1",
                          "--samples", samples, "--scale-octaves", "4", "9")
     assert code == 2
@@ -398,7 +398,7 @@ def test_bad_numeric_input_exits_2(capsys, argv):
 
 @pytest.mark.parametrize("command", ["estimate", "compare"])
 def test_negative_seed_exits_2(monkeypatch, capsys, command):
-    monkeypatch.setattr(empirical, "_draw_leaves", _no_walks)
+    monkeypatch.setattr(empirical, "_leaf_counts", _no_walks)
     code, out, err = run(capsys, command, "--family", "strong-r", "--q", "1",
                          "--samples", "1000", "--scale-octaves", "4", "9", "--seed", "-1")
     assert code == 2
@@ -415,7 +415,7 @@ def test_negative_seed_exits_2(monkeypatch, capsys, command):
     ],
 )
 def test_user_chosen_scales_too_few_or_narrow_exit_2(monkeypatch, capsys, scales):
-    monkeypatch.setattr(empirical, "_draw_leaves", _no_walks)
+    monkeypatch.setattr(empirical, "_leaf_counts", _no_walks)
     code, out, err = run(capsys, "estimate", "--family", "strong-r", "--q", "1",
                          "--samples", "1000", *scales)
     assert code == 2
@@ -425,7 +425,7 @@ def test_user_chosen_scales_too_few_or_narrow_exit_2(monkeypatch, capsys, scales
 @pytest.mark.parametrize("command", ["estimate", "compare"])
 def test_scales_and_scale_octaves_together_exit_2(monkeypatch, capsys, command):
     # neither flag may silently win over the other
-    monkeypatch.setattr(empirical, "_draw_leaves", _no_walks)
+    monkeypatch.setattr(empirical, "_leaf_counts", _no_walks)
     code, out, err = run(capsys, command, "--family", "strong-r", "--q", "2", "--samples", "2000",
                          "--scales", "0.1,0.05,0.025", "--scale-octaves", "4", "6")
     assert (code, out) == (2, "")

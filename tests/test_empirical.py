@@ -40,9 +40,11 @@ def test_single_self_loop_one_step(monkeypatch):
     m = lq.Similitude(1, 0.5, np.eye(1), np.zeros(1))
     g = lq.Gifs(1, 1, (lq.Edge("a", 0, 0, m, 1.0),), bbox=((0.0, 1.0),))
     # the attractor is the fixed point 0: its box is a hair wide, so one
-    # application of the map fits it into one box of every grid
+    # application of the map fits it into one box of every grid; the table's
+    # one leaf is terminal, and a walk that draws a terminal leaf draws no
+    # raw word
     cloud, words, depth = _sample_counting_draws(monkeypatch, g, 100, seed=0)
-    assert words == depth == 1.0
+    assert words == 0.0 and depth == 1.0
     assert np.all(np.abs(cloud.points) <= 1e-25)
 
 
@@ -73,8 +75,9 @@ class _CountingRng:
 def _sample_counting_draws(monkeypatch, g, n_per_vertex, seed, **kwargs):
     """The cloud, the mean number of raw words its walks drew, and their mean
     depth: the depth that the table gives the leaf each walk drew, plus the
-    k edges of a path for each word drawn after the leaf draws."""
-    walk, count = empirical._walk_chunk, empirical._count_leaves
+    k edges of a path for each word a sweep drew.  The leaf counts come
+    from one multinomial per vertex, which draws no word for any walk."""
+    walk, count = empirical._walk_chunk, empirical._leaf_counts
     k = path_edges(g)
     words, edges = [], []
 
@@ -84,15 +87,14 @@ def _sample_counting_draws(monkeypatch, g, n_per_vertex, seed, **kwargs):
         words.append(rng.words)
         edges.append(rng.words * k)
 
-    def leaves(start, draws):
-        counts = count(start, draws)
-        words.append(len(draws))  # one word per walk for its leaf
+    def leaves(start, n, rng):
+        counts = count(start, n, rng)
         edges.append(int(start.depth @ counts))
         return counts
 
     with monkeypatch.context() as m:
         m.setattr(empirical, "_walk_chunk", counting)
-        m.setattr(empirical, "_count_leaves", leaves)
+        m.setattr(empirical, "_leaf_counts", leaves)
         m.setattr(empirical, "_worker_count", lambda n_jobs: 1)
         cloud = lq.sample(g, n_per_vertex, seed, **kwargs)
     return cloud, sum(words) / len(cloud), sum(edges) / len(cloud)
@@ -164,27 +166,26 @@ class _Interrupt(Exception):
 def test_failure_cancels_queued_chunks(monkeypatch, failure):
     # Chunk 0 raises, or a timer interrupts the caller as a deadline would;
     # either way the queued chunks must not run, and no worker may outlive
-    # the call.
+    # the call.  Every leaf of strong-r2's tables is open, so every walk
+    # sweeps and every chunk is a job on the pool.
     if failure == "caller interrupted" and not hasattr(signal, "setitimer"):
         pytest.skip("needs signal.setitimer")
     calls = []
     lock = threading.Lock()
 
-    def draw(count, rng):
-        # every chunk draws its leaves, whether or not its walks go on
+    def sweep(paths, start, counts, out, rng, grids):
         if failure == "chunk raises" and rng.bit_generator.seed_seq.spawn_key == (0, 0):
             raise _Interrupt("chunk 0")
         with lock:
-            calls.append(count)
+            calls.append(out.shape[1])
         time.sleep(0.02)
-        return np.zeros(count, dtype=np.int64)
 
     def interrupt(signum, frame):
         raise _Interrupt("timer")
 
-    monkeypatch.setattr(empirical, "_draw_leaves", draw)
+    monkeypatch.setattr(empirical, "_walk_chunk", sweep)
     monkeypatch.setattr(empirical, "_worker_count", lambda n_jobs: 2)
-    g = _strong_r_gifs()
+    g = lq.build_example(lq.canonical_params("strong-r2"))
     n_chunks = 40
     jobs = g.num_vertices * n_chunks
     baseline = threading.active_count()
@@ -327,20 +328,21 @@ def test_walks_stop_at_the_depth_the_box_counts_see(monkeypatch, family):
     assert depth <= _MAX_DEPTH.get(family, 8.0)
 
 
-# raw words per point: one for the leaf of the table of stopped cylinders,
-# then one per k-edge path after an open leaf.  Measured at seeds 1-3: 1.0
-# (1-D; 1.0001 on nonstrong-r-heights), 2.268-2.271 (strong-r2) and
-# 2.051-2.052 (nonstrong-r2); the bounds leave 0.03 words above the largest.
-# One word per edge after an open leaf took 5.02 and 3.27, drawing every edge
-# 7.7 to 10.0, and a k-edge prefix alone 2.71 to 5.02.
-_MAX_WORDS = {"strong-r2": 2.30, "nonstrong-r2": 2.08}
+# raw words per point: none for the leaf of the table of stopped cylinders,
+# whose counts one multinomial per vertex draws, then one per k-edge path
+# after an open leaf.  Measured at seeds 1-3: 0 to 7e-5 (1-D), 1.267-1.269
+# (strong-r2) and 1.050-1.051 (nonstrong-r2); the bounds leave 0.03 words
+# above the largest.  One raw word per walk for its leaf took one more word
+# on every family, one word per edge after an open leaf 5.02 and 3.27,
+# drawing every edge 7.7 to 10.0, and a k-edge prefix alone 2.71 to 5.02.
+_MAX_WORDS = {"strong-r2": 1.30, "nonstrong-r2": 1.08}
 
 
 @pytest.mark.parametrize("family", lq.FAMILY_IDS)
 def test_first_edges_drawn_as_one_path(monkeypatch, family):
     g = lq.build_example(lq.canonical_params(family))
     _, words, _ = _sample_counting_draws(monkeypatch, g, 20_000, seed=1)
-    assert words <= _MAX_WORDS.get(family, 1.01)
+    assert words <= _MAX_WORDS.get(family, 0.01)
 
 
 def _starts(g, scales):
@@ -611,7 +613,7 @@ def test_drawn_paths_follow_the_path_probabilities(family, draws):
     if draws == "leaves":
         start = _starts(g, DEFAULT_SCALES)[0]
         key = start.key
-        got = empirical._count_leaves(start, empirical._draw_leaves(n, rng))
+        got = empirical._leaf_counts(start, n, rng)
     else:
         paths = empirical._paths(empirical._walk_tables(g))
         key = paths.cum_key[: paths.first_edge[1]]  # vertex 0's, whose keys carry no vertex bits
@@ -622,6 +624,13 @@ def test_drawn_paths_follow_the_path_probabilities(family, draws):
     assert len(got) == len(key) and got.sum() == n
     want = np.diff(key, prepend=0) / 2.0**53 * n
     assert np.all(want > 0.0)
+    chi2, dof = _chi_square(got, want)
+    assert abs(chi2 - dof) <= 5.0 * math.sqrt(2.0 * dof), (chi2, dof)
+
+
+def _chi_square(got, want):
+    """(statistic, dof) of the counts got against the expected counts want,
+    with consecutive cells pooled until each pool expects at least 20."""
     pool = np.empty(len(want), dtype=np.int64)
     k, total = 0, 0.0
     for i, w in enumerate(want):
@@ -632,20 +641,69 @@ def test_drawn_paths_follow_the_path_probabilities(family, draws):
     pool = np.minimum(pool, k - 1)  # a short last pool joins the one before it
     got, want = np.bincount(pool, got), np.bincount(pool, want)
     assert np.min(want) >= 20.0
-    chi2 = float(np.sum((got - want) ** 2 / want))
-    dof = len(want) - 1
-    assert abs(chi2 - dof) <= 5.0 * math.sqrt(2.0 * dof), (chi2, dof)
+    return float(np.sum((got - want) ** 2 / want)), len(want) - 1
+
+
+@pytest.mark.parametrize("family", ["strong-r", "nonstrong-r-heights"])
+def test_leaf_counts_follow_the_key_widths(family):
+    # Bound, fixed before the run: over 20 seeds, each vertex's leaf counts
+    # give a chi-square statistic (cells pooled to expect at least 20 walks)
+    # within 5 standard deviations sqrt(2 dof) of its dof, and the sum of a
+    # vertex's 20 statistics lies within 5 standard deviations of 20 dof.
+    g = lq.build_example(lq.canonical_params(family))
+    n = 100_000
+    stats = {v: [] for v in range(g.num_vertices)}
+    for seed in range(20):
+        cloud = lq.sample(g, n, seed)
+        assert len(cloud._drawn) == g.num_vertices
+        for v, (t, got) in enumerate(cloud._drawn):
+            start = cloud._starts[t]
+            assert got.sum() == n and len(got) == len(start.key)
+            chi2, dof = _chi_square(got, np.diff(start.key, prepend=0) / 2.0**53 * n)
+            assert abs(chi2 - dof) <= 5.0 * math.sqrt(2.0 * dof), (seed, v, chi2, dof)
+            stats[v].append((chi2, dof))
+    for v, runs in stats.items():
+        chi2, dof = map(sum, zip(*runs))
+        assert abs(chi2 - dof) <= 5.0 * math.sqrt(2.0 * dof), (v, chi2, dof)
+
+
+def _zero_width_gifs():
+    # a middle edge of vertex 0 and the last edge of vertex 1 carry 1e-30,
+    # below the keys' 2^-53: every leaf through them has zero key width
+    def sim(t):
+        return lq.Similitude(1, 1 / 3, np.eye(1), np.array([t]))
+
+    edges = (
+        *(lq.Edge(f"a{i}", 0, 0, sim(i / 3), p) for i, p in enumerate((0.5, 1e-30, 0.5))),
+        *(lq.Edge(f"b{i}", 1, 1, sim(i / 3), p) for i, p in enumerate((0.5, 0.5, 1e-30))),
+    )
+    return lq.Gifs(2, 1, edges)
+
+
+@pytest.mark.parametrize("n_per_vertex", [0, 1, 2, 1000, CHUNK_SIZE + 77])
+def test_leaf_counts_sum_to_the_walks_and_skip_zero_widths(n_per_vertex):
+    g = _zero_width_gifs()
+    cloud = lq.sample(g, n_per_vertex, seed=2)
+    assert len(cloud) == 2 * n_per_vertex
+    for v, (t, counts) in enumerate(cloud._drawn):
+        start = cloud._starts[t]
+        width = np.diff(start.key, prepend=0)
+        assert start.levels and np.count_nonzero(width == 0) > 0
+        assert v < 1 or width[-1] == 0  # vertex 1's last leaf has zero width
+        assert counts.sum() == n_per_vertex and counts.min() >= 0
+        assert not np.any(counts[width == 0])
+    _assert_matches_oracle(g, n_per_vertex, seed=2)
 
 
 def test_infinite_orientation_group_raises(monkeypatch):
-    monkeypatch.setattr(empirical, "_draw_leaves", _no_walks)
+    monkeypatch.setattr(empirical, "_leaf_counts", _no_walks)
     g = _rotation_gifs(1.0)  # a rotation by one radian has infinite order
     with pytest.raises(lq.SamplerBound, match=str(empirical.MAX_ORIENTATIONS)):
         lq.sample(g, 10, seed=0)
 
 
 def test_sampler_table_bounds(monkeypatch):
-    monkeypatch.setattr(empirical, "_draw_leaves", _no_walks)
+    monkeypatch.setattr(empirical, "_leaf_counts", _no_walks)
     loop = lq.Similitude(1, 0.5, np.eye(1), np.zeros(1))
     n = empirical.MAX_VERTICES + 1
     g = lq.Gifs(n, 1, tuple(lq.Edge(f"e{v}", v, v, loop, 1.0) for v in range(n)))
@@ -665,7 +723,7 @@ def _no_walks(*args, **kwargs):
 def test_depth_eps_outside_unit_interval_rejected(monkeypatch, depth_eps):
     # the box sides fix where walks stop, so there is no depth_eps to pass,
     # inside the unit interval or outside it
-    monkeypatch.setattr(empirical, "_draw_leaves", _no_walks)
+    monkeypatch.setattr(empirical, "_leaf_counts", _no_walks)
     with pytest.raises(TypeError, match="depth_eps"):
         lq.sample(_strong_r_gifs(), 10, seed=0, depth_eps=depth_eps)
 
@@ -682,7 +740,7 @@ def test_depth_eps_outside_unit_interval_rejected(monkeypatch, depth_eps):
     ],
 )
 def test_scales_rejected_before_any_walk(monkeypatch, scales, message):
-    monkeypatch.setattr(empirical, "_draw_leaves", _no_walks)
+    monkeypatch.setattr(empirical, "_leaf_counts", _no_walks)
     g = lq.build_example(lq.canonical_params("strong-r2"))
     with pytest.raises(lq.InvalidParams, match=message):
         lq.sample(g, 10, seed=0, scales=scales)
@@ -723,13 +781,13 @@ def test_a_lopsided_cloud_beyond_64_bit_codes_is_refused():
 
 
 def test_negative_sample_count_rejected(monkeypatch):
-    monkeypatch.setattr(empirical, "_draw_leaves", _no_walks)
+    monkeypatch.setattr(empirical, "_leaf_counts", _no_walks)
     with pytest.raises(lq.InvalidParams, match="n_per_vertex"):
         lq.sample(_strong_r_gifs(), -1, seed=0)
 
 
 def test_negative_seed_rejected(monkeypatch):
-    monkeypatch.setattr(empirical, "_draw_leaves", _no_walks)
+    monkeypatch.setattr(empirical, "_leaf_counts", _no_walks)
     with pytest.raises(lq.InvalidParams, match="seed"):
         lq.sample(_strong_r_gifs(), 10, seed=-1)
 
@@ -744,7 +802,7 @@ def test_negative_seed_rejected(monkeypatch):
     ],
 )
 def test_non_integer_count_or_seed_rejected(monkeypatch, n_per_vertex, seed, message):
-    monkeypatch.setattr(empirical, "_draw_leaves", _no_walks)
+    monkeypatch.setattr(empirical, "_leaf_counts", _no_walks)
     with pytest.raises(lq.InvalidParams, match=message):
         lq.sample(_strong_r_gifs(), n_per_vertex, seed)
 
@@ -757,7 +815,7 @@ def test_numpy_integer_count_and_seed_accepted():
 
 @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
 def test_estimate_rejects_a_nonfinite_q_before_sampling(monkeypatch, q):
-    monkeypatch.setattr(empirical, "_draw_leaves", _no_walks)
+    monkeypatch.setattr(empirical, "_leaf_counts", _no_walks)
     with pytest.raises(lq.InvalidParams, match="q must be finite"):
         lq.estimate_tau(_strong_r_gifs(), q, [2.0**-k for k in range(4, 9)], 100, seed=0)
 
@@ -974,6 +1032,20 @@ def test_cloud_rejects_a_point_that_is_not_finite(bad):
         lq.SampleCloud(pts, scales=(0.5,), grid_anchor=(0.0, 0.0))
 
 
+def test_clouds_of_other_dtypes_count_the_same_boxes():
+    # float32 points raised a bare ValueError: box counting casts each
+    # coordinate row to int64 keys in the row's own memory
+    pts = np.random.default_rng(0).integers(0, 64, size=(500, 2))
+    scales = (16.0, 8.0, 3.0, 1.0)
+    want = None
+    for dtype in (np.float64, np.float32, np.int64):
+        cloud = lq.SampleCloud(pts.astype(dtype), scales=scales, grid_anchor=(0.0, 0.0))
+        assert cloud.points.dtype == np.float64
+        got = [lq.partition_sum(cloud, scales, q, total_mass=1.0) for q in (0.0, 2.0, -1.5)]
+        want = want or got
+        assert got == want, dtype
+
+
 _OCTAVES_20 = tuple(2.0**-k for k in range(4, 21))
 _COUNTED_CASES = {
     **{family: (family, DEFAULT_SCALES) for family in lq.FAMILY_IDS},
@@ -1009,9 +1081,16 @@ def test_counted_cloud_counts_the_boxes_of_its_points(case, n_per_vertex):
     for q in (0.0, 2.0, -1.5):
         got = lq.partition_sum(cloud, hs, q, total_mass=float(g.num_vertices))
         assert got == lq.partition_sum(expanded, hs, q, total_mass=float(g.num_vertices))
-    if n_per_vertex > 1 and case in ("strong-r", "nonstrong-r-basic"):
-        # at the default sides every walk ends at a terminal leaf
-        assert cloud._swept.shape[1] == 0 and cloud._ended[1].sum() == len(cloud)
+    # exactly the walks counted at open leaves were swept
+    going = sum(int(n[cloud._starts[t].slot >= 0].sum()) for t, n in cloud._drawn)
+    assert cloud._swept.shape[1] == going
+    if case in ("strong-r", "nonstrong-r-basic"):
+        # at the default sides a walk ends at a terminal leaf: every leaf of
+        # strong-r's tables is terminal, and nonstrong-r-basic's 476 open
+        # leaves hold 3.3e-5 of the law
+        open_mass = [np.diff(start.key, prepend=0)[start.slot >= 0].sum() / 2.0**53
+                     for start in cloud._starts]
+        assert max(open_mass) < 1e-4 and (case != "strong-r" or max(open_mass) == 0.0)
     if case.endswith(("2^-16", "2^-20")):
         assert cloud._ended is None and cloud._swept.shape[1] == len(cloud)
 
@@ -1039,7 +1118,7 @@ def test_estimate_insufficient_scales():
     "scales", [[0.0, 0.1, 0.01], [-0.1, 0.05, 0.01], [0.1, math.nan, 0.01], [0.1, math.inf, 0.01]]
 )
 def test_estimate_rejects_nonpositive_or_nonfinite_scales(monkeypatch, scales):
-    monkeypatch.setattr(empirical, "_draw_leaves", _no_walks)
+    monkeypatch.setattr(empirical, "_leaf_counts", _no_walks)
     with pytest.raises(lq.InvalidParams, match="scales"):
         lq.estimate_tau(_strong_r_gifs(), 1.0, scales, 100, seed=0)
 
