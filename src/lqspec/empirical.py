@@ -248,9 +248,9 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
         # they raised the peak RSS of repeated 2-D calls by 7 MB.
         starts = pool.submit(_starts, tables, grids, roots).result() if pool else _starts(
             tables, grids, roots)
-        drawn = _run(pool, draw, [(v,) for v in range(g.num_vertices)])
+        draws = _run(pool, draw, [(v,) for v in range(g.num_vertices)])
         jobs, at = [], 0
-        for v, (rng, counts) in enumerate(drawn):
+        for v, (rng, counts) in enumerate(draws):
             start = starts[cls[v]]
             going = np.cumsum(counts[start.slot >= 0])  # the open leaves' walks, in leaf order
             n_going = int(going[-1]) if len(going) else 0
@@ -266,7 +266,7 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
         if pool:
             # A plain `with` would run every queued chunk before re-raising.
             pool.shutdown(cancel_futures=True)
-    per_vertex = [(cls[v], counts) for v, (_, counts) in enumerate(drawn)]
+    per_vertex = [(cls[v], counts) for v, (_, counts) in enumerate(draws)]
     return SampleCloud._counted(swept, hs, tuple(lo for lo, _ in g.bbox), starts, per_vertex)
 
 
