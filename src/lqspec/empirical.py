@@ -235,9 +235,9 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
         rng = stream(v, 0)
         return rng, _leaf_counts(starts[cls[v]], n_per_vertex, rng)
 
-    def walk(start, counts, a, b, v, c, rng):
+    def walk(v, c, counts, a, b, rng):
         rng = stream(v, c) if rng is None else rng
-        _walk_chunk(paths, start, counts, swept[:, a:b], rng, grids)
+        _walk_chunk(paths, starts[cls[v]], counts, swept[:, a:b], rng, grids)
 
     n_chunks = (n_per_vertex + CHUNK_SIZE - 1) // CHUNK_SIZE
     workers = _worker_count(g.num_vertices * n_chunks)
@@ -257,7 +257,7 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
             for c, a in enumerate(range(0, n_going, CHUNK_SIZE)):
                 b = min(a + CHUNK_SIZE, n_going)
                 chunk = np.diff(np.clip(going, a, b), prepend=a)
-                jobs.append((start, chunk, at + a, at + b, v, c, None if c else rng))
+                jobs.append((v, c, chunk, at + a, at + b, None if c else rng))
             at += n_going
         # Coordinate-major: box counting reads each coordinate as one contiguous row.
         swept = np.empty((g.dim, at))
