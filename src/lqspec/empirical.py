@@ -21,7 +21,10 @@ level at a time from the class's first vertex, in which a node where the
 walk's stop test ends it becomes a terminal leaf holding its box centre,
 while the other (open) leaves hold the walk state.  A tree grows while a
 level adds at most MAX_LEVEL_NODES of its leaves and it keeps at most
-MAX_TABLE_NODES; all classes' trees grow in one level loop.
+MAX_TABLE_NODES; all classes' trees grow in one level loop.  A table lists
+its leaves as they are made: the terminal leaves level by level, then the
+open leaves, all of the level at which the tree stopped, each level in
+lexicographic edge order.
 The counts of n inverse-CDF draws on the leaves' keys ceil(cum * 2^53),
 each with the law of edge-by-edge draws to its leaf, are Multinomial(n, key
 widths / 2^53): each vertex draws them with one multinomial.  A walk at a
@@ -150,13 +153,13 @@ class SampleCloud:
         cloud.scales, cloud.grid_anchor = scales, grid_anchor
         cloud._swept, cloud._starts, cloud._drawn = swept, starts, drawn
         cloud._n = sum(int(counts.sum()) for _, counts in drawn)
-        total = [np.zeros(len(start.slot), dtype=np.int64) for start in starts]
+        total = [np.zeros(start.point.shape[1], dtype=np.int64) for start in starts]
         for t, counts in drawn:
-            total[t] += counts
+            total[t] += counts[: len(total[t])]
         centres, weights = [], []
         for start, n in zip(starts, total):
-            leaf = np.flatnonzero((start.slot < 0) & (n > 0))
-            centres.append(start.point.take(~start.slot.take(leaf), axis=1))
+            leaf = np.flatnonzero(n)
+            centres.append(start.point.take(leaf, axis=1))
             weights.append(n.take(leaf))
         weights = np.concatenate(weights)
         cloud._ended = (np.concatenate(centres, axis=1), weights) if len(weights) else None
@@ -164,24 +167,19 @@ class SampleCloud:
 
     @functools.cached_property
     def points(self) -> np.ndarray:
-        """The (n, d) points, the transpose of one (d, n) array."""
+        """The (n, d) points, the transpose of one (d, n) array: per vertex,
+        the walks that ended at terminal leaves, then those that went on."""
         if self._ended is None:  # every walk went on from an open leaf
             return self._swept.T
-        rows = np.empty((len(self._swept), len(self)))
-        col = at = 0
+        parts, at = [], 0
         for t, counts in self._drawn:
             start = self._starts[t]
-            slot = np.repeat(start.slot, counts)
-            out = rows[:, col : col + len(slot)]
-            done = np.flatnonzero(slot < 0)
-            ended = ~slot.take(done)
-            for row, c in zip(out, start.point):
-                row[done] = c.take(ended)
-            pos = np.flatnonzero(slot >= 0)
-            out[:, pos] = self._swept[:, at : at + len(pos)]
-            col += len(slot)
-            at += len(pos)
-        return rows.T
+            n_ended = start.point.shape[1]
+            n_going = int(counts[n_ended:].sum())
+            parts += [np.repeat(start.point, counts[:n_ended], axis=1),
+                      self._swept[:, at : at + n_going]]
+            at += n_going
+        return np.concatenate(parts, axis=1).T
 
     def __len__(self) -> int:
         return self._n
@@ -252,7 +250,7 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
         jobs, at = [], 0
         for v, (rng, counts) in enumerate(draws):
             start = starts[cls[v]]
-            going = np.cumsum(counts[start.slot >= 0])  # the open leaves' walks, in leaf order
+            going = np.cumsum(counts[start.point.shape[1]:])  # the open leaves' walks
             n_going = int(going[-1]) if len(going) else 0
             for c, a in enumerate(range(0, n_going, CHUNK_SIZE)):
                 b = min(a + CHUNK_SIZE, n_going)
@@ -571,25 +569,24 @@ def _orientation_group(orths):
 
 @dataclass(frozen=True)
 class _Start:
-    """The table of stopped cylinders from one start vertex: its leaves, in
-    lexicographic edge order.
+    """The table of stopped cylinders from one start vertex: its T terminal
+    leaves, level by level, then its O open leaves, all of one level, each
+    level in lexicographic edge order.
 
     Leaf i takes the draws m (of m / 2^53) with key[i - 1] <= m < key[i],
     key[-1] = 2^53: ``key`` is ceil(cum * 2^53) for the running sum of the
     leaves' probabilities, each the product of its edges' ``prob``.  Every
-    walk that draws a terminal leaf ends there: ``slot[i]`` is then -1 - t,
-    and column t of ``point`` is the leaf's box centre, computed by the same
-    float operations as _stops.  The walks that draw an open leaf go on
-    along k-edge paths: ``slot[i]`` is then its column of ``vkey``, ``orient``,
-    ``scale`` and ``trans``, the walk state after ``levels`` edges, computed
-    by the same float operations as that many edge moves of _advance;
-    ``orient`` is an index into the orientation group.
+    walk that draws a terminal leaf i < T ends there, at column i of
+    ``point``, the leaf's box centre, computed by the same float operations
+    as _stops.  The walks that draw an open leaf T + j go on along k-edge
+    paths from column j of ``vkey``, ``orient``, ``scale`` and ``trans``,
+    the walk state after ``levels`` edges, computed by the same float
+    operations as that many edge moves of _advance; ``orient`` is an index
+    into the orientation group.
     """
 
     levels: int  # edge levels grown; with none, a walk draws no leaf
-    key: np.ndarray  # (L,) int64, nondecreasing
-    depth: np.ndarray  # (L,) int64: the leaf's number of edges
-    slot: np.ndarray  # (L,) int64
+    key: np.ndarray  # (T + O,) int64, nondecreasing
     point: np.ndarray  # (d, T): the terminal leaves' points
     vkey: np.ndarray  # (O,) int64: the open leaves' state
     orient: np.ndarray  # (O,) int64
@@ -624,147 +621,79 @@ def _starts(tables: _WalkTables, grids, roots=None) -> list[_Start]:
     vkey = np.array(roots, dtype=np.int64) << _VERTEX_SHIFT
     n_roots = len(vkey)
     root = np.arange(n_roots)  # each open node's root, an index into roots
+    prob = np.ones(n_roots)
     orient = np.zeros(n_roots, dtype=np.int64)
     scale = np.ones(n_roots)
     trans = np.zeros((len(tables.origin), n_roots))
-    # per level: each node's stop flag and probability, the number of nodes
-    # of each root, whether each node grew children, and the out-degrees of
-    # the level above's grown nodes
-    grown = [[np.zeros(n_roots, dtype=bool), np.ones(n_roots), np.ones(n_roots, dtype=np.int64),
-              np.zeros(n_roots, dtype=bool), None]]
-    none = np.zeros(0, dtype=np.int64)
-    # per level, the terminal nodes' box centres and roots
-    ended = [(trans[:, :0], none)]
-    # the open leaves' (root, vkey, orient, scale, trans), per level at
-    # which roots stopped growing with open leaves
-    held = [(none, none, none, scale[:0], trans[:, :0])]
+    # per level, the terminal nodes' (root, probability, box centre)
+    ended = [(root[:0], prob[:0], trans[:, :0])]
+    # per level at which roots stopped growing with open leaves, those
+    # leaves' (root, probability, vkey, orient, scale, trans)
+    held = [(root[:0], prob[:0], vkey[:0], orient[:0], scale[:0], trans[:, :0])]
     n_ended = np.zeros(n_roots, dtype=np.int64)
     levels = np.zeros(n_roots, dtype=np.int64)
+    level = 0
     while len(vkey):
         at = vkey >> _VERTEX_SHIFT
         first = tables.first_edge.take(at)
         deg = tables.first_edge.take(at + 1) - first
         n_new = np.bincount(root, weights=deg, minlength=n_roots)
         go = ((n_new <= MAX_LEVEL_NODES) & (n_ended + n_new <= MAX_TABLE_NODES)).take(root)
-        stop, prob, _, grew, _ = grown[-1]
-        grew[np.flatnonzero(~stop)[go]] = True
         if not go.all():
             stay, keep = np.flatnonzero(~go), np.flatnonzero(go)
-            held.append((root.take(stay), vkey.take(stay), orient.take(stay),
-                         scale.take(stay), trans.take(stay, axis=1)))
+            held.append(tuple(a.take(stay, axis=-1)
+                              for a in (root, prob, vkey, orient, scale, trans)))
             if not len(keep):
                 break
-            root, orient, scale = root.take(keep), orient.take(keep), scale.take(keep)
+            root, prob, orient, scale = (a.take(keep) for a in (root, prob, orient, scale))
             first, deg = first.take(keep), deg.take(keep)
             trans = trans.take(keep, axis=1)
         parent, e = _children(first, deg)
-        n_new = len(parent)
-        prob = prob[grew].take(parent)
+        prob = prob.take(parent)
         prob *= tables.prob.take(e)
         root = root.take(parent)
-        levels[root] = len(grown)
+        level += 1
+        levels[root] = level
         scale, trans = scale.take(parent), trans.take(parent, axis=1)
         ge, vkey, orient = _advance(tables, e, orient.take(parent), scale, trans)
         test = np.flatnonzero(scale <= near.take(ge))
         ends, centre = _stops(tables, grids, ge.take(test), scale.take(test),
                               trans.take(test, axis=1))
         test = test[ends]
-        ended.append((centre[:, ends], root.take(test)))
-        n_ended += np.bincount(ended[-1][1], minlength=n_roots)
-        stop = np.zeros(n_new, dtype=bool)
-        stop[test] = True
-        grown.append([stop, prob, np.bincount(root, minlength=n_roots),
-                      np.zeros(n_new, dtype=bool), deg])
-        live = np.flatnonzero(~stop)
-        root, vkey, orient = root.take(live), vkey.take(live), orient.take(live)
+        ended.append((root.take(test), prob.take(test), centre[:, ends]))
+        n_ended += np.bincount(ended[-1][0], minlength=n_roots)
+        live = np.ones(len(root), dtype=bool)
+        live[test] = False
+        live = np.flatnonzero(live)
+        root, prob, vkey, orient = (a.take(live) for a in (root, prob, vkey, orient))
         scale, trans = scale.take(live), trans.take(live, axis=1)
-    slot, prob, depth, n_leaves = _leaf_order(grown, n_roots)
-    # root by root, level by level: the terminal nodes' centres and the open leaves' state
-    order, t_at = _root_order([r for _, r in ended], n_roots)
-    point = np.concatenate([c for c, _ in ended], axis=1).take(order, axis=1)
-    order, o_at = _root_order([h[0] for h in held], n_roots)
-    vkey, orient, scale = (np.concatenate([h[i] for h in held]).take(order) for i in (1, 2, 3))
+    t_at, (t_prob, point) = _by_root(ended, n_roots)
+    o_at, (o_prob, vkey, orient, scale, trans) = _by_root(held, n_roots)
     orient //= len(tables.ratio)
-    trans = np.concatenate([h[4] for h in held], axis=1).take(order, axis=1)
-    l_at = np.concatenate(([0], np.cumsum(n_leaves)))
     starts = []
     for r in range(n_roots):
-        leaves, terminal, open_ = (slice(at[r], at[r + 1]) for at in (l_at, t_at, o_at))
-        starts.append(_Start(int(levels[r]), _keys(prob[leaves]), depth[leaves], slot[leaves],
-                             point[:, terminal], vkey[open_], orient[open_], scale[open_],
-                             trans[:, open_]))
+        terminal, open_ = slice(t_at[r], t_at[r + 1]), slice(o_at[r], o_at[r + 1])
+        key = _keys(np.concatenate((t_prob[terminal], o_prob[open_])))
+        starts.append(_Start(int(levels[r]), key, point[:, terminal], vkey[open_],
+                             orient[open_], scale[open_], trans[:, open_]))
     return starts
 
 
-def _root_order(roots, n_roots):
-    """The stable order that groups the joined roots root by root, and where
-    each root's run starts (n_roots + 1 offsets)."""
-    root = np.concatenate(roots)
-    n = np.bincount(root, minlength=n_roots)
-    return np.argsort(root, kind="stable"), np.concatenate(([0], np.cumsum(n)))
-
-
-def _leaf_order(grown, n_roots):
-    """(slot, prob, depth, n_leaves) of the leaves of the trees that _starts
-    grew: each root's leaves in lexicographic edge order, root after root,
-    n_leaves[r] of them for root r.  Among a root's leaves, the t-th of its
-    terminal nodes (level by level) has slot -1 - t, and the i-th of its
-    open leaves slot i.  The levels of grown are dropped as they are read.
-
-    A node's leaves are itself when it grew no children, else its
-    children's leaves; a leaf's place is the number of leaves in the
-    subtrees of the nodes before it at its level and at each level above.
-    """
-    # leaves per node, bottom up
-    size = [np.ones(len(grown[-1][0]), dtype=np.int64)]
-    for level in range(len(grown) - 2, -1, -1):
-        grew, deg = grown[level][3], grown[level + 1][4]
-        above = np.ones(len(grew), dtype=np.int64)
-        above[grew] = np.add.reduceat(size[-1], np.cumsum(deg) - deg)
-        size.append(above)
-    size.reverse()
-    n_leaves = size[0]
-    slot = np.empty(n_leaves.sum(), dtype=np.int64)
-    prob = np.empty(len(slot))
-    depth = np.empty(len(slot), dtype=np.int64)
-    place = np.cumsum(n_leaves) - n_leaves
-    n_ended = np.zeros(n_roots, dtype=np.int64)
-    n_open = np.zeros(n_roots, dtype=np.int64)
-    above = None
-    for level in range(len(grown)):
-        # each level is dropped once placed
-        (stop, p, n_at, grew, deg), n = grown[level], size[level]
-        grown[level] = size[level] = None
-        if level:
-            # a parent's place, plus the leaves of the siblings before the node
-            before = np.cumsum(n) - n
-            place = np.repeat(place[above] - before[np.cumsum(deg) - deg], deg)
-            place += before
-        root = np.repeat(np.arange(n_roots), n_at)
-        leaf = np.flatnonzero(stop)
-        slot[place[leaf]] = -1 - _rank(root.take(leaf), n_ended)
-        leaf = np.flatnonzero(~(stop | grew))
-        slot[place[leaf]] = _rank(root.take(leaf), n_open)
-        leaf = np.flatnonzero(~grew)
-        prob[place[leaf]] = p[leaf]
-        depth[place[leaf]] = level
-        above = grew
-    return slot, prob, depth, n_leaves
-
-
-def _rank(root, seen):
-    """Each node's index among the nodes of its root, counted on from
-    seen[root], for nodes grouped by root; adds their numbers to seen."""
-    n = np.bincount(root, minlength=len(seen))
-    rank = np.arange(len(root)) - (np.cumsum(n) - n).take(root) + seen.take(root)
-    seen += n
-    return rank
+def _by_root(parts, n_roots):
+    """The parts, each (root, *fields) with nodes on the last axis, joined
+    and stably grouped root by root: where each root's run starts (n_roots
+    + 1 offsets) and the fields."""
+    root = np.concatenate([part[0] for part in parts])
+    order = np.argsort(root, kind="stable")
+    at = np.concatenate(([0], np.cumsum(np.bincount(root, minlength=n_roots))))
+    fields = list(zip(*parts))[1:]
+    return at, [np.concatenate(field, axis=-1).take(order, axis=-1) for field in fields]
 
 
 def _walk_chunk(paths: _WalkTables, start: _Start, counts, out, rng, grids):
-    """Walk on from start's open leaves, counts[i] walks from the i-th of
-    them in leaf order, into the (d, n) out, one column per walk in the
-    order of their leaves.
+    """Walk on from start's open leaves, counts[j] walks from the j-th of
+    them, into the (d, n) out, one column per walk in the order of their
+    leaves.
 
     Each sweep moves every active walk along one k-edge path of ``paths``
     (see _paths), drawn with one raw word, and tests it once: it ends when
@@ -777,12 +706,10 @@ def _walk_chunk(paths: _WalkTables, start: _Start, counts, out, rng, grids):
     Coordinates are rows (d, n), so every gather and compaction acts on
     contiguous 1-D data.
     """
-    slot = np.repeat(start.slot[start.slot >= 0], counts)
-    pos = np.arange(len(slot))
-    vkey, orient = start.vkey.take(slot), start.orient.take(slot)
+    vkey, orient = np.repeat(start.vkey, counts), np.repeat(start.orient, counts)
     orient *= len(paths.ratio)  # the first column of each walk's orientation
-    scale, trans = start.scale.take(slot), start.trans.take(slot, axis=1)
-    del slot
+    scale, trans = np.repeat(start.scale, counts), np.repeat(start.trans, counts, axis=1)
+    pos = np.arange(len(vkey))
 
     while len(pos):
         ge, vkey, orient = _step(paths, rng, vkey, orient, scale, trans)

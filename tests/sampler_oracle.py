@@ -6,9 +6,10 @@ is a batched matrix product.  It draws from the same random streams in the
 same order as ``lqspec.empirical.sample``: one stream per
 ``(seed, vertex, chunk)``; on chunk 0's, one ``rng.multinomial`` that counts
 the walks of the vertex at each leaf of its own table of stopped cylinders
-(plain loops for the leaves' order, their plain-float probabilities and a
-running sum for their keys); then the walks that drew open leaves, in leaf
-order, sweep in chunks of CHUNK_SIZE, chunk 0 on from where the multinomial
+(plain loops for the leaves, one sort that puts the terminal leaves level
+by level before the open ones, each level in lexicographic edge order, and
+plain-float probabilities and a running sum for their keys); then the walks
+that drew open leaves, in leaf order, sweep in chunks of CHUNK_SIZE, chunk 0 on from where the multinomial
 left its stream and chunk c on stream c, with one ``rng.random`` per sweep
 over the chunk's active walks in ascending order, which picks each walk's
 path of k edges (plain loops for the paths, their keys and their composed
@@ -73,8 +74,10 @@ def cylinder_table(g, v, scales):
     its vertex in order, and stops each child by the oracle's own rule (see
     stops).  Growth ends when no leaf is open, or before a level that would
     add more than MAX_LEVEL_NODES leaves or bring the table above
-    MAX_TABLE_NODES.  Returns the leaves in lexicographic edge order, each
-    (out-edge indices, terminal), their keys ceil(cum * 2^53) of the running
+    MAX_TABLE_NODES.  Returns the leaves sorted by (open, edge count,
+    edges): the terminal leaves level by level, then the open ones, each
+    level in lexicographic edge order.  Each leaf is (out-edge indices,
+    terminal); with them come their keys ceil(cum * 2^53) of the running
     sum of their probabilities (each the product of its edges' drawn
     probabilities, the widths of ceil(cum * 2^53)), the last one 2^53, and
     their walk states (vertex, scale, translation, orthogonal part) as
@@ -106,6 +109,9 @@ def cylinder_table(g, v, scales):
         stopped[moved] = stops(boxes, origin, scales, *(a[moved] for a in state))[0]
         leaves = [(edges, prob, terminal or bool(stop))
                   for (edges, prob, terminal), stop in zip(grown, stopped)]
+    order = sorted(range(len(leaves)),
+                   key=lambda i: (not leaves[i][2], len(leaves[i][0]), leaves[i][0]))
+    leaves, state = [leaves[i] for i in order], tuple(a[order] for a in state)
     keys = _keys([prob for _, prob, _ in leaves])
     return [(edges, terminal) for edges, _, terminal in leaves], np.array(keys), state
 

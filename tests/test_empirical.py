@@ -72,13 +72,17 @@ class _CountingRng:
         return self._raw(n)
 
 
-def _sample_counting_draws(monkeypatch, g, n_per_vertex, seed, **kwargs):
+def _sample_counting_draws(monkeypatch, g, n_per_vertex, seed, scales=DEFAULT_SCALES):
     """The cloud, the mean number of raw words its walks drew, and their mean
-    depth: the depth that the table gives the leaf each walk drew, plus the
-    k edges of a path for each word a sweep drew.  The leaf counts come
-    from one multinomial per vertex, which draws no word for any walk."""
+    depth: the edge count of the leaf each walk drew, read from the
+    oracle's table of its vertex (equal to the sampler's leaf for leaf),
+    plus the k edges of a path for each word a sweep drew.  The leaf counts
+    come from one multinomial per vertex, which draws no word for any walk;
+    with one worker the vertices draw in turn."""
     walk, count = empirical._walk_chunk, empirical._leaf_counts
     k = path_edges(g)
+    depths = iter([np.array([len(edges) for edges, _ in cylinder_table(g, v, scales)[0]])
+                   for v in range(g.num_vertices)])
     words, edges = [], []
 
     def counting(paths, start, counts, out, rng, *rest):
@@ -89,14 +93,14 @@ def _sample_counting_draws(monkeypatch, g, n_per_vertex, seed, **kwargs):
 
     def leaves(start, n, rng):
         counts = count(start, n, rng)
-        edges.append(int(start.depth @ counts))
+        edges.append(int(next(depths) @ counts))
         return counts
 
     with monkeypatch.context() as m:
         m.setattr(empirical, "_walk_chunk", counting)
         m.setattr(empirical, "_leaf_counts", leaves)
         m.setattr(empirical, "_worker_count", lambda n_jobs: 1)
-        cloud = lq.sample(g, n_per_vertex, seed, **kwargs)
+        cloud = lq.sample(g, n_per_vertex, seed, scales=scales)
     return cloud, sum(words) / len(cloud), sum(edges) / len(cloud)
 
 
@@ -383,8 +387,9 @@ def test_path_keys_match_the_oracle(case):
     for start, (leaves, keys, _), _, _ in starts:
         assert np.all(np.diff(start.key) >= 0) and start.key[-1] == 2**53
         assert np.array_equal(start.key, keys)
-        assert np.array_equal(start.depth, [len(edges) for edges, _ in leaves])
-        assert np.array_equal(start.slot < 0, [terminal for _, terminal in leaves])
+        # the T terminal leaves, then the O open ones
+        n_ended, n_open = start.point.shape[1], len(start.vkey)
+        assert [terminal for _, terminal in leaves] == [True] * n_ended + [False] * n_open
 
 
 @pytest.mark.parametrize("case", _TABLE_CASES)
@@ -393,11 +398,9 @@ def test_terminal_leaves_fit_every_grid(case):
     # the floor; its point is the box centre
     _, starts = _tables_and_oracle(case)
     for start, _, fits, centre in starts:
-        terminal = start.slot < 0
+        terminal = np.arange(len(start.key)) < start.point.shape[1]
         assert np.all(fits[terminal])
-        ended = ~start.slot[terminal]
-        assert np.array_equal(np.sort(ended), np.arange(start.point.shape[1]))
-        assert np.max(np.abs(start.point[:, ended] - centre[terminal].T), initial=0.0) <= 1e-15
+        assert np.max(np.abs(start.point - centre[terminal].T), initial=0.0) <= 1e-15
 
 
 @pytest.mark.parametrize("case", _TABLE_CASES)
@@ -407,9 +410,8 @@ def test_no_walk_can_end_inside_its_prefix(case):
     # until no leaf was open or one more level would break a node bound
     g, starts = _tables_and_oracle(case)
     for v, (start, (_, _, state), fits, _) in enumerate(starts):
-        terminal = start.slot < 0
+        terminal = np.arange(len(start.key)) < start.point.shape[1]
         assert not np.any(fits[~terminal])
-        assert np.array_equal(start.slot[~terminal], np.arange(len(start.vkey)))
         assert np.array_equal(start.scale, state[1][~terminal])
         assert len(start.vkey) <= empirical.MAX_LEVEL_NODES
         assert len(start.key) <= empirical.MAX_TABLE_NODES
@@ -503,12 +505,12 @@ def test_one_pass_tables_equal_the_tables_built_per_root(case):
     for v, start in enumerate(together):
         (alone,) = empirical._starts(tables, grids, roots=[v])
         assert start.levels == alone.levels
-        for name in ("key", "depth", "slot", "point", "vkey", "orient", "scale", "trans"):
+        for name in ("key", "point", "vkey", "orient", "scale", "trans"):
             assert np.array_equal(getattr(start, name), getattr(alone, name)), name
     if case == "fan-and-cantor":
         # vertex 1 stops at its level bound with 70 open leaves
         fan = together[1]
-        assert fan.levels == 1 and len(fan.vkey) == 70 and not np.any(fan.slot < 0)
+        assert fan.levels == 1 and len(fan.vkey) == 70 and fan.point.shape[1] == 0
         for v in (0, 2):
             assert together[v].levels > 1 and len(together[v].vkey) == 0
 
@@ -1082,13 +1084,13 @@ def test_counted_cloud_counts_the_boxes_of_its_points(case, n_per_vertex):
         got = lq.partition_sum(cloud, hs, q, total_mass=float(g.num_vertices))
         assert got == lq.partition_sum(expanded, hs, q, total_mass=float(g.num_vertices))
     # exactly the walks counted at open leaves were swept
-    going = sum(int(n[cloud._starts[t].slot >= 0].sum()) for t, n in cloud._drawn)
+    going = sum(int(n[cloud._starts[t].point.shape[1]:].sum()) for t, n in cloud._drawn)
     assert cloud._swept.shape[1] == going
     if case in ("strong-r", "nonstrong-r-basic"):
         # at the default sides a walk ends at a terminal leaf: every leaf of
         # strong-r's tables is terminal, and nonstrong-r-basic's 476 open
         # leaves hold 3.3e-5 of the law
-        open_mass = [np.diff(start.key, prepend=0)[start.slot >= 0].sum() / 2.0**53
+        open_mass = [np.diff(start.key, prepend=0)[start.point.shape[1]:].sum() / 2.0**53
                      for start in cloud._starts]
         assert max(open_mass) < 1e-4 and (case != "strong-r" or max(open_mass) == 0.0)
     if case.endswith(("2^-16", "2^-20")):
