@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ._roots import solve_decreasing
-from .errors import SingularHalpha
+from .errors import DomainViolation, SingularHalpha
 from .matrix import AtomFamily
 
 
@@ -62,9 +62,16 @@ def _as_val(x) -> Val:
 
 
 def _qpow(mass: float, ratio: float, q: float, alpha: float) -> Val:
-    """mass^q * ratio^(-alpha) with its two partials."""
+    """mass^q * ratio^(-alpha) with its two partials; DomainViolation where
+    it overflows a float."""
     lm, lr = math.log(mass), math.log(ratio)
-    v = math.exp(q * lm - alpha * lr)
+    try:
+        v = math.exp(q * lm - alpha * lr)
+    except OverflowError:
+        raise DomainViolation(
+            f"the atom term {mass!r}^q * {ratio!r}^(-alpha) overflows a float at q={q!r}, "
+            f"alpha={alpha!r}"
+        ) from None
     return Val(v, v * lm, -v * lr)
 
 

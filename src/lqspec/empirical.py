@@ -169,8 +169,6 @@ class SampleCloud:
     def points(self) -> np.ndarray:
         """The (n, d) points, the transpose of one (d, n) array: per vertex,
         the walks that ended at terminal leaves, then those that went on."""
-        if self._ended is None:  # every walk went on from an open leaf
-            return self._swept.T
         parts, at = [], 0
         for t, counts in self._drawn:
             start = self._starts[t]

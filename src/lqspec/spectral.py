@@ -389,9 +389,16 @@ def class_root(block: CompiledBlock, q: float, bracket_hint: float | None = None
 
 
 def _certified(alpha, q, m, mq, grad, el, evals) -> ClassRoot:
-    # A ratio is NaN where r_i is not positive (underflow), and fails the bounds.
-    ratios = [sum(x * v for x, v in zip(row, el.right)) / r if r > 0.0 else math.nan
-              for row, r in zip(m, el.right)]
+    # A Perron vector entry that is not positive has underflowed: its ratio is undefined.
+    lost = [i for i, r in enumerate(el.right) if not r > 0.0]
+    if lost:
+        raise NoConvergence(
+            f"class root alpha={alpha!r} at q={q}: right Perron vector entries "
+            f"{[i + 1 for i in lost]} of {len(el.right)} underflowed to "
+            f"{[el.right[i] for i in lost]}, so the Collatz-Wielandt bounds cannot certify it",
+            evals=evals,
+        )
+    ratios = [sum(x * v for x, v in zip(row, el.right)) / r for row, r in zip(m, el.right)]
     rho_lo, rho_hi = min(ratios), max(ratios)
     if not all(abs(x - 1.0) <= _CERT_TOL for x in ratios):
         raise NoConvergence(

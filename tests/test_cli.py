@@ -159,6 +159,15 @@ def test_large_q_estimate_is_finite(capsys, argv):
         assert math.isfinite(log_s)
 
 
+def test_closed_form_overflow_at_large_q_exits_3_naming_q_and_alpha(capsys):
+    # an atom term m^q L^(-alpha) of nonstrong-r-heights' closed forms leaves
+    # the double range while the root is bracketed at q = 1500
+    code, out, err = run(capsys, "derivative", "--family", "nonstrong-r-heights", "--q", "1500")
+    assert (code, out) == (3, "")
+    assert err.startswith("numeric failure: the atom term") and "Traceback" not in err
+    assert "overflows a float at q=1500.0, alpha=" in err
+
+
 def test_config_file_and_roundtrip(tmp_path, capsys):
     cfg = {
         "family": "strong-r",

@@ -165,6 +165,18 @@ def test_overflowing_block_and_far_hints(canonical_specs):
         assert abs(root.rho_lo - 1.0) <= 1e-11 and abs(root.rho_hi - 1.0) <= 1e-11
 
 
+def test_underflowed_perron_vector_is_named_not_hidden(canonical_specs):
+    # At q = 3000 the right Perron vector of nonstrong-r-basic's class {1, 2}
+    # at its root is [1.0, -0.0]: the second entry underflowed, its
+    # Collatz-Wielandt ratio is undefined, and the message must say so
+    # rather than quote bounds from the other entry alone
+    with pytest.raises(lq.NoConvergence) as info:
+        lq.tau(canonical_specs["nonstrong-r-basic"], 3000.0)
+    message = str(info.value)
+    assert "q=3000.0" in message and "right Perron vector entries [2] of 2 underflowed" in message
+    assert "nan" not in message and "0.9999" not in message
+
+
 def test_root_slope_is_closed_form_tau_prime(canonical_specs, canonical_closed_forms):
     for fid, spec in canonical_specs.items():
         for q in (0.5, 2.0, 5.0):
