@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ._roots import solve_decreasing
-from .errors import DomainViolation, SingularHalpha
+from .errors import SingularHalpha
 from .matrix import AtomFamily
 
 
@@ -62,16 +62,15 @@ def _as_val(x) -> Val:
 
 
 def _qpow(mass: float, ratio: float, q: float, alpha: float) -> Val:
-    """mass^q * ratio^(-alpha) with its two partials; DomainViolation where
-    it overflows a float."""
+    """mass^q * ratio^(-alpha) with its two partials; +inf where it
+    overflows a float, as a block entry does (``CompiledBlock.evaluate``):
+    the factor is then -inf, beyond its root, and the root search bisects
+    back from it."""
     lm, lr = math.log(mass), math.log(ratio)
     try:
         v = math.exp(q * lm - alpha * lr)
     except OverflowError:
-        raise DomainViolation(
-            f"the atom term {mass!r}^q * {ratio!r}^(-alpha) overflows a float at q={q!r}, "
-            f"alpha={alpha!r}"
-        ) from None
+        v = math.inf
     return Val(v, v * lm, -v * lr)
 
 

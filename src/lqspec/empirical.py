@@ -21,7 +21,7 @@ level at a time from the class's first vertex, in which a node where the
 walk's stop test ends it becomes a terminal leaf holding its box centre,
 while the other (open) leaves hold the walk state.  A tree grows while a
 level adds at most MAX_LEVEL_NODES of its leaves and it keeps at most
-MAX_TABLE_NODES; all classes' trees grow in one level loop.  A table lists
+MAX_TABLE_NODES; the classes' trees grow one after another.  A table lists
 its leaves as they are made: the terminal leaves level by level, then the
 open leaves, all of the level at which the tree stopped, each level in
 lexicographic edge order.
@@ -198,19 +198,19 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
 
     The k-edge paths that sweeps take are tabulated once, before any worker
     starts, and the cylinders at which walks stop once per class of
-    vertices (_classes), from its first vertex, on a worker thread; every
-    vertex of the class walks from that table, with the same points as from
-    a table of its own.  Then each vertex v, one job each, draws how many
-    of its walks take each leaf of its table (_leaf_counts) on its
-    (seed, v, 0) stream.  The walks that drew open leaves, in leaf order,
-    go on k edges per sweep in chunks of CHUNK_SIZE, chunk c on the
-    (seed, v, c) stream and chunk 0 on from where the multinomial left it,
-    each writing their points to its own columns of one (d, m) array sized
-    to them.  The cloud keeps the counts and that array.  The jobs run on
-    one thread per CPU available to the process, and the points do not
-    depend on how many run.  On an error in a job or an interrupt in the
-    caller, queued jobs are cancelled and the error propagates once no job
-    is running.
+    vertices (_classes), from its first vertex, class after class in one
+    job on a worker thread; every vertex of the class walks from that
+    table, with the same points as from a table of its own.  Then each
+    vertex v, one job each, draws how many of its walks take each leaf of
+    its table (_leaf_counts) on its (seed, v, 0) stream.  The walks that
+    drew open leaves, in leaf order, go on k edges per sweep in chunks of
+    CHUNK_SIZE, chunk c on the (seed, v, c) stream and chunk 0 on from
+    where the multinomial left it, each writing their points to its own
+    columns of one (d, m) array sized to them.  The cloud keeps the counts
+    and that array.  The jobs run on one thread per CPU available to the
+    process, and the points do not depend on how many run.  On an error in
+    a job or an interrupt in the caller, queued jobs are cancelled and the
+    error propagates once no job is running.
     Bad arguments raise InvalidParams before any walk.
     """
     n_per_vertex = _nonnegative_int("n_per_vertex", n_per_vertex)
@@ -223,6 +223,9 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
     paths = _paths(tables)
     cls = _classes(g)
     roots = [cls.index(c) for c in range(max(cls) + 1)]
+
+    def grow():
+        return [_start(tables, grids, r) for r in roots]
 
     def stream(v, c):
         return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(v, c)))
@@ -242,8 +245,7 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
         # On a worker, the tables and their temporaries stay out of the
         # caller's heap, whose free space box counting reuses; built here,
         # they raised the peak RSS of repeated 2-D calls by 7 MB.
-        starts = pool.submit(_starts, tables, grids, roots).result() if pool else _starts(
-            tables, grids, roots)
+        starts = pool.submit(grow).result() if pool else grow()
         draws = _run(pool, draw, [(v,) for v in range(g.num_vertices)])
         jobs, at = [], 0
         for v, (rng, counts) in enumerate(draws):
@@ -456,13 +458,10 @@ def _paths(tables: _WalkTables) -> _WalkTables:
     prob, scale = np.ones(len(root)), np.ones(len(root))
     trans = np.zeros((len(tables.origin), len(root)))
     for k in range(_MAX_PATH_EDGES):
-        at = vkey >> _VERTEX_SHIFT
-        first = tables.first_edge.take(at)
-        deg = tables.first_edge.take(at + 1) - first
+        parent, e = _children(tables, vkey)
         # each orientation repeats every vertex's paths
-        if k and np.bincount(root, weights=deg).max() > _MAX_PATHS * n_orient:
+        if k and np.bincount(root.take(parent)).max() > _MAX_PATHS * n_orient:
             break
-        parent, e = _children(first, deg)
         root, prob = root.take(parent), prob.take(parent) * tables.prob.take(e)
         scale, trans = scale.take(parent), trans.take(parent, axis=1)
         ge, vkey, orient = _advance(tables, e, orient.take(parent), scale, trans)
@@ -491,9 +490,12 @@ def _paths(tables: _WalkTables) -> _WalkTables:
     )
 
 
-def _children(first, deg):
-    """(parent, e): one child per out-edge of each node, whose vertex's deg
-    out-edges start at edge first, each node's children in edge order."""
+def _children(tables: _WalkTables, vkey):
+    """(parent, e): one child per out-edge of each node, at its vertex key
+    vkey, each node's children in edge order."""
+    at = vkey >> _VERTEX_SHIFT
+    first = tables.first_edge.take(at)
+    deg = tables.first_edge.take(at + 1) - first
     parent = np.repeat(np.arange(len(deg)), deg)
     # the child at offset i of its parent's run takes the parent's first edge + i
     return parent, np.arange(len(parent)) + np.repeat(first - np.cumsum(deg) + deg, deg)
@@ -592,19 +594,16 @@ class _Start:
     trans: np.ndarray  # (d, O)
 
 
-def _starts(tables: _WalkTables, grids, roots=None) -> list[_Start]:
-    """The table of stopped cylinders from each root (every vertex by
-    default), all grown in one loop, one edge level at a time.
+def _start(tables: _WalkTables, grids, root) -> _Start:
+    """The table of stopped cylinders from vertex root, grown one edge level
+    at a time.
 
-    Each level replaces every open leaf of a growing root by its children,
-    one per out-edge, and tests each child by the walk's own stop rule (the
-    ``near`` prefilter, then _stops): a child at which a walk would end
-    becomes terminal.  A root stops growing when it has no open leaf, or
-    before a level that would add more than MAX_LEVEL_NODES of its leaves
-    or bring its table above MAX_TABLE_NODES; the other roots go on.  Each
-    level lists its nodes root by root, each root's in the order that its
-    own build would give them, so every table is the one its root grows
-    alone.
+    Each level replaces every open leaf by its children, one per out-edge,
+    and tests each child by the walk's own stop rule (the ``near``
+    prefilter, then _stops): a child at which a walk would end becomes
+    terminal.  The table stops growing when it has no open leaf, or before
+    a level that would add more than MAX_LEVEL_NODES leaves or bring it
+    above MAX_TABLE_NODES.
 
     At column ge, a node's box can fit the finest grid only once its scale
     is at most near[ge] (always, for a box of zero width), so every stop
@@ -614,78 +613,36 @@ def _starts(tables: _WalkTables, grids, roots=None) -> list[_Start]:
     with np.errstate(divide="ignore"):
         near = grids[0] / (2.0 * tables.half.max(axis=0)) * (1.0 + 1e-9)
     near = np.maximum(near, SCALE_FLOOR)
-    if roots is None:
-        roots = range(len(tables.first_edge) - 1)
-    vkey = np.array(roots, dtype=np.int64) << _VERTEX_SHIFT
-    n_roots = len(vkey)
-    root = np.arange(n_roots)  # each open node's root, an index into roots
-    prob = np.ones(n_roots)
-    orient = np.zeros(n_roots, dtype=np.int64)
-    scale = np.ones(n_roots)
-    trans = np.zeros((len(tables.origin), n_roots))
-    # per level, the terminal nodes' (root, probability, box centre)
-    ended = [(root[:0], prob[:0], trans[:, :0])]
-    # per level at which roots stopped growing with open leaves, those
-    # leaves' (root, probability, vkey, orient, scale, trans)
-    held = [(root[:0], prob[:0], vkey[:0], orient[:0], scale[:0], trans[:, :0])]
-    n_ended = np.zeros(n_roots, dtype=np.int64)
-    levels = np.zeros(n_roots, dtype=np.int64)
-    level = 0
+    vkey = np.array([root], dtype=np.int64) << _VERTEX_SHIFT
+    prob, scale = np.ones(1), np.ones(1)
+    orient = np.zeros(1, dtype=np.int64)
+    trans = np.zeros((len(tables.origin), 1))
+    # per level, the terminal nodes' probability and box centre
+    ended = [(prob[:0], trans[:, :0])]
+    n_ended = levels = 0
     while len(vkey):
-        at = vkey >> _VERTEX_SHIFT
-        first = tables.first_edge.take(at)
-        deg = tables.first_edge.take(at + 1) - first
-        n_new = np.bincount(root, weights=deg, minlength=n_roots)
-        go = ((n_new <= MAX_LEVEL_NODES) & (n_ended + n_new <= MAX_TABLE_NODES)).take(root)
-        if not go.all():
-            stay, keep = np.flatnonzero(~go), np.flatnonzero(go)
-            held.append(tuple(a.take(stay, axis=-1)
-                              for a in (root, prob, vkey, orient, scale, trans)))
-            if not len(keep):
-                break
-            root, prob, orient, scale = (a.take(keep) for a in (root, prob, orient, scale))
-            first, deg = first.take(keep), deg.take(keep)
-            trans = trans.take(keep, axis=1)
-        parent, e = _children(first, deg)
+        parent, e = _children(tables, vkey)
+        if len(e) > MAX_LEVEL_NODES or n_ended + len(e) > MAX_TABLE_NODES:
+            break
+        levels += 1
         prob = prob.take(parent)
         prob *= tables.prob.take(e)
-        root = root.take(parent)
-        level += 1
-        levels[root] = level
         scale, trans = scale.take(parent), trans.take(parent, axis=1)
         ge, vkey, orient = _advance(tables, e, orient.take(parent), scale, trans)
         test = np.flatnonzero(scale <= near.take(ge))
         ends, centre = _stops(tables, grids, ge.take(test), scale.take(test),
                               trans.take(test, axis=1))
         test = test[ends]
-        ended.append((root.take(test), prob.take(test), centre[:, ends]))
-        n_ended += np.bincount(ended[-1][0], minlength=n_roots)
-        live = np.ones(len(root), dtype=bool)
+        ended.append((prob.take(test), centre[:, ends]))
+        n_ended += len(test)
+        live = np.ones(len(vkey), dtype=bool)
         live[test] = False
         live = np.flatnonzero(live)
-        root, prob, vkey, orient = (a.take(live) for a in (root, prob, vkey, orient))
+        prob, vkey, orient = (a.take(live) for a in (prob, vkey, orient))
         scale, trans = scale.take(live), trans.take(live, axis=1)
-    t_at, (t_prob, point) = _by_root(ended, n_roots)
-    o_at, (o_prob, vkey, orient, scale, trans) = _by_root(held, n_roots)
-    orient //= len(tables.ratio)
-    starts = []
-    for r in range(n_roots):
-        terminal, open_ = slice(t_at[r], t_at[r + 1]), slice(o_at[r], o_at[r + 1])
-        key = _keys(np.concatenate((t_prob[terminal], o_prob[open_])))
-        starts.append(_Start(int(levels[r]), key, point[:, terminal], vkey[open_],
-                             orient[open_], scale[open_], trans[:, open_]))
-    return starts
-
-
-def _by_root(parts, n_roots):
-    """The parts, each (root, *fields) with nodes on the last axis, joined
-    and stably grouped root by root: where each root's run starts (n_roots
-    + 1 offsets) and the fields."""
-    root = np.concatenate([part[0] for part in parts])
-    order = np.argsort(root, kind="stable")
-    at = np.concatenate(([0], np.cumsum(np.bincount(root, minlength=n_roots))))
-    fields = list(zip(*parts))[1:]
-    return at, [np.concatenate(field, axis=-1).take(order, axis=-1) for field in fields]
+    t_prob, point = (np.concatenate(field, axis=-1) for field in zip(*ended))
+    key = _keys(np.concatenate((t_prob, prob)))
+    return _Start(levels, key, point, vkey, orient // len(tables.ratio), scale, trans)
 
 
 def _walk_chunk(paths: _WalkTables, start: _Start, counts, out, rng, grids):

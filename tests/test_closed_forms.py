@@ -109,6 +109,18 @@ def test_roots_match_spectral_class_roots(canonical_specs, canonical_closed_form
             assert sol.tau == pytest.approx(res.tau, abs=1e-9)
 
 
+@pytest.mark.parametrize("fid", lq.FAMILY_IDS)
+def test_roots_match_spectral_at_large_q(canonical_specs, canonical_closed_forms, fid):
+    # the bracket searches pass atom terms that overflow a float (from
+    # q = 1200 on nonstrong-r-heights, 1300 on nonstrong-r2 and 1850 on
+    # nonstrong-r-basic) and bisect back from them; the sweep stops at 2200
+    # because the spectral certificate fails from 2250
+    for q in range(1200, 2201, 100):
+        want = lq.classify(canonical_specs[fid], float(q)).tau
+        got = canonical_closed_forms[fid].solve(float(q)).tau
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), q
+
+
 def test_solve_strong_r_q1_root_zero():
     fam = lq.build_closed_form(lq.canonical_params("strong-r"))
     assert abs(fam.solve(1.0).tau) <= 1e-12

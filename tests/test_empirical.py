@@ -350,8 +350,10 @@ def test_first_edges_drawn_as_one_path(monkeypatch, family):
 
 
 def _starts(g, scales):
+    """The table of stopped cylinders from each vertex of g."""
+    tables = empirical._walk_tables(g)
     grids = empirical._tested_grids(empirical._resolvable_sides(g, scales))
-    return empirical._starts(empirical._walk_tables(g), grids)
+    return [empirical._start(tables, grids, v) for v in range(g.num_vertices)]
 
 
 _TABLE_CASES = {
@@ -489,30 +491,13 @@ def _fan_and_cantor_gifs():
     return lq.Gifs(3, 1, edges)
 
 
-_ONE_PASS_CASES = {**_TABLE_CASES, "fan-and-cantor": (_fan_and_cantor_gifs, DEFAULT_SCALES)}
-
-
-@pytest.mark.parametrize("case", _ONE_PASS_CASES)
-def test_one_pass_tables_equal_the_tables_built_per_root(case):
-    # every start vertex's table grows in one level loop with the others';
-    # each must be the table that _starts grows for that root alone
-    make, scales = _ONE_PASS_CASES[case]
-    g = make()
-    tables = empirical._walk_tables(g)
-    grids = empirical._tested_grids(empirical._resolvable_sides(g, scales))
-    together = empirical._starts(tables, grids)
-    assert len(together) == g.num_vertices
-    for v, start in enumerate(together):
-        (alone,) = empirical._starts(tables, grids, roots=[v])
-        assert start.levels == alone.levels
-        for name in ("key", "point", "vkey", "orient", "scale", "trans"):
-            assert np.array_equal(getattr(start, name), getattr(alone, name)), name
-    if case == "fan-and-cantor":
-        # vertex 1 stops at its level bound with 70 open leaves
-        fan = together[1]
-        assert fan.levels == 1 and len(fan.vkey) == 70 and fan.point.shape[1] == 0
-        for v in (0, 2):
-            assert together[v].levels > 1 and len(together[v].vkey) == 0
+def test_a_table_stops_at_its_own_level_bound():
+    # vertex 1 stops at its level bound with 70 open leaves; the Cantor
+    # vertices 0 and 2 grow on until no leaf is open
+    cantor, fan, cantor_4 = _starts(_fan_and_cantor_gifs(), DEFAULT_SCALES)
+    assert fan.levels == 1 and len(fan.vkey) == 70 and fan.point.shape[1] == 0
+    for start in (cantor, cantor_4):
+        assert start.levels > 1 and len(start.vkey) == 0
 
 
 def test_heights_vertices_share_two_tables(monkeypatch):
@@ -520,15 +505,15 @@ def test_heights_vertices_share_two_tables(monkeypatch):
     # into vertices of their own class; vertex 6 has two edges
     g = lq.build_example(lq.canonical_params("nonstrong-r-heights"))
     assert empirical._classes(g) == [0, 0, 0, 0, 0, 1]
-    seen, starts = [], empirical._starts
+    seen, start = [], empirical._start
 
-    def spy(tables, grids, roots=None):
-        seen.append(list(roots))
-        return starts(tables, grids, roots)
+    def spy(tables, grids, root):
+        seen.append(root)
+        return start(tables, grids, root)
 
-    monkeypatch.setattr(empirical, "_starts", spy)
+    monkeypatch.setattr(empirical, "_start", spy)
     lq.sample(g, 1000, seed=0)
-    assert seen == [[0, 5]]
+    assert seen == [0, 5]
 
 
 def _loops_gifs(rows):
