@@ -3,8 +3,9 @@
 Each family's spectral condition factors into functions H(q, alpha) whose
 unique roots in alpha are the per-class exponents; the overall exponent is
 their minimum.  The factors themselves are written in ``families``; this
-module holds the machinery they share.  Partials in q and alpha are
-assembled term by term: every atom term m^q L^(-alpha) differentiates to
+module holds the machinery they share and the search for their roots,
+``ClosedFormFamily.solve_factor``.  Partials in q and alpha are assembled
+term by term: every atom term m^q L^(-alpha) differentiates to
 m^q L^(-alpha) ln m in q and -m^q L^(-alpha) ln L in alpha, and infinite
 sums reuse the matrix entries' series sums, with their fixed relative
 truncation bound of 1e-15.  tau'(q) = -f_q / f_alpha at the root of the
@@ -18,9 +19,14 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from ._roots import solve_decreasing
-from .errors import SingularHalpha
+from .errors import NoBracket, SingularHalpha
 from .matrix import AtomFamily
+
+_MAX_STEPS = 200  # steps of a bracket search before NoBracket
+_MAX_ITER = 400  # regula falsi steps before the bracket's midpoint is taken
+_FIRST_STEP = 0.5  # first step of a bracket search
+_ROOT_STEP = 1e-12  # a root is returned once its bracket is this narrow
+_MARGIN = 1e-15  # relative margin kept below a factor's bound
 
 
 # ---------------------------------------------------------------------------
@@ -90,13 +96,10 @@ class Factor:
     name: str
     class_labels: tuple[int, ...]  # cell labels of the matching class
     value: Callable[[float, float], Val]  # (q, alpha) -> factor with its two partials
-    domain_sup: Callable[[float], float | None]  # q -> open bound on alpha, or None
-    # Upper clamp for the root search, if tighter than the domain.  The
-    # factor is positive below its root and provably negative at this
-    # boundary (a barred term vanishes or a series blows up there), so
-    # bracketing inside it cannot land on a spurious sign change beyond the
-    # spectral root.
-    solve_sup: Callable[[float], float | None] | None = None
+    # q -> open bound on alpha, or None.  The root search stays below it,
+    # so it may be tighter than the domain, wherever the factor is provably
+    # negative at it.
+    domain_sup: Callable[[float], float | None]
 
 
 @dataclass(frozen=True)
@@ -114,10 +117,60 @@ class ClosedFormFamily:
     factors: tuple[Factor, ...]
 
     def solve_factor(self, i: int, q: float, start: float = 0.0) -> float:
+        """Root in alpha of factor i at q; the factor is positive below it.
+
+        Steps from ``start`` (``_FIRST_STEP`` below the bound if not below
+        it) double until the sign changes; up toward a finite bound each
+        halves the gap instead.  Illinois regula falsi closes the bracket.
+        """
         f = self.factors[i]
-        sup = (f.solve_sup or f.domain_sup)(q)
-        margin = None if sup is None else sup - 1e-15 * max(1.0, abs(sup))
-        return solve_decreasing(lambda a: f.value(q, a).v, start=start, upper_limit=margin)
+        bound = f.domain_sup(q)
+        top = None if bound is None else bound - _MARGIN * max(1.0, abs(bound))
+        x = start if top is None or start < top else top - _FIRST_STEP
+        hx = f.value(q, x).v
+        if hx == 0.0:
+            return x
+        down = hx < 0.0  # NaN counts as below the root, as +inf does
+        gap = None if down or top is None else top - x
+        step = _FIRST_STEP
+        for _ in range(_MAX_STEPS):
+            if gap is None:
+                y = x - step if down else x + step
+                step *= 2.0
+            else:
+                gap *= 0.5
+                y = top - gap
+            hy = f.value(q, y).v
+            if hy == 0.0:
+                return y
+            if hy > 0.0 if down else hy < 0.0:
+                break
+            x, hx = y, hy
+        else:
+            where = "unbounded" if bound is None else f"bound {bound!r}"
+            raise NoBracket(f"factor {f.name!r} at q={q!r}: no sign change from "
+                            f"start={start!r} ({where}); last alpha {y!r}")
+        lo, hi, hlo, hhi = (y, x, hy, hx) if down else (x, y, hx, hy)
+        side = 0  # the end that moved last: -1 lo, 1 hi
+        for _ in range(_MAX_ITER):
+            if hi - lo <= _ROOT_STEP or math.nextafter(lo, hi) == hi:
+                break
+            denom = hhi - hlo
+            mid = hi - hhi * (hi - lo) / denom if denom else lo
+            if not lo < mid < hi:  # also where denom or mid is NaN
+                mid = 0.5 * (lo + hi)
+            hm = f.value(q, mid).v
+            if hm == 0.0:
+                return mid
+            if hm > 0.0:
+                if side == -1:
+                    hhi *= 0.5
+                lo, hlo, side = mid, hm, -1
+            else:
+                if side == 1:
+                    hlo *= 0.5
+                hi, hhi, side = mid, hm, 1
+        return 0.5 * (lo + hi)
 
     def solve(self, q: float) -> FactorRoots:
         roots = tuple(self.solve_factor(i, q) for i in range(len(self.factors)))

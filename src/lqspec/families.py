@@ -147,7 +147,7 @@ def _strong_r_factors(x, w):
         q1325 = _qpow(mix, rho * r, q, alpha)
         return (1.0 - q4) * ((1.0 - q1) * (1.0 - q3) - q1325) - q2 * q4 * q5
 
-    def solve_sup(q: float) -> float:
+    def sup(q: float) -> float:
         # First unit boundary among the barred terms and the series domain;
         # whichever binds, the factor is strictly negative there.
         return min(
@@ -156,7 +156,7 @@ def _strong_r_factors(x, w):
             q * math.log(p1) / math.log(rho),
         )
 
-    return (Factor("strong-r", (1, 3, 4), fn, _geom_sup(p3, r), solve_sup=solve_sup),)
+    return (Factor("strong-r", (1, 3, 4), fn, sup),)
 
 
 STRONG_R = Family(

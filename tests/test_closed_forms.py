@@ -143,6 +143,132 @@ def test_alt_core_evaluator_agrees():
         assert abs(basic_alt_core(params, q, root)) <= 1e-10
 
 
+# -- the root search ---------------------------------------------------------------------
+
+def _synthetic(fn, sup):
+    """One-factor family with factor fn(q, alpha) and bound sup(q), and the
+    alphas at which ``solve_factor`` evaluates it."""
+    from lqspec.closed_forms import ClosedFormFamily, Factor
+
+    seen = []
+
+    def value(q, alpha):
+        seen.append(alpha)
+        return fn(q, alpha)
+
+    fam = ClosedFormFamily(
+        "synthetic", lq.canonical_params("strong-r"), (Factor("only", (1,), value, sup),)
+    )
+    return fam, seen
+
+
+def _counting(fam):
+    """``fam`` with its factor evaluations counted in ``calls[0]``."""
+    calls = [0]
+
+    def counted(value):
+        def wrapper(q, alpha):
+            calls[0] += 1
+            return value(q, alpha)
+
+        return wrapper
+
+    factors = tuple(dataclasses.replace(f, value=counted(f.value)) for f in fam.factors)
+    return dataclasses.replace(fam, factors=factors), calls
+
+
+def _halving(q, alpha):
+    # 1 - 2^(alpha - q): decreasing in alpha, with its root at alpha = q
+    return 1.0 - _qpow(0.5, 0.5, q, alpha)
+
+
+@pytest.mark.parametrize("sup_gap", [None, 2.0])
+@pytest.mark.parametrize("start", [0.0, 1.0, 3.3, 10.0, 5.3, 40.0])
+def test_search_finds_the_root_from_any_start(start, sup_gap):
+    # q = 3.3: starts below the root, at it, above it and, when the bound
+    # is q + 2, at the bound (5.3) and past it.
+    from lqspec.closed_forms import _no_sup
+
+    q = 3.3
+    sup = _no_sup if sup_gap is None else (lambda q: q + sup_gap)
+    fam, seen = _synthetic(_halving, sup)
+    assert abs(fam.solve_factor(0, q, start=start) - q) <= 1e-12
+    if sup_gap is not None:
+        assert max(seen) < q + sup_gap
+
+
+def test_search_returns_an_exact_zero_at_its_first_point():
+    from lqspec.closed_forms import _no_sup
+
+    fam, seen = _synthetic(_halving, _no_sup)
+    assert fam.solve_factor(0, 2.0, start=2.0) == 2.0
+    assert seen == [2.0]
+
+
+def test_search_halves_the_gap_to_a_bound_next_to_the_root():
+    # The root lies 1e-10 below the bound: steps up from 0 halve the gap to
+    # the bound (less its 1e-15 margin) until they pass the root.
+    q = 7.0
+    bound = q + 1e-10
+    fam, seen = _synthetic(_halving, lambda q: bound)
+    assert abs(fam.solve_factor(0, q) - q) <= 1e-12
+    top = bound - 1e-15 * bound
+    gap = top
+    for alpha in seen[1:37]:  # 2^-36 top < 1e-10
+        gap *= 0.5
+        assert alpha == top - gap
+    assert max(seen) < bound
+
+
+def test_search_stops_at_adjacent_doubles(canonical_closed_forms):
+    # nonstrong-r2's first root at q = 10000 is 15848.6, where adjacent
+    # doubles lie 3.6e-12 apart, so its bracket cannot narrow to 1e-12.  The
+    # search stops once the bracket's ends are adjacent: 92 evaluations,
+    # against 416 when it ran on to the 400 regula falsi steps of its cap.
+    fam, calls = _counting(canonical_closed_forms["nonstrong-r2"])
+    q = 10000.0
+    root = fam.solve_factor(0, q)
+    assert calls[0] <= 100, calls[0]
+    value = fam.factors[0].value
+    below, above = math.nextafter(root, -math.inf), math.nextafter(root, math.inf)
+    assert value(q, below).v > 0.0 > value(q, root).v or value(q, root).v > 0.0 > value(q, above).v
+
+
+@pytest.mark.parametrize(
+    "sign, sup, start, where, last",
+    [
+        (1.0, None, 0.0, "unbounded", 0.5 * (2.0**200 - 1.0)),
+        (-1.0, None, 3.0, "unbounded", 3.0 - 0.5 * (2.0**200 - 1.0)),
+        (1.0, 1.0, -2.0, "bound 1.0", 1.0 - 1e-15),
+    ],
+)
+def test_no_bracket_names_factor_q_start_bound_and_last_alpha(sign, sup, start, where, last):
+    fam, _ = _synthetic(lambda q, alpha: Val(sign), lambda q: sup)
+    with pytest.raises(lq.NoBracket) as info:
+        fam.solve_factor(0, 2.5, start=start)
+    msg = str(info.value)
+    for field in ("factor 'only'", "q=2.5", f"start={start!r}", f"({where})"):
+        assert field in msg, msg
+    got = float(msg.rsplit("last alpha ", 1)[1])
+    assert got == pytest.approx(last, rel=1e-15, abs=1e-300), msg
+
+
+# Warm 101-point curves on [0, 10] took 12.7-17.5 factor evaluations per
+# root on average across the families; bisection from the same brackets to
+# the same 1e-12 takes 39.7-42.5.
+MAX_MEAN_EVALS_PER_WARM_ROOT = 18.0
+
+
+@pytest.mark.parametrize("fid", lq.FAMILY_IDS)
+def test_warm_curve_roots_take_few_evaluations(fid, canonical_closed_forms):
+    fam, calls = _counting(canonical_closed_forms[fid])
+    roots = [0.0] * len(fam.factors)
+    for q in np.linspace(0.0, 10.0, 101):  # each root starts from the last
+        roots = [fam.solve_factor(i, float(q), start=r) for i, r in enumerate(roots)]
+    mean = calls[0] / (101 * len(roots))
+    assert mean <= MAX_MEAN_EVALS_PER_WARM_ROOT, mean
+
+
 # -- tau' ------------------------------------------------------------------------------
 
 def test_tau_prime_single_atom():
