@@ -170,6 +170,10 @@ class ClosedFormFamily:
                 if side == 1:
                     hlo *= 0.5
                 hi, hhi, side = mid, hm, 1
+        for x, hx in ((lo, hlo), (hi, hhi)):
+            if not math.isfinite(hx):  # e.g. where atom terms overflow next to a finite value
+                raise NoBracket(f"factor {f.name!r} at q={q!r} is {hx!r} at alpha={x!r}, an end "
+                                f"of its final bracket [{lo!r}, {hi!r}]: no finite sign change")
         return 0.5 * (lo + hi)
 
     def solve(self, q: float) -> FactorRoots:

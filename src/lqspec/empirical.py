@@ -27,11 +27,12 @@ open leaves, all of the level at which the tree stopped, each level in
 lexicographic edge order.
 The counts of n inverse-CDF draws on the leaves' keys ceil(cum * 2^53),
 each with the law of edge-by-edge draws to its leaf, are Multinomial(n, key
-widths / 2^53): each vertex draws them with one multinomial.  A walk at a
-terminal leaf is done, and only the count at each leaf is kept (at the
-default sides almost every 1-D walk), so a cloud holds counted leaves, and
-box counting bins each terminal leaf's centre once, weighted by the count
-of walks from every vertex that shares its table.
+widths / 2^53), so each vertex draws one multinomial over its table's
+groups, the terminal leaves in one box at every tested grid with the sum of
+their widths, and open leaves (343 to 1,185 per 1-D table at the default
+sides).  A walk in a group is done (at the default sides almost every 1-D
+walk), so a cloud holds counted groups, and box counting bins one centre
+per group, weighted by the walks of every vertex that shares its table.
 
 After an open leaf, each sweep moves every active walk along a path of k
 edges, the most at which no vertex has more than 256 paths, and then tests
@@ -55,7 +56,8 @@ chunks of 65536, chunk c on stream (seed, v, c) and chunk 0 on from where
 the multinomial left it, with one ``rng.bit_generator.random_raw(n_active)``
 per sweep over the chunk's active walks in ascending order.  The top 53
 bits of a raw word are the m of the m / 2^53 that ``rng.random()`` would
-return.  A walk that ends at a terminal leaf draws no raw word.  A seed
+return.  A walk that ends in a group draws no raw word; reading ``points``
+splits each group's count over its leaves on stream (seed, v).  A seed
 fixes every point for one numpy version: numpy keeps ``random_raw``'s
 stream across versions, but does not promise to keep the multinomial's.
 Each chunk writes its points to its own columns of one coordinate-major
@@ -118,12 +120,13 @@ class SampleCloud:
 
     A cloud is built from an (n, d) array of finite points (InvalidParams
     names the first that is not), held as float64, or by ``sample`` from
-    counted leaves: per vertex, how many of its walks drew each leaf of the
-    table of its class, and the points of the walks that went on from open
-    leaves.  Box counting bins each table's terminal centres once, weighted
-    by the walks of all vertices that drew them.  Such a cloud expands to
-    one row per walk only when ``points`` is first read, and box counting
-    never reads it.
+    counted groups: per vertex, how many of its walks drew each group and
+    each open leaf of the table of its class (_Start), and the points of the
+    walks that went on from open leaves.  Box counting bins one centre per
+    group once, weighted by the walks of all vertices that drew it.  Such a
+    cloud expands to one row per walk only when ``points`` is first read,
+    which splits each vertex's group counts over their leaves (_split) on
+    the vertex's own stream (seed, v); box counting never reads it.
     """
 
     def __init__(self, points, scales, grid_anchor=()):
@@ -141,16 +144,16 @@ class SampleCloud:
         self._ended = None  # ((d, t) centres, (t,) walk counts), binned once each
 
     @classmethod
-    def _counted(cls, swept, scales, grid_anchor, starts, drawn):
-        """The cloud of ``sample``'s walks: drawn holds, per vertex in turn,
-        (t, leaf counts), its walks having drawn leaves of the table
-        starts[t].  The (d, m) swept holds the points of the walks that
-        went on from open leaves, vertex after vertex, each vertex's in the
-        order of their leaves.  The counts are summed per table, so a
-        table's terminal centres are binned once however many vertices
-        share it."""
+    def _counted(cls, swept, scales, grid_anchor, starts, drawn, stream):
+        """The cloud of ``sample``'s walks: drawn holds, per vertex v in turn,
+        (t, counts of the groups and open leaves of the table starts[t]),
+        and stream(v) is v's stream for _split.  The (d, m) swept holds the
+        points of the walks that went on from open leaves, vertex after
+        vertex, each vertex's in the order of their leaves.  The counts are
+        summed per table, so a table's groups are binned once however many
+        vertices share it."""
         cloud = cls.__new__(cls)
-        cloud.scales, cloud.grid_anchor = scales, grid_anchor
+        cloud.scales, cloud.grid_anchor, cloud._stream = scales, grid_anchor, stream
         cloud._swept, cloud._starts, cloud._drawn = swept, starts, drawn
         cloud._n = sum(int(counts.sum()) for _, counts in drawn)
         total = [np.zeros(start.point.shape[1], dtype=np.int64) for start in starts]
@@ -170,11 +173,10 @@ class SampleCloud:
         """The (n, d) points, the transpose of one (d, n) array: per vertex,
         the walks that ended at terminal leaves, then those that went on."""
         parts, at = [], 0
-        for t, counts in self._drawn:
+        for v, (t, counts) in enumerate(self._drawn):
             start = self._starts[t]
-            n_ended = start.point.shape[1]
-            n_going = int(counts[n_ended:].sum())
-            parts += [np.repeat(start.point, counts[:n_ended], axis=1),
+            n_going = int(counts[start.point.shape[1]:].sum())
+            parts += [np.repeat(start.leaf_point, _split(start, counts, self._stream(v)), axis=1),
                       self._swept[:, at : at + n_going]]
             at += n_going
         return np.concatenate(parts, axis=1).T
@@ -201,12 +203,12 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
     vertices (_classes), from its first vertex, class after class in one
     job on a worker thread; every vertex of the class walks from that
     table, with the same points as from a table of its own.  Then each
-    vertex v, one job each, draws how many of its walks take each leaf of
-    its table (_leaf_counts) on its (seed, v, 0) stream.  The walks that
-    drew open leaves, in leaf order, go on k edges per sweep in chunks of
-    CHUNK_SIZE, chunk c on the (seed, v, c) stream and chunk 0 on from
-    where the multinomial left it, each writing their points to its own
-    columns of one (d, m) array sized to them.  The cloud keeps the counts
+    vertex v, one job each, draws how many of its walks take each group and
+    open leaf of its table (_leaf_counts) on its (seed, v, 0) stream.  The
+    walks that drew open leaves, in leaf order, go on k edges per sweep in
+    chunks of CHUNK_SIZE, chunk c on the (seed, v, c) stream and chunk 0 on
+    from where the multinomial left it, each writing their points to its
+    own columns of one (d, m) array sized to them.  The cloud keeps the counts
     and that array.  The jobs run on one thread per CPU available to the
     process, and the points do not depend on how many run.  On an error in
     a job or an interrupt in the caller, queued jobs are cancelled and the
@@ -227,8 +229,8 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
     def grow():
         return [_start(tables, grids, r) for r in roots]
 
-    def stream(v, c):
-        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(v, c)))
+    def stream(*key):
+        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
     def draw(v):
         rng = stream(v, 0)
@@ -265,7 +267,8 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
             # A plain `with` would run every queued chunk before re-raising.
             pool.shutdown(cancel_futures=True)
     per_vertex = [(cls[v], counts) for v, (_, counts) in enumerate(draws)]
-    return SampleCloud._counted(swept, hs, tuple(lo for lo, _ in g.bbox), starts, per_vertex)
+    anchor = tuple(lo for lo, _ in g.bbox)
+    return SampleCloud._counted(swept, hs, anchor, starts, per_vertex, stream)
 
 
 def _run(pool, fn, jobs):
@@ -573,21 +576,29 @@ class _Start:
     leaves, level by level, then its O open leaves, all of one level, each
     level in lexicographic edge order.
 
-    Leaf i takes the draws m (of m / 2^53) with key[i - 1] <= m < key[i],
-    key[-1] = 2^53: ``key`` is ceil(cum * 2^53) for the running sum of the
-    leaves' probabilities, each the product of its edges' ``prob``.  Every
-    walk that draws a terminal leaf i < T ends there, at column i of
-    ``point``, the leaf's box centre, computed by the same float operations
-    as _stops.  The walks that draw an open leaf T + j go on along k-edge
-    paths from column j of ``vkey``, ``orient``, ``scale`` and ``trans``,
-    the walk state after ``levels`` edges, computed by the same float
-    operations as that many edge moves of _advance; ``orient`` is an index
-    into the orientation group.
+    Leaf i takes the draws m (of m / 2^53) with k[i - 1] <= m < k[i] for the
+    keys k = ceil(cum * 2^53) of the running sum of the leaves'
+    probabilities, each the product of its edges' ``prob``.  A group is the
+    terminal leaves in one box at every tested grid, floor((c - origin) / h)
+    by box counting's float operations.  ``key`` holds the running key
+    width of the G groups (in the order of their first leaves; each the sum
+    of its leaves' widths), then of the open leaves.  A walk that draws group
+    g ends at the box centre (by the float operations of _stops) of one of
+    its leaves, ``first_leaf[g]`` to ``first_leaf[g + 1]`` of ``leaf_width``
+    and ``leaf_point`` (each group's in leaf order); ``point`` holds each
+    group's first centre.  The walks that draw an open leaf G + j go on
+    along k-edge paths from column j of ``vkey``, ``orient``, ``scale`` and
+    ``trans``, the walk state after ``levels`` edges, computed by the same
+    float operations as that many edge moves of _advance; ``orient`` is an
+    index into the orientation group.
     """
 
     levels: int  # edge levels grown; with none, a walk draws no leaf
-    key: np.ndarray  # (T + O,) int64, nondecreasing
-    point: np.ndarray  # (d, T): the terminal leaves' points
+    key: np.ndarray  # (G + O,) int64, nondecreasing, the last 2^53
+    point: np.ndarray  # (d, G)
+    leaf_width: np.ndarray  # (T,) int64
+    leaf_point: np.ndarray  # (d, T)
+    first_leaf: np.ndarray  # (G + 1,) int64
     vkey: np.ndarray  # (O,) int64: the open leaves' state
     orient: np.ndarray  # (O,) int64
     scale: np.ndarray  # (O,)
@@ -619,10 +630,10 @@ def _start(tables: _WalkTables, grids, root) -> _Start:
     trans = np.zeros((len(tables.origin), 1))
     # per level, the terminal nodes' probability and box centre
     ended = [(prob[:0], trans[:, :0])]
-    n_ended = levels = 0
+    levels = 0
     while len(vkey):
         parent, e = _children(tables, vkey)
-        if len(e) > MAX_LEVEL_NODES or n_ended + len(e) > MAX_TABLE_NODES:
+        if len(e) > MAX_LEVEL_NODES or sum(len(p) for p, _ in ended) + len(e) > MAX_TABLE_NODES:
             break
         levels += 1
         prob = prob.take(parent)
@@ -630,19 +641,30 @@ def _start(tables: _WalkTables, grids, root) -> _Start:
         scale, trans = scale.take(parent), trans.take(parent, axis=1)
         ge, vkey, orient = _advance(tables, e, orient.take(parent), scale, trans)
         test = np.flatnonzero(scale <= near.take(ge))
+        if not len(test):
+            continue
         ends, centre = _stops(tables, grids, ge.take(test), scale.take(test),
                               trans.take(test, axis=1))
         test = test[ends]
         ended.append((prob.take(test), centre[:, ends]))
-        n_ended += len(test)
         live = np.ones(len(vkey), dtype=bool)
         live[test] = False
         live = np.flatnonzero(live)
         prob, vkey, orient = (a.take(live) for a in (prob, vkey, orient))
         scale, trans = scale.take(live), trans.take(live, axis=1)
-    t_prob, point = (np.concatenate(field, axis=-1) for field in zip(*ended))
-    key = _keys(np.concatenate((t_prob, prob)))
-    return _Start(levels, key, point, vkey, orient // len(tables.ratio), scale, trans)
+    t_prob, centre = (np.concatenate(field, axis=-1) for field in zip(*ended))
+    width = np.diff(_keys(np.concatenate((t_prob, prob))), prepend=0)
+    box = np.concatenate([np.floor((centre - tables.origin[:, None]) / h) for h in grids])
+    order = np.lexsort(box)  # stable: each box's leaves in leaf order
+    run = np.flatnonzero(np.diff(box.take(order, axis=1), prepend=-np.inf).any(axis=0))
+    rank = np.argsort(order.take(run))  # the boxes in the order of their first leaves
+    size = np.diff(run, append=len(order)).take(rank)
+    first = np.cumsum(size) - size
+    leaves = order.take(np.repeat(run.take(rank) - first, size) + np.arange(len(order)))
+    leaf_width, leaf_point = width.take(leaves), centre.take(leaves, axis=1)
+    key = np.cumsum(np.concatenate((np.add.reduceat(leaf_width, first), width[len(t_prob):])))
+    return _Start(levels, key, leaf_point.take(first, axis=1), leaf_width, leaf_point,
+                  np.append(first, len(leaves)), vkey, orient // len(tables.ratio), scale, trans)
 
 
 def _walk_chunk(paths: _WalkTables, start: _Start, counts, out, rng, grids):
@@ -681,10 +703,10 @@ def _walk_chunk(paths: _WalkTables, start: _Start, counts, out, rng, grids):
 
 
 def _leaf_counts(start: _Start, n, rng):
-    """How many of n walks draw each leaf of start's table: one multinomial
-    over the leaves of positive key width, each with its width over 2^53,
-    the law of the counts of n inverse-CDF draws.  A table that grew no
-    level takes no draw: its one leaf is the start vertex."""
+    """How many of n walks draw each group, then each open leaf, of start's
+    table: one multinomial over those of positive key width, each with its
+    width over 2^53, the law of the counts of n inverse-CDF draws.  A table
+    that grew no level takes no draw: its one leaf is the start vertex."""
     if not start.levels:
         return np.array([n])
     width = np.diff(start.key, prepend=0)
@@ -692,6 +714,20 @@ def _leaf_counts(start: _Start, n, rng):
     drawn = np.flatnonzero(width)
     counts[drawn] = rng.multinomial(n, width.take(drawn) / _U_SCALE)
     return counts
+
+
+def _split(start: _Start, counts, rng):
+    """How many of the counts[g] walks of group g (counts goes on with the
+    open leaves') drew each of its leaves, group by group: one multinomial
+    over its leaves of positive key width, each with its width over theirs,
+    where it has walks and two such."""
+    out = np.zeros(len(start.leaf_width), dtype=np.int64)
+    bounds = start.first_leaf.tolist()
+    for n, a, b in zip(counts.tolist(), bounds, bounds[1:]):
+        drawn = a + np.flatnonzero(start.leaf_width[a:b])
+        width = start.leaf_width.take(drawn)
+        out[drawn] = rng.multinomial(n, width / width.sum()) if n and len(drawn) > 1 else n
+    return out
 
 
 def _step(paths: _WalkTables, rng, vkey, orient, scale, trans):

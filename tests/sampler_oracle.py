@@ -5,11 +5,16 @@ active walks by their current vertex and then by their edge, so every step
 is a batched matrix product.  It draws from the same random streams in the
 same order as ``lqspec.empirical.sample``: one stream per
 ``(seed, vertex, chunk)``; on chunk 0's, one ``rng.multinomial`` that counts
-the walks of the vertex at each leaf of its own table of stopped cylinders
-(plain loops for the leaves, one sort that puts the terminal leaves level
-by level before the open ones, each level in lexicographic edge order, and
-plain-float probabilities and a running sum for their keys); then the walks
-that drew open leaves, in leaf order, sweep in chunks of CHUNK_SIZE, chunk 0 on from where the multinomial
+the walks of the vertex at each group of terminal leaves and at each open
+leaf of its own table of stopped cylinders (plain loops for the leaves, one
+sort that puts the terminal leaves level by level before the open ones,
+each level in lexicographic edge order, and plain-float probabilities and a
+running sum for their keys; a dict keyed by the box tuple at every side,
+in first-seen order, for the groups, whose widths are the integer sums of
+their leaves').  On stream ``(seed, vertex)``, each group's count is split
+over its leaves of positive width by one ``rng.multinomial`` where it has
+walks and two such leaves.  Then the walks that drew open leaves, in leaf
+order, sweep in chunks of CHUNK_SIZE, chunk 0 on from where the multinomial
 left its stream and chunk c on stream c, with one ``rng.random`` per sweep
 over the chunk's active walks in ascending order, which picks each walk's
 path of k edges (plain loops for the paths, their keys and their composed
@@ -244,8 +249,9 @@ def stops(boxes, origin, scales, vert, scale, trans, orth):
 
 def oracle_sample(g, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES):
     """(points, vertex of each point, final walk states), vertex-major, each
-    vertex's walks in the order of their leaves.  A state is (vertex,
-    scale, translation, orthogonal part) per walk, as arrays."""
+    vertex's walks that drew terminal leaves group by group, each group's in
+    leaf order, then those that drew open leaves, in leaf order.  A state is
+    (vertex, scale, translation, orthogonal part) per walk, as arrays."""
     tables = (_edge_tables(g), path_tables(g))
     boxes = vertex_boxes(g)
     origin = np.array([lo for lo, _ in g.bbox])
@@ -262,14 +268,43 @@ def oracle_sample(g, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES):
     return np.concatenate(points, axis=0), np.concatenate(vertices), state
 
 
-def leaf_counts(keys, count, rng):
-    """How many of count walks draw each leaf: one rng.multinomial over the
-    leaves of positive key width, each with its width over 2^53."""
-    widths = [b - a for a, b in zip([0, *keys[:-1]], keys)]
+def leaf_groups(table, boxes, origin, scales):
+    """The terminal leaves of table grouped by their boxes floor((c - origin)
+    / h) at every side h in scales, c the leaf's box centre: the values of
+    a dict keyed by the box tuple, so the groups come in the order of their
+    first leaves and each lists its leaves in leaf order."""
+    leaves, _, state = table
+    groups = {}
+    for i, ((_, terminal), c) in enumerate(zip(leaves, _box(boxes, *state)[0].tolist())):
+        if terminal:
+            box = tuple(math.floor((x - a) / h) for h in scales for x, a in zip(c, origin))
+            groups.setdefault(box, []).append(i)
+    return list(groups.values())
+
+
+def leaf_counts(widths, count, rng):
+    """How many of count walks draw each category of the given integer key
+    widths: one rng.multinomial over those of positive width, each with its
+    width over their sum."""
     drawn = [i for i, w in enumerate(widths) if w > 0]
-    counts = np.zeros(len(keys), dtype=np.int64)
-    counts[drawn] = rng.multinomial(count, [widths[i] / 2.0**53 for i in drawn])
+    counts = np.zeros(len(widths), dtype=np.int64)
+    if drawn:
+        total = sum(widths[i] for i in drawn)
+        counts[drawn] = rng.multinomial(count, [widths[i] / total for i in drawn])
     return counts
+
+
+def split_counts(groups, widths, counts, rng):
+    """Per leaf of the groups, group by group, how many of its group's walks
+    drew it: where a group has walks and two leaves of positive width, one
+    rng.multinomial over those leaves (leaf_counts); else all at its one."""
+    out = []
+    for group, n in zip(groups, counts):
+        if n and sum(1 for i in group if widths[i] > 0) > 1:
+            out += leaf_counts([widths[i] for i in group], n, rng).tolist()
+        else:
+            out += [n if widths[i] > 0 else 0 for i in group]
+    return out
 
 
 def _walk_vertex(dim, tables, boxes, origin, scales, start_vertex, table, count, seed):
@@ -281,13 +316,22 @@ def _walk_vertex(dim, tables, boxes, origin, scales, start_vertex, table, count,
     points = np.empty((count, dim))
 
     def stream(c):
-        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(start_vertex, c)))
+        """Stream (seed, v, c), or (seed, v) for c None."""
+        key = (start_vertex,) if c is None else (start_vertex, c)
+        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
     leaves, keys, leaf_state = table
     rng = stream(0)
     going = np.arange(count)
-    if leaves[0][0]:  # the table grew: the counts, then each walk's leaf in leaf order
-        leaf = np.repeat(np.arange(len(leaves)), leaf_counts([int(k) for k in keys], count, rng))
+    if leaves[0][0]:  # the table grew: the counts, then each walk's leaf
+        widths = [int(b) - int(a) for a, b in zip([0, *keys[:-1]], keys)]
+        groups = leaf_groups(table, boxes, origin, scales)
+        open_leaves = [i for i, (_, terminal) in enumerate(leaves) if not terminal]
+        counts = leaf_counts([sum(widths[i] for i in group) for group in groups]
+                             + [widths[i] for i in open_leaves], count, rng)
+        split = split_counts(groups, widths, counts[: len(groups)], stream(None))
+        leaf = np.repeat([i for group in groups for i in group] + open_leaves,
+                         split + counts[len(groups) :].tolist()).astype(np.int64)
         terminal = np.array([leaves[i][1] for i in leaf], dtype=bool)
         # a terminal leaf's walks end at its cylinder, with the state the table holds
         idx = np.flatnonzero(terminal)

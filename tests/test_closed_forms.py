@@ -253,6 +253,23 @@ def test_no_bracket_names_factor_q_start_bound_and_last_alpha(sign, sup, start, 
     assert got == pytest.approx(last, rel=1e-15, abs=1e-300), msg
 
 
+@pytest.mark.parametrize("q", [2600.0, 2700.0, 6000.0])
+def test_no_root_where_the_factor_is_not_finite_at_an_end_of_the_bracket(canonical_closed_forms, q):
+    # strong-r2's atom terms overflow: the factor falls from about 1 to -inf
+    # (q = 2600) or to NaN (2700, 6000) between adjacent doubles, where the
+    # search returned a "root" at which the factor is not near 0
+    fam = canonical_closed_forms["strong-r2"]
+    with pytest.raises(lq.NoBracket) as info:
+        fam.solve_factor(0, q)
+    msg = str(info.value)
+    assert msg.startswith(f"factor 'strong-r2' at q={q!r} is ") and "no finite sign change" in msg
+    value, alpha = msg.split(" is ", 1)[1].split(", an end", 1)[0].split(" at alpha=")
+    assert not math.isfinite(float(value)), msg
+    assert not math.isfinite(fam.factors[0].value(q, float(alpha)).v), msg
+    lo, hi = map(float, msg.split("[", 1)[1].split("]", 1)[0].split(", "))
+    assert float(alpha) in (lo, hi) and 0.0 < hi - lo <= 1e-12, msg
+
+
 # Warm 101-point curves on [0, 10] took 12.7-17.5 factor evaluations per
 # root on average across the families; bisection from the same brackets to
 # the same 1e-12 takes 39.7-42.5.

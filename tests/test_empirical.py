@@ -22,6 +22,7 @@ from sampler_oracle import (
     _move,
     continue_walks,
     cylinder_table,
+    leaf_groups,
     oracle_sample,
     path_edges,
     path_tables,
@@ -76,13 +77,23 @@ def _sample_counting_draws(monkeypatch, g, n_per_vertex, seed, scales=DEFAULT_SC
     """The cloud, the mean number of raw words its walks drew, and their mean
     depth: the edge count of the leaf each walk drew, read from the
     oracle's table of its vertex (equal to the sampler's leaf for leaf),
-    plus the k edges of a path for each word a sweep drew.  The leaf counts
-    come from one multinomial per vertex, which draws no word for any walk;
-    with one worker the vertices draw in turn."""
-    walk, count = empirical._walk_chunk, empirical._leaf_counts
+    plus the k edges of a path for each word a sweep drew.  The counts of
+    the groups and open leaves come from one multinomial per vertex, which
+    draws no word for any walk, and the terminal leaves' counts from the
+    split of the group counts when the points are read; with one worker
+    the vertices draw in turn."""
+    walk, count, split = empirical._walk_chunk, empirical._leaf_counts, empirical._split
     k = path_edges(g)
-    depths = iter([np.array([len(edges) for edges, _ in cylinder_table(g, v, scales)[0]])
-                   for v in range(g.num_vertices)])
+    boxes, origin = vertex_boxes(g), np.array([lo for lo, _ in g.bbox])
+    ended, going = [], []  # per vertex, the edge counts of its terminal and its open leaves
+    for v in range(g.num_vertices):
+        table = cylinder_table(g, v, scales)
+        depth = [len(edges) for edges, _ in table[0]]
+        groups = leaf_groups(table, boxes, origin, scales)
+        ended.append(np.array([depth[i] for group in groups for i in group], dtype=np.int64))
+        going.append(np.array([d for d, (_, terminal) in zip(depth, table[0]) if not terminal],
+                              dtype=np.int64))
+    ended, going = iter(ended), iter(going)
     words, edges = [], []
 
     def counting(paths, start, counts, out, rng, *rest):
@@ -93,14 +104,21 @@ def _sample_counting_draws(monkeypatch, g, n_per_vertex, seed, scales=DEFAULT_SC
 
     def leaves(start, n, rng):
         counts = count(start, n, rng)
-        edges.append(int(next(depths) @ counts))
+        edges.append(int(next(going) @ counts[start.point.shape[1] :]))
         return counts
+
+    def splitting(start, counts, rng):
+        leaf = split(start, counts, rng)
+        edges.append(int(next(ended) @ leaf))
+        return leaf
 
     with monkeypatch.context() as m:
         m.setattr(empirical, "_walk_chunk", counting)
         m.setattr(empirical, "_leaf_counts", leaves)
+        m.setattr(empirical, "_split", splitting)
         m.setattr(empirical, "_worker_count", lambda n_jobs: 1)
         cloud = lq.sample(g, n_per_vertex, seed, scales=scales)
+        cloud.points
     return cloud, sum(words) / len(cloud), sum(edges) / len(cloud)
 
 
@@ -366,43 +384,84 @@ _TABLE_CASES = {
     "nonstrong-r-heights-to-2^-16": (
         _canonical("nonstrong-r-heights"), tuple(2.0**-k for k in range(4, 17))
     ),
+    # no side is a power-of-two multiple of another: groups are keyed on four grids
+    "nonstrong-r-heights-four-grids": (
+        _canonical("nonstrong-r-heights"), (0.05, 0.03, 0.0125, 0.01)
+    ),
 }
 
 
 def _tables_and_oracle(case):
-    """g and, per start vertex, the sampler's table, the oracle's table and
+    """g and, per start vertex, the sampler's table, the oracle's table,
     whether the oracle's stop rule ends a walk at each of its leaves, with
-    each leaf's box centre."""
+    each leaf's box centre, and the oracle's groups of terminal leaves."""
     make, scales = _TABLE_CASES[case]
     g = make()
     boxes, origin = vertex_boxes(g), np.array([lo for lo, _ in g.bbox])
     out = []
     for v, start in enumerate(_starts(g, scales)):
         table = cylinder_table(g, v, scales)
-        out.append((start, table, *stops(boxes, origin, scales, *table[2])))
+        groups = leaf_groups(table, boxes, origin, scales)
+        out.append((start, table, *stops(boxes, origin, scales, *table[2]), groups))
     return g, out
 
 
 @pytest.mark.parametrize("case", _TABLE_CASES)
 def test_path_keys_match_the_oracle(case):
+    # the T terminal leaves, then the O open ones; the draw's categories are
+    # the oracle's groups, each with the integer sum of its leaves' key
+    # widths, then the open leaves
     _, starts = _tables_and_oracle(case)
-    for start, (leaves, keys, _), _, _ in starts:
+    for start, (leaves, keys, _), _, _, groups in starts:
         assert np.all(np.diff(start.key) >= 0) and start.key[-1] == 2**53
-        assert np.array_equal(start.key, keys)
-        # the T terminal leaves, then the O open ones
-        n_ended, n_open = start.point.shape[1], len(start.vkey)
+        n_ended, n_open = len(start.leaf_width), len(start.vkey)
         assert [terminal for _, terminal in leaves] == [True] * n_ended + [False] * n_open
+        width = np.diff(keys, prepend=0)
+        grouped = [i for group in groups for i in group]
+        assert sorted(grouped) == list(range(n_ended))
+        assert np.array_equal(start.leaf_width, width[grouped])
+        sizes = [len(group) for group in groups]
+        assert np.array_equal(start.first_leaf, np.cumsum([0] + sizes))
+        want = [int(width[group].sum()) for group in groups] + width[n_ended:].tolist()
+        assert np.array_equal(start.key, np.cumsum(np.array(want, dtype=np.int64)))
 
 
 @pytest.mark.parametrize("case", _TABLE_CASES)
 def test_terminal_leaves_fit_every_grid(case):
     # a terminal leaf's box fits every tested grid, or its scale is at most
     # the floor; its point is the box centre
+    # (group by group, as the sampler lists them); a group's point is its
+    # first leaf's
     _, starts = _tables_and_oracle(case)
-    for start, _, fits, centre in starts:
-        terminal = np.arange(len(start.key)) < start.point.shape[1]
-        assert np.all(fits[terminal])
-        assert np.max(np.abs(start.point - centre[terminal].T), initial=0.0) <= 1e-15
+    for start, _, fits, centre, groups in starts:
+        grouped = [i for group in groups for i in group]
+        assert np.all(fits[grouped])
+        assert np.max(np.abs(start.leaf_point - centre[grouped].T), initial=0.0) <= 1e-15
+        assert np.array_equal(start.point, start.leaf_point[:, start.first_leaf[:-1]])
+
+
+@pytest.mark.parametrize("case", _TABLE_CASES)
+def test_each_group_is_the_terminal_leaves_of_one_box(case):
+    # every leaf of a group lies in the group's box at every tested grid, and
+    # so at every side; two groups differ in the box of some tested grid
+    make, scales = _TABLE_CASES[case]
+    g = make()
+    origin = np.array([lo for lo, _ in g.bbox])[:, None]
+    grids = empirical._tested_grids(empirical._resolvable_sides(g, scales))
+    for start in _starts(g, scales):
+        n_ended, n_groups = len(start.leaf_width), start.point.shape[1]
+        group = np.repeat(np.arange(n_groups), np.diff(start.first_leaf))
+        assert start.first_leaf[-1] == n_ended
+        for sides in (grids, scales):
+            box = np.concatenate([np.floor((start.leaf_point - origin) / h) for h in sides])
+            assert np.array_equal(box, box[:, start.first_leaf[:-1]][:, group])
+        box = np.concatenate([np.floor((start.point - origin) / h) for h in grids])
+        assert len(set(map(tuple, box.T))) == n_groups
+        if case == "nonstrong-r-heights-four-grids":
+            assert len(grids) == 4 and n_groups < n_ended
+        if case in ("strong-r2", "nonstrong-r2"):
+            # one leaf per group: the 2-D families' draws keep their categories and stream
+            assert n_groups == n_ended
 
 
 @pytest.mark.parametrize("case", _TABLE_CASES)
@@ -411,12 +470,13 @@ def test_no_walk_can_end_inside_its_prefix(case):
     # not every grid and its scale is above the floor, and the table grew
     # until no leaf was open or one more level would break a node bound
     g, starts = _tables_and_oracle(case)
-    for v, (start, (_, _, state), fits, _) in enumerate(starts):
-        terminal = np.arange(len(start.key)) < start.point.shape[1]
+    for v, (start, (_, _, state), fits, _, _) in enumerate(starts):
+        n_ended = len(start.leaf_width)
+        terminal = np.arange(n_ended + len(start.vkey)) < n_ended
         assert not np.any(fits[~terminal])
         assert np.array_equal(start.scale, state[1][~terminal])
         assert len(start.vkey) <= empirical.MAX_LEVEL_NODES
-        assert len(start.key) <= empirical.MAX_TABLE_NODES
+        assert len(terminal) <= empirical.MAX_TABLE_NODES
         n_next = sum(len(g.out_edges(w)) for w in state[0][~terminal])
         assert n_next == 0 or (
             n_next > empirical.MAX_LEVEL_NODES
@@ -424,10 +484,10 @@ def test_no_walk_can_end_inside_its_prefix(case):
         )
         if case in ("strong-r2", "strong-r2-to-2^-20"):
             # the 4096 paths of six edges, all open, as a prefix drawn as one path
-            assert start.levels == 6 and len(start.key) == 4096 and not np.any(terminal)
+            assert start.levels == 6 and len(terminal) == 4096 and not np.any(terminal)
         if case == "nonstrong-r-heights-to-2^-16":
             # vertices 1-5 of the paper have 3 out-edges each, vertex 6 has 2
-            assert len(start.key) == (3**7 if v < 5 else 3281) and not np.any(terminal)
+            assert len(terminal) == (3**7 if v < 5 else 3281) and not np.any(terminal)
 
 
 @pytest.mark.parametrize("case", _TABLE_CASES)
@@ -633,10 +693,11 @@ def _chi_square(got, want):
 
 @pytest.mark.parametrize("family", ["strong-r", "nonstrong-r-heights"])
 def test_leaf_counts_follow_the_key_widths(family):
-    # Bound, fixed before the run: over 20 seeds, each vertex's leaf counts
-    # give a chi-square statistic (cells pooled to expect at least 20 walks)
-    # within 5 standard deviations sqrt(2 dof) of its dof, and the sum of a
-    # vertex's 20 statistics lies within 5 standard deviations of 20 dof.
+    # Bound, fixed before the run: over 20 seeds, each vertex's counts of its
+    # groups and open leaves, against their key widths, give a chi-square
+    # statistic (cells pooled to expect at least 20 walks) within 5 standard
+    # deviations sqrt(2 dof) of its dof, and the sum of a vertex's 20
+    # statistics lies within 5 standard deviations of 20 dof.
     g = lq.build_example(lq.canonical_params(family))
     n = 100_000
     stats = {v: [] for v in range(g.num_vertices)}
@@ -648,6 +709,43 @@ def test_leaf_counts_follow_the_key_widths(family):
             assert got.sum() == n and len(got) == len(start.key)
             chi2, dof = _chi_square(got, np.diff(start.key, prepend=0) / 2.0**53 * n)
             assert abs(chi2 - dof) <= 5.0 * math.sqrt(2.0 * dof), (seed, v, chi2, dof)
+            stats[v].append((chi2, dof))
+    for v, runs in stats.items():
+        chi2, dof = map(sum, zip(*runs))
+        assert abs(chi2 - dof) <= 5.0 * math.sqrt(2.0 * dof), (v, chi2, dof)
+
+
+@pytest.mark.parametrize("family", ["strong-r", "nonstrong-r-heights"])
+def test_split_follows_the_leaf_widths_within_each_group(monkeypatch, family):
+    # Bound, fixed before the run: over 20 seeds, each vertex's split of its
+    # group counts, against the leaf widths within each group, gives a
+    # chi-square statistic summed over its groups of at least 40 walks (each
+    # group's cells pooled to expect at least 20 walks) within 5 standard
+    # deviations sqrt(2 dof) of its dof, and the sum of a vertex's 20
+    # statistics lies within 5 standard deviations of their dof.
+    g = lq.build_example(lq.canonical_params(family))
+    n, split, seen = 100_000, empirical._split, []
+
+    def spy(start, counts, rng):
+        seen.append((start, counts, split(start, counts, rng)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(empirical, "_split", spy)
+    stats = {v: [] for v in range(g.num_vertices)}
+    for seed in range(20):
+        seen.clear()
+        assert len(lq.sample(g, n, seed).points) == n * g.num_vertices
+        assert len(seen) == g.num_vertices
+        for v, (start, counts, leaf) in enumerate(seen):
+            chi2 = dof = 0
+            bounds = start.first_leaf
+            for c, a, b in zip(counts, bounds, bounds[1:]):
+                width = start.leaf_width[a:b]
+                assert leaf[a:b].sum() == c and not np.any(leaf[a:b][width == 0])
+                if c >= 40:
+                    stat = _chi_square(leaf[a:b], c * width / width.sum())
+                    chi2, dof = chi2 + stat[0], dof + stat[1]
+            assert dof > 0 and abs(chi2 - dof) <= 5.0 * math.sqrt(2.0 * dof), (seed, v, chi2, dof)
             stats[v].append((chi2, dof))
     for v, runs in stats.items():
         chi2, dof = map(sum, zip(*runs))
