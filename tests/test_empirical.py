@@ -651,7 +651,8 @@ def test_walks_from_a_table_that_grew_no_level_draw_no_leaf(seed):
     ids=["strong-r", "nonstrong-r2", "strong-r2-sweep-paths", "nonstrong-r2-sweep-paths"],
 )
 def test_drawn_paths_follow_the_path_probabilities(family, draws):
-    # chi-square over vertex 0's table leaves, or over the k-edge paths from
+    # chi-square over the groups and open leaves of vertex 0's table (one
+    # leaf per group on nonstrong-r2), or over the k-edge paths from
     # vertex 0 that sweeps draw, at a fixed seed, with consecutive paths
     # pooled until each pool expects at least 20 draws: the statistic lies
     # within 5 standard deviations (sqrt(2 dof)) of its dof
@@ -778,6 +779,25 @@ def test_leaf_counts_sum_to_the_walks_and_skip_zero_widths(n_per_vertex):
         assert counts.sum() == n_per_vertex and counts.min() >= 0
         assert not np.any(counts[width == 0])
     _assert_matches_oracle(g, n_per_vertex, seed=2)
+
+
+def test_split_gives_no_walk_to_a_leaf_of_zero_width_in_its_group():
+    # edges a and b carry one map, b with 1e-30: each leaf through b lies in
+    # the box, and the group, of a leaf of positive width
+    def sim(t):
+        return lq.Similitude(1, 1 / 3, np.eye(1), np.array([t]))
+
+    g = lq.Gifs(1, 1, (lq.Edge("a", 0, 0, sim(0.0), 0.5), lq.Edge("b", 0, 0, sim(0.0), 1e-30),
+                       lq.Edge("c", 0, 0, sim(2 / 3), 0.5)))
+    cloud = lq.sample(g, 20_000, seed=1)
+    ((t, counts),) = cloud._drawn
+    start = cloud._starts[t]
+    width, first = start.leaf_width, start.first_leaf
+    assert any(0 < np.count_nonzero(width[a:b]) < b - a for a, b in zip(first, first[1:]))
+    leaf = empirical._split(start, counts, np.random.default_rng(0))
+    assert leaf.sum() == counts[: start.point.shape[1]].sum() > 0
+    assert not np.any(leaf[width == 0])
+    _assert_matches_oracle(g, 20_000, seed=1)
 
 
 def test_infinite_orientation_group_raises(monkeypatch):
