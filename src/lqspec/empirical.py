@@ -56,10 +56,9 @@ chunks of 65536, chunk c on stream (seed, v, c) and chunk 0 on from where
 the multinomial left it, with one ``rng.bit_generator.random_raw(n_active)``
 per sweep over the chunk's active walks in ascending order.  The top 53
 bits of a raw word are the m of the m / 2^53 that ``rng.random()`` would
-return.  A walk that ends in a group draws no raw word; reading ``points``
-splits each group's count over its leaves on stream (seed, v).  A seed
-fixes every point for one numpy version: numpy keeps ``random_raw``'s
-stream across versions, but does not promise to keep the multinomial's.
+return.  A walk that ends in a group draws no raw word.  A seed fixes every
+count and point for one numpy version: numpy keeps ``random_raw``'s stream
+across versions, but does not promise to keep the multinomial's.
 Each chunk writes its points to its own columns of one coordinate-major
 array, so the draws and the chunks run on a thread pool with one worker per
 CPU available to the process (numpy releases the interpreter lock in the
@@ -114,72 +113,57 @@ _BOX_ROUNDS = 100
 
 
 class SampleCloud:
-    """n points, (n, d) and vertex-major (n_per_vertex from each vertex in
-    turn), exact at the box sides in ``scales`` (coarsest first); box
-    counting anchors its grids at ``grid_anchor``.
+    """n points from the vertex measures, exact at the box sides in
+    ``scales`` (coarsest first); box counting anchors its grids at
+    ``grid_anchor``.
 
     A cloud is built from an (n, d) array of finite points (InvalidParams
-    names the first that is not), held as float64, or by ``sample`` from
-    counted groups: per vertex, how many of its walks drew each group and
-    each open leaf of the table of its class (_Start), and the points of the
-    walks that went on from open leaves.  Box counting bins one centre per
-    group once, weighted by the walks of all vertices that drew it.  Such a
-    cloud expands to one row per walk only when ``points`` is first read,
-    which splits each vertex's group counts over their leaves (_split) on
-    the vertex's own stream (seed, v); box counting never reads it.
+    names the first that is not), held as float64 and binned one by one, or
+    by ``sample`` as counted groups: the centre of each group of terminal
+    leaves (_Start) that some walk drew, with the walks of all the vertices
+    that share its table, binned once each, and the points of the walks
+    that went on from open leaves, binned one by one.  Either way it holds
+    only what box counting bins, and ``len`` is the number of points.
     """
 
     def __init__(self, points, scales, grid_anchor=()):
         # float64: box counting casts each coordinate row to int64 keys in place
         points = np.asarray(points, dtype=np.float64)
-        finite = np.isfinite(points)
+        if points.ndim != 2 or not points.shape[1]:
+            raise InvalidParams(
+                f"the cloud's points must be an (n, d) array, got shape {points.shape}"
+            )
+        finite = np.isfinite(points).all(axis=1)
         if not finite.all():
-            i = int(np.argmin(finite.reshape(len(points), -1).all(axis=1)))
+            i = int(np.argmin(finite))
             raise InvalidParams(f"point {i} of the cloud, {points[i].tolist()}, is not finite")
-        self.scales = scales  # the box sides the walks resolve, coarsest first
+        self.scales = _positive_sides(scales)  # the box sides the points resolve, coarsest first
         self.grid_anchor = grid_anchor
-        self.__dict__["points"] = points  # the value that ``points`` caches
         self._n = len(points)
         self._swept = points.T  # (d, m): the points binned one by one
         self._ended = None  # ((d, t) centres, (t,) walk counts), binned once each
 
     @classmethod
-    def _counted(cls, swept, scales, grid_anchor, starts, drawn, stream):
-        """The cloud of ``sample``'s walks: drawn holds, per vertex v in turn,
-        (t, counts of the groups and open leaves of the table starts[t]),
-        and stream(v) is v's stream for _split.  The (d, m) swept holds the
-        points of the walks that went on from open leaves, vertex after
-        vertex, each vertex's in the order of their leaves.  The counts are
-        summed per table, so a table's groups are binned once however many
-        vertices share it."""
+    def _counted(cls, swept, scales, grid_anchor, starts, drawn):
+        """The cloud of ``sample``'s walks: drawn holds, per vertex, (t,
+        counts of the groups and open leaves of the table starts[t]), and the
+        (d, m) swept holds the points of the walks that went on from open
+        leaves.  The counts are summed per table, so a table's groups are
+        binned once however many vertices share it."""
         cloud = cls.__new__(cls)
-        cloud.scales, cloud.grid_anchor, cloud._stream = scales, grid_anchor, stream
-        cloud._swept, cloud._starts, cloud._drawn = swept, starts, drawn
+        cloud.scales, cloud.grid_anchor, cloud._swept = scales, grid_anchor, swept
         cloud._n = sum(int(counts.sum()) for _, counts in drawn)
         total = [np.zeros(start.point.shape[1], dtype=np.int64) for start in starts]
         for t, counts in drawn:
             total[t] += counts[: len(total[t])]
         centres, weights = [], []
         for start, n in zip(starts, total):
-            leaf = np.flatnonzero(n)
-            centres.append(start.point.take(leaf, axis=1))
-            weights.append(n.take(leaf))
+            group = np.flatnonzero(n)
+            centres.append(start.point.take(group, axis=1))
+            weights.append(n.take(group))
         weights = np.concatenate(weights)
         cloud._ended = (np.concatenate(centres, axis=1), weights) if len(weights) else None
         return cloud
-
-    @functools.cached_property
-    def points(self) -> np.ndarray:
-        """The (n, d) points, the transpose of one (d, n) array: per vertex,
-        the walks that ended at terminal leaves, then those that went on."""
-        parts, at = [], 0
-        for v, (t, counts) in enumerate(self._drawn):
-            start = self._starts[t]
-            n_going = int(counts[start.point.shape[1]:].sum())
-            parts += [np.repeat(start.leaf_point, _split(start, counts, self._stream(v)), axis=1),
-                      self._swept[:, at : at + n_going]]
-            at += n_going
-        return np.concatenate(parts, axis=1).T
 
     def __len__(self) -> int:
         return self._n
@@ -208,11 +192,11 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
     walks that drew open leaves, in leaf order, go on k edges per sweep in
     chunks of CHUNK_SIZE, chunk c on the (seed, v, c) stream and chunk 0 on
     from where the multinomial left it, each writing their points to its
-    own columns of one (d, m) array sized to them.  The cloud keeps the counts
-    and that array.  The jobs run on one thread per CPU available to the
-    process, and the points do not depend on how many run.  On an error in
-    a job or an interrupt in the caller, queued jobs are cancelled and the
-    error propagates once no job is running.
+    own columns of one (d, m) array sized to them.  The cloud keeps each
+    table's group counts and that array.  The jobs run on one thread per CPU
+    available to the process, and the points do not depend on how many run.
+    On an error in a job or an interrupt in the caller, queued jobs are
+    cancelled and the error propagates once no job is running.
     Bad arguments raise InvalidParams before any walk.
     """
     n_per_vertex = _nonnegative_int("n_per_vertex", n_per_vertex)
@@ -268,7 +252,7 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
             pool.shutdown(cancel_futures=True)
     per_vertex = [(cls[v], counts) for v, (_, counts) in enumerate(draws)]
     anchor = tuple(lo for lo, _ in g.bbox)
-    return SampleCloud._counted(swept, hs, anchor, starts, per_vertex, stream)
+    return SampleCloud._counted(swept, hs, anchor, starts, per_vertex)
 
 
 def _run(pool, fn, jobs):
@@ -306,22 +290,32 @@ def _tested_grids(hs):
     return tuple(h for prev, h in zip((None,) + fine, fine) if _octaves(prev, h) is None)
 
 
+def _positive_sides(scales) -> tuple[float, ...]:
+    """The distinct sides in scales, coarsest first; InvalidParams unless
+    each is positive and finite."""
+    hs = sorted({float(h) for h in scales}, reverse=True)
+    if not all(0.0 < h < math.inf for h in hs):
+        raise InvalidParams(f"scales must be positive and finite, got {hs}")
+    return tuple(hs)
+
+
 def _resolvable_sides(g: Gifs, scales) -> tuple[float, ...]:
     """The distinct sides in scales, coarsest first.
 
-    Raises InvalidParams for a side that is not positive and finite, that a
-    walk's box at the scale floor is not narrower than, or whose grid over
-    ``g.bbox`` needs Morton codes of more than 64 bits (_code_layout).
+    Raises InvalidParams for no side, for a side that is not positive and
+    finite, that a walk's box at the scale floor is not narrower than, or
+    whose grid over ``g.bbox`` needs Morton codes of more than 64 bits
+    (_code_layout).
     """
-    hs = sorted({float(h) for h in scales}, reverse=True)
-    if not hs or not all(0.0 < h < math.inf for h in hs):
-        raise InvalidParams(f"scales must be positive and finite, got {hs}")
+    hs = _positive_sides(scales)
+    if not hs:
+        raise InvalidParams("scales must be positive and finite, got []")
     h = hs[-1]
     width = np.array([hi - lo for lo, hi in g.bbox])
     if h <= SCALE_FLOOR * width.max():
         raise InvalidParams(f"box side {h} is too fine for walks that stop at scale {SCALE_FLOOR}")
     _code_layout(np.zeros_like(width), np.floor(width / h), 0, h)
-    return tuple(hs)
+    return hs
 
 
 def _worker_count(n_jobs: int) -> int:
@@ -582,23 +576,19 @@ class _Start:
     terminal leaves in one box at every tested grid, floor((c - origin) / h)
     by box counting's float operations.  ``key`` holds the running key
     width of the G groups (in the order of their first leaves; each the sum
-    of its leaves' widths), then of the open leaves.  A walk that draws group
-    g ends at the box centre (by the float operations of _stops) of one of
-    its leaves, ``first_leaf[g]`` to ``first_leaf[g + 1]`` of ``leaf_width``
-    and ``leaf_point`` (each group's in leaf order); ``point`` holds each
-    group's first centre.  The walks that draw an open leaf G + j go on
-    along k-edge paths from column j of ``vkey``, ``orient``, ``scale`` and
-    ``trans``, the walk state after ``levels`` edges, computed by the same
-    float operations as that many edge moves of _advance; ``orient`` is an
-    index into the orientation group.
+    of its leaves' widths), then of the open leaves.  A walk that draws a
+    group ends in the group's box at every side, and ``point`` holds the
+    box centre (by the float operations of _stops) of each group's first
+    leaf, which box counting bins for all its walks.  The walks that draw
+    an open leaf G + j go on along k-edge paths from column j of ``vkey``,
+    ``orient``, ``scale`` and ``trans``, the walk state after ``levels``
+    edges, computed by the same float operations as that many edge moves of
+    _advance; ``orient`` is an index into the orientation group.
     """
 
     levels: int  # edge levels grown; with none, a walk draws no leaf
     key: np.ndarray  # (G + O,) int64, nondecreasing, the last 2^53
     point: np.ndarray  # (d, G)
-    leaf_width: np.ndarray  # (T,) int64
-    leaf_point: np.ndarray  # (d, T)
-    first_leaf: np.ndarray  # (G + 1,) int64
     vkey: np.ndarray  # (O,) int64: the open leaves' state
     orient: np.ndarray  # (O,) int64
     scale: np.ndarray  # (O,)
@@ -657,14 +647,12 @@ def _start(tables: _WalkTables, grids, root) -> _Start:
     box = np.concatenate([np.floor((centre - tables.origin[:, None]) / h) for h in grids])
     order = np.lexsort(box)  # stable: each box's leaves in leaf order
     run = np.flatnonzero(np.diff(box.take(order, axis=1), prepend=-np.inf).any(axis=0))
-    rank = np.argsort(order.take(run))  # the boxes in the order of their first leaves
-    size = np.diff(run, append=len(order)).take(rank)
-    first = np.cumsum(size) - size
-    leaves = order.take(np.repeat(run.take(rank) - first, size) + np.arange(len(order)))
-    leaf_width, leaf_point = width.take(leaves), centre.take(leaves, axis=1)
-    key = np.cumsum(np.concatenate((np.add.reduceat(leaf_width, first), width[len(t_prob):])))
-    return _Start(levels, key, leaf_point.take(first, axis=1), leaf_width, leaf_point,
-                  np.append(first, len(leaves)), vkey, orient // len(tables.ratio), scale, trans)
+    head = order.take(run)  # each box's first leaf
+    rank = np.argsort(head)  # the boxes in the order of their first leaves
+    group_width = np.add.reduceat(width.take(order), run).take(rank)
+    key = np.cumsum(np.concatenate((group_width, width[len(t_prob):])))
+    return _Start(levels, key, centre.take(head.take(rank), axis=1), vkey,
+                  orient // len(tables.ratio), scale, trans)
 
 
 def _walk_chunk(paths: _WalkTables, start: _Start, counts, out, rng, grids):
@@ -714,20 +702,6 @@ def _leaf_counts(start: _Start, n, rng):
     drawn = np.flatnonzero(width)
     counts[drawn] = rng.multinomial(n, width.take(drawn) / _U_SCALE)
     return counts
-
-
-def _split(start: _Start, counts, rng):
-    """How many of the counts[g] walks of group g (counts goes on with the
-    open leaves') drew each of its leaves, group by group: one multinomial
-    over its leaves of positive key width, each with its width over theirs,
-    where it has walks and two such."""
-    out = np.zeros(len(start.leaf_width), dtype=np.int64)
-    bounds = start.first_leaf.tolist()
-    for n, a, b in zip(counts.tolist(), bounds, bounds[1:]):
-        drawn = a + np.flatnonzero(start.leaf_width[a:b])
-        width = start.leaf_width.take(drawn)
-        out[drawn] = rng.multinomial(n, width / width.sum()) if n and len(drawn) > 1 else n
-    return out
 
 
 def _step(paths: _WalkTables, rng, vkey, orient, scale, trans):
@@ -984,10 +958,7 @@ def estimate_tau(
     for every scale; otherwise the scales are sampled here.
     """
     _check_q(q)
-    hs = [float(h) for h in h_list]
-    if not all(0.0 < h < math.inf for h in hs):
-        raise InvalidParams(f"scales must be positive and finite, got {hs}")
-    hs = sorted(set(hs), reverse=True)  # a side given twice is one scale
+    hs = _positive_sides(h_list)  # a side given twice is one scale
     if len(hs) < 3:
         raise InsufficientScales(f"need >= 3 distinct scales, got {len(hs)}")
     if hs[0] / hs[-1] < 4.0:
@@ -1013,7 +984,7 @@ def estimate_tau(
     stderr = math.sqrt(sse / dof / sxx) if dof > 0 else 0.0
     return ScalingFit(
         q=q,
-        scales=tuple(hs),
+        scales=hs,
         log_sums=tuple(log_sums),
         slope=float(slope),
         stderr=stderr,

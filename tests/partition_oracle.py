@@ -1,10 +1,12 @@
 """Test-only reference box counter: bin the points afresh at every scale.
 
 This is the per-scale body that ``lqspec.empirical.partition_sum`` had
-before it counted all dyadic scales from one box pass.  The boxes are
-anchored at the cloud's grid anchor, their integer keys packed into one
-collision-free integer per box, and ``np.unique`` counts them, so the
-counts come out in lexicographic key order.
+before it counted all dyadic scales from one box pass.  It takes an (n, d)
+array of points, one per walk, such as the reference sampler's
+(``sampler_oracle.oracle_sample``), and the grid anchor.  The boxes are
+anchored there, their integer keys packed into one collision-free integer
+per box, and ``np.unique`` counts them, so the counts come out in
+lexicographic key order.
 
 ``partition_sum`` lists its boxes by Morton code instead, with each axis's
 keys offset per chain of sides.  ``morton_boxes`` decodes such codes one
@@ -19,9 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 
-def _oracle_keys(cloud, h: float) -> np.ndarray:
-    anchor = np.asarray(cloud.grid_anchor, dtype=float)
-    return np.floor((cloud.points - anchor) / h).astype(np.int64)
+def _oracle_keys(points, anchor, h: float) -> np.ndarray:
+    return np.floor((np.asarray(points) - np.asarray(anchor, dtype=float)) / h).astype(np.int64)
 
 
 def _packed(keys):
@@ -36,17 +37,17 @@ def _packed(keys):
     return keys, flat
 
 
-def oracle_box_counts(cloud, h: float) -> np.ndarray:
-    _, flat = _packed(_oracle_keys(cloud, h))
+def oracle_box_counts(points, anchor, h: float) -> np.ndarray:
+    _, flat = _packed(_oracle_keys(points, anchor, h))
     _, counts = np.unique(flat, return_counts=True)
     return counts
 
 
-def oracle_boxes(cloud, h: float):
-    """The occupied boxes of side h, (m, d) in lexicographic order, each its
-    integer keys less the least occupied key per axis, and the number of
-    points in each."""
-    keys, flat = _packed(_oracle_keys(cloud, h))
+def oracle_boxes(points, anchor, h: float):
+    """The boxes of side h anchored at anchor that the (n, d) points occupy,
+    (m, d) in lexicographic order, each its integer keys less the least
+    occupied key per axis, and the number of points in each."""
+    keys, flat = _packed(_oracle_keys(points, anchor, h))
     _, index, counts = np.unique(flat, return_index=True, return_counts=True)
     return keys[index], counts
 
@@ -66,10 +67,10 @@ def morton_boxes(codes, counts, dim: int):
     return keys[order], np.asarray(counts)[order]
 
 
-def oracle_partition_sum(cloud, h: float, q: float, total_mass: float) -> float:
-    """total_mass^q * sum (c/n)^q over the occupied boxes of side h."""
-    n = len(cloud)
+def oracle_partition_sum(points, anchor, h: float, q: float, total_mass: float) -> float:
+    """total_mass^q * sum (c/n)^q over the boxes of side h that the n points occupy."""
+    n = len(points)
     if n == 0:
         return 0.0
-    counts = oracle_box_counts(cloud, h)
+    counts = oracle_box_counts(points, anchor, h)
     return float(total_mass**q * np.sum(counts.astype(float) ** q) / float(n) ** q)

@@ -11,9 +11,12 @@ sort that puts the terminal leaves level by level before the open ones,
 each level in lexicographic edge order, and plain-float probabilities and a
 running sum for their keys; a dict keyed by the box tuple at every side,
 in first-seen order, for the groups, whose widths are the integer sums of
-their leaves').  On stream ``(seed, vertex)``, each group's count is split
-over its leaves of positive width by one ``rng.multinomial`` where it has
-walks and two such leaves.  Then the walks that drew open leaves, in leaf
+their leaves').  So that its walks have real leaf states, the oracle
+then splits each group's count over the group's leaves of positive width,
+on a stream of its own, ``(seed, vertex)``, by one ``rng.multinomial``
+where the group has walks and two such leaves; the sampler keeps the group
+counts and bins each group's first centre for all its walks, so box counts
+agree whatever the split.  Then the walks that drew open leaves, in leaf
 order, sweep in chunks of CHUNK_SIZE, chunk 0 on from where the multinomial
 left its stream and chunk c on stream c, with one ``rng.random`` per sweep
 over the chunk's active walks in ascending order, which picks each walk's
@@ -24,8 +27,9 @@ walk ends once the box of its cylinder lies in one closed box of every
 requested grid, or its scale is at most the floor.  A walk that draws a
 terminal leaf takes the leaf's box centre; one that draws an open leaf
 moves along the leaf's edges and then sweeps, one path per sweep, tested
-after each.  So the two must agree point for point: exactly
-where every orthogonal part is +-1, and to rounding otherwise.
+after each.  So the two must agree count for count, group centre for
+first-leaf centre and swept point for swept point: exactly where every
+orthogonal part is +-1, and to rounding otherwise.
 """
 
 from __future__ import annotations
@@ -72,6 +76,9 @@ def vertex_boxes(g):
     return (lo + hi) / 2.0, (hi - lo) / 2.0
 
 
+_TABLES = {}  # cylinder_table's tables, by (repr(g), v, scales)
+
+
 def cylinder_table(g, v, scales):
     """The table of stopped cylinders from v, grown one edge level at a time.
 
@@ -86,8 +93,15 @@ def cylinder_table(g, v, scales):
     sum of their probabilities (each the product of its edges' drawn
     probabilities, the widths of ceil(cum * 2^53)), the last one 2^53, and
     their walk states (vertex, scale, translation, orthogonal part) as
-    arrays.
+    read-only arrays.  Each table is built once per process.
     """
+    key = (repr(g), v, tuple(float(h) for h in scales))
+    if key not in _TABLES:
+        _TABLES[key] = _grow_table(g, v, scales)
+    return _TABLES[key]
+
+
+def _grow_table(g, v, scales):
     tables, boxes, widths = _edge_tables(g), vertex_boxes(g), _widths(g)
     origin = np.array([lo for lo, _ in g.bbox])
     leaves = [((), 1.0, False)]  # (edges, probability, terminal)
@@ -117,8 +131,10 @@ def cylinder_table(g, v, scales):
     order = sorted(range(len(leaves)),
                    key=lambda i: (not leaves[i][2], len(leaves[i][0]), leaves[i][0]))
     leaves, state = [leaves[i] for i in order], tuple(a[order] for a in state)
-    keys = _keys([prob for _, prob, _ in leaves])
-    return [(edges, terminal) for edges, _, terminal in leaves], np.array(keys), state
+    keys = np.array(_keys([prob for _, prob, _ in leaves]))
+    for a in (keys, *state):
+        a.flags.writeable = False  # the table is shared by every caller (cylinder_table)
+    return [(edges, terminal) for edges, _, terminal in leaves], keys, state
 
 
 def _keys(probs):
@@ -248,24 +264,28 @@ def stops(boxes, origin, scales, vert, scale, trans, orth):
 
 
 def oracle_sample(g, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES):
-    """(points, vertex of each point, final walk states), vertex-major, each
-    vertex's walks that drew terminal leaves group by group, each group's in
-    leaf order, then those that drew open leaves, in leaf order.  A state is
-    (vertex, scale, translation, orthogonal part) per walk, as arrays."""
+    """(points, vertex of each point, final walk states, counted), vertex-major,
+    each vertex's walks that drew terminal leaves group by group, each
+    group's in leaf order, then those that drew open leaves (the swept
+    walks), in leaf order.  A state is (vertex, scale, translation,
+    orthogonal part) per walk, as arrays.  counted holds, per vertex, the
+    counts of its groups and open leaves before the split (just [n] for a
+    table that grew no level) and the (G, d) box centres of its groups'
+    first leaves."""
     tables = (_edge_tables(g), path_tables(g))
     boxes = vertex_boxes(g)
     origin = np.array([lo for lo, _ in g.bbox])
-    points, vertices, states = [], [], []
-    for v in range(g.num_vertices if n_per_vertex else 0):
+    points, vertices, states, counted = [], [], [], []
+    for v in range(g.num_vertices):
         table = cylinder_table(g, v, scales)
-        p, state = _walk_vertex(g.dim, tables, boxes, origin, scales, v, table, n_per_vertex, seed)
+        p, state, drawn = _walk_vertex(g.dim, tables, boxes, origin, scales, v, table,
+                                       n_per_vertex, seed)
         points.append(p)
         states.append(state)
+        counted.append(drawn)
         vertices.append(np.full(n_per_vertex, v, dtype=np.int64))
-    if not points:
-        return np.zeros((0, g.dim)), np.zeros(0, dtype=np.int64), None
     state = tuple(np.concatenate(parts) for parts in zip(*states))
-    return np.concatenate(points, axis=0), np.concatenate(vertices), state
+    return np.concatenate(points, axis=0), np.concatenate(vertices), state, counted
 
 
 def leaf_groups(table, boxes, origin, scales):
@@ -323,12 +343,14 @@ def _walk_vertex(dim, tables, boxes, origin, scales, start_vertex, table, count,
     leaves, keys, leaf_state = table
     rng = stream(0)
     going = np.arange(count)
+    counts, centres = np.array([count]), np.zeros((0, dim))
     if leaves[0][0]:  # the table grew: the counts, then each walk's leaf
         widths = [int(b) - int(a) for a, b in zip([0, *keys[:-1]], keys)]
         groups = leaf_groups(table, boxes, origin, scales)
         open_leaves = [i for i, (_, terminal) in enumerate(leaves) if not terminal]
         counts = leaf_counts([sum(widths[i] for i in group) for group in groups]
                              + [widths[i] for i in open_leaves], count, rng)
+        centres = _box(boxes, *leaf_state)[0][[group[0] for group in groups]].reshape(-1, dim)
         split = split_counts(groups, widths, counts[: len(groups)], stream(None))
         leaf = np.repeat([i for group in groups for i in group] + open_leaves,
                          split + counts[len(groups) :].tolist()).astype(np.int64)
@@ -355,7 +377,7 @@ def _walk_vertex(dim, tables, boxes, origin, scales, start_vertex, table, count,
             stop, centre = stops(boxes, origin, scales, *state)
             points[idx[stop]] = centre[stop]
             active[np.flatnonzero(active)[stop]] = False
-    return points, (vert, scale, trans, orth)
+    return points, (vert, scale, trans, orth), (counts, centres)
 
 
 def continue_walks(g, state, rng):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import re
 import signal
 import threading
 import time
@@ -46,18 +48,45 @@ def test_single_self_loop_one_step(monkeypatch):
     # raw word
     cloud, words, depth = _sample_counting_draws(monkeypatch, g, 100, seed=0)
     assert words == 0.0 and depth == 1.0
-    assert np.all(np.abs(cloud.points) <= 1e-25)
+    centres, weights = cloud._ended
+    assert cloud._swept.shape == (1, 0) and weights.tolist() == [100]
+    assert np.all(np.abs(centres) <= 1e-25)
 
 
 def test_empty_cloud(monkeypatch):
     monkeypatch.setattr(empirical, "ThreadPoolExecutor", _no_pool)
     for g in (_strong_r_gifs(), lq.build_example(lq.canonical_params("strong-r2"))):
         cloud = lq.sample(g, 0, seed=0)
-        assert cloud.points.shape == (0, g.dim)
+        assert len(cloud) == 0 and cloud._ended is None and cloud._swept.shape == (g.dim, 0)
+        assert lq.partition_sum(cloud, DEFAULT_SCALES, 2.0, 1.0) == [-math.inf] * 8
 
 
 def _no_pool(*args, **kwargs):
     raise AssertionError("a thread pool started")
+
+
+def _sample_drawing(monkeypatch, g, n_per_vertex, seed, scales=DEFAULT_SCALES):
+    """The cloud and, per vertex, the table its walks drew from and the
+    counts of its groups and open leaves that _leaf_counts drew, each keyed
+    by the vertex of the stream it drew on, whichever worker drew it."""
+    count, drawn = empirical._leaf_counts, {}
+
+    def spy(start, n, rng):
+        counts = count(start, n, rng)
+        drawn[rng.bit_generator.seed_seq.spawn_key[0]] = start, counts
+        return counts
+
+    with monkeypatch.context() as m:
+        m.setattr(empirical, "_leaf_counts", spy)
+        cloud = lq.sample(g, n_per_vertex, seed, scales=scales)
+    return cloud, [drawn[v] for v in range(g.num_vertices)]
+
+
+def _swept_by_vertex(cloud, drawn):
+    """cloud._swept cut into each vertex's swept points, (d, m_v) each."""
+    going = [int(counts[start.point.shape[1]:].sum()) for start, counts in drawn]
+    assert cloud._swept.shape[1] == sum(going)
+    return np.split(cloud._swept, np.cumsum(going)[:-1], axis=1)
 
 
 class _CountingRng:
@@ -77,58 +106,51 @@ def _sample_counting_draws(monkeypatch, g, n_per_vertex, seed, scales=DEFAULT_SC
     """The cloud, the mean number of raw words its walks drew, and their mean
     depth: the edge count of the leaf each walk drew, read from the
     oracle's table of its vertex (equal to the sampler's leaf for leaf),
-    plus the k edges of a path for each word a sweep drew.  The counts of
-    the groups and open leaves come from one multinomial per vertex, which
-    draws no word for any walk, and the terminal leaves' counts from the
-    split of the group counts when the points are read; with one worker
-    the vertices draw in turn."""
-    walk, count, split = empirical._walk_chunk, empirical._leaf_counts, empirical._split
+    plus the k edges of a path for each word a sweep drew.  A walk in a
+    group counts at the mean edge count of the group's leaves, each leaf
+    weighted by its key width, the expected edge count of the walk's leaf.
+    The counts of the groups and open leaves come from one multinomial per
+    vertex, which draws no word for any walk."""
     k = path_edges(g)
     boxes, origin = vertex_boxes(g), np.array([lo for lo, _ in g.bbox])
-    ended, going = [], []  # per vertex, the edge counts of its terminal and its open leaves
+    depths = []  # per vertex, the mean edge count of each group, then of each open leaf
     for v in range(g.num_vertices):
         table = cylinder_table(g, v, scales)
-        depth = [len(edges) for edges, _ in table[0]]
+        depth = np.array([len(edges) for edges, _ in table[0]], dtype=float)
+        width = np.diff(table[1], prepend=0).astype(float)
         groups = leaf_groups(table, boxes, origin, scales)
-        ended.append(np.array([depth[i] for group in groups for i in group], dtype=np.int64))
-        going.append(np.array([d for d, (_, terminal) in zip(depth, table[0]) if not terminal],
-                              dtype=np.int64))
-    ended, going = iter(ended), iter(going)
-    words, edges = [], []
+        opened = [i for i, (_, terminal) in enumerate(table[0]) if not terminal]
+        # a group of zero width draws no walk
+        depths.append([depth[group] @ width[group] / max(width[group].sum(), 1.0)
+                       for group in groups] + depth[opened].tolist())
+    walk, words = empirical._walk_chunk, []
 
     def counting(paths, start, counts, out, rng, *rest):
         rng = _CountingRng(rng)
         walk(paths, start, counts, out, rng, *rest)
         words.append(rng.words)
-        edges.append(rng.words * k)
 
-    def leaves(start, n, rng):
-        counts = count(start, n, rng)
-        edges.append(int(next(going) @ counts[start.point.shape[1] :]))
-        return counts
-
-    def splitting(start, counts, rng):
-        leaf = split(start, counts, rng)
-        edges.append(int(next(ended) @ leaf))
-        return leaf
-
-    with monkeypatch.context() as m:
-        m.setattr(empirical, "_walk_chunk", counting)
-        m.setattr(empirical, "_leaf_counts", leaves)
-        m.setattr(empirical, "_split", splitting)
-        m.setattr(empirical, "_worker_count", lambda n_jobs: 1)
-        cloud = lq.sample(g, n_per_vertex, seed, scales=scales)
-        cloud.points
-    return cloud, sum(words) / len(cloud), sum(edges) / len(cloud)
+    monkeypatch.setattr(empirical, "_walk_chunk", counting)
+    cloud, drawn = _sample_drawing(monkeypatch, g, n_per_vertex, seed, scales)
+    edges = sum(np.array(depth) @ counts for depth, (_, counts) in zip(depths, drawn))
+    return cloud, sum(words) / len(cloud), (edges + sum(words) * k) / len(cloud)
 
 
-def test_sampling_deterministic():
+def _same_cloud(a, b):
+    """Whether clouds a and b hold the same counted groups and swept points."""
+    ends = [() if c._ended is None else c._ended for c in (a, b)]
+    return (len(a) == len(b) and np.array_equal(a._swept, b._swept)
+            and len(ends[0]) == len(ends[1]) and all(map(np.array_equal, *ends)))
+
+
+def test_sampling_deterministic(monkeypatch):
     g = _strong_r_gifs()
-    a = lq.sample(g, 10_000, seed=42)
-    b = lq.sample(g, 10_000, seed=42)
-    assert np.array_equal(a.points, b.points)
+    a, drawn_a = _sample_drawing(monkeypatch, g, 10_000, seed=42)
+    b, drawn_b = _sample_drawing(monkeypatch, g, 10_000, seed=42)
+    assert _same_cloud(a, b)
+    assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(drawn_a, drawn_b))
     c = lq.sample(g, 10_000, seed=43)
-    assert not np.array_equal(a.points, c.points)
+    assert not _same_cloud(a, c)
 
 
 def test_raw_draws_give_the_uniform_draws_integers():
@@ -148,23 +170,53 @@ def test_raw_draws_give_the_uniform_draws_integers():
 
 # -- the walker against the per-vertex, per-edge reference --------------------
 
-def _assert_matches_oracle(g, n, seed):
-    cloud = lq.sample(g, n, seed=seed)
-    points, vertices, _ = oracle_sample(g, n, seed)
-    # both are vertex-major, n points per vertex
+def _assert_matches_oracle(monkeypatch, g, n, seed, scales=DEFAULT_SCALES):
+    """Sample g and check the cloud against the oracle's walks: each
+    vertex's counts of its groups and open leaves, its groups' centres
+    against the oracle's first-leaf centres, the swept points, and the box
+    counts against those of the oracle's points, at every side.  Returns
+    the cloud, its per-vertex draws (_sample_drawing), and the oracle's
+    points and final walk states."""
+    cloud, drawn = _sample_drawing(monkeypatch, g, n, seed, scales)
+    points, vertices, state, counted = oracle_sample(g, n, seed, scales)
+    # both are vertex-major, n walks per vertex
     assert np.array_equal(vertices, np.repeat(np.arange(g.num_vertices), n))
-    if g.dim == 1:
-        assert np.array_equal(cloud.points, points)
-    else:
-        assert np.max(np.abs(cloud.points - points)) <= 1e-15
+    assert len(cloud) == len(points) == n * g.num_vertices
+    tol = 0.0 if g.dim == 1 else 1e-15  # 1-D: exact, every orthogonal part is +-1
+    swept = _swept_by_vertex(cloud, drawn)
+    for v, ((start, counts), (want_counts, centres), got) in enumerate(zip(drawn, counted, swept)):
+        assert np.array_equal(counts, want_counts), v
+        assert np.max(np.abs(start.point.T - centres), initial=0.0) <= tol, v
+        # vertex v's swept walks are the last of its n
+        want = points[n * (v + 1) - got.shape[1] : n * (v + 1)]
+        assert np.max(np.abs(got.T - want), initial=0.0) <= tol, v
+    _assert_counts_the_boxes_of(cloud, points, scales)
+    return cloud, drawn, (points, state)
+
+
+def _assert_counts_the_boxes_of(cloud, points, hs):
+    """The cloud's boxes and counts at every side in hs are those of the
+    (n, d) points."""
+    if not len(points):
+        assert len(cloud) == 0
+        return
+    hs, anchor = list(hs), cloud.grid_anchor
+    seen = []
+    for i, codes, counts in empirical._box_counts(cloud, hs):
+        assert np.all(codes[1:] > codes[:-1])  # distinct and ascending
+        got = morton_boxes(codes, counts, len(anchor))
+        want = oracle_boxes(points, anchor, hs[i])
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), hs[i]
+        seen.append(i)
+    assert sorted(seen) == list(range(len(hs)))
 
 
 @pytest.mark.parametrize("seed", [1, 42, 2024])
 @pytest.mark.parametrize("family", lq.FAMILY_IDS)
-def test_sample_matches_oracle(family, seed):
+def test_sample_matches_oracle(monkeypatch, family, seed):
     # one full chunk and one partial chunk from every vertex
     g = lq.build_example(lq.canonical_params(family))
-    _assert_matches_oracle(g, CHUNK_SIZE + 1000, seed)
+    _assert_matches_oracle(monkeypatch, g, CHUNK_SIZE + 1000, seed)
 
 
 @pytest.mark.parametrize("family", lq.FAMILY_IDS)
@@ -174,10 +226,12 @@ def test_points_do_not_depend_on_the_worker_count(monkeypatch, family):
     clouds = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(empirical, "_worker_count", lambda n_jobs: workers)
-        clouds.append(lq.sample(g, CHUNK_SIZE + 77, seed=5))
+        clouds.append(_sample_drawing(monkeypatch, g, CHUNK_SIZE + 77, seed=5))
         # coordinate-major: box counting reads each coordinate contiguously
-        assert clouds[-1].points.T.flags.c_contiguous
-    assert all(np.array_equal(clouds[0].points, c.points) for c in clouds[1:])
+        assert clouds[-1][0]._swept.flags.c_contiguous
+    for cloud, drawn in clouds[1:]:
+        assert _same_cloud(clouds[0][0], cloud)
+        assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(clouds[0][1], drawn))
 
 
 class _Interrupt(Exception):
@@ -249,19 +303,19 @@ def _rotation_gifs(angle):
 
 
 @pytest.mark.parametrize("seed", [1, 42, 2024])
-def test_reflection_matches_oracle(seed):
+def test_reflection_matches_oracle(monkeypatch, seed):
     g = _reflection_gifs()
     assert_valid_gifs(g)
-    _assert_matches_oracle(g, CHUNK_SIZE + 77, seed)
+    _assert_matches_oracle(monkeypatch, g, CHUNK_SIZE + 77, seed)
 
 
 @pytest.mark.parametrize("seed", [1, 42, 2024])
-def test_rotation_by_third_turn_matches_oracle(seed):
+def test_rotation_by_third_turn_matches_oracle(monkeypatch, seed):
     g = _rotation_gifs(2 * math.pi / 3)
     assert_valid_gifs(g)
     # the closure identifies R^3 with I: three orientations, not a growing list
     assert len(empirical._walk_tables(g).mul) == 3 * len(g.edges)
-    _assert_matches_oracle(g, CHUNK_SIZE + 77, seed)
+    _assert_matches_oracle(monkeypatch, g, CHUNK_SIZE + 77, seed)
 
 
 def _two_boxes_gifs():
@@ -296,23 +350,25 @@ _EXACTNESS_CASES = {
 
 
 @pytest.mark.parametrize("case", _EXACTNESS_CASES)
-def test_each_point_has_the_boxes_of_its_walk_run_to_the_floor(case):
+def test_each_point_has_the_boxes_of_its_walk_run_to_the_floor(monkeypatch, case):
     # a walk stops once its cylinder fits one box of every grid, so going on
-    # to a contraction of 1e-12 with fresh draws never leaves those boxes
+    # to a contraction of 1e-12 with fresh draws never leaves those boxes:
+    # the oracle's walks, which the cloud matches (_assert_matches_oracle),
+    # keep their boxes walk by walk, and the cloud counts the boxes of the
+    # walks run to the floor
     make, scales = _EXACTNESS_CASES[case]
     g = make()
-    cloud = lq.sample(g, 3000, seed=7, scales=scales)
-    points, _, state = oracle_sample(g, 3000, 7, scales)
-    assert np.max(np.abs(cloud.points - points)) <= 1e-15
+    cloud, _, (points, state) = _assert_matches_oracle(monkeypatch, g, 3000, 7, scales)
     deeper = continue_walks(g, state, np.random.default_rng(99))
-    assert np.max(np.abs(deeper - cloud.points)) > 0.0
+    assert np.max(np.abs(deeper - points)) > 0.0
     origin = np.array(cloud.grid_anchor)
     for h in scales:
-        keys = np.floor((cloud.points - origin) / h)
+        keys = np.floor((points - origin) / h)
         assert np.array_equal(np.floor((deeper - origin) / h), keys), h
+    _assert_counts_the_boxes_of(cloud, deeper, scales)
 
 
-def test_walks_that_keep_straddling_a_line_end_at_the_floor():
+def test_walks_that_keep_straddling_a_line_end_at_the_floor(monkeypatch):
     # Lebesgue measure on [0, 1]: the box at depth k is a dyadic interval of
     # width 2^-k, which straddles a line of the side-1e-11 grid with
     # probability about 2^-k / 1e-11.  The table stops at the 2^12 open
@@ -327,9 +383,8 @@ def test_walks_that_keep_straddling_a_line_end_at_the_floor():
     g = lq.Gifs(1, 1, (lq.Edge("a", 0, 0, half(0.0), 0.5), lq.Edge("b", 0, 0, half(0.5), 0.5)))
     (start,) = _starts(g, [1e-11])
     assert start.levels == 12 and path_edges(g) == 8
-    cloud = lq.sample(g, 2000, seed=0, scales=[1e-11])
-    points, _, (_, scale, _, _) = oracle_sample(g, 2000, 0, [1e-11])
-    assert np.array_equal(cloud.points, points)
+    cloud, _, (points, (_, scale, _, _)) = _assert_matches_oracle(monkeypatch, g, 2000, 0, [1e-11])
+    assert cloud._ended is None and np.array_equal(cloud._swept.T, points)
     assert np.all(scale == 2.0**-44) and 2.0**-44 <= SCALE_FLOOR < 2.0**-36
     u, w = points[:, 0] / 1e-11, 2.0**-45 / 1e-11  # each box is its point +- w, in sides
     assert 2 <= np.count_nonzero(u + w > np.floor(u - w) + 1.0) <= 30
@@ -414,14 +469,13 @@ def test_path_keys_match_the_oracle(case):
     _, starts = _tables_and_oracle(case)
     for start, (leaves, keys, _), _, _, groups in starts:
         assert np.all(np.diff(start.key) >= 0) and start.key[-1] == 2**53
-        n_ended, n_open = len(start.leaf_width), len(start.vkey)
+        n_open = len(start.vkey)
+        n_ended = len(leaves) - n_open
         assert [terminal for _, terminal in leaves] == [True] * n_ended + [False] * n_open
         width = np.diff(keys, prepend=0)
         grouped = [i for group in groups for i in group]
         assert sorted(grouped) == list(range(n_ended))
-        assert np.array_equal(start.leaf_width, width[grouped])
-        sizes = [len(group) for group in groups]
-        assert np.array_equal(start.first_leaf, np.cumsum([0] + sizes))
+        assert start.point.shape[1] == len(groups)
         want = [int(width[group].sum()) for group in groups] + width[n_ended:].tolist()
         assert np.array_equal(start.key, np.cumsum(np.array(want, dtype=np.int64)))
 
@@ -429,32 +483,34 @@ def test_path_keys_match_the_oracle(case):
 @pytest.mark.parametrize("case", _TABLE_CASES)
 def test_terminal_leaves_fit_every_grid(case):
     # a terminal leaf's box fits every tested grid, or its scale is at most
-    # the floor; its point is the box centre
-    # (group by group, as the sampler lists them); a group's point is its
-    # first leaf's
+    # the floor; a group's point is the box centre of its first leaf
     _, starts = _tables_and_oracle(case)
     for start, _, fits, centre, groups in starts:
         grouped = [i for group in groups for i in group]
         assert np.all(fits[grouped])
-        assert np.max(np.abs(start.leaf_point - centre[grouped].T), initial=0.0) <= 1e-15
-        assert np.array_equal(start.point, start.leaf_point[:, start.first_leaf[:-1]])
+        first = [group[0] for group in groups]
+        assert np.max(np.abs(start.point - centre[first].T), initial=0.0) <= 1e-15
 
 
 @pytest.mark.parametrize("case", _TABLE_CASES)
 def test_each_group_is_the_terminal_leaves_of_one_box(case):
-    # every leaf of a group lies in the group's box at every tested grid, and
-    # so at every side; two groups differ in the box of some tested grid
-    make, scales = _TABLE_CASES[case]
-    g = make()
+    # every leaf of a group (the oracle's, keyed by its box at every side)
+    # lies in the box of the group's point at every side, so the sampler's
+    # groups, keyed at the tested grids alone, are the oracle's; two groups
+    # differ in the box of some tested grid
+    g, starts = _tables_and_oracle(case)
+    scales = _TABLE_CASES[case][1]
     origin = np.array([lo for lo, _ in g.bbox])[:, None]
     grids = empirical._tested_grids(empirical._resolvable_sides(g, scales))
-    for start in _starts(g, scales):
-        n_ended, n_groups = len(start.leaf_width), start.point.shape[1]
-        group = np.repeat(np.arange(n_groups), np.diff(start.first_leaf))
-        assert start.first_leaf[-1] == n_ended
+    for start, (leaves, _, _), _, centre, groups in starts:
+        n_ended, n_groups = len(leaves) - len(start.vkey), start.point.shape[1]
+        assert n_groups == len(groups)
+        group = np.repeat(np.arange(n_groups), [len(members) for members in groups])
+        leaf = np.array([i for members in groups for i in members], dtype=np.int64)
         for sides in (grids, scales):
-            box = np.concatenate([np.floor((start.leaf_point - origin) / h) for h in sides])
-            assert np.array_equal(box, box[:, start.first_leaf[:-1]][:, group])
+            box = np.concatenate([np.floor((centre[leaf].T - origin) / h) for h in sides])
+            point_box = np.concatenate([np.floor((start.point - origin) / h) for h in sides])
+            assert np.array_equal(box, point_box[:, group])
         box = np.concatenate([np.floor((start.point - origin) / h) for h in grids])
         assert len(set(map(tuple, box.T))) == n_groups
         if case == "nonstrong-r-heights-four-grids":
@@ -470,9 +526,9 @@ def test_no_walk_can_end_inside_its_prefix(case):
     # not every grid and its scale is above the floor, and the table grew
     # until no leaf was open or one more level would break a node bound
     g, starts = _tables_and_oracle(case)
-    for v, (start, (_, _, state), fits, _, _) in enumerate(starts):
-        n_ended = len(start.leaf_width)
-        terminal = np.arange(n_ended + len(start.vkey)) < n_ended
+    for v, (start, (leaves, _, state), fits, _, _) in enumerate(starts):
+        terminal = np.array([terminal for _, terminal in leaves], dtype=bool)
+        assert np.count_nonzero(~terminal) == len(start.vkey)
         assert not np.any(fits[~terminal])
         assert np.array_equal(start.scale, state[1][~terminal])
         assert len(start.vkey) <= empirical.MAX_LEVEL_NODES
@@ -592,7 +648,7 @@ def test_vertices_that_differ_only_in_edge_probabilities_are_not_merged():
     assert empirical._classes(_loops_gifs([row(0.5, 0), row(0.4, 1)])) == [0, 1]
 
 
-def test_equal_edge_rows_into_different_classes_are_split():
+def test_equal_edge_rows_into_different_classes_are_split(monkeypatch):
     # vertices 0-2 have equal edge rows and vertex 3 another: the first
     # round splits vertex 2, which leads to 3, from 0 and 1, and only the
     # second splits vertex 1, which leads to 2, from 0
@@ -601,7 +657,7 @@ def test_equal_edge_rows_into_different_classes_are_split():
 
     g = _loops_gifs([row(0, 0), row(1, 2), row(2, 3), ((0.25, 0.0, 0.5, 3), (0.25, 0.75, 0.5, 3))])
     assert empirical._classes(g) == [0, 1, 2, 3]
-    _assert_matches_oracle(g, 2000, seed=1)
+    _assert_matches_oracle(monkeypatch, g, 2000, seed=1)
 
 
 _OCTAVES_16 = tuple(2.0**-k for k in range(4, 17))
@@ -609,13 +665,23 @@ _OCTAVES_16 = tuple(2.0**-k for k in range(4, 17))
 
 @pytest.mark.parametrize("scales", [DEFAULT_SCALES, _OCTAVES_16], ids=["default", "to-2^-16"])
 def test_shared_tables_give_the_points_of_one_table_per_vertex(monkeypatch, scales):
-    # at 2^-4 ... 2^-16 every walk goes on from an open leaf of its table
+    # at 2^-4 ... 2^-16 every walk goes on from an open leaf of its table;
+    # each vertex draws the same counts from a shared table as from its own,
+    # whose open leaves are those of the shared table but for their vertices,
+    # which lie in the same classes, and its walks go on to the same points
     g = lq.build_example(lq.canonical_params("nonstrong-r-heights"))
-    shared = lq.sample(g, 20_000, seed=4, scales=scales)
+    cls = np.array(empirical._classes(g))
+    shared, shared_drawn = _sample_drawing(monkeypatch, g, 20_000, seed=4, scales=scales)
     monkeypatch.setattr(empirical, "_classes", lambda g: list(range(g.num_vertices)))
-    alone = lq.sample(g, 20_000, seed=4, scales=scales)
-    assert len(shared._starts) == 2 and len(alone._starts) == 6
-    assert np.array_equal(shared.points, alone.points)
+    alone, alone_drawn = _sample_drawing(monkeypatch, g, 20_000, seed=4, scales=scales)
+    assert len({id(start) for start, _ in shared_drawn}) == 2
+    assert len({id(start) for start, _ in alone_drawn}) == 6
+    for (table, counts), (own_table, own_counts) in zip(shared_drawn, alone_drawn):
+        assert np.array_equal(counts, own_counts)
+        assert all(np.array_equal(getattr(table, f.name), getattr(own_table, f.name))
+                   for f in dataclasses.fields(table) if f.name != "vkey")
+        assert np.array_equal(cls[table.vkey >> 54], cls[own_table.vkey >> 54])
+    assert len(shared) == len(alone) and np.array_equal(shared._swept, alone._swept)
     for q in (0.0, 2.0, -1.5):
         assert lq.partition_sum(shared, scales, q, 6.0) == lq.partition_sum(alone, scales, q, 6.0)
 
@@ -636,12 +702,12 @@ def _wide_and_cantor_gifs():
 
 
 @pytest.mark.parametrize("seed", [1, 42])
-def test_walks_from_a_table_that_grew_no_level_draw_no_leaf(seed):
+def test_walks_from_a_table_that_grew_no_level_draw_no_leaf(monkeypatch, seed):
     # their chunks' streams start with the first edge, as without a table
     g = _wide_and_cantor_gifs()
     wide, cantor = _starts(g, DEFAULT_SCALES)[::-1]
     assert wide.levels == 0 and len(wide.key) == 1 and cantor.levels > 1
-    _assert_matches_oracle(g, CHUNK_SIZE + 77, seed)
+    _assert_matches_oracle(monkeypatch, g, CHUNK_SIZE + 77, seed)
 
 
 @pytest.mark.parametrize(
@@ -693,7 +759,7 @@ def _chi_square(got, want):
 
 
 @pytest.mark.parametrize("family", ["strong-r", "nonstrong-r-heights"])
-def test_leaf_counts_follow_the_key_widths(family):
+def test_leaf_counts_follow_the_key_widths(monkeypatch, family):
     # Bound, fixed before the run: over 20 seeds, each vertex's counts of its
     # groups and open leaves, against their key widths, give a chi-square
     # statistic (cells pooled to expect at least 20 walks) within 5 standard
@@ -703,50 +769,11 @@ def test_leaf_counts_follow_the_key_widths(family):
     n = 100_000
     stats = {v: [] for v in range(g.num_vertices)}
     for seed in range(20):
-        cloud = lq.sample(g, n, seed)
-        assert len(cloud._drawn) == g.num_vertices
-        for v, (t, got) in enumerate(cloud._drawn):
-            start = cloud._starts[t]
+        _, drawn = _sample_drawing(monkeypatch, g, n, seed)
+        for v, (start, got) in enumerate(drawn):
             assert got.sum() == n and len(got) == len(start.key)
             chi2, dof = _chi_square(got, np.diff(start.key, prepend=0) / 2.0**53 * n)
             assert abs(chi2 - dof) <= 5.0 * math.sqrt(2.0 * dof), (seed, v, chi2, dof)
-            stats[v].append((chi2, dof))
-    for v, runs in stats.items():
-        chi2, dof = map(sum, zip(*runs))
-        assert abs(chi2 - dof) <= 5.0 * math.sqrt(2.0 * dof), (v, chi2, dof)
-
-
-@pytest.mark.parametrize("family", ["strong-r", "nonstrong-r-heights"])
-def test_split_follows_the_leaf_widths_within_each_group(monkeypatch, family):
-    # Bound, fixed before the run: over 20 seeds, each vertex's split of its
-    # group counts, against the leaf widths within each group, gives a
-    # chi-square statistic summed over its groups of at least 40 walks (each
-    # group's cells pooled to expect at least 20 walks) within 5 standard
-    # deviations sqrt(2 dof) of its dof, and the sum of a vertex's 20
-    # statistics lies within 5 standard deviations of their dof.
-    g = lq.build_example(lq.canonical_params(family))
-    n, split, seen = 100_000, empirical._split, []
-
-    def spy(start, counts, rng):
-        seen.append((start, counts, split(start, counts, rng)))
-        return seen[-1][-1]
-
-    monkeypatch.setattr(empirical, "_split", spy)
-    stats = {v: [] for v in range(g.num_vertices)}
-    for seed in range(20):
-        seen.clear()
-        assert len(lq.sample(g, n, seed).points) == n * g.num_vertices
-        assert len(seen) == g.num_vertices
-        for v, (start, counts, leaf) in enumerate(seen):
-            chi2 = dof = 0
-            bounds = start.first_leaf
-            for c, a, b in zip(counts, bounds, bounds[1:]):
-                width = start.leaf_width[a:b]
-                assert leaf[a:b].sum() == c and not np.any(leaf[a:b][width == 0])
-                if c >= 40:
-                    stat = _chi_square(leaf[a:b], c * width / width.sum())
-                    chi2, dof = chi2 + stat[0], dof + stat[1]
-            assert dof > 0 and abs(chi2 - dof) <= 5.0 * math.sqrt(2.0 * dof), (seed, v, chi2, dof)
             stats[v].append((chi2, dof))
     for v, runs in stats.items():
         chi2, dof = map(sum, zip(*runs))
@@ -767,37 +794,36 @@ def _zero_width_gifs():
 
 
 @pytest.mark.parametrize("n_per_vertex", [0, 1, 2, 1000, CHUNK_SIZE + 77])
-def test_leaf_counts_sum_to_the_walks_and_skip_zero_widths(n_per_vertex):
+def test_leaf_counts_sum_to_the_walks_and_skip_zero_widths(monkeypatch, n_per_vertex):
     g = _zero_width_gifs()
-    cloud = lq.sample(g, n_per_vertex, seed=2)
+    cloud, drawn, _ = _assert_matches_oracle(monkeypatch, g, n_per_vertex, seed=2)
     assert len(cloud) == 2 * n_per_vertex
-    for v, (t, counts) in enumerate(cloud._drawn):
-        start = cloud._starts[t]
+    for v, (start, counts) in enumerate(drawn):
         width = np.diff(start.key, prepend=0)
         assert start.levels and np.count_nonzero(width == 0) > 0
         assert v < 1 or width[-1] == 0  # vertex 1's last leaf has zero width
         assert counts.sum() == n_per_vertex and counts.min() >= 0
         assert not np.any(counts[width == 0])
-    _assert_matches_oracle(g, n_per_vertex, seed=2)
 
 
-def test_split_gives_no_walk_to_a_leaf_of_zero_width_in_its_group():
+def test_a_group_with_a_leaf_of_zero_width_keeps_the_width_of_the_others(monkeypatch):
     # edges a and b carry one map, b with 1e-30: each leaf through b lies in
-    # the box, and the group, of a leaf of positive width
+    # the box, and the group, of a leaf of positive width, and the group's
+    # key width is that of its leaves of positive width
     def sim(t):
         return lq.Similitude(1, 1 / 3, np.eye(1), np.array([t]))
 
     g = lq.Gifs(1, 1, (lq.Edge("a", 0, 0, sim(0.0), 0.5), lq.Edge("b", 0, 0, sim(0.0), 1e-30),
                        lq.Edge("c", 0, 0, sim(2 / 3), 0.5)))
-    cloud = lq.sample(g, 20_000, seed=1)
-    ((t, counts),) = cloud._drawn
-    start = cloud._starts[t]
-    width, first = start.leaf_width, start.first_leaf
-    assert any(0 < np.count_nonzero(width[a:b]) < b - a for a, b in zip(first, first[1:]))
-    leaf = empirical._split(start, counts, np.random.default_rng(0))
-    assert leaf.sum() == counts[: start.point.shape[1]].sum() > 0
-    assert not np.any(leaf[width == 0])
-    _assert_matches_oracle(g, 20_000, seed=1)
+    table = cylinder_table(g, 0, DEFAULT_SCALES)
+    width = np.diff(table[1], prepend=0)
+    groups = leaf_groups(table, vertex_boxes(g), np.zeros(1), DEFAULT_SCALES)
+    mixed = [i for i, group in enumerate(groups) if 0 < np.count_nonzero(width[group]) < len(group)]
+    assert mixed
+    cloud, ((start, counts),), _ = _assert_matches_oracle(monkeypatch, g, 20_000, seed=1)
+    group_width = np.diff(start.key, prepend=0)
+    assert all(group_width[i] == width[groups[i]].sum() > 0 for i in mixed)
+    assert counts[mixed].sum() > 0
 
 
 def test_infinite_orientation_group_raises(monkeypatch):
@@ -915,7 +941,7 @@ def test_non_integer_count_or_seed_rejected(monkeypatch, n_per_vertex, seed, mes
 def test_numpy_integer_count_and_seed_accepted():
     g = _strong_r_gifs()
     got = lq.sample(g, np.int64(500), np.uint32(4))
-    assert np.array_equal(got.points, lq.sample(g, 500, 4).points)
+    assert _same_cloud(got, lq.sample(g, 500, 4))
 
 
 @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
@@ -929,15 +955,20 @@ def test_points_within_bbox():
     for fid in lq.FAMILY_IDS:
         g = lq.build_example(lq.canonical_params(fid))
         cloud = lq.sample(g, 2000, seed=5)
+        centres = np.zeros((g.dim, 0)) if cloud._ended is None else cloud._ended[0]
+        points = np.concatenate((centres, cloud._swept), axis=1)
+        assert points.shape[1] > 0
         for d, (lo, hi) in enumerate(g.bbox):
-            assert cloud.points[:, d].min() >= lo
-            assert cloud.points[:, d].max() <= hi
+            assert points[d].min() >= lo
+            assert points[d].max() <= hi
 
 
-def test_sample_means_match_fixed_point():
+def test_sample_means_match_fixed_point(monkeypatch):
     # the vertex measures' means solve m_i = sum_e p_e (rho_e R_e m_j + b_e);
     # a biased walk scheme (e.g. double-stepping on vertex changes) breaks
-    # this at many sigma
+    # this at many sigma.  A vertex's mean weights each group's centre by its
+    # walks; a group's leaves lie in one box of side 2^-11, far below the
+    # bound
     for fid in ("strong-r2", "strong-r", "nonstrong-r2"):
         g = lq.build_example(lq.canonical_params(fid))
         d = g.dim
@@ -951,20 +982,19 @@ def test_sample_means_match_fixed_point():
             )
             b[d * i : d * i + d] += e.prob * np.array(e.map.translation)
         exact = np.linalg.solve(np.eye(n) - A, b)
-        cloud = lq.sample(g, 200_000, seed=11)
-        for v in range(g.num_vertices):
-            got = cloud.points[v * 200_000 : (v + 1) * 200_000].mean(axis=0)
+        cloud, drawn = _sample_drawing(monkeypatch, g, 200_000, seed=11)
+        for v, ((start, counts), swept) in enumerate(zip(drawn, _swept_by_vertex(cloud, drawn))):
+            total = start.point @ counts[: start.point.shape[1]] + swept.sum(axis=1)
+            got = total / 200_000
             assert np.max(np.abs(got - exact[d * v : d * v + d])) < 5e-3
 
 
-def test_source_vertices_balanced():
+def test_source_vertices_balanced(monkeypatch):
+    # each vertex draws its 500 walks, as the oracle's do
     g = _strong_r_gifs()
-    cloud = lq.sample(g, 500, seed=1)
-    points, vertices, _ = oracle_sample(g, 500, seed=1)
-    # vertex v's 500 points are the slice points[500 v : 500 (v + 1)]
+    cloud, drawn, _ = _assert_matches_oracle(monkeypatch, g, 500, seed=1)
     assert len(cloud) == 1000
-    for v in range(2):
-        assert np.array_equal(cloud.points[500 * v : 500 * (v + 1)], points[vertices == v])
+    assert [int(counts.sum()) for _, counts in drawn] == [500, 500]
 
 
 # -- partition sums ----------------------------------------------------------
@@ -1017,7 +1047,7 @@ def _cloud_below_anchor(dim):
     rng = np.random.default_rng(5)
     pts = np.concatenate([rng.uniform(0.0, 0.3, (200, dim)), np.full((7, dim), -1e-12)])
     pts[:3, 0] = -1e-12
-    return lq.SampleCloud(points=pts, scales=tuple(_ALL_SIDES), grid_anchor=(0.0,) * dim)
+    return lq.SampleCloud(points=pts, scales=tuple(_ALL_SIDES), grid_anchor=(0.0,) * dim), pts
 
 
 def _cloud_of_64_bit_codes():
@@ -1025,7 +1055,7 @@ def _cloud_of_64_bit_codes():
     rng = np.random.default_rng(6)
     pts = np.stack([rng.uniform(0.0, 2.0**21 - 1.0, 300), rng.uniform(0.0, 0.3, 300)], axis=1)
     pts[:100, 0] = rng.uniform(0.0, 0.3, 100)  # and some boxes that coarser sides merge
-    return lq.SampleCloud(points=pts, scales=tuple(_ALL_SIDES), grid_anchor=(0.0, 0.0))
+    return lq.SampleCloud(points=pts, scales=tuple(_ALL_SIDES), grid_anchor=(0.0, 0.0)), pts
 
 
 def _cloud_with_far_centres():
@@ -1039,15 +1069,23 @@ def _cloud_with_far_centres():
     pts = np.concatenate([swept.T, np.repeat(centres.T, weights, axis=0)])
     cloud = lq.SampleCloud(pts, scales=tuple(_ALL_SIDES), grid_anchor=(0.0, 0.0))
     cloud._swept, cloud._ended = swept, (centres, weights)
-    return cloud
+    return cloud, pts
+
+
+def _sampled_with_oracle_points(g, n_per_vertex, seed, scales=DEFAULT_SCALES):
+    """The cloud that ``sample`` draws and the oracle's (n, d) points, one
+    per walk, whose boxes it counts (_assert_matches_oracle)."""
+    cloud = lq.sample(g, n_per_vertex, seed, scales=scales)
+    return cloud, oracle_sample(g, n_per_vertex, seed, scales)[0]
 
 
 @pytest.fixture(scope="module")
 def clouds():
+    """Each cloud, with the (n, d) points, one per walk, that it counts."""
     return {
-        "1d": lq.sample(_strong_r_gifs(), 5000, seed=3, scales=_ALL_SIDES),
-        "2d": lq.sample(
-            lq.build_example(lq.canonical_params("strong-r2")), 3000, seed=3, scales=_ALL_SIDES
+        "1d": _sampled_with_oracle_points(_strong_r_gifs(), 5000, 3, _ALL_SIDES),
+        "2d": _sampled_with_oracle_points(
+            lq.build_example(lq.canonical_params("strong-r2")), 3000, 3, _ALL_SIDES
         ),
         "1d-below-anchor": _cloud_below_anchor(1),
         "2d-below-anchor": _cloud_below_anchor(2),
@@ -1062,18 +1100,12 @@ def clouds():
     ["1d", "2d", "1d-below-anchor", "2d-below-anchor", "2d-64-bit-codes", "2d-far-centres"],
 )
 def test_partition_sum_matches_oracle(clouds, cloud_id, scales):
-    cloud, hs = clouds[cloud_id], _SCALE_LISTS[scales]
-    seen = []
-    for i, codes, counts in empirical._box_counts(cloud, hs):
-        assert np.all(codes[1:] > codes[:-1])  # distinct and ascending
-        got = morton_boxes(codes, counts, len(cloud.grid_anchor))
-        want = oracle_boxes(cloud, hs[i])
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), hs[i]
-        seen.append(i)
-    assert sorted(seen) == list(range(len(hs)))
+    (cloud, points), hs = clouds[cloud_id], _SCALE_LISTS[scales]
+    _assert_counts_the_boxes_of(cloud, points, hs)
+    anchor = cloud.grid_anchor
     for q in (0.0, 0.5, 1.0, 2.0, 3.7, -1.5):
         got = lq.partition_sum(cloud, hs, q, total_mass=3.0)
-        want = [math.log(oracle_partition_sum(cloud, h, q, total_mass=3.0)) for h in hs]
+        want = [math.log(oracle_partition_sum(points, anchor, h, q, total_mass=3.0)) for h in hs]
         # the log is summed in another arrangement: a few ulps of its size
         assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
 
@@ -1082,12 +1114,12 @@ def test_partition_sum_matches_oracle(clouds, cloud_id, scales):
 def test_partition_sum_large_q_matches_exact_rational_sums(q):
     # S_q = M^q sum c^q / n^q with sum c^q an exact rational: no overflow,
     # no rounding before the final logs
-    cloud = lq.sample(_strong_r_gifs(), 20_000, seed=1)
+    cloud, points = _sampled_with_oracle_points(_strong_r_gifs(), 20_000, 1)
     hs = [2.0**-k for k in range(4, 12)]
     got = lq.partition_sum(cloud, hs, q, total_mass=2.0)
     assert all(math.isfinite(s) for s in got)
     for log_s, h in zip(got, hs):
-        counts = oracle_box_counts(cloud, h)
+        counts = oracle_box_counts(points, cloud.grid_anchor, h)
         exact = sum(Fraction(int(c)) ** int(q) for c in counts)
         log_exact = math.log(exact.numerator) - math.log(exact.denominator)
         want = q * math.log(2.0) + log_exact - q * math.log(len(cloud))
@@ -1137,6 +1169,25 @@ def test_cloud_rejects_a_point_that_is_not_finite(bad):
         lq.SampleCloud(pts, scales=(0.5,), grid_anchor=(0.0, 0.0))
 
 
+@pytest.mark.parametrize("side", [-0.5, 0.0, math.nan, math.inf])
+def test_cloud_rejects_a_side_that_is_not_positive_and_finite(side):
+    # -0.5 gave a finite log-sum and inf [0.0]; 0.0 warned of a division by
+    # zero and nan raised "too fine to index", both from inside box counting
+    pts = np.full((50, 1), 0.3)
+    with pytest.raises(lq.InvalidParams, match="scales must be positive and finite"):
+        lq.SampleCloud(pts, scales=(0.5, side), grid_anchor=(0.0,))
+
+
+@pytest.mark.parametrize("points", [0.3, np.zeros((3, 1, 1)), np.zeros(3), np.zeros((3, 0))],
+                         ids=["scalar", "(3, 1, 1)", "(3,)", "(3, 0)"])
+def test_cloud_rejects_points_that_are_not_an_n_by_d_array(points):
+    # a scalar raised "len() of unsized object", a (3, 1, 1) array a
+    # TypeError inside partition_sum, and (3,) read as one point of dimension 3
+    shape = re.escape(str(np.shape(points)))
+    with pytest.raises(lq.InvalidParams, match=rf"must be an \(n, d\) array, got shape {shape}"):
+        lq.SampleCloud(points, scales=(0.5,), grid_anchor=(0.0,))
+
+
 def test_clouds_of_other_dtypes_count_the_same_boxes():
     # float32 points raised a bare ValueError: box counting casts each
     # coordinate row to int64 keys in the row's own memory
@@ -1145,7 +1196,7 @@ def test_clouds_of_other_dtypes_count_the_same_boxes():
     want = None
     for dtype in (np.float64, np.float32, np.int64):
         cloud = lq.SampleCloud(pts.astype(dtype), scales=scales, grid_anchor=(0.0, 0.0))
-        assert cloud.points.dtype == np.float64
+        assert cloud._swept.dtype == np.float64
         got = [lq.partition_sum(cloud, scales, q, total_mass=1.0) for q in (0.0, 2.0, -1.5)]
         want = want or got
         assert got == want, dtype
@@ -1164,37 +1215,33 @@ _COUNTED_CASES = {
 
 @pytest.mark.parametrize("n_per_vertex", [0, 1, CHUNK_SIZE + 77])
 @pytest.mark.parametrize("case", _COUNTED_CASES)
-def test_counted_cloud_counts_the_boxes_of_its_points(case, n_per_vertex):
-    # a sampled cloud bins each terminal leaf's centre once, weighted by the
-    # walks that drew it; its boxes and counts are those of its points
+def test_counted_cloud_counts_the_boxes_of_its_points(monkeypatch, case, n_per_vertex):
+    # a sampled cloud bins each group's centre once, weighted by the walks
+    # that drew it; its boxes and counts are those of the oracle's points,
+    # one per walk (_assert_matches_oracle), and so are those of a cloud
+    # built from those points, which bins them one by one
     family, scales = _COUNTED_CASES[case]
     g = lq.build_example(lq.canonical_params(family))
-    cloud = lq.sample(g, n_per_vertex, seed=3, scales=scales)
-    assert len(cloud) == g.num_vertices * n_per_vertex
-    points = cloud.points
-    assert points.shape == (len(cloud), g.dim) and points.T.flags.c_contiguous
-    assert np.array_equal(cloud.points, points)
-    expanded = lq.SampleCloud(points.copy(), cloud.scales, grid_anchor=cloud.grid_anchor)
+    cloud, drawn, (points, _) = _assert_matches_oracle(monkeypatch, g, n_per_vertex, 3, scales)
+    assert cloud._swept.flags.c_contiguous
+    expanded = lq.SampleCloud(points, cloud.scales, grid_anchor=cloud.grid_anchor)
     hs = list(scales)
     if n_per_vertex:
         pairs = zip(empirical._box_counts(cloud, hs), empirical._box_counts(expanded, hs))
         for (i, codes, got), (_, want_codes, want) in pairs:
             assert np.array_equal(codes, want_codes) and np.array_equal(got, want), hs[i]
-            boxes, counts = morton_boxes(codes, got, g.dim)
-            want_boxes, want_counts = oracle_boxes(expanded, hs[i])
-            assert np.array_equal(boxes, want_boxes) and np.array_equal(counts, want_counts), hs[i]
     for q in (0.0, 2.0, -1.5):
         got = lq.partition_sum(cloud, hs, q, total_mass=float(g.num_vertices))
         assert got == lq.partition_sum(expanded, hs, q, total_mass=float(g.num_vertices))
     # exactly the walks counted at open leaves were swept
-    going = sum(int(n[cloud._starts[t].point.shape[1]:].sum()) for t, n in cloud._drawn)
+    going = sum(int(counts[start.point.shape[1]:].sum()) for start, counts in drawn)
     assert cloud._swept.shape[1] == going
     if case in ("strong-r", "nonstrong-r-basic"):
         # at the default sides a walk ends at a terminal leaf: every leaf of
         # strong-r's tables is terminal, and nonstrong-r-basic's 476 open
         # leaves hold 3.3e-5 of the law
         open_mass = [np.diff(start.key, prepend=0)[start.point.shape[1]:].sum() / 2.0**53
-                     for start in cloud._starts]
+                     for start, _ in drawn]
         assert max(open_mass) < 1e-4 and (case != "strong-r" or max(open_mass) == 0.0)
     if case.endswith(("2^-16", "2^-20")):
         assert cloud._ended is None and cloud._swept.shape[1] == len(cloud)
