@@ -30,6 +30,11 @@ CASES = {
     "legendre_q0-10": "legendre --q-min 0 --q-max 10 --steps 11",
     "estimate_q2_n20000": "estimate --q 2 --samples 20000 --seed 1",
     "compare_q2_n20000": "compare --q 2 --samples 20000 --seed 1",
+    # four tested grids: no side is a power-of-two multiple of another
+    "compare_q2_n20000_mixed":
+        "compare --q 2 --samples 20000 --seed 1 --scales 0.05,0.03,0.0125,0.01",
+    # 64-bit box codes on nonstrong-r2's 3 x 1 bounding box
+    "estimate_q2_n20000_s4-20": "estimate --q 2 --samples 20000 --seed 1 --scale-octaves 4 20",
 }
 TOL = 1e-12
 
