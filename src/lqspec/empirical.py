@@ -8,17 +8,21 @@ F(K_w), which lies in F(B_w), where B_w is a box around the attractor K_w
 computed once per ``sample`` call.  The walk stops once that box lies
 in one closed box of every grid the box counts bin (the finest side, and
 each side that is not a power-of-two multiple of the side below it), and
-emits the box's centre.  So at every requested side the point's box is the
-box of the exact draw, up to draws on a grid line, which have probability
-zero.  A walk that keeps straddling a line ends once its contraction is at
-most SCALE_FLOOR = 1e-12; its point is then within 1e-12 box widths of an
+emits, at each such grid, the Morton code of the box that holds the box's
+centre.  So at every requested side the walk's box is the box of the exact
+draw, up to draws on a grid line, which have probability zero.  A walk
+that keeps straddling a line ends once its contraction is at most
+SCALE_FLOOR = 1e-12; its centre is then within 1e-12 box widths of an
 exact draw.  The sides fix the depth, so there is no other stopping knob.
+The codes' layout is fixed before any walk: keys from 0 at the low corner
+of the family's bounding box, with the bits of the grid over it, and a key
+outside it raises SamplerBound.
 
 Each ``sample`` call tabulates the cylinders at which walks stop, once per
 class of vertices with one walk law (_classes; on ``nonstrong-r-heights``
 the paper's vertices 1-5 share a table): a tree of edge paths grown one
 level at a time from the class's first vertex, in which a node where the
-walk's stop test ends it becomes a terminal leaf holding its box centre,
+walk's stop test ends it becomes a terminal leaf holding its box codes,
 while the other (open) leaves hold the walk state.  A tree grows while a
 level adds at most MAX_LEVEL_NODES of its leaves and it keeps at most
 MAX_TABLE_NODES; the classes' trees grow one after another.  A table lists
@@ -31,8 +35,8 @@ widths / 2^53), so each vertex draws one multinomial over its table's
 groups, the terminal leaves in one box at every tested grid with the sum of
 their widths, and open leaves (343 to 1,185 per 1-D table at the default
 sides).  A walk in a group is done (at the default sides almost every 1-D
-walk), so a cloud holds counted groups, and box counting bins one centre
-per group, weighted by the walks of every vertex that shares its table.
+walk), so a cloud holds counted groups, and box counting bins one code per
+group and grid, weighted by the walks of every vertex that shares its table.
 
 After an open leaf, each sweep moves every active walk along a path of k
 edges, the most at which no vertex has more than 256 paths, and then tests
@@ -57,13 +61,13 @@ the multinomial left it, with one ``rng.bit_generator.random_raw(n_active)``
 per sweep over the chunk's active walks in ascending order.  The top 53
 bits of a raw word are the m of the m / 2^53 that ``rng.random()`` would
 return.  A walk that ends in a group draws no raw word.  A seed fixes every
-count and point for one numpy version: numpy keeps ``random_raw``'s stream
+count and code for one numpy version: numpy keeps ``random_raw``'s stream
 across versions, but does not promise to keep the multinomial's.
-Each chunk writes its points to its own columns of one coordinate-major
+Each chunk writes its walks' codes to its own columns of one grid-major
 array, so the draws and the chunks run on a thread pool with one worker per
 CPU available to the process (numpy releases the interpreter lock in the
 multinomial, the gathers and the draws).  There is no setting for the
-worker count, and the points do not depend on it.
+worker count, and the codes do not depend on it.
 
 This is the only module that needs numpy; it converts the maps' plain
 tuples (``gifs.Similitude``) into its arrays.
@@ -117,17 +121,20 @@ class SampleCloud:
     ``scales`` (coarsest first); box counting anchors its grids at
     ``grid_anchor``.
 
-    A cloud is built from an (n, d) array of finite points (InvalidParams
-    names the first that is not), held as float64 and binned one by one, or
-    by ``sample`` as counted groups: the centre of each group of terminal
-    leaves (_Start) that some walk drew, with the walks of all the vertices
-    that share its table, binned once each, and the points of the walks
-    that went on from open leaves, binned one by one.  Either way it holds
-    only what box counting bins, and ``len`` is the number of points.
+    A cloud holds the Morton codes (_morton) of its points' boxes, one row
+    per grid that box counting bins (_tested_grids), and the walk weights
+    of its counted groups, but no coordinates.  Built from an (n, d) array
+    of finite points (InvalidParams names the first that is not), it
+    converts them here, each axis's keys less their least, rounded down to
+    a multiple of 2^j for the coarsest side h * 2^j of the grid's chain.
+    ``sample`` builds it from the codes that walks emit under a layout
+    fixed over the family's bounding box: one per group of terminal leaves
+    (_Start) that some walk drew, weighted by its walks summed over the
+    vertices that share its table, and one per walk that went on from an
+    open leaf.  ``len`` is the number of points.
     """
 
     def __init__(self, points, scales, grid_anchor=()):
-        # float64: box counting casts each coordinate row to int64 keys in place
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or not points.shape[1]:
             raise InvalidParams(
@@ -137,32 +144,44 @@ class SampleCloud:
         if not finite.all():
             i = int(np.argmin(finite))
             raise InvalidParams(f"point {i} of the cloud, {points[i].tolist()}, is not finite")
+        if len(grid_anchor) != points.shape[1]:
+            raise InvalidParams(
+                f"the grid anchor {tuple(grid_anchor)} has {len(grid_anchor)} "
+                f"coordinates, but the points have dimension {points.shape[1]}"
+            )
         self.scales = _positive_sides(scales)  # the box sides the points resolve, coarsest first
         self.grid_anchor = grid_anchor
         self._n = len(points)
-        self._swept = points.T  # (d, m): the points binned one by one
-        self._ended = None  # ((d, t) centres, (t,) walk counts), binned once each
+        self._ended = None  # (per-grid codes, walk counts) of the counted groups
+        ends = (points.min(axis=0), points.max(axis=0)) if self._n else (grid_anchor,) * 2
+        octaves = _grid_octaves(self.scales)
+        layouts = []
+        for k, h in enumerate(_tested_grids(self.scales)):
+            span = max(j for grid, j in octaves.values() if grid == k)
+            lo, hi = (np.floor(np.subtract(end, grid_anchor) / h) for end in ends)
+            layouts.append((h, *_code_layout(lo, hi, span, h)))
+        self._codes = _code_rows(points.T, grid_anchor, layouts)
 
     @classmethod
-    def _counted(cls, swept, scales, grid_anchor, starts, drawn):
-        """The cloud of ``sample``'s walks: drawn holds, per vertex, (t,
-        counts of the groups and open leaves of the table starts[t]), and the
-        (d, m) swept holds the points of the walks that went on from open
-        leaves.  The counts are summed per table, so a table's groups are
-        binned once however many vertices share it."""
+    def _counted(cls, scales, grid_anchor, starts, drawn, n_swept):
+        """The cloud of ``sample``'s walks, with room for the codes of the
+        n_swept walks that go on from open leaves, which the walks write:
+        drawn holds, per vertex, (t, counts of the groups and open leaves
+        of the table starts[t]).  The codes of the groups that some walk
+        drew follow, each weighted by its walks summed per table, so a
+        table's groups are binned once however many vertices share it."""
         cloud = cls.__new__(cls)
-        cloud.scales, cloud.grid_anchor, cloud._swept = scales, grid_anchor, swept
+        cloud.scales, cloud.grid_anchor = scales, grid_anchor
         cloud._n = sum(int(counts.sum()) for _, counts in drawn)
-        total = [np.zeros(start.point.shape[1], dtype=np.int64) for start in starts]
+        total = [np.zeros(start.code.shape[1], dtype=np.int64) for start in starts]
         for t, counts in drawn:
             total[t] += counts[: len(total[t])]
-        centres, weights = [], []
-        for start, n in zip(starts, total):
-            group = np.flatnonzero(n)
-            centres.append(start.point.take(group, axis=1))
-            weights.append(n.take(group))
-        weights = np.concatenate(weights)
-        cloud._ended = (np.concatenate(centres, axis=1), weights) if len(weights) else None
+        group = [np.flatnonzero(n) for n in total]
+        ended = np.concatenate([s.code.take(i, axis=1) for s, i in zip(starts, group)], axis=1)
+        weights = np.concatenate([n.take(i) for n, i in zip(total, group)])
+        cloud._ended = (ended, weights) if len(weights) else None
+        cloud._codes = np.empty((len(ended), n_swept + len(weights)), ended.dtype)
+        cloud._codes[:, n_swept:] = ended
         return cloud
 
     def __len__(self) -> int:
@@ -191,10 +210,11 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
     open leaf of its table (_leaf_counts) on its (seed, v, 0) stream.  The
     walks that drew open leaves, in leaf order, go on k edges per sweep in
     chunks of CHUNK_SIZE, chunk c on the (seed, v, c) stream and chunk 0 on
-    from where the multinomial left it, each writing their points to its
-    own columns of one (d, m) array sized to them.  The cloud keeps each
-    table's group counts and that array.  The jobs run on one thread per CPU
-    available to the process, and the points do not depend on how many run.
+    from where the multinomial left it, each writing their box codes at
+    every tested grid to its own columns of the cloud's (grids, m + t)
+    array, whose last t columns hold the codes of the groups that some walk
+    drew.  The jobs run on one thread per CPU available to the process, and
+    the codes do not depend on how many run.
     On an error in a job or an interrupt in the caller, queued jobs are
     cancelled and the error propagates once no job is running.
     Bad arguments raise InvalidParams before any walk.
@@ -203,7 +223,7 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
     seed = _nonnegative_int("seed", seed)
     hs = _resolvable_sides(g, scales)
     tables = _walk_tables(g)
-    grids = _tested_grids(hs)
+    layouts = _grid_layouts(g, hs)
     # Built before any worker starts: on a worker, this build raised the
     # peak RSS of repeated calls by 7-9 MB in about half of all processes.
     paths = _paths(tables)
@@ -211,7 +231,7 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
     roots = [cls.index(c) for c in range(max(cls) + 1)]
 
     def grow():
-        return [_start(tables, grids, r) for r in roots]
+        return [_start(tables, layouts, r) for r in roots]
 
     def stream(*key):
         return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
@@ -222,7 +242,7 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
 
     def walk(v, c, counts, a, b, rng):
         rng = stream(v, c) if rng is None else rng
-        _walk_chunk(paths, starts[cls[v]], counts, swept[:, a:b], rng, grids)
+        _walk_chunk(paths, starts[cls[v]], counts, cloud._codes[:, a:b], rng, layouts)
 
     n_chunks = (n_per_vertex + CHUNK_SIZE - 1) // CHUNK_SIZE
     workers = _worker_count(g.num_vertices * n_chunks)
@@ -236,23 +256,22 @@ def sample(g: Gifs, n_per_vertex: int, seed: int, scales=DEFAULT_SCALES) -> Samp
         jobs, at = [], 0
         for v, (rng, counts) in enumerate(draws):
             start = starts[cls[v]]
-            going = np.cumsum(counts[start.point.shape[1]:])  # the open leaves' walks
+            going = np.cumsum(counts[start.code.shape[1]:])  # the open leaves' walks
             n_going = int(going[-1]) if len(going) else 0
             for c, a in enumerate(range(0, n_going, CHUNK_SIZE)):
                 b = min(a + CHUNK_SIZE, n_going)
                 chunk = np.diff(np.clip(going, a, b), prepend=a)
                 jobs.append((v, c, chunk, at + a, at + b, None if c else rng))
             at += n_going
-        # Coordinate-major: box counting reads each coordinate as one contiguous row.
-        swept = np.empty((g.dim, at))
+        per_vertex = [(cls[v], counts) for v, (_, counts) in enumerate(draws)]
+        anchor = tuple(lo for lo, _ in g.bbox)
+        cloud = SampleCloud._counted(hs, anchor, starts, per_vertex, at)
         _run(pool, walk, jobs)
     finally:
         if pool:
             # A plain `with` would run every queued chunk before re-raising.
             pool.shutdown(cancel_futures=True)
-    per_vertex = [(cls[v], counts) for v, (_, counts) in enumerate(draws)]
-    anchor = tuple(lo for lo, _ in g.bbox)
-    return SampleCloud._counted(swept, hs, anchor, starts, per_vertex)
+    return cloud
 
 
 def _run(pool, fn, jobs):
@@ -281,13 +300,25 @@ def _nonnegative_int(name, value) -> int:
 
 
 def _tested_grids(hs):
-    """The sides, finest first, that a walk's box is tested against.
+    """The sides, finest first, that a walk's box is tested against: those
+    of hs (coarsest first) that are not 2^j times the side below them.
 
     A box inside one closed box of side h lies inside one of side h * 2^j,
-    so only the sides that _box_counts bins need a test.
+    so only these grids need a test, and a cloud holds codes at these alone.
     """
-    fine = hs[::-1]
-    return tuple(h for prev, h in zip((None,) + fine, fine) if _octaves(prev, h) is None)
+    return tuple(h for h, (_, j) in _grid_octaves(hs).items() if not j)
+
+
+def _grid_octaves(hs):
+    """{h: (k, j)} for each side h of hs (coarsest first), finest first: h
+    is 2^j times the k-th tested grid (_tested_grids), each side in turn
+    exactly a power-of-two multiple of the one below it."""
+    out, prev, k, at = {}, None, -1, 0
+    for h in hs[::-1]:
+        j = _octaves(prev, h)
+        k, at = (k + 1, 0) if j is None else (k, at + j)
+        out[h], prev = (k, at), h
+    return out
 
 
 def _positive_sides(scales) -> tuple[float, ...]:
@@ -314,8 +345,17 @@ def _resolvable_sides(g: Gifs, scales) -> tuple[float, ...]:
     width = np.array([hi - lo for lo, hi in g.bbox])
     if h <= SCALE_FLOOR * width.max():
         raise InvalidParams(f"box side {h} is too fine for walks that stop at scale {SCALE_FLOOR}")
-    _code_layout(np.zeros_like(width), np.floor(width / h), 0, h)
+    _grid_layouts(g, hs)
     return hs
+
+
+def _grid_layouts(g: Gifs, hs):
+    """(h, offsets, bits) of the Morton codes at each tested grid of the
+    sides hs, fixed before any walk: offset 0 at the low corner of
+    ``g.bbox``, and the bits of the keys 0 .. floor(width / h) (_code_layout)."""
+    width = np.array([hi - lo for lo, hi in g.bbox])
+    return [(h, *_code_layout(np.zeros_like(width), np.floor(width / h), 0, h))
+            for h in _tested_grids(hs)]
 
 
 def _worker_count(n_jobs: int) -> int:
@@ -573,13 +613,13 @@ class _Start:
     Leaf i takes the draws m (of m / 2^53) with k[i - 1] <= m < k[i] for the
     keys k = ceil(cum * 2^53) of the running sum of the leaves'
     probabilities, each the product of its edges' ``prob``.  A group is the
-    terminal leaves in one box at every tested grid, floor((c - origin) / h)
-    by box counting's float operations.  ``key`` holds the running key
-    width of the G groups (in the order of their first leaves; each the sum
-    of its leaves' widths), then of the open leaves.  A walk that draws a
-    group ends in the group's box at every side, and ``point`` holds the
-    box centre (by the float operations of _stops) of each group's first
-    leaf, which box counting bins for all its walks.  The walks that draw
+    terminal leaves with one Morton code (_morton) at every tested grid, of
+    the box of the leaf's box centre (by the float operations of _stops).
+    ``key`` holds the running key width of the G groups (in the order of
+    their first leaves; each the sum of its leaves' widths), then of the
+    open leaves.  A walk that draws a group ends in the group's box at
+    every side, and ``code`` holds each group's codes, which box counting
+    bins for all its walks.  The walks that draw
     an open leaf G + j go on along k-edge paths from column j of ``vkey``,
     ``orient``, ``scale`` and ``trans``, the walk state after ``levels``
     edges, computed by the same float operations as that many edge moves of
@@ -588,16 +628,16 @@ class _Start:
 
     levels: int  # edge levels grown; with none, a walk draws no leaf
     key: np.ndarray  # (G + O,) int64, nondecreasing, the last 2^53
-    point: np.ndarray  # (d, G)
+    code: np.ndarray  # (grids, G) unsigned
     vkey: np.ndarray  # (O,) int64: the open leaves' state
     orient: np.ndarray  # (O,) int64
     scale: np.ndarray  # (O,)
     trans: np.ndarray  # (d, O)
 
 
-def _start(tables: _WalkTables, grids, root) -> _Start:
+def _start(tables: _WalkTables, layouts, root) -> _Start:
     """The table of stopped cylinders from vertex root, grown one edge level
-    at a time.
+    at a time, for the tested grids of layouts (_grid_layouts).
 
     Each level replaces every open leaf by its children, one per out-edge,
     and tests each child by the walk's own stop rule (the ``near``
@@ -611,6 +651,7 @@ def _start(tables: _WalkTables, grids, root) -> _Start:
     test first checks that.  The margin keeps rounding from hiding a box
     exactly one side wide from the test.
     """
+    grids = [h for h, _, _ in layouts]
     with np.errstate(divide="ignore"):
         near = grids[0] / (2.0 * tables.half.max(axis=0)) * (1.0 + 1e-9)
     near = np.maximum(near, SCALE_FLOOR)
@@ -644,46 +685,46 @@ def _start(tables: _WalkTables, grids, root) -> _Start:
         scale, trans = scale.take(live), trans.take(live, axis=1)
     t_prob, centre = (np.concatenate(field, axis=-1) for field in zip(*ended))
     width = np.diff(_keys(np.concatenate((t_prob, prob))), prepend=0)
-    box = np.concatenate([np.floor((centre - tables.origin[:, None]) / h) for h in grids])
-    order = np.lexsort(box)  # stable: each box's leaves in leaf order
-    run = np.flatnonzero(np.diff(box.take(order, axis=1), prepend=-np.inf).any(axis=0))
+    code = _code_rows(centre, tables.origin, layouts)
+    order = np.lexsort(code)  # stable: each box's leaves in leaf order
+    box = code.take(order, axis=1)  # the first column differs from its bitwise not
+    run = np.flatnonzero(np.diff(box, axis=1, prepend=~box[:, :1]).any(axis=0))
     head = order.take(run)  # each box's first leaf
     rank = np.argsort(head)  # the boxes in the order of their first leaves
     group_width = np.add.reduceat(width.take(order), run).take(rank)
     key = np.cumsum(np.concatenate((group_width, width[len(t_prob):])))
-    return _Start(levels, key, centre.take(head.take(rank), axis=1), vkey,
+    return _Start(levels, key, code.take(head.take(rank), axis=1), vkey,
                   orient // len(tables.ratio), scale, trans)
 
 
-def _walk_chunk(paths: _WalkTables, start: _Start, counts, out, rng, grids):
+def _walk_chunk(paths: _WalkTables, start: _Start, counts, out, rng, layouts):
     """Walk on from start's open leaves, counts[j] walks from the j-th of
-    them, into the (d, n) out, one column per walk in the order of their
+    them, into the (grids, n) out, one column per walk in the order of their
     leaves.
 
     Each sweep moves every active walk along one k-edge path of ``paths``
     (see _paths), drawn with one raw word, and tests it once: it ends when
-    its box lies in one closed box of each grid in grids (sides, finest
-    first, anchored at ``paths.origin``) or its scale is at most
-    SCALE_FLOOR, and its point is the box's centre.  So a walk ends at the
-    first depth ``start.levels`` + j k at which it would, at most k - 1
-    edges deeper than an edge-by-edge walk.  Finished walks leave the
-    arrays: the active walks stay compacted in ascending order.
-    Coordinates are rows (d, n), so every gather and compaction acts on
-    contiguous 1-D data.
+    its box lies in one closed box of each tested grid of layouts (sides,
+    finest first, anchored at ``paths.origin``) or its scale is at most
+    SCALE_FLOOR, and its column gets the Morton codes (_morton) of the box
+    of the box's centre at each grid.  So a walk ends at the first depth
+    ``start.levels`` + j k at which it would, at most k - 1 edges deeper
+    than an edge-by-edge walk.  Finished walks leave the arrays: the
+    active walks stay compacted in ascending order.  Coordinates are rows
+    (d, n), so every gather and compaction acts on contiguous 1-D data.
     """
     vkey, orient = np.repeat(start.vkey, counts), np.repeat(start.orient, counts)
     orient *= len(paths.ratio)  # the first column of each walk's orientation
     scale, trans = np.repeat(start.scale, counts), np.repeat(start.trans, counts, axis=1)
     pos = np.arange(len(vkey))
+    grids = [h for h, _, _ in layouts]
 
     while len(pos):
         ge, vkey, orient = _step(paths, rng, vkey, orient, scale, trans)
         ends, centre = _stops(paths, grids, ge, scale, trans)
         done = np.flatnonzero(ends)
         if len(done):
-            dest = pos.take(done)
-            for row, c in zip(out, centre):
-                row[dest] = c.take(done)
+            out[:, pos.take(done)] = _code_rows(centre.take(done, axis=1), paths.origin, layouts)
             live = np.flatnonzero(~ends)
             pos, vkey, orient = pos.take(live), vkey.take(live), orient.take(live)
             scale, trans = scale.take(live), trans.take(live, axis=1)
@@ -776,16 +817,14 @@ def partition_sum(cloud: SampleCloud, scales, q: float, total_mass: float) -> li
 
     Boxes are anchored at ``cloud.grid_anchor``, for a sampled cloud the
     family bounding-box corner (no random offsets); the empirical mass of a
-    box is total_mass * count / N.  A counted cloud's terminal-leaf centres
-    are binned once each, weighted by how many walks drew them, and only
-    the walks that went on from open leaves are binned one by one.  The
-    boxes are counted by their Morton codes, sorted once per chain of sides
-    that are power-of-two multiples of each other (_box_counts); a cloud
-    whose codes would need more than 64 bits raises InvalidParams.  A side
-    that the cloud was not sampled for, or an anchor with another number of
-    coordinates than the points, raises InvalidParams, as do a q that is not
-    a finite real and a total_mass that is not finite and positive.  An
-    empty cloud gives -inf at every scale.
+    box is total_mass * count / N.  The boxes are counted from the cloud's
+    Morton codes, each grid's sorted once for its chain of sides that are
+    power-of-two multiples of each other (_box_counts): a sampled cloud's
+    group codes count once each, weighted by how many walks drew them, and
+    the walks that went on from open leaves one by one.  A side that the
+    cloud was not sampled for raises InvalidParams, as do a q that is not a
+    finite real and a total_mass that is not finite and positive.  An empty
+    cloud gives -inf at every scale.
     """
     _check_q(q)
     if not isinstance(total_mass, numbers.Real) or not 0.0 < total_mass < math.inf:
@@ -795,12 +834,6 @@ def partition_sum(cloud: SampleCloud, scales, q: float, total_mass: float) -> li
     if unresolved:
         raise InvalidParams(
             f"the cloud resolves the box sides {list(cloud.scales)}, not {unresolved}"
-        )
-    dim = len(cloud._swept)
-    if len(cloud.grid_anchor) != dim:
-        raise InvalidParams(
-            f"the grid anchor {tuple(cloud.grid_anchor)} has {len(cloud.grid_anchor)} "
-            f"coordinates, but the points have dimension {dim}"
         )
     n = len(cloud)
     if n == 0:
@@ -833,89 +866,85 @@ def _log_sum_of_powers(counts, n, q, total_mass):
 
 def _box_counts(cloud: SampleCloud, hs):
     """Yield (i, codes, counts) for each side hs[i], finest first: the
-    Morton codes of the occupied boxes (_codes), ascending, and the number
-    of points in each.
+    Morton codes of the occupied boxes, ascending, and the number of points
+    in each.
 
-    The sides fall into chains, each side h_prev * 2^j exactly for the one
-    before it.  A chain's finest side bins the points, with one sort; each
-    further side shifts the codes right by d * j in place (a caller that
-    keeps codes copies them) and adds the counts of equal codes.  Dividing
-    by a power of two is exact and floor(y / 2^j) = floor(y) >> j, so every
-    box gets the count that binning the points would give.
+    Each side is 2^j times one of the cloud's grids (_grid_octaves).  The
+    grid's codes are sorted in place, as a cloud is a multiset of codes,
+    and equal codes counted, a group's code for its walks; each further
+    side of the grid shifts the codes right by d * j in place (a caller
+    that keeps codes copies them) and adds the counts of equal codes.
+    Dividing by a power of two is exact and floor(y / 2^j) = floor(y) >> j,
+    so every box gets the count that binning the points would give.
     """
-    chains, prev = [], None
+    octaves, chains = _grid_octaves(cloud.scales), {}
     for i in sorted(range(len(hs)), key=hs.__getitem__):
-        j = _octaves(prev, hs[i])
-        if j is None:
-            chains.append([])
-        chains[-1].append((i, j or 0))
-        prev = hs[i]
+        k, j = octaves[hs[i]]
+        chains.setdefault(k, []).append((i, j))
     dim = len(cloud.grid_anchor)
-    for chain in chains:
-        span = sum(j for _, j in chain)
-        codes, counts = _codes(cloud._swept, cloud._ended, cloud.grid_anchor, hs[chain[0][0]], span)
+    for k, chain in chains.items():
+        code = cloud._codes[k]
+        code.sort()
+        first = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
+        codes, counts = code[first], np.diff(first, append=len(code))
+        if cloud._ended is not None:
+            # each group's code was counted once; it stands for its walks
+            ended, weights = cloud._ended
+            np.add.at(counts, np.searchsorted(codes, ended[k]), weights - 1)
+        at = 0
         for i, j in chain:
-            if j:
-                codes >>= dim * j
+            if j > at:
+                codes >>= dim * (j - at)
                 first = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
-                codes, counts = codes[first], np.add.reduceat(counts, first)
+                codes, counts, at = codes[first], np.add.reduceat(counts, first), j
             yield i, codes, counts
 
 
-def _codes(swept, ended, anchor, h, span):
-    """The Morton codes of the points' boxes floor((p - anchor) / h),
-    distinct and ascending, and the number of points in each.
+def _code_rows(points, origin, layouts):
+    """The (grids, n) Morton codes (_morton) of the (d, n) points' boxes at
+    each (h, offsets, bits) of layouts, uint32 where every grid's codes fit."""
+    dim = len(origin)
+    wide = any(dim * bits > 32 for _, _, bits in layouts)
+    code = np.zeros((len(layouts), points.shape[1]), np.uint64 if wide else np.uint32)
+    for row, layout in zip(code, layouts):
+        _morton(points, origin, *layout, row)
+    return code
 
-    The points are the columns of the (d, m) swept, each counted once, and
-    the ended centres, (d, t), each counted with its weight: ended is
-    (centres, weights), or None.  Bit b of an axis's key, offset by the
-    least key rounded down to a multiple of 2^span, is bit d * b + axis of
-    the code (uint32 where it fits), so for j <= span the code shifted
-    right by d * j is that of the box of side h * 2^j.  Each coordinate row
-    is binned in turn, in its own float memory, so besides the codes only
-    one row's keys are held.
+
+def _morton(points, origin, h, off, bits, out):
+    """OR into out the Morton codes of the boxes floor((p - origin) / h) of
+    the (d, n) points: bit b of an axis's key less off[axis] is bit d * b +
+    axis of the code, so for j <= the grid's span the code shifted right by
+    d * j is that of the box of side h * 2^j.  SamplerBound, naming h,
+    unless every key less its offset lies in [0, 2^bits): none is clipped.
+    Each axis's keys are cast in their own float memory.
     """
-    rows = [swept] if ended is None else [swept, ended[0]]
-    full = [r for r in rows if r.size]
-    lo, hi = (
-        np.floor((f([f(r, axis=1) for r in full], axis=0) - anchor) / h) for f in (np.min, np.max)
-    )
-    off, bits = _code_layout(lo, hi, span, h)
-    dim = len(anchor)
-    code = np.zeros(sum(r.shape[1] for r in rows), np.uint32 if dim * bits <= 32 else np.uint64)
+    dim = len(origin)
     top = max(bits - 1, 0) // 16 if dim > 1 else 0  # the last 16-bit piece of a key
-    for r, out in zip(rows, np.split(code, [swept.shape[1]])):
-        for axis, x in enumerate(anchor):
-            y = r[axis] - x
-            y /= h
-            np.floor(y, out=y)
-            k = y.view(np.int64)  # cast in y's own memory
-            np.copyto(k, y, casting="unsafe")
-            k -= off[axis]
-            for c in range(top, -1, -1):  # each 16-bit piece spread by one lookup
-                part = k >> 16 * c if c else k
-                if c < top:
-                    part &= 0xFFFF
-                if dim > 1:  # "clip" skips the bounds check that would copy out
-                    _spread_table(dim).take(part, out=part, mode="clip")
-                part <<= dim * 16 * c + axis
-                np.bitwise_or(out, part.view(np.uint64), out=out, casting="unsafe")
-            del y, k, part
-    ends = code[swept.shape[1] :].copy()  # the centres' codes, before code is sorted
-    code.sort()
-    first = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
-    codes, counts = code[first], np.diff(first, append=len(code))
-    if ended is not None:
-        # each centre was counted once; it stands for weight walks
-        np.add.at(counts, np.searchsorted(codes, ends), ended[1] - 1)
-    return codes, counts
+    for axis, x in enumerate(origin):
+        y = points[axis] - x
+        y /= h
+        np.floor(y, out=y)
+        k = y.view(np.int64)  # cast in y's own memory
+        np.copyto(k, y, casting="unsafe")
+        k -= off[axis]
+        if len(k) and (k.min() < 0 or k.max() >> bits):
+            raise SamplerBound(f"a box key at side {h} lies outside its {bits}-bit Morton code")
+        for c in range(top, -1, -1):  # each 16-bit piece spread by one lookup
+            part = k >> 16 * c if c else k
+            if c < top:
+                part &= 0xFFFF
+            if dim > 1:  # "clip" skips the bounds check that would copy out
+                _spread_table(dim).take(part, out=part, mode="clip")
+            part <<= dim * 16 * c + axis
+            np.bitwise_or(out, part.view(np.uint64), out=out, casting="unsafe")
 
 
 def _code_layout(lo, hi, span, h):
     """The per-axis offsets (each least key in lo rounded down to a multiple
     of 2^span) and bits per axis of the Morton codes of keys lo .. hi of
     side h; InvalidParams unless the keys and offsets are within 2^62 of 0
-    and the codes fit 64 bits.  ``_resolvable_sides`` applies it before any
+    and the codes fit 64 bits.  ``_grid_layouts`` applies it before any
     walk."""
     if max(-lo.min(), hi.max()) < 2.0**62:
         off = [int(a) >> span << span for a in lo]

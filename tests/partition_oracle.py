@@ -9,11 +9,12 @@ per box, and ``np.unique`` counts them, so the counts come out in
 lexicographic key order.
 
 ``partition_sum`` lists its boxes by Morton code instead, with each axis's
-keys offset per chain of sides.  ``morton_boxes`` decodes such codes one
-bit at a time.  It and ``oracle_boxes`` shift each box by the least
-occupied key per axis and list the boxes in lexicographic order, so the
-two box-to-count maps compare box by box whatever the offset and
-the code order.
+keys offset per chain of sides (by 0 in a sampled cloud).  ``morton_keys``
+decodes such codes one bit at a time, and ``morton_codes`` encodes the
+boxes of points so, with offset 0.  ``morton_boxes`` and ``oracle_boxes``
+shift each box by the least occupied key per axis and list the boxes in
+lexicographic order, so the two box-to-count maps compare box by box
+whatever the offset and the code order.
 """
 
 from __future__ import annotations
@@ -52,17 +53,36 @@ def oracle_boxes(points, anchor, h: float):
     return keys[index], counts
 
 
-def morton_boxes(codes, counts, dim: int):
-    """The boxes of the Morton codes in dim axes, where bit dim * b + axis
-    of a code is bit b of that axis's key, as ``oracle_boxes`` gives them:
-    less the least occupied key per axis, in lexicographic order, with
-    their counts."""
+def morton_keys(codes, dim: int) -> np.ndarray:
+    """The (n, d) integer keys of the Morton codes in dim axes, where bit
+    dim * b + axis of a code is bit b of that axis's key."""
     codes = np.asarray(codes).astype(np.uint64)
     keys = np.zeros((len(codes), dim), dtype=np.int64)
     for bit in range(64):
         axis, b = bit % dim, bit // dim
         keys[:, axis] |= ((codes >> np.uint64(bit)) & np.uint64(1)).astype(np.int64) << b
-    keys, flat = _packed(keys)
+    return keys
+
+
+def morton_codes(points, anchor, h: float) -> np.ndarray:
+    """The uint64 Morton codes, built one bit at a time, of the boxes of
+    side h anchored at anchor of the (n, d) points: bit b of an axis's key
+    is bit d * b + axis of the code.  Every key must be nonnegative."""
+    keys = _oracle_keys(points, anchor, h)
+    n, dim = keys.shape
+    assert not n or keys.min() >= 0
+    codes = np.zeros(n, dtype=np.uint64)
+    for bit in range(64):
+        axis, b = bit % dim, bit // dim
+        codes |= ((keys[:, axis] >> b) & 1).astype(np.uint64) << np.uint64(bit)
+    return codes
+
+
+def morton_boxes(codes, counts, dim: int):
+    """The boxes of the Morton codes in dim axes (morton_keys), as
+    ``oracle_boxes`` gives them: less the least occupied key per axis, in
+    lexicographic order, with their counts."""
+    keys, flat = _packed(morton_keys(codes, dim))
     order = np.argsort(flat)
     return keys[order], np.asarray(counts)[order]
 

@@ -18,7 +18,14 @@ from lqspec import empirical
 from lqspec.empirical import CHUNK_SIZE, DEFAULT_SCALES, SCALE_FLOOR, fit_to_csv
 from lqspec.gifs import similitude_2d
 from conftest import assert_valid_gifs
-from partition_oracle import morton_boxes, oracle_box_counts, oracle_boxes, oracle_partition_sum
+from partition_oracle import (
+    morton_boxes,
+    morton_codes,
+    morton_keys,
+    oracle_box_counts,
+    oracle_boxes,
+    oracle_partition_sum,
+)
 from sampler_oracle import (
     _box,
     _move,
@@ -48,16 +55,17 @@ def test_single_self_loop_one_step(monkeypatch):
     # raw word
     cloud, words, depth = _sample_counting_draws(monkeypatch, g, 100, seed=0)
     assert words == 0.0 and depth == 1.0
-    centres, weights = cloud._ended
-    assert cloud._swept.shape == (1, 0) and weights.tolist() == [100]
-    assert np.all(np.abs(centres) <= 1e-25)
+    codes, weights = cloud._ended
+    # no swept walk, and one group in box 0 at every side
+    assert cloud._codes.shape == (1, 1) and weights.tolist() == [100]
+    assert codes.tolist() == [[0]] and cloud._codes.tolist() == [[0]]
 
 
 def test_empty_cloud(monkeypatch):
     monkeypatch.setattr(empirical, "ThreadPoolExecutor", _no_pool)
     for g in (_strong_r_gifs(), lq.build_example(lq.canonical_params("strong-r2"))):
         cloud = lq.sample(g, 0, seed=0)
-        assert len(cloud) == 0 and cloud._ended is None and cloud._swept.shape == (g.dim, 0)
+        assert len(cloud) == 0 and cloud._ended is None and cloud._codes.shape == (1, 0)
         assert lq.partition_sum(cloud, DEFAULT_SCALES, 2.0, 1.0) == [-math.inf] * 8
 
 
@@ -83,10 +91,19 @@ def _sample_drawing(monkeypatch, g, n_per_vertex, seed, scales=DEFAULT_SCALES):
 
 
 def _swept_by_vertex(cloud, drawn):
-    """cloud._swept cut into each vertex's swept points, (d, m_v) each."""
-    going = [int(counts[start.point.shape[1]:].sum()) for start, counts in drawn]
-    assert cloud._swept.shape[1] == sum(going)
-    return np.split(cloud._swept, np.cumsum(going)[:-1], axis=1)
+    """The codes of cloud's swept walks, which come before its groups' codes,
+    cut into each vertex's, (grids, m_v) each."""
+    going = [int(counts[start.code.shape[1]:].sum()) for start, counts in drawn]
+    n_groups = 0 if cloud._ended is None else len(cloud._ended[1])
+    assert cloud._codes.shape[1] == sum(going) + n_groups
+    return np.split(cloud._codes[:, : sum(going)], np.cumsum(going)[:-1], axis=1)
+
+
+def _grid_codes(points, anchor, grids):
+    """The (grids, n) Morton codes of the (n, d) points' boxes at each side of
+    grids, anchored at anchor with offset 0 (partition_oracle.morton_codes):
+    the codes of a sampled cloud."""
+    return np.array([morton_codes(points, anchor, h) for h in grids]).reshape(len(grids), -1)
 
 
 class _CountingRng:
@@ -137,9 +154,11 @@ def _sample_counting_draws(monkeypatch, g, n_per_vertex, seed, scales=DEFAULT_SC
 
 
 def _same_cloud(a, b):
-    """Whether clouds a and b hold the same counted groups and swept points."""
+    """Whether clouds a and b hold the same codes, in the same order and
+    dtype, and the same counted groups."""
     ends = [() if c._ended is None else c._ended for c in (a, b)]
-    return (len(a) == len(b) and np.array_equal(a._swept, b._swept)
+    return (len(a) == len(b) and a._codes.dtype == b._codes.dtype
+            and np.array_equal(a._codes, b._codes)
             and len(ends[0]) == len(ends[1]) and all(map(np.array_equal, *ends)))
 
 
@@ -172,8 +191,9 @@ def test_raw_draws_give_the_uniform_draws_integers():
 
 def _assert_matches_oracle(monkeypatch, g, n, seed, scales=DEFAULT_SCALES):
     """Sample g and check the cloud against the oracle's walks: each
-    vertex's counts of its groups and open leaves, its groups' centres
-    against the oracle's first-leaf centres, the swept points, and the box
+    vertex's counts of its groups and open leaves, its groups' codes at
+    every tested grid against those of the oracle's first-leaf centres, the
+    swept walks' codes against those of the oracle's points, and the box
     counts against those of the oracle's points, at every side.  Returns
     the cloud, its per-vertex draws (_sample_drawing), and the oracle's
     points and final walk states."""
@@ -182,14 +202,14 @@ def _assert_matches_oracle(monkeypatch, g, n, seed, scales=DEFAULT_SCALES):
     # both are vertex-major, n walks per vertex
     assert np.array_equal(vertices, np.repeat(np.arange(g.num_vertices), n))
     assert len(cloud) == len(points) == n * g.num_vertices
-    tol = 0.0 if g.dim == 1 else 1e-15  # 1-D: exact, every orthogonal part is +-1
+    grids, anchor = empirical._tested_grids(cloud.scales), cloud.grid_anchor
     swept = _swept_by_vertex(cloud, drawn)
     for v, ((start, counts), (want_counts, centres), got) in enumerate(zip(drawn, counted, swept)):
         assert np.array_equal(counts, want_counts), v
-        assert np.max(np.abs(start.point.T - centres), initial=0.0) <= tol, v
+        assert np.array_equal(start.code, _grid_codes(centres, anchor, grids)), v
         # vertex v's swept walks are the last of its n
         want = points[n * (v + 1) - got.shape[1] : n * (v + 1)]
-        assert np.max(np.abs(got.T - want), initial=0.0) <= tol, v
+        assert np.array_equal(got, _grid_codes(want, anchor, grids)), v
     _assert_counts_the_boxes_of(cloud, points, scales)
     return cloud, drawn, (points, state)
 
@@ -227,8 +247,8 @@ def test_points_do_not_depend_on_the_worker_count(monkeypatch, family):
     for workers in (1, 2, 3):
         monkeypatch.setattr(empirical, "_worker_count", lambda n_jobs: workers)
         clouds.append(_sample_drawing(monkeypatch, g, CHUNK_SIZE + 77, seed=5))
-        # coordinate-major: box counting reads each coordinate contiguously
-        assert clouds[-1][0]._swept.flags.c_contiguous
+        # grid-major: box counting sorts each grid's codes in place
+        assert clouds[-1][0]._codes.flags.c_contiguous
     for cloud, drawn in clouds[1:]:
         assert _same_cloud(clouds[0][0], cloud)
         assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(clouds[0][1], drawn))
@@ -293,13 +313,15 @@ def _reflection_gifs():
     return lq.Gifs(2, 1, edges)
 
 
-def _rotation_gifs(angle):
+def _rotation_gifs(angle, bbox=((-0.5, 1.0), (-0.5, 1.0))):
+    # at a third turn the attractors reach below 0 on both axes: the unit
+    # box does not contain them
     edges = (
         lq.Edge("a", 0, 0, similitude_2d(0.5, (0.5, 0.1), angle), 0.4),
         lq.Edge("b", 0, 1, similitude_2d(0.3, (0.0, 0.6)), 0.6),
         lq.Edge("c", 1, 0, similitude_2d(0.45, (0.2, 0.3), angle), 1.0),
     )
-    return lq.Gifs(2, 2, edges)
+    return lq.Gifs(2, 2, edges, bbox=bbox)
 
 
 @pytest.mark.parametrize("seed", [1, 42, 2024])
@@ -384,7 +406,9 @@ def test_walks_that_keep_straddling_a_line_end_at_the_floor(monkeypatch):
     (start,) = _starts(g, [1e-11])
     assert start.levels == 12 and path_edges(g) == 8
     cloud, _, (points, (_, scale, _, _)) = _assert_matches_oracle(monkeypatch, g, 2000, 0, [1e-11])
-    assert cloud._ended is None and np.array_equal(cloud._swept.T, points)
+    # one code per walk; box counting has sorted them in place
+    assert cloud._ended is None
+    assert np.array_equal(cloud._codes, np.sort(_grid_codes(points, (0.0,), [1e-11])))
     assert np.all(scale == 2.0**-44) and 2.0**-44 <= SCALE_FLOOR < 2.0**-36
     u, w = points[:, 0] / 1e-11, 2.0**-45 / 1e-11  # each box is its point +- w, in sides
     assert 2 <= np.count_nonzero(u + w > np.floor(u - w) + 1.0) <= 30
@@ -425,8 +449,8 @@ def test_first_edges_drawn_as_one_path(monkeypatch, family):
 def _starts(g, scales):
     """The table of stopped cylinders from each vertex of g."""
     tables = empirical._walk_tables(g)
-    grids = empirical._tested_grids(empirical._resolvable_sides(g, scales))
-    return [empirical._start(tables, grids, v) for v in range(g.num_vertices)]
+    layouts = empirical._grid_layouts(g, empirical._resolvable_sides(g, scales))
+    return [empirical._start(tables, layouts, v) for v in range(g.num_vertices)]
 
 
 _TABLE_CASES = {
@@ -475,7 +499,7 @@ def test_path_keys_match_the_oracle(case):
         width = np.diff(keys, prepend=0)
         grouped = [i for group in groups for i in group]
         assert sorted(grouped) == list(range(n_ended))
-        assert start.point.shape[1] == len(groups)
+        assert start.code.shape[1] == len(groups)
         want = [int(width[group].sum()) for group in groups] + width[n_ended:].tolist()
         assert np.array_equal(start.key, np.cumsum(np.array(want, dtype=np.int64)))
 
@@ -483,38 +507,40 @@ def test_path_keys_match_the_oracle(case):
 @pytest.mark.parametrize("case", _TABLE_CASES)
 def test_terminal_leaves_fit_every_grid(case):
     # a terminal leaf's box fits every tested grid, or its scale is at most
-    # the floor; a group's point is the box centre of its first leaf
-    _, starts = _tables_and_oracle(case)
+    # the floor; a group's codes are those of its first leaf's box centre
+    g, starts = _tables_and_oracle(case)
+    grids = empirical._tested_grids(empirical._resolvable_sides(g, _TABLE_CASES[case][1]))
+    anchor = [lo for lo, _ in g.bbox]
     for start, _, fits, centre, groups in starts:
         grouped = [i for group in groups for i in group]
         assert np.all(fits[grouped])
         first = [group[0] for group in groups]
-        assert np.max(np.abs(start.point - centre[first].T), initial=0.0) <= 1e-15
+        assert np.array_equal(start.code, _grid_codes(centre[first], anchor, grids))
 
 
 @pytest.mark.parametrize("case", _TABLE_CASES)
 def test_each_group_is_the_terminal_leaves_of_one_box(case):
     # every leaf of a group (the oracle's, keyed by its box at every side)
-    # lies in the box of the group's point at every side, so the sampler's
+    # lies in the box of the group's codes at every side, the code of its
+    # tested grid shifted right by d bits per octave, so the sampler's
     # groups, keyed at the tested grids alone, are the oracle's; two groups
     # differ in the box of some tested grid
     g, starts = _tables_and_oracle(case)
-    scales = _TABLE_CASES[case][1]
-    origin = np.array([lo for lo, _ in g.bbox])[:, None]
-    grids = empirical._tested_grids(empirical._resolvable_sides(g, scales))
+    scales = empirical._resolvable_sides(g, _TABLE_CASES[case][1])
+    anchor = [lo for lo, _ in g.bbox]
+    octaves = empirical._grid_octaves(scales)
     for start, (leaves, _, _), _, centre, groups in starts:
-        n_ended, n_groups = len(leaves) - len(start.vkey), start.point.shape[1]
+        n_ended, n_groups = len(leaves) - len(start.vkey), start.code.shape[1]
         assert n_groups == len(groups)
         group = np.repeat(np.arange(n_groups), [len(members) for members in groups])
         leaf = np.array([i for members in groups for i in members], dtype=np.int64)
-        for sides in (grids, scales):
-            box = np.concatenate([np.floor((centre[leaf].T - origin) / h) for h in sides])
-            point_box = np.concatenate([np.floor((start.point - origin) / h) for h in sides])
-            assert np.array_equal(box, point_box[:, group])
-        box = np.concatenate([np.floor((start.point - origin) / h) for h in grids])
-        assert len(set(map(tuple, box.T))) == n_groups
+        for h in scales:
+            k, j = octaves[h]
+            box = start.code[k].astype(np.uint64) >> np.uint64(g.dim * j)
+            assert np.array_equal(morton_codes(centre[leaf], anchor, h), box[group]), h
+        assert len(set(map(tuple, start.code.T))) == n_groups
         if case == "nonstrong-r-heights-four-grids":
-            assert len(grids) == 4 and n_groups < n_ended
+            assert start.code.shape[0] == 4 and n_groups < n_ended
         if case in ("strong-r2", "nonstrong-r2"):
             # one leaf per group: the 2-D families' draws keep their categories and stream
             assert n_groups == n_ended
@@ -611,7 +637,7 @@ def test_a_table_stops_at_its_own_level_bound():
     # vertex 1 stops at its level bound with 70 open leaves; the Cantor
     # vertices 0 and 2 grow on until no leaf is open
     cantor, fan, cantor_4 = _starts(_fan_and_cantor_gifs(), DEFAULT_SCALES)
-    assert fan.levels == 1 and len(fan.vkey) == 70 and fan.point.shape[1] == 0
+    assert fan.levels == 1 and len(fan.vkey) == 70 and fan.code.shape[1] == 0
     for start in (cantor, cantor_4):
         assert start.levels > 1 and len(start.vkey) == 0
 
@@ -681,7 +707,10 @@ def test_shared_tables_give_the_points_of_one_table_per_vertex(monkeypatch, scal
         assert all(np.array_equal(getattr(table, f.name), getattr(own_table, f.name))
                    for f in dataclasses.fields(table) if f.name != "vkey")
         assert np.array_equal(cls[table.vkey >> 54], cls[own_table.vkey >> 54])
-    assert len(shared) == len(alone) and np.array_equal(shared._swept, alone._swept)
+    assert len(shared) == len(alone)
+    swept = [_swept_by_vertex(cloud, drawn) for cloud, drawn in ((shared, shared_drawn),
+                                                                  (alone, alone_drawn))]
+    assert all(map(np.array_equal, *swept))
     for q in (0.0, 2.0, -1.5):
         assert lq.partition_sum(shared, scales, q, 6.0) == lq.partition_sum(alone, scales, q, 6.0)
 
@@ -877,6 +906,53 @@ def test_scales_rejected_before_any_walk(monkeypatch, scales, message):
         lq.sample(g, 10, seed=0, scales=scales)
 
 
+_MIXED_SIDES = (0.05, 0.03, 0.0125, 0.01)
+
+
+@pytest.mark.parametrize("family", lq.FAMILY_IDS)
+def test_keys_outside_the_fixed_layout_raise(monkeypatch, family):
+    # a layout one bit per axis narrower than the grid of side 0.01 over the
+    # bounding box: some walk's key needs the missing bit, so sample raises
+    # SamplerBound naming the side (the finest grid is coded first) and
+    # returns no cloud, where the spread table's clipped lookup would have
+    # given such a key a wrong code
+    g = lq.build_example(lq.canonical_params(family))
+    cloud = lq.sample(g, 2000, seed=1, scales=_MIXED_SIDES)
+    h, _, bits = empirical._grid_layouts(g, cloud.scales)[0]
+    assert h == 0.01 and morton_keys(cloud._codes[0], g.dim).max() >> (bits - 1)
+    layout = empirical._code_layout
+
+    def narrower(*args):
+        off, bits = layout(*args)
+        return off, bits - 1
+
+    monkeypatch.setattr(empirical, "_code_layout", narrower)
+    with pytest.raises(lq.SamplerBound, match=r"side 0\.01 lies outside its"):
+        lq.sample(g, 2000, seed=1, scales=_MIXED_SIDES)
+
+
+def test_a_graph_whose_attractor_leaves_its_bbox_raises():
+    # at a third turn the attractors reach below the unit box's low corner,
+    # where a box's key is negative
+    g = _rotation_gifs(2 * math.pi / 3, bbox=())
+    assert g.bbox == ((0.0, 1.0), (0.0, 1.0))
+    with pytest.raises(lq.SamplerBound, match="lies outside its"):
+        lq.sample(g, 1000, seed=0)
+
+
+@pytest.mark.parametrize("x, key", [(-1e-9, None), (0.0, 0), (255.5, 255), (256.0, None)])
+def test_morton_codes_only_keys_inside_the_layout(x, key):
+    # 8 bits per axis: keys 0 .. 255 are coded, -1 and 256 raise
+    out = np.zeros(1, np.uint32)
+    points = np.array([[x], [3.5]])
+    if key is None:
+        with pytest.raises(lq.SamplerBound, match="side 1.0 lies outside its 8-bit"):
+            empirical._morton(points, (0.0, 0.0), 1.0, [0, 0], 8, out)
+    else:
+        empirical._morton(points, (0.0, 0.0), 1.0, [0, 0], 8, out)
+        assert morton_keys(out, 2).tolist() == [[key, 3]]
+
+
 def _fits_row_major_keys(bbox, h):
     # the rule before Morton codes: every key, and the number of boxes of the
     # grid over the bounding box, below 2^62
@@ -905,10 +981,9 @@ def test_a_lopsided_cloud_beyond_64_bit_codes_is_refused():
     # bits, but interleaved they need 82
     h = 2.0**-20
     pts = np.array([[0.0, 0.0], [2.0**20, h]])
-    cloud = lq.SampleCloud(pts, scales=(h,), grid_anchor=(0.0, 0.0))
     assert _fits_row_major_keys(((0.0, 2.0**20), (0.0, h)), h)
     with pytest.raises(lq.InvalidParams, match="too fine to index the boxes in 64-bit Morton"):
-        lq.partition_sum(cloud, [h], 2.0, total_mass=1.0)
+        lq.SampleCloud(pts, scales=(h,), grid_anchor=(0.0, 0.0))
 
 
 def test_negative_sample_count_rejected(monkeypatch):
@@ -952,23 +1027,25 @@ def test_estimate_rejects_a_nonfinite_q_before_sampling(monkeypatch, q):
 
 
 def test_points_within_bbox():
+    # every key of a cloud's boxes, groups' and swept walks', lies in the grid
+    # over the bounding box: in [0, floor(width / h)] along each axis
     for fid in lq.FAMILY_IDS:
         g = lq.build_example(lq.canonical_params(fid))
         cloud = lq.sample(g, 2000, seed=5)
-        centres = np.zeros((g.dim, 0)) if cloud._ended is None else cloud._ended[0]
-        points = np.concatenate((centres, cloud._swept), axis=1)
-        assert points.shape[1] > 0
-        for d, (lo, hi) in enumerate(g.bbox):
-            assert points[d].min() >= lo
-            assert points[d].max() <= hi
+        for h, codes in zip(empirical._tested_grids(cloud.scales), cloud._codes):
+            keys = morton_keys(codes, g.dim)
+            assert len(keys) > 0
+            for d, (lo, hi) in enumerate(g.bbox):
+                assert keys[:, d].min() >= 0
+                assert keys[:, d].max() <= math.floor((hi - lo) / h)
 
 
 def test_sample_means_match_fixed_point(monkeypatch):
     # the vertex measures' means solve m_i = sum_e p_e (rho_e R_e m_j + b_e);
     # a biased walk scheme (e.g. double-stepping on vertex changes) breaks
-    # this at many sigma.  A vertex's mean weights each group's centre by its
-    # walks; a group's leaves lie in one box of side 2^-11, far below the
-    # bound
+    # this at many sigma.  A vertex's mean weights each box centre at the
+    # finest grid by its walks: each walk lies in its box of side 2^-11, so
+    # the centres add at most h / 2 = 2.4e-4, far below the bound
     for fid in ("strong-r2", "strong-r", "nonstrong-r2"):
         g = lq.build_example(lq.canonical_params(fid))
         d = g.dim
@@ -983,9 +1060,12 @@ def test_sample_means_match_fixed_point(monkeypatch):
             b[d * i : d * i + d] += e.prob * np.array(e.map.translation)
         exact = np.linalg.solve(np.eye(n) - A, b)
         cloud, drawn = _sample_drawing(monkeypatch, g, 200_000, seed=11)
+        h, anchor = empirical._tested_grids(cloud.scales)[0], np.array(cloud.grid_anchor)
+        assert h == 2.0**-11
         for v, ((start, counts), swept) in enumerate(zip(drawn, _swept_by_vertex(cloud, drawn))):
-            total = start.point @ counts[: start.point.shape[1]] + swept.sum(axis=1)
-            got = total / 200_000
+            codes = np.concatenate((start.code[0], swept[0]))
+            walks = np.concatenate((counts[: start.code.shape[1]], np.ones(swept.shape[1])))
+            got = walks @ (anchor + (morton_keys(codes, d) + 0.5) * h) / 200_000
             assert np.max(np.abs(got - exact[d * v : d * v + d])) < 5e-3
 
 
@@ -1055,21 +1135,23 @@ def _cloud_of_64_bit_codes():
     rng = np.random.default_rng(6)
     pts = np.stack([rng.uniform(0.0, 2.0**21 - 1.0, 300), rng.uniform(0.0, 0.3, 300)], axis=1)
     pts[:100, 0] = rng.uniform(0.0, 0.3, 100)  # and some boxes that coarser sides merge
-    return lq.SampleCloud(points=pts, scales=tuple(_ALL_SIDES), grid_anchor=(0.0, 0.0)), pts
+    cloud = lq.SampleCloud(points=pts, scales=tuple(_ALL_SIDES), grid_anchor=(0.0, 0.0))
+    assert cloud._codes.dtype == np.uint64
+    return cloud, pts
 
 
 def _cloud_with_far_centres():
-    # counted as sample() counts: swept points with keys of 10 bits at 2^-11,
-    # and weighted centres with keys of 20, five of them in swept points' boxes
+    # counted as sample() counts: the codes of swept points with keys of 10
+    # bits at 2^-11, then those of weighted centres with keys of 20, five of
+    # them in swept points' boxes, each counted for its weight
     rng = np.random.default_rng(7)
-    swept = rng.uniform(0.0, 0.3, (2, 200))
-    centres = rng.uniform(0.0, 2.0**9, (2, 20))
-    centres[:, :5] = swept[:, :5]
+    swept = rng.uniform(0.0, 0.3, (200, 2))
+    centres = rng.uniform(0.0, 2.0**9, (20, 2))
+    centres[:5] = swept[:5]
     weights = rng.integers(1, 5, 20)
-    pts = np.concatenate([swept.T, np.repeat(centres.T, weights, axis=0)])
-    cloud = lq.SampleCloud(pts, scales=tuple(_ALL_SIDES), grid_anchor=(0.0, 0.0))
-    cloud._swept, cloud._ended = swept, (centres, weights)
-    return cloud, pts
+    cloud = lq.SampleCloud(np.concatenate([swept, centres]), tuple(_ALL_SIDES), (0.0, 0.0))
+    cloud._n, cloud._ended = 200 + int(weights.sum()), (cloud._codes[:, 200:].copy(), weights)
+    return cloud, np.concatenate([swept, np.repeat(centres, weights, axis=0)])
 
 
 def _sampled_with_oracle_points(g, n_per_vertex, seed, scales=DEFAULT_SCALES):
@@ -1127,16 +1209,14 @@ def test_partition_sum_large_q_matches_exact_rational_sums(q):
 
 
 def test_partition_sum_rejects_an_anchor_of_another_dimension(monkeypatch):
-    # the default anchor () has no coordinate to bin against: named before
-    # any binning, not a TypeError from inside it
-    monkeypatch.setattr(empirical, "_box_counts", _no_walks)
+    # the default anchor () has no coordinate to bin against: named when the
+    # cloud converts its points to box codes, not a TypeError from inside it
+    monkeypatch.setattr(empirical, "_morton", _no_walks)
     pts = np.full((50, 1), 0.3)
-    cloud = lq.SampleCloud(points=pts, scales=(0.25, 0.125, 0.0625))
     with pytest.raises(lq.InvalidParams, match=r"grid anchor \(\) has 0 coordinates.*dimension 1"):
-        lq.partition_sum(cloud, [0.25, 0.125, 0.0625], 2.0, total_mass=1.0)
-    cloud = lq.SampleCloud(points=np.zeros((5, 2)), scales=(0.5,), grid_anchor=(0.0,))
+        lq.SampleCloud(points=pts, scales=(0.25, 0.125, 0.0625))
     with pytest.raises(lq.InvalidParams, match=r"anchor \(0\.0,\) has 1 coordinates.*dimension 2"):
-        lq.partition_sum(cloud, [0.5], 2.0, total_mass=1.0)
+        lq.SampleCloud(points=np.zeros((5, 2)), scales=(0.5,), grid_anchor=(0.0,))
 
 
 @pytest.mark.parametrize(
@@ -1189,14 +1269,15 @@ def test_cloud_rejects_points_that_are_not_an_n_by_d_array(points):
 
 
 def test_clouds_of_other_dtypes_count_the_same_boxes():
-    # float32 points raised a bare ValueError: box counting casts each
-    # coordinate row to int64 keys in the row's own memory
+    # float32 points raised a bare ValueError: a cloud casts each coordinate
+    # row, as float64, to int64 keys in the row's own memory
     pts = np.random.default_rng(0).integers(0, 64, size=(500, 2))
     scales = (16.0, 8.0, 3.0, 1.0)
-    want = None
+    want = codes = None
     for dtype in (np.float64, np.float32, np.int64):
         cloud = lq.SampleCloud(pts.astype(dtype), scales=scales, grid_anchor=(0.0, 0.0))
-        assert cloud._swept.dtype == np.float64
+        codes = cloud._codes.copy() if codes is None else codes
+        assert np.array_equal(cloud._codes, codes), dtype
         got = [lq.partition_sum(cloud, scales, q, total_mass=1.0) for q in (0.0, 2.0, -1.5)]
         want = want or got
         assert got == want, dtype
@@ -1216,35 +1297,43 @@ _COUNTED_CASES = {
 @pytest.mark.parametrize("n_per_vertex", [0, 1, CHUNK_SIZE + 77])
 @pytest.mark.parametrize("case", _COUNTED_CASES)
 def test_counted_cloud_counts_the_boxes_of_its_points(monkeypatch, case, n_per_vertex):
-    # a sampled cloud bins each group's centre once, weighted by the walks
+    # a sampled cloud bins each group's code once, weighted by the walks
     # that drew it; its boxes and counts are those of the oracle's points,
-    # one per walk (_assert_matches_oracle), and so are those of a cloud
-    # built from those points, which bins them one by one
+    # one per walk (_assert_matches_oracle), and, in the same order, so are
+    # the distinct codes of those points under the cloud's layout, binned
+    # one by one, and so their partition sums to the bit
     family, scales = _COUNTED_CASES[case]
     g = lq.build_example(lq.canonical_params(family))
     cloud, drawn, (points, _) = _assert_matches_oracle(monkeypatch, g, n_per_vertex, 3, scales)
-    assert cloud._swept.flags.c_contiguous
-    expanded = lq.SampleCloud(points, cloud.scales, grid_anchor=cloud.grid_anchor)
-    hs = list(scales)
+    assert cloud._codes.flags.c_contiguous
+    hs, mass = list(scales), float(g.num_vertices)
     if n_per_vertex:
-        pairs = zip(empirical._box_counts(cloud, hs), empirical._box_counts(expanded, hs))
-        for (i, codes, got), (_, want_codes, want) in pairs:
+        per_walk = {}
+        for i, codes, got in empirical._box_counts(cloud, hs):
+            want_codes, want = np.unique(morton_codes(points, cloud.grid_anchor, hs[i]),
+                                         return_counts=True)
             assert np.array_equal(codes, want_codes) and np.array_equal(got, want), hs[i]
-    for q in (0.0, 2.0, -1.5):
-        got = lq.partition_sum(cloud, hs, q, total_mass=float(g.num_vertices))
-        assert got == lq.partition_sum(expanded, hs, q, total_mass=float(g.num_vertices))
-    # exactly the walks counted at open leaves were swept
-    going = sum(int(counts[start.point.shape[1]:].sum()) for start, counts in drawn)
-    assert cloud._swept.shape[1] == going
+            per_walk[i] = want
+        for q in (0.0, 2.0, -1.5):
+            want = [empirical._log_sum_of_powers(per_walk[i], len(points), q, mass)
+                    for i in range(len(hs))]
+            assert lq.partition_sum(cloud, hs, q, total_mass=mass) == want
+    else:
+        assert lq.partition_sum(cloud, hs, 2.0, total_mass=mass) == [-math.inf] * len(hs)
+    # exactly the walks counted at open leaves were swept, and each group
+    # that some walk drew is held once
+    going = sum(int(counts[start.code.shape[1]:].sum()) for start, counts in drawn)
+    n_groups = 0 if cloud._ended is None else len(cloud._ended[1])
+    assert cloud._codes.shape[1] == going + n_groups
     if case in ("strong-r", "nonstrong-r-basic"):
         # at the default sides a walk ends at a terminal leaf: every leaf of
         # strong-r's tables is terminal, and nonstrong-r-basic's 476 open
         # leaves hold 3.3e-5 of the law
-        open_mass = [np.diff(start.key, prepend=0)[start.point.shape[1]:].sum() / 2.0**53
+        open_mass = [np.diff(start.key, prepend=0)[start.code.shape[1]:].sum() / 2.0**53
                      for start, _ in drawn]
         assert max(open_mass) < 1e-4 and (case != "strong-r" or max(open_mass) == 0.0)
     if case.endswith(("2^-16", "2^-20")):
-        assert cloud._ended is None and cloud._swept.shape[1] == len(cloud)
+        assert cloud._ended is None and cloud._codes.shape[1] == len(cloud)
 
 
 def test_partition_sum_rejects_a_side_the_cloud_does_not_resolve():
