@@ -927,8 +927,9 @@ def _morton(points, origin, h, off, bits, out):
         np.floor(y, out=y)
         k = y.view(np.int64)  # cast in y's own memory
         np.copyto(k, y, casting="unsafe")
-        k -= off[axis]
-        if len(k) and (k.min() < 0 or k.max() >> bits):
+        if off[axis]:
+            k -= off[axis]
+        if len(k) and int(k.view(np.uint64).max()) >> bits:  # a negative key is 2^63 or more
             raise SamplerBound(f"a box key at side {h} lies outside its {bits}-bit Morton code")
         for c in range(top, -1, -1):  # each 16-bit piece spread by one lookup
             part = k >> 16 * c if c else k

@@ -15,8 +15,8 @@ their leaves').  So that its walks have real leaf states, the oracle
 then splits each group's count over the group's leaves of positive width,
 on a stream of its own, ``(seed, vertex)``, by one ``rng.multinomial``
 where the group has walks and two such leaves; the sampler keeps the group
-counts and bins each group's first centre for all its walks, so box counts
-agree whatever the split.  Then the walks that drew open leaves, in leaf
+counts and counts the box codes of each group's first leaf for all its
+walks, so box counts agree whatever the split.  Then the walks that drew open leaves, in leaf
 order, sweep in chunks of CHUNK_SIZE, chunk 0 on from where the multinomial
 left its stream and chunk c on stream c, with one ``rng.random`` per sweep
 over the chunk's active walks in ascending order, which picks each walk's
@@ -27,9 +27,10 @@ walk ends once the box of its cylinder lies in one closed box of every
 requested grid, or its scale is at most the floor.  A walk that draws a
 terminal leaf takes the leaf's box centre; one that draws an open leaf
 moves along the leaf's edges and then sweeps, one path per sweep, tested
-after each.  So the two must agree count for count, group centre for
-first-leaf centre and swept point for swept point: exactly where every
-orthogonal part is +-1, and to rounding otherwise.
+after each.  So the two must agree count for count, and the sampler's box
+codes must be those of the oracle's first-leaf centres and swept points:
+the centres agree exactly where every orthogonal part is +-1, and to
+rounding otherwise, which moves no centre across a grid line.
 """
 
 from __future__ import annotations
