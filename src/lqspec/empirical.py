@@ -135,6 +135,7 @@ class SampleCloud:
     """
 
     def __init__(self, points, scales, grid_anchor=()):
+        # float64: _morton casts each coordinate row's keys to int64 in the row's memory
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or not points.shape[1]:
             raise InvalidParams(
@@ -154,8 +155,7 @@ class SampleCloud:
         self._n = len(points)
         self._ended = None  # (per-grid codes, walk counts) of the counted groups
         ends = (points.min(axis=0), points.max(axis=0)) if self._n else (grid_anchor,) * 2
-        octaves = _grid_octaves(self.scales)
-        layouts = []
+        octaves, layouts = _grid_octaves(self.scales), []
         for k, h in enumerate(_tested_grids(self.scales)):
             span = max(j for grid, j in octaves.values() if grid == k)
             lo, hi = (np.floor(np.subtract(end, grid_anchor) / h) for end in ends)
