@@ -15,7 +15,7 @@ import json
 import math
 import shutil
 import sys
-from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 from . import closed_forms, solver, spectral
 from .errors import (
@@ -42,30 +42,27 @@ def _config_number(name: str, v) -> float:
         raise ConfigError(f"config field {name!r}: bad number {v!r}") from exc
 
 
-@dataclass
-class RunConfig:
-    """Command inputs.
+class RunConfig(SimpleNamespace):
+    """Command inputs: ``family`` and each field of ``DEFAULTS``, which
+    holds its default (``scales`` starts as a new empty list).
 
     The family parameters (``rho``, ``r``, ``t``, ``s``) and ``probs`` are
     kept as given and parsed by ``family_params``; every other number is
     already a float or an int.
     """
 
-    family: str
-    rho: str | float | None = None
-    r: str | float | None = None
-    t: str | float | None = None
-    s: str | float | None = None
-    probs: str | dict = "uniform"
-    q: float | None = None
-    q_min: float = 0.0
-    q_max: float = 10.0
-    steps: int = 101
-    scales: list = field(default_factory=list)
-    samples: int = 1_000_000
-    seed: int = 42
-    tie_tol: float = 1e-9
-    output: str | None = None
+    DEFAULTS = {
+        "rho": None, "r": None, "t": None, "s": None,  # str | float | None
+        "probs": "uniform",  # str | dict
+        "q": None, "q_min": 0.0, "q_max": 10.0, "steps": 101, "scales": [],
+        "samples": 1_000_000, "seed": 42, "tie_tol": 1e-9, "output": None,
+    }
+
+    def __init__(self, family: str, **given):
+        unknown = given.keys() - RunConfig.DEFAULTS.keys()
+        if unknown:
+            raise TypeError(f"RunConfig has no fields {sorted(unknown)}")
+        super().__init__(family=family, **{**RunConfig.DEFAULTS, "scales": [], **given})
 
     @staticmethod
     def from_dict(d) -> "RunConfig":
@@ -76,15 +73,14 @@ class RunConfig:
         """
         if not isinstance(d, dict):
             raise ConfigError(f"a config must be a JSON object, got a JSON {type(d).__name__}")
-        fields = RunConfig.__dataclass_fields__
-        unknown = set(d) - set(fields)
+        unknown = set(d) - {"family", *RunConfig.DEFAULTS}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "family" not in d:
             raise ConfigError("config requires a 'family' field")
         out = dict(d)
         for name, v in d.items():
-            if v is None and fields[name].default is None:
+            if v is None and name != "family" and RunConfig.DEFAULTS[name] is None:
                 continue
             if name in _FLOAT_FIELDS:
                 out[name] = _config_number(name, v)
@@ -122,7 +118,7 @@ class RunConfig:
                 for name in ("rho", "r", "t", "s")
                 if (v := getattr(self, name)) is not None
             }
-            return replace(canonical_params(self.family), probs=probs, **given)
+            return canonical_params(self.family)._replace(probs=probs, **given)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad numeric parameter: {exc}") from exc
 
@@ -351,10 +347,12 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # argparse builds a formatter per add_argument call, and each one asks
-    # for the terminal size unless given a width: ask once, with argparse's
-    # own margin of two columns.
+    # Built on the first call of main and kept for the process, so its help
+    # width is the terminal's at that call.  argparse builds a formatter per
+    # add_argument call, and each one asks for the terminal size unless
+    # given a width: ask once, with argparse's own margin of two columns.
     width = shutil.get_terminal_size().columns - 2
     ap = argparse.ArgumentParser(
         prog="lqspec", description=__doc__, allow_abbrev=False,

@@ -16,8 +16,7 @@ expansions of it are checked in the tests, not here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import NoBracket, SingularHalpha
 from .matrix import AtomFamily
@@ -33,8 +32,7 @@ _MARGIN = 1e-15  # relative margin kept below a factor's bound
 # Forward-mode values carrying (value, d/dq, d/dalpha)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Val:
+class Val(NamedTuple):
     v: float
     dq: float = 0.0
     da: float = 0.0
@@ -89,8 +87,7 @@ def _series_val(fam: AtomFamily, q: float, alpha: float) -> Val:
 # Factors and family container
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     """One root-carrying factor of the characteristic function."""
 
     name: str
@@ -102,16 +99,14 @@ class Factor:
     domain_sup: Callable[[float], float | None]
 
 
-@dataclass(frozen=True)
-class FactorRoots:
+class FactorRoots(NamedTuple):
     roots: tuple[float, ...]
     labels: tuple[tuple[int, ...], ...]
     tau: float
     argmin: int
 
 
-@dataclass(frozen=True)
-class ClosedFormFamily:
+class ClosedFormFamily(NamedTuple):
     family_id: str
     params: object  # families.FamilyParams
     factors: tuple[Factor, ...]
@@ -149,7 +144,7 @@ class ClosedFormFamily:
         else:
             where = "unbounded" if bound is None else f"bound {bound!r}"
             raise NoBracket(f"factor {f.name!r} at q={q!r}: no sign change from "
-                            f"start={start!r} ({where}); last alpha {y!r}")
+                            f"start={start!r} ({where}); last alpha {y!r}", q, y, bound)
         lo, hi, hlo, hhi = (y, x, hy, hx) if down else (x, y, hx, hy)
         side = 0  # the end that moved last: -1 lo, 1 hi
         for _ in range(_MAX_ITER):
@@ -173,7 +168,8 @@ class ClosedFormFamily:
         for x, hx in ((lo, hlo), (hi, hhi)):
             if not math.isfinite(hx):  # e.g. where atom terms overflow next to a finite value
                 raise NoBracket(f"factor {f.name!r} at q={q!r} is {hx!r} at alpha={x!r}, an end "
-                                f"of its final bracket [{lo!r}, {hi!r}]: no finite sign change")
+                                f"of its final bracket [{lo!r}, {hi!r}]: no finite sign change",
+                                q, x, bound)
         return 0.5 * (lo + hi)
 
     def solve(self, q: float) -> FactorRoots:

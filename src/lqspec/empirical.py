@@ -80,7 +80,7 @@ import math
 import numbers
 import os
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -188,8 +188,7 @@ class SampleCloud:
         return self._n
 
 
-@dataclass(frozen=True)
-class ScalingFit:
+class ScalingFit(NamedTuple):
     q: float
     scales: tuple[float, ...]
     log_sums: tuple[float, ...]  # log S_q(h) at each scale
@@ -367,8 +366,7 @@ def _worker_count(n_jobs: int) -> int:
     return min(cpus, n_jobs)
 
 
-@dataclass(frozen=True)
-class _WalkTables:
+class _WalkTables(NamedTuple):
     """Global per-edge tables; edges are grouped by source vertex.
 
     ``prob`` is the probability with which a walk draws the edge: the width
@@ -604,8 +602,7 @@ def _orientation_group(orths):
     return rots[:size], np.array(mul, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class _Start:
+class _Start(NamedTuple):
     """The table of stopped cylinders from one start vertex: its T terminal
     leaves, level by level, then its O open leaves, all of one level, each
     level in lexicographic edge order.

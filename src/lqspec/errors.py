@@ -12,7 +12,11 @@ class InvalidParams(LqSpecError):
 
 
 class DomainViolation(LqSpecError):
-    """A series evaluation was requested outside its convergence domain."""
+    """A series evaluation was requested outside its convergence domain, at ``q`` and ``alpha``."""
+
+    def __init__(self, message: str, q: float | None = None, alpha: float | None = None):
+        super().__init__(message)
+        self.q, self.alpha = q, alpha
 
 
 class NoConvergence(LqSpecError):
@@ -31,7 +35,16 @@ class DegenerateClass(LqSpecError):
 
 
 class NoBracket(LqSpecError):
-    """A root bracket could not be established inside the domain."""
+    """A root bracket could not be established inside the domain.
+
+    ``alpha`` is the last alpha tried at ``q``, or the bracket end where the
+    function is not finite; ``bound`` is the open bound on alpha, or None.
+    """
+
+    def __init__(self, message: str, q: float | None = None, alpha: float | None = None,
+                 bound: float | None = None):
+        super().__init__(message)
+        self.q, self.alpha, self.bound = q, alpha, bound
 
 
 class SingularHalpha(LqSpecError):

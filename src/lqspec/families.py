@@ -18,8 +18,8 @@ of the measure matrix, {(i, j): [terms]}, where a term is an atom
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, NamedTuple
 
 from .closed_forms import Factor, _geom_sup, _no_sup, _qpow, _series_val
 from .errors import InvalidParams
@@ -30,8 +30,7 @@ GOLDEN_RATIO_INV = (math.sqrt(5.0) - 1.0) / 2.0
 _PROB_TOL = 1e-12  # largest |sum - 1| of one vertex's edge probabilities
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(NamedTuple):
     """Parameters selecting and configuring one of the built-in families."""
 
     family_id: str
@@ -39,11 +38,10 @@ class FamilyParams:
     r: float | None = None
     t: float | None = None
     s: float | None = None
-    probs: dict[str, float] = field(default_factory=dict)
+    probs: dict[str, float] = MappingProxyType({})  # uniform if empty
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One built-in family: all that the graph, matrix and closed-form routes use."""
 
     id: str

@@ -13,34 +13,29 @@ which samples the measures, turns them into arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Similitude:
+class Similitude(NamedTuple("Similitude", [("dim", int), ("ratio", float),
+                                           ("orthogonal", tuple), ("translation", tuple)])):
     """Map x -> ratio * orthogonal @ x + translation on R^dim.
 
     ``orthogonal`` is held as dim rows of dim floats and ``translation`` as
     dim floats; any nested sequences of numbers are accepted.
     """
 
-    dim: int
-    ratio: float
-    orthogonal: tuple[tuple[float, ...], ...]
-    translation: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        orth = tuple(tuple(float(v) for v in row) for row in self.orthogonal)
-        trans = tuple(float(v) for v in self.translation)
-        d = self.dim
-        if len(orth) != d or any(len(row) != d for row in orth) or len(trans) != d:
+    def __new__(cls, dim: int, ratio: float, orthogonal, translation):
+        orth = tuple(tuple(float(v) for v in row) for row in orthogonal)
+        trans = tuple(float(v) for v in translation)
+        if len(orth) != dim or any(len(row) != dim for row in orth) or len(trans) != dim:
             raise ValueError(
-                f"a similitude on R^{d} needs a {d} x {d} orthogonal part "
-                f"and {d} translation entries"
+                f"a similitude on R^{dim} needs a {dim} x {dim} orthogonal part "
+                f"and {dim} translation entries"
             )
-        object.__setattr__(self, "orthogonal", orth)
-        object.__setattr__(self, "translation", trans)
+        return super().__new__(cls, dim, ratio, orth, trans)
 
 
 def similitude_1d(ratio: float, translation: float) -> Similitude:
@@ -52,8 +47,7 @@ def similitude_2d(ratio: float, translation, angle: float = 0.0) -> Similitude:
     return Similitude(dim=2, ratio=ratio, orthogonal=((c, -s), (s, c)), translation=translation)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: str
     src: int
     dst: int
@@ -61,19 +55,17 @@ class Edge:
     prob: float
 
 
-@dataclass(frozen=True)
-class Gifs:
-    num_vertices: int
-    dim: int
-    edges: tuple[Edge, ...]
-    # Sampling metadata: a box containing every vertex attractor (lo, hi per
-    # coordinate; the unit box by default).  Its low corner anchors the grids.
-    bbox: tuple[tuple[float, float], ...] = ()
+class Gifs(NamedTuple("Gifs", [("num_vertices", int), ("dim", int), ("edges", tuple),
+                               ("bbox", tuple)])):
+    """``edges`` may be any sequence and is held as a tuple.  ``bbox`` is
+    sampling metadata: a box containing every vertex attractor (lo, hi per
+    coordinate; the unit box if empty).  Its low corner anchors the grids.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
-        if not self.bbox:
-            object.__setattr__(self, "bbox", tuple([(0.0, 1.0)] * self.dim))
+    __slots__ = ()
+
+    def __new__(cls, num_vertices: int, dim: int, edges, bbox=()):
+        return super().__new__(cls, num_vertices, dim, tuple(edges), bbox or ((0.0, 1.0),) * dim)
 
     def out_edges(self, vertex: int) -> list[Edge]:
         return [e for e in self.edges if e.src == vertex]

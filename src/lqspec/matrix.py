@@ -25,7 +25,7 @@ own.  Nothing here imports numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._series import binomial_sums
 from .errors import DomainViolation
@@ -39,8 +39,7 @@ _SERIES_TOL = 1e-15
 # Weight sequences
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GeometricPower:
+class GeometricPower(NamedTuple):
     """w_k = c * a^k."""
 
     c: float
@@ -51,8 +50,7 @@ class GeometricPower:
         return self.a
 
 
-@dataclass(frozen=True)
-class BinomialSum:
+class BinomialSum(NamedTuple):
     """w_k = c * sum_{j=0..k} a^j b^{k-j}.
 
     With hi = max(a, b) and x = min(a, b) / hi this is
@@ -72,8 +70,7 @@ class BinomialSum:
 # Series and entries
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AtomFamily:
+class AtomFamily(NamedTuple):
     """A series: atoms at log-lengths -ln(rho0 * r^k), k >= 0, with mass w_k."""
 
     weight: GeometricPower | BinomialSum
@@ -106,7 +103,8 @@ class AtomFamily:
         log_zeta = q * log_a - alpha * log_r
         if log_zeta >= 0.0:
             raise DomainViolation(
-                f"geometric family ratio exp({log_zeta:.3g}) >= 1 at q={q}, alpha={alpha}"
+                f"geometric family ratio exp({log_zeta:.3g}) >= 1 at q={q}, alpha={alpha}",
+                q, alpha,
             )
         zeta = math.exp(log_zeta)
         amp = math.exp(q * math.log(w.c) - alpha * log_rho0)
@@ -126,7 +124,7 @@ class AtomFamily:
         log_zeta = q * log_hi - alpha * log_r
         if not log_zeta < 0.0:
             raise DomainViolation(
-                f"series ratio exp({log_zeta:.3g}) >= 1 at q={q}, alpha={alpha}"
+                f"series ratio exp({log_zeta:.3g}) >= 1 at q={q}, alpha={alpha}", q, alpha
             )
         # ln w_k = ln c + k ln hi + ln h_k, with h_k = sum_{j<=k} x^j and
         # x = e^-delta; lo - hi is exact when 2 lo >= hi, so delta keeps its
@@ -167,22 +165,19 @@ def binomial_family(c: float, a: float, b: float, rho0: float, r: float) -> Atom
 # Matrix spec
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MeasureMatrixSpec:
+class MeasureMatrixSpec(NamedTuple("MeasureMatrixSpec", [("n", int), ("cells", dict),
+                                                         ("labels", tuple)])):
     """An n x n matrix held sparsely.
 
     ``cells[(i, j)]`` is the nonempty tuple of terms of entry (i, j); a
     missing key is a structural zero.  ``labels[i]`` is row i's 1-based
-    cell index in reports.
+    cell index in reports, 1 to n if none are given.
     """
 
-    n: int
-    cells: dict[tuple[int, int], tuple]
-    labels: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(range(1, self.n + 1)))
+    def __new__(cls, n: int, cells: dict[tuple[int, int], tuple], labels: tuple[int, ...] = ()):
+        return super().__new__(cls, n, cells, labels or tuple(range(1, n + 1)))
 
     def support(self) -> list[int]:
         """The support as row bitmasks: bit j of row i is set when (i, j) is a key."""
@@ -192,8 +187,7 @@ class MeasureMatrixSpec:
         return rows
 
 
-@dataclass(frozen=True)
-class CompiledBlock:
+class CompiledBlock(NamedTuple):
     """A principal block of a spec, compiled for repeated evaluation.
 
     ``atoms`` holds one (flat cell, ln w, ln L) triple per atom and

@@ -5,23 +5,21 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidGrid
 from .matrix import MeasureMatrixSpec
 from .spectral import ClassificationResult, CompiledClasses, classify, compile_classes
 
 
-@dataclass(frozen=True)
-class SpectrumCurve:
+class SpectrumCurve(NamedTuple):
     qs: tuple[float, ...]
     alphas: tuple[float, ...]
     roots_table: tuple[dict, ...]  # per grid point: class index -> root
     slopes: tuple[tuple[float, float], ...]  # per grid point: tau_slopes
 
 
-@dataclass(frozen=True)
-class LegendreCurve:
+class LegendreCurve(NamedTuple):
     alphas: tuple[float, ...]
     f_values: tuple[float, ...]
     q_conjugate: tuple[float, ...]

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DegenerateClass, InvalidParams, NoConvergence
 from .matrix import AtomFamily, CompiledBlock, MeasureMatrixSpec, compile_block
@@ -118,8 +118,7 @@ def _closure(adj: list[int]) -> list[int]:
 # Communication classes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassDecomposition:
+class ClassDecomposition(NamedTuple):
     """Communication classes of a support pattern and their reachability.
 
     Everything here comes from reachability closures of the support digraph
@@ -180,8 +179,7 @@ def communication_classes(spec: MeasureMatrixSpec) -> ClassDecomposition:
 # Per-class roots
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Elimination:
+class Elimination(NamedTuple):
     """One elimination of I - M for a nonnegative n x n matrix M.
 
     Pivots are taken on the diagonal only, largest remaining one first, so
@@ -410,18 +408,24 @@ def _certified(alpha, q, m, mq, grad, el, evals) -> ClassRoot:
     return ClassRoot(alpha, q, slope, rho_lo, rho_hi, evals)
 
 
-@dataclass(frozen=True)
-class CompiledClasses:
+class CompiledClasses(NamedTuple):
     """A spec's class decomposition; classes with equal compiled blocks share one block.
 
     ``reports`` caches ``classify``'s heights, S_m sets and tags, which
     depend on q only through the attaining classes: one entry per tuple of
-    attaining classes met so far, so a curve builds each once.
+    attaining classes met so far, so a curve builds each once.  The cache
+    takes no part in equality.
     """
 
     decomposition: ClassDecomposition
     blocks: dict  # class index -> CompiledBlock (non-degenerate classes only)
-    reports: dict = field(default_factory=dict, compare=False)  # attaining classes -> report
+    reports: dict  # attaining classes -> report
+
+    def __eq__(self, other):
+        return isinstance(other, CompiledClasses) and self[:2] == other[:2]
+
+    def __ne__(self, other):
+        return not self == other
 
 
 def compile_classes(spec: MeasureMatrixSpec) -> CompiledClasses:
@@ -432,15 +436,14 @@ def compile_classes(spec: MeasureMatrixSpec) -> CompiledClasses:
         if not deco.degenerate[ci]:
             block = compile_block(spec, members)
             blocks[ci] = shared.setdefault(block, block)
-    return CompiledClasses(deco, blocks)
+    return CompiledClasses(deco, blocks, {})
 
 
 # ---------------------------------------------------------------------------
 # Classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Tag:
+class Tag(NamedTuple):
     """Asymptotic regime of one cell index.
 
     kind is one of 'periodic_or_constant' (attaining class, height 1),
@@ -458,15 +461,13 @@ class Tag:
         return f"{self.kind}({self.order})"
 
 
-@dataclass(frozen=True)
-class LatticeVerdict:
+class LatticeVerdict(NamedTuple):
     lattice: bool
     span: float | None = None  # common generator of the length spectrum
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(NamedTuple):
     decomposition: ClassDecomposition
     roots: dict  # class index -> ClassRoot alpha_c (non-degenerate classes only)
     tau: float

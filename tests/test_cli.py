@@ -528,6 +528,36 @@ def test_flat_parser_matches_subcommand_parser(argv):
     assert cli._build_parser().parse_args(argv) == _subcommand_parser().parse_args(argv)
 
 
+def test_one_parser_per_process(monkeypatch, capsys, tmp_path):
+    # main builds its parser on its first call and reuses it after a usage
+    # error and after --help
+    import argparse
+
+    from test_golden import GOLDEN, _assert_close, _parse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    monkeypatch.chdir(tmp_path)
+    cli._build_parser.cache_clear()
+    solve = ["solve", "--family", "strong-r", "--q", "2"]
+    assert run(capsys, *solve)[0] == 0
+    code, _, err = run(capsys, *solve, "-o", "x.json")
+    assert code == 2 and "solve does not read --output" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0 and "usage: lqspec" in capsys.readouterr().out
+    code, out, _ = run(capsys, *solve)
+    assert (code, len(built)) == (0, 1)
+    # as test_golden compares: floats within its 1e-12
+    _assert_close(_parse(out), _parse((GOLDEN / "strong-r.solve_q2.out").read_text()))
+
+
 def test_flags_may_come_before_the_command(capsys):
     code, after, _ = run(capsys, "solve", "--family", "strong-r", "--q", "2")
     assert code == 0
@@ -611,7 +641,7 @@ def test_each_command_reads_exactly_its_flags(monkeypatch, capsys, command):
 
     class Recording(RunConfig):
         def __getattribute__(self, name):
-            if name in RunConfig.__dataclass_fields__:
+            if name == "family" or name in RunConfig.DEFAULTS:
                 read.add(name)
             return super().__getattribute__(name)
 
@@ -644,6 +674,21 @@ assert cli.main(["estimate", "--family", "strong-r", "--q", "2", "--samples", "2
 assert "numpy" in sys.modules
 assert "concurrent.futures" in sys.modules
 """
+    _assert_runs(code)
+
+
+def test_import_loads_no_dataclass_machinery():
+    # the records are named tuples: importing the CLI costs no dataclasses
+    # or inspect import (typing is left out: site may import it first)
+    _assert_runs("""
+import sys
+import lqspec.cli
+assert "dataclasses" not in sys.modules and "inspect" not in sys.modules
+""")
+
+
+def _assert_runs(code):
+    """Run ``code`` in a fresh interpreter on this checkout's lqspec; it must exit 0."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)

@@ -4,7 +4,6 @@ and the paper's long-form formulas from ``paper_oracle``."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -173,8 +172,8 @@ def _counting(fam):
 
         return wrapper
 
-    factors = tuple(dataclasses.replace(f, value=counted(f.value)) for f in fam.factors)
-    return dataclasses.replace(fam, factors=factors), calls
+    factors = tuple(f._replace(value=counted(f.value)) for f in fam.factors)
+    return fam._replace(factors=factors), calls
 
 
 def _halving(q, alpha):
@@ -251,6 +250,17 @@ def test_no_bracket_names_factor_q_start_bound_and_last_alpha(sign, sup, start, 
         assert field in msg, msg
     got = float(msg.rsplit("last alpha ", 1)[1])
     assert got == pytest.approx(last, rel=1e-15, abs=1e-300), msg
+    assert (info.value.q, info.value.alpha, info.value.bound) == (2.5, got, sup)
+
+
+def test_no_bracket_carries_q_last_alpha_and_bound(canonical_closed_forms):
+    # the cold search of the strict xfail in test_perron: strong-r2 at q = 0.1
+    # runs into the series' convergence edge with no sign change
+    with pytest.raises(lq.NoBracket) as info:
+        canonical_closed_forms["strong-r2"].solve(0.1)
+    exc = info.value
+    assert (exc.q, exc.bound) == (0.1, 0.14404200904125566)
+    assert exc.alpha == float(str(exc).rsplit("last alpha ", 1)[1]) and exc.alpha < exc.bound
 
 
 @pytest.mark.parametrize("q", [2600.0, 2700.0, 6000.0])
@@ -268,6 +278,8 @@ def test_no_root_where_the_factor_is_not_finite_at_an_end_of_the_bracket(canonic
     assert not math.isfinite(fam.factors[0].value(q, float(alpha)).v), msg
     lo, hi = map(float, msg.split("[", 1)[1].split("]", 1)[0].split(", "))
     assert float(alpha) in (lo, hi) and 0.0 < hi - lo <= 1e-12, msg
+    assert (info.value.q, info.value.alpha) == (q, float(alpha))
+    assert info.value.bound == fam.factors[0].domain_sup(q)
 
 
 # Warm 101-point curves on [0, 10] took 12.7-17.5 factor evaluations per
@@ -324,7 +336,7 @@ def test_longform_agreement_and_typo_disagreement():
     for fid in lq.FAMILY_IDS:
         params = lq.canonical_params(fid)
         if fid == "nonstrong-r-heights":
-            params = dataclasses.replace(params, probs={**params.probs, **UNTIED_HEIGHTS_PROBS})
+            params = params._replace(probs={**params.probs, **UNTIED_HEIGHTS_PROBS})
         fam = lq.build_closed_form(params)
         for q in (0.5, 2.0, 5.0):
             sol = fam.solve(q)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
 import signal
@@ -704,8 +703,8 @@ def test_shared_tables_give_the_points_of_one_table_per_vertex(monkeypatch, scal
     assert len({id(start) for start, _ in alone_drawn}) == 6
     for (table, counts), (own_table, own_counts) in zip(shared_drawn, alone_drawn):
         assert np.array_equal(counts, own_counts)
-        assert all(np.array_equal(getattr(table, f.name), getattr(own_table, f.name))
-                   for f in dataclasses.fields(table) if f.name != "vkey")
+        assert all(np.array_equal(getattr(table, name), getattr(own_table, name))
+                   for name in table._fields if name != "vkey")
         assert np.array_equal(cls[table.vkey >> 54], cls[own_table.vkey >> 54])
     assert len(shared) == len(alone)
     swept = [_swept_by_vertex(cloud, drawn) for cloud, drawn in ((shared, shared_drawn),

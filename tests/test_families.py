@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 import lqspec as lq
@@ -31,7 +29,7 @@ def _unknown_label(p):
 def test_every_route_rejects_the_same_params(fid, case):
     p = lq.canonical_params(fid)
     change = BAD_GEOMETRY[fid] if case == "bad geometry" else _unknown_label(p)
-    bad = dataclasses.replace(p, **change)
+    bad = p._replace(**change)
     for build in BUILDERS:
         build(p)
         with pytest.raises(lq.InvalidParams):
